@@ -94,9 +94,13 @@ table deterministic_replay() {
                 }
             }
         }
+        // Appended, not `"[" + std::to_string(...)`: GCC 12 -O3 misreports
+        // that prepend as an overlapping memcpy (-Werror=restrict).
+        std::string interval = "[";
+        interval += std::to_string(op->invoked) + ", " +
+                    std::to_string(op->responded) + ")";
         t.row({who, cls, "after gamma[" + std::to_string(sa.anchor) + "]",
-               "[" + std::to_string(op->invoked) + ", " +
-                   std::to_string(op->responded) + ")"});
+               interval});
     }
     t.print(std::cout);
     std::cout << "\nverdict: " << (res.atomic ? "ATOMIC" : res.diagnosis)

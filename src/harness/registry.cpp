@@ -17,46 +17,10 @@
 #include "registers/seqlock.hpp"
 #include "registers/swmr_from_swsr.hpp"
 #include "registers/va_register.hpp"
+#include "util/bits.hpp"
 
 namespace bloom87::harness {
 namespace {
-
-/// A 56-bit value payload that satisfies word_packable (sizeof == 7), so the
-/// packed-word substrates can carry the harness's 64-bit unique values
-/// (unique_value never exceeds 2^56). Kept trivial -- no user-provided
-/// constructors -- so word packing's memcpy stays warning-clean; convert
-/// with pack56(). The implicit conversion back to value_t is what lets
-/// two_writer_register's event logging record the true value.
-struct packed56 {
-    unsigned char bytes[7];
-
-    operator value_t() const noexcept {  // NOLINT(google-explicit-constructor)
-        std::uint64_t out = 0;
-        for (int i = 0; i < 7; ++i) {
-            out |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-        }
-        return static_cast<value_t>(out);
-    }
-};
-static_assert(word_packable<packed56>);
-
-[[nodiscard]] packed56 pack56(value_t v) noexcept {
-    packed56 p;
-    for (int i = 0; i < 7; ++i) {
-        p.bytes[i] = static_cast<unsigned char>(
-            static_cast<std::uint64_t>(v) >> (8 * i));
-    }
-    return p;
-}
-
-template <typename T>
-T from_value(value_t v) {
-    if constexpr (std::is_same_v<T, packed56>) {
-        return pack56(v);
-    } else {
-        return static_cast<T>(v);
-    }
-}
 
 /// Manual invocation/response logging for registers that do not log their
 /// own simulated operations (the native word, the VA register, the SWMR
@@ -95,12 +59,12 @@ private:
 
 // ---------------------------------------------------------------- bloom/* --
 
-/// Adapter over two_writer_register<T, Reg>. The register itself logs
+/// Adapter over two_writer_register<value_t, Reg>. The register itself logs
 /// simulated operations (set_external_log / recording constructor), so the
 /// ports never log.
-template <typename T, typename Reg>
+template <typename Reg>
 class bloom_any final : public any_register {
-    using reg_t = two_writer_register<T, Reg>;
+    using reg_t = two_writer_register<value_t, Reg>;
 
 public:
     explicit bloom_any(std::unique_ptr<reg_t> reg) : reg_(std::move(reg)) {}
@@ -111,25 +75,24 @@ public:
             : w_(index == 0 ? &r.writer0() : &r.writer1()),
               proc_(static_cast<processor_id>(index)) {}
 
-        value_t read() override { return static_cast<value_t>(w_->read()); }
-        void write(value_t v) override { w_->write(from_value<T>(v)); }
+        value_t read() override { return w_->read(); }
+        void write(value_t v) override { w_->write(v); }
         void write_paced(value_t v, const pause_fn& pause) override {
-            w_->write_paced(from_value<T>(v), pause);
+            w_->write_paced(v, pause);
         }
         bool write_crashed(value_t v, crash_point cp) override {
-            w_->write_crashed(from_value<T>(v), cp);
+            w_->write_crashed(v, cp);
             return true;
         }
         bool read_cached(value_t& out) override {
-            out = static_cast<value_t>(w_->read_cached());
+            out = w_->read_cached();
             return true;
         }
         bool stall(const pause_fn& during) override {
             // Counter offset keeps staller values disjoint from any
             // scripted workload value (those counters stay < 2^31).
-            w_->write_paced(
-                from_value<T>(unique_value(proc_, 0x80000000u + stall_count_++)),
-                during);
+            w_->write_paced(unique_value(proc_, 0x80000000u + stall_count_++),
+                            during);
             return true;
         }
 
@@ -143,10 +106,10 @@ public:
     public:
         explicit rport(typename reg_t::reader rd) : rd_(std::move(rd)) {}
 
-        value_t read() override { return static_cast<value_t>(rd_.read()); }
+        value_t read() override { return rd_.read(); }
         void write(value_t) override {}  // reader ports never write
         value_t read_paced(const pause_fn& pause) override {
-            return static_cast<value_t>(rd_.read_paced(pause));
+            return rd_.read_paced(pause);
         }
         bool stall(const pause_fn& during) override {
             (void)rd_.read_paced(during);
@@ -214,11 +177,11 @@ private:
 
 /// Adapter over the native MRMW atomic word; logging is the adapter's job.
 class native_any final : public any_register {
-    using reg_t = native_atomic_register<packed56>;
+    using reg_t = native_atomic_register<value_t>;
 
 public:
     native_any(value_t initial, event_log* log)
-        : reg_(pack56(initial)), log_(log) {}
+        : reg_(initial), log_(log) {}
 
     class port final : public any_port {
     public:
@@ -227,14 +190,14 @@ public:
 
         value_t read() override {
             logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(reg_->read(proc_));
+            const value_t out = reg_->read(proc_);
             logger_.respond(op_kind::read, out);
             logger_.finish_op();
             return out;
         }
         void write(value_t v) override {
             logger_.invoke(op_kind::write, v);
-            reg_->write(pack56(v), proc_);
+            reg_->write(v, proc_);
             logger_.respond(op_kind::write, 0);
             logger_.finish_op();
         }
@@ -407,11 +370,11 @@ private:
 /// operation itself so a writer's scripted reads (served by an internal
 /// reader handle) share the writer's per-processor op counter.
 class tournament_any final : public any_register {
-    using reg_t = tournament_four_writer<packed56>;
+    using reg_t = tournament_four_writer<value_t>;
 
 public:
     tournament_any(value_t initial, event_log* log)
-        : reg_(pack56(initial), nullptr), log_(log) {}
+        : reg_(initial, nullptr), log_(log) {}
 
     class wport final : public any_port {
     public:
@@ -421,20 +384,20 @@ public:
 
         value_t read() override {
             logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(rd_.read());
+            const value_t out = rd_.read();
             logger_.respond(op_kind::read, out);
             logger_.finish_op();
             return out;
         }
         void write(value_t v) override {
             logger_.invoke(op_kind::write, v);
-            w_.write(pack56(v));
+            w_.write(v);
             logger_.respond(op_kind::write, 0);
             logger_.finish_op();
         }
         void write_paced(value_t v, const pause_fn& pause) override {
             logger_.invoke(op_kind::write, v);
-            w_.begin_write(pack56(v));
+            w_.begin_write(v);
             pause();
             w_.finish_write();
             logger_.respond(op_kind::write, 0);
@@ -461,7 +424,7 @@ public:
 
         value_t read() override {
             logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(rd_.read());
+            const value_t out = rd_.read();
             logger_.respond(op_kind::read, out);
             logger_.finish_op();
             return out;
@@ -509,7 +472,7 @@ public:
         value_t read() override {
             if (plan_->crashed(proc_)) return 0;
             logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(w_->read());
+            const value_t out = w_->read();
             respond_unless_crashed(op_kind::read, out);
             return out;
         }
@@ -538,7 +501,7 @@ public:
                 return true;
             }
             logger_.invoke(op_kind::read, 0);
-            out = static_cast<value_t>(w_->read_cached());
+            out = w_->read_cached();
             respond_unless_crashed(op_kind::read, out);
             return true;
         }
@@ -582,7 +545,7 @@ public:
         value_t read() override {
             if (plan_->crashed(proc_)) return 0;
             logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(rd_.read());
+            const value_t out = rd_.read();
             respond_unless_crashed(out);
             return out;
         }
@@ -590,7 +553,7 @@ public:
         value_t read_paced(const pause_fn& pause) override {
             if (plan_->crashed(proc_)) return 0;
             logger_.invoke(op_kind::read, 0);
-            const value_t out = static_cast<value_t>(rd_.read_paced(pause));
+            const value_t out = rd_.read_paced(pause);
             respond_unless_crashed(out);
             return out;
         }
@@ -938,20 +901,23 @@ register_info info(std::string name, std::string description,
 std::vector<registry_entry> build_registry() {
     std::vector<registry_entry> r;
 
-    r.push_back({info("bloom/packed",
-                      "Bloom two-writer over one packed atomic word per real "
-                      "register (production substrate)",
-                      2, 2, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     using reg_t =
-                         two_writer_register<packed56,
-                                             packed_atomic_register<packed56>>;
-                     auto reg = std::make_unique<reg_t>(pack56(a.initial));
-                     reg->set_external_log(a.log);
-                     return std::make_unique<
-                         bloom_any<packed56, packed_atomic_register<packed56>>>(
-                         std::move(reg));
-                 }});
+    {
+        register_info i =
+            info("bloom/packed",
+                 "Bloom two-writer over one packed atomic word per real "
+                 "register (production substrate)",
+                 2, 2, true);
+        i.packed_values = true;
+        r.push_back(
+            {std::move(i),
+             [](const register_args& a) -> std::unique_ptr<any_register> {
+                 using substrate = packed_atomic_register<value_t>;
+                 auto reg = std::make_unique<
+                     two_writer_register<value_t, substrate>>(a.initial);
+                 reg->set_external_log(a.log);
+                 return std::make_unique<bloom_any<substrate>>(std::move(reg));
+             }});
+    }
 
     r.push_back({info("bloom/seqlock",
                       "Bloom two-writer over seqlock registers "
@@ -963,7 +929,7 @@ std::vector<registry_entry> build_registry() {
                      auto reg = std::make_unique<reg_t>(a.initial);
                      reg->set_external_log(a.log);
                      return std::make_unique<
-                         bloom_any<value_t, seqlock_register<value_t>>>(
+                         bloom_any<seqlock_register<value_t>>>(
                          std::move(reg));
                  }});
 
@@ -981,7 +947,7 @@ std::vector<registry_entry> build_registry() {
                          });
                      reg->set_external_log(a.log);
                      return std::make_unique<
-                         bloom_any<value_t, ported_substrate<value_t>>>(
+                         bloom_any<ported_substrate<value_t>>>(
                          std::move(reg));
                  }});
 
@@ -999,7 +965,7 @@ std::vector<registry_entry> build_registry() {
                              two_writer_register<value_t, recording_register>;
                          auto reg = std::make_unique<reg_t>(a.initial, a.log);
                          return std::make_unique<
-                             bloom_any<value_t, recording_register>>(
+                             bloom_any<recording_register>>(
                              std::move(reg));
                      }});
     }
@@ -1025,7 +991,7 @@ std::vector<registry_entry> build_registry() {
                              two_writer_register<value_t, recording_register>;
                          auto reg = std::make_unique<reg_t>(a.initial, a.log);
                          return std::make_unique<
-                             bloom_any<value_t, recording_register>>(
+                             bloom_any<recording_register>>(
                              std::move(reg));
                      }});
     }
@@ -1117,6 +1083,7 @@ std::vector<registry_entry> build_registry() {
                  "atomic words -- checkers are expected to reject it",
                  4, 4, true);
         i.expected_atomic = false;
+        i.packed_values = true;
         r.push_back({std::move(i),
                      [](const register_args& a) -> std::unique_ptr<any_register> {
                          return std::make_unique<tournament_any>(a.initial,
@@ -1184,13 +1151,17 @@ std::vector<registry_entry> build_registry() {
                          lock_any<rwlock_register<value_t>>>(a.initial, a.log);
                  }});
 
-    r.push_back({info("baseline/native",
-                      "one native MRMW atomic word (the hardware upper "
-                      "baseline)",
-                      1, 16, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<native_any>(a.initial, a.log);
-                 }});
+    {
+        register_info i = info("baseline/native",
+                               "one native MRMW atomic word (the hardware "
+                               "upper baseline)",
+                               1, 16, true);
+        i.packed_values = true;
+        r.push_back({std::move(i),
+                     [](const register_args& a) -> std::unique_ptr<any_register> {
+                         return std::make_unique<native_any>(a.initial, a.log);
+                     }});
+    }
 
     // Stamp each entry with its declared synchronization contract (the race
     // checker and the report writer surface it); entries without a row in
@@ -1253,6 +1224,15 @@ std::unique_ptr<any_register> make_register(std::string_view name,
             *error = e->info.name +
                      " requires a gamma log (run with a recording collection "
                      "mode)";
+        }
+        return nullptr;
+    }
+    if (e->info.packed_values && !fits_packed_int64(args.initial)) {
+        if (error != nullptr) {
+            *error = e->info.name + " packs values into 63 bits: initial " +
+                     std::to_string(args.initial) + " is outside [" +
+                     std::to_string(packed_int64_min) + ", " +
+                     std::to_string(packed_int64_max) + "]";
         }
         return nullptr;
     }

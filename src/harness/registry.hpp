@@ -132,6 +132,10 @@ struct register_info {
     /// Known NOT to be atomic (the Section 8 tournament) -- checkers are
     /// expected to fail it.
     bool expected_atomic{true};
+    /// Values travel beside the tag bit in one 64-bit word (util/bits.hpp),
+    /// so the value domain is [-2^62, 2^62): make_register rejects an
+    /// initial value outside it, and writing one aborts.
+    bool packed_values{false};
     /// Declared synchronization contract of the composition's real accesses
     /// ("sync"/"relaxed"/"plain"; src/analysis/contracts.cpp), "" when the
     /// entry declares none. The race checker keys off this; build_registry
@@ -204,8 +208,9 @@ struct registry_entry {
 [[nodiscard]] std::vector<std::string> register_names();
 
 /// Constructs a register by name. Returns null and fills `error` when the
-/// name is unknown, the writer count is out of the entry's range, or the
-/// entry requires a log and none was given.
+/// name is unknown, the writer count is out of the entry's range, the
+/// entry requires a log and none was given, or the entry packs values and
+/// `initial` is outside the packed domain.
 [[nodiscard]] std::unique_ptr<any_register> make_register(
     std::string_view name, const register_args& args, std::string* error);
 

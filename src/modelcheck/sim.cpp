@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "util/check.hpp"
+
 namespace bloom87::mc {
 namespace {
 
@@ -10,12 +12,18 @@ std::uint64_t full_mask(mc_value domain) {
     return domain >= 64 ? ~0ULL : ((1ULL << domain) - 1);
 }
 
+/// Deep copy of an armed detector; null stays null.
+template <typename Detector>
+std::unique_ptr<Detector> clone_armed(const std::unique_ptr<Detector>& d) {
+    return d != nullptr ? std::make_unique<Detector>(*d) : nullptr;
+}
+
 }  // namespace
 
 sim_state::sim_state(const sim_state& other)
     : clock_(other.clock_),
-      detector_(other.detector_),
-      lockset_(other.lockset_),
+      detector_(clone_armed(other.detector_)),
+      lockset_(clone_armed(other.lockset_)),
       acting_(other.acting_) {
     // Capacity-preserving clone: the explorer copies states at every branch
     // point and then keeps appending to `hist` -- inheriting the parent's
@@ -28,11 +36,13 @@ sim_state::sim_state(const sim_state& other)
 }
 
 void sim_state::enable_race_detection() {
-    detector_.emplace(procs.size(), registers.size());
+    detector_ = std::make_unique<analysis::race_detector>(procs.size(),
+                                                          registers.size());
 }
 
 void sim_state::enable_lockset_detection() {
-    lockset_.emplace(procs.size(), registers.size());
+    lockset_ = std::make_unique<analysis::lockset_detector>(procs.size(),
+                                                            registers.size());
     for (std::size_t i = 0; i < registers.size(); ++i) {
         if (registers[i].guards != 0) {
             lockset_->set_guards(i, registers[i].guards);
@@ -44,11 +54,11 @@ mc_value sim_state::read_atomic(std::size_t reg) {
     mc_register& r = registers[reg];
     assert(r.level == reg_level::atomic);
     trace_read(reg);
-    if (detector_.has_value()) {
+    if (detector_ != nullptr) {
         detector_->on_access(static_cast<std::size_t>(acting_), reg, false,
                              r.sync);
     }
-    if (lockset_.has_value()) {
+    if (lockset_ != nullptr) {
         lockset_->on_access(static_cast<std::size_t>(acting_), reg, false,
                             r.sync);
     }
@@ -67,11 +77,11 @@ void sim_state::write_atomic(std::size_t reg, mc_value v) {
     assert(r.level == reg_level::atomic);
     assert(v >= 0 && v < r.domain);
     trace_write(reg);
-    if (detector_.has_value()) {
+    if (detector_ != nullptr) {
         detector_->on_access(static_cast<std::size_t>(acting_), reg, true,
                              r.sync);
     }
-    if (lockset_.has_value()) {
+    if (lockset_ != nullptr) {
         lockset_->on_access(static_cast<std::size_t>(acting_), reg, true,
                             r.sync);
     }
@@ -89,11 +99,11 @@ void sim_state::begin_read(std::size_t reg, std::int16_t proc) {
     // record here and writes check recorded reads at begin_write, so any
     // overlap between a split read and a split write is caught from
     // whichever side starts second.
-    if (detector_.has_value()) {
+    if (detector_ != nullptr) {
         detector_->on_access(static_cast<std::size_t>(proc), reg, false,
                              r.sync);
     }
-    if (lockset_.has_value()) {
+    if (lockset_ != nullptr) {
         lockset_->on_access(static_cast<std::size_t>(proc), reg, false,
                             r.sync);
     }
@@ -139,11 +149,11 @@ void sim_state::begin_write(std::size_t reg, mc_value v) {
     assert(r.active_write < 0 && "concurrent writers on a single-writer register");
     assert(v >= 0 && v < r.domain);
     trace_write(reg);
-    if (detector_.has_value()) {
+    if (detector_ != nullptr) {
         detector_->on_access(static_cast<std::size_t>(acting_), reg, true,
                              r.sync);
     }
-    if (lockset_.has_value()) {
+    if (lockset_ != nullptr) {
         lockset_->on_access(static_cast<std::size_t>(acting_), reg, true,
                             r.sync);
     }
@@ -226,8 +236,8 @@ void sim_state::fingerprint(std::vector<std::uint64_t>& out) const {
     // with identical structure but different happens-before knowledge must
     // not be merged, or a race reachable from one could be pruned via the
     // other. Race-free explorations pay nothing.
-    if (detector_.has_value()) detector_->fingerprint(out);
-    if (lockset_.has_value()) lockset_->fingerprint(out);
+    if (detector_ != nullptr) detector_->fingerprint(out);
+    if (lockset_ != nullptr) lockset_->fingerprint(out);
 }
 
 void sim_state::fingerprint_core(std::vector<std::uint64_t>& out,
@@ -239,7 +249,7 @@ void sim_state::fingerprint_core(std::vector<std::uint64_t>& out,
     // reconstructs exact histories (timestamps included) from labels. Armed
     // race detectors carry per-state clock vectors that would make this
     // merge unsound; the explorer routes them to the full engine.
-    assert(!detector_.has_value() && !lockset_.has_value());
+    assert(detector_ == nullptr && lockset_ == nullptr);
     out.reserve(out.size() + 2 + registers.size() * 4 + procs.size() * 8);
     out.push_back(registers.size());
     // Active-read entries and history labels carry processor IDS (what the
@@ -251,7 +261,8 @@ void sim_state::fingerprint_core(std::vector<std::uint64_t>& out,
     if (g != nullptr) {
         for (std::size_t i = 0; i < procs.size(); ++i) {
             const processor_id pid = procs[i]->id();
-            assert(pid >= 0 && static_cast<std::size_t>(pid) < idx_of.size());
+            check(pid >= 0 && static_cast<std::size_t>(pid) < idx_of.size(),
+                  "symmetry relabeling needs processor ids in [0, 64)");
             idx_of[static_cast<std::size_t>(pid)] =
                 static_cast<std::uint8_t>(i);
         }
@@ -275,7 +286,7 @@ void sim_state::fingerprint_core(std::vector<std::uint64_t>& out,
         // differing only in that order (or by a symmetry permutation of
         // reader identities) must collide.
         const std::size_t n = r.active_reads.size();
-        assert(n <= reads.size());
+        check(n <= reads.size(), "more than 16 reads in flight on a register");
         for (std::size_t i = 0; i < n; ++i) {
             const auto [p, mask] = r.active_reads[i];
             const std::uint64_t id =

@@ -30,7 +30,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "analysis/lockset.hpp"
@@ -218,12 +217,12 @@ public:
     /// state that breaks step independence, so the explorer routes them
     /// to the full (unreduced) engine.
     [[nodiscard]] bool race_detection_enabled() const noexcept {
-        return detector_.has_value() || lockset_.has_value();
+        return detector_ != nullptr || lockset_ != nullptr;
     }
 
     /// The first detected race, nullptr while race-free (or unarmed).
     [[nodiscard]] const analysis::race_report* race() const noexcept {
-        return detector_.has_value() && detector_->first_race().has_value()
+        return detector_ != nullptr && detector_->first_race().has_value()
                    ? &*detector_->first_race()
                    : nullptr;
     }
@@ -231,7 +230,7 @@ public:
     /// The first lockset violation, nullptr while clean (or unarmed).
     [[nodiscard]] const analysis::lockset_report* lockset_violation()
         const noexcept {
-        return lockset_.has_value() && lockset_->first_violation().has_value()
+        return lockset_ != nullptr && lockset_->first_violation().has_value()
                    ? &*lockset_->first_violation()
                    : nullptr;
     }
@@ -240,7 +239,7 @@ public:
     /// a guarded site), nullptr while none (or unarmed). Never a failure.
     [[nodiscard]] const analysis::lockset_report* lockset_divergence()
         const noexcept {
-        return lockset_.has_value() && lockset_->first_divergence().has_value()
+        return lockset_ != nullptr && lockset_->first_divergence().has_value()
                    ? &*lockset_->first_divergence()
                    : nullptr;
     }
@@ -262,8 +261,11 @@ private:
     }
 
     event_pos clock_{0};
-    std::optional<analysis::race_detector> detector_;
-    std::optional<analysis::lockset_detector> lockset_;
+    // Armed detectors live behind owning pointers: a disarmed state (every
+    // state outside race mode) holds nulls, so moving one never touches
+    // detector storage and the copy constructor clones only what is armed.
+    std::unique_ptr<analysis::race_detector> detector_;
+    std::unique_ptr<analysis::lockset_detector> lockset_;
     std::int16_t acting_{0};
     std::array<emission, 2> emitted_{};
     std::int8_t emitted_count_{0};

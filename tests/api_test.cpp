@@ -36,7 +36,10 @@ static_assert(swmr_register<ported_substrate<std::int32_t>,
 static_assert(word_packable<std::int8_t>);
 static_assert(word_packable<std::uint32_t>);
 static_assert(word_packable<float>);
-static_assert(!word_packable<std::int64_t>);  // needs all 64 bits
+// std::int64_t packs as a 63-bit two's-complement value, range-checked to
+// [-2^62, 2^62); other 8-byte types need all 64 bits, leaving no tag bit.
+static_assert(word_packable<std::int64_t>);
+static_assert(!word_packable<std::uint64_t>);
 static_assert(!word_packable<double>);
 
 // Registers are pinned in memory (no copies or moves that would tear the

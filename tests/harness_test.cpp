@@ -9,6 +9,7 @@
 #include "harness/cli.hpp"
 #include "harness/driver.hpp"
 #include "histories/workload.hpp"
+#include "util/bits.hpp"
 
 namespace bloom87 {
 namespace {
@@ -65,6 +66,51 @@ TEST(HarnessRegistry, FindRegisterRoundTripsAndRejectsUnknown) {
         EXPECT_EQ(found->info.name, e.info.name);
     }
     EXPECT_EQ(find_register("no/such-register"), nullptr);
+}
+
+// The entries that pack values beside the tag bit in one word carry the
+// whole 63-bit signed domain [-2^62, 2^62) -- negative values included --
+// through every read path, and reject an initial value outside it instead
+// of truncating it.
+TEST(HarnessRegistry, PackedEntriesRoundTripTheirValueDomain) {
+    const std::set<std::string> packed{"bloom/packed", "baseline/native",
+                                       "tournament/native"};
+    for (const registry_entry& e : registry()) {
+        EXPECT_EQ(e.info.packed_values, packed.contains(e.info.name))
+            << e.info.name;
+    }
+    for (const std::string& name : packed) {
+        const registry_entry* e = find_register(name);
+        ASSERT_NE(e, nullptr) << name;
+        register_args a;
+        a.writers = e->info.min_writers;
+        a.readers = 1;
+        for (value_t v : {value_t{-1}, packed_int64_min, packed_int64_max}) {
+            a.initial = v;
+            std::string error;
+            const std::unique_ptr<any_register> reg =
+                make_register(name, a, &error);
+            ASSERT_NE(reg, nullptr) << name << ": " << error;
+            const std::unique_ptr<any_port> w =
+                reg->make_port(0, port_role::writer);
+            const std::unique_ptr<any_port> r = reg->make_port(
+                static_cast<processor_id>(a.writers), port_role::reader);
+            EXPECT_EQ(w->read(), v) << name;
+            value_t cached = 0;
+            if (w->read_cached(cached)) {
+                EXPECT_EQ(cached, v) << name;
+            }
+            EXPECT_EQ(r->read(), v) << name;
+            w->write(-v - 1);  // the opposite edge of the domain
+            EXPECT_EQ(r->read(), -v - 1) << name;
+        }
+        for (value_t v : {packed_int64_max + 1, packed_int64_min - 1}) {
+            a.initial = v;
+            std::string error;
+            EXPECT_EQ(make_register(name, a, &error), nullptr) << name;
+            EXPECT_NE(error.find("outside"), std::string::npos) << error;
+        }
+    }
 }
 
 TEST(HarnessDriver, SameSeedSameWorkload) {

@@ -85,6 +85,30 @@ TEST(Bits, PackSmallTypes) {
     EXPECT_TRUE(unpack_tag(w));
 }
 
+TEST(Bits, PackInt64RoundTripsAcrossItsDomain) {
+    for (std::int64_t v : {std::int64_t{0}, std::int64_t{-1},
+                           packed_int64_max, packed_int64_min}) {
+        for (bool tag : {false, true}) {
+            const std::uint64_t w = pack_tagged(v, tag);
+            EXPECT_EQ(unpack_value<std::int64_t>(w), v);
+            EXPECT_EQ(unpack_tag(w), tag);
+        }
+    }
+    EXPECT_EQ(packed_int64_max, (std::int64_t{1} << 62) - 1);
+    EXPECT_EQ(packed_int64_min, -(std::int64_t{1} << 62));
+    static_assert(unpack_value<std::int64_t>(pack_tagged(std::int64_t{-5},
+                                                         true)) == -5);
+}
+
+TEST(Bits, PackInt64OutsideItsDomainAborts) {
+    EXPECT_FALSE(fits_packed_int64(packed_int64_max + 1));
+    EXPECT_FALSE(fits_packed_int64(packed_int64_min - 1));
+    EXPECT_DEATH((void)pack_tagged(packed_int64_max + 1, false),
+                 "outside the packed domain");
+    EXPECT_DEATH((void)pack_tagged(packed_int64_min - 1, true),
+                 "outside the packed domain");
+}
+
 TEST(Bits, TagXorMatchesMod2Sum) {
     EXPECT_FALSE(tag_xor(false, false));
     EXPECT_TRUE(tag_xor(false, true));
