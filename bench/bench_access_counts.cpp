@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     harness::flag_parser parser("bench_access_counts",
                                 "real-register accesses per simulated op");
     std::string json_path;
-    parser.add_string("json", "write a bloom87-harness-v5 report here",
+    parser.add_string("json", "write a bloom87-harness report here",
                       &json_path);
     if (!parser.parse(argc, argv)) return 64;
     if (parser.help_requested()) return 0;

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
                        "hybrid (happens-before + lockset) race detection "
                        "cost across its drivers");
     std::string json_path;
-    parser.add_string("json", "write a bloom87-harness-v7 report here",
+    parser.add_string("json", "write a bloom87-harness report here",
                       &json_path);
     if (!parser.parse(argc, argv)) return 64;
     if (parser.help_requested()) return 0;

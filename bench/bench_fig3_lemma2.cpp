@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
         "bench_fig3_lemma2",
         "Lemma 2 timing: impotent writes and their prefinishers");
     std::string json_path;
-    parser.add_string("json", "write a bloom87-harness-v5 report here",
+    parser.add_string("json", "write a bloom87-harness report here",
                       &json_path);
     if (!parser.parse(argc, argv)) return 64;
     if (parser.help_requested()) return 0;

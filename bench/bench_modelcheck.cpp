@@ -326,7 +326,7 @@ int main(int argc, char** argv) {
     unsigned threads = 0;
     harness::flag_parser parser("bench_modelcheck",
                                 "bounded exhaustive verification, both engines");
-    parser.add_string("json", "write a bloom87-harness-v5 report here",
+    parser.add_string("json", "write a bloom87-harness report here",
                       &json_path);
     parser.add_unsigned("threads",
                         "parallel-engine thread count (0 = hardware)",
@@ -405,7 +405,7 @@ int main(int argc, char** argv) {
 
     if (!json_path.empty()) {
         // Machine-readable engine comparison: raw (uncomma'd) numbers, one
-        // row per configuration, in the shared bloom87-harness-v5 shape so
+        // row per configuration, in the shared bloom87-harness report shape so
         // the perf trajectory is tracked with the same tooling as every
         // other bench.
         table engines({"name", "property", "states", "distinct_histories",

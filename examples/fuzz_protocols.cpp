@@ -10,7 +10,7 @@
 // replayed through check_history.
 //
 // With --fault=<class> the fuzzer instead tortures the faulty/ compositions
-// under that substrate fault class with the online verifier attached:
+// under that substrate fault class with the streaming checker attached:
 // value-corrupting classes must produce detected violations (exit 1 if the
 // whole run stays silent), port_crash must stay clean on every round.
 //
@@ -63,18 +63,10 @@ run_spec draw_spec(const registry_entry& e, rng& gen, std::uint64_t seed) {
 
 /// Every checker that can apply: the pipeline itself skips the exhaustive
 /// search over 62 ops, the Bloom linearizer without real accesses, and
-/// regular/safe with several writing processors. The Bloom linearizer is
-/// additionally dropped when the run used cached writer reads -- the
-/// Section 5 cache serves a read with 1-2 real reads, not the canonical 3
-/// the constructive proof keys on.
-std::vector<checker_kind> checkers_for(const run_spec& spec) {
-    std::vector<checker_kind> kinds = {
-        checker_kind::fast,    checker_kind::exhaustive,
-        checker_kind::monitor, checker_kind::regular,
-        checker_kind::safe};
-    if (!spec.cached_writer_reads) kinds.push_back(checker_kind::bloom);
-    return kinds;
-}
+/// regular/safe with several writing processors.
+const std::vector<checker_kind> all_checkers = {
+    checker_kind::fast,    checker_kind::exhaustive, checker_kind::monitor,
+    checker_kind::regular, checker_kind::safe,       checker_kind::bloom};
 
 bool run_round(const registry_entry& e, const run_spec& spec,
                std::uint64_t* tournament_violations) {
@@ -93,7 +85,7 @@ bool run_round(const registry_entry& e, const run_spec& spec,
         return false;
     }
     const pipeline_result checks = run_checkers(
-        res.events, spec.initial, checkers_for(spec), spec.register_name);
+        res.events, spec.initial, all_checkers, spec.register_name);
     if (!checks.parsed) {
         std::fprintf(stderr, "%s seed %llu: MALFORMED GAMMA: %s\n",
                      e.info.name.c_str(),
@@ -122,7 +114,7 @@ bool run_round(const registry_entry& e, const run_spec& spec,
 }
 
 /// The --fault mode: every round runs each faulty/ composition under one
-/// substrate fault class, online verifier attached. Returns the exit code.
+/// substrate fault class, streaming checker attached. Returns the exit code.
 int fuzz_faulty(fault_class cls, std::uint64_t rounds,
                 std::uint64_t base_seed) {
     const std::vector<std::string> comps = {
@@ -149,8 +141,7 @@ int fuzz_faulty(fault_class cls, std::uint64_t rounds,
             spec.fault.rate_num = 1;
             spec.fault.rate_den = 64;
             spec.fault.seed = spec.seed;
-            spec.online_monitor = true;
-            spec.monitor_stride = 32;
+            spec.streaming_monitor = true;
             ++runs;
 
             const run_result res = run(spec);
@@ -174,25 +165,24 @@ int fuzz_faulty(fault_class cls, std::uint64_t rounds,
                 return 1;
             }
             injected_total += res.faults_injected.total();
+            // The offline pipeline must agree with the streaming checker --
+            // they check the same prefix-closed property.
+            if (res.stream.violation == checks.all_pass()) {
+                std::fprintf(stderr,
+                             "%s seed %llu: streaming checker and checker "
+                             "pipeline DISAGREE\n",
+                             comp.c_str(),
+                             static_cast<unsigned long long>(spec.seed));
+                write_gamma(std::cerr, res.events, spec.initial);
+                return 1;
+            }
             if (corrupts_values(cls)) {
-                if (res.online.violation) {
+                if (res.stream.violation) {
                     ++detections;
-                    // The offline pipeline must agree with the verifier --
-                    // they check the same prefix-closed property.
-                    if (checks.all_pass()) {
-                        std::fprintf(stderr,
-                                     "%s seed %llu: online verifier and "
-                                     "checker pipeline DISAGREE\n",
-                                     comp.c_str(),
-                                     static_cast<unsigned long long>(
-                                         spec.seed));
-                        write_gamma(std::cerr, res.events, spec.initial);
-                        return 1;
-                    }
                 } else {
                     ++silent_rounds;
                 }
-            } else if (!checks.all_pass() || res.online.violation) {
+            } else if (res.stream.violation) {
                 // Crash-class faults stay inside the paper's fault model:
                 // any violation is a real bug.
                 std::fprintf(stderr,
@@ -214,7 +204,7 @@ int fuzz_faulty(fault_class cls, std::uint64_t rounds,
                 static_cast<unsigned long long>(silent_rounds));
     if (corrupts_values(cls) && detections == 0) {
         std::fprintf(stderr,
-                     "every %s round went UNDETECTED -- the monitor lost "
+                     "every %s round went UNDETECTED -- the checker lost "
                      "its teeth\n",
                      fault_class_name(cls));
         return 1;

@@ -70,44 +70,30 @@ int main(int argc, char** argv) {
                         result.faults_injected.total()));
     }
     if (result.stream.ran) {
-        if (result.stream.violation) {
+        const stream_outcome& so = result.stream;
+        if (so.violation) {
             std::printf("  streaming  VIOLATION at event %llu "
                         "(latency %llu ops): %s\n",
-                        static_cast<unsigned long long>(
-                            result.stream.detection_pos),
-                        static_cast<unsigned long long>(
-                            result.stream.latency_ops),
-                        result.stream.diagnosis.c_str());
+                        static_cast<unsigned long long>(so.detection_pos),
+                        static_cast<unsigned long long>(so.latency_ops),
+                        so.diagnosis.c_str());
+            if (so.culprit_known) {
+                std::printf("  culprit    proc %u op %llu closes the minimal "
+                            "violating prefix (%llu events, %llu ops after "
+                            "injection)\n",
+                            static_cast<unsigned>(so.culprit.processor),
+                            static_cast<unsigned long long>(so.culprit.op),
+                            static_cast<unsigned long long>(
+                                so.detection_prefix),
+                            static_cast<unsigned long long>(
+                                so.prefix_latency_ops));
+            }
         } else {
             std::printf("  streaming  clean: %llu events, %llu ops retired, "
                         "retained peak %llu\n",
-                        static_cast<unsigned long long>(result.stream.events),
-                        static_cast<unsigned long long>(
-                            result.stream.ops_retired),
-                        static_cast<unsigned long long>(
-                            result.stream.retained_peak));
-        }
-    }
-    if (result.online.ran) {
-        if (result.online.violation) {
-            std::printf("  online     VIOLATION at prefix %llu",
-                        static_cast<unsigned long long>(
-                            result.online.detection_prefix));
-            if (result.online.injection_pos != no_event) {
-                std::printf(" (latency %llu ops after injection)",
-                            static_cast<unsigned long long>(
-                                result.online.latency_ops));
-            }
-            if (result.online.culprit_known) {
-                std::printf(", culprit proc %u op %llu",
-                            static_cast<unsigned>(
-                                result.online.culprit.processor),
-                            static_cast<unsigned long long>(
-                                result.online.culprit.op));
-            }
-            std::printf("\n");
-        } else {
-            std::printf("  online     clean\n");
+                        static_cast<unsigned long long>(so.events),
+                        static_cast<unsigned long long>(so.ops_retired),
+                        static_cast<unsigned long long>(so.retained_peak));
         }
     }
 
@@ -145,8 +131,7 @@ int main(int argc, char** argv) {
     const bool corruption_armed =
         spec.fault.active() && corrupts_values(spec.fault.cls);
     if (corruption_armed) {
-        if (checks.all_pass() && !result.online.violation &&
-            !result.stream.violation) {
+        if (checks.all_pass() && !result.stream.violation) {
             std::printf("note: injected %s faults went undetected this run "
                         "(try more ops or a higher rate)\n",
                         fault_class_name(spec.fault.cls));

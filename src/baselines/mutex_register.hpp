@@ -9,11 +9,7 @@
 // keeps serving.
 #pragma once
 
-#include <map>
 #include <mutex>
-
-#include "histories/event_log.hpp"
-#include "histories/events.hpp"
 
 namespace bloom87 {
 
@@ -22,30 +18,16 @@ namespace bloom87 {
 template <typename T>
 class mutex_register {
 public:
-    explicit mutex_register(T initial, event_log* log = nullptr)
-        : value_(initial), log_(log) {}
+    explicit mutex_register(T initial) : value_(initial) {}
 
-    [[nodiscard]] T read(processor_id proc = 0) {
-        const op_index op = next_op(proc);
-        log_event(event_kind::sim_invoke_read, proc, op, 0);
-        T out;
-        {
-            std::scoped_lock lock(mutex_);
-            out = value_;
-        }
-        log_event(event_kind::sim_respond_read, proc, op,
-                  static_cast<value_t>(out));
-        return out;
+    [[nodiscard]] T read() {
+        std::scoped_lock lock(mutex_);
+        return value_;
     }
 
-    void write(T v, processor_id proc = 0) {
-        const op_index op = next_op(proc);
-        log_event(event_kind::sim_invoke_write, proc, op, static_cast<value_t>(v));
-        {
-            std::scoped_lock lock(mutex_);
-            value_ = v;
-        }
-        log_event(event_kind::sim_respond_write, proc, op, 0);
+    void write(T v) {
+        std::scoped_lock lock(mutex_);
+        value_ = v;
     }
 
     /// Hands the caller the lock, simulating a processor stalled (or
@@ -55,26 +37,8 @@ public:
     }
 
 private:
-    op_index next_op(processor_id proc) {
-        std::scoped_lock lock(op_mutex_);
-        return op_counters_[proc]++;
-    }
-
-    void log_event(event_kind kind, processor_id proc, op_index op, value_t v) {
-        if (log_ == nullptr) return;
-        event e;
-        e.kind = kind;
-        e.processor = proc;
-        e.op = op;
-        e.value = v;
-        log_->append(e);
-    }
-
     std::mutex mutex_;
     T value_;
-    event_log* log_;
-    std::mutex op_mutex_;
-    std::map<processor_id, op_index> op_counters_;
 };
 
 }  // namespace bloom87

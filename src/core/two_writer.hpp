@@ -27,7 +27,6 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 
 #include "core/protocol.hpp"
@@ -36,6 +35,7 @@
 #include "histories/history.hpp"
 #include "registers/concepts.hpp"
 #include "registers/tagged.hpp"
+#include "util/check.hpp"
 
 namespace bloom87 {
 
@@ -173,22 +173,17 @@ public:
         /// The invocation is logged (if recording) but never acknowledged;
         /// the handle remains usable, modeling a processor that recovers
         /// with fresh state. An out-of-range `cp` (a cast from a bad
-        /// integer) is a programming error, rejected up front rather than
-        /// silently running the full protocol as after_write would.
+        /// integer) is a programming error, rejected up front in every
+        /// build rather than silently running the full protocol as
+        /// after_write would.
         void write_crashed(T v, crash_point cp) {
-            assert(cp == crash_point::before_read ||
-                   cp == crash_point::after_read ||
-                   cp == crash_point::after_write);
+            check(cp == crash_point::before_read ||
+                      cp == crash_point::after_read ||
+                      cp == crash_point::after_write,
+                  "write_crashed: crash_point out of range");
             const access_context ctx = begin(op_kind::write, v);
-            switch (cp) {
-                case crash_point::before_read:
-                    return;  // no real access: the write is never visible
-                case crash_point::after_read:
-                case crash_point::after_write:
-                    break;
-                default:
-                    return;  // out-of-range (release builds): act as
-                             // before_read, the most conservative crash
+            if (cp == crash_point::before_read) {
+                return;  // no real access: the write is never visible
             }
             const tagged<T> other = owner_->regs_[1 - index_].read(ctx);
             if (cp == crash_point::after_read) return;  // read but no write

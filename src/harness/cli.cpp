@@ -247,12 +247,10 @@ void common_flags::add_to(flag_parser& p) {
                    "timed runs: grace before the driver's global op "
                    "deadline trips in-flight ops to `unavailable`",
                    &grace_ms);
-    p.add_flag("online",
-               "run the online atomicity verifier concurrently with the run",
-               &online);
     p.add_flag("streaming",
-               "run the bounded-memory streaming checker during the run "
-               "(the only monitor that may watch a timed run)",
+               "check the run with the bounded-memory streaming checker "
+               "(live on timed runs; names the culprit op of a violation "
+               "on scripted runs)",
                &streaming);
     p.add_unsigned("stream-window",
                    "streaming checker: events of context kept behind the "
@@ -334,7 +332,6 @@ run_spec common_flags::to_spec() const {
     spec.fault.recover_after = recover_after;
     spec.fault.crash_budget = crash_budget;
     spec.grace_ms = grace_ms;
-    spec.online_monitor = online;
     spec.streaming_monitor = streaming;
     spec.stream_window = stream_window;
     spec.stream_stride = stream_stride;
@@ -351,13 +348,13 @@ run_spec common_flags::to_spec() const {
     if (duration_ms == 0) {
         const registry_entry* e = find_register(register_name);
         // Fault runs always collect through the shared gamma log: the
-        // injection position and the online verifier both live there.
+        // injection position lives there.
         // Registers that record real accesses (the recording substrate,
         // net/ replica observers) also need the shared log, or the race
         // checker would have nothing to replay.
         spec.collect = (e != nullptr && (e->info.requires_log ||
                                          e->info.records_real_accesses)) ||
-                               spec.fault.active() || spec.online_monitor
+                               spec.fault.active()
                            ? collect_mode::gamma
                            : collect_mode::per_thread;
     } else {

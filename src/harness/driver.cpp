@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 
 #if defined(__GLIBC__)
@@ -29,19 +31,27 @@ using steady = std::chrono::steady_clock;
             .count());
 }
 
+/// Where a script_runner records its operation boundaries: a per-thread
+/// ring stamped from the shared seq source (per_thread), the shared gamma
+/// log (gamma), or nowhere (both null).
+struct recorder {
+    event_ring* ring{nullptr};
+    seq_source* seqs{nullptr};
+    event_log* log{nullptr};
+};
+
 /// Executes one processor's script against its port, applying pacing, crash
-/// injection, latency sampling, and (per_thread collection) lock-free ring
-/// recording. Used verbatim by both the thread-per-processor and the seeded
-/// single-thread schedules.
+/// injection, latency sampling, and recording. It is the ONLY code that
+/// records simulated invocations/responses: registers and adapters log at
+/// most their real accesses. Used verbatim by both the thread-per-processor
+/// and the seeded single-thread schedules.
 class script_runner {
 public:
     script_runner(any_port& port, const std::vector<workload_op>& script,
                   processor_id proc, port_role role, const run_spec& spec,
-                  std::uint64_t rng_seed, event_ring* ring, seq_source* seqs,
-                  pause_fn pause)
+                  std::uint64_t rng_seed, recorder rec, pause_fn pause)
         : port_(&port), script_(&script), proc_(proc), role_(role),
-          spec_(&spec), gen_(rng_seed), ring_(ring), seqs_(seqs),
-          pause_(std::move(pause)) {}
+          spec_(&spec), gen_(rng_seed), rec_(rec), pause_(std::move(pause)) {}
 
     [[nodiscard]] bool exhausted() const noexcept {
         return cursor_ >= script_->size();
@@ -108,13 +118,13 @@ private:
     /// op: it is skipped ENTIRELY -- executing it unrecorded would hand
     /// the checkers a history with invisible writes.
     [[nodiscard]] bool ring_space() {
-        if (ring_ == nullptr) return true;
+        if (rec_.ring == nullptr) return true;
         if (spec_->ring == ring_policy::drop) {
-            if (ring_->try_reserve(2)) return true;
+            if (rec_.ring->try_reserve(2)) return true;
             ++dropped_;
             return false;
         }
-        ring_->reserve(2);
+        rec_.ring->reserve(2);
         return true;
     }
 
@@ -187,14 +197,17 @@ private:
         if (!port_->crashed()) record(op_kind::read, /*response=*/true, out);
     }
 
-    /// Records one sim event into this thread's ring: a stamp drawn from
+    /// Records one sim event. Into this thread's ring: a stamp drawn from
     /// the shared relaxed counter (the only cross-thread write on the
     /// path), then plain stores plus one release publish. The stamp is
     /// drawn inside the operation's invocation..response window, so the
     /// fetch_add order is a legal serialization and the seq merge
-    /// reconstructs a valid external schedule.
+    /// reconstructs a valid external schedule. Into the gamma log: one
+    /// append, interleaved with the real accesses the register logs. The
+    /// op index counts invocations, exactly as the registers' own
+    /// access_context counters do, so real accesses land in their op.
     void record(op_kind kind, bool response, value_t v) {
-        if (ring_ == nullptr) return;
+        if (rec_.ring == nullptr && rec_.log == nullptr) return;
         event e;
         e.processor = proc_;
         e.op = record_op_ - (response ? 1 : 0);
@@ -207,7 +220,11 @@ private:
             e.kind = response ? event_kind::sim_respond_read
                               : event_kind::sim_invoke_read;
         }
-        ring_->push(seqs_->draw(), e);
+        if (rec_.ring != nullptr) {
+            rec_.ring->push(rec_.seqs->draw(), e);
+        } else {
+            rec_.log->append(e);
+        }
     }
 
     any_port* port_;
@@ -216,8 +233,7 @@ private:
     port_role role_;
     const run_spec* spec_;
     rng gen_;
-    event_ring* ring_;
-    seq_source* seqs_;
+    recorder rec_;
     pause_fn pause_;
 
     std::size_t cursor_{0};
@@ -261,12 +277,70 @@ run_result fail(std::string why) {
     return r;
 }
 
+/// Why `spec` cannot run against `entry`; empty when it can.
+[[nodiscard]] std::string spec_error(const run_spec& spec,
+                                     const register_info& info) {
+    if (spec.load.writers < info.min_writers ||
+        spec.load.writers > info.max_writers) {
+        return info.name + " supports " + std::to_string(info.min_writers) +
+               ".." + std::to_string(info.max_writers) + " writers, got " +
+               std::to_string(spec.load.writers);
+    }
+    if (info.requires_log && spec.collect != collect_mode::gamma) {
+        return info.name +
+               " records real accesses into a shared gamma log; run it "
+               "with collect=gamma";
+    }
+    const bool timed = spec.duration_ms > 0;
+    if (timed && spec.collect != collect_mode::none &&
+        !(spec.collect == collect_mode::per_thread &&
+          spec.streaming_monitor)) {
+        return "timed runs produce unbounded histories; collect on a timed "
+               "run only with per_thread + streaming_monitor (events are "
+               "checked and discarded, never retained)";
+    }
+    if (timed && spec.schedule == schedule_mode::seeded) {
+        return "the seeded schedule is scripted-only (duration_ms=0)";
+    }
+    if (spec.fault.active() && info.family != "faulty" &&
+        info.family != "net" && info.family != "repair") {
+        return info.name +
+               " has no fault plan; --fault needs a faulty/, repair/ or "
+               "net/ register";
+    }
+    if (spec.streaming_monitor && spec.collect == collect_mode::none) {
+        return "the streaming checker consumes recorded events; run with "
+               "collect=gamma or collect=per_thread";
+    }
+    if (spec.clients > 0 &&
+        (!timed || spec.schedule != schedule_mode::threads)) {
+        return "simulated open-loop clients need a timed threads-mode run "
+               "(duration_ms > 0)";
+    }
+    if (spec.clients > 0 &&
+        spec.clients < spec.load.writers + spec.load.readers) {
+        return "need at least one client per worker thread (an idle "
+               "worker's empty ring would stall the live merge)";
+    }
+    return {};
+}
+
+/// Completed operations (response events) in events[from, to).
+[[nodiscard]] std::uint64_t responses_between(const std::vector<event>& events,
+                                              std::size_t from,
+                                              std::size_t to) {
+    std::uint64_t n = 0;
+    for (std::size_t i = from; i < to && i < events.size(); ++i) {
+        if (is_response(events[i].kind)) ++n;
+    }
+    return n;
+}
+
 }  // namespace
 
 void trim_heap() {
 #if defined(__GLIBC__)
-    // One config's freed heap must not be billed to the next (the fix
-    // bench_modelcheck shipped in PR 1, applied here for every harness run).
+    // One config's freed heap must not be billed to the next.
     malloc_trim(0);
 #endif
 }
@@ -278,74 +352,27 @@ run_result run(const run_spec& spec) {
     if (entry == nullptr) {
         return fail("unknown register '" + spec.register_name + "'");
     }
-    if (spec.load.writers < entry->info.min_writers ||
-        spec.load.writers > entry->info.max_writers) {
-        return fail(entry->info.name + " supports " +
-                    std::to_string(entry->info.min_writers) + ".." +
-                    std::to_string(entry->info.max_writers) +
-                    " writers, got " + std::to_string(spec.load.writers));
-    }
-    if (entry->info.requires_log && spec.collect != collect_mode::gamma) {
-        return fail(entry->info.name +
-                    " records real accesses into a shared gamma log; run it "
-                    "with collect=gamma");
+    if (std::string why = spec_error(spec, entry->info); !why.empty()) {
+        return fail(std::move(why));
     }
     const bool timed = spec.duration_ms > 0;
-    if (timed && spec.collect != collect_mode::none &&
-        !(spec.collect == collect_mode::per_thread &&
-          spec.streaming_monitor)) {
-        return fail("timed runs produce unbounded histories; collect on a "
-                    "timed run only with per_thread + streaming_monitor "
-                    "(events are checked and discarded, never retained)");
-    }
-    if (timed && spec.schedule == schedule_mode::seeded) {
-        return fail("the seeded schedule is scripted-only (duration_ms=0)");
-    }
-    if (spec.fault.active() && entry->info.family != "faulty" &&
-        entry->info.family != "net" && entry->info.family != "repair") {
-        return fail(entry->info.name +
-                    " has no fault plan; --fault needs a faulty/, repair/ "
-                    "or net/ register");
-    }
-    if (spec.online_monitor && spec.collect != collect_mode::gamma) {
-        return fail("the online monitor polls the shared gamma log; run "
-                    "with collect=gamma");
-    }
-    if (spec.streaming_monitor && spec.collect == collect_mode::none) {
-        return fail("the streaming checker consumes recorded events; run "
-                    "with collect=gamma or collect=per_thread");
-    }
-    if (spec.online_monitor && spec.streaming_monitor) {
-        return fail("pick one monitor: online (post-hoc prefix polling) or "
-                    "streaming (bounded-memory)");
-    }
-    if (spec.clients > 0 &&
-        (!timed || spec.schedule != schedule_mode::threads)) {
-        return fail("simulated open-loop clients need a timed threads-mode "
-                    "run (duration_ms > 0)");
-    }
-    if (spec.clients > 0 &&
-        spec.clients < spec.load.writers + spec.load.readers) {
-        return fail("need at least one client per worker thread (an idle "
-                    "worker's empty ring would stall the live merge)");
-    }
 
     const workload wl = make_workload(spec.load, spec.seed);
     if (!wl.valid()) return fail("generated workload failed validation");
 
     // Recording substrate: <= 4 real accesses per op on top of the 2
-    // invocation/response events; net/ compositions additionally log one
-    // replica touch per delivered client protocol message (up to 2 quorum
-    // phases x servers per op, plus retransmission duplicates). 16x leaves
-    // slack for cached-read paths and default-sized (3-server) quorums.
-    event_log log(spec.collect == collect_mode::gamma
-                      ? wl.total_ops() * 16 + 4096
-                      : 1);
+    // invocation/response events the script runners record; net/
+    // compositions additionally log one replica touch per delivered client
+    // protocol message (up to 2 quorum phases x servers per op, plus
+    // retransmission duplicates). 16x leaves slack for cached-read paths
+    // and default-sized (3-server) quorums.
+    const bool gamma = spec.collect == collect_mode::gamma;
+    event_log log(gamma ? wl.total_ops() * 16 + 4096 : 1);
     register_args args;
     args.initial = spec.initial;
     args.writers = spec.load.writers;
     args.readers = spec.load.readers;
-    args.log = spec.collect == collect_mode::gamma ? &log : nullptr;
+    args.log = gamma ? &log : nullptr;
     args.fault = spec.fault;
     args.servers = spec.net_servers;
     // Bus delivery order varies with the run seed (reproducibly), without
@@ -399,50 +426,15 @@ run_result run(const run_spec& spec) {
     result.threads.resize(n_procs);
     std::vector<latency_histogram> hists(n_procs);
 
-    // The online watcher polls growing prefixes of the gamma log while the
-    // run appends to it. Reads-only, so even the seeded single-thread
-    // schedule stays byte-for-byte deterministic underneath it.
-    online_verifier verifier(log, spec.initial, spec.monitor_stride);
-    std::atomic<bool> run_done{false};
-    std::atomic<bool> caught_live{false};
-    std::thread watcher;
-    if (spec.online_monitor) {
-        watcher = std::thread([&] {
-            while (!run_done.load(std::memory_order_acquire)) {
-                if (verifier.poll()) {
-                    caught_live.store(true, std::memory_order_relaxed);
-                    return;
-                }
-                std::this_thread::sleep_for(std::chrono::microseconds(200));
-            }
-        });
-    }
-
-    // The streaming checker rides alongside either collector. collect=gamma:
-    // a tail thread chases the shared log one published event at a time.
-    // collect=per_thread: the merge thread below feeds it the live seq-order
-    // merge. Ingest is sticky on violation, so the tails just drain.
+    // The streaming checker consumes the recorded stream. Timed runs
+    // (per_thread only) feed it the live ring merge; scripted runs feed it
+    // the retained history after the workers finish -- the seq merge, or
+    // the gamma log -- so checking never perturbs the measured schedule.
+    // Ingest is sticky on violation.
     streaming_config scfg;
     scfg.window = spec.stream_window;
     scfg.stride = spec.stream_stride;
     streaming_checker stream_chk(spec.initial, scfg);
-    std::thread stream_tail;
-    if (spec.streaming_monitor && spec.collect == collect_mode::gamma) {
-        stream_tail = std::thread([&] {
-            std::size_t checked = 0;
-            while (!run_done.load(std::memory_order_acquire)) {
-                const std::size_t avail = log.size();
-                if (checked == avail) {
-                    std::this_thread::yield();
-                    continue;
-                }
-                while (checked < avail) stream_chk.ingest(log.read_at(checked++));
-            }
-            const std::size_t avail = log.size();
-            while (checked < avail) stream_chk.ingest(log.read_at(checked++));
-            stream_chk.finish();
-        });
-    }
 
     // per_thread collection. Timed runs need a LIVE consumer: rings are
     // bounded, so one merge thread runs the k-way seq merge concurrently,
@@ -452,7 +444,6 @@ run_result run(const run_spec& spec) {
     // merge runs AFTER the workers finish, off the measured path. Merged
     // order is a pure function of seq stamps either way, so consumer
     // timing never changes the history.
-    const bool retain_merge = per_thread && !timed;
     const auto drain_merge = [&] {
         std::vector<event_ring*> rp;
         rp.reserve(rings.size());
@@ -460,13 +451,28 @@ run_result run(const run_spec& spec) {
         ring_merger merger(rp);
         stamped_event se;
         while (merger.next(&se)) {
-            if (retain_merge) result.events.push_back(se.e);
-            if (spec.streaming_monitor) stream_chk.ingest(se.e);
+            if (timed) {
+                stream_chk.ingest(se.e);
+            } else {
+                result.events.push_back(se.e);
+            }
         }
-        if (spec.streaming_monitor) stream_chk.finish();
+        // The final check stays on the thread that ran every checkpoint:
+        // it reuses that thread's warmed heap instead of growing another.
+        if (timed) stream_chk.finish();
     };
     std::thread merge_thread;
     if (per_thread && timed) merge_thread = std::thread(drain_merge);
+    const auto recorder_for = [&](std::size_t p) {
+        recorder rec;
+        if (per_thread) {
+            rec.ring = rings[p].get();
+            rec.seqs = &seqs;
+        } else if (gamma) {
+            rec.log = &log;
+        }
+        return rec;
+    };
 
     if (spec.schedule == schedule_mode::seeded) {
         // Deterministic single-thread interleaving at op granularity. A
@@ -501,9 +507,7 @@ run_result run(const run_spec& spec) {
             runners.emplace_back(
                 *ports[p], wl.scripts[p], static_cast<processor_id>(p),
                 p < wl.writers ? port_role::writer : port_role::reader, spec,
-                per_proc_seed(spec.seed, p),
-                per_thread ? rings[p].get() : nullptr,
-                per_thread ? &seqs : nullptr, pause_burst);
+                per_proc_seed(spec.seed, p), recorder_for(p), pause_burst);
         }
         const std::uint64_t t0 = now_ns();
         for (;;) {
@@ -546,9 +550,7 @@ run_result run(const run_spec& spec) {
                 script_runner runner(
                     *ports[p], wl.scripts[p], static_cast<processor_id>(p),
                     p < wl.writers ? port_role::writer : port_role::reader,
-                    spec, per_proc_seed(spec.seed, p),
-                    per_thread ? rings[p].get() : nullptr,
-                    per_thread ? &seqs : nullptr,
+                    spec, per_proc_seed(spec.seed, p), recorder_for(p),
                     [yields = spec.pace.pause_yields] {
                         for (unsigned i = 0; i < yields; ++i) {
                             std::this_thread::yield();
@@ -692,9 +694,6 @@ run_result run(const run_spec& spec) {
 
     if (merge_thread.joinable()) merge_thread.join();
     if (per_thread && !timed) drain_merge();
-    run_done.store(true, std::memory_order_release);
-    if (watcher.joinable()) watcher.join();
-    if (stream_tail.joinable()) stream_tail.join();
 
     for (const thread_result& tr : result.threads) {
         result.total_reads += tr.reads;
@@ -706,7 +705,7 @@ run_result run(const run_spec& spec) {
         fill_latency(result.latency, total);
     }
 
-    if (spec.collect == collect_mode::gamma) {
+    if (gamma) {
         result.events = log.snapshot();
         result.log_overflowed = log.overflowed();
     }
@@ -719,34 +718,11 @@ run_result run(const run_spec& spec) {
     // policy drops (the port parks itself, so the op stays pending in the
     // history -- the standard crashed-port semantics).
     result.ops_dropped += result.net.unavailable_ops;
-    if (spec.online_monitor) {
-        verifier.finish();  // violations that landed after the last poll
-        online_detection& od = result.online;
-        od.ran = true;
-        od.injection_pos = result.faults_injected.first_injection;
-        if (verifier.violation_found()) {
-            od.violation = true;
-            od.caught_live = caught_live.load(std::memory_order_relaxed);
-            // Shrink to the minimal violating prefix; deterministic under
-            // the seeded schedule even though the live watcher's poll
-            // timing is not.
-            const std::optional<op_id> culprit = verifier.locate_culprit();
-            od.detection_prefix = verifier.detection_prefix();
-            od.diagnosis = verifier.diagnosis();
-            if (culprit.has_value()) {
-                od.culprit_known = true;
-                od.culprit = *culprit;
-            }
-            if (od.injection_pos != no_event) {
-                for (std::size_t i = od.injection_pos;
-                     i < od.detection_prefix && i < result.events.size();
-                     ++i) {
-                    if (is_response(result.events[i].kind)) ++od.latency_ops;
-                }
-            }
-        }
-    }
     if (spec.streaming_monitor) {
+        if (!timed) {
+            for (const event& e : result.events) stream_chk.ingest(e);
+            stream_chk.finish();
+        }
         stream_outcome& so = result.stream;
         so.ran = true;
         const streaming_stats& ss = stream_chk.stats();
@@ -760,16 +736,23 @@ run_result run(const run_spec& spec) {
             so.violation = true;
             so.detection_pos = stream_chk.detection_pos();
             so.diagnosis = stream_chk.diagnosis();
+            // Culprit localization over the retained history (scripted
+            // runs; a timed run kept nothing to search). detection_pos and
+            // result.events index the same stream, so completed ops
+            // between injection and detection are countable.
+            const std::optional<violating_prefix> culprit =
+                minimal_violating_prefix(result.events, spec.initial);
+            if (culprit.has_value()) {
+                so.culprit_known = true;
+                so.culprit = culprit->culprit;
+                so.detection_prefix = culprit->length;
+            }
             const event_pos inj = result.faults_injected.first_injection;
             if (inj != no_event) {
-                // detection_pos and result.events index the same stream
-                // (the gamma log, or the retained seq merge), so completed
-                // ops between injection and detection are countable.
-                const std::size_t hi = std::min<std::size_t>(
-                    so.detection_pos, result.events.size());
-                for (std::size_t i = inj; i < hi; ++i) {
-                    if (is_response(result.events[i].kind)) ++so.latency_ops;
-                }
+                so.latency_ops =
+                    responses_between(result.events, inj, so.detection_pos);
+                so.prefix_latency_ops = responses_between(
+                    result.events, inj, so.detection_prefix);
             }
         }
     }

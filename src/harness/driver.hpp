@@ -15,24 +15,29 @@
 //     workload, same history, byte for byte. Determinism is what the
 //     harness tests pin.
 //
-// Two history collectors:
-//   * gamma      -- the register (or its adapter) appends simulated
-//     invocations/responses into one shared MPMC event_log; required for
-//     the recording substrate, whose REAL accesses must interleave with
-//     the simulated events in one total order;
+// One recorder: the driver's script runner records every simulated
+// invocation/response -- registers and their adapters never do -- with the
+// same pending-on-crash rules everywhere (no response after a crashed
+// write, a crashed port, or a parked net/ port). It writes into one of two
+// collectors:
+//   * gamma      -- one shared MPMC event_log; required for the recording
+//     substrate and the net/ replica observer, whose REAL accesses must
+//     interleave with the simulated events in one total order;
 //   * per_thread -- each worker records into its own fixed-capacity
 //     lock-free ring (histories/thread_log.hpp), stamping every record
 //     from one shared relaxed fetch_add counter -- the only shared write
 //     on the record path. The driver merges the rings into gamma order by
 //     ascending stamp; under the seeded schedule the merge is
-//     byte-identical across runs.
+//     byte-identical across runs, and equal to the gamma run's simulated
+//     events.
 //
-// A run can additionally carry the bounded-memory STREAMING checker
-// (linearizability/streaming.hpp) alongside either collector: it tails
-// the shared log (gamma) or consumes the live ring merge (per_thread),
-// verifying the run while it happens in O(window) memory. That is the
-// only configuration in which a TIMED run may collect: per_thread +
-// streaming_monitor checks and discards events instead of retaining them.
+// One online checker: a run can carry the bounded-memory STREAMING checker
+// (linearizability/streaming.hpp) with either collector. A scripted run
+// feeds it the retained history after the run; a TIMED run, which may
+// collect only with per_thread + streaming_monitor, feeds it the live
+// ring merge, checking and discarding events instead of retaining them. When it flags a violation on a retained history, the driver
+// localizes the culprit: the minimal violating prefix
+// (linearizability/monitor.hpp).
 #pragma once
 
 #include <cstdint>
@@ -47,7 +52,7 @@ namespace bloom87::harness {
 /// How the driver records the run's external schedule.
 enum class collect_mode : std::uint8_t {
     none,        ///< throughput runs: nothing recorded
-    gamma,       ///< one shared event_log (register/adapter self-logs)
+    gamma,       ///< one shared event_log (plus the registers' real accesses)
     per_thread,  ///< lock-free per-thread rings, merged by sequence stamp
 };
 
@@ -114,17 +119,10 @@ struct run_spec {
     /// rejects an active spec on any other family).
     fault_spec fault{};
 
-    /// Run the online verifier concurrently with the run (collect must be
-    /// gamma) and fill run_result::online with what it caught.
-    bool online_monitor{false};
-    /// The verifier re-checks after every this-many new events.
-    unsigned monitor_stride{64};
-
-    /// Run the bounded-memory STREAMING checker concurrently with the run
-    /// and fill run_result::stream. collect=gamma tails the shared log;
-    /// collect=per_thread consumes the live ring merge. The only monitor
-    /// that may watch a TIMED run (with collect=per_thread: events are
-    /// checked and discarded, never retained).
+    /// Run the bounded-memory STREAMING checker over the recorded stream
+    /// and fill run_result::stream: after a scripted run, over its
+    /// retained history; live during a TIMED run (collect=per_thread
+    /// only: events are checked and discarded, never retained).
     bool streaming_monitor{false};
     /// Streaming checker knobs: events of context kept behind the
     /// frontier, and events ingested between incremental checks.
@@ -176,10 +174,9 @@ struct latency_stats {
 };
 
 /// What the streaming checker saw during a monitored run
-/// (run_spec::streaming_monitor). `latency_ops` mirrors the online
-/// verifier's robustness metric: completed operations between the first
-/// injected fault and the stream position where the violation was
-/// flagged.
+/// (run_spec::streaming_monitor). The latencies count completed operations
+/// after the first injected fault (run_result::faults_injected) and stay
+/// zero when nothing was injected.
 struct stream_outcome {
     bool ran{false};
     std::uint64_t events{0};          ///< gamma events ingested
@@ -189,31 +186,19 @@ struct stream_outcome {
     std::uint64_t retained_peak{0};   ///< bounded-memory witness
     std::uint64_t producer_stalls{0}; ///< ring backpressure events
     bool violation{false};
+    /// Stream position where the checker flagged the violation.
     std::uint64_t detection_pos{0};
+    /// Completed ops between the first injection and detection_pos: the
+    /// checker's detection latency (grows with the checking stride).
     std::uint64_t latency_ops{0};
     std::string diagnosis;
-};
-
-/// What the online verifier saw during a monitored run (run_spec::
-/// online_monitor). `latency_ops` is the robustness metric of
-/// bench_fault_matrix: completed operations between the first injected
-/// fault and the end of the minimal violating prefix -- how long a
-/// corrupted execution can masquerade as atomic.
-struct online_detection {
-    bool ran{false};
-    bool violation{false};
-    std::string diagnosis;
-    /// True when the watcher thread flagged the violation DURING the run
-    /// (else the post-run final check caught it).
-    bool caught_live{false};
-    /// Gamma position at the first injection (no_event: nothing injected).
-    event_pos injection_pos{no_event};
-    /// Events in the minimal violating prefix (0 when no violation).
+    /// Culprit localization, on retained (scripted) histories only: events
+    /// in the minimal violating prefix, the operation whose event closes
+    /// it, and the completed ops between the first injection and that
+    /// prefix's end -- how long a corrupted execution masquerades as
+    /// atomic, independent of the checker's stride.
     std::uint64_t detection_prefix{0};
-    /// Completed ops between injection and detection; meaningful only when
-    /// a violation was found and an injection position is known.
-    std::uint64_t latency_ops{0};
-    /// The operation whose event closes the minimal violating prefix.
+    std::uint64_t prefix_latency_ops{0};
     bool culprit_known{false};
     op_id culprit{};
 };
@@ -238,9 +223,8 @@ struct run_result {
     bool log_overflowed{false};
 
     /// Substrate fault injection counters (faulty/ registers; zero
-    /// elsewhere) and the monitors' findings.
+    /// elsewhere) and the streaming checker's findings.
     fault_counts faults_injected{};
-    online_detection online{};
     stream_outcome stream{};
 
     /// Message-layer counters (net/ compositions; `ran` false elsewhere).

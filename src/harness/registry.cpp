@@ -22,46 +22,14 @@
 namespace bloom87::harness {
 namespace {
 
-/// Manual invocation/response logging for registers that do not log their
-/// own simulated operations (the native word, the VA register, the SWMR
-/// ladder). Mirrors atomicity_monitor's event shape.
-class ext_logger {
-public:
-    ext_logger(event_log* log, processor_id proc) : log_(log), proc_(proc) {}
-
-    void invoke(op_kind kind, value_t v) {
-        if (log_ == nullptr) return;
-        event e;
-        e.kind = kind == op_kind::write ? event_kind::sim_invoke_write
-                                        : event_kind::sim_invoke_read;
-        e.processor = proc_;
-        e.op = next_op_;
-        e.value = kind == op_kind::write ? v : 0;
-        log_->append(e);
-    }
-    void respond(op_kind kind, value_t result) {
-        if (log_ == nullptr) return;
-        event e;
-        e.kind = kind == op_kind::write ? event_kind::sim_respond_write
-                                        : event_kind::sim_respond_read;
-        e.processor = proc_;
-        e.op = next_op_;
-        e.value = kind == op_kind::write ? 0 : result;
-        log_->append(e);
-    }
-    void finish_op() { ++next_op_; }
-
-private:
-    event_log* log_;
-    processor_id proc_;
-    op_index next_op_{0};
-};
+// Adapters never log simulated operations: the driver's script runner
+// records every invocation/response, so the only events a register writes
+// into a gamma log are its real accesses (recording substrate, net/
+// replica observer).
 
 // ---------------------------------------------------------------- bloom/* --
 
-/// Adapter over two_writer_register<value_t, Reg>. The register itself logs
-/// simulated operations (set_external_log / recording constructor), so the
-/// ports never log.
+/// Adapter over two_writer_register<value_t, Reg>.
 template <typename Reg>
 class bloom_any final : public any_register {
     using reg_t = two_writer_register<value_t, Reg>;
@@ -134,20 +102,18 @@ private:
 
 // ------------------------------------------------------------- baseline/* --
 
-/// Adapter over the blocking baselines (mutex / rw-lock). The registers log
-/// their own simulated operations when constructed with a log.
+/// Adapter over the blocking baselines (mutex / rw-lock).
 template <typename Reg>
 class lock_any final : public any_register {
 public:
-    lock_any(value_t initial, event_log* log) : reg_(initial, log) {}
+    explicit lock_any(value_t initial) : reg_(initial) {}
 
     class port final : public any_port {
     public:
-        port(Reg& r, processor_id proc, port_role role)
-            : reg_(&r), proc_(proc), role_(role) {}
+        port(Reg& r, port_role role) : reg_(&r), role_(role) {}
 
-        value_t read() override { return reg_->read(proc_); }
-        void write(value_t v) override { reg_->write(v, proc_); }
+        value_t read() override { return reg_->read(); }
+        void write(value_t v) override { reg_->write(v); }
         bool stall(const pause_fn& during) override {
             if (role_ != port_role::writer) return false;
             auto lock = take_lock(*reg_);
@@ -162,60 +128,44 @@ public:
         }
 
         Reg* reg_;
-        processor_id proc_;
         port_role role_;
     };
 
-    std::unique_ptr<any_port> make_port(processor_id processor,
+    std::unique_ptr<any_port> make_port(processor_id,
                                         port_role role) override {
-        return std::make_unique<port>(reg_, processor, role);
+        return std::make_unique<port>(reg_, role);
     }
 
 private:
     Reg reg_;
 };
 
-/// Adapter over the native MRMW atomic word; logging is the adapter's job.
+/// Adapter over the native MRMW atomic word.
 class native_any final : public any_register {
     using reg_t = native_atomic_register<value_t>;
 
 public:
-    native_any(value_t initial, event_log* log)
-        : reg_(initial), log_(log) {}
+    explicit native_any(value_t initial) : reg_(initial) {}
 
     class port final : public any_port {
     public:
-        port(reg_t& r, event_log* log, processor_id proc)
-            : reg_(&r), logger_(log, proc), proc_(proc) {}
+        port(reg_t& r, processor_id proc) : reg_(&r), proc_(proc) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = reg_->read(proc_);
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
-        void write(value_t v) override {
-            logger_.invoke(op_kind::write, v);
-            reg_->write(v, proc_);
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
-        }
+        value_t read() override { return reg_->read(proc_); }
+        void write(value_t v) override { reg_->write(v, proc_); }
 
     private:
         reg_t* reg_;
-        ext_logger logger_;
         processor_id proc_;
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role) override {
-        return std::make_unique<port>(reg_, log_, processor);
+        return std::make_unique<port>(reg_, processor);
     }
 
 private:
     reg_t reg_;
-    event_log* log_;
 };
 
 // ------------------------------------------------------------------- va/* --
@@ -224,65 +174,41 @@ class va_any final : public any_register {
     using reg_t = va_register<value_t>;
 
 public:
-    va_any(value_t initial, std::size_t writers, event_log* log)
-        : reg_(initial, writers), log_(log) {}
+    va_any(value_t initial, std::size_t writers) : reg_(initial, writers) {}
 
     class wport final : public any_port {
     public:
-        wport(reg_t::writer_port p, event_log* log, processor_id proc)
-            : p_(std::move(p)), logger_(log, proc) {}
+        explicit wport(reg_t::writer_port p) : p_(std::move(p)) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = p_.read();
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
-        void write(value_t v) override {
-            logger_.invoke(op_kind::write, v);
-            p_.write(v);
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
-        }
+        value_t read() override { return p_.read(); }
+        void write(value_t v) override { p_.write(v); }
 
     private:
         reg_t::writer_port p_;
-        ext_logger logger_;
     };
 
     class rport final : public any_port {
     public:
-        rport(reg_t& r, event_log* log, processor_id proc)
-            : reg_(&r), logger_(log, proc) {}
+        explicit rport(reg_t& r) : reg_(&r) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = reg_->read();
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
+        value_t read() override { return reg_->read(); }
         void write(value_t) override {}
 
     private:
         reg_t* reg_;
-        ext_logger logger_;
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
         if (role == port_role::writer) {
             return std::make_unique<wport>(
-                reg_.make_writer_port(static_cast<std::size_t>(processor)),
-                log_, processor);
+                reg_.make_writer_port(static_cast<std::size_t>(processor)));
         }
-        return std::make_unique<rport>(reg_, log_, processor);
+        return std::make_unique<rport>(reg_);
     }
 
 private:
     reg_t reg_;
-    event_log* log_;
 };
 
 // ----------------------------------------------------------------- swmr/* --
@@ -295,113 +221,74 @@ class swmr_any final : public any_register {
     using reg_t = swmr_from_swsr<value_t>;
 
 public:
-    swmr_any(value_t initial, std::size_t readers, event_log* log)
+    swmr_any(value_t initial, std::size_t readers)
         : reg_(tagged<value_t>{initial, false}, readers + 1),
-          writer_read_port_(readers), log_(log) {}
+          writer_read_port_(readers) {}
 
     class wport final : public any_port {
     public:
-        wport(reg_t& r, std::size_t read_port, event_log* log,
-              processor_id proc)
-            : reg_(&r), rd_(r.make_reader_port(read_port)), logger_(log, proc) {}
+        wport(reg_t& r, std::size_t read_port)
+            : reg_(&r), rd_(r.make_reader_port(read_port)) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = rd_.read().value;
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
+        value_t read() override { return rd_.read().value; }
         void write(value_t v) override {
-            logger_.invoke(op_kind::write, v);
             reg_->write(tagged<value_t>{v, false});
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
         }
 
     private:
         reg_t* reg_;
         reg_t::reader_port rd_;
-        ext_logger logger_;
     };
 
     class rport final : public any_port {
     public:
-        rport(reg_t::reader_port p, event_log* log, processor_id proc)
-            : p_(std::move(p)), logger_(log, proc) {}
+        explicit rport(reg_t::reader_port p) : p_(std::move(p)) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = p_.read().value;
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
+        value_t read() override { return p_.read().value; }
         void write(value_t) override {}
 
     private:
         reg_t::reader_port p_;
-        ext_logger logger_;
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
         if (role == port_role::writer) {
-            return std::make_unique<wport>(reg_, writer_read_port_, log_,
-                                           processor);
+            return std::make_unique<wport>(reg_, writer_read_port_);
         }
         return std::make_unique<rport>(
-            reg_.make_reader_port(static_cast<std::size_t>(processor) - 1),
-            log_, processor);
+            reg_.make_reader_port(static_cast<std::size_t>(processor) - 1));
     }
 
 private:
     reg_t reg_;
     std::size_t writer_read_port_;
-    event_log* log_;
 };
 
 // ----------------------------------------------------------- tournament/* --
 
 /// The BROKEN Section 8 tournament (4 writers over native atomic words).
 /// Registered so the harness can demonstrate the failure: checkers are
-/// expected to reject its histories (info.expected_atomic = false).
-/// The register's own logging stays off; the adapter logs every simulated
-/// operation itself so a writer's scripted reads (served by an internal
-/// reader handle) share the writer's per-processor op counter.
+/// expected to reject its histories (info.expected_atomic = false). A
+/// writer's scripted reads are served by an internal reader handle.
 class tournament_any final : public any_register {
     using reg_t = tournament_four_writer<value_t>;
 
 public:
-    tournament_any(value_t initial, event_log* log)
-        : reg_(initial, nullptr), log_(log) {}
+    explicit tournament_any(value_t initial) : reg_(initial) {}
 
     class wport final : public any_port {
     public:
-        wport(reg_t& r, event_log* log, processor_id proc)
+        wport(reg_t& r, processor_id proc)
             : w_(r.make_writer(proc)), rd_(r.make_reader(proc)),
-              logger_(log, proc), proc_(proc) {}
+              proc_(proc) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = rd_.read();
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
-        void write(value_t v) override {
-            logger_.invoke(op_kind::write, v);
-            w_.write(v);
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
-        }
+        value_t read() override { return rd_.read(); }
+        void write(value_t v) override { w_.write(v); }
         void write_paced(value_t v, const pause_fn& pause) override {
-            logger_.invoke(op_kind::write, v);
             w_.begin_write(v);
             pause();
             w_.finish_write();
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
         }
         bool stall(const pause_fn& during) override {
             write_paced(unique_value(proc_, 0x80000000u + stall_count_++),
@@ -412,124 +299,83 @@ public:
     private:
         reg_t::writer w_;
         reg_t::reader rd_;
-        ext_logger logger_;
         processor_id proc_;
         std::uint32_t stall_count_{0};
     };
 
     class rport final : public any_port {
     public:
-        rport(reg_t::reader rd, event_log* log, processor_id proc)
-            : rd_(std::move(rd)), logger_(log, proc) {}
+        explicit rport(reg_t::reader rd) : rd_(std::move(rd)) {}
 
-        value_t read() override {
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = rd_.read();
-            logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-            return out;
-        }
+        value_t read() override { return rd_.read(); }
         void write(value_t) override {}
 
     private:
         reg_t::reader rd_;
-        ext_logger logger_;
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
         if (role == port_role::writer) {
-            return std::make_unique<wport>(reg_, log_, processor);
+            return std::make_unique<wport>(reg_, processor);
         }
-        return std::make_unique<rport>(reg_.make_reader(processor), log_,
-                                       processor);
+        return std::make_unique<rport>(reg_.make_reader(processor));
     }
 
 private:
     reg_t reg_;
-    event_log* log_;
 };
 
 // ----------------------------------------------------------------- faulty/* --
 
 /// The write/read ports shared by every fault-plan-driven shared-memory
-/// composition (faulty_any below and repair_any after it). They log
-/// invocations/responses themselves -- the register's own sim-event logging
-/// stays OFF -- so that a port killed by a port_crash fault can leave its
-/// final operation PENDING (invocation without response): the external
-/// trace of a processor that died mid-operation, exactly what the checkers
-/// must tolerate.
+/// composition (faulty_any below and repair_any after it). A port killed by
+/// a port_crash fault reports crashed(): the driver then leaves the
+/// operation that triggered it PENDING (invocation without response) --
+/// the external trace of a processor that died mid-operation, exactly what
+/// the checkers must tolerate -- and stops stepping the port.
 template <typename RegT>
 class injected_wport final : public any_port {
     using reg_t = RegT;
 
 public:
-        injected_wport(reg_t& r, int index, fault_plan& plan, event_log* log)
-            : w_(index == 0 ? &r.writer0() : &r.writer1()), plan_(&plan),
-              logger_(log, static_cast<processor_id>(index)),
-              proc_(static_cast<processor_id>(index)) {}
+    injected_wport(reg_t& r, int index, fault_plan& plan)
+        : w_(index == 0 ? &r.writer0() : &r.writer1()), plan_(&plan),
+          proc_(static_cast<processor_id>(index)) {}
 
-        value_t read() override {
-            if (plan_->crashed(proc_)) return 0;
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = w_->read();
-            respond_unless_crashed(op_kind::read, out);
-            return out;
-        }
-        void write(value_t v) override {
-            if (plan_->crashed(proc_)) return;
-            logger_.invoke(op_kind::write, v);
-            w_->write(v);
-            respond_unless_crashed(op_kind::write, 0);
-        }
-        void write_paced(value_t v, const pause_fn& pause) override {
-            if (plan_->crashed(proc_)) return;
-            logger_.invoke(op_kind::write, v);
-            w_->write_paced(v, pause);
-            respond_unless_crashed(op_kind::write, 0);
-        }
-        bool write_crashed(value_t v, crash_point cp) override {
-            if (plan_->crashed(proc_)) return true;
-            logger_.invoke(op_kind::write, v);
-            w_->write_crashed(v, cp);
-            logger_.finish_op();  // crashed write: pending by design
-            return true;
-        }
-        bool read_cached(value_t& out) override {
-            if (plan_->crashed(proc_)) {
-                out = 0;
-                return true;
-            }
-            logger_.invoke(op_kind::read, 0);
-            out = w_->read_cached();
-            respond_unless_crashed(op_kind::read, out);
-            return true;
-        }
-        bool stall(const pause_fn& during) override {
-            if (plan_->crashed(proc_)) return true;
-            const value_t v = unique_value(proc_, 0x80000000u + stall_count_++);
-            logger_.invoke(op_kind::write, v);
-            w_->write_paced(v, during);
-            respond_unless_crashed(op_kind::write, 0);
-            return true;
-        }
-        [[nodiscard]] bool crashed() const override {
-            return plan_->crashed(proc_);
-        }
+    value_t read() override {
+        if (plan_->crashed(proc_)) return 0;
+        return w_->read();
+    }
+    void write(value_t v) override {
+        if (!plan_->crashed(proc_)) w_->write(v);
+    }
+    void write_paced(value_t v, const pause_fn& pause) override {
+        if (!plan_->crashed(proc_)) w_->write_paced(v, pause);
+    }
+    bool write_crashed(value_t v, crash_point cp) override {
+        if (!plan_->crashed(proc_)) w_->write_crashed(v, cp);
+        return true;
+    }
+    bool read_cached(value_t& out) override {
+        out = plan_->crashed(proc_) ? 0 : w_->read_cached();
+        return true;
+    }
+    bool stall(const pause_fn& during) override {
+        if (plan_->crashed(proc_)) return true;
+        w_->write_paced(unique_value(proc_, 0x80000000u + stall_count_++),
+                        during);
+        return true;
+    }
+    [[nodiscard]] bool crashed() const override {
+        return plan_->crashed(proc_);
+    }
 
-    private:
-        /// A port_crash fault mid-operation kills the port: the operation
-        /// stays pending (no response event) and the op counter advances.
-        void respond_unless_crashed(op_kind kind, value_t v) {
-            if (!plan_->crashed(proc_)) logger_.respond(kind, v);
-            logger_.finish_op();
-        }
-
-        typename reg_t::writer* w_;
-        fault_plan* plan_;
-        ext_logger logger_;
-        processor_id proc_;
-        std::uint32_t stall_count_{0};
+private:
+    typename reg_t::writer* w_;
+    fault_plan* plan_;
+    processor_id proc_;
+    std::uint32_t stall_count_{0};
 };
 
 template <typename RegT>
@@ -537,45 +383,31 @@ class injected_rport final : public any_port {
     using reg_t = RegT;
 
 public:
-        injected_rport(typename reg_t::reader rd, fault_plan& plan,
-                       event_log* log, processor_id proc)
-            : rd_(std::move(rd)), plan_(&plan), logger_(log, proc),
-              proc_(proc) {}
+    injected_rport(typename reg_t::reader rd, fault_plan& plan,
+                   processor_id proc)
+        : rd_(std::move(rd)), plan_(&plan), proc_(proc) {}
 
-        value_t read() override {
-            if (plan_->crashed(proc_)) return 0;
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = rd_.read();
-            respond_unless_crashed(out);
-            return out;
-        }
-        void write(value_t) override {}  // reader ports never write
-        value_t read_paced(const pause_fn& pause) override {
-            if (plan_->crashed(proc_)) return 0;
-            logger_.invoke(op_kind::read, 0);
-            const value_t out = rd_.read_paced(pause);
-            respond_unless_crashed(out);
-            return out;
-        }
-        bool stall(const pause_fn& during) override {
-            if (plan_->crashed(proc_)) return true;
-            (void)read_paced(during);
-            return true;
-        }
-        [[nodiscard]] bool crashed() const override {
-            return plan_->crashed(proc_);
-        }
+    value_t read() override {
+        if (plan_->crashed(proc_)) return 0;
+        return rd_.read();
+    }
+    void write(value_t) override {}  // reader ports never write
+    value_t read_paced(const pause_fn& pause) override {
+        if (plan_->crashed(proc_)) return 0;
+        return rd_.read_paced(pause);
+    }
+    bool stall(const pause_fn& during) override {
+        (void)read_paced(during);
+        return true;
+    }
+    [[nodiscard]] bool crashed() const override {
+        return plan_->crashed(proc_);
+    }
 
-    private:
-        void respond_unless_crashed(value_t out) {
-            if (!plan_->crashed(proc_)) logger_.respond(op_kind::read, out);
-            logger_.finish_op();
-        }
-
-        typename reg_t::reader rd_;
-        fault_plan* plan_;
-        ext_logger logger_;
-        processor_id proc_;
+private:
+    typename reg_t::reader rd_;
+    fault_plan* plan_;
+    processor_id proc_;
 };
 
 /// Bloom's construction over substrates wrapped in the fault injector
@@ -589,7 +421,6 @@ public:
     template <typename MakeInner>
     faulty_any(const register_args& a, MakeInner&& make_inner)
         : plan_(a.fault, a.log),
-          log_(a.log),
           reg_(a.initial, [&](tagged<value_t> init, int reg_index) {
               return make_inner(init, &plan_, reg_index);
           }) {}
@@ -600,15 +431,14 @@ public:
                                         port_role role) override {
         if (role == port_role::writer) {
             return std::make_unique<injected_wport<reg_t>>(reg_, processor,
-                                                           plan_, log_);
+                                                           plan_);
         }
         return std::make_unique<injected_rport<reg_t>>(
-            reg_.make_reader(processor), plan_, log_, processor);
+            reg_.make_reader(processor), plan_, processor);
     }
 
 private:
     fault_plan plan_;  // before reg_: the factory lambda takes its address
-    event_log* log_;
     reg_t reg_;
 };
 
@@ -625,7 +455,6 @@ class repair_any final : public any_register {
 public:
     explicit repair_any(const register_args& a)
         : plan_(a.fault, a.log),
-          log_(a.log),
           reg_(a.initial, [&](tagged<value_t> init, int) {
               return repair_register<Inner>(init, &plan_, &counts_);
           }) {}
@@ -646,16 +475,15 @@ public:
                                         port_role role) override {
         if (role == port_role::writer) {
             return std::make_unique<injected_wport<reg_t>>(reg_, processor,
-                                                           plan_, log_);
+                                                           plan_);
         }
         return std::make_unique<injected_rport<reg_t>>(
-            reg_.make_reader(processor), plan_, log_, processor);
+            reg_.make_reader(processor), plan_, processor);
     }
 
 private:
     fault_plan plan_;       // before reg_: the factory lambda takes both
     repair_counts counts_;  // addresses
-    event_log* log_;
     reg_t reg_;
 };
 
@@ -706,15 +534,13 @@ private:
 }
 
 /// ABD quorum replication behind the type-erased interface. Client index ==
-/// processor id (writers first). The adapter logs sim events (the net layer
-/// knows nothing about gamma logs), and the paced variants hand the
-/// harness's pause to the protocol's round boundary -- which is where the
-/// driver's seeded schedule interleaves other processors' bus activity.
+/// processor id (writers first). The paced variants hand the harness's
+/// pause to the protocol's round boundary -- which is where the driver's
+/// seeded schedule interleaves other processors' bus activity.
 class abd_any final : public any_register {
 public:
     explicit abd_any(const register_args& a)
-        : plan_(a.fault, a.log), log_(a.log),
-          observer_(make_net_observer(a.log)) {
+        : plan_(a.fault, a.log), observer_(make_net_observer(a.log)) {
         net::abd_config cfg;
         cfg.servers = a.servers;
         cfg.clients = a.writers + a.readers;
@@ -734,9 +560,8 @@ public:
 
     class port final : public any_port {
     public:
-        port(net::abd_system& s, event_log* log, processor_id proc,
-             port_role role)
-            : sys_(&s), logger_(log, proc), proc_(proc), role_(role) {}
+        port(net::abd_system& s, processor_id proc, port_role role)
+            : sys_(&s), proc_(proc), role_(role) {}
 
         value_t read() override { return do_read(nullptr); }
         void write(value_t v) override { do_write(v, nullptr); }
@@ -755,32 +580,17 @@ public:
     private:
         value_t do_read(const pause_fn* pause) {
             if (parked_) return 0;
-            logger_.invoke(op_kind::read, 0);
             const std::optional<value_t> out =
                 sys_->read(static_cast<std::size_t>(proc_), pause);
-            if (!out.has_value()) {
-                parked_ = true;  // pending forever, like a crashed op
-                logger_.finish_op();
-                return 0;
-            }
-            logger_.respond(op_kind::read, *out);
-            logger_.finish_op();
-            return *out;
+            parked_ = !out.has_value();  // pending forever, like a crash
+            return out.value_or(0);
         }
         void do_write(value_t v, const pause_fn* pause) {
             if (role_ != port_role::writer || parked_) return;
-            logger_.invoke(op_kind::write, v);
-            if (!sys_->write(static_cast<std::size_t>(proc_), v, pause)) {
-                parked_ = true;
-                logger_.finish_op();
-                return;
-            }
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
+            parked_ = !sys_->write(static_cast<std::size_t>(proc_), v, pause);
         }
 
         net::abd_system* sys_;
-        ext_logger logger_;
         processor_id proc_;
         port_role role_;
         bool parked_{false};
@@ -788,12 +598,11 @@ public:
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
-        return std::make_unique<port>(*sys_, log_, processor, role);
+        return std::make_unique<port>(*sys_, processor, role);
     }
 
 private:
     fault_plan plan_;  // before sys_: the bus keeps its address
-    event_log* log_;
     net::replica_observer observer_;  // before sys_: cfg keeps its address
     std::unique_ptr<net::abd_system> sys_;
 };
@@ -804,8 +613,9 @@ private:
 class twobit_any final : public any_register {
 public:
     explicit twobit_any(const register_args& a)
-        : plan_(a.fault, a.log), log_(a.log),
-          observer_(make_net_observer(a.log)), cfg_servers_(a.servers) {
+        : plan_(a.fault, a.log),
+          observer_(make_net_observer(a.log)),
+          cfg_servers_(a.servers) {
         net::twobit_config cfg;
         cfg.servers = a.servers;
         cfg.clients = 1 + a.readers;
@@ -823,8 +633,8 @@ public:
 
     class port final : public any_port {
     public:
-        port(net::twobit_system& s, event_log* log, processor_id proc)
-            : sys_(&s), logger_(log, proc), proc_(proc) {}
+        port(net::twobit_system& s, processor_id proc)
+            : sys_(&s), proc_(proc) {}
 
         value_t read() override { return do_read(nullptr); }
         void write(value_t v) override { do_write(v, nullptr); }
@@ -840,44 +650,28 @@ public:
     private:
         value_t do_read(const pause_fn* pause) {
             if (parked_) return 0;
-            logger_.invoke(op_kind::read, 0);
             const std::optional<value_t> out =
                 sys_->read(static_cast<std::size_t>(proc_), pause);
-            if (!out.has_value()) {
-                parked_ = true;
-                logger_.finish_op();
-                return 0;
-            }
-            logger_.respond(op_kind::read, *out);
-            logger_.finish_op();
-            return *out;
+            parked_ = !out.has_value();
+            return out.value_or(0);
         }
         void do_write(value_t v, const pause_fn* pause) {
             if (proc_ != 0 || parked_) return;
-            logger_.invoke(op_kind::write, v);
-            if (!sys_->write(v, pause)) {
-                parked_ = true;
-                logger_.finish_op();
-                return;
-            }
-            logger_.respond(op_kind::write, 0);
-            logger_.finish_op();
+            parked_ = !sys_->write(v, pause);
         }
 
         net::twobit_system* sys_;
-        ext_logger logger_;
         processor_id proc_;
         bool parked_{false};
     };
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role) override {
-        return std::make_unique<port>(*sys_, log_, processor);
+        return std::make_unique<port>(*sys_, processor);
     }
 
 private:
     fault_plan plan_;  // before sys_: the bus keeps its address
-    event_log* log_;
     net::replica_observer observer_;  // before sys_: cfg keeps its address
     std::unique_ptr<net::twobit_system> sys_;
     std::size_t cfg_servers_{3};
@@ -898,6 +692,19 @@ register_info info(std::string name, std::string description,
     return i;
 }
 
+/// bloom/recording and bloom/plain: Bloom over the recording substrate,
+/// built through the factory constructor, so only the real accesses reach
+/// the gamma log from inside the register.
+std::unique_ptr<any_register> make_recording(const register_args& a) {
+    event_log* log = a.log;
+    return std::make_unique<bloom_any<recording_register>>(
+        std::make_unique<two_writer_register<value_t, recording_register>>(
+            a.initial, [log](tagged<value_t> init, int reg_index) {
+                return recording_register(
+                    init, log, static_cast<std::uint8_t>(reg_index));
+            }));
+}
+
 std::vector<registry_entry> build_registry() {
     std::vector<registry_entry> r;
 
@@ -912,10 +719,9 @@ std::vector<registry_entry> build_registry() {
             {std::move(i),
              [](const register_args& a) -> std::unique_ptr<any_register> {
                  using substrate = packed_atomic_register<value_t>;
-                 auto reg = std::make_unique<
-                     two_writer_register<value_t, substrate>>(a.initial);
-                 reg->set_external_log(a.log);
-                 return std::make_unique<bloom_any<substrate>>(std::move(reg));
+                 return std::make_unique<bloom_any<substrate>>(
+                     std::make_unique<two_writer_register<value_t, substrate>>(
+                         a.initial));
              }});
     }
 
@@ -926,11 +732,9 @@ std::vector<registry_entry> build_registry() {
                  [](const register_args& a) -> std::unique_ptr<any_register> {
                      using reg_t =
                          two_writer_register<value_t, seqlock_register<value_t>>;
-                     auto reg = std::make_unique<reg_t>(a.initial);
-                     reg->set_external_log(a.log);
                      return std::make_unique<
                          bloom_any<seqlock_register<value_t>>>(
-                         std::move(reg));
+                         std::make_unique<reg_t>(a.initial));
                  }});
 
     r.push_back({info("bloom/fourslot",
@@ -945,7 +749,6 @@ std::vector<registry_entry> build_registry() {
                          a.initial, [n](tagged<value_t> init, int reg_index) {
                              return ported_substrate<value_t>(init, n, reg_index);
                          });
-                     reg->set_external_log(a.log);
                      return std::make_unique<
                          bloom_any<ported_substrate<value_t>>>(
                          std::move(reg));
@@ -959,15 +762,7 @@ std::vector<registry_entry> build_registry() {
                  2, 2, true);
         i.records_real_accesses = true;
         i.requires_log = true;
-        r.push_back({std::move(i),
-                     [](const register_args& a) -> std::unique_ptr<any_register> {
-                         using reg_t =
-                             two_writer_register<value_t, recording_register>;
-                         auto reg = std::make_unique<reg_t>(a.initial, a.log);
-                         return std::make_unique<
-                             bloom_any<recording_register>>(
-                             std::move(reg));
-                     }});
+        r.push_back({std::move(i), make_recording});
     }
 
     {
@@ -985,15 +780,7 @@ std::vector<registry_entry> build_registry() {
         i.records_real_accesses = true;
         i.requires_log = true;
         i.expected_atomic = false;
-        r.push_back({std::move(i),
-                     [](const register_args& a) -> std::unique_ptr<any_register> {
-                         using reg_t =
-                             two_writer_register<value_t, recording_register>;
-                         auto reg = std::make_unique<reg_t>(a.initial, a.log);
-                         return std::make_unique<
-                             bloom_any<recording_register>>(
-                             std::move(reg));
-                     }});
+        r.push_back({std::move(i), make_recording});
     }
 
     r.push_back({info("faulty/seqlock",
@@ -1029,7 +816,7 @@ std::vector<registry_entry> build_registry() {
         register_info i =
             info("faulty/recording",
                  "fault-injected recording substrate: corrupted runs keep a "
-                 "full gamma log for forensics and online detection",
+                 "full gamma log for forensics and culprit localization",
                  2, 2, true);
         i.records_real_accesses = true;
         i.requires_log = true;
@@ -1063,8 +850,7 @@ std::vector<registry_entry> build_registry() {
                       "over Simpson four-slot registers",
                       1, 1, true),
                  [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<swmr_any>(a.initial, a.readers,
-                                                       a.log);
+                     return std::make_unique<swmr_any>(a.initial, a.readers);
                  }});
 
     r.push_back({info("va/seqlock",
@@ -1072,8 +858,7 @@ std::vector<registry_entry> build_registry() {
                       "Section 8's way forward) over seqlock cells",
                       1, 16, true),
                  [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<va_any>(a.initial, a.writers,
-                                                     a.log);
+                     return std::make_unique<va_any>(a.initial, a.writers);
                  }});
 
     {
@@ -1086,8 +871,7 @@ std::vector<registry_entry> build_registry() {
         i.packed_values = true;
         r.push_back({std::move(i),
                      [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<tournament_any>(a.initial,
-                                                                 a.log);
+                         return std::make_unique<tournament_any>(a.initial);
                      }});
     }
 
@@ -1139,7 +923,7 @@ std::vector<registry_entry> build_registry() {
                       1, 16, false),
                  [](const register_args& a) -> std::unique_ptr<any_register> {
                      return std::make_unique<lock_any<mutex_register<value_t>>>(
-                         a.initial, a.log);
+                         a.initial);
                  }});
 
     r.push_back({info("baseline/rwlock",
@@ -1148,7 +932,7 @@ std::vector<registry_entry> build_registry() {
                       1, 16, false),
                  [](const register_args& a) -> std::unique_ptr<any_register> {
                      return std::make_unique<
-                         lock_any<rwlock_register<value_t>>>(a.initial, a.log);
+                         lock_any<rwlock_register<value_t>>>(a.initial);
                  }});
 
     {
@@ -1159,7 +943,7 @@ std::vector<registry_entry> build_registry() {
         i.packed_values = true;
         r.push_back({std::move(i),
                      [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<native_any>(a.initial, a.log);
+                         return std::make_unique<native_any>(a.initial);
                      }});
     }
 

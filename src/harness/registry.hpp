@@ -171,10 +171,10 @@ struct register_args {
     value_t initial{0};
     std::size_t writers{2};
     std::size_t readers{2};
-    /// Shared gamma log, or null for unrecorded runs. When non-null, the
-    /// instance (or its adapter) logs every simulated operation's
-    /// invocation/response into it; the recording substrate additionally
-    /// logs real-register accesses.
+    /// Shared gamma log, or null for unrecorded runs. Instances log only
+    /// REAL accesses into it (the recording substrate, the net/ replica
+    /// observer) plus the fault plan's first-injection position; the
+    /// driver's script runner records every simulated invocation/response.
     event_log* log{nullptr};
     /// Substrate fault injection; the faulty/ and net/ families read it
     /// (other entries ignore an active spec -- the driver rejects that

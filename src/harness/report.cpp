@@ -7,6 +7,10 @@
 namespace bloom87::harness {
 namespace {
 
+/// The report schema version: the one place a bump happens (report.hpp
+/// keeps the history of what each version added).
+constexpr const char* schema_name = "bloom87-harness-v8";
+
 [[nodiscard]] const char* schedule_name(schedule_mode m) {
     return m == schedule_mode::seeded ? "seeded" : "threads";
 }
@@ -25,18 +29,16 @@ namespace {
 report_writer::report_writer(std::ostream& os, const std::string& bench)
     : os_(os), w_(os) {
     w_.begin_object();
-    w_.field("schema", "bloom87-harness-v7");
+    w_.field("schema", schema_name);
     w_.field("bench", bench);
     w_.key("environment").begin_object();
     w_.field("hardware_concurrency", std::thread::hardware_concurrency());
 #if defined(__VERSION__)
     w_.field("compiler", __VERSION__);
 #endif
-#if defined(NDEBUG)
-    w_.field("build", "release");
-#else
-    w_.field("build", "debug");
-#endif
+    // The CMake build type the library was compiled under
+    // (src/harness/CMakeLists.txt).
+    w_.field("build", BLOOM87_BUILD_TYPE);
     w_.end_object();
     w_.key("runs").begin_array();
 }
@@ -215,10 +217,9 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
         }
     }
 
-    // v2: substrate fault injection + online detection, on fault runs and
-    // monitored runs only (other runs keep their v1 shape exactly).
-    if (spec.fault.active() || result.faults_injected.total() > 0 ||
-        result.online.ran) {
+    // v2: substrate fault injection, on fault runs only (other runs keep
+    // their v1 shape exactly).
+    if (spec.fault.active() || result.faults_injected.total() > 0) {
         const fault_counts& fc = result.faults_injected;
         w_.key("faults").begin_object();
         w_.field("class", fault_class_name(spec.fault.cls));
@@ -253,24 +254,6 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
         w_.field("injected", fc.total());
         if (fc.first_injection != no_event) {
             w_.field("injection_pos", fc.first_injection);
-        }
-        if (result.online.ran) {
-            const online_detection& od = result.online;
-            w_.key("online").begin_object();
-            w_.field("violation", od.violation);
-            if (od.violation) {
-                w_.field("caught_live", od.caught_live);
-                w_.field("detection_prefix", od.detection_prefix);
-                w_.field("latency_ops", od.latency_ops);
-                if (od.culprit_known) {
-                    w_.field("culprit_processor",
-                             static_cast<int>(od.culprit.processor));
-                    w_.field("culprit_op",
-                             static_cast<std::uint64_t>(od.culprit.op));
-                }
-                w_.field("diagnosis", od.diagnosis);
-            }
-            w_.end_object();
         }
         w_.end_object();
     }
@@ -355,6 +338,15 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
         if (so.violation) {
             w_.field("detection_pos", so.detection_pos);
             w_.field("latency_ops", so.latency_ops);
+            // v8: culprit localization (the minimal violating prefix).
+            if (so.culprit_known) {
+                w_.field("detection_prefix", so.detection_prefix);
+                w_.field("prefix_latency_ops", so.prefix_latency_ops);
+                w_.field("culprit_processor",
+                         static_cast<int>(so.culprit.processor));
+                w_.field("culprit_op",
+                         static_cast<std::uint64_t>(so.culprit.op));
+            }
             w_.field("diagnosis", so.diagnosis);
         }
         w_.end_object();

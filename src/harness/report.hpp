@@ -1,13 +1,14 @@
-// bloom87: the one JSON report schema ("bloom87-harness-v7").
+// bloom87: the one JSON report schema ("bloom87-harness-vN"; the current
+// N lives in report.cpp, the history of each bump below).
 //
 // Every bench/example binary emits the same machine-readable shape so
 // cross-PR tracking tooling parses one format:
 //
 //   {
-//     "schema": "bloom87-harness-v7",
+//     "schema": "bloom87-harness-v8",
 //     "bench": "<binary name>",
 //     "environment": { "hardware_concurrency": N, "compiler": "...",
-//                      "build": "release|debug" },
+//                      "build": "<CMake build type>" },
 //     "runs": [ {
 //        "register": "...",
 //        "config":   { writers, readers, ops, seed, duration_ms,
@@ -26,16 +27,16 @@
 //                      recover_after, crash_budget,
 //                      stale_reads, lost_writes, torn_values,
 //                      delayed_writes, port_crashes, injected,
-//                      injection_pos, online: { violation, caught_live,
-//                      detection_prefix, latency_ops, culprit_processor,
-//                      culprit_op, diagnosis } },
+//                      injection_pos },
 //        "analysis": { checker: "race", ran, skip_reason | pass, races,
 //                      accesses_checked, contract, diagnosis, millis,
 //                      agreement, lockset: { pass, warnings, divergences,
 //                      diagnosis, divergence } },
 //        "stream":   { events, ops_completed, ops_retired, checkpoints,
 //                      retained_peak, producer_stalls, violation,
-//                      detection_pos, latency_ops, diagnosis },
+//                      detection_pos, latency_ops, detection_prefix,
+//                      prefix_latency_ops, culprit_processor, culprit_op,
+//                      diagnosis },
 //        "net":      { servers, quorum, messages_sent, messages_delivered,
 //                      messages_lost, messages_duplicated,
 //                      messages_delayed, retransmissions, server_crashes,
@@ -102,6 +103,17 @@
 // real accesses at reg 2+server, so `--check race` covers net/*
 // compositions. Existing v6 consumers need only accept the new schema
 // string and ignore the extra keys.
+//
+// v7 -> v8: one online checker. The online verifier is gone, and with it
+// `faults.online`; the `faults` block now appears only on runs with an
+// active fault spec or injected faults. Its detection record moved into
+// `stream`: on a violation over a retained history, `detection_prefix`
+// (events in the minimal violating prefix), `prefix_latency_ops`
+// (completed ops between the first injection and that prefix's end -- v7's
+// faults.online.latency_ops) and `culprit_processor` / `culprit_op` (the
+// op closing it). `stream.latency_ops` keeps its meaning (ops up to where
+// the streaming checker flagged). `environment.build` records the real
+// CMake build type instead of release/debug from NDEBUG.
 #pragma once
 
 #include <functional>

@@ -79,30 +79,6 @@ public:
         return out;
     }
 
-    /// Copies out one published event by position (`pos` < size()),
-    /// spinning briefly if its publish is still in flight. The streaming
-    /// checker tails a live log one event at a time with this instead of
-    /// re-copying ever-growing prefixes.
-    [[nodiscard]] event read_at(event_pos pos) const noexcept {
-        while (!ready_[pos].value.load(std::memory_order_acquire)) {}
-        return slots_[pos];
-    }
-
-    /// Copies out the first `n` events (clamped to size()), spinning briefly
-    /// on any slot still mid-publish. Safe to call WHILE writers append --
-    /// the prefix is a legal gamma prefix because slot index is gamma
-    /// position -- which is what lets the online verifier poll a live run.
-    [[nodiscard]] std::vector<event> snapshot_prefix(std::size_t n) const {
-        n = std::min(n, size());
-        std::vector<event> out;
-        out.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            while (!ready_[i].value.load(std::memory_order_acquire)) {}
-            out.push_back(slots_[i]);
-        }
-        return out;
-    }
-
     /// Resets the log for reuse between test iterations. Not thread-safe.
     void clear() noexcept {
         const std::size_t n = size();

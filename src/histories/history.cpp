@@ -75,7 +75,8 @@ parse_result parse_history(std::vector<event> gamma, value_t initial_value) {
                 it->second.open = false;
                 break;
             }
-            case event_kind::real_read: {
+            case event_kind::real_read:
+            case event_kind::real_write: {
                 if (e.reg > 1) break;  // auxiliary register (net/ per-server
                                        // observer): kept in gamma for the race
                                        // checker, exempt from base-register
@@ -84,7 +85,13 @@ parse_result parse_history(std::vector<event> gamma, value_t initial_value) {
                 if (it == open.end() || !it->second.open) {
                     return fail("real access outside any simulated operation", pos);
                 }
-                if (e.observed_write != no_event) {
+                if (it->second.op.id.op != e.op) {
+                    return fail("real access op index does not match its open operation",
+                                pos);
+                }
+                if (e.kind == event_kind::real_write) {
+                    last_real_write[e.reg] = pos;
+                } else if (e.observed_write != no_event) {
                     if (e.observed_write >= pos) {
                         return fail("read observes a write at a later position", pos);
                     }
@@ -99,16 +106,6 @@ parse_result parse_history(std::vector<event> gamma, value_t initial_value) {
                 } else if (last_real_write[e.reg] != no_event) {
                     return fail("read observes initial value after a write", pos);
                 }
-                it->second.op.real_accesses.push_back(pos);
-                break;
-            }
-            case event_kind::real_write: {
-                if (e.reg > 1) break;  // auxiliary register: see real_read.
-                auto it = open.find(e.processor);
-                if (it == open.end() || !it->second.open) {
-                    return fail("real access outside any simulated operation", pos);
-                }
-                last_real_write[e.reg] = pos;
                 it->second.op.real_accesses.push_back(pos);
                 break;
             }

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/protocol.hpp"
 
@@ -24,14 +27,95 @@ struct register_timeline {
         return tags[static_cast<std::size_t>(it - positions.begin()) - 1];
     }
 
+    /// Position of the last write strictly before `p`, or no_event.
+    [[nodiscard]] event_pos last_write_before(event_pos p) const {
+        auto it = std::lower_bound(positions.begin(), positions.end(), p);
+        return it == positions.begin() ? no_event : *(it - 1);
+    }
+
     /// Position of the last write strictly inside (lo, hi), or no_event.
     [[nodiscard]] event_pos last_write_in(event_pos lo, event_pos hi) const {
-        auto it = std::lower_bound(positions.begin(), positions.end(), hi);
-        if (it == positions.begin()) return no_event;
-        const event_pos cand = *(it - 1);
-        return cand > lo ? cand : no_event;
+        const event_pos cand = last_write_before(hi);
+        return cand != no_event && cand > lo ? cand : no_event;
     }
 };
+
+/// A read's three real reads (Reg0, Reg1, Reg_r) in protocol order: their
+/// gamma positions and the events themselves.
+struct read_triple {
+    std::array<event_pos, 3> pos{};
+    std::array<event, 3> ev{};
+};
+
+/// Maps a completed read onto the plain protocol's three real reads, or
+/// returns why it cannot. A writer's CACHED read (paper, Section 5) really
+/// reads only the other register: once or twice, after at most one read of
+/// its own register on the writer's first operation. Its own register
+/// holds the writer's last write throughout the operation -- nobody else
+/// writes it -- so the read is the plain protocol with the own-register
+/// reads performed virtually: writer 0 reads Reg0 just before its read of
+/// Reg1, writer 1 reads Reg1 just after its read of Reg0. (A virtual read
+/// before event p anchors at p - 1, after every *-action there; p - 1 is
+/// never before the operation's invocation event.)
+[[nodiscard]] std::optional<std::string> as_three_reads(
+    const history& h, const operation& op,
+    const std::array<register_timeline, 2>& regs, read_triple& out) {
+    const auto& acc = op.real_accesses;
+    const int i = op.id.processor;
+    const bool writer = i == 0 || i == 1;
+    // A writer's first cached read may also read three times (own, other,
+    // other); only writer 0's coincides with the plain Reg0, Reg1 order.
+    if (acc.size() == 3 && (!writer || (h.gamma[acc[0]].reg == 0 &&
+                                        h.gamma[acc[1]].reg == 1))) {
+        for (std::size_t k = 0; k < 3; ++k) {
+            out.pos[k] = acc[k];
+            out.ev[k] = h.gamma[acc[k]];
+        }
+        return std::nullopt;
+    }
+    if (!writer) return "read did not perform exactly three real reads";
+    std::vector<event_pos> other;
+    for (const event_pos p : acc) {
+        const event& e = h.gamma[p];
+        if (e.kind != event_kind::real_read) {
+            return "cached read performed a real write";
+        }
+        if (e.reg == 1 - i) {
+            other.push_back(p);
+        } else if (!other.empty()) {
+            return "cached read re-read its own register";
+        }
+    }
+    if (other.empty() || other.size() > 2) {
+        return "read is neither the plain nor the cached read protocol";
+    }
+    event own;
+    own.kind = event_kind::real_read;
+    own.reg = static_cast<std::uint8_t>(i);
+    own.processor = op.id.processor;
+    own.op = op.id.op;
+    own.observed_write = regs[i].last_write_before(other[0]);
+    own.tag = regs[i].tag_before(other[0]);
+    own.value = own.observed_write == no_event
+                    ? h.initial_value
+                    : h.gamma[own.observed_write].value;
+    const event& first = h.gamma[other[0]];
+    const int pick = i == 0 ? reader_pick(own.tag, first.tag)
+                            : reader_pick(first.tag, own.tag);
+    if ((pick == i) != (other.size() == 1)) {
+        return "cached read re-read the wrong register for its tags";
+    }
+    const event_pos last = other.back();
+    const event& final_read = pick == i ? own : h.gamma[last];
+    if (i == 0) {
+        out.pos = {other[0] - 1, other[0], last};
+        out.ev = {own, first, final_read};
+    } else {
+        out.pos = {other[0], other[0], last};
+        out.ev = {first, own, final_read};
+    }
+    return std::nullopt;
+}
 
 }  // namespace
 
@@ -151,17 +235,18 @@ bloom_result bloom_linearize(const history& h) {
     for (const operation& op : h.ops) {
         if (op.kind != op_kind::read) continue;
         if (!op.complete()) continue;  // a crashed read returns nothing
-        if (op.real_accesses.size() != 3) {
-            return fail_defect("read did not perform exactly three real reads");
+        read_triple t;
+        if (std::optional<std::string> bad = as_three_reads(h, op, regs, t)) {
+            return fail_defect(std::move(*bad));
         }
         read_analysis ra;
         ra.id = op.id;
-        ra.r0 = op.real_accesses[0];
-        ra.r1 = op.real_accesses[1];
-        ra.r2 = op.real_accesses[2];
-        const event& e0 = h.gamma[ra.r0];
-        const event& e1 = h.gamma[ra.r1];
-        const event& e2 = h.gamma[ra.r2];
+        ra.r0 = t.pos[0];
+        ra.r1 = t.pos[1];
+        ra.r2 = t.pos[2];
+        const event& e0 = t.ev[0];
+        const event& e1 = t.ev[1];
+        const event& e2 = t.ev[2];
         if (e0.kind != event_kind::real_read || e0.reg != 0 ||
             e1.kind != event_kind::real_read || e1.reg != 1 ||
             e2.kind != event_kind::real_read) {

@@ -56,7 +56,9 @@ enum class read_class : std::uint8_t { of_potent, of_impotent, of_initial };
 /// Section 7 classification of one simulated read.
 struct read_analysis {
     op_id id{};
-    event_pos r0{no_event}, r1{no_event}, r2{no_event};  ///< the three real reads
+    /// The three real reads. On a writer's cached read the own-register
+    /// reads are virtual, placed where the linearizer anchors them.
+    event_pos r0{no_event}, r1{no_event}, r2{no_event};
     read_class cls{read_class::of_initial};
     op_id source{};          ///< the write it read from (when not initial)
 };

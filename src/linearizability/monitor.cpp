@@ -80,17 +80,20 @@ monitor_verdict atomicity_monitor::verify() const {
     return out;
 }
 
-bool online_verifier::check_prefix(const std::vector<event>& events,
-                                   std::size_t n,
-                                   std::string* diagnosis) const {
-    std::vector<event> prefix(events.begin(),
-                              events.begin() + static_cast<std::ptrdiff_t>(n));
-    const parse_result parsed = parse_history(prefix, initial_);
+namespace {
+
+/// Checks events[0..n); fills `diagnosis` and returns true on violation.
+[[nodiscard]] bool prefix_violates(const std::vector<event>& events,
+                                   std::size_t n, value_t initial,
+                                   std::string* diagnosis) {
+    const parse_result parsed = parse_history(
+        {events.begin(), events.begin() + static_cast<std::ptrdiff_t>(n)},
+        initial);
     if (!parsed.ok()) {
         *diagnosis = "malformed history: " + parsed.error->message;
         return true;
     }
-    const fast_check_result res = check_fast(parsed.hist.ops, initial_);
+    const fast_check_result res = check_fast(parsed.hist.ops, initial);
     if (!res.ok()) {
         *diagnosis = "checker defect: " + *res.defect;
         return true;
@@ -102,59 +105,30 @@ bool online_verifier::check_prefix(const std::vector<event>& events,
     return false;
 }
 
-bool online_verifier::poll() {
-    if (violation_) return true;
-    const std::size_t n = log_->size();
-    if (n < checked_ + stride_) return false;
-    const std::vector<event> events = log_->snapshot_prefix(n);
-    std::string diagnosis;
-    if (check_prefix(events, events.size(), &diagnosis)) {
-        violation_ = true;
-        detection_prefix_ = events.size();
-        diagnosis_ = std::move(diagnosis);
-    }
-    checked_ = events.size();
-    return violation_;
-}
+}  // namespace
 
-bool online_verifier::finish() {
-    if (violation_) return true;
-    const std::size_t n = log_->size();
-    if (n == checked_) return violation_;
-    const std::vector<event> events = log_->snapshot_prefix(n);
-    std::string diagnosis;
-    if (check_prefix(events, events.size(), &diagnosis)) {
-        violation_ = true;
-        detection_prefix_ = events.size();
-        diagnosis_ = std::move(diagnosis);
+std::optional<violating_prefix> minimal_violating_prefix(
+    const std::vector<event>& events, value_t initial) {
+    violating_prefix out;
+    if (!prefix_violates(events, events.size(), initial, &out.diagnosis)) {
+        return std::nullopt;
     }
-    checked_ = events.size();
-    return violation_;
-}
-
-std::optional<op_id> online_verifier::locate_culprit() {
-    if (!violation_ || detection_prefix_ == 0) return std::nullopt;
-    const std::vector<event> events = log_->snapshot_prefix(detection_prefix_);
-    // Invariant: check(hi) is violating, check(lo) is not. The predicate is
-    // monotone (a violating prefix stays violating under extension), so the
-    // search lands on the smallest violating prefix.
+    // Invariant: prefix `hi` violates, prefix `lo` does not.
     std::size_t lo = 0;
     std::size_t hi = events.size();
-    std::string hi_diagnosis = diagnosis_;
     while (hi - lo > 1) {
         const std::size_t mid = lo + (hi - lo) / 2;
         std::string diagnosis;
-        if (check_prefix(events, mid, &diagnosis)) {
+        if (prefix_violates(events, mid, initial, &diagnosis)) {
             hi = mid;
-            hi_diagnosis = std::move(diagnosis);
+            out.diagnosis = std::move(diagnosis);
         } else {
             lo = mid;
         }
     }
-    detection_prefix_ = hi;
-    diagnosis_ = std::move(hi_diagnosis);
-    const event& closer = events[hi - 1];
-    return op_id{closer.processor, closer.op};
+    out.length = hi;
+    out.culprit = op_id{events[hi - 1].processor, events[hi - 1].op};
+    return out;
 }
 
 }  // namespace bloom87

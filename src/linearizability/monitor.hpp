@@ -87,69 +87,24 @@ private:
     event_log log_;
 };
 
-/// Concurrent atomicity detection over an EXTERNAL event log while the run
-/// that fills it is still going. Poll from a watcher thread:
-///
-///   online_verifier ver(log, initial);
-///   while (!run_done) { if (ver.poll()) break; sleep_briefly(); }
-///   ver.finish();                       // catch late violations
-///   if (ver.violation_found()) auto culprit = ver.locate_culprit();
-///
-/// Correctness: linearizability is prefix-closed, so a violating prefix can
-/// never be "repaired" by later events -- polling a prefix of a live log
-/// yields no false positives, and the first violating poll is a genuine
-/// detection. A checker DEFECT on a parsed prefix (a read of a value no
-/// write produced, a duplicate write) is reported as a violation too: under
-/// substrate fault injection that is exactly how torn values surface.
-class online_verifier {
-public:
-    /// Polls are skipped until at least `stride` events arrived since the
-    /// last checked prefix (checking is O(prefix), so the stride bounds the
-    /// total polling cost to O(n^2 / stride)).
-    online_verifier(const event_log& log, value_t initial,
-                    std::size_t stride = 64)
-        : log_(&log), initial_(initial), stride_(stride == 0 ? 1 : stride) {}
-
-    /// Checks the currently published prefix. Returns true once a violation
-    /// has been found (sticky; later calls stop re-checking).
-    bool poll();
-
-    /// Final full-log check after the run; returns violation_found().
-    bool finish();
-
-    [[nodiscard]] bool violation_found() const noexcept { return violation_; }
-    /// Events in the first prefix that exhibited the violation.
-    [[nodiscard]] std::size_t detection_prefix() const noexcept {
-        return detection_prefix_;
-    }
-    /// Prefix length of the last completed check (violating or not).
-    [[nodiscard]] std::size_t checked_events() const noexcept {
-        return checked_;
-    }
-    [[nodiscard]] const std::string& diagnosis() const noexcept {
-        return diagnosis_;
-    }
-
-    /// Shrinks the detection to the MINIMAL violating prefix (binary search
-    /// over the prefix length -- valid because the violation predicate is
-    /// monotone under prefix extension) and returns the operation whose
-    /// event closes that prefix: the op the violation first became visible
-    /// on. Updates detection_prefix()/diagnosis() to the minimal prefix.
-    /// nullopt when no violation was found.
-    [[nodiscard]] std::optional<op_id> locate_culprit();
-
-private:
-    /// Checks events[0..n); fills diagnosis_ and returns true on violation.
-    [[nodiscard]] bool check_prefix(const std::vector<event>& events,
-                                    std::size_t n, std::string* diagnosis) const;
-
-    const event_log* log_;
-    value_t initial_;
-    std::size_t stride_;
-    std::size_t checked_{0};
-    bool violation_{false};
-    std::size_t detection_prefix_{0};
-    std::string diagnosis_;
+/// The shortest prefix of a recorded history that already fails the
+/// atomicity check, and the operation whose event closes it -- the op the
+/// violation first became visible on.
+struct violating_prefix {
+    std::size_t length{0};  ///< events in the minimal violating prefix
+    op_id culprit{};        ///< owner of events[length - 1]
+    std::string diagnosis;  ///< why that prefix fails
 };
+
+/// Culprit localization for a run the streaming checker flagged: binary
+/// search over the prefix length of `events` for the minimal violating
+/// prefix. Valid because linearizability is prefix-closed -- a violating
+/// prefix stays violating under extension. A parse failure or checker
+/// defect on a prefix (a read of a value no write produced, a duplicate
+/// write) counts as a violation: under substrate fault injection that is
+/// exactly how torn values surface. nullopt when the whole history checks
+/// atomic.
+[[nodiscard]] std::optional<violating_prefix> minimal_violating_prefix(
+    const std::vector<event>& events, value_t initial);
 
 }  // namespace bloom87

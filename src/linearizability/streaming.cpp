@@ -48,13 +48,25 @@ void streaming_checker::ingest(const event& e) {
     }
 }
 
+void streaming_checker::declare_crashed(std::size_t i) {
+    const operation& op = open_[i].op;
+    crashed_ids_.push_back(op.id);
+    if (op.kind == op_kind::write) {
+        // Kept: a later read of this value decides the write DID take
+        // effect (normalize keeps read-from pending writes).
+        pending_.push_back(op);
+    }
+    open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
 void streaming_checker::on_invocation(const event& e) {
-    for (const open_op& o : open_) {
-        if (o.op.id.processor == e.processor) {
-            flag("malformed stream: processor " +
-                 std::to_string(e.processor) +
-                 " invoked an operation while one is open");
-            return;
+    // A processor invoking while its previous operation never responded
+    // crashed mid-operation and recovered (parse_history's reading): the
+    // old operation becomes pending.
+    for (std::size_t i = 0; i < open_.size(); ++i) {
+        if (open_[i].op.id.processor == e.processor) {
+            declare_crashed(i);
+            break;
         }
     }
     open_op o;
@@ -137,15 +149,8 @@ void streaming_checker::maybe_retire() {
     // Declare overdue open operations crashed so an eternally-pending op
     // (a crashed port) cannot pin the window forever.
     for (std::size_t i = 0; i < open_.size();) {
-        const operation& op = open_[i].op;
-        if (op.invoked + cfg_.pending_grace < stats_.events) {
-            crashed_ids_.push_back(op.id);
-            if (op.kind == op_kind::write) {
-                // Kept: a later read of this value decides the write DID
-                // take effect (normalize keeps read-from pending writes).
-                pending_.push_back(op);
-            }
-            open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(i));
+        if (open_[i].op.invoked + cfg_.pending_grace < stats_.events) {
+            declare_crashed(i);
         } else {
             ++i;
         }

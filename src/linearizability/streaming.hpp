@@ -1,11 +1,10 @@
 // bloom87: bounded-memory STREAMING linearizability checking.
 //
-// The post-hoc checkers (and PR 4's online_verifier) re-examine the whole
-// recorded prefix on every poll: O(n) memory and O(n^2/stride) total work,
-// which caps how long a run they can watch. This checker consumes the
-// gamma event stream once, keeps only a sliding window of operations, and
-// still renders a verdict equivalent to running check_fast over the entire
-// history.
+// The post-hoc checkers hold the whole recorded history: O(n) memory, which
+// caps how long a run they can watch. This checker -- the harness's only
+// online monitor -- consumes the gamma event stream once, keeps only a
+// sliding window of operations, and still renders a verdict equivalent to
+// running check_fast over the entire history.
 //
 // How retirement stays sound AND complete:
 //
@@ -37,7 +36,11 @@
 //    pending write exactly when some read observed it), so "did that
 //    crashed write land?" stays undecided until a reader decides it --
 //    at which point the write is materialized into the retiring batch.
-//    Carried pendings are bounded by the number of ports. If a declared-
+//    A processor that invokes again while its previous operation is still
+//    open crashed mid-operation and recovered (parse_history's reading):
+//    the open operation is declared crashed on the spot, the same way.
+//    Carried pendings are bounded by the crashed writes no read has decided
+//    yet. If a declared-
 //    crashed operation responds after all (the grace was set shorter than
 //    a real stall), the checker reports it as a configuration violation
 //    rather than silently mis-judging.
@@ -115,6 +118,9 @@ private:
     void flag(std::string why);
     void on_invocation(const event& e);
     void on_response(const event& e);
+    /// Moves open_[i] to the crashed set: a write is carried in pending_
+    /// (a later read may decide it took effect), a read is dropped.
+    void declare_crashed(std::size_t i);
     /// One check_fast pass over retained + open + carried-pending ops
     /// against every candidate initial value; flags on total failure.
     void run_check();

@@ -18,13 +18,13 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <thread>
 
 #include "histories/event_log.hpp"
 #include "histories/events.hpp"
 #include "registers/concepts.hpp"
 #include "registers/tagged.hpp"
+#include "util/check.hpp"
 #include "util/sync.hpp"
 
 namespace bloom87 {
@@ -38,7 +38,7 @@ public:
                        std::uint8_t reg_index) noexcept
         : log_(log), reg_index_(reg_index), tag_(initial.tag),
           value_(initial.value) {
-        assert(log_ != nullptr);
+        check(log_ != nullptr, "recording_register needs a gamma log");
     }
 
     /// Atomic read; logs a real_read event citing the observed write.

@@ -24,7 +24,6 @@
 // that economy is the paper's contribution. bench_multiwriter prices it.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "registers/concepts.hpp"
 #include "registers/seqlock.hpp"
 #include "registers/tagged.hpp"
+#include "util/check.hpp"
 
 namespace bloom87 {
 
@@ -59,7 +59,7 @@ public:
 
     /// Write port for writer w in [0, writers). One thread per port.
     [[nodiscard]] writer_port make_writer_port(std::size_t w) {
-        assert(w < writers_);
+        check(w < writers_, "va_register: writer port index out of range");
         return writer_port{*this, w};
     }
 

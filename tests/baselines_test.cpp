@@ -16,6 +16,7 @@
 #include "histories/workload.hpp"
 #include "linearizability/exhaustive.hpp"
 #include "linearizability/fast_register.hpp"
+#include "linearizability/monitor.hpp"
 #include "util/sync.hpp"
 
 namespace bloom87 {
@@ -28,36 +29,41 @@ TEST(MutexRegister, SequentialSemantics) {
     EXPECT_EQ(reg.read(), 9);
 }
 
-TEST(MutexRegister, ConcurrentHistoryIsAtomic) {
-    event_log log(1 << 14);
-    mutex_register<value_t> reg(0, &log);
+/// Hammers a blocking register from `writers` writer and `readers` reader
+/// threads, recording every operation's boundaries through the atomicity
+/// monitor, and returns its verdict.
+template <typename Reg>
+monitor_verdict hammer(Reg& reg, int writers, int readers) {
+    atomicity_monitor mon(0);
     start_gate gate;
     std::vector<std::thread> pool;
-    for (int w = 0; w < 3; ++w) {
-        pool.emplace_back([&, w] {
+    for (int p = 0; p < writers + readers; ++p) {
+        pool.emplace_back([&, p] {
+            auto port = mon.make_port(static_cast<processor_id>(p));
             gate.wait();
             for (std::uint32_t i = 0; i < 200; ++i) {
-                reg.write(unique_value(static_cast<processor_id>(w), i),
-                          static_cast<processor_id>(w));
-            }
-        });
-    }
-    for (int r = 3; r < 6; ++r) {
-        pool.emplace_back([&, r] {
-            gate.wait();
-            for (int i = 0; i < 200; ++i) {
-                (void)reg.read(static_cast<processor_id>(r));
+                if (p < writers) {
+                    const value_t v =
+                        unique_value(static_cast<processor_id>(p), i);
+                    port.begin_write(v);
+                    reg.write(v);
+                    port.end_write();
+                } else {
+                    port.begin_read();
+                    port.end_read(reg.read());
+                }
             }
         });
     }
     gate.open();
     for (auto& t : pool) t.join();
+    return mon.verify();
+}
 
-    parse_result parsed = parse_history(log.snapshot(), 0);
-    ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-    const auto res = check_fast(parsed.hist.ops, 0);
-    ASSERT_TRUE(res.ok()) << *res.defect;
-    EXPECT_TRUE(res.linearizable) << res.diagnosis;
+TEST(MutexRegister, ConcurrentHistoryIsAtomic) {
+    mutex_register<value_t> reg(0);
+    const monitor_verdict v = hammer(reg, 3, 3);
+    EXPECT_TRUE(v.atomic) << v.diagnosis;
 }
 
 TEST(RwlockRegister, SequentialSemantics) {
@@ -68,35 +74,9 @@ TEST(RwlockRegister, SequentialSemantics) {
 }
 
 TEST(RwlockRegister, ConcurrentHistoryIsAtomic) {
-    event_log log(1 << 14);
-    rwlock_register<value_t> reg(0, &log);
-    start_gate gate;
-    std::vector<std::thread> pool;
-    for (int w = 0; w < 2; ++w) {
-        pool.emplace_back([&, w] {
-            gate.wait();
-            for (std::uint32_t i = 0; i < 200; ++i) {
-                reg.write(unique_value(static_cast<processor_id>(w), i),
-                          static_cast<processor_id>(w));
-            }
-        });
-    }
-    for (int r = 2; r < 5; ++r) {
-        pool.emplace_back([&, r] {
-            gate.wait();
-            for (int i = 0; i < 200; ++i) {
-                (void)reg.read(static_cast<processor_id>(r));
-            }
-        });
-    }
-    gate.open();
-    for (auto& t : pool) t.join();
-
-    parse_result parsed = parse_history(log.snapshot(), 0);
-    ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-    const auto res = check_fast(parsed.hist.ops, 0);
-    ASSERT_TRUE(res.ok()) << *res.defect;
-    EXPECT_TRUE(res.linearizable) << res.diagnosis;
+    rwlock_register<value_t> reg(0);
+    const monitor_verdict v = hammer(reg, 2, 3);
+    EXPECT_TRUE(v.atomic) << v.diagnosis;
 }
 
 TEST(RwlockRegister, StalledWriterBlocksReaders) {
@@ -104,7 +84,7 @@ TEST(RwlockRegister, StalledWriterBlocksReaders) {
     std::atomic<bool> read_done{false};
     auto lock = reg.stall_writer();
     std::thread reader([&] {
-        (void)reg.read(1);
+        (void)reg.read();
         read_done.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -228,7 +208,7 @@ TEST(MutexRegister, StallHoldsUpReaders) {
     std::atomic<bool> read_done{false};
     auto lock = reg.stall();  // a "crashed" writer inside its critical section
     std::thread reader([&] {
-        (void)reg.read(1);
+        (void)reg.read();
         read_done.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));

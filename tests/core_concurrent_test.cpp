@@ -219,8 +219,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrashSweep, ::testing::Range<std::uint64_t>(0, 8
 
 // ---------------------------------------------------------------------------
 // The cached writer-read variant (Section 5 optimization) under concurrency,
-// verified with the generic checker (it performs fewer real reads, so the
-// constructive linearizer's three-read shape does not apply).
+// verified with the generic checker and the constructive linearizer (which
+// reads a cached read as the plain protocol with virtual own-register
+// reads).
 // ---------------------------------------------------------------------------
 
 TEST(CachedRead, ConcurrentHistoriesAtomic) {
@@ -263,14 +264,14 @@ TEST(CachedRead, ConcurrentHistoriesAtomic) {
         t1.join();
         t2.join();
 
-        // Cached reads perform 1-2 real reads, so parse_history's read-shape
-        // tolerant path applies; use only the external ops with the fast
-        // checker.
         parse_result parsed = parse_history(log.snapshot(), 0);
         ASSERT_TRUE(parsed.ok()) << parsed.error->message;
         const auto fast = check_fast(parsed.hist.ops, 0);
         ASSERT_TRUE(fast.ok()) << *fast.defect;
         EXPECT_TRUE(fast.linearizable) << "seed " << seed << ": " << fast.diagnosis;
+        const bloom_result bloom = bloom_linearize(parsed.hist);
+        ASSERT_TRUE(bloom.ok()) << *bloom.defect;
+        EXPECT_TRUE(bloom.atomic) << "seed " << seed << ": " << bloom.diagnosis;
     }
 }
 

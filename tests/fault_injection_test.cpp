@@ -1,7 +1,8 @@
 // The substrate fault-injection layer (registers/faulty.hpp) end to end:
 // the plan's trigger discipline, the adapter's per-class semantics, the
-// driver's faulty/ compositions, seeded reproducibility, online detection
-// of every value-corrupting class, port_crash staying atomic -- and the
+// driver's faulty/ compositions, seeded reproducibility, streaming
+// detection and culprit localization of every value-corrupting class,
+// port_crash staying atomic -- and the
 // Section 4 wait-freedom claim under a stalled writer (measure_stall).
 #include <gtest/gtest.h>
 
@@ -139,8 +140,8 @@ TEST(FaultyRegister, CrashedPortDropsEverything) {
     spec.fault.rate_num = 1;
     spec.fault.rate_den = 32;
     spec.fault.seed = seed;
-    spec.online_monitor = true;
-    spec.monitor_stride = 32;
+    spec.streaming_monitor = true;
+    spec.stream_stride = 32;
     return spec;
 }
 
@@ -167,7 +168,8 @@ TEST(FaultyDriver, SeededFaultRunsAreDeterministic) {
 }
 
 // Every value-corrupting class must (a) be injected, (b) be flagged by the
-// online verifier with a finite first-violation latency, and (c) fail the
+// streaming checker, with the culprit localized to a minimal violating
+// prefix no longer than the stream's detection position, and (c) fail the
 // offline pipeline on the same history -- across all three compositions.
 TEST(FaultyDriver, CorruptingClassesAreDetectedOnline) {
     for (const std::string reg :
@@ -180,12 +182,19 @@ TEST(FaultyDriver, CorruptingClassesAreDetectedOnline) {
             ASSERT_TRUE(res.ok) << reg << ": " << res.error;
             EXPECT_GT(res.faults_injected.total(), 0u)
                 << reg << " " << fault_class_name(cls);
-            ASSERT_TRUE(res.online.ran);
-            EXPECT_TRUE(res.online.violation)
+            const stream_outcome& so = res.stream;
+            ASSERT_TRUE(so.ran);
+            EXPECT_TRUE(so.violation)
                 << reg << " " << fault_class_name(cls)
                 << ": corruption went unnoticed";
-            EXPECT_NE(res.online.injection_pos, no_event);
-            EXPECT_GT(res.online.detection_prefix, 0u);
+            EXPECT_NE(res.faults_injected.first_injection, no_event);
+            ASSERT_TRUE(so.culprit_known) << reg << ": " << so.diagnosis;
+            EXPECT_GT(so.detection_prefix, 0u);
+            EXPECT_LE(so.detection_prefix, so.detection_pos);
+            EXPECT_LE(so.prefix_latency_ops, so.latency_ops);
+            const event& closer = res.events[so.detection_prefix - 1];
+            EXPECT_EQ(closer.processor, so.culprit.processor);
+            EXPECT_EQ(closer.op, so.culprit.op);
             const pipeline_result checks = run_checkers(
                 res.events, spec.initial,
                 {checker_kind::fast, checker_kind::monitor});
@@ -220,7 +229,7 @@ TEST(FaultyDriver, PortCrashPreservesAtomicity) {
         const run_result res = run(spec);
         ASSERT_TRUE(res.ok) << reg << ": " << res.error;
         EXPECT_GT(res.faults_injected.port_crashes, 0u) << reg;
-        EXPECT_FALSE(res.online.violation) << reg << ": " << res.online.diagnosis;
+        EXPECT_FALSE(res.stream.violation) << reg << ": " << res.stream.diagnosis;
         const pipeline_result checks =
             run_checkers(res.events, spec.initial,
                          {checker_kind::fast, checker_kind::monitor});
@@ -234,13 +243,6 @@ TEST(FaultyDriver, ActiveFaultNeedsAFaultyRegister) {
     const run_result res = run(spec);
     EXPECT_FALSE(res.ok);
     EXPECT_NE(res.error.find("fault"), std::string::npos) << res.error;
-}
-
-TEST(FaultyDriver, OnlineMonitorNeedsGammaCollection) {
-    run_spec spec = faulty_spec("faulty/seqlock", fault_class::stale_read, 1);
-    spec.collect = collect_mode::per_thread;
-    const run_result res = run(spec);
-    EXPECT_FALSE(res.ok);
 }
 
 // The Section 4 wait-freedom claim, as a pinned assertion rather than a

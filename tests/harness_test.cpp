@@ -177,6 +177,86 @@ TEST(HarnessDriver, SeededScheduleIsDeterministic) {
     }
 }
 
+// One recorder writes both collectors: for every entry that can run without
+// the shared log, a seeded gamma run and a seeded per_thread run of the
+// same spec record the same simulated events, event for event, once the
+// gamma log's real accesses are filtered out. Crashes and cached reads are
+// on, so the pending-on-crash rules are covered too.
+TEST(HarnessDriver, GammaAndPerThreadRecordTheSameOperations) {
+    for (const registry_entry& e : registry()) {
+        if (e.info.requires_log) continue;
+        run_spec spec = smoke_spec(e);
+        spec.schedule = schedule_mode::seeded;
+        spec.load.ops_per_writer = 120;
+        spec.load.ops_per_reader = 120;
+        spec.pace.writer_pace_num = 1;
+        spec.pace.writer_pace_den = 6;
+        spec.pace.crash_num = 1;
+        spec.pace.crash_den = 9;
+        spec.pace.pause_yields = 8;
+        spec.cached_writer_reads = true;
+        spec.collect = collect_mode::gamma;
+        const run_result g = run(spec);
+        spec.collect = collect_mode::per_thread;
+        const run_result p = run(spec);
+        ASSERT_TRUE(g.ok) << e.info.name << ": " << g.error;
+        ASSERT_TRUE(p.ok) << e.info.name << ": " << p.error;
+
+        std::vector<event> sim;
+        for (const event& ev : g.events) {
+            if (!is_real(ev.kind)) sim.push_back(ev);
+        }
+        ASSERT_EQ(sim.size(), p.events.size()) << e.info.name;
+        for (std::size_t i = 0; i < sim.size(); ++i) {
+            const event& a = sim[i];
+            const event& b = p.events[i];
+            ASSERT_TRUE(a.kind == b.kind && a.processor == b.processor &&
+                        a.op == b.op && a.value == b.value)
+                << e.info.name << ": event " << i << " differs";
+        }
+    }
+}
+
+// The driver numbers a processor's ops; the recording register tags its
+// real accesses with the op index its own access_context counter draws.
+// The parser rejects a real access whose op is not the open one, so a
+// seeded bloom/recording run that mixes paced writes, crashed writes and
+// cached writer reads parses -- and passes the constructive Section 7
+// checker -- only if the two counters never drift apart.
+TEST(HarnessDriver, RecordingOpIndicesMatchTheDriver) {
+    run_spec spec;
+    spec.register_name = "bloom/recording";
+    spec.load.writers = 2;
+    spec.load.readers = 2;
+    spec.load.ops_per_writer = 400;
+    spec.load.ops_per_reader = 300;
+    spec.load.writer_read_num = 1;
+    spec.load.writer_read_den = 2;
+    spec.seed = 77;
+    spec.collect = collect_mode::gamma;
+    spec.schedule = schedule_mode::seeded;
+    spec.cached_writer_reads = true;
+    spec.pace.writer_pace_num = 1;
+    spec.pace.writer_pace_den = 4;
+    spec.pace.reader_pace_num = 1;
+    spec.pace.reader_pace_den = 6;
+    spec.pace.crash_num = 1;
+    spec.pace.crash_den = 10;
+    spec.pace.pause_yields = 16;
+    const run_result res = run(spec);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_GT(res.crashes_injected, 0u);
+
+    const pipeline_result checks = run_checkers(
+        res.events, 0, {checker_kind::bloom, checker_kind::fast});
+    ASSERT_TRUE(checks.parsed) << checks.parse_error;
+    for (const check_verdict& v : checks.verdicts) {
+        ASSERT_TRUE(v.ran) << v.skip_reason;
+        EXPECT_TRUE(v.pass) << checker_name(v.kind) << ": " << v.diagnosis;
+    }
+    EXPECT_GT(checks.verdicts[0].impotent_writes, 0u);
+}
+
 // The writer count is a first-class, VALIDATED workload field: specs
 // outside a register's supported range fail up front with a range message
 // instead of constructing a half-broken composition.

@@ -138,6 +138,19 @@ TEST(ParseHistory, RejectsStaleObservedWrite) {
     EXPECT_FALSE(parse_history(g, 0).ok());
 }
 
+// The recorder's op index and the register's access_context op must name
+// the same operation; a real access tagged with another op is a recording
+// bug, not something to attribute silently.
+TEST(ParseHistory, RejectsRealAccessOfAnotherOp) {
+    std::vector<event> g;
+    g.push_back(sim_ev(event_kind::sim_invoke_write, 0, 1, 5));
+    g.push_back(real_ev(event_kind::real_read, 1, 0, 0, false, 0));
+    const parse_result res = parse_history(g, 0);
+    ASSERT_FALSE(res.ok());
+    EXPECT_NE(res.error->message.find("op index"), std::string::npos)
+        << res.error->message;
+}
+
 TEST(ParseHistory, KeepsCrashedWriteAsPending) {
     std::vector<event> g;
     g.push_back(sim_ev(event_kind::sim_invoke_write, 0, 0, 5));

@@ -132,7 +132,7 @@ TEST(Monitor, CatchesABrokenRegisterConcurrently) {
     EXPECT_FALSE(v.atomic);
 }
 
-// --- the online verifier (fault-run watcher) over hand-built logs --------
+// --- culprit localization over hand-built histories ---------------------
 
 [[nodiscard]] event sim_event(event_kind k, processor_id p, op_index op,
                               value_t v) {
@@ -144,80 +144,73 @@ TEST(Monitor, CatchesABrokenRegisterConcurrently) {
     return e;
 }
 
-void append_write(event_log& log, processor_id p, op_index op, value_t v) {
-    log.append(sim_event(event_kind::sim_invoke_write, p, op, v));
-    log.append(sim_event(event_kind::sim_respond_write, p, op, v));
+void append_write(std::vector<event>& h, processor_id p, op_index op,
+                  value_t v) {
+    h.push_back(sim_event(event_kind::sim_invoke_write, p, op, v));
+    h.push_back(sim_event(event_kind::sim_respond_write, p, op, v));
 }
 
-void append_read(event_log& log, processor_id p, op_index op, value_t v) {
-    log.append(sim_event(event_kind::sim_invoke_read, p, op, 0));
-    log.append(sim_event(event_kind::sim_respond_read, p, op, v));
+void append_read(std::vector<event>& h, processor_id p, op_index op,
+                 value_t v) {
+    h.push_back(sim_event(event_kind::sim_invoke_read, p, op, 0));
+    h.push_back(sim_event(event_kind::sim_respond_read, p, op, v));
 }
 
-TEST(OnlineVerifier, CleanLogStaysSilent) {
-    event_log log(64);
-    online_verifier ver(log, 0, /*stride=*/1);
-    append_write(log, 0, 0, 7);
-    EXPECT_FALSE(ver.poll());
-    append_read(log, 2, 0, 7);
-    EXPECT_FALSE(ver.poll());
-    EXPECT_FALSE(ver.finish());
-    EXPECT_EQ(ver.checked_events(), 4u);
-    EXPECT_EQ(ver.locate_culprit(), std::nullopt);
+TEST(MinimalPrefix, CleanHistoryHasNone) {
+    std::vector<event> h;
+    append_write(h, 0, 0, 7);
+    append_read(h, 2, 0, 7);
+    EXPECT_FALSE(minimal_violating_prefix(h, 0).has_value());
+    EXPECT_FALSE(minimal_violating_prefix({}, 0).has_value());
 }
 
 // A known-bad recorded history with a known culprit: the second read
-// returns a value overwritten strictly before it was invoked. The verifier
-// must flag it, shrink to the minimal violating prefix, and name the read.
-TEST(OnlineVerifier, FlagsTheViolationAtTheRightOp) {
-    event_log log(64);
-    online_verifier ver(log, 0, /*stride=*/1);
-    append_write(log, 0, 0, 7);   // events 0-1
-    append_read(log, 2, 0, 7);    // events 2-3: fine
-    EXPECT_FALSE(ver.poll());
-    append_write(log, 0, 1, 9);   // events 4-5
-    append_read(log, 2, 1, 7);    // events 6-7: STALE -- 9 landed first
-    EXPECT_TRUE(ver.poll());
-    EXPECT_TRUE(ver.violation_found());
-    EXPECT_TRUE(ver.finish());
-    EXPECT_FALSE(ver.diagnosis().empty());
-
-    const auto culprit = ver.locate_culprit();
-    ASSERT_TRUE(culprit.has_value());
-    EXPECT_EQ(culprit->processor, 2);
-    EXPECT_EQ(culprit->op, 1u);
-    // Minimal violating prefix: everything up to and including the stale
-    // read's response (8 events) -- no shorter prefix violates.
-    EXPECT_EQ(ver.detection_prefix(), 8u);
+// returns a value overwritten strictly before it was invoked. The search
+// must shrink to the minimal violating prefix and name the read.
+TEST(MinimalPrefix, NamesTheViolatingOp) {
+    std::vector<event> h;
+    append_write(h, 0, 0, 7);  // events 0-1
+    append_read(h, 2, 0, 7);   // events 2-3: fine
+    append_write(h, 0, 1, 9);  // events 4-5
+    append_read(h, 2, 1, 7);   // events 6-7: STALE -- 9 landed first
+    append_read(h, 3, 0, 9);   // events 8-9: fine, but past the culprit
+    const auto found = minimal_violating_prefix(h, 0);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->culprit.processor, 2);
+    EXPECT_EQ(found->culprit.op, 1u);
+    // Everything up to and including the stale read's response (8 events)
+    // -- no shorter prefix violates.
+    EXPECT_EQ(found->length, 8u);
+    EXPECT_FALSE(found->diagnosis.empty());
 }
 
-// Detection is sticky: once flagged, later (even "repairing-looking")
-// events cannot unflag it -- linearizability is prefix-closed.
-TEST(OnlineVerifier, ViolationIsSticky) {
-    event_log log(64);
-    online_verifier ver(log, 0, /*stride=*/1);
-    append_write(log, 0, 0, 5);
-    append_read(log, 2, 0, 0);  // stale: initial value after the write
-    EXPECT_TRUE(ver.poll());
-    append_read(log, 2, 1, 5);  // a perfectly fine later read
-    EXPECT_TRUE(ver.poll());
-    EXPECT_TRUE(ver.finish());
+// Linearizability is prefix-closed: "repairing-looking" later events
+// cannot unflag a violation, and the culprit stays the first stale read.
+TEST(MinimalPrefix, LaterEventsDoNotMoveTheCulprit) {
+    std::vector<event> h;
+    append_write(h, 0, 0, 5);
+    append_read(h, 2, 0, 0);  // stale: initial value after the write
+    const auto first = minimal_violating_prefix(h, 0);
+    append_read(h, 2, 1, 5);  // a perfectly fine later read
+    const auto later = minimal_violating_prefix(h, 0);
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(later.has_value());
+    EXPECT_EQ(later->length, first->length);
+    EXPECT_TRUE(later->culprit == first->culprit);
 }
 
 // A read of a value no write produced (a torn word) surfaces as a checker
-// defect on the parsed prefix; the verifier must report it as a violation,
-// not an internal error.
-TEST(OnlineVerifier, TornValueSurfacesAsViolation) {
-    event_log log(64);
-    online_verifier ver(log, 0, /*stride=*/1);
-    append_write(log, 0, 0, 0x0F);
-    append_write(log, 1, 0, 0xF0);
-    append_read(log, 2, 0, 0xFF);  // neither write produced 0xFF
-    EXPECT_TRUE(ver.poll());
-    EXPECT_FALSE(ver.diagnosis().empty());
-    const auto culprit = ver.locate_culprit();
-    ASSERT_TRUE(culprit.has_value());
-    EXPECT_EQ(culprit->processor, 2);
+// defect on the parsed prefix; it counts as a violation, not an internal
+// error.
+TEST(MinimalPrefix, TornValueSurfacesAsViolation) {
+    std::vector<event> h;
+    append_write(h, 0, 0, 0x0F);
+    append_write(h, 1, 0, 0xF0);
+    append_read(h, 2, 0, 0xFF);  // neither write produced 0xFF
+    const auto found = minimal_violating_prefix(h, 0);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_FALSE(found->diagnosis.empty());
+    EXPECT_EQ(found->culprit.processor, 2);
 }
 
 TEST(Monitor, ReportsOverflow) {

@@ -16,6 +16,7 @@
 #include "harness/driver.hpp"
 #include "histories/serialize.hpp"
 #include "histories/thread_log.hpp"
+#include "linearizability/fast_register.hpp"
 #include "linearizability/streaming.hpp"
 
 namespace bloom87 {
@@ -351,6 +352,36 @@ TEST(StreamingChecker, PendingWriteDecidedByLaterRead) {
     }
 }
 
+// A writer that crashed mid-write and recovered invokes its next operation
+// while the crashed one is still open. That is not a malformed stream: the
+// crashed write becomes pending on the spot (parse_history's reading, long
+// before pending_grace), and a later read decides whether it landed.
+TEST(StreamingChecker, InvocationAfterCrashedWriteMakesItPending) {
+    const auto crashed_then_read = [](value_t later) {
+        std::vector<event> evs{inv_w(0, 0, 101),  // crashes: never responds
+                               inv_r(0, 1),       // the recovered writer
+                               resp_r(0, 1, 7),
+                               inv_r(2, 0), resp_r(2, 0, 101),  // it landed
+                               inv_r(2, 1), resp_r(2, 1, later)};
+        streaming_checker chk(7, tiny_window());
+        for (std::size_t i = 0; i < evs.size(); ++i) {
+            chk.ingest(evs[i]);
+            if (i == 1) {
+                EXPECT_FALSE(chk.violation_found()) << chk.diagnosis();
+                EXPECT_EQ(chk.stats().pending_carried, 1u);
+            }
+        }
+        const bool streamed = chk.finish();
+        const parse_result parsed = parse_history(evs, 7);
+        EXPECT_TRUE(parsed.ok());
+        const fast_check_result batch = check_fast(parsed.hist.ops, 7);
+        EXPECT_EQ(streamed, !batch.linearizable) << chk.diagnosis();
+        return streamed;
+    };
+    EXPECT_FALSE(crashed_then_read(101));
+    EXPECT_TRUE(crashed_then_read(7)) << "7 was overwritten by the landed write";
+}
+
 // A response arriving after its operation was declared crashed means the
 // grace was configured shorter than a real stall: an explicit
 // configuration violation, never a silent mis-judgment.
@@ -391,14 +422,6 @@ TEST(StreamingSpecs, ValidationRules) {
         // The streaming checker needs a collector.
         run_spec s = base;
         s.collect = collect_mode::none;
-        s.streaming_monitor = true;
-        EXPECT_FALSE(run(s).ok);
-    }
-    {
-        // The two monitors are mutually exclusive.
-        run_spec s = base;
-        s.collect = collect_mode::gamma;
-        s.online_monitor = true;
         s.streaming_monitor = true;
         EXPECT_FALSE(run(s).ok);
     }
