@@ -14,14 +14,10 @@
 #include "harness/cli.hpp"
 #include "harness/report.hpp"
 #include "core/two_writer.hpp"
-#include "histories/event_log.hpp"
-#include "histories/history.hpp"
-#include "linearizability/exhaustive.hpp"
-#include "linearizability/fast_register.hpp"
+#include "linearizability/monitor.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/processes.hpp"
 #include "registers/packed_atomic.hpp"
-#include "registers/recording.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -61,77 +57,96 @@ int main(int argc, char** argv) {
 
     print_banner(std::cout, "FIG5", "Four-writer tournament counterexample");
 
-    event_log log(256);
-    tournament_four_writer<std::int32_t> reg(val_a, &log);
+    // Every operation's boundaries go through an atomicity monitor port;
+    // Wr00's write stays open from its real reads to its real write.
+    tournament_four_writer<std::int32_t> reg(val_a);
+    atomicity_monitor mon(val_a);
     auto rd = reg.make_reader(4);
     auto wr00 = reg.make_writer(0);
     auto wr01 = reg.make_writer(1);
     auto wr11 = reg.make_writer(3);
+    auto p00 = mon.make_port(0);
+    auto p01 = mon.make_port(1);
+    auto p11 = mon.make_port(3);
+    auto prd = mon.make_port(4);
 
     table t({"Processor", "Action", "Reg0", "Reg1", "Value"});
     auto row = [&](const std::string& proc, const std::string& act) {
+        prd.begin_read();
+        const std::int32_t v = rd.read();
+        prd.end_read(v);
         t.row({proc, act, cell(reg.real_contents(0)), cell(reg.real_contents(1)),
-               letter(rd.read())});
+               letter(v)});
     };
 
     row("initial", "-");
+    p00.begin_write(val_x);
     wr00.begin_write(val_x);
     row("Wr00", "real reads");
+    p11.begin_write(val_c);
     wr11.write(val_c);
+    p11.end_write();
     row("Wr11", "sim. writes");
+    p01.begin_write(val_d);
     wr01.write(val_d);
+    p01.end_write();
     row("Wr01", "sim. writes");
     wr00.finish_write();
+    p00.end_write();
     row("Wr00", "real writes");
     t.print(std::cout);
 
     std::cout << "\nWhen Wr01 writes, the value 'c' becomes obsolete.\n"
               << "When Wr00 finishes its write, 'c' REAPPEARS.\n";
 
-    // Checker verdicts on the recorded external history.
-    parse_result parsed = parse_history(log.snapshot(), val_a);
-    if (!parsed.ok()) {
-        std::cout << "history malformed: " << parsed.error->message << "\n";
-        return 1;
-    }
-    const auto fast = check_fast(parsed.hist.ops, val_a);
-    const auto slow = check_exhaustive(parsed.hist.ops, val_a);
-    std::cout << "\nfast register checker : "
-              << (fast.linearizable ? "ATOMIC" : "NOT ATOMIC")
-              << (fast.diagnosis.empty() ? "" : "  (" + fast.diagnosis + ")")
-              << "\nexhaustive checker    : "
-              << (slow.linearizable ? "ATOMIC" : "NOT ATOMIC") << "\n";
-    verdicts.row({"tournament, replayed schedule", "fast",
-                  fast.linearizable ? "ATOMIC" : "NOT ATOMIC"});
-    verdicts.row({"tournament, replayed schedule", "exhaustive",
-                  slow.linearizable ? "ATOMIC" : "NOT ATOMIC"});
+    // Checker verdict on the monitored external history.
+    const monitor_verdict fig5 = mon.verify();
+    std::cout << "\natomicity monitor : "
+              << (fig5.atomic ? "ATOMIC" : "NOT ATOMIC")
+              << (fig5.diagnosis.empty() ? "" : "  (" + fig5.diagnosis + ")")
+              << "\n";
+    verdicts.row({"tournament, replayed schedule", "monitor",
+                  fig5.atomic ? "ATOMIC" : "NOT ATOMIC"});
 
     // Contrast: the same adversarial shape against Bloom's TWO-writer
     // register (one writer pausing mid-write) stays atomic.
     print_banner(std::cout, "FIG5b",
                  "Same schedule shape on Bloom's two-writer register");
     {
-        event_log log2(256);
-        two_writer_register<value_t, recording_register> breg(val_a, &log2);
+        two_writer_register<value_t, packed_atomic_register<value_t>> breg(val_a);
+        atomicity_monitor bmon(val_a);
         auto brd = breg.make_reader(2);
+        auto bp0 = bmon.make_port(0);
+        auto bp1 = bmon.make_port(1);
+        auto bprd = bmon.make_port(2);
+        auto bread = [&] {
+            bprd.begin_read();
+            bprd.end_read(brd.read());
+        };
+        auto bwrite1 = [&](value_t v) {
+            bp1.begin_write(v);
+            breg.writer1().write(v);
+            bp1.end_write();
+        };
         // Writer 0 pauses between its real read and real write while writer 1
         // writes twice -- the closest two-writer analogue of Figure 5.
+        bp0.begin_write(val_x);
         breg.writer0().write_paced(val_x, [&] {
-            breg.writer1().write(val_c);
-            (void)brd.read();
-            breg.writer1().write(val_d);
-            (void)brd.read();
+            bwrite1(val_c);
+            bread();
+            bwrite1(val_d);
+            bread();
         });
-        (void)brd.read();
+        bp0.end_write();
+        bread();
 
-        parse_result p2 = parse_history(log2.snapshot(), val_a);
-        const auto v2 = check_fast(p2.hist.ops, val_a);
+        const monitor_verdict v2 = bmon.verify();
         std::cout << "two-writer register under the analogous schedule: "
-                  << (v2.linearizable ? "ATOMIC (as proven in the paper)"
-                                      : "NOT ATOMIC (bug!)")
+                  << (v2.atomic ? "ATOMIC (as proven in the paper)"
+                                : "NOT ATOMIC (bug!)")
                   << "\n";
-        verdicts.row({"Bloom two-writer, analogous schedule", "fast",
-                      v2.linearizable ? "ATOMIC" : "NOT ATOMIC"});
+        verdicts.row({"Bloom two-writer, analogous schedule", "monitor",
+                      v2.atomic ? "ATOMIC" : "NOT ATOMIC"});
     }
 
     // Exhaustive confirmation: the explorer finds a violating schedule with

@@ -22,14 +22,13 @@
 
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 
 #include "core/protocol.hpp"
-#include "histories/event_log.hpp"
 #include "histories/events.hpp"
 #include "registers/tagged.hpp"
 #include "util/bits.hpp"
+#include "util/check.hpp"
 #include "util/sync.hpp"
 
 namespace bloom87 {
@@ -43,17 +42,17 @@ public:
     class writer;
     class reader;
 
-    explicit tournament_four_writer(T initial, event_log* log = nullptr) noexcept
-        : regs_{pack_tagged(initial, false), pack_tagged(initial, false)},
-          log_(log) {}
+    explicit tournament_four_writer(T initial) noexcept
+        : regs_{pack_tagged(initial, false), pack_tagged(initial, false)} {}
 
     tournament_four_writer(const tournament_four_writer&) = delete;
     tournament_four_writer& operator=(const tournament_four_writer&) = delete;
 
-    /// Write port for writer `id` in [0, 4). One thread per port.
-    [[nodiscard]] writer make_writer(int id) noexcept { return writer{*this, id}; }
+    /// Write port for writer `id` in [0, 4); any other id fails a check()
+    /// in every build (it would index outside regs_). One thread per port.
+    [[nodiscard]] writer make_writer(int id) { return writer{*this, id}; }
 
-    /// Read port; `processor` names the reader in logged histories.
+    /// Read port; `processor` names the reader to the caller's recorder.
     [[nodiscard]] reader make_reader(processor_id processor = 4) noexcept {
         return reader{*this, processor};
     }
@@ -74,22 +73,22 @@ public:
         }
 
         /// Phase 1: the real read + tag computation ("(reads)" in Fig. 5).
+        /// Calling it twice without finish_write fails a check(): the
+        /// second call would overwrite the pending write.
         void begin_write(T v) {
-            assert(!armed_ && "begin_write called twice without finish_write");
-            const op_index op = next_op_++;
-            log(event_kind::sim_invoke_write, op, static_cast<value_t>(v));
+            check(!armed_, "begin_write called twice without finish_write");
             const std::uint64_t other =
                 owner_->regs_[1 - pair_].load(std::memory_order_seq_cst);
             pending_ = pack_tagged(v, writer_tag_choice(pair_, unpack_tag(other)));
-            pending_op_ = op;
             armed_ = true;
         }
 
         /// Phase 2: the single real write, possibly long after phase 1.
+        /// Without a begin_write first it fails a check() instead of
+        /// storing a stale or zero pending word.
         void finish_write() {
-            assert(armed_ && "finish_write without begin_write");
+            check(armed_, "finish_write without begin_write");
             owner_->regs_[pair_].store(pending_, std::memory_order_seq_cst);
-            log(event_kind::sim_respond_write, pending_op_, 0);
             armed_ = false;
         }
 
@@ -98,70 +97,44 @@ public:
 
     private:
         friend class tournament_four_writer;
-        writer(tournament_four_writer& owner, int id) noexcept
+        writer(tournament_four_writer& owner, int id)
             : owner_(&owner), id_(id), pair_(id >> 1) {
-            assert(id >= 0 && id < 4);
-        }
-
-        void log(event_kind kind, op_index op, value_t v) {
-            if (owner_->log_ == nullptr) return;
-            event e;
-            e.kind = kind;
-            e.processor = static_cast<processor_id>(id_);
-            e.op = op;
-            e.value = v;
-            owner_->log_->append(e);
+            check(id >= 0 && id < 4, "tournament writer id outside [0, 4)");
         }
 
         tournament_four_writer* owner_;
         int id_;
         int pair_;
-        op_index next_op_{0};
         std::uint64_t pending_{0};
-        op_index pending_op_{0};
         bool armed_{false};
     };
 
     class reader {
     public:
         [[nodiscard]] T read() {
-            const op_index op = next_op_++;
-            log(event_kind::sim_invoke_read, op, 0);
             const std::uint64_t w0 = owner_->regs_[0].load(std::memory_order_seq_cst);
             const std::uint64_t w1 = owner_->regs_[1].load(std::memory_order_seq_cst);
             const int pick = reader_pick(unpack_tag(w0), unpack_tag(w1));
             const std::uint64_t w2 =
                 owner_->regs_[pick].load(std::memory_order_seq_cst);
-            const T result = unpack_value<T>(w2);
-            log(event_kind::sim_respond_read, op, static_cast<value_t>(result));
-            return result;
+            return unpack_value<T>(w2);
         }
+
+        [[nodiscard]] processor_id processor() const noexcept { return processor_; }
 
     private:
         friend class tournament_four_writer;
         reader(tournament_four_writer& owner, processor_id processor) noexcept
             : owner_(&owner), processor_(processor) {}
 
-        void log(event_kind kind, op_index op, value_t v) {
-            if (owner_->log_ == nullptr) return;
-            event e;
-            e.kind = kind;
-            e.processor = processor_;
-            e.op = op;
-            e.value = v;
-            owner_->log_->append(e);
-        }
-
         tournament_four_writer* owner_;
         processor_id processor_;
-        op_index next_op_{0};
     };
 
 private:
     // Hardware MRMW atomic words standing in for the two "real two-writer
     // registers" (strongest substrate; the scheme fails regardless).
     std::array<std::atomic<std::uint64_t>, 2> regs_;
-    event_log* log_;
 };
 
 }  // namespace bloom87

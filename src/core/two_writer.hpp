@@ -30,7 +30,6 @@
 #include <cstdint>
 
 #include "core/protocol.hpp"
-#include "histories/event_log.hpp"
 #include "histories/events.hpp"
 #include "histories/history.hpp"
 #include "registers/concepts.hpp"
@@ -60,15 +59,6 @@ public:
         : regs_{Reg{tagged<T>{initial, false}}, Reg{tagged<T>{initial, false}}},
           writers_{writer{*this, 0}, writer{*this, 1}} {}
 
-    /// Recording-substrate constructor: forwards the shared gamma log and
-    /// the register index to each real register, and logs the simulated
-    /// operations' invocations/responses as well.
-    two_writer_register(T initial, event_log* log)
-        requires std::constructible_from<Reg, tagged<T>, event_log*, std::uint8_t>
-        : regs_{Reg{tagged<T>{initial, false}, log, 0},
-                Reg{tagged<T>{initial, false}, log, 1}},
-          writers_{writer{*this, 0}, writer{*this, 1}}, log_(log) {}
-
     /// Factory constructor for substrates needing per-register arguments
     /// (e.g. ported_substrate). `make(initial_tagged, reg_index)` must
     /// return the register by value (constructed in place via guaranteed
@@ -82,13 +72,6 @@ public:
 
     two_writer_register(const two_writer_register&) = delete;
     two_writer_register& operator=(const two_writer_register&) = delete;
-
-    /// Attaches an external-schedule log: every simulated operation's
-    /// invocation and response is appended (values included when T converts
-    /// to value_t). Works with ANY substrate -- real-register *-actions are
-    /// additionally recorded only by the recording substrate. Attach before
-    /// concurrent use.
-    void set_external_log(event_log* log) noexcept { log_ = log; }
 
     /// The two write ports. Each must be driven by one thread at a time.
     [[nodiscard]] writer& writer0() noexcept { return writers_[0]; }
@@ -107,47 +90,7 @@ public:
         /// Simulated write (paper, Section 5):
         ///   read t',v' from Reg_{~i}; t := i (+) t'; write t,v to Reg_i.
         void write(T v) {
-            const access_context ctx = begin(op_kind::write, v);
-            const tagged<T> other = owner_->regs_[1 - index_].read(ctx);
-            const bool t = writer_tag_choice(index_, other.tag);
-            owner_->regs_[index_].write(tagged<T>{v, t}, ctx);
-            cache_ = tagged<T>{v, t};
-            cache_valid_ = true;
-            end(event_kind::sim_respond_write, 0, ctx);
-        }
-
-        /// Simulated read using the full three-real-read reader protocol.
-        [[nodiscard]] T read() {
-            const access_context ctx = begin(op_kind::read, T{});
-            const T result = owner_->read_protocol(ctx);
-            end(event_kind::sim_respond_read, static_cast<value_t>(0), ctx,
-                result);
-            return result;
-        }
-
-        /// Simulated read using the writer's local copy of its own real
-        /// register (paper, Section 5): one real read when the tag sum
-        /// points at our own register, two otherwise.
-        [[nodiscard]] T read_cached() {
-            const access_context ctx = begin(op_kind::read, T{});
-            if (!cache_valid_) {
-                // First operation ever: own register still holds the
-                // initial value; a real read of it is free to cache.
-                cache_ = owner_->regs_[index_].read(ctx);
-                cache_valid_ = true;
-            }
-            const tagged<T> other = owner_->regs_[1 - index_].read(ctx);
-            const bool t0 = index_ == 0 ? cache_.tag : other.tag;
-            const bool t1 = index_ == 0 ? other.tag : cache_.tag;
-            const int pick = reader_pick(t0, t1);
-            T result;
-            if (pick == index_) {
-                result = cache_.value;
-            } else {
-                result = owner_->regs_[1 - index_].read(ctx).value;
-            }
-            end(event_kind::sim_respond_read, 0, ctx, result);
-            return result;
+            write_body(v, [](crash_point) { return true; });
         }
 
         /// Simulated write with an adversarial pause between the real read
@@ -159,38 +102,48 @@ public:
         /// this to exercise the impotent-write machinery deliberately.
         template <typename Pause>
         void write_paced(T v, Pause&& between_read_and_write) {
-            const access_context ctx = begin(op_kind::write, v);
-            const tagged<T> other = owner_->regs_[1 - index_].read(ctx);
-            between_read_and_write();
-            const bool t = writer_tag_choice(index_, other.tag);
-            owner_->regs_[index_].write(tagged<T>{v, t}, ctx);
-            cache_ = tagged<T>{v, t};
-            cache_valid_ = true;
-            end(event_kind::sim_respond_write, 0, ctx);
+            write_body(v, [&](crash_point at) {
+                if (at == crash_point::after_read) between_read_and_write();
+                return true;
+            });
         }
 
-        /// Failure injection: run the write protocol but crash at `cp`.
-        /// The invocation is logged (if recording) but never acknowledged;
-        /// the handle remains usable, modeling a processor that recovers
-        /// with fresh state. An out-of-range `cp` (a cast from a bad
-        /// integer) is a programming error, rejected up front in every
-        /// build rather than silently running the full protocol as
-        /// after_write would.
+        /// Failure injection: run the write protocol but crash at `cp`. The
+        /// write still takes an op index (the caller's recorder logs its
+        /// invocation, never its response); the handle remains usable,
+        /// modeling a processor that recovers with fresh state. An
+        /// out-of-range `cp` (a cast from a bad integer) is a programming
+        /// error, rejected up front in every build rather than silently
+        /// running the full protocol as after_write would.
         void write_crashed(T v, crash_point cp) {
             check(cp == crash_point::before_read ||
                       cp == crash_point::after_read ||
                       cp == crash_point::after_write,
                   "write_crashed: crash_point out of range");
-            const access_context ctx = begin(op_kind::write, v);
-            if (cp == crash_point::before_read) {
-                return;  // no real access: the write is never visible
+            write_body(v, [cp](crash_point at) { return at != cp; });
+        }
+
+        /// Simulated read using the full three-real-read reader protocol.
+        [[nodiscard]] T read() {
+            return owner_->read_body(next_context(), [] {});
+        }
+
+        /// Simulated read using the writer's local copy of its own real
+        /// register (paper, Section 5): one real read when the tag sum
+        /// points at our own register, two otherwise.
+        [[nodiscard]] T read_cached() {
+            const access_context ctx = next_context();
+            if (!cache_valid_) {
+                // First operation ever: own register still holds the
+                // initial value; a real read of it is free to cache.
+                cache_ = owner_->regs_[index_].read(ctx);
+                cache_valid_ = true;
             }
             const tagged<T> other = owner_->regs_[1 - index_].read(ctx);
-            if (cp == crash_point::after_read) return;  // read but no write
-            const bool t = writer_tag_choice(index_, other.tag);
-            owner_->regs_[index_].write(tagged<T>{v, t}, ctx);
-            cache_ = tagged<T>{v, t};
-            cache_valid_ = true;
+            const bool t0 = index_ == 0 ? cache_.tag : other.tag;
+            const bool t1 = index_ == 0 ? other.tag : cache_.tag;
+            if (reader_pick(t0, t1) == index_) return cache_.value;
+            return owner_->regs_[1 - index_].read(ctx).value;
         }
 
         /// This port's writer index (0 or 1).
@@ -201,36 +154,24 @@ public:
         writer(two_writer_register& owner, int index) noexcept
             : owner_(&owner), index_(index) {}
 
-        access_context begin(op_kind kind, [[maybe_unused]] T v) {
-            const access_context ctx{static_cast<processor_id>(index_), next_op_++};
-            if (owner_->log_ != nullptr) {
-                event e;
-                e.kind = kind == op_kind::write ? event_kind::sim_invoke_write
-                                                : event_kind::sim_invoke_read;
-                e.processor = ctx.processor;
-                e.op = ctx.op;
-                if constexpr (std::convertible_to<T, value_t>) {
-                    e.value = kind == op_kind::write ? static_cast<value_t>(v) : 0;
-                }
-                owner_->log_->append(e);
-            }
-            return ctx;
+        access_context next_context() noexcept {
+            return {static_cast<processor_id>(index_), next_op_++};
         }
 
-        void end(event_kind kind, value_t, access_context ctx,
-                 [[maybe_unused]] T read_result = T{}) {
-            if (owner_->log_ != nullptr) {
-                event e;
-                e.kind = kind;
-                e.processor = ctx.processor;
-                e.op = ctx.op;
-                if constexpr (std::convertible_to<T, value_t>) {
-                    e.value = kind == event_kind::sim_respond_read
-                                  ? static_cast<value_t>(read_result)
-                                  : 0;
-                }
-                owner_->log_->append(e);
-            }
+        /// The one write body. `step(at)` runs at each protocol point and
+        /// returns false to stop the write there (a crash); the op index is
+        /// taken first, so even a write stopped at before_read consumes one.
+        template <typename Step>
+        void write_body(T v, Step&& step) {
+            const access_context ctx = next_context();
+            if (!step(crash_point::before_read)) return;
+            const tagged<T> other = owner_->regs_[1 - index_].read(ctx);
+            if (!step(crash_point::after_read)) return;
+            const tagged<T> mine{v, writer_tag_choice(index_, other.tag)};
+            owner_->regs_[index_].write(mine, ctx);
+            cache_ = mine;
+            cache_valid_ = true;
+            (void)step(crash_point::after_write);
         }
 
         two_writer_register* owner_;
@@ -246,26 +187,7 @@ public:
     class reader {
     public:
         [[nodiscard]] T read() {
-            const access_context ctx{processor_, next_op_++};
-            if (owner_->log_ != nullptr) {
-                event e;
-                e.kind = event_kind::sim_invoke_read;
-                e.processor = ctx.processor;
-                e.op = ctx.op;
-                owner_->log_->append(e);
-            }
-            const T result = owner_->read_protocol(ctx);
-            if (owner_->log_ != nullptr) {
-                event e;
-                e.kind = event_kind::sim_respond_read;
-                e.processor = ctx.processor;
-                e.op = ctx.op;
-                if constexpr (std::convertible_to<T, value_t>) {
-                    e.value = static_cast<value_t>(result);
-                }
-                owner_->log_->append(e);
-            }
-            return result;
+            return owner_->read_body({processor_, next_op_++}, [] {});
         }
 
         /// Simulated read with an adversarial pause between the tag sample
@@ -275,30 +197,8 @@ public:
         /// Step 3 / Lemma 4 deliberately.
         template <typename Pause>
         [[nodiscard]] T read_paced(Pause&& between_tags_and_final) {
-            const access_context ctx{processor_, next_op_++};
-            if (owner_->log_ != nullptr) {
-                event e;
-                e.kind = event_kind::sim_invoke_read;
-                e.processor = ctx.processor;
-                e.op = ctx.op;
-                owner_->log_->append(e);
-            }
-            const tagged<T> r0 = owner_->regs_[0].read(ctx);
-            const tagged<T> r1 = owner_->regs_[1].read(ctx);
-            between_tags_and_final();
-            const int pick = reader_pick(r0.tag, r1.tag);
-            const T result = owner_->regs_[pick].read(ctx).value;
-            if (owner_->log_ != nullptr) {
-                event e;
-                e.kind = event_kind::sim_respond_read;
-                e.processor = ctx.processor;
-                e.op = ctx.op;
-                if constexpr (std::convertible_to<T, value_t>) {
-                    e.value = static_cast<value_t>(result);
-                }
-                owner_->log_->append(e);
-            }
-            return result;
+            return owner_->read_body({processor_, next_op_++},
+                                     between_tags_and_final);
         }
 
         [[nodiscard]] processor_id processor() const noexcept { return processor_; }
@@ -317,16 +217,18 @@ public:
     [[nodiscard]] Reg& real_register(int i) noexcept { return regs_[i]; }
 
 private:
-    T read_protocol(access_context ctx) {
+    /// The one read body, shared by reader::read, reader::read_paced and
+    /// writer::read: `pause` runs between the tag sample and the final read.
+    template <typename Pause>
+    T read_body(access_context ctx, Pause&& pause) {
         const tagged<T> r0 = regs_[0].read(ctx);
         const tagged<T> r1 = regs_[1].read(ctx);
-        const int pick = reader_pick(r0.tag, r1.tag);
-        return regs_[pick].read(ctx).value;
+        pause();
+        return regs_[reader_pick(r0.tag, r1.tag)].read(ctx).value;
     }
 
     std::array<Reg, 2> regs_;
     std::array<writer, 2> writers_;
-    event_log* log_{nullptr};
 };
 
 }  // namespace bloom87

@@ -29,6 +29,94 @@ namespace {
 
 // ---------------------------------------------------------------- bloom/* --
 
+/// The write/read ports of every composition over two_writer_register:
+/// bloom/*, and the fault-plan-driven faulty/* and repair/*. The latter pass
+/// their plan and set `Injected`. A port killed by a port_crash fault then
+/// reports crashed(): the driver leaves the operation that triggered it
+/// PENDING (invocation without response) -- the external trace of a
+/// processor that died mid-operation, exactly what the checkers must
+/// tolerate -- and stops stepping the port. bloom/* entries pass a null
+/// plan with `Injected` false, which compiles the crash test out of their
+/// per-operation path.
+template <typename RegT, bool Injected>
+class bloom_wport final : public any_port {
+public:
+    bloom_wport(RegT& r, int index, fault_plan* plan)
+        : w_(index == 0 ? &r.writer0() : &r.writer1()), plan_(plan),
+          proc_(static_cast<processor_id>(index)) {}
+
+    value_t read() override { return crashed() ? 0 : w_->read(); }
+    void write(value_t v) override {
+        if (!crashed()) w_->write(v);
+    }
+    void write_paced(value_t v, const pause_fn& pause) override {
+        if (!crashed()) w_->write_paced(v, pause);
+    }
+    bool write_crashed(value_t v, crash_point cp) override {
+        if (!crashed()) w_->write_crashed(v, cp);
+        return true;
+    }
+    bool read_cached(value_t& out) override {
+        out = crashed() ? 0 : w_->read_cached();
+        return true;
+    }
+    bool stall(const pause_fn& during) override {
+        // Counter offset keeps staller values disjoint from any scripted
+        // workload value (those counters stay < 2^31).
+        if (!crashed()) {
+            w_->write_paced(unique_value(proc_, 0x80000000u + stall_count_++),
+                            during);
+        }
+        return true;
+    }
+    [[nodiscard]] bool crashed() const override {
+        if constexpr (Injected) return plan_->crashed(proc_);
+        return false;
+    }
+
+private:
+    typename RegT::writer* w_;
+    fault_plan* plan_;
+    processor_id proc_;
+    std::uint32_t stall_count_{0};
+};
+
+template <typename RegT, bool Injected>
+class bloom_rport final : public any_port {
+public:
+    bloom_rport(typename RegT::reader rd, fault_plan* plan)
+        : rd_(std::move(rd)), plan_(plan) {}
+
+    value_t read() override { return crashed() ? 0 : rd_.read(); }
+    void write(value_t) override {}  // reader ports never write
+    value_t read_paced(const pause_fn& pause) override {
+        return crashed() ? 0 : rd_.read_paced(pause);
+    }
+    bool stall(const pause_fn& during) override {
+        (void)read_paced(during);
+        return true;
+    }
+    [[nodiscard]] bool crashed() const override {
+        if constexpr (Injected) return plan_->crashed(rd_.processor());
+        return false;
+    }
+
+private:
+    typename RegT::reader rd_;
+    fault_plan* plan_;
+};
+
+template <bool Injected, typename RegT>
+std::unique_ptr<any_port> make_bloom_port(RegT& reg, processor_id processor,
+                                          port_role role, fault_plan* plan) {
+    if (role == port_role::writer) {
+        return std::make_unique<bloom_wport<RegT, Injected>>(reg, processor,
+                                                             plan);
+    }
+    return std::make_unique<bloom_rport<RegT, Injected>>(
+        reg.make_reader(processor), plan);
+}
+
 /// Adapter over two_writer_register<value_t, Reg>.
 template <typename Reg>
 class bloom_any final : public any_register {
@@ -37,63 +125,9 @@ class bloom_any final : public any_register {
 public:
     explicit bloom_any(std::unique_ptr<reg_t> reg) : reg_(std::move(reg)) {}
 
-    class wport final : public any_port {
-    public:
-        wport(reg_t& r, int index)
-            : w_(index == 0 ? &r.writer0() : &r.writer1()),
-              proc_(static_cast<processor_id>(index)) {}
-
-        value_t read() override { return w_->read(); }
-        void write(value_t v) override { w_->write(v); }
-        void write_paced(value_t v, const pause_fn& pause) override {
-            w_->write_paced(v, pause);
-        }
-        bool write_crashed(value_t v, crash_point cp) override {
-            w_->write_crashed(v, cp);
-            return true;
-        }
-        bool read_cached(value_t& out) override {
-            out = w_->read_cached();
-            return true;
-        }
-        bool stall(const pause_fn& during) override {
-            // Counter offset keeps staller values disjoint from any
-            // scripted workload value (those counters stay < 2^31).
-            w_->write_paced(unique_value(proc_, 0x80000000u + stall_count_++),
-                            during);
-            return true;
-        }
-
-    private:
-        typename reg_t::writer* w_;
-        processor_id proc_;
-        std::uint32_t stall_count_{0};
-    };
-
-    class rport final : public any_port {
-    public:
-        explicit rport(typename reg_t::reader rd) : rd_(std::move(rd)) {}
-
-        value_t read() override { return rd_.read(); }
-        void write(value_t) override {}  // reader ports never write
-        value_t read_paced(const pause_fn& pause) override {
-            return rd_.read_paced(pause);
-        }
-        bool stall(const pause_fn& during) override {
-            (void)rd_.read_paced(during);
-            return true;
-        }
-
-    private:
-        typename reg_t::reader rd_;
-    };
-
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
-        if (role == port_role::writer) {
-            return std::make_unique<wport>(*reg_, processor);
-        }
-        return std::make_unique<rport>(reg_->make_reader(processor));
+        return make_bloom_port<false>(*reg_, processor, role, nullptr);
     }
 
 private:
@@ -328,88 +362,6 @@ private:
 
 // ----------------------------------------------------------------- faulty/* --
 
-/// The write/read ports shared by every fault-plan-driven shared-memory
-/// composition (faulty_any below and repair_any after it). A port killed by
-/// a port_crash fault reports crashed(): the driver then leaves the
-/// operation that triggered it PENDING (invocation without response) --
-/// the external trace of a processor that died mid-operation, exactly what
-/// the checkers must tolerate -- and stops stepping the port.
-template <typename RegT>
-class injected_wport final : public any_port {
-    using reg_t = RegT;
-
-public:
-    injected_wport(reg_t& r, int index, fault_plan& plan)
-        : w_(index == 0 ? &r.writer0() : &r.writer1()), plan_(&plan),
-          proc_(static_cast<processor_id>(index)) {}
-
-    value_t read() override {
-        if (plan_->crashed(proc_)) return 0;
-        return w_->read();
-    }
-    void write(value_t v) override {
-        if (!plan_->crashed(proc_)) w_->write(v);
-    }
-    void write_paced(value_t v, const pause_fn& pause) override {
-        if (!plan_->crashed(proc_)) w_->write_paced(v, pause);
-    }
-    bool write_crashed(value_t v, crash_point cp) override {
-        if (!plan_->crashed(proc_)) w_->write_crashed(v, cp);
-        return true;
-    }
-    bool read_cached(value_t& out) override {
-        out = plan_->crashed(proc_) ? 0 : w_->read_cached();
-        return true;
-    }
-    bool stall(const pause_fn& during) override {
-        if (plan_->crashed(proc_)) return true;
-        w_->write_paced(unique_value(proc_, 0x80000000u + stall_count_++),
-                        during);
-        return true;
-    }
-    [[nodiscard]] bool crashed() const override {
-        return plan_->crashed(proc_);
-    }
-
-private:
-    typename reg_t::writer* w_;
-    fault_plan* plan_;
-    processor_id proc_;
-    std::uint32_t stall_count_{0};
-};
-
-template <typename RegT>
-class injected_rport final : public any_port {
-    using reg_t = RegT;
-
-public:
-    injected_rport(typename reg_t::reader rd, fault_plan& plan,
-                   processor_id proc)
-        : rd_(std::move(rd)), plan_(&plan), proc_(proc) {}
-
-    value_t read() override {
-        if (plan_->crashed(proc_)) return 0;
-        return rd_.read();
-    }
-    void write(value_t) override {}  // reader ports never write
-    value_t read_paced(const pause_fn& pause) override {
-        if (plan_->crashed(proc_)) return 0;
-        return rd_.read_paced(pause);
-    }
-    bool stall(const pause_fn& during) override {
-        (void)read_paced(during);
-        return true;
-    }
-    [[nodiscard]] bool crashed() const override {
-        return plan_->crashed(proc_);
-    }
-
-private:
-    typename reg_t::reader rd_;
-    fault_plan* plan_;
-    processor_id proc_;
-};
-
 /// Bloom's construction over substrates wrapped in the fault injector
 /// (registers/faulty.hpp).
 template <typename Inner>
@@ -429,12 +381,7 @@ public:
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
-        if (role == port_role::writer) {
-            return std::make_unique<injected_wport<reg_t>>(reg_, processor,
-                                                           plan_);
-        }
-        return std::make_unique<injected_rport<reg_t>>(
-            reg_.make_reader(processor), plan_, processor);
+        return make_bloom_port<true>(reg_, processor, role, &plan_);
     }
 
 private:
@@ -445,7 +392,8 @@ private:
 // ----------------------------------------------------------------- repair/* --
 
 /// The self-healing wrapper (registers/repair.hpp) around the fault
-/// injector: same plan, same crash semantics, same ports -- plus the
+/// injector: same plan, same crash semantics, same ports as faulty_any --
+/// plus the
 /// repair-overhead counters surfaced through repair().
 template <typename Inner>
 class repair_any final : public any_register {
@@ -473,12 +421,7 @@ public:
 
     std::unique_ptr<any_port> make_port(processor_id processor,
                                         port_role role) override {
-        if (role == port_role::writer) {
-            return std::make_unique<injected_wport<reg_t>>(reg_, processor,
-                                                           plan_);
-        }
-        return std::make_unique<injected_rport<reg_t>>(
-            reg_.make_reader(processor), plan_, processor);
+        return make_bloom_port<true>(reg_, processor, role, &plan_);
     }
 
 private:

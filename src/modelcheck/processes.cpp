@@ -74,172 +74,252 @@ protected:
 };
 
 // ---------------------------------------------------------------------------
-// Bloom two-writer protocol over atomic base registers 0 and 1.
+// Bloom's two-writer protocol over atomic base registers 0 and 1: one writer
+// machine and one reader machine. Every variant the explorer checks -- the
+// wrong-tag mutant, the forced crash, the faulty substrate, the Section 8
+// tournament writer, the reversed and no-reread readers -- is a constructor
+// option of these two, never a separate machine. Each variant keeps its own
+// fingerprint type word, and only the variants that declared a footprint
+// before (plain writers, fault-free readers) declare one; the rest use the
+// exact probing default. So state counts stay what the tests pin.
+//
+// Faulty-substrate semantics (the model-checked twin of registers/
+// faulty.hpp): each eligible real access may nondeterministically misbehave
+// the way one fault class prescribes. The explorer branches over "fault
+// fires here" vs "access is clean" at every eligible step, bounded by a
+// per-process fault budget -- so a reported violation comes with a concrete
+// schedule, and an exhaustive pass covers EVERY placement of up to
+// `max_faults` faults:
+//   stale_read          a real read returns the register's previously
+//                       committed value (registers need track_previous);
+//   lost_write          a real write is silently dropped;
+//   torn_value          the write commits the OLD value bits under the
+//                       NEW tag bit (the adapter's bit-mix, minimized);
+//   delayed_visibility  the real write lands only AFTER the op responded,
+//                       as a separate later step other processes can
+//                       interleave with;
+//   port_crash          the process halts mid-op; the op stays pending.
 // ---------------------------------------------------------------------------
 
+/// The options that make one writer variant.
+struct writer_options {
+    std::uint64_t type_id{0x1001};  ///< fingerprint type word
+    int tag_index{0};               ///< index fed to writer_tag_choice
+    bool declared_footprint{false};
+    /// Forced crash: halt for good after `crash_stage` real accesses of
+    /// script op `crash_op` (0 = right after invoking).
+    bool forced_crash{false};
+    std::size_t crash_op{0};
+    int crash_stage{0};
+    /// Faulty substrate: fault class and per-process budget.
+    bool faulty{false};
+    fault_class cls{fault_class::none};
+    int max_faults{0};
+};
+
+/// Writer owning base register `reg`: for each scripted value: invoke; read
+/// the other register; write (v, tag) to its own; respond. The Bloom writer
+/// i owns register i; tournament writer id owns its pair's register id/2.
 class bloom_writer_proc final : public script_process {
 public:
-    bloom_writer_proc(int writer_index, std::vector<mc_value> values,
-                      bool wrong_tag_rule = false)
-        : script_process(static_cast<processor_id>(writer_index),
-                         std::move(values)),
-          writer_(writer_index), wrong_tag_rule_(wrong_tag_rule) {}
+    bloom_writer_proc(processor_id proc, int reg, std::vector<mc_value> values,
+                      const writer_options& o)
+        : script_process(proc, std::move(values)), reg_(reg), opt_(o),
+          faults_left_(o.max_faults) {}
 
     [[nodiscard]] std::unique_ptr<process> clone() const override {
         return std::make_unique<bloom_writer_proc>(*this);
     }
     [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
+        return crashed_ || pos_ == script_.size();
     }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
+    [[nodiscard]] int fanout(const sim_state&) const override {
+        return fault_choice_here() ? 2 : 1;
+    }
 
-    void step(sim_state& s, int) override {
+    void step(sim_state& s, int choice) override {
+        const bool fire = choice == 1 && fault_choice_here();
+        const auto reg = static_cast<std::size_t>(reg_);
         switch (pc_) {
             case 0:
                 open_op_ = s.begin_op(proc_, opno_, op_kind::write,
                                       static_cast<value_t>(script_[pos_]));
+                if (forced_crash_at(0)) return;
                 pc_ = 1;
                 break;
-            case 1: {
-                const mc_value other =
-                    s.read_atomic(static_cast<std::size_t>(1 - writer_));
-                // The deliberately broken variant applies the OTHER
-                // writer's tag rule (used to prove the explorer can catch
-                // tag-protocol bugs).
-                const bool t = writer_tag_choice(
-                    wrong_tag_rule_ ? 1 - writer_ : writer_, decode_tag(other));
+            case 1: {  // read the other writer's register
+                if (fire && opt_.cls == fault_class::port_crash) {
+                    fault_crash();
+                    return;
+                }
+                mc_value other;
+                if (fire) {  // stale_read (traced access: POR needs the dep)
+                    other = s.read_previous(1 - reg);
+                    --faults_left_;
+                } else {
+                    other = s.read_atomic(1 - reg);
+                }
+                const bool t = writer_tag_choice(opt_.tag_index, decode_tag(other));
                 locals_[0] = encode_tagged(script_[pos_], t);
+                if (forced_crash_at(1)) return;
                 pc_ = 2;
                 break;
             }
-            case 2:
-                s.write_atomic(static_cast<std::size_t>(writer_), locals_[0]);
+            case 2:  // write own register
+                if (fire) {
+                    switch (opt_.cls) {
+                        case fault_class::port_crash: fault_crash(); return;
+                        case fault_class::lost_write: --faults_left_; break;
+                        case fault_class::torn_value: {
+                            // Old value bits under the new tag bit: the
+                            // smallest torn mix the encoding can express,
+                            // and always within the register's domain.
+                            const auto torn = static_cast<mc_value>(
+                                (s.registers[reg].committed &
+                                 ~static_cast<mc_value>(1)) |
+                                (locals_[0] & 1));
+                            if (torn != locals_[0]) --faults_left_;
+                            s.write_atomic(reg, torn);
+                            break;
+                        }
+                        case fault_class::delayed_visibility:
+                            pending_ = locals_[0];
+                            has_pending_ = true;
+                            --faults_left_;
+                            break;
+                        default: s.write_atomic(reg, locals_[0]); break;
+                    }
+                } else {
+                    s.write_atomic(reg, locals_[0]);
+                }
+                if (forced_crash_at(2)) return;
                 pc_ = 3;
                 break;
-            case 3:
+            case 3:  // respond
+                if (fire) {  // port_crash: halt without responding
+                    fault_crash();
+                    return;
+                }
                 s.end_op(open_op_, 0);
+                if (has_pending_) {
+                    pc_ = 4;  // the delayed write lands as a later step
+                } else {
+                    advance_script();
+                }
+                break;
+            case 4:  // delayed write becomes visible after the response
+                s.write_atomic(reg, pending_);
+                has_pending_ = false;
                 advance_script();
                 break;
         }
     }
 
     void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, wrong_tag_rule_ ? 0x1011 : 0x1001);
+        base_fingerprint(out, opt_.type_id);
+        if (opt_.forced_crash) {
+            out.push_back((opt_.crash_op << 8) |
+                          static_cast<std::uint64_t>(opt_.crash_stage * 2 +
+                                                     (crashed_ ? 1 : 0)));
+        }
+        if (opt_.faulty) {
+            out.push_back((static_cast<std::uint64_t>(
+                               static_cast<std::uint16_t>(faults_left_))
+                           << 32) |
+                          (static_cast<std::uint64_t>(
+                               static_cast<std::uint16_t>(pending_))
+                           << 8) |
+                          (has_pending_ ? 2ULL : 0ULL) |
+                          (crashed_ ? 1ULL : 0ULL));
+        }
     }
 
-    // Declared footprint (hot class): begin/end are label-only, the tag
+    // Declared footprint (plain writers): begin/end are label-only, the tag
     // sample reads the OTHER writer's register, the install writes OURS.
-    [[nodiscard]] step_footprint footprint(const sim_state&,
-                                           std::size_t) const override {
+    [[nodiscard]] step_footprint footprint(const sim_state& s,
+                                           std::size_t self) const override {
+        if (!opt_.declared_footprint) return process::footprint(s, self);
         switch (pc_) {
             case 1:
-                return {1ULL << (1 - writer_), 0, false};
+                return {1ULL << (1 - reg_), 0, false};
             case 2:
-                return {0, 1ULL << writer_, false};
+                return {0, 1ULL << reg_, false};
             default:
                 return {0, 0, true};
         }
     }
 
 private:
-    int writer_;
-    bool wrong_tag_rule_;
-};
-
-/// Bloom writer that crashes mid-script (see header).
-class bloom_writer_crashing_proc final : public script_process {
-public:
-    bloom_writer_crashing_proc(int writer_index, std::vector<mc_value> values,
-                               std::size_t crash_op, int crash_stage)
-        : script_process(static_cast<processor_id>(writer_index),
-                         std::move(values)),
-          writer_(writer_index), crash_op_(crash_op), crash_stage_(crash_stage) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<bloom_writer_crashing_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return crashed_ || pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    void step(sim_state& s, int) override {
-        const bool crash_here = pos_ == crash_op_;
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                if (crash_here && crash_stage_ == 0) {
-                    crashed_ = true;
-                    return;
-                }
-                pc_ = 1;
-                break;
-            case 1: {
-                const mc_value other =
-                    s.read_atomic(static_cast<std::size_t>(1 - writer_));
-                const bool t = writer_tag_choice(writer_, decode_tag(other));
-                locals_[0] = encode_tagged(script_[pos_], t);
-                if (crash_here && crash_stage_ == 1) {
-                    crashed_ = true;
-                    return;
-                }
-                pc_ = 2;
-                break;
-            }
-            case 2:
-                s.write_atomic(static_cast<std::size_t>(writer_), locals_[0]);
-                if (crash_here && crash_stage_ == 2) {
-                    crashed_ = true;
-                    return;
-                }
-                pc_ = 3;
-                break;
-            case 3:
-                s.end_op(open_op_, 0);
-                advance_script();
-                break;
+    [[nodiscard]] bool fault_choice_here() const {
+        if (crashed_ || faults_left_ <= 0) return false;
+        switch (opt_.cls) {
+            case fault_class::port_crash:
+                return pc_ == 1 || pc_ == 2 || pc_ == 3;
+            case fault_class::stale_read: return pc_ == 1;
+            case fault_class::lost_write:
+            case fault_class::torn_value:
+            case fault_class::delayed_visibility: return pc_ == 2;
+            default: return false;
         }
     }
 
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x101c);
-        out.push_back((crash_op_ << 8) |
-                      static_cast<std::uint64_t>(crash_stage_ * 2 +
-                                                 (crashed_ ? 1 : 0)));
+    bool forced_crash_at(int stage) {
+        if (!opt_.forced_crash || pos_ != opt_.crash_op ||
+            opt_.crash_stage != stage) {
+            return false;
+        }
+        crashed_ = true;
+        return true;
     }
 
-private:
-    int writer_;
-    std::size_t crash_op_;
-    int crash_stage_;
+    void fault_crash() {
+        crashed_ = true;
+        --faults_left_;
+    }
+
+    int reg_;
+    writer_options opt_;
+    int faults_left_;
     bool crashed_{false};
+    bool has_pending_{false};
+    mc_value pending_{0};
 };
 
-// Shared by Bloom and tournament configurations (identical read protocol).
-// Variants explore the protocol-design space: `reversed` samples the tags
-// in the opposite order (the paper's footnote 5 says the proof tolerates
-// reordering/parallelizing the first two reads); `no_reread` skips the
-// third real read and returns the value captured with the chosen tag.
+/// The tag reader, shared by Bloom and tournament configurations (identical
+/// read protocol). `reversed` samples the tags in the opposite order (the
+/// paper's footnote 5 says the proof tolerates reordering/parallelizing the
+/// first two reads); `no_reread` skips the third real read and returns the
+/// value captured with the chosen tag. A faulty reader applies the
+/// read-side classes (stale_read, port_crash) of the section comment; for
+/// write-side classes it behaves like the standard reader.
 class tag_reader_proc final : public script_process {
 public:
     enum class variant : std::uint8_t { standard, reversed, no_reread };
 
     tag_reader_proc(processor_id proc, int num_reads,
-                    variant v = variant::standard)
+                    variant v = variant::standard, bool faulty = false,
+                    fault_class cls = fault_class::none, int max_faults = 0)
         : script_process(proc, std::vector<mc_value>(
                                    static_cast<std::size_t>(num_reads), 0)),
-          variant_(v) {}
+          variant_(v), faulty_(faulty), cls_(cls), faults_left_(max_faults) {}
 
     [[nodiscard]] std::unique_ptr<process> clone() const override {
         return std::make_unique<tag_reader_proc>(*this);
     }
     [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
+        return crashed_ || pos_ == script_.size();
     }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
+    [[nodiscard]] int fanout(const sim_state&) const override {
+        return fault_choice_here() ? 2 : 1;
+    }
 
-    void step(sim_state& s, int) override {
+    void step(sim_state& s, int choice) override {
+        const bool fire = choice == 1 && fault_choice_here();
+        if (fire && cls_ == fault_class::port_crash) {
+            crashed_ = true;
+            --faults_left_;
+            return;
+        }
         const bool rev = variant_ == variant::reversed;
         switch (pc_) {
             case 0:
@@ -247,26 +327,23 @@ public:
                 pc_ = 1;
                 break;
             case 1:
-                locals_[rev ? 1 : 0] = s.read_atomic(rev ? 1 : 0);
+                locals_[rev ? 1 : 0] = read(s, rev ? 1 : 0, fire);
                 pc_ = 2;
                 break;
             case 2:
-                locals_[rev ? 0 : 1] = s.read_atomic(rev ? 0 : 1);
+                locals_[rev ? 0 : 1] = read(s, rev ? 0 : 1, fire);
                 pc_ = 3;
                 break;
             case 3: {
                 const int pick =
                     reader_pick(decode_tag(locals_[0]), decode_tag(locals_[1]));
-                if (variant_ == variant::no_reread) {
-                    locals_[2] = locals_[pick];
-                    pc_ = 4;
-                    // Fall through to respond on the next step: the skipped
-                    // read keeps the step count uniform without touching
-                    // shared state.
-                } else {
-                    locals_[2] = s.read_atomic(static_cast<std::size_t>(pick));
-                    pc_ = 4;
-                }
+                // no_reread responds on the next step anyway: the skipped
+                // read keeps the step count uniform without touching
+                // shared state.
+                locals_[2] = variant_ == variant::no_reread
+                                 ? locals_[pick]
+                                 : read(s, static_cast<std::size_t>(pick), fire);
+                pc_ = 4;
                 break;
             }
             case 4:
@@ -278,13 +355,14 @@ public:
     }
 
     void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1002 + (static_cast<std::uint64_t>(variant_) << 8));
+        fingerprint_as(out, proc_);
     }
 
-    // Declared footprint (hot class): only the three tag-protocol reads
-    // touch shared state; no_reread's third "read" is local.
-    [[nodiscard]] step_footprint footprint(const sim_state&,
-                                           std::size_t) const override {
+    // Declared footprint (fault-free readers): only the three tag-protocol
+    // reads touch shared state; no_reread's third "read" is local.
+    [[nodiscard]] step_footprint footprint(const sim_state& s,
+                                           std::size_t self) const override {
+        if (faulty_) return process::footprint(s, self);
         const bool rev = variant_ == variant::reversed;
         switch (pc_) {
             case 1:
@@ -302,75 +380,53 @@ public:
         }
     }
 
-    // Tag readers with the same variant and script length are fully
-    // interchangeable: identical program over registers 0/1, identity only
-    // in the history labels.
+    // Fault-free tag readers with the same variant and script length are
+    // fully interchangeable: identical program over registers 0/1, identity
+    // only in the history labels. Faulty readers stay singletons.
     [[nodiscard]] std::uint64_t symmetry_key() const override {
+        if (faulty_) return 0;
         return 0xA11CE000ULL | (static_cast<std::uint64_t>(variant_) << 8) |
                script_.size();
     }
     void fingerprint_as(std::vector<std::uint64_t>& out,
                         processor_id as_proc) const override {
-        base_fingerprint_as(
-            out, 0x1002 + (static_cast<std::uint64_t>(variant_) << 8),
-            as_proc);
+        if (!faulty_) {
+            base_fingerprint_as(
+                out, 0x1002 + (static_cast<std::uint64_t>(variant_) << 8),
+                as_proc);
+            return;
+        }
+        base_fingerprint_as(out, 0x1021 | (static_cast<std::uint64_t>(cls_) << 8),
+                            as_proc);
+        out.push_back((static_cast<std::uint64_t>(
+                           static_cast<std::uint16_t>(faults_left_))
+                       << 8) |
+                      (crashed_ ? 1ULL : 0ULL));
     }
 
 private:
-    variant variant_{variant::standard};
-};
-
-// ---------------------------------------------------------------------------
-// Four-writer tournament over two atomic MRMW base registers.
-// ---------------------------------------------------------------------------
-
-class tournament_writer_proc final : public script_process {
-public:
-    tournament_writer_proc(int writer_id, std::vector<mc_value> values)
-        : script_process(static_cast<processor_id>(writer_id),
-                         std::move(values)),
-          pair_(writer_id >> 1) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<tournament_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    void step(sim_state& s, int) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                pc_ = 1;
-                break;
-            case 1: {
-                const mc_value other =
-                    s.read_atomic(static_cast<std::size_t>(1 - pair_));
-                const bool t = writer_tag_choice(pair_, decode_tag(other));
-                locals_[0] = encode_tagged(script_[pos_], t);
-                pc_ = 2;
-                break;
-            }
-            case 2:
-                s.write_atomic(static_cast<std::size_t>(pair_), locals_[0]);
-                pc_ = 3;
-                break;
-            case 3:
-                s.end_op(open_op_, 0);
-                advance_script();
-                break;
+    [[nodiscard]] bool fault_choice_here() const {
+        if (crashed_ || faults_left_ <= 0) return false;
+        switch (cls_) {
+            case fault_class::port_crash: return pc_ >= 1 && pc_ <= 4;
+            case fault_class::stale_read: return pc_ >= 1 && pc_ <= 3;
+            default: return false;
         }
     }
 
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1003);
+    [[nodiscard]] mc_value read(sim_state& s, std::size_t reg, bool fire) {
+        if (fire) {  // stale_read (traced access: POR needs the dep)
+            --faults_left_;
+            return s.read_previous(reg);
+        }
+        return s.read_atomic(reg);
     }
 
-private:
-    int pair_;
+    variant variant_;
+    bool faulty_;
+    fault_class cls_;
+    int faults_left_;
+    bool crashed_{false};
 };
 
 // ---------------------------------------------------------------------------
@@ -1561,270 +1617,38 @@ private:
     std::size_t reg_;
 };
 
-// ---------------------------------------------------------------------------
-// Faulty-substrate Bloom processes (the model-checked twin of
-// registers/faulty.hpp): the protocol machines above, but each eligible
-// real access may nondeterministically misbehave the way one fault class
-// prescribes. The explorer branches over "fault fires here" vs "access is
-// clean" at every eligible step, bounded by a per-process fault budget --
-// so a reported violation comes with a concrete schedule, and an
-// exhaustive pass covers EVERY placement of up to `max_faults` faults.
-//
-// Fault semantics mirror the thread-level adapter:
-//   stale_read          a real read returns the register's previously
-//                       committed value (registers need track_previous);
-//   lost_write          a real write is silently dropped;
-//   torn_value          the write commits the OLD value bits under the
-//                       NEW tag bit (the adapter's bit-mix, minimized);
-//   delayed_visibility  the real write lands only AFTER the op responded,
-//                       as a separate later step other processes can
-//                       interleave with;
-//   port_crash          the process halts mid-op; the op stays pending.
-// ---------------------------------------------------------------------------
-
-class faulty_bloom_writer_proc final : public script_process {
-public:
-    faulty_bloom_writer_proc(int writer_index, std::vector<mc_value> values,
-                             fault_class cls, int max_faults)
-        : script_process(static_cast<processor_id>(writer_index),
-                         std::move(values)),
-          writer_(writer_index), cls_(cls), faults_left_(max_faults) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<faulty_bloom_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return crashed_ || pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override {
-        return fault_choice_here() ? 2 : 1;
-    }
-
-    void step(sim_state& s, int choice) override {
-        const bool fire = choice == 1 && fault_choice_here();
-        const auto reg = static_cast<std::size_t>(writer_);
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                pc_ = 1;
-                break;
-            case 1: {  // read the other writer's register
-                if (fire && cls_ == fault_class::port_crash) {
-                    crash();
-                    return;
-                }
-                mc_value other;
-                if (fire) {  // stale_read (traced access: POR needs the dep)
-                    other = s.read_previous(1 - reg);
-                    --faults_left_;
-                } else {
-                    other = s.read_atomic(1 - reg);
-                }
-                const bool t = writer_tag_choice(writer_, decode_tag(other));
-                locals_[0] = encode_tagged(script_[pos_], t);
-                pc_ = 2;
-                break;
-            }
-            case 2:  // write own register
-                if (fire) {
-                    switch (cls_) {
-                        case fault_class::port_crash: crash(); return;
-                        case fault_class::lost_write: --faults_left_; break;
-                        case fault_class::torn_value: {
-                            // Old value bits under the new tag bit: the
-                            // smallest torn mix the encoding can express,
-                            // and always within the register's domain.
-                            const auto torn = static_cast<mc_value>(
-                                (s.registers[reg].committed &
-                                 ~static_cast<mc_value>(1)) |
-                                (locals_[0] & 1));
-                            if (torn != locals_[0]) --faults_left_;
-                            s.write_atomic(reg, torn);
-                            break;
-                        }
-                        case fault_class::delayed_visibility:
-                            pending_ = locals_[0];
-                            has_pending_ = true;
-                            --faults_left_;
-                            break;
-                        default: s.write_atomic(reg, locals_[0]); break;
-                    }
-                } else {
-                    s.write_atomic(reg, locals_[0]);
-                }
-                pc_ = 3;
-                break;
-            case 3:  // respond
-                if (fire) {  // port_crash: halt without responding
-                    crash();
-                    return;
-                }
-                s.end_op(open_op_, 0);
-                if (has_pending_) {
-                    pc_ = 4;  // the delayed write lands as a later step
-                } else {
-                    advance_script();
-                }
-                break;
-            case 4:  // delayed write becomes visible after the response
-                s.write_atomic(reg, pending_);
-                has_pending_ = false;
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out,
-                         0x1020 | (static_cast<std::uint64_t>(cls_) << 8));
-        out.push_back((static_cast<std::uint64_t>(
-                           static_cast<std::uint16_t>(faults_left_))
-                       << 32) |
-                      (static_cast<std::uint64_t>(
-                           static_cast<std::uint16_t>(pending_))
-                       << 8) |
-                      (has_pending_ ? 2ULL : 0ULL) | (crashed_ ? 1ULL : 0ULL));
-    }
-
-private:
-    [[nodiscard]] bool fault_choice_here() const {
-        if (crashed_ || faults_left_ <= 0) return false;
-        switch (cls_) {
-            case fault_class::port_crash:
-                return pc_ == 1 || pc_ == 2 || pc_ == 3;
-            case fault_class::stale_read: return pc_ == 1;
-            case fault_class::lost_write:
-            case fault_class::torn_value:
-            case fault_class::delayed_visibility: return pc_ == 2;
-            default: return false;
-        }
-    }
-
-    void crash() {
-        crashed_ = true;
-        --faults_left_;
-    }
-
-    int writer_;
-    fault_class cls_;
-    int faults_left_;
-    bool crashed_{false};
-    bool has_pending_{false};
-    mc_value pending_{0};
-};
-
-/// The standard tag reader with faulty substrate reads. Only read-side
-/// classes apply (stale_read, port_crash); for write-side classes the
-/// reader behaves exactly like tag_reader_proc.
-class faulty_tag_reader_proc final : public script_process {
-public:
-    faulty_tag_reader_proc(processor_id proc, int num_reads, fault_class cls,
-                           int max_faults)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          cls_(cls), faults_left_(max_faults) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<faulty_tag_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return crashed_ || pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override {
-        return fault_choice_here() ? 2 : 1;
-    }
-
-    void step(sim_state& s, int choice) override {
-        const bool fire = choice == 1 && fault_choice_here();
-        if (fire && cls_ == fault_class::port_crash) {
-            crash();
-            return;
-        }
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-                pc_ = 1;
-                break;
-            case 1:
-                locals_[0] = faulty_read(s, 0, fire);
-                pc_ = 2;
-                break;
-            case 2:
-                locals_[1] = faulty_read(s, 1, fire);
-                pc_ = 3;
-                break;
-            case 3: {
-                const int pick =
-                    reader_pick(decode_tag(locals_[0]), decode_tag(locals_[1]));
-                locals_[2] =
-                    faulty_read(s, static_cast<std::size_t>(pick), fire);
-                pc_ = 4;
-                break;
-            }
-            case 4:
-                s.end_op(open_op_,
-                         static_cast<value_t>(decode_value(locals_[2])));
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out,
-                         0x1021 | (static_cast<std::uint64_t>(cls_) << 8));
-        out.push_back((static_cast<std::uint64_t>(
-                           static_cast<std::uint16_t>(faults_left_))
-                       << 8) |
-                      (crashed_ ? 1ULL : 0ULL));
-    }
-
-private:
-    [[nodiscard]] bool fault_choice_here() const {
-        if (crashed_ || faults_left_ <= 0) return false;
-        switch (cls_) {
-            case fault_class::port_crash:
-                return pc_ >= 1 && pc_ <= 4;
-            case fault_class::stale_read: return pc_ >= 1 && pc_ <= 3;
-            default: return false;
-        }
-    }
-
-    [[nodiscard]] mc_value faulty_read(sim_state& s, std::size_t reg,
-                                       bool fire) {
-        if (fire) {  // stale_read (traced access: POR needs the dep)
-            --faults_left_;
-            return s.read_previous(reg);
-        }
-        return s.read_atomic(reg);
-    }
-
-    void crash() {
-        crashed_ = true;
-        --faults_left_;
-    }
-
-    fault_class cls_;
-    int faults_left_;
-    bool crashed_{false};
-};
-
 }  // namespace
 
 std::unique_ptr<process> make_bloom_writer(int writer_index,
                                            std::vector<mc_value> values) {
-    return std::make_unique<bloom_writer_proc>(writer_index, std::move(values));
+    return std::make_unique<bloom_writer_proc>(
+        static_cast<processor_id>(writer_index), writer_index,
+        std::move(values),
+        writer_options{.type_id = 0x1001,
+                       .tag_index = writer_index,
+                       .declared_footprint = true});
 }
 std::unique_ptr<process> make_bloom_writer_crashing(
     int writer_index, std::vector<mc_value> values, std::size_t crash_op,
     int crash_stage) {
-    return std::make_unique<bloom_writer_crashing_proc>(
-        writer_index, std::move(values), crash_op, crash_stage);
+    return std::make_unique<bloom_writer_proc>(
+        static_cast<processor_id>(writer_index), writer_index,
+        std::move(values),
+        writer_options{.type_id = 0x101c,
+                       .tag_index = writer_index,
+                       .forced_crash = true,
+                       .crash_op = crash_op,
+                       .crash_stage = crash_stage});
 }
 std::unique_ptr<process> make_bloom_writer_wrong_tag(
     int writer_index, std::vector<mc_value> values) {
-    return std::make_unique<bloom_writer_proc>(writer_index, std::move(values),
-                                               true);
+    // The other writer's tag rule: t := (1-i) (+) t'.
+    return std::make_unique<bloom_writer_proc>(
+        static_cast<processor_id>(writer_index), writer_index,
+        std::move(values),
+        writer_options{.type_id = 0x1011,
+                       .tag_index = 1 - writer_index,
+                       .declared_footprint = true});
 }
 std::unique_ptr<process> make_bloom_reader(processor_id proc, int num_reads) {
     return std::make_unique<tag_reader_proc>(proc, num_reads);
@@ -1843,18 +1667,29 @@ std::unique_ptr<process> make_faulty_bloom_writer(int writer_index,
                                                   std::vector<mc_value> values,
                                                   fault_class cls,
                                                   int max_faults) {
-    return std::make_unique<faulty_bloom_writer_proc>(
-        writer_index, std::move(values), cls, max_faults);
+    return std::make_unique<bloom_writer_proc>(
+        static_cast<processor_id>(writer_index), writer_index,
+        std::move(values),
+        writer_options{.type_id = 0x1020 | (static_cast<std::uint64_t>(cls) << 8),
+                       .tag_index = writer_index,
+                       .faulty = true,
+                       .cls = cls,
+                       .max_faults = max_faults});
 }
 std::unique_ptr<process> make_faulty_bloom_reader(processor_id proc,
                                                   int num_reads, fault_class cls,
                                                   int max_faults) {
-    return std::make_unique<faulty_tag_reader_proc>(proc, num_reads, cls,
-                                                    max_faults);
+    return std::make_unique<tag_reader_proc>(
+        proc, num_reads, tag_reader_proc::variant::standard, true, cls,
+        max_faults);
 }
 std::unique_ptr<process> make_tournament_writer(int writer_id,
                                                 std::vector<mc_value> values) {
-    return std::make_unique<tournament_writer_proc>(writer_id, std::move(values));
+    // Bloom's writer one level up: writer id owns its pair's register.
+    const int pair = writer_id >> 1;
+    return std::make_unique<bloom_writer_proc>(
+        static_cast<processor_id>(writer_id), pair, std::move(values),
+        writer_options{.type_id = 0x1003, .tag_index = pair});
 }
 std::unique_ptr<process> make_tournament_reader(processor_id proc,
                                                 int num_reads) {

@@ -75,7 +75,7 @@ mc_value sim_state::read_previous(std::size_t reg) {
 void sim_state::write_atomic(std::size_t reg, mc_value v) {
     mc_register& r = registers[reg];
     assert(r.level == reg_level::atomic);
-    assert(v >= 0 && v < r.domain);
+    check(v >= 0 && v < r.domain, "write_atomic: value outside [0, domain)");
     trace_write(reg);
     if (detector_ != nullptr) {
         detector_->on_access(static_cast<std::size_t>(acting_), reg, true,
@@ -92,6 +92,8 @@ void sim_state::write_atomic(std::size_t reg, mc_value v) {
 void sim_state::begin_read(std::size_t reg, std::int16_t proc) {
     mc_register& r = registers[reg];
     assert(r.level != reg_level::atomic);
+    check(r.domain <= 64, "split-level register domain exceeds the 64-bit "
+                          "candidate mask");
     // Split reads trace as WRITES: they mutate the active-read set that
     // overlap semantics (and so every other access's behavior) hangs off.
     trace_write(reg);
@@ -147,7 +149,9 @@ void sim_state::begin_write(std::size_t reg, mc_value v) {
     mc_register& r = registers[reg];
     assert(r.level != reg_level::atomic);
     assert(r.active_write < 0 && "concurrent writers on a single-writer register");
-    assert(v >= 0 && v < r.domain);
+    check(r.domain <= 64, "split-level register domain exceeds the 64-bit "
+                          "candidate mask");
+    check(v >= 0 && v < r.domain, "begin_write: value outside [0, domain)");
     trace_write(reg);
     if (detector_ != nullptr) {
         detector_->on_access(static_cast<std::size_t>(acting_), reg, true,

@@ -108,7 +108,8 @@ struct mc_register {
     /// unguarded). Ignored unless the lockset detector is armed.
     std::uint64_t guards{0};
 
-    /// Reads in progress: (processor, candidate bitmask). domain <= 64.
+    /// Reads in progress: (processor, candidate bitmask). Split accesses
+    /// check domain <= 64 so the masks' shifts stay defined.
     std::vector<std::pair<std::int16_t, std::uint64_t>> active_reads;
 };
 
@@ -133,6 +134,7 @@ public:
     /// --- register access API used by processes ---
 
     /// Atomic single-step read/write (register must be level atomic).
+    /// Written values must lie in [0, domain): checked in every build.
     [[nodiscard]] mc_value read_atomic(std::size_t reg);
     void write_atomic(std::size_t reg, mc_value v);
 

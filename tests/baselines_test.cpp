@@ -11,11 +11,7 @@
 #include "baselines/native_atomic.hpp"
 #include "baselines/rwlock_register.hpp"
 #include "baselines/tournament.hpp"
-#include "histories/event_log.hpp"
-#include "histories/history.hpp"
 #include "histories/workload.hpp"
-#include "linearizability/exhaustive.hpp"
-#include "linearizability/fast_register.hpp"
 #include "linearizability/monitor.hpp"
 #include "util/sync.hpp"
 
@@ -142,63 +138,100 @@ TEST(Tournament, Figure5ValueReappears) {
 }
 
 TEST(Tournament, Figure5HistoryRejectedByCheckers) {
-    event_log log(256);
-    tournament_four_writer<std::int32_t> reg(1, &log);
+    // The Figure 5 schedule, with every operation's boundaries reported
+    // through an atomicity monitor port. Wr00's write stays open across the
+    // whole schedule, exactly as in the paper's table.
+    tournament_four_writer<std::int32_t> reg(1);
+    atomicity_monitor mon(1);
     auto rd = reg.make_reader();
     auto wr00 = reg.make_writer(0);
     auto wr01 = reg.make_writer(1);
     auto wr11 = reg.make_writer(3);
+    auto p00 = mon.make_port(0);
+    auto p01 = mon.make_port(1);
+    auto p11 = mon.make_port(3);
+    auto prd = mon.make_port(4);
+    auto read = [&] {
+        prd.begin_read();
+        prd.end_read(rd.read());
+    };
 
+    p00.begin_write(10);
     wr00.begin_write(10);
+    p11.begin_write(20);
     wr11.write(20);
-    (void)rd.read();
+    p11.end_write();
+    read();
+    p01.begin_write(30);
     wr01.write(30);
-    (void)rd.read();
+    p01.end_write();
+    read();
     wr00.finish_write();
-    (void)rd.read();
+    p00.end_write();
+    read();
 
-    parse_result parsed = parse_history(log.snapshot(), 1);
-    ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-    const auto fast = check_fast(parsed.hist.ops, 1);
-    ASSERT_TRUE(fast.ok()) << *fast.defect;
-    EXPECT_FALSE(fast.linearizable);
-    const auto slow = check_exhaustive(parsed.hist.ops, 1);
-    ASSERT_TRUE(slow.ok()) << *slow.defect;
-    EXPECT_FALSE(slow.linearizable);
+    const monitor_verdict v = mon.verify();
+    EXPECT_EQ(v.operations, 6u);
+    EXPECT_FALSE(v.atomic);
+    EXPECT_FALSE(v.diagnosis.empty());
 }
 
 TEST(Tournament, TwoWritersOnlyIsStillAtomic) {
     // Degenerate use: only one writer per pair active -- reduces to the
     // two-writer protocol, which is correct. Sanity check that the failure
     // really needs two writers in one pair.
-    event_log log(1 << 14);
-    tournament_four_writer<std::int32_t> reg(0, &log);
+    tournament_four_writer<std::int32_t> reg(0);
+    atomicity_monitor mon(0);
     start_gate gate;
-    std::thread t0([&] {
+    auto writer_loop = [&](int id) {
+        auto w = reg.make_writer(id);
+        auto port = mon.make_port(static_cast<processor_id>(id));
         gate.wait();
-        auto w = reg.make_writer(0);
-        for (std::int32_t i = 0; i < 300; ++i) w.write((1 << 16) + i);
-    });
-    std::thread t1([&] {
-        gate.wait();
-        auto w = reg.make_writer(2);
-        for (std::int32_t i = 0; i < 300; ++i) w.write((2 << 16) + i);
-    });
+        for (std::int32_t i = 0; i < 300; ++i) {
+            const std::int32_t v = ((id + 1) << 16) + i;
+            port.begin_write(v);
+            w.write(v);
+            port.end_write();
+        }
+    };
+    std::thread t0([&] { writer_loop(0); });
+    std::thread t1([&] { writer_loop(2); });
     std::thread t2([&] {
-        gate.wait();
         auto rd = reg.make_reader(4);
-        for (int i = 0; i < 400; ++i) (void)rd.read();
+        auto port = mon.make_port(4);
+        gate.wait();
+        for (int i = 0; i < 400; ++i) {
+            port.begin_read();
+            port.end_read(rd.read());
+        }
     });
     gate.open();
     t0.join();
     t1.join();
     t2.join();
 
-    parse_result parsed = parse_history(log.snapshot(), 0);
-    ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-    const auto res = check_fast(parsed.hist.ops, 0);
-    ASSERT_TRUE(res.ok()) << *res.defect;
-    EXPECT_TRUE(res.linearizable) << res.diagnosis;
+    const monitor_verdict v = mon.verify();
+    EXPECT_TRUE(v.atomic) << v.diagnosis;
+}
+
+// The writer id and the begin/finish pairing guard indices and the pending
+// word: always-on checks reject misuse in every build type.
+TEST(TournamentDeathTest, WriterIdOutsideRangeIsRejected) {
+    tournament_four_writer<std::int32_t> reg(0);
+    EXPECT_DEATH((void)reg.make_writer(4), "writer id");
+    EXPECT_DEATH((void)reg.make_writer(-1), "writer id");
+}
+
+TEST(TournamentDeathTest, UnpairedPhasesAreRejected) {
+    tournament_four_writer<std::int32_t> reg(0);
+    EXPECT_DEATH(reg.make_writer(0).finish_write(), "without begin_write");
+    EXPECT_DEATH(
+        {
+            auto w = reg.make_writer(1);
+            w.begin_write(5);
+            w.begin_write(6);
+        },
+        "twice");
 }
 
 TEST(MutexRegister, StallHoldsUpReaders) {

@@ -1,16 +1,15 @@
 // Tests for src/core: the protocol decision rules and single-threaded
 // behavior of the two-writer register (alternating writers, tag evolution,
-// writer-read variants, crash injection, recording integration).
+// writer-read variants, pause and crash hook placement, recording
+// integration).
 #include <gtest/gtest.h>
 
 #include "core/protocol.hpp"
 #include "core/two_writer.hpp"
-#include "histories/event_log.hpp"
+#include "harness/driver.hpp"
 #include "histories/history.hpp"
-#include "histories/workload.hpp"
 #include "registers/instrumented.hpp"
 #include "registers/packed_atomic.hpp"
-#include "registers/recording.hpp"
 #include "registers/seqlock.hpp"
 
 namespace bloom87 {
@@ -135,6 +134,17 @@ TEST(Costs, SimulatedReadIsThreeReads) {
     EXPECT_EQ(c.writes, 0u);
 }
 
+TEST(Costs, WriterReadIsThreeReads) {
+    counted_reg reg(0);
+    reg.writer1().write(1);
+    reg.real_register(0).reset_counts();
+    reg.real_register(1).reset_counts();
+    EXPECT_EQ(reg.writer0().read(), 1);
+    const access_counts c = total(reg);
+    EXPECT_EQ(c.reads, 3u);
+    EXPECT_EQ(c.writes, 0u);
+}
+
 TEST(Costs, CachedWriterReadIsOneOrTwoReads) {
     counted_reg reg(0);
     // Warm both writers' caches with one write each; writer 0 writes last,
@@ -154,6 +164,38 @@ TEST(Costs, CachedWriterReadIsOneOrTwoReads) {
     EXPECT_EQ(reg.writer1().read_cached(), 2);
     EXPECT_EQ(total(reg).reads, 2u);
     EXPECT_EQ(total(reg).writes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hook placement: each pause runs at the protocol point its name promises.
+// ---------------------------------------------------------------------------
+
+// write_paced pauses between the real read and the real write: inside the
+// pause exactly the tag sample has happened, and the install has not.
+TEST(Hooks, WritePacedPausesAfterTheRealRead) {
+    counted_reg reg(0);
+    reg.real_register(0).reset_counts();
+    reg.real_register(1).reset_counts();
+    access_counts inside{};
+    reg.writer0().write_paced(5, [&] { inside = total(reg); });
+    EXPECT_EQ(inside.reads, 1u);
+    EXPECT_EQ(inside.writes, 0u);
+    EXPECT_EQ(total(reg).reads, 1u);
+    EXPECT_EQ(total(reg).writes, 1u);
+}
+
+// read_paced pauses between the tag sample and the final read: inside the
+// pause both tags have been read, the chosen register not yet.
+TEST(Hooks, ReadPacedPausesAfterBothTagReads) {
+    counted_reg reg(0);
+    auto r = reg.make_reader();
+    reg.real_register(0).reset_counts();
+    reg.real_register(1).reset_counts();
+    access_counts inside{};
+    EXPECT_EQ(r.read_paced([&] { inside = total(reg); }), 0);
+    EXPECT_EQ(inside.reads, 2u);
+    EXPECT_EQ(inside.writes, 0u);
+    EXPECT_EQ(total(reg).reads, 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -225,28 +267,30 @@ TEST(Crash, OutOfRangeCrashPointIsRejectedOrConservative) {
 }
 
 // ---------------------------------------------------------------------------
-// Recording integration: the external schedule and the real accesses land
-// in gamma in the right shape.
+// Recording integration: the driver's external schedule and the recording
+// substrate's real accesses land in gamma in the protocol's shape.
 // ---------------------------------------------------------------------------
 
 TEST(RecordingIntegration, GammaHasProtocolShape) {
-    event_log log(256);
-    two_writer_register<value_t, recording_register> reg(0, &log);
-    auto r = reg.make_reader(2);
-    reg.writer0().write(unique_value(0, 0));
-    reg.writer1().write(unique_value(1, 0));
-    EXPECT_EQ(r.read(), unique_value(1, 0));
+    harness::run_spec spec;
+    spec.register_name = "bloom/recording";
+    spec.load.readers = 1;
+    spec.load.ops_per_writer = 8;
+    spec.load.ops_per_reader = 8;
+    spec.seed = 3;
+    spec.collect = harness::collect_mode::gamma;
+    spec.schedule = harness::schedule_mode::seeded;
+    const harness::run_result run = harness::run(spec);
+    ASSERT_TRUE(run.ok) << run.error;
 
-    const parse_result res = parse_history(log.snapshot(), 0);
+    const parse_result res = parse_history(run.events, 0);
     ASSERT_TRUE(res.ok()) << res.error->message;
-    ASSERT_EQ(res.hist.ops.size(), 3u);
-    const operation* w0 = res.hist.find(op_id{0, 0});
-    ASSERT_NE(w0, nullptr);
-    EXPECT_EQ(w0->real_accesses.size(), 2u);
-    const operation* rd = res.hist.find(op_id{2, 0});
-    ASSERT_NE(rd, nullptr);
-    EXPECT_EQ(rd->real_accesses.size(), 3u);
-    EXPECT_EQ(rd->value, unique_value(1, 0));
+    ASSERT_EQ(res.hist.ops.size(), 24u);
+    for (const operation& op : res.hist.ops) {
+        // A write is 1 real read + 1 real write; every plain read is 3.
+        EXPECT_EQ(op.real_accesses.size(), op.kind == op_kind::write ? 2u : 3u)
+            << "processor " << op.id.processor << " op " << op.id.op;
+    }
 }
 
 }  // namespace

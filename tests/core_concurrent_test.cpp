@@ -1,63 +1,37 @@
-// Concurrent verification of the two-writer register: real threads hammer
-// the protocol over the recording substrate; every recorded gamma is checked
-// three ways -- by the paper's constructive linearizer, by the polynomial
-// register checker, and (for small runs) by the exhaustive checker.
+// Concurrent verification of the two-writer register: the run harness
+// drives real threads over the recording substrate (bloom/recording); every
+// recorded gamma is checked three ways -- by the paper's constructive
+// linearizer, by the polynomial register checker, and (for small runs) by
+// the exhaustive checker.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-#include <vector>
-
-#include "core/two_writer.hpp"
-#include "histories/event_log.hpp"
+#include "harness/driver.hpp"
+#include "histories/history.hpp"
 #include "histories/workload.hpp"
 #include "linearizability/bloom_linearizer.hpp"
 #include "linearizability/exhaustive.hpp"
 #include "linearizability/fast_register.hpp"
-#include "registers/packed_atomic.hpp"
-#include "registers/recording.hpp"
-#include "util/rng.hpp"
-#include "util/sync.hpp"
 
 namespace bloom87 {
 namespace {
 
-using recorded_reg = two_writer_register<value_t, recording_register>;
+/// A bloom/recording run of `load` from `seed`, collected into gamma.
+harness::run_spec recorded_spec(const workload_config& load,
+                                std::uint64_t seed) {
+    harness::run_spec spec;
+    spec.register_name = "bloom/recording";
+    spec.load = load;
+    spec.seed = seed;
+    spec.collect = harness::collect_mode::gamma;
+    return spec;
+}
 
-/// Runs one recorded multi-threaded execution of the given workload and
-/// returns its parsed history.
-history run_recorded(const workload& w, value_t initial) {
-    const std::size_t total = w.total_ops();
-    event_log log(total * 8 + 64);
-    recorded_reg reg(initial, &log);
-
-    start_gate gate;
-    std::vector<std::thread> pool;
-    for (std::size_t p = 0; p < w.scripts.size(); ++p) {
-        pool.emplace_back([&, p] {
-            gate.wait();
-            if (p < 2) {
-                auto& writer = p == 0 ? reg.writer0() : reg.writer1();
-                for (const workload_op& op : w.scripts[p]) {
-                    if (op.kind == op_kind::write) {
-                        writer.write(op.value);
-                    } else {
-                        (void)writer.read();
-                    }
-                }
-            } else {
-                auto reader = reg.make_reader(static_cast<processor_id>(p));
-                for (const workload_op& op : w.scripts[p]) {
-                    (void)op;
-                    (void)reader.read();
-                }
-            }
-        });
-    }
-    gate.open();
-    for (auto& t : pool) t.join();
-
-    parse_result parsed = parse_history(log.snapshot(), initial);
+/// Runs one recorded execution and returns its parsed history.
+history run_recorded(const harness::run_spec& spec) {
+    const harness::run_result res = harness::run(spec);
+    EXPECT_TRUE(res.ok) << res.error;
+    EXPECT_FALSE(res.log_overflowed);
+    parse_result parsed = parse_history(res.events, spec.initial);
     EXPECT_TRUE(parsed.ok()) << parsed.error->message;
     return std::move(parsed.hist);
 }
@@ -75,8 +49,7 @@ TEST_P(RecordedExecution, ConstructiveLinearizerAcceptsEveryRun) {
     cfg.readers = 3;
     cfg.ops_per_writer = 150;
     cfg.ops_per_reader = 150;
-    const workload w = make_workload(cfg, GetParam());
-    const history h = run_recorded(w, 0);
+    const history h = run_recorded(recorded_spec(cfg, GetParam()));
 
     const bloom_result res = bloom_linearize(h);
     ASSERT_TRUE(res.ok()) << *res.defect;
@@ -92,8 +65,7 @@ TEST_P(RecordedExecution, FastCheckerAgrees) {
     cfg.readers = 3;
     cfg.ops_per_writer = 120;
     cfg.ops_per_reader = 120;
-    const workload w = make_workload(cfg, GetParam() + 1000);
-    const history h = run_recorded(w, 0);
+    const history h = run_recorded(recorded_spec(cfg, GetParam() + 1000));
 
     const auto fast = check_fast(complete_ops(h), 0);
     ASSERT_TRUE(fast.ok()) << *fast.defect;
@@ -108,8 +80,7 @@ TEST_P(RecordedExecution, SmallRunsPassExhaustiveChecker) {
     cfg.readers = 2;
     cfg.ops_per_writer = 6;
     cfg.ops_per_reader = 6;
-    const workload w = make_workload(cfg, GetParam() + 2000);
-    const history h = run_recorded(w, 0);
+    const history h = run_recorded(recorded_spec(cfg, GetParam() + 2000));
 
     const auto slow = check_exhaustive(complete_ops(h), 0);
     ASSERT_TRUE(slow.ok()) << *slow.defect;
@@ -127,37 +98,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RecordedExecution,
 
 TEST(LemmaStats, BothPotencyClassesOccurUnderContention) {
     // Tight write loops almost never interleave inside the read->write
-    // window (cache-line arbitration makes the two writers' access pairs
-    // bursty), so pace the writers with random spins to exercise the
-    // impotent path. Every history still must linearize.
+    // window, so pace the writers on the seeded schedule: a paced write's
+    // pause runs a burst of the other writer's ops between its real read
+    // and real write, so impotent writes occur whatever the machine load.
+    // Every history still must linearize.
+    workload_config cfg;
+    cfg.readers = 0;
+    cfg.ops_per_writer = 800;
+    cfg.writer_read_num = 0;
     std::size_t potent = 0, impotent = 0;
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
-        event_log log(1 << 16);
-        recorded_reg reg(0, &log);
-        start_gate gate;
-        auto writer_loop = [&](int index) {
-            rng pace(seed * 2 + static_cast<std::uint64_t>(index));
-            auto& wr = index == 0 ? reg.writer0() : reg.writer1();
-            for (std::uint32_t i = 0; i < 800; ++i) {
-                const bool stall = pace.chance(1, 8);
-                wr.write_paced(
-                    unique_value(static_cast<processor_id>(index), i), [&] {
-                        if (stall) {
-                            std::this_thread::sleep_for(
-                                std::chrono::microseconds(50));
-                        }
-                    });
-            }
-        };
-        std::thread t0([&] { gate.wait(); writer_loop(0); });
-        std::thread t1([&] { gate.wait(); writer_loop(1); });
-        gate.open();
-        t0.join();
-        t1.join();
-
-        parse_result parsed = parse_history(log.snapshot(), 0);
-        ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-        const bloom_result res = bloom_linearize(parsed.hist);
+        harness::run_spec spec = recorded_spec(cfg, seed);
+        spec.schedule = harness::schedule_mode::seeded;
+        spec.pace.writer_pace_num = 1;
+        spec.pace.writer_pace_den = 8;
+        spec.pace.pause_yields = 4;
+        const history h = run_recorded(spec);
+        const bloom_result res = bloom_linearize(h);
         ASSERT_TRUE(res.ok());
         ASSERT_TRUE(res.atomic) << res.diagnosis;
         potent += res.potent_count;
@@ -175,42 +132,17 @@ TEST(LemmaStats, BothPotencyClassesOccurUnderContention) {
 class CrashSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CrashSweep, CrashedWritesLeaveHistoryAtomic) {
-    rng gen(GetParam());
-    event_log log(1 << 16);
-    recorded_reg reg(0, &log);
-    start_gate gate;
+    // Half the writes crash, cycling through the three crash points.
+    workload_config cfg;
+    cfg.readers = 1;
+    cfg.ops_per_writer = 120;
+    cfg.ops_per_reader = 200;
+    harness::run_spec spec = recorded_spec(cfg, GetParam());
+    spec.pace.crash_num = 1;
+    spec.pace.crash_den = 2;
+    const history h = run_recorded(spec);
 
-    std::thread t0([&] {
-        gate.wait();
-        auto& wr = reg.writer0();
-        for (std::uint32_t i = 0; i < 120; ++i) {
-            const value_t v = unique_value(0, i);
-            switch (i % 4) {
-                case 0: wr.write_crashed(v, crash_point::before_read); break;
-                case 1: wr.write_crashed(v, crash_point::after_read); break;
-                case 2: wr.write_crashed(v, crash_point::after_write); break;
-                default: wr.write(v); break;
-            }
-        }
-    });
-    std::thread t1([&] {
-        gate.wait();
-        auto& wr = reg.writer1();
-        for (std::uint32_t i = 0; i < 120; ++i) wr.write(unique_value(1, i));
-    });
-    std::thread t2([&] {
-        gate.wait();
-        auto rd = reg.make_reader(2);
-        for (int i = 0; i < 200; ++i) (void)rd.read();
-    });
-    gate.open();
-    t0.join();
-    t1.join();
-    t2.join();
-
-    parse_result parsed = parse_history(log.snapshot(), 0);
-    ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-    const auto fast = check_fast(parsed.hist.ops, 0);
+    const auto fast = check_fast(h.ops, 0);
     ASSERT_TRUE(fast.ok()) << *fast.defect;
     EXPECT_TRUE(fast.linearizable) << fast.diagnosis;
 }
@@ -225,51 +157,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrashSweep, ::testing::Range<std::uint64_t>(0, 8
 // ---------------------------------------------------------------------------
 
 TEST(CachedRead, ConcurrentHistoriesAtomic) {
+    workload_config cfg;
+    cfg.readers = 1;
+    cfg.ops_per_writer = 150;
+    cfg.ops_per_reader = 150;
+    cfg.writer_read_num = 1;
+    cfg.writer_read_den = 3;
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
-        event_log log(1 << 16);
-        recorded_reg reg(0, &log);
-        start_gate gate;
+        harness::run_spec spec = recorded_spec(cfg, seed);
+        spec.cached_writer_reads = true;
+        const history h = run_recorded(spec);
 
-        std::thread t0([&] {
-            gate.wait();
-            auto& wr = reg.writer0();
-            rng g(seed * 3 + 1);
-            for (std::uint32_t i = 0; i < 150; ++i) {
-                if (g.chance(1, 3)) {
-                    (void)wr.read_cached();
-                } else {
-                    wr.write(unique_value(0, i));
-                }
-            }
-        });
-        std::thread t1([&] {
-            gate.wait();
-            auto& wr = reg.writer1();
-            rng g(seed * 3 + 2);
-            for (std::uint32_t i = 0; i < 150; ++i) {
-                if (g.chance(1, 3)) {
-                    (void)wr.read_cached();
-                } else {
-                    wr.write(unique_value(1, i));
-                }
-            }
-        });
-        std::thread t2([&] {
-            gate.wait();
-            auto rd = reg.make_reader(2);
-            for (int i = 0; i < 150; ++i) (void)rd.read();
-        });
-        gate.open();
-        t0.join();
-        t1.join();
-        t2.join();
-
-        parse_result parsed = parse_history(log.snapshot(), 0);
-        ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-        const auto fast = check_fast(parsed.hist.ops, 0);
+        const auto fast = check_fast(h.ops, 0);
         ASSERT_TRUE(fast.ok()) << *fast.defect;
         EXPECT_TRUE(fast.linearizable) << "seed " << seed << ": " << fast.diagnosis;
-        const bloom_result bloom = bloom_linearize(parsed.hist);
+        const bloom_result bloom = bloom_linearize(h);
         ASSERT_TRUE(bloom.ok()) << *bloom.defect;
         EXPECT_TRUE(bloom.atomic) << "seed " << seed << ": " << bloom.diagnosis;
     }

@@ -1,209 +1,93 @@
 // Substrate-parameterized concurrency tests: the two-writer register must
-// be atomic over EVERY substrate the repository provides. Each typed case
-// runs threaded workloads, logs the external schedule, and checks it with
-// the polynomial register checker.
+// be atomic over EVERY substrate the repository provides. Each case runs a
+// threaded workload through the run harness on one bloom/* registry entry
+// and checks the recorded external schedule with the polynomial register
+// checker.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-#include <vector>
+#include <string>
 
-#include "core/two_writer.hpp"
-#include "histories/event_log.hpp"
-#include "histories/workload.hpp"
+#include "harness/driver.hpp"
+#include "histories/history.hpp"
 #include "linearizability/fast_register.hpp"
-#include "registers/recording.hpp"
-#include "registers/seqlock.hpp"
-#include "registers/swmr_from_swsr.hpp"
-#include "util/sync.hpp"
 
 namespace bloom87 {
 namespace {
 
-constexpr std::size_t k_readers = 2;
+using namespace bloom87::harness;
 
-/// Uniform construction across substrate shapes. Each maker returns the
-/// register with external-schedule logging attached (the recording
-/// substrate wires the log through its own constructor and additionally
-/// records the real accesses).
-template <typename Reg>
-struct maker;
-
-template <>
-struct maker<recording_register> {
-    static auto make(event_log* log) {
-        return std::make_unique<two_writer_register<value_t, recording_register>>(
-            0, log);
+class SubstrateConcurrency : public ::testing::TestWithParam<std::string> {
+protected:
+    /// A threaded run of 2 writers and 2 readers on the substrate under
+    /// test. The recording substrate needs the gamma log; the others
+    /// record into per-thread rings.
+    [[nodiscard]] run_spec spec(std::uint64_t seed) const {
+        run_spec s;
+        s.register_name = GetParam();
+        s.load.readers = 2;
+        s.seed = seed;
+        s.collect = s.register_name == "bloom/recording"
+                        ? collect_mode::gamma
+                        : collect_mode::per_thread;
+        return s;
     }
-};
-template <>
-struct maker<seqlock_register<value_t>> {
-    static auto make(event_log* log) {
-        auto reg = std::make_unique<
-            two_writer_register<value_t, seqlock_register<value_t>>>(0);
-        reg->set_external_log(log);
-        return reg;
-    }
-};
-template <>
-struct maker<ported_substrate<value_t>> {
-    static auto make(event_log* log) {
-        auto reg = std::make_unique<
-            two_writer_register<value_t, ported_substrate<value_t>>>(
-            0, [](tagged<value_t> init, int reg_index) {
-                return ported_substrate<value_t>(init, k_readers, reg_index);
-            });
-        reg->set_external_log(log);
-        return reg;
-    }
-};
 
-template <typename Reg>
-class SubstrateConcurrency : public ::testing::Test {};
-
-using Substrates =
-    ::testing::Types<recording_register, seqlock_register<value_t>,
-                     ported_substrate<value_t>>;
-TYPED_TEST_SUITE(SubstrateConcurrency, Substrates);
-
-TYPED_TEST(SubstrateConcurrency, ConcurrentHistoriesAtomic) {
-    for (std::uint64_t seed = 0; seed < 3; ++seed) {
-        event_log log(1 << 17);
-        auto reg = maker<TypeParam>::make(&log);
-        start_gate gate;
-        std::atomic<bool> done{false};
-
-        std::thread w0([&] {
-            gate.wait();
-            for (std::uint32_t i = 0; i < 600; ++i) {
-                reg->writer0().write(unique_value(0, i));
-            }
-        });
-        std::thread w1([&] {
-            gate.wait();
-            for (std::uint32_t i = 0; i < 600; ++i) {
-                reg->writer1().write(unique_value(1, i));
-            }
-        });
-        std::vector<std::thread> pool;
-        for (std::size_t r = 0; r < k_readers; ++r) {
-            pool.emplace_back([&, r] {
-                auto rd = reg->make_reader(static_cast<processor_id>(2 + r));
-                gate.wait();
-                for (int i = 0;
-                     i < 3000 && !done.load(std::memory_order_acquire); ++i) {
-                    (void)rd.read();
-                }
-            });
-        }
-        gate.open();
-        w0.join();
-        w1.join();
-        done.store(true, std::memory_order_release);
-        for (auto& t : pool) t.join();
-
-        ASSERT_FALSE(log.overflowed());
-        parse_result parsed = parse_history(log.snapshot(), 0);
+    static void expect_atomic(const run_spec& s) {
+        const run_result res = run(s);
+        ASSERT_TRUE(res.ok) << res.error;
+        ASSERT_FALSE(res.log_overflowed);
+        const parse_result parsed = parse_history(res.events, s.initial);
         ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-        const auto res = check_fast(parsed.hist.ops, 0);
-        ASSERT_TRUE(res.ok()) << *res.defect;
-        EXPECT_TRUE(res.linearizable) << "seed " << seed << ": " << res.diagnosis;
+        const auto fast = check_fast(parsed.hist.ops, s.initial);
+        ASSERT_TRUE(fast.ok()) << *fast.defect;
+        EXPECT_TRUE(fast.linearizable)
+            << "seed " << s.seed << ": " << fast.diagnosis;
+    }
+};
+
+TEST_P(SubstrateConcurrency, ConcurrentHistoriesAtomic) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        run_spec s = spec(seed);
+        s.load.ops_per_writer = 600;
+        s.load.ops_per_reader = 3000;
+        s.load.writer_read_num = 0;
+        expect_atomic(s);
     }
 }
 
-TYPED_TEST(SubstrateConcurrency, MixedReadersAndWriterReads) {
-    event_log log(1 << 17);
-    auto reg = maker<TypeParam>::make(&log);
-    start_gate gate;
-
-    std::thread w0([&] {
-        gate.wait();
-        for (std::uint32_t i = 0; i < 400; ++i) {
-            if (i % 5 == 0) {
-                (void)reg->writer0().read();
-            } else {
-                reg->writer0().write(unique_value(0, i));
-            }
-        }
-    });
-    std::thread w1([&] {
-        gate.wait();
-        for (std::uint32_t i = 0; i < 400; ++i) {
-            if (i % 7 == 0) {
-                (void)reg->writer1().read_cached();
-            } else {
-                reg->writer1().write(unique_value(1, i));
-            }
-        }
-    });
-    std::thread rd([&] {
-        auto port = reg->make_reader(2);
-        gate.wait();
-        for (int i = 0; i < 800; ++i) (void)port.read();
-    });
-    gate.open();
-    w0.join();
-    w1.join();
-    rd.join();
-
-    ASSERT_FALSE(log.overflowed());
-    parse_result parsed = parse_history(log.snapshot(), 0);
-    ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-    const auto res = check_fast(parsed.hist.ops, 0);
-    ASSERT_TRUE(res.ok()) << *res.defect;
-    EXPECT_TRUE(res.linearizable) << res.diagnosis;
+TEST_P(SubstrateConcurrency, MixedReadersAndWriterReads) {
+    // Writer reads through the full protocol, then through the cached one.
+    for (bool cached : {false, true}) {
+        run_spec s = spec(cached ? 8 : 7);
+        s.load.ops_per_writer = 400;
+        s.load.ops_per_reader = 800;
+        s.load.writer_read_num = 1;
+        s.load.writer_read_den = 6;
+        s.cached_writer_reads = cached;
+        expect_atomic(s);
+    }
 }
 
-TYPED_TEST(SubstrateConcurrency, CrashSweepOverSubstrate) {
-    event_log log(1 << 17);
-    auto reg = maker<TypeParam>::make(&log);
-    start_gate gate;
-
-    std::thread w0([&] {
-        gate.wait();
-        for (std::uint32_t i = 0; i < 300; ++i) {
-            switch (i % 4) {
-                case 0:
-                    reg->writer0().write_crashed(unique_value(0, i),
-                                                 crash_point::before_read);
-                    break;
-                case 1:
-                    reg->writer0().write_crashed(unique_value(0, i),
-                                                 crash_point::after_read);
-                    break;
-                case 2:
-                    reg->writer0().write_crashed(unique_value(0, i),
-                                                 crash_point::after_write);
-                    break;
-                default:
-                    reg->writer0().write(unique_value(0, i));
-                    break;
-            }
-        }
-    });
-    std::thread w1([&] {
-        gate.wait();
-        for (std::uint32_t i = 0; i < 300; ++i) {
-            reg->writer1().write(unique_value(1, i));
-        }
-    });
-    std::thread rd([&] {
-        auto port = reg->make_reader(2);
-        gate.wait();
-        for (int i = 0; i < 600; ++i) (void)port.read();
-    });
-    gate.open();
-    w0.join();
-    w1.join();
-    rd.join();
-
-    ASSERT_FALSE(log.overflowed());
-    parse_result parsed = parse_history(log.snapshot(), 0);
-    ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-    const auto res = check_fast(parsed.hist.ops, 0);
-    ASSERT_TRUE(res.ok()) << *res.defect;
-    EXPECT_TRUE(res.linearizable) << res.diagnosis;
+TEST_P(SubstrateConcurrency, CrashSweepOverSubstrate) {
+    // Three of every four writes crash, cycling through the crash points.
+    run_spec s = spec(9);
+    s.load.ops_per_writer = 300;
+    s.load.ops_per_reader = 600;
+    s.pace.crash_num = 3;
+    s.pace.crash_den = 4;
+    expect_atomic(s);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Substrates, SubstrateConcurrency,
+    ::testing::Values("bloom/recording", "bloom/seqlock", "bloom/fourslot"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+        std::string name = info.param;
+        for (char& c : name) {
+            if (c == '/') c = '_';
+        }
+        return name;
+    });
 
 }  // namespace
 }  // namespace bloom87

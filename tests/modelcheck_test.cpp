@@ -577,5 +577,19 @@ TEST(SafeBitModel, WriteOnlyChangesDisciplineIsRegular) {
         << format_operations(res.first_violation->hist);
 }
 
+// A value outside a register's domain, or a split-level register too wide
+// for the 64-bit candidate masks, would shift past the mask width: an
+// always-on check() rejects both in every build type.
+TEST(SimStateDeathTest, OutOfDomainValuesAndWideMasksAreRejected) {
+    sim_state s;
+    s.registers = {atomic_reg(4, 0), weak_reg(reg_level::regular, 4, 0),
+                   weak_reg(reg_level::regular, 65, 0)};
+    EXPECT_DEATH(s.write_atomic(0, 4), "value outside");
+    EXPECT_DEATH(s.write_atomic(0, -1), "value outside");
+    EXPECT_DEATH(s.begin_write(1, 7), "value outside");
+    EXPECT_DEATH(s.begin_write(2, 1), "64-bit candidate mask");
+    EXPECT_DEATH(s.begin_read(2, 0), "64-bit candidate mask");
+}
+
 }  // namespace
 }  // namespace bloom87::mc

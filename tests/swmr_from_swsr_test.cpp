@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/two_writer.hpp"
+#include "harness/driver.hpp"
 #include "histories/event_log.hpp"
 #include "histories/workload.hpp"
 #include "linearizability/fast_register.hpp"
@@ -184,50 +185,25 @@ TEST(FullStack, AlternatingWritersLastWriteWins) {
 }
 
 TEST(FullStack, ConcurrentHistoriesAtomic) {
+    // bloom/fourslot is this full stack behind the registry: Bloom over the
+    // SWMR-from-SWSR ladder, threaded, with per-thread event rings.
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
-        constexpr std::size_t sim_readers = 2;
-        auto reg = make_stack_register(0, sim_readers);
-        event_log log(1 << 15);
-        reg.set_external_log(&log);
-        start_gate gate;
-        std::atomic<bool> done{false};
+        harness::run_spec spec;
+        spec.register_name = "bloom/fourslot";
+        spec.load.readers = 2;
+        spec.load.ops_per_writer = 800;
+        spec.load.ops_per_reader = 2500;
+        spec.load.writer_read_num = 0;
+        spec.seed = seed;
+        spec.collect = harness::collect_mode::per_thread;
+        const harness::run_result res = harness::run(spec);
+        ASSERT_TRUE(res.ok) << res.error;
 
-        std::thread w0([&] {
-            gate.wait();
-            for (std::uint32_t i = 0; i < 800; ++i) {
-                reg.writer0().write(unique_value(0, i));
-            }
-        });
-        std::thread w1([&] {
-            gate.wait();
-            for (std::uint32_t i = 0; i < 800; ++i) {
-                reg.writer1().write(unique_value(1, i));
-            }
-        });
-        std::vector<std::thread> pool;
-        for (std::size_t r = 0; r < sim_readers; ++r) {
-            pool.emplace_back([&, r] {
-                auto rd = reg.make_reader(static_cast<processor_id>(2 + r));
-                gate.wait();
-                // Bounded so the log cannot overflow.
-                for (int i = 0; i < 2500 && !done.load(std::memory_order_acquire);
-                     ++i) {
-                    (void)rd.read();
-                }
-            });
-        }
-        gate.open();
-        w0.join();
-        w1.join();
-        done.store(true, std::memory_order_release);
-        for (auto& t : pool) t.join();
-
-        ASSERT_FALSE(log.overflowed());
-        parse_result parsed = parse_history(log.snapshot(), 0);
+        const parse_result parsed = parse_history(res.events, 0);
         ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-        const auto res = check_fast(parsed.hist.ops, 0);
-        ASSERT_TRUE(res.ok()) << *res.defect;
-        EXPECT_TRUE(res.linearizable) << "seed " << seed << ": " << res.diagnosis;
+        const auto fast = check_fast(parsed.hist.ops, 0);
+        ASSERT_TRUE(fast.ok()) << *fast.defect;
+        EXPECT_TRUE(fast.linearizable) << "seed " << seed << ": " << fast.diagnosis;
     }
 }
 
