@@ -1,6 +1,6 @@
 #include "analysis/lockset.hpp"
 
-#include <cassert>
+#include "util/check.hpp"
 
 namespace bloom87::analysis {
 namespace {
@@ -59,7 +59,7 @@ std::string lockset_report::describe(std::string_view location_label) const {
 void lockset_detector::reset(std::size_t threads, std::size_t locations) {
     // Location indices double as pseudo-lock bits; bit 63 is reserved for
     // the composition-wide lock, so at most 63 locations fit.
-    assert(locations <= 63);
+    check(locations <= 63, "lockset_detector: more than 63 locations");
     threads_ = threads;
     locations_ = locations;
     held_.assign(threads, 0);
@@ -100,7 +100,8 @@ void lockset_detector::latch(lockset_report::reason why, std::size_t loc,
 
 void lockset_detector::on_access(std::size_t thread, std::size_t location,
                                  bool is_write, sync_class cls) {
-    assert(thread < threads_ && location < locations_);
+    check(thread < threads_ && location < locations_,
+          "lockset_detector::on_access: thread or location out of range");
     ++accesses_;
 
     switch (cls) {

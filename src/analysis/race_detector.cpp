@@ -1,7 +1,8 @@
 #include "analysis/race_detector.hpp"
 
 #include <algorithm>
-#include <cassert>
+
+#include "util/check.hpp"
 
 namespace bloom87::analysis {
 
@@ -63,7 +64,8 @@ void race_detector::flag(std::size_t loc, std::size_t prior_thread,
 
 void race_detector::on_access(std::size_t thread, std::size_t location,
                               bool is_write, sync_class cls) {
-    assert(thread < threads_ && location < locations_);
+    check(thread < threads_ && location < locations_,
+          "race_detector::on_access: thread or location out of range");
     ++accesses_;
     const std::size_t base = location * threads_;
     switch (cls) {

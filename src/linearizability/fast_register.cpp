@@ -1,182 +1,232 @@
 #include "linearizability/fast_register.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <functional>
 #include <queue>
+#include <utility>
 
 #include "linearizability/normalize.hpp"
 #include "linearizability/spec.hpp"
+#include "util/radix_sort.hpp"
 
 namespace bloom87 {
 namespace {
 
-// Per-processor operation timeline. A processor is sequential, so both
-// invocation and response positions are strictly increasing down each list.
-struct processor_ops {
-    std::vector<std::size_t> writes;           // all writes, in program order
-    std::vector<std::size_t> complete_writes;  // responded only (resp monotone)
-    std::vector<std::size_t> complete_reads;   // responded only
+constexpr std::uint32_t none = UINT32_MAX;
+constexpr std::uint32_t response_bit = 1U << 31;
+
+/// One operation endpoint: its stream position, and the op's position in
+/// the normalized history, with `response_bit` set on a response.
+struct endpoint {
+    event_pos pos;
+    std::uint32_t tag;
 };
+
+/// Compressed adjacency: the targets of node n are
+/// `target[offset[n] .. offset[n + 1])`.
+struct csr {
+    std::vector<std::uint32_t> offset;
+    std::vector<std::uint32_t> target;
+};
+
+/// Groups (from, to) pairs by `from` over nodes [0, nodes), keeping their
+/// order within each group.
+[[nodiscard]] csr group_by_source(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
+    std::size_t nodes) {
+    csr g;
+    g.offset.assign(nodes + 1, 0);
+    for (const auto& [from, to] : pairs) ++g.offset[from + 1];
+    for (std::size_t n = 0; n < nodes; ++n) g.offset[n + 1] += g.offset[n];
+    g.target.resize(pairs.size());
+    std::vector<std::uint32_t> cursor(g.offset.begin(), g.offset.end() - 1);
+    for (const auto& [from, to] : pairs) g.target[cursor[from]++] = to;
+    return g;
+}
 
 }  // namespace
 
 fast_check_result check_fast(const std::vector<operation>& raw, value_t initial) {
     fast_check_result out;
-    normalized_history norm = normalize_history(raw, initial, true);
+    const normalized_index norm = normalize_indices(raw, initial, true);
     if (!norm.ok()) {
         out.defect = norm.defect;
         return out;
     }
-    const std::vector<operation>& ops = norm.ops;
-
-    // --- node numbering: 0 = virtual initial write, 1.. = real writes ---
-    std::vector<std::size_t> write_ops;          // node-1 -> op index
-    std::map<value_t, std::size_t> node_of_value;  // value -> node
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (ops[i].kind == op_kind::write) {
-            node_of_value[ops[i].value] = write_ops.size() + 1;
-            write_ops.push_back(i);
-        }
+    const std::size_t n = norm.kept.size();
+    if (n >= response_bit) {
+        out.defect = "history too large for the fast checker (2^31 ops)";
+        return out;
     }
-    const std::size_t num_nodes = write_ops.size() + 1;
-
-    auto dict_node = [&](const operation& r) -> std::size_t {
-        if (r.value == initial) return 0;
-        return node_of_value.at(r.value);  // normalize guarantees presence
+    const auto op = [&](std::size_t k) -> const operation& {
+        return raw[norm.kept[k]];
     };
 
-    // --- local condition: no read from the future ---
-    for (const operation& op : ops) {
-        if (op.kind != op_kind::read) continue;
-        const std::size_t d = dict_node(op);
-        if (d != 0 && op.responded < ops[write_ops[d - 1]].invoked) {
+    // --- nodes: 0 = virtual initial write, 1.. = writes in history order.
+    // Each op's own (write) or dictating (read) node and its processor's
+    // dense slot are computed once, into a compact record ---
+    struct op_rec {
+        event_pos invoked;
+        event_pos responded;
+        std::uint32_t node;
+        std::uint32_t slot;
+        bool write;
+    };
+    std::vector<op_rec> rec(n);
+    std::vector<std::size_t> write_of_node{0};  // node -> op; [0] unused
+    write_of_node.reserve(n + 1);
+    std::vector<processor_id> procs;  // slot -> processor (a history has few)
+    for (std::size_t k = 0; k < n; ++k) {
+        const operation& o = op(k);
+        std::size_t s = 0;
+        while (s < procs.size() && procs[s] != o.id.processor) ++s;
+        if (s == procs.size()) procs.push_back(o.id.processor);
+        rec[k] = {o.invoked, o.responded, 0, static_cast<std::uint32_t>(s),
+                  o.kind == op_kind::write};
+        if (rec[k].write) {
+            rec[k].node = static_cast<std::uint32_t>(write_of_node.size());
+            write_of_node.push_back(k);
+        }
+    }
+    const std::size_t num_nodes = write_of_node.size();
+    const std::size_t num_procs = procs.size();
+    for (std::size_t k = 0; k < n; ++k) {
+        if (rec[k].write || norm.source[k] == normalized_index::no_source) continue;
+        rec[k].node = rec[norm.source[k]].node;
+        // local condition: no read from the future
+        if (rec[k].responded < rec[norm.source[k]].invoked) {
             out.diagnosis = "read returned a value written only after it finished";
             return out;
         }
     }
 
-    // --- group per processor ---
-    std::map<processor_id, processor_ops> per_proc;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        auto& po = per_proc[ops[i].id.processor];
-        if (ops[i].kind == op_kind::write) po.writes.push_back(i);
-        if (ops[i].complete()) {
-            (ops[i].kind == op_kind::write ? po.complete_writes
-                                           : po.complete_reads).push_back(i);
+    // All invocations, then all responses, each in op order: the stable
+    // sort by position puts an invocation before a response at the same
+    // position, so a forward sweep sees at an invocation exactly the
+    // responses strictly before it, and a backward sweep sees at a
+    // response exactly the invocations strictly after it.
+    std::vector<endpoint> ends;
+    ends.reserve(2 * n);
+    for (std::size_t k = 0; k < n; ++k) {
+        ends.push_back({rec[k].invoked, static_cast<std::uint32_t>(k)});
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+        if (rec[k].responded != no_event) {
+            ends.push_back({rec[k].responded,
+                            static_cast<std::uint32_t>(k) | response_bit});
         }
     }
-    for (auto& [proc, po] : per_proc) {
-        auto by_inv = [&](std::size_t a, std::size_t b) {
-            return ops[a].invoked < ops[b].invoked;
-        };
-        std::sort(po.writes.begin(), po.writes.end(), by_inv);
-        std::sort(po.complete_writes.begin(), po.complete_writes.end(), by_inv);
-        std::sort(po.complete_reads.begin(), po.complete_reads.end(), by_inv);
+    {
+        std::vector<endpoint> spare;
+        radix_sort(ends, spare, [](const endpoint& e) { return e.pos; });
     }
 
-    // Last write of `po` whose response precedes `x`, or none. Pending
-    // (crashed) writes never respond, so only complete writes qualify --
-    // and over those, responses are monotone in program order.
-    auto last_write_before = [&](const processor_ops& po,
-                                 event_pos x) -> std::optional<std::size_t> {
-        auto it = std::partition_point(
-            po.complete_writes.begin(), po.complete_writes.end(),
-            [&](std::size_t w) { return ops[w].responded < x; });
-        if (it == po.complete_writes.begin()) return std::nullopt;
-        return *(it - 1);
-    };
-    // First write of `po` invoked after `x`, or none.
-    auto first_write_after = [&](const processor_ops& po,
-                                 event_pos x) -> std::optional<std::size_t> {
-        auto it = std::partition_point(
-            po.writes.begin(), po.writes.end(),
-            [&](std::size_t w) { return ops[w].invoked <= x; });
-        if (it == po.writes.end()) return std::nullopt;
-        return *it;
-    };
-    auto last_read_before = [&](const processor_ops& po,
-                                event_pos x) -> std::optional<std::size_t> {
-        auto it = std::partition_point(
-            po.complete_reads.begin(), po.complete_reads.end(),
-            [&](std::size_t r) { return ops[r].responded < x; });
-        if (it == po.complete_reads.begin()) return std::nullopt;
-        return *(it - 1);
-    };
+    // --- constraint edges. A processor is sequential, so for each query
+    // only its last predecessor (or first successor) per processor needs
+    // an edge; the per-processor slots hold exactly those. A slot repeats
+    // an edge to the same node only once. Node 0 precedes every write:
+    // Kahn's smallest-first order pops it first without an edge to each,
+    // and an edge into it closes a cycle ---
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    edges.reserve(3 * n);
+    bool into_initial = false;
+    struct proc_slot {
+        std::uint32_t node{none};
+        std::uint32_t sent_to{none};
 
-    // --- build the constraint graph ---
-    std::vector<std::vector<std::size_t>> adj(num_nodes);
-    std::vector<std::size_t> indegree(num_nodes, 0);
-    auto add_edge = [&](std::size_t from, std::size_t to) {
-        if (from == to) return;
-        adj[from].push_back(to);
-        ++indegree[to];
+        void set(std::uint32_t m) {
+            node = m;
+            sent_to = none;
+        }
     };
-    for (std::size_t n = 1; n < num_nodes; ++n) add_edge(0, n);  // initial first
-
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const operation& op = ops[i];
-        if (op.kind == op_kind::write) {
-            const std::size_t wn = node_of_value.at(op.value);
-            for (const auto& [proc, po] : per_proc) {
-                if (auto w1 = last_write_before(po, op.invoked)) {  // (a)
-                    add_edge(node_of_value.at(ops[*w1].value), wn);
-                }
-            }
+    const auto add_edge = [&](proc_slot& from, std::uint32_t to) {
+        if (from.node == none || from.sent_to == to) return;
+        from.sent_to = to;
+        if (from.node == to) return;
+        if (to == 0) {
+            into_initial = true;
         } else {
-            const std::size_t d = dict_node(op);
-            for (const auto& [proc, po] : per_proc) {
-                if (auto wb = last_write_before(po, op.invoked)) {  // (b)
-                    const std::size_t wbn = node_of_value.at(ops[*wb].value);
-                    if (wbn != d) add_edge(wbn, d);
-                }
-                if (auto wc = first_write_after(po, op.responded)) {  // (c)
-                    add_edge(d, node_of_value.at(ops[*wc].value));
-                }
-                if (auto rb = last_read_before(po, op.invoked)) {  // (d)
-                    const std::size_t rbn = dict_node(ops[*rb]);
-                    if (rbn != d) add_edge(rbn, d);
-                }
+            edges.emplace_back(from.node, to);
+        }
+    };
+    // Forward: at each invocation, the last completed write -- (a) for a
+    // write, (b) for a read -- and, for a read, the last completed read (d)
+    // of every processor. Reads are also collected in invocation order.
+    std::vector<proc_slot> last_write(num_procs);
+    std::vector<proc_slot> last_read(num_procs);
+    std::vector<std::uint32_t> reads_by_inv;
+    reads_by_inv.reserve(n);
+    for (const endpoint& e : ends) {
+        const op_rec& r = rec[e.tag & ~response_bit];
+        if ((e.tag & response_bit) != 0) {
+            (r.write ? last_write : last_read)[r.slot].set(r.node);
+            continue;
+        }
+        for (proc_slot& w : last_write) add_edge(w, r.node);
+        if (r.write) continue;
+        reads_by_inv.push_back(e.tag);
+        for (proc_slot& q : last_read) add_edge(q, r.node);
+    }
+    // Backward: at each read's response, the first write every processor
+    // invokes after it (c).
+    std::vector<proc_slot> next_write(num_procs);
+    for (auto it = ends.rbegin(); it != ends.rend(); ++it) {
+        const op_rec& r = rec[it->tag & ~response_bit];
+        if ((it->tag & response_bit) == 0) {
+            if (r.write) next_write[r.slot].set(r.node);
+        } else if (!r.write) {
+            for (proc_slot& w : next_write) {  // reversed: W(r) before w
+                if (w.node == none || w.sent_to == r.node) continue;
+                w.sent_to = r.node;
+                if (w.node != r.node) edges.emplace_back(r.node, w.node);
             }
         }
     }
 
-    // --- topological sort (Kahn) ---
-    std::vector<std::size_t> topo;
+    // --- topological sort (Kahn, smallest ready node first) ---
+    constexpr const char* cyclic =
+        "cyclic write-order constraints (e.g. an overwritten value reappeared)";
+    if (into_initial) {
+        out.diagnosis = cyclic;
+        return out;
+    }
+    const csr graph = group_by_source(edges, num_nodes);
+    std::vector<std::uint32_t> indegree(num_nodes, 0);
+    for (const std::uint32_t to : graph.target) ++indegree[to];
+    std::vector<std::uint32_t> topo;
     topo.reserve(num_nodes);
-    std::priority_queue<std::size_t, std::vector<std::size_t>,
+    std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
                         std::greater<>> ready;
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-        if (indegree[n] == 0) ready.push(n);
+    for (std::uint32_t m = 0; m < num_nodes; ++m) {
+        if (indegree[m] == 0) ready.push(m);
     }
     while (!ready.empty()) {
-        const std::size_t n = ready.top();
+        const std::uint32_t m = ready.top();
         ready.pop();
-        topo.push_back(n);
-        for (std::size_t m : adj[n]) {
-            if (--indegree[m] == 0) ready.push(m);
+        topo.push_back(m);
+        for (std::uint32_t e = graph.offset[m]; e < graph.offset[m + 1]; ++e) {
+            if (--indegree[graph.target[e]] == 0) ready.push(graph.target[e]);
         }
     }
     if (topo.size() != num_nodes) {
-        out.diagnosis =
-            "cyclic write-order constraints (e.g. an overwritten value reappeared)";
+        out.diagnosis = cyclic;
         return out;
     }
 
-    // --- construct the witness linearization ---
-    std::vector<std::vector<std::size_t>> reads_of(num_nodes);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (ops[i].kind == op_kind::read) reads_of[dict_node(ops[i])].push_back(i);
-    }
-    for (auto& rs : reads_of) {
-        std::sort(rs.begin(), rs.end(), [&](std::size_t a, std::size_t b) {
-            return ops[a].invoked < ops[b].invoked;
-        });
-    }
+    // --- construct the witness linearization: each write, then the reads
+    // of its value in invocation order ---
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> read_pairs;
+    read_pairs.reserve(reads_by_inv.size());
+    for (const std::uint32_t k : reads_by_inv) read_pairs.emplace_back(rec[k].node, k);
+    const csr reads_of = group_by_source(read_pairs, num_nodes);
     std::vector<const operation*> seq;
-    seq.reserve(ops.size());
-    for (std::size_t n : topo) {
-        if (n != 0) seq.push_back(&ops[write_ops[n - 1]]);
-        for (std::size_t r : reads_of[n]) seq.push_back(&ops[r]);
+    seq.reserve(n);
+    for (const std::uint32_t m : topo) {
+        if (m != 0) seq.push_back(&op(write_of_node[m]));
+        for (std::uint32_t r = reads_of.offset[m]; r < reads_of.offset[m + 1]; ++r) {
+            seq.push_back(&op(reads_of.target[r]));
+        }
     }
 
     // --- re-verify the witness (guards against any gap in the theory) ---
@@ -195,7 +245,7 @@ fast_check_result check_fast(const std::vector<operation>& raw, value_t initial)
 
     out.linearizable = true;
     out.witness.reserve(seq.size());
-    for (const operation* op : seq) out.witness.push_back(*op);
+    for (const operation* o : seq) out.witness.push_back(*o);
     return out;
 }
 

@@ -23,8 +23,15 @@
 // surface as a loud internal error, not a wrong verdict. Completeness is
 // additionally cross-validated against the exhaustive checker in tests.
 //
-// Complexity: O(N * P) edges for N operations and P processors; topological
-// sort and verification are linear in graph size.
+// Complexity: two sorts -- normalization's (value, index) pairs, and the
+// 2N operation endpoints by stream position. Both are radix sorts, one
+// linear pass per 11 bits of the keys' spread (two for the endpoints of a
+// window of recent events). A forward sweep over the endpoints keeps, per
+// processor, the last completed write and read -- edges (a), (b), (d) --
+// and a backward sweep the next invoked write -- edge (c): O(N * P) edges
+// for N operations and P processors, with no per-operation search.
+// Adjacency is compressed (CSR); the topological sort and the witness
+// re-verification are linear in graph size, plus a heap over ready nodes.
 #pragma once
 
 #include <cstdint>

@@ -120,9 +120,8 @@ void streaming_checker::on_response(const event& e) {
 void streaming_checker::run_check() {
     ++stats_.checkpoints;
     if (retained_.empty() && open_.empty() && pending_.empty()) return;
-    std::vector<operation> ops;
-    ops.reserve(retained_.size() + open_.size() + pending_.size());
-    ops.insert(ops.end(), retained_.begin(), retained_.end());
+    std::vector<operation>& ops = check_ops_;
+    ops.assign(retained_.begin(), retained_.end());
     ops.insert(ops.end(), pending_.begin(), pending_.end());
     for (const open_op& o : open_) ops.push_back(o.op);
 
@@ -170,17 +169,17 @@ void streaming_checker::maybe_retire() {
     // whose last response lands before `upper` and before every later
     // retained invocation -- a quiescent cut in stream position space.
     const std::size_t n = retained_.size();
-    std::vector<std::uint64_t> suffix_min_inv(n + 1, no_event);
+    suffix_min_inv_.assign(n + 1, no_event);
     for (std::size_t i = n; i > 0; --i) {
-        suffix_min_inv[i - 1] =
-            std::min(suffix_min_inv[i],
+        suffix_min_inv_[i - 1] =
+            std::min(suffix_min_inv_[i],
                      static_cast<std::uint64_t>(retained_[i - 1].invoked));
     }
     std::size_t best = 0;
     for (std::size_t k = n; k > 0; --k) {
         const std::uint64_t resp = retained_[k - 1].responded;
         if (resp >= upper) continue;
-        if (suffix_min_inv[k] > resp) {
+        if (suffix_min_inv_[k] > resp) {
             best = k;
             break;
         }
@@ -189,8 +188,9 @@ void streaming_checker::maybe_retire() {
 }
 
 void streaming_checker::retire_prefix(std::size_t k) {
-    std::vector<operation> batch(
-        retained_.begin(), retained_.begin() + static_cast<std::ptrdiff_t>(k));
+    std::vector<operation>& batch = check_ops_;
+    batch.assign(retained_.begin(),
+                 retained_.begin() + static_cast<std::ptrdiff_t>(k));
     retained_.erase(retained_.begin(),
                     retained_.begin() + static_cast<std::ptrdiff_t>(k));
 
@@ -242,18 +242,18 @@ void streaming_checker::retire_prefix(std::size_t k) {
             }
         }
     }
+    // One virtual read, after everything in the batch, whose value is
+    // rewritten for each probe.
+    operation& vread = batch.emplace_back();
+    vread.id = {vread_processor, 0};
+    vread.kind = op_kind::read;
+    vread.invoked = stats_.events;
+    vread.responded = stats_.events + 1;
     std::vector<value_t> next;
     for (const value_t u : universe) {
-        operation vread;
-        vread.id = {vread_processor, vread_seq_++};
-        vread.kind = op_kind::read;
         vread.value = u;
-        vread.invoked = stats_.events;
-        vread.responded = stats_.events + 1;
-        std::vector<operation> probe = batch;
-        probe.push_back(vread);
         for (const value_t v : candidates_) {
-            const fast_check_result res = check_fast(probe, v);
+            const fast_check_result res = check_fast(batch, v);
             if (res.ok() && res.linearizable) {
                 next.push_back(u);
                 break;

@@ -46,8 +46,12 @@
 //    rather than silently mis-judging.
 //
 // Memory: O(window + ports + |V|) operations, independent of run length.
-// Work: one O(retained) incremental check every `stride` events -- the
-// checker chases writers at load instead of buffering the run.
+// Work: one O(retained) incremental check every `stride` events, plus the
+// retirement probes over the retiring batch -- the checker chases writers
+// at load instead of buffering the run. At window = stride = 4096 that is
+// ~0.3 us per ingested event (`linearizability.ingest_ns_per_event` in
+// `bash benchmark/run.sh --workload verified --trace 1`; 4-core x86-64,
+// GCC 12.2, RelWithDebInfo).
 #pragma once
 
 #include <cstdint>
@@ -143,7 +147,10 @@ private:
     std::size_t last_pass_{0};            ///< index into candidates_: hint
 
     std::uint64_t since_check_{0};
-    op_index vread_seq_{0};               ///< virtual-read op counter
+    /// Reused per check: the ops handed to check_fast (the window, or the
+    /// retiring batch plus its virtual read), and the retirement scan.
+    std::vector<operation> check_ops_;
+    std::vector<std::uint64_t> suffix_min_inv_;
 
     bool violation_{false};
     std::string diagnosis_;

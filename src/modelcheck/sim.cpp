@@ -122,8 +122,8 @@ int sim_state::read_candidates(std::size_t reg, std::int16_t proc) const {
     for (const auto& [p, mask] : r.active_reads) {
         if (p == proc) return std::popcount(mask);
     }
-    assert(false && "read_candidates without begin_read");
-    return 0;
+    check_failed("read_candidates without begin_read",
+                 std::source_location::current());
 }
 
 mc_value sim_state::end_read(std::size_t reg, std::int16_t proc, int choice) {
@@ -131,7 +131,7 @@ mc_value sim_state::end_read(std::size_t reg, std::int16_t proc, int choice) {
     trace_write(reg);
     auto it = std::find_if(r.active_reads.begin(), r.active_reads.end(),
                            [&](const auto& pr) { return pr.first == proc; });
-    assert(it != r.active_reads.end());
+    check(it != r.active_reads.end(), "end_read without begin_read");
     std::uint64_t mask = it->second;
     r.active_reads.erase(it);
     // The choice-th set bit, ascending.
@@ -141,8 +141,8 @@ mc_value sim_state::end_read(std::size_t reg, std::int16_t proc, int choice) {
             --choice;
         }
     }
-    assert(false && "end_read choice out of range");
-    return 0;
+    check_failed("end_read choice out of range",
+                 std::source_location::current());
 }
 
 void sim_state::begin_write(std::size_t reg, mc_value v) {

@@ -235,6 +235,23 @@ TEST(Lockset, FingerprintLatchesVerdictBits) {
     EXPECT_NE(fa, fb);
 }
 
+// An out-of-range thread or location would index past the detectors'
+// per-location tables (or shift past a 64-bit lock mask): an always-on
+// check() rejects it in every build type.
+TEST(DetectorDeathTest, OutOfRangeAccessesAreRejected) {
+    race_detector race(2, 2);
+    EXPECT_DEATH(race.on_access(2, 0, true, sync_class::plain),
+                 "race_detector::on_access");
+    EXPECT_DEATH(race.on_access(0, 2, false, sync_class::plain),
+                 "race_detector::on_access");
+    lockset_detector lock(2, 2);
+    EXPECT_DEATH(lock.on_access(2, 0, true, sync_class::plain),
+                 "lockset_detector::on_access");
+    EXPECT_DEATH(lock.on_access(0, 2, false, sync_class::plain),
+                 "lockset_detector::on_access");
+    EXPECT_DEATH(lockset_detector(2, 64), "more than 63 locations");
+}
+
 // ------------------------------------------------------------------- lint --
 
 TEST(MoLint, FlagsWeakenedOrder) {

@@ -3,6 +3,7 @@
 // random cross-validation of fast vs exhaustive.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "linearizability/exhaustive.hpp"
@@ -307,6 +308,29 @@ TEST(Normalize, DropsUnobservedPendingWrite) {
     const auto norm = normalize_history(h, 0);
     ASSERT_TRUE(norm.ok());
     EXPECT_EQ(norm.ops.size(), 1u);
+}
+
+// Two uniqueness defects in one history: the report names the one a scan
+// in raw order meets first.
+TEST(Normalize, ReportsTheFirstUniquenessDefectInRawOrder) {
+    const operation dup_a = make_op(0, 0, op_kind::write, 5, 0, 1);
+    const operation dup_b = make_op(1, 0, op_kind::write, 5, 2, 3);
+    const operation init_w = make_op(0, 1, op_kind::write, 0, 4, 5);
+    const std::string dup_msg =
+        "duplicate write value; checkers require unique writes";
+    const std::string init_msg = "write of the initial value breaks uniqueness";
+
+    const auto dup_first = normalize_history({dup_a, dup_b, init_w}, 0);
+    ASSERT_FALSE(dup_first.ok());
+    EXPECT_EQ(*dup_first.defect, dup_msg);
+    const auto init_first = normalize_history({init_w, dup_a, dup_b}, 0);
+    ASSERT_FALSE(init_first.ok());
+    EXPECT_EQ(*init_first.defect, init_msg);
+    const auto between = normalize_history({dup_a, init_w, dup_b}, 0);
+    ASSERT_FALSE(between.ok());
+    EXPECT_EQ(*between.defect, init_msg);
+    EXPECT_EQ(*check_fast({dup_a, dup_b, init_w}, 0).defect, dup_msg);
+    EXPECT_EQ(*check_fast({init_w, dup_a, dup_b}, 0).defect, init_msg);
 }
 
 TEST(Normalize, KeepsObservedPendingWrite) {

@@ -591,5 +591,19 @@ TEST(SimStateDeathTest, OutOfDomainValuesAndWideMasksAreRejected) {
     EXPECT_DEATH(s.begin_read(2, 0), "64-bit candidate mask");
 }
 
+// A split read's candidate mask is looked up by its reader: ending or
+// sizing a read that never began, or picking past its candidates, would
+// dereference a missing entry or fall off the mask. Always-on checks.
+TEST(SimStateDeathTest, SplitReadsNeedABeginAndAnInRangeChoice) {
+    sim_state s;
+    s.registers = {weak_reg(reg_level::regular, 4, 0)};
+    EXPECT_DEATH((void)s.read_candidates(0, 1), "without begin_read");
+    EXPECT_DEATH((void)s.end_read(0, 1, 0), "without begin_read");
+    s.begin_read(0, 1);
+    ASSERT_EQ(s.read_candidates(0, 1), 1);
+    EXPECT_DEATH((void)s.end_read(0, 1, 1), "choice out of range");
+    EXPECT_EQ(s.end_read(0, 1, 0), 0);
+}
+
 }  // namespace
 }  // namespace bloom87::mc

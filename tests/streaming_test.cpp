@@ -397,6 +397,110 @@ TEST(StreamingChecker, LateResponseAfterGraceIsFlagged) {
         << chk.diagnosis();
 }
 
+// ------------------------------------------------ pinned checker outputs --
+
+// The benchmark ledger's recorded shape: bloom/packed on the seeded
+// schedule, 2 writers + 1 reader, every op paced 1/8, 40k ops each.
+[[nodiscard]] const run_result& ledger_shaped_run() {
+    static const run_result res = [] {
+        run_spec spec;
+        spec.register_name = "bloom/packed";
+        spec.seed = 1;
+        spec.schedule = schedule_mode::seeded;
+        spec.collect = collect_mode::per_thread;
+        spec.load.writers = 2;
+        spec.load.readers = 1;
+        spec.load.ops_per_writer = 40000;
+        spec.load.ops_per_reader = 40000;
+        spec.pace.writer_pace_num = 1;
+        spec.pace.writer_pace_den = 8;
+        spec.pace.reader_pace_num = 1;
+        spec.pace.reader_pace_den = 8;
+        spec.pace.pause_yields = 4;
+        return run(spec);
+    }();
+    return res;
+}
+
+// FNV-1a over the witness's (processor, op) ids, in linearization order.
+[[nodiscard]] std::uint64_t witness_hash(const std::vector<operation>& w) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t x) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (x >> (8 * b)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const operation& op : w) {
+        mix(static_cast<std::uint64_t>(op.id.processor));
+        mix(op.id.op);
+    }
+    return h;
+}
+
+// check_fast's witness is the smallest-ready-node-first topological order
+// of its write-order graph; any rewrite of the checker must keep it.
+TEST(PinnedOutputs, FastWitnessOnLedgerHistory) {
+    const run_result& res = ledger_shaped_run();
+    ASSERT_TRUE(res.ok) << res.error;
+    const parse_result parsed = parse_history(res.events, 0);
+    ASSERT_TRUE(parsed.ok());
+    const fast_check_result fast = check_fast(parsed.hist.ops, 0);
+    ASSERT_TRUE(fast.ok()) << *fast.defect;
+    ASSERT_TRUE(fast.linearizable) << fast.diagnosis;
+    EXPECT_EQ(fast.witness.size(), 120000u);
+    EXPECT_EQ(witness_hash(fast.witness), 0xac0a3729b4741cb9ULL)
+        << std::hex << witness_hash(fast.witness);
+}
+
+// The `verified` settings (window = stride = 4096) over the ledger history
+// with one write's response cut out: the writer's next invocation makes it
+// pending, and a later read decides it. Verdict and every retirement
+// counter are pinned.
+TEST(PinnedOutputs, StreamingStatsAtVerifiedSettings) {
+    const run_result& res = ledger_shaped_run();
+    ASSERT_TRUE(res.ok) << res.error;
+    std::vector<event> evs = res.events;
+    ASSERT_GE(evs.size(), 100000u);
+    // The first write read back after event 2000 crashes: its response is
+    // cut out of the stream.
+    const auto after = [&](std::size_t from, auto pred) {
+        std::size_t i = from;
+        while (i < evs.size() && !pred(evs[i])) ++i;
+        return i;
+    };
+    const std::size_t read = after(2000, [](const event& e) {
+        return e.kind == event_kind::sim_respond_read && e.value != 0;
+    });
+    ASSERT_LT(read, evs.size());
+    const std::size_t inv = after(0, [&](const event& e) {
+        return e.kind == event_kind::sim_invoke_write &&
+               e.value == evs[read].value;
+    });
+    ASSERT_LT(inv, evs.size());
+    const std::size_t resp = after(inv, [&](const event& e) {
+        return e.kind == event_kind::sim_respond_write &&
+               e.processor == evs[inv].processor && e.op == evs[inv].op;
+    });
+    ASSERT_LT(resp, evs.size());
+    evs.erase(evs.begin() + static_cast<std::ptrdiff_t>(resp));
+
+    streaming_config cfg;
+    cfg.window = 4096;
+    cfg.stride = 4096;
+    streaming_checker chk(0, cfg);
+    for (const event& e : evs) chk.ingest(e);
+    EXPECT_FALSE(chk.finish()) << chk.diagnosis();
+    const streaming_stats& s = chk.stats();
+    EXPECT_EQ(s.events, evs.size());
+    EXPECT_EQ(s.checkpoints, 59u);
+    EXPECT_EQ(s.retire_batches, 57u);
+    EXPECT_EQ(s.ops_retired, 116735u);
+    EXPECT_EQ(s.peak_retained_ops, 4100u);
+    EXPECT_EQ(s.candidate_values, 1u);
+    EXPECT_EQ(s.pending_carried, 0u);
+}
+
 // ------------------------------------------------------- spec validation --
 
 TEST(StreamingSpecs, ValidationRules) {

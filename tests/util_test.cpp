@@ -1,12 +1,15 @@
 // Tests for src/util: rng determinism and uniformity sanity, bit packing,
-// table formatting, synchronization helpers.
+// the stable radix sort, table formatting, synchronization helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "util/bits.hpp"
+#include "util/radix_sort.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 #include "util/table.hpp"
@@ -114,6 +117,38 @@ TEST(Bits, TagXorMatchesMod2Sum) {
     EXPECT_TRUE(tag_xor(false, true));
     EXPECT_TRUE(tag_xor(true, false));
     EXPECT_FALSE(tag_xor(true, true));
+}
+
+// The radix sort must agree with std::stable_sort on every size and key
+// spread: below the insertion-sort cutoff, a window-sized clustered range,
+// full 64-bit keys, and runs of equal keys (whose input order it keeps).
+TEST(RadixSort, MatchesStableSort) {
+    struct item {
+        std::uint64_t key;
+        std::uint32_t order;
+    };
+    rng gen(7);
+    for (const std::size_t n : {0U, 1U, 5U, 32U, 33U, 1000U, 20000U}) {
+        for (const std::uint64_t spread :
+             {std::uint64_t{3}, std::uint64_t{5000}, ~std::uint64_t{0}}) {
+            std::vector<item> items;
+            for (std::uint32_t i = 0; i < n; ++i) {
+                const std::uint64_t off =
+                    spread == ~std::uint64_t{0} ? gen() : gen.below(spread);
+                items.push_back({(std::uint64_t{1} << 40) + off, i});
+            }
+            std::vector<item> expect = items;
+            std::stable_sort(expect.begin(), expect.end(),
+                             [](const item& a, const item& b) { return a.key < b.key; });
+            std::vector<item> scratch;
+            radix_sort(items, scratch, [](const item& x) { return x.key; });
+            ASSERT_EQ(items.size(), expect.size());
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(items[i].key, expect[i].key) << "n=" << n << " i=" << i;
+                ASSERT_EQ(items[i].order, expect[i].order) << "n=" << n << " i=" << i;
+            }
+        }
+    }
 }
 
 TEST(Table, AlignsColumns) {
