@@ -89,16 +89,20 @@ timed_result run(const bench_config& c, unsigned threads, bool por) {
             std::chrono::duration<double, std::milli>(t1 - t0).count()};
 }
 
-/// The counters that must not depend on the thread count. When a run
-/// stopped early (first violation, with stop_at_first_violation set) or
-/// was truncated, only the verdict itself is schedule-invariant -- how much
-/// of the space each engine covered before the stop is not.
+/// The counters that must not depend on the thread count. A truncated run
+/// only fixes the verdict: how much of the space each run covered first is
+/// scheduler-dependent. The POR engine judges histories in one canonical
+/// order, so a run it stopped at the first violation has judged the same
+/// histories at every thread count; the full engine's has not.
 bool verdicts_match(const explore_result& a, const explore_result& b) {
     if (a.property_holds != b.property_holds || a.truncated != b.truncated) {
         return false;
     }
-    const bool stopped_early = !a.property_holds || a.truncated;
-    if (stopped_early) return true;
+    if (a.truncated) return true;
+    if (!a.property_holds) {
+        return !(a.reduction.engaged && b.reduction.engaged) ||
+               a.distinct_histories == b.distinct_histories;
+    }
     return a.leaves == b.leaves &&
            a.distinct_histories == b.distinct_histories &&
            a.violations == b.violations;
@@ -370,6 +374,8 @@ int main(int argc, char** argv) {
             !full || reduction_verdicts_match(par.res, full->res);
         all_match &= match && red_match;
         const bool pass = par.res.property_holds;
+        // A truncated run with no violation certifies nothing.
+        const bool truncated_pass = pass && par.res.truncated;
         const reduction_stats& red = par.res.reduction;
         std::string check =
             full ? (red_match ? "vs full: ok" : "** MISMATCH **")
@@ -380,9 +386,12 @@ int main(int argc, char** argv) {
         t.row({c.name, c.prop_name, with_commas(par.res.states_explored),
                red.engaged ? with_commas(red.core_states) : "-",
                with_commas(par.res.distinct_histories),
-               std::string(pass ? "PASS" : "FAIL") +
-                   (pass == c.expect_pass ? " (expected)"
-                                          : "  ** UNEXPECTED **") +
+               std::string(truncated_pass ? "TRUNCATED"
+                           : pass       ? "PASS"
+                                        : "FAIL") +
+                   (!truncated_pass && pass == c.expect_pass
+                        ? " (expected)"
+                        : "  ** UNEXPECTED **") +
                    (match ? "" : "  ** ENGINE MISMATCH **"),
                fixed(seq.ms, 1), fixed(par.ms, 1),
                full ? fixed(full->ms, 1) : "-", check});
@@ -417,7 +426,8 @@ int main(int argc, char** argv) {
         // cross-check (raw states and wall ms give the reduction factor).
         table reduction({"name", "por_engaged", "symmetry", "symmetry_group",
                          "core_states", "core_edges", "sleep_pruned",
-                         "enumerated_paths", "first_violation_reduced",
+                         "dfa_states", "enumerated_paths",
+                         "first_violation_reduced",
                          "memo_entries", "memo_bytes", "bytes_per_state",
                          "graph_bytes", "full_states", "full_wall_ms",
                          "reduction_verdicts_match"});
@@ -446,6 +456,7 @@ int main(int argc, char** argv) {
                  std::to_string(res.reduction.core_states),
                  std::to_string(res.reduction.core_edges),
                  std::to_string(res.reduction.sleep_pruned),
+                 std::to_string(res.reduction.dfa_states),
                  std::to_string(res.reduction.enumerated_paths),
                  yesno(res.first_violation_reduced),
                  std::to_string(res.memory.memo_entries),

@@ -15,9 +15,9 @@
 // Flags (anywhere; the rest stays positional):
 //   --threads N     worker count of the parallel explorer (default:
 //                   hardware_concurrency; 1 = the deterministic sequential order)
-//   --max-states N  state/path budget before TRUNCATED (default 20000000);
-//                   quorum models enumerate many label paths -- raise it
-//                   for an untruncated certification
+//   --max-states N  budget before TRUNCATED (default 20000000): explored
+//                   states, plus the label-DAG states and histories of the
+//                   reduced engine
 //   --no-por        full interleaving exploration instead of the default
 //                   partial-order-reduced (trace-quotient) engine
 //   --no-symmetry   keep POR but disable reader-symmetry canonicalization
@@ -27,8 +27,11 @@
 //                   are printed after the two reports)
 //
 // The verdict -- and so the exit code -- is the same with and without the
-// reduction flags: 0 = property holds on every schedule, 2 = violation found
-// (history printed), 64 = usage error. Only the work counters differ.
+// reduction flags. Only the work counters differ. Exit codes:
+//   0  = property holds on every schedule
+//   2  = violation found (history printed), truncated or not
+//   3  = no violation within the budget, but truncated: nothing certified
+//   64 = usage error (unknown mode or flag, malformed number)
 // Examples:
 //   ./model_explorer bloom 2 1 1        # Bloom, 2 writes each, 1 reader
 //   ./model_explorer fourslot regular   # shows why regular bits fail
@@ -46,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/net_processes.hpp"
 #include "modelcheck/processes.hpp"
@@ -74,13 +78,15 @@ int report(const explore_result& res) {
                 static_cast<unsigned long long>(res.distinct_histories));
     if (res.reduction.engaged) {
         std::printf("reduction          : POR%s, %llu core states, %llu edges, "
-                    "%llu sleep-pruned, %llu symmetry folds (|G| = %llu)\n",
+                    "%llu sleep-pruned, %llu symmetry folds (|G| = %llu), "
+                    "%llu DAG states\n",
                     res.reduction.symmetry ? " + symmetry" : "",
                     static_cast<unsigned long long>(res.reduction.core_states),
                     static_cast<unsigned long long>(res.reduction.core_edges),
                     static_cast<unsigned long long>(res.reduction.sleep_pruned),
                     static_cast<unsigned long long>(res.reduction.symmetry_folds),
-                    static_cast<unsigned long long>(res.reduction.symmetry_group));
+                    static_cast<unsigned long long>(res.reduction.symmetry_group),
+                    static_cast<unsigned long long>(res.reduction.dfa_states));
     }
     std::printf("memo memory        : %llu entries, ~%llu KiB (+%llu KiB graph)\n",
                 static_cast<unsigned long long>(res.memory.memo_entries),
@@ -98,7 +104,10 @@ int report(const explore_result& res) {
                     static_cast<unsigned long long>(res.divergences));
     }
     int rc = 0;
-    if (res.property_holds) {
+    if (res.property_holds && res.truncated) {
+        std::printf("verdict            : NO VIOLATION WITHIN BUDGET (truncated)\n");
+        rc = 3;
+    } else if (res.property_holds) {
         std::printf("verdict            : PROPERTY HOLDS on every schedule\n");
     } else {
         std::printf("verdict            : VIOLATION FOUND\n");
@@ -123,8 +132,27 @@ int report(const explore_result& res) {
     return rc;
 }
 
+/// Parses `token` as a T, or exits 64 naming it.
+template <typename T>
+T number_or_exit(const char* what, const char* token) {
+    T v{};
+    if (!harness::parse_number(token, &v)) {
+        std::fprintf(stderr, "%s: '%s' is not a valid number\n", what, token);
+        std::exit(64);
+    }
+    return v;
+}
+
+/// Positional argument `index` (a non-negative count), or `fallback`.
 int arg_or(int argc, char** argv, int index, int fallback) {
-    return argc > index ? std::atoi(argv[index]) : fallback;
+    if (argc <= index) return fallback;
+    const int v = number_or_exit<int>("argument", argv[index]);
+    if (v < 0) {
+        std::fprintf(stderr, "argument: '%s' must not be negative\n",
+                     argv[index]);
+        std::exit(64);
+    }
+    return v;
 }
 
 }  // namespace
@@ -138,9 +166,10 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg(argv[i]);
         if (arg == "--threads" && i + 1 < argc) {
-            cfg.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+            cfg.threads = number_or_exit<unsigned>("--threads", argv[++i]);
         } else if (arg == "--max-states" && i + 1 < argc) {
-            cfg.max_states = std::strtoull(argv[++i], nullptr, 10);
+            cfg.max_states =
+                number_or_exit<std::uint64_t>("--max-states", argv[++i]);
         } else if (arg == "--no-por") {
             cfg.por = false;
         } else if (arg == "--no-symmetry") {
@@ -472,17 +501,21 @@ int main(int argc, char** argv) {
             rc_lockset = report(res);
         }
         if (run_hb && run_lockset) {
+            const bool hb_flag = rc_hb == 2;
+            const bool lockset_flag = rc_lockset == 2;
             const char* agreement =
-                rc_hb == 0 && rc_lockset == 0   ? "both_certify"
-                : rc_hb != 0 && rc_lockset != 0 ? "both_flag"
-                : rc_hb != 0                    ? "hb_only"
-                                                : "lockset_only";
+                hb_flag && lockset_flag         ? "both_flag"
+                : hb_flag                       ? "hb_only"
+                : lockset_flag                  ? "lockset_only"
+                : rc_hb == 0 && rc_lockset == 0 ? "both_certify"
+                                                : "inconclusive (truncated)";
             std::printf("\nhybrid agreement   : %s%s\n", agreement,
                         lockset_diverged
                             ? " (with a documented lockset divergence)"
                             : "");
         }
-        return rc_hb != 0 || rc_lockset != 0 ? 2 : 0;
+        if (rc_hb == 2 || rc_lockset == 2) return 2;
+        return rc_hb == 3 || rc_lockset == 3 ? 3 : 0;
     }
 
     if (mode == "abd") {

@@ -1,7 +1,6 @@
 #include "harness/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <iostream>
 #include <optional>
 
@@ -9,16 +8,6 @@
 
 namespace bloom87::harness {
 namespace {
-
-template <typename T>
-bool parse_number(const std::string& text, T* out) {
-    T v{};
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
-    *out = v;
-    return true;
-}
 
 [[nodiscard]] std::vector<std::string> split_list(const std::string& text) {
     std::vector<std::string> parts;

@@ -1,5 +1,6 @@
 #include "histories/serialize.hpp"
 
+#include <charconv>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -81,8 +82,13 @@ gamma_parse_result read_gamma(std::istream& is) {
             }
             std::string field;
             while (ls >> field) {
-                if (field.starts_with("initial=")) {
-                    out.initial = std::stoll(field.substr(8));
+                if (!field.starts_with("initial=")) continue;
+                const std::string val = field.substr(8);
+                const char* end = val.data() + val.size();
+                const auto [ptr, ec] =
+                    std::from_chars(val.data(), end, out.initial);
+                if (ec != std::errc{} || ptr != end) {
+                    return fail("bad number in field '" + field + "'");
                 }
             }
             header_seen = true;

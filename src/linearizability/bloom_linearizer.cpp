@@ -136,6 +136,13 @@ bloom_result bloom_linearize(const history& h) {
     std::map<event_pos, op_id> write_op_at;  // real-write position -> sim write
     for (event_pos p = 0; p < h.gamma.size(); ++p) {
         const event& e = h.gamma[p];
+        if (!is_real(e.kind)) continue;
+        if (e.reg > 1) {
+            return fail_defect("real access to register " +
+                               std::to_string(e.reg) + " at gamma position " +
+                               std::to_string(p) +
+                               ": Bloom's protocol has registers 0 and 1 only");
+        }
         if (e.kind != event_kind::real_write) continue;
         regs[e.reg].positions.push_back(p);
         regs[e.reg].tags.push_back(e.tag);

@@ -1,18 +1,84 @@
 #include "modelcheck/explorer.hpp"
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "modelcheck/por.hpp"
 #include "modelcheck/verdicts.hpp"
+#include "util/sync.hpp"
 
 namespace bloom87::mc {
 namespace {
+
+/// The history-only fingerprint keying verdict memoization.
+void history_fingerprint(const std::vector<operation>& hist,
+                                std::vector<std::uint64_t>& fp) {
+    fp.clear();
+    fp.reserve(hist.size() * 4);
+    for (const operation& o : hist) {
+        fp.push_back((static_cast<std::uint64_t>(
+                          static_cast<std::uint16_t>(o.id.processor))
+                      << 40) |
+                     (static_cast<std::uint64_t>(o.id.op) << 8) |
+                     static_cast<std::uint64_t>(o.kind));
+        fp.push_back(static_cast<std::uint64_t>(o.value));
+        fp.push_back(o.invoked);
+        fp.push_back(o.responded);
+    }
+}
+
+/// Fingerprint set sharded into cache-line-padded stripes. The stripe is
+/// chosen by the hash's TOP bits (unordered_set consumes the low ones), so
+/// concurrent inserts from different workers mostly land on different
+/// mutexes. Sequential explorations skip the locks entirely.
+class sharded_fingerprint_set {
+public:
+    static constexpr std::size_t stripe_bits = 6;
+    static constexpr std::size_t num_stripes = std::size_t{1} << stripe_bits;
+
+    explicit sharded_fingerprint_set(bool locked) : locked_(locked) {}
+
+    /// True when `h` was not present (the caller owns exploring it).
+    bool insert(std::uint64_t h) {
+        stripe& s = stripes_[h >> (64 - stripe_bits)];
+        if (!locked_) return s.set.insert(h).second;
+        std::lock_guard<std::mutex> guard(s.mutex);
+        return s.set.insert(h).second;
+    }
+
+    /// Memory accounting (call after the workers joined). `bytes` is a
+    /// container-size estimate: ~40 bytes per unordered_set node (value +
+    /// chain pointer + allocator overhead) plus the bucket array. The sets
+    /// only grow, so final == peak.
+    [[nodiscard]] std::uint64_t entries() const {
+        std::uint64_t n = 0;
+        for (const stripe& s : stripes_) n += s.set.size();
+        return n;
+    }
+    [[nodiscard]] std::uint64_t bytes() const {
+        std::uint64_t b = 0;
+        for (const stripe& s : stripes_) {
+            b += s.set.size() * 40 + s.set.bucket_count() * 8;
+        }
+        return b;
+    }
+
+private:
+    struct alignas(cacheline_size) stripe {
+        std::mutex mutex;
+        std::unordered_set<std::uint64_t> set;
+    };
+    const bool locked_;
+    std::array<stripe, num_stripes> stripes_;
+};
+
 
 /// A state whose expansion is in progress: already counted and memoized,
 /// with the not-yet-taken (process, choice) moves. Workers take moves from

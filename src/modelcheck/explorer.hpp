@@ -17,9 +17,11 @@
 // Determinism: every aggregate verdict and count except states_explored /
 // memo_hits under truncation is independent of the thread count, because
 // the *set* of states explored (first fingerprint insertion wins) and the
-// set of distinct leaf histories are schedule-invariant. `first_violation`
-// is any violating trace: deterministic (DFS order) at threads == 1,
-// scheduler-dependent above.
+// set of distinct leaf histories are schedule-invariant. The POR engine
+// (the default) judges histories in one canonical order, so its
+// `first_violation`, and the history count of a run stopped at it, are the
+// same at every thread count. The full engine's `first_violation` is
+// deterministic (DFS order) at threads == 1 and scheduler-dependent above.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +51,7 @@ struct explore_config {
     /// with sleep-set pruning instead of every raw interleaving. Aggregate
     /// verdicts (property_holds / violations / distinct_histories) are
     /// IDENTICAL with and without; states_explored / memo_hits / leaves
-    /// count different objects (quotient nodes and label paths vs raw
+    /// count different objects (quotient arrivals and DAG paths vs raw
     /// states and schedules). Automatically disengaged -- full exploration,
     /// reduction.engaged == false in the result -- when the state arms the
     /// race detector (per-state happens-before clocks break step
@@ -84,7 +86,11 @@ struct reduction_stats {
     /// every verdict counter, is the same either way).
     std::uint64_t symmetry_folds{0};
     std::uint64_t symmetry_group{1};  ///< |G|: symmetry permutations considered per arrival
-    std::uint64_t enumerated_paths{0};  ///< accepting label paths walked in phase 2
+    /// States of the determinized label DAG phase 2 built (por.hpp).
+    std::uint64_t dfa_states{0};
+    /// Accepting DAG paths walked in phase 2: one per distinct history
+    /// judged, so it equals distinct_histories.
+    std::uint64_t enumerated_paths{0};
     /// Non-empty when symmetry was requested, the configuration HAS classes
     /// of interchangeable processes, and the reduction still could not
     /// engage (unusable process ids, or a group past the 64-permutation
@@ -101,8 +107,12 @@ struct memory_stats {
     std::uint64_t memo_entries{0};    ///< visited-set entries (= peak)
     std::uint64_t memo_bytes{0};      ///< visited-set estimate incl. buckets
     std::uint64_t bytes_per_state{0}; ///< memo_bytes / memo_entries
-    std::uint64_t history_entries{0}; ///< distinct-history verdict memo entries
-    std::uint64_t graph_bytes{0};     ///< POR engine: nodes + edges + labels
+    /// Full engine: distinct-history verdict memo entries. The POR engine
+    /// keeps no such memo (each DAG path is a distinct history): 0.
+    std::uint64_t history_entries{0};
+    /// POR engine: quotient nodes + edges + labels, plus the DAG's states,
+    /// edges and kernels.
+    std::uint64_t graph_bytes{0};
 };
 
 struct explore_result {
@@ -113,9 +123,10 @@ struct explore_result {
     std::uint64_t violations{0};
     bool property_holds{true};
     bool truncated{false};
-    /// Some violating trace. With threads > 1 *which* trace is recorded
-    /// depends on scheduling; its existence (whenever property_holds is
-    /// false) does not.
+    /// A violating trace. The POR engine records the first violating history
+    /// in label order, the same at every thread count; the full engine at
+    /// threads > 1 records whichever a worker finds first. Its existence
+    /// (whenever property_holds is false) never depends on scheduling.
     std::optional<violation> first_violation;
     /// Lockset-mode only: the first documented divergence between the
     /// lockset second opinion and happens-before (a raw candidate-set

@@ -9,11 +9,13 @@
 #include <deque>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "modelcheck/verdicts.hpp"
+#include "util/check.hpp"
 #include "util/sync.hpp"
 
 namespace bloom87::mc {
@@ -148,8 +150,10 @@ std::vector<perm_t> build_group(const sim_state& s, bool want_symmetry,
 struct qedge {
     std::array<emission, 2> labels{};
     std::uint8_t nlabels{0};
+    std::uint8_t perm_index{0};  ///< phase 2: position of `perm` in G
     perm_t perm{kIdentity};
     std::uint32_t target{0};
+    std::uint32_t mid{0};  ///< phase 2: mid-edge slot of a 2-label edge
 };
 
 [[nodiscard]] bool same_labels(const qedge& a, const qedge& b) noexcept {
@@ -171,6 +175,7 @@ struct qedge {
 /// mutex, and deque growth does not move existing elements.
 struct qnode {
     std::vector<qedge> edges;
+    std::uint32_t eps_edges{0};  ///< phase 2: edges[0, eps_edges) emit nothing
     bool accepting{false};
     bool productive{false};
 };
@@ -189,8 +194,7 @@ public:
         : cfg_(cfg),
           nthreads_(threads),
           G_(build_group(initial, cfg.symmetry, &symmetry_warning_)),
-          symmetry_on_(G_.size() > 1),
-          checked_histories_(false) {
+          symmetry_on_(G_.size() > 1) {
         if (symmetry_on_) {
             for (std::size_t i = 0; i < initial.procs.size(); ++i) {
                 const auto pid =
@@ -457,10 +461,18 @@ private:
         }
     }
 
-    // --- phase 2: enumerate label paths, rebuild + judge histories --------
+    // --- phase 2: determinize, then judge one history per DAG path -------
+    //
+    // The quotient graph is a nondeterministic automaton over concrete
+    // labels: its states are (node, sigma) pairs, epsilon edges emit
+    // nothing, and distinct label paths often spell the same word. A
+    // label's position is its timestamp, so a word IS a history. Subset
+    // construction over epsilon closures turns the automaton into a DAG
+    // with at most one out-edge per label: each accepting DAG path is then
+    // exactly one distinct history, and no history is built twice.
 
     /// Marks nodes from which an accepting node is reachable; edges into
-    /// unproductive nodes (sleep-set dead ends) are skipped while walking.
+    /// unproductive nodes (sleep-set dead ends) are dropped from phase 2.
     void mark_productive() {
         std::vector<std::vector<std::uint32_t>> rev(nodes_.size());
         std::vector<std::uint32_t> queue;
@@ -483,61 +495,225 @@ private:
         }
     }
 
-    /// True when the productive subgraph has a cycle (epsilon retry loops,
-    /// e.g. the seqlock reader): only then does the walk need the on-path
-    /// (node, sigma) membership guard.
-    bool has_cycle() {
-        std::vector<std::uint8_t> color(nodes_.size(), 0);
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> st;  // node, edge
-        for (std::uint32_t root = 0; root < nodes_.size(); ++root) {
-            if (color[root] != 0 || !nodes_[root].productive) continue;
-            st.emplace_back(root, 0);
-            color[root] = 1;
-            while (!st.empty()) {
-                auto& [n, i] = st.back();
-                if (i >= nodes_[n].edges.size()) {
-                    color[n] = 2;
-                    st.pop_back();
-                    continue;
-                }
-                const std::uint32_t m = nodes_[n].edges[i++].target;
-                if (!nodes_[m].productive) continue;
-                if (color[m] == 1) return true;
-                if (color[m] == 0) {
-                    color[m] = 1;
-                    st.emplace_back(m, 0);
-                }
+    /// A DAG state: an epsilon-closed set of automaton members,
+    /// (slot << 6) | sigma-index, kept as its sorted kernel -- the members
+    /// that accept or emit; the rest add nothing to the future. Slots below
+    /// nodes_.size() are nodes; the others are mid-edge members, between
+    /// the two labels of a 2-label edge (mid_edges_).
+    struct dfa_state {
+        const std::vector<std::uint64_t>* kernel;
+        std::uint64_t trans_at{0};
+        std::uint32_t trans_len{0};
+        bool accepting{false};
+        bool expanded{false};
+    };
+    struct dfa_edge {
+        emission label;
+        std::uint32_t target;
+    };
+    /// One labelled move out of a DAG state, before grouping by label.
+    struct label_move {
+        emission label;
+        std::uint32_t slot;
+        std::uint8_t sigma;
+    };
+    struct kernel_hash {
+        std::size_t operator()(const std::vector<std::uint64_t>& k) const {
+            return hash_words(k);
+        }
+    };
+
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    /// Readies the quotient graph for the subset construction: drops edges
+    /// into unproductive nodes, puts each node's epsilon edges first, and
+    /// numbers G_'s elements and the mid-edge slots.
+    void prepare_automaton() {
+        std::unordered_map<perm_t, std::uint8_t> index;
+        for (std::size_t i = 0; i < G_.size(); ++i) {
+            index.emplace(G_[i], static_cast<std::uint8_t>(i));
+        }
+        gsize_ = G_.size();
+        compose_.resize(gsize_ * gsize_);
+        for (std::size_t a = 0; a < gsize_; ++a) {
+            for (std::size_t b = 0; b < gsize_; ++b) {
+                compose_[a * gsize_ + b] =
+                    index.at(perm_compose(G_[a], G_[b]));
             }
+        }
+        sigma0_index_ = index.at(sigma0_);
+        for (qnode& q : nodes_) {
+            if (!q.productive) continue;
+            std::erase_if(q.edges, [this](const qedge& e) {
+                return !nodes_[e.target].productive;
+            });
+            const auto emitting = std::stable_partition(
+                q.edges.begin(), q.edges.end(),
+                [](const qedge& e) { return e.nlabels == 0; });
+            q.eps_edges =
+                static_cast<std::uint32_t>(emitting - q.edges.begin());
+            for (qedge& e : q.edges) {
+                e.perm_index = index.at(e.perm);
+                if (e.nlabels != 2) continue;
+                e.mid = static_cast<std::uint32_t>(nodes_.size() +
+                                                   mid_edges_.size());
+                mid_edges_.push_back(&e);
+            }
+        }
+        const std::size_t slots = nodes_.size() + mid_edges_.size();
+        check(slots < kNone, "phase-2 slots fit 32 bits");
+        mark_gen_.assign(slots, 0);
+        mark_mask_.assign(slots, 0);
+    }
+
+    /// The sigma of an edge's target: sigma o G_[e.perm_index].
+    [[nodiscard]] std::uint8_t step_sigma(std::uint8_t sigma,
+                                          const qedge& e) const {
+        return compose_[sigma * gsize_ + e.perm_index];
+    }
+
+    emission concrete_label(const emission& stored, std::uint8_t sigma) const {
+        if (!symmetry_on_) return stored;
+        emission l = stored;
+        l.proc = pid_of_[perm_at(G_[sigma],
+                                 static_cast<unsigned>(stored.proc))];
+        return l;
+    }
+
+    [[nodiscard]] static bool label_less(const emission& a,
+                                         const emission& b) noexcept {
+        return std::tuple(a.proc, a.op, !a.is_begin, a.kind, a.value) <
+               std::tuple(b.proc, b.op, !b.is_begin, b.kind, b.value);
+    }
+
+    /// Adds (slot, sigma) to the closure under construction unless present.
+    void visit(std::uint32_t slot, std::uint8_t sigma) {
+        if (mark_gen_[slot] != gen_) {
+            mark_gen_[slot] = gen_;
+            mark_mask_[slot] = 0;
+        }
+        const std::uint64_t bit = std::uint64_t{1} << sigma;
+        if ((mark_mask_[slot] & bit) != 0) return;
+        mark_mask_[slot] |= bit;
+        work_.emplace_back(slot, sigma);
+    }
+
+    /// Closes the seeds of `moves` under productive epsilon edges and
+    /// returns the DAG state of the result (kNone once over budget).
+    std::uint32_t close(const label_move* first, const label_move* last) {
+        if (++gen_ == 0) {  // stamp wrapped: forget every old mark
+            std::fill(mark_gen_.begin(), mark_gen_.end(), 0);
+            gen_ = 1;
+        }
+        work_.clear();
+        kernel_.clear();
+        for (const label_move* m = first; m != last; ++m) {
+            visit(m->slot, m->sigma);
+        }
+        bool accepting = false;
+        while (!work_.empty()) {
+            const auto [slot, sigma] = work_.back();
+            work_.pop_back();
+            const std::uint64_t member =
+                (static_cast<std::uint64_t>(slot) << 6) | sigma;
+            if (slot >= nodes_.size()) {
+                kernel_.push_back(member);
+                continue;
+            }
+            const qnode& q = nodes_[slot];
+            if (q.accepting || q.edges.size() > q.eps_edges) {
+                kernel_.push_back(member);
+            }
+            accepting = accepting || q.accepting;
+            for (std::uint32_t k = 0; k < q.eps_edges; ++k) {
+                visit(q.edges[k].target, step_sigma(sigma, q.edges[k]));
+            }
+        }
+        std::sort(kernel_.begin(), kernel_.end());
+        if (const auto it = dfa_index_.find(kernel_); it != dfa_index_.end()) {
+            return it->second;
+        }
+        if (phase2_over_budget(1)) return kNone;
+        const auto id = static_cast<std::uint32_t>(dfa_.size());
+        const auto it = dfa_index_.emplace(kernel_, id).first;
+        dfa_.push_back(dfa_state{&it->first, 0, 0, accepting, false});
+        kernel_members_ += kernel_.size();
+        return id;
+    }
+
+    /// Builds the out-edges of DAG state `id`, sorted by concrete label.
+    void expand_state(std::uint32_t id) {
+        moves_.clear();
+        for (const std::uint64_t member : *dfa_[id].kernel) {
+            const auto slot = static_cast<std::uint32_t>(member >> 6);
+            const auto sigma = static_cast<std::uint8_t>(member & 63);
+            if (slot >= nodes_.size()) {
+                const qedge& e = *mid_edges_[slot - nodes_.size()];
+                moves_.push_back(
+                    label_move{concrete_label(e.labels[1], sigma), e.target,
+                               step_sigma(sigma, e)});
+                continue;
+            }
+            const qnode& q = nodes_[slot];
+            for (std::size_t k = q.eps_edges; k < q.edges.size(); ++k) {
+                const qedge& e = q.edges[k];
+                const emission l = concrete_label(e.labels[0], sigma);
+                moves_.push_back(
+                    e.nlabels == 1
+                        ? label_move{l, e.target, step_sigma(sigma, e)}
+                        : label_move{l, e.mid, sigma});
+            }
+        }
+        std::sort(moves_.begin(), moves_.end(),
+                  [](const label_move& a, const label_move& b) {
+                      return label_less(a.label, b.label);
+                  });
+        const std::uint64_t trans_at = trans_.size();
+        for (std::size_t lo = 0; lo < moves_.size();) {
+            std::size_t hi = lo + 1;
+            while (hi < moves_.size() &&
+                   !label_less(moves_[lo].label, moves_[hi].label)) {
+                ++hi;
+            }
+            const std::uint32_t target =
+                close(moves_.data() + lo, moves_.data() + hi);
+            if (target == kNone) return;
+            trans_.push_back(dfa_edge{moves_[lo].label, target});
+            lo = hi;
+        }
+        dfa_[id].trans_at = trans_at;
+        dfa_[id].trans_len =
+            static_cast<std::uint32_t>(trans_.size() - trans_at);
+        dfa_[id].expanded = true;
+    }
+
+    /// DAG states and judged histories count against the budget after the
+    /// phase-1 arrivals, so a determinization blow-up truncates.
+    bool phase2_over_budget(std::uint64_t more) {
+        if (states_explored_.load(std::memory_order_relaxed) + dfa_.size() +
+                leaves_ + more >
+            cfg_.max_states) {
+            truncated_.store(true, std::memory_order_relaxed);
+            abort_enumeration_ = true;
+            return true;
         }
         return false;
     }
 
-    emission concrete_label(const emission& stored, perm_t sigma) const {
-        if (!symmetry_on_) return stored;
-        emission l = stored;
-        l.proc = pid_of_[perm_at(
-            sigma, static_cast<unsigned>(stored.proc))];
-        return l;
-    }
-
-    /// Rebuilds the exact external history of the current label path: the
-    /// clock ticks only at emissions, so a label's position IS its
-    /// timestamp, and crashed operations (begin without end) stay pending
-    /// exactly as the full engine records them.
+    /// Rebuilds and judges the history of the current DAG path, a distinct
+    /// one by construction: the clock ticks only at emissions, so a label's
+    /// position IS its timestamp, and crashed operations (begin without
+    /// end) stay pending exactly as the full engine records them.
     void handle_path() {
+        if (phase2_over_budget(1)) return;
         leaves_ += 1;
-        if (states_explored_.load(std::memory_order_relaxed) + leaves_ >
-            cfg_.max_states) {
-            truncated_.store(true, std::memory_order_relaxed);
-            abort_enumeration_ = true;
-            return;
-        }
         path_hist_.clear();
         std::array<std::int32_t, 64> open;
         open.fill(-1);
         event_pos t = 0;
         for (const emission& l : path_labels_) {
             const auto pid = static_cast<std::size_t>(l.proc);
+            check(pid < open.size(), "label process id below 64");
             if (l.is_begin) {
                 operation o;
                 o.id = op_id{l.proc, l.op};
@@ -547,6 +723,7 @@ private:
                 open[pid] = static_cast<std::int32_t>(path_hist_.size());
                 path_hist_.push_back(o);
             } else {
+                check(open[pid] >= 0, "a response closes an open operation");
                 operation& o =
                     path_hist_[static_cast<std::size_t>(open[pid])];
                 if (o.kind == op_kind::read) o.value = l.value;
@@ -554,9 +731,6 @@ private:
                 open[pid] = -1;
             }
         }
-        history_fingerprint(path_hist_, fp_scratch_);
-        if (!checked_histories_.insert(hash_words(fp_scratch_))) return;
-        distinct_histories_ += 1;
         const judgement j =
             judge_history(path_hist_, cfg_.prop, cfg_.initial);
         if (!j.ok) {
@@ -569,56 +743,40 @@ private:
         }
     }
 
+    /// Walks the DAG depth first, building states on first visit. Out-edges
+    /// are sorted by label, so histories are judged in lexicographic order
+    /// whatever the thread count or node numbering.
     void enumerate() {
         if (nodes_.empty()) return;
         mark_productive();
         if (!nodes_[0].productive) return;  // no complete execution in budget
-        const bool cyclic = has_cycle();
+        prepare_automaton();
+        const label_move root_seed{emission{}, 0, sigma0_index_};
+        const std::uint32_t root = close(&root_seed, &root_seed + 1);
+        if (root == kNone) return;
         struct frame {
-            std::uint32_t node;
-            perm_t sigma;
-            std::uint32_t edge_i;
-            std::uint8_t in_labels;
+            std::uint32_t state;
+            std::uint32_t next;
         };
         std::vector<frame> st;
-        std::vector<std::pair<std::uint32_t, perm_t>> on_path;
-        st.push_back(frame{0, sigma0_, 0, 0});
-        if (cyclic) on_path.emplace_back(0, sigma0_);
-        if (nodes_[0].accepting) handle_path();
+        st.push_back(frame{root, 0});
+        if (dfa_[root].accepting) handle_path();
         while (!st.empty() && !abort_enumeration_) {
             frame& f = st.back();
-            const qnode& n = nodes_[f.node];
-            if (f.edge_i >= n.edges.size()) {
-                path_labels_.resize(path_labels_.size() - f.in_labels);
-                if (cyclic) on_path.pop_back();
+            if (!dfa_[f.state].expanded) {
+                expand_state(f.state);
+                if (abort_enumeration_) break;
+            }
+            const dfa_state& d = dfa_[f.state];
+            if (f.next >= d.trans_len) {
+                if (st.size() > 1) path_labels_.pop_back();
                 st.pop_back();
                 continue;
             }
-            const qedge& e = n.edges[f.edge_i++];
-            if (!nodes_[e.target].productive) continue;
-            const perm_t sigma2 = perm_compose(f.sigma, e.perm);
-            if (cyclic) {
-                bool repeat = false;
-                for (const auto& [pn, ps] : on_path) {
-                    if (pn == e.target && ps == sigma2) {
-                        repeat = true;
-                        break;
-                    }
-                }
-                // An on-path repeat is an epsilon cycle in the same frame:
-                // emitting steps strictly advance process scripts, so the
-                // loop added no labels and its continuations are already
-                // reachable from the first visit.
-                if (repeat) continue;
-            }
-            for (int k = 0; k < e.nlabels; ++k) {
-                path_labels_.push_back(concrete_label(
-                    e.labels[static_cast<std::size_t>(k)], f.sigma));
-            }
-            const perm_t sigma_child = sigma2;
-            st.push_back(frame{e.target, sigma_child, 0, e.nlabels});
-            if (cyclic) on_path.emplace_back(e.target, sigma_child);
-            if (nodes_[e.target].accepting) handle_path();
+            const dfa_edge e = trans_[d.trans_at + f.next++];
+            path_labels_.push_back(e.label);
+            st.push_back(frame{e.target, 0});
+            if (dfa_[e.target].accepting) handle_path();
         }
     }
 
@@ -630,7 +788,7 @@ private:
             states_explored_.load(std::memory_order_relaxed);
         out.memo_hits = memo_hits_.load(std::memory_order_relaxed);
         out.leaves = leaves_;
-        out.distinct_histories = distinct_histories_;
+        out.distinct_histories = leaves_;  // one DAG path per history
         out.violations = violations_;
         out.property_holds = property_holds_;
         out.truncated = truncated_.load(std::memory_order_relaxed);
@@ -646,6 +804,7 @@ private:
             symmetry_folds_.load(std::memory_order_relaxed);
         out.reduction.symmetry_group = G_.size();
         out.reduction.symmetry_warning = symmetry_warning_;
+        out.reduction.dfa_states = dfa_.size();
         out.reduction.enumerated_paths = leaves_;
         std::uint64_t map_bytes = 0;
         std::uint64_t map_entries = 0;
@@ -657,10 +816,14 @@ private:
         out.memory.memo_bytes = map_bytes;
         std::uint64_t graph = nodes_.size() * sizeof(qnode);
         for (const qnode& n : nodes_) graph += n.edges.capacity() * sizeof(qedge);
-        out.memory.graph_bytes = graph;
         out.memory.bytes_per_state =
             map_entries == 0 ? 0 : (map_bytes + graph) / map_entries;
-        out.memory.history_entries = checked_histories_.entries();
+        // The DAG: ~64 bytes per kernel-map node and vector header.
+        graph += dfa_.capacity() * sizeof(dfa_state) +
+                 trans_.capacity() * sizeof(dfa_edge) +
+                 dfa_index_.size() * 64 +
+                 kernel_members_ * sizeof(std::uint64_t);
+        out.memory.graph_bytes = graph;
         return out;
     }
 
@@ -697,12 +860,25 @@ private:
     std::atomic<bool> stop_{false};
 
     // Phase 2 is sequential; plain fields.
-    sharded_fingerprint_set checked_histories_;
+    std::size_t gsize_{1};
+    std::vector<std::uint8_t> compose_;  ///< [a * gsize_ + b] = G_[a] o G_[b]
+    std::uint8_t sigma0_index_{0};
+    std::vector<const qedge*> mid_edges_;  ///< mid-edge slot - nodes -> edge
+    // Closure marks per slot: a sigma bitmask, valid when its stamp is gen_.
+    std::vector<std::uint32_t> mark_gen_;
+    std::vector<std::uint64_t> mark_mask_;
+    std::uint32_t gen_{0};
+    std::vector<std::pair<std::uint32_t, std::uint8_t>> work_;
+    std::vector<std::uint64_t> kernel_;
+    std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, kernel_hash>
+        dfa_index_;
+    std::uint64_t kernel_members_{0};
+    std::vector<dfa_state> dfa_;
+    std::vector<dfa_edge> trans_;
+    std::vector<label_move> moves_;
     std::vector<emission> path_labels_;
     std::vector<operation> path_hist_;
-    std::vector<std::uint64_t> fp_scratch_;
     std::uint64_t leaves_{0};
-    std::uint64_t distinct_histories_{0};
     std::uint64_t violations_{0};
     bool property_holds_{true};
     bool abort_enumeration_{false};

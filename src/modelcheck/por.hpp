@@ -18,19 +18,24 @@
 //   per Mazurkiewicz trace survives, and a trace determines its label
 //   sequence (visible steps are pairwise dependent), so no history is lost.
 //
-//   Phase 2 (sequential): enumerate label paths from the root to accepting
-//   nodes (all processes done; crashed counts), composing the per-edge
-//   permutations so each path replays as a CONCRETE execution -- symmetric
-//   variants arrive via distinct permutation chains, so counts are exact,
-//   not per-orbit. Each path's history is rebuilt with exact timestamps,
-//   deduplicated, and judged by the same checkers as the full engine
-//   (verdicts.hpp). property_holds / violations / distinct_histories are
-//   therefore IDENTICAL to full exploration; states_explored / memo_hits /
-//   leaves count quotient nodes / quotient memo hits / enumerated paths.
+//   Phase 2 (sequential): determinize. Read as an automaton over CONCRETE
+//   labels, the graph's states are (node, sigma) pairs, sigma being the
+//   composed per-edge permutation -- symmetric variants arrive via
+//   distinct permutation chains, so counts are exact, not per-orbit. The
+//   subset construction over epsilon closures (built lazily, memoized on
+//   each set's kernel, out-edges sorted by label) yields a DAG in which
+//   every accepting path spells a different label sequence, i.e. a
+//   different history (accepting = all processes done; crashed counts).
+//   A DFS rebuilds each path's history with exact timestamps and judges
+//   it once with the same checkers as the full engine (verdicts.hpp), in
+//   lexicographic label order at any thread count. property_holds /
+//   violations / distinct_histories are therefore IDENTICAL to full
+//   exploration; states_explored / memo_hits / leaves count quotient
+//   arrivals / quotient memo hits / DAG paths (= distinct histories).
 //
-// The budget (explore_config::max_states) covers phase-1 nodes plus phase-2
-// paths; a truncated phase 1 skips phase 2 entirely (a partial graph cannot
-// be enumerated honestly).
+// The budget (explore_config::max_states) covers phase-1 arrivals plus the
+// DAG states and histories of phase 2; a truncated phase 1 skips phase 2
+// entirely (a partial graph cannot be enumerated honestly).
 #pragma once
 
 #include "modelcheck/explorer.hpp"

@@ -1,33 +1,27 @@
 // bloom87: shared verdict machinery for the exploration engines.
 //
 // The full explorer (explorer.cpp) and the trace-quotient POR engine
-// (por.cpp) must agree BIT-FOR-BIT on what a distinct history is and what
-// verdict it gets -- the reduction's whole contract is "same
-// property_holds / violations / distinct_histories, fewer states". This
-// header holds the pieces both engines share: the word hasher, the
-// history-only fingerprint, the sharded memo set (with the container-size
-// accounting the memory stats report), and the per-history judge.
+// (por.cpp) must agree BIT-FOR-BIT on what verdict a history gets -- the
+// reduction's whole contract is "same property_holds / violations /
+// distinct_histories, fewer states". This header holds the pieces both
+// engines share: the word hasher and the per-history judge.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "histories/history.hpp"
 #include "modelcheck/explorer.hpp"
-#include "util/sync.hpp"
 
 namespace bloom87::mc {
 
 [[nodiscard]] inline std::uint64_t hash_words(
     const std::vector<std::uint64_t>& words) {
-    // FNV-1a over 64-bit words, then a finalizer. One collision in the
-    // visited set only costs a false prune; verdict memoization uses the
-    // same hash but stores full verdicts keyed by it (collision odds at the
-    // scale of these explorations are negligible).
+    // FNV-1a over 64-bit words, then a finalizer. One collision in a
+    // visited set only costs a false prune; the full engine's history memo
+    // takes the same odds (negligible at the scale of these explorations),
+    // and the POR engine's label-DAG states compare full kernels.
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (std::uint64_t w : words) {
         h ^= w;
@@ -38,69 +32,6 @@ namespace bloom87::mc {
     h ^= h >> 33;
     return h;
 }
-
-/// The history-only fingerprint keying verdict memoization. Both engines
-/// must produce identical words for identical histories.
-inline void history_fingerprint(const std::vector<operation>& hist,
-                                std::vector<std::uint64_t>& fp) {
-    fp.clear();
-    fp.reserve(hist.size() * 4);
-    for (const operation& o : hist) {
-        fp.push_back((static_cast<std::uint64_t>(
-                          static_cast<std::uint16_t>(o.id.processor))
-                      << 40) |
-                     (static_cast<std::uint64_t>(o.id.op) << 8) |
-                     static_cast<std::uint64_t>(o.kind));
-        fp.push_back(static_cast<std::uint64_t>(o.value));
-        fp.push_back(o.invoked);
-        fp.push_back(o.responded);
-    }
-}
-
-/// Fingerprint set sharded into cache-line-padded stripes. The stripe is
-/// chosen by the hash's TOP bits (unordered_set consumes the low ones), so
-/// concurrent inserts from different workers mostly land on different
-/// mutexes. Sequential explorations skip the locks entirely.
-class sharded_fingerprint_set {
-public:
-    static constexpr std::size_t stripe_bits = 6;
-    static constexpr std::size_t num_stripes = std::size_t{1} << stripe_bits;
-
-    explicit sharded_fingerprint_set(bool locked) : locked_(locked) {}
-
-    /// True when `h` was not present (the caller owns exploring it).
-    bool insert(std::uint64_t h) {
-        stripe& s = stripes_[h >> (64 - stripe_bits)];
-        if (!locked_) return s.set.insert(h).second;
-        std::lock_guard<std::mutex> guard(s.mutex);
-        return s.set.insert(h).second;
-    }
-
-    /// Memory accounting (call after the workers joined). `bytes` is a
-    /// container-size estimate: ~40 bytes per unordered_set node (value +
-    /// chain pointer + allocator overhead) plus the bucket array. The sets
-    /// only grow, so final == peak.
-    [[nodiscard]] std::uint64_t entries() const {
-        std::uint64_t n = 0;
-        for (const stripe& s : stripes_) n += s.set.size();
-        return n;
-    }
-    [[nodiscard]] std::uint64_t bytes() const {
-        std::uint64_t b = 0;
-        for (const stripe& s : stripes_) {
-            b += s.set.size() * 40 + s.set.bucket_count() * 8;
-        }
-        return b;
-    }
-
-private:
-    struct alignas(cacheline_size) stripe {
-        std::mutex mutex;
-        std::unordered_set<std::uint64_t> set;
-    };
-    const bool locked_;
-    std::array<stripe, num_stripes> stripes_;
-};
 
 struct judgement {
     bool ok{true};

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <sstream>
 
 #include "core/protocol.hpp"
 #include "histories/event_log.hpp"
 #include "histories/history.hpp"
+#include "histories/serialize.hpp"
 #include "linearizability/bloom_linearizer.hpp"
 #include "registers/recording.hpp"
 
@@ -339,6 +341,28 @@ TEST(Defects, WriteByNonWriterProcessor) {
     // non-writer: the linearizer must flag it.
     ASSERT_TRUE(parsed.ok());
     EXPECT_FALSE(bloom_linearize(parsed.hist).ok());
+}
+
+// Regression case: parse_history exempts registers above 1 (net/ servers)
+// from validation, and the linearizer used to index its two-register table
+// with them (check_history segfaulted on this archive).
+TEST(DefectsRegression, RealAccessToAuxiliaryRegister) {
+    std::istringstream is(
+        "gamma v1 initial=0\n"
+        "W_start proc=0 op=0 value=5\n"
+        "real_read proc=0 op=0 reg=1 tag=0 value=0 observed=initial\n"
+        "real_write proc=0 op=0 reg=200 tag=0 value=5\n"
+        "W_finish proc=0 op=0 value=0\n");
+    const gamma_parse_result text = read_gamma(is);
+    ASSERT_TRUE(text.ok()) << *text.error;
+    const parse_result parsed = parse_history(text.gamma, text.initial);
+    ASSERT_TRUE(parsed.ok());
+    const bloom_result res = bloom_linearize(parsed.hist);
+    ASSERT_FALSE(res.ok());
+    EXPECT_NE(res.defect->find("register 200"), std::string::npos)
+        << *res.defect;
+    EXPECT_NE(res.defect->find("gamma position 2"), std::string::npos)
+        << *res.defect;
 }
 
 }  // namespace

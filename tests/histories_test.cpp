@@ -301,6 +301,30 @@ TEST(Serialize, RejectsMalformedField) {
     EXPECT_FALSE(read_gamma(is).ok());
 }
 
+// Regression cases: malformed header numbers used to escape as uncaught
+// exceptions (check_history aborted). They must come back as errors that
+// name the line.
+TEST(SerializeRegression, HeaderInitialNotANumber) {
+    std::istringstream is("gamma v1 initial=x\n");
+    const gamma_parse_result res = read_gamma(is);
+    ASSERT_FALSE(res.ok());
+    EXPECT_NE(res.error->find("line 1"), std::string::npos) << *res.error;
+    EXPECT_NE(res.error->find("initial=x"), std::string::npos) << *res.error;
+}
+
+TEST(SerializeRegression, HeaderInitialOverflows) {
+    std::istringstream is(
+        "# archived run\ngamma v1 initial=99999999999999999999\n");
+    const gamma_parse_result res = read_gamma(is);
+    ASSERT_FALSE(res.ok());
+    EXPECT_NE(res.error->find("line 2"), std::string::npos) << *res.error;
+}
+
+TEST(SerializeRegression, HeaderInitialTrailingGarbage) {
+    std::istringstream is("gamma v1 initial=5x\n");
+    EXPECT_FALSE(read_gamma(is).ok());
+}
+
 TEST(Serialize, RoundTripParsesBackToSameHistory) {
     const std::vector<event> g = sample_gamma();
     std::ostringstream os;

@@ -2,10 +2,12 @@
 // count must never change a verdict. Every schedule-invariant counter
 // (property_holds, leaves, distinct_histories, violations) is identical for
 // threads in {1, 2, 4}; states_explored/memo_hits may differ only when the
-// exploration is truncated or stopped early. Also pins down the stop-flag
-// semantics: stop_at_first_violation and max_states must terminate every
-// worker without deadlock, and a FAIL verdict always carries a violating
-// trace.
+// exploration is truncated or stopped early. The POR engine judges
+// histories in one canonical order, so even a run stopped at its first
+// violation reports the same history count and trace at every thread
+// count. Also pins down the stop-flag semantics: stop_at_first_violation
+// and max_states must terminate every worker without deadlock, and a FAIL
+// verdict always carries a violating trace.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -97,6 +99,21 @@ sim_state tournament_one_read() {
     return s;
 }
 
+/// Bloom over a substrate that may serve one stale read per process.
+sim_state faulty_stale_read() {
+    sim_state s;
+    for (int i = 0; i < 2; ++i) {
+        mc_register r = atomic_reg(6);
+        r.track_previous = true;
+        s.registers.push_back(r);
+    }
+    const fault_class stale = fault_class::stale_read;
+    s.procs.push_back(make_faulty_bloom_writer(0, {1}, stale, 1));
+    s.procs.push_back(make_faulty_bloom_writer(1, {2}, stale, 1));
+    s.procs.push_back(make_faulty_bloom_reader(2, 1, stale, 1));
+    return s;
+}
+
 sim_state fourslot_safe_atomic() {
     sim_state s;
     for (int i = 0; i < 4; ++i) s.registers.push_back(weak_reg(reg_level::safe, 3, 0));
@@ -180,6 +197,7 @@ void expect_reduction_equivalence(const state_factory& make,
         EXPECT_EQ(red.property_holds, full.property_holds);
         EXPECT_EQ(red.violations, full.violations);
         EXPECT_EQ(red.distinct_histories, full.distinct_histories);
+        EXPECT_EQ(red.reduction.enumerated_paths, red.distinct_histories);
         EXPECT_GT(red.reduction.core_states, 0u);
         EXPECT_LE(red.reduction.core_states, red.states_explored);
         if (!red.property_holds) {
@@ -277,6 +295,32 @@ TEST_P(StopFlag, TournamentAlwaysReportsATrace) {
     EXPECT_FALSE(res.property_holds);
     ASSERT_TRUE(res.first_violation.has_value());
     EXPECT_FALSE(res.first_violation->hist.empty());
+}
+
+TEST(FirstViolation, ReducedTraceIsThreadInvariant) {
+    explore_config cfg;
+    cfg.stop_at_first_violation = true;
+    const std::vector<std::pair<state_factory, value_t>> configs = {
+        {bloom_broken_tag, 0}, {tournament_fig5, 1}, {faulty_stale_read, 0}};
+    for (const auto& [make, initial] : configs) {
+        cfg.initial = initial;
+        cfg.threads = 1;
+        const explore_result seq = explore(make(), cfg);
+        ASSERT_TRUE(seq.reduction.engaged);
+        ASSERT_FALSE(seq.truncated);
+        ASSERT_FALSE(seq.property_holds);
+        ASSERT_TRUE(seq.first_violation.has_value());
+        for (unsigned threads : {2u, 4u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            cfg.threads = threads;
+            const explore_result par = explore(make(), cfg);
+            EXPECT_FALSE(par.property_holds);
+            EXPECT_EQ(par.distinct_histories, seq.distinct_histories);
+            ASSERT_TRUE(par.first_violation.has_value());
+            EXPECT_EQ(format_operations(par.first_violation->hist),
+                      format_operations(seq.first_violation->hist));
+        }
+    }
 }
 
 TEST_P(StopFlag, MaxStatesTruncatesWithoutDeadlock) {

@@ -58,8 +58,9 @@ sim_state bloom_2x2_1reader() {
 
 /// Seqlock reader retry loops are epsilon CYCLES in the quotient graph
 /// (the retry returns to an already-interned core state without emitting a
-/// label); the enumeration phase must terminate and still agree with the
-/// full engine, which breaks the loop via history-inclusive memoization.
+/// label); the epsilon closures of phase 2 absorb them, and the result must
+/// still agree with the full engine, which breaks the loop via
+/// history-inclusive memoization.
 sim_state seqlock_1write_1read() {
     sim_state s;
     s.registers.push_back(atomic_reg(3));  // sequence number: 2*writes+1
@@ -124,6 +125,7 @@ TEST(EpsilonCycles, SeqlockRetryLoopTerminatesAndAgrees) {
     EXPECT_EQ(por.property_holds, full.property_holds);
     EXPECT_EQ(por.violations, full.violations);
     EXPECT_EQ(por.distinct_histories, full.distinct_histories);
+    EXPECT_EQ(por.reduction.enumerated_paths, por.distinct_histories);
 }
 
 TEST(Stats, ReductionAndMemoryAccountingAreCoherent) {
@@ -140,7 +142,9 @@ TEST(Stats, ReductionAndMemoryAccountingAreCoherent) {
     EXPECT_GT(res.memory.memo_bytes, 0u);
     EXPECT_GT(res.memory.graph_bytes, 0u);
     EXPECT_GT(res.memory.bytes_per_state, 0u);
-    EXPECT_EQ(res.memory.history_entries, res.distinct_histories);
+    // One DAG path per distinct history: nothing is walked twice.
+    EXPECT_GT(res.reduction.dfa_states, 0u);
+    EXPECT_EQ(res.reduction.enumerated_paths, res.distinct_histories);
 
     // The full engine reports memory too (graph_bytes stays 0).
     const explore_result full = run(bloom_2x2_1reader(), false, false);
@@ -184,6 +188,23 @@ TEST(Budget, TruncatedPhaseOneSkipsEnumeration) {
     EXPECT_EQ(res.leaves, 0u);
     EXPECT_EQ(res.violations, 0u);
     EXPECT_GE(res.states_explored, cfg.max_states);
+}
+
+TEST(Budget, TruncatedDeterminizationStopsCleanly) {
+    explore_config cfg;
+    cfg.threads = 1;
+    const explore_result whole = explore(bloom_2x2_1reader(), cfg);
+    ASSERT_FALSE(whole.truncated);
+    // Phase 1 fits; the DAG states plus the judged histories do not.
+    cfg.max_states = whole.states_explored +
+                     (whole.reduction.dfa_states + whole.distinct_histories) / 2;
+    const explore_result res = explore(bloom_2x2_1reader(), cfg);
+    EXPECT_TRUE(res.truncated);
+    EXPECT_EQ(res.states_explored, whole.states_explored);
+    EXPECT_LT(res.distinct_histories, whole.distinct_histories);
+    EXPECT_LE(res.states_explored + res.reduction.dfa_states + res.leaves,
+              cfg.max_states);
+    EXPECT_TRUE(res.property_holds);
 }
 
 TEST(Disengage, RaceDetectionRoutesToTheFullEngine) {
