@@ -426,8 +426,8 @@ int main(int argc, char** argv) {
         // cross-check (raw states and wall ms give the reduction factor).
         table reduction({"name", "por_engaged", "symmetry", "symmetry_group",
                          "core_states", "core_edges", "sleep_pruned",
-                         "dfa_states", "enumerated_paths",
-                         "first_violation_reduced",
+                         "dfa_states", "enumerated_paths", "judge_states",
+                         "product_pairs", "first_violation_reduced",
                          "memo_entries", "memo_bytes", "bytes_per_state",
                          "graph_bytes", "full_states", "full_wall_ms",
                          "reduction_verdicts_match"});
@@ -458,6 +458,10 @@ int main(int argc, char** argv) {
                  std::to_string(res.reduction.sleep_pruned),
                  std::to_string(res.reduction.dfa_states),
                  std::to_string(res.reduction.enumerated_paths),
+                 // The sequential run's: its walk, and so these counts, are
+                 // the same on every run.
+                 std::to_string(r.seq.res.reduction.judge_states),
+                 std::to_string(r.seq.res.reduction.product_pairs),
                  yesno(res.first_violation_reduced),
                  std::to_string(res.memory.memo_entries),
                  std::to_string(res.memory.memo_bytes),

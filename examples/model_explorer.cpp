@@ -53,6 +53,7 @@
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/net_processes.hpp"
 #include "modelcheck/processes.hpp"
+#include "util/parse.hpp"
 
 using namespace bloom87;
 using namespace bloom87::mc;
@@ -79,14 +80,16 @@ int report(const explore_result& res) {
     if (res.reduction.engaged) {
         std::printf("reduction          : POR%s, %llu core states, %llu edges, "
                     "%llu sleep-pruned, %llu symmetry folds (|G| = %llu), "
-                    "%llu DAG states\n",
+                    "%llu DAG states, %llu judge states, %llu product pairs\n",
                     res.reduction.symmetry ? " + symmetry" : "",
                     static_cast<unsigned long long>(res.reduction.core_states),
                     static_cast<unsigned long long>(res.reduction.core_edges),
                     static_cast<unsigned long long>(res.reduction.sleep_pruned),
                     static_cast<unsigned long long>(res.reduction.symmetry_folds),
                     static_cast<unsigned long long>(res.reduction.symmetry_group),
-                    static_cast<unsigned long long>(res.reduction.dfa_states));
+                    static_cast<unsigned long long>(res.reduction.dfa_states),
+                    static_cast<unsigned long long>(res.reduction.judge_states),
+                    static_cast<unsigned long long>(res.reduction.product_pairs));
     }
     std::printf("memo memory        : %llu entries, ~%llu KiB (+%llu KiB graph)\n",
                 static_cast<unsigned long long>(res.memory.memo_entries),
@@ -136,7 +139,7 @@ int report(const explore_result& res) {
 template <typename T>
 T number_or_exit(const char* what, const char* token) {
     T v{};
-    if (!harness::parse_number(token, &v)) {
+    if (!parse_number(token, &v)) {
         std::fprintf(stderr, "%s: '%s' is not a valid number\n", what, token);
         std::exit(64);
     }

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "harness/registry.hpp"
+#include "util/parse.hpp"
 
 namespace bloom87::harness {
 namespace {

@@ -7,29 +7,14 @@
 // --check/--duration-ms/--threads) come pre-bundled as `common_flags`.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "harness/driver.hpp"
 
 namespace bloom87::harness {
-
-/// Parses all of `text` as an integer T with std::from_chars: a sign only
-/// for signed types, no trailing characters, and within T's range. On
-/// failure returns false and leaves *out unchanged.
-template <typename T>
-[[nodiscard]] bool parse_number(const std::string& text, T* out) {
-    T v{};
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
-    *out = v;
-    return true;
-}
 
 class flag_parser {
 public:

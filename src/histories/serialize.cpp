@@ -1,10 +1,12 @@
 #include "histories/serialize.hpp"
 
-#include <charconv>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
+
+#include "util/parse.hpp"
 
 namespace bloom87 {
 namespace {
@@ -83,11 +85,8 @@ gamma_parse_result read_gamma(std::istream& is) {
             std::string field;
             while (ls >> field) {
                 if (!field.starts_with("initial=")) continue;
-                const std::string val = field.substr(8);
-                const char* end = val.data() + val.size();
-                const auto [ptr, ec] =
-                    std::from_chars(val.data(), end, out.initial);
-                if (ec != std::errc{} || ptr != end) {
+                if (!parse_number(std::string_view(field).substr(8),
+                                  &out.initial)) {
                     return fail("bad number in field '" + field + "'");
                 }
             }
@@ -108,27 +107,28 @@ gamma_parse_result read_gamma(std::istream& is) {
                 return fail("malformed field '" + field + "'");
             }
             const std::string key = field.substr(0, eq);
-            const std::string val = field.substr(eq + 1);
-            try {
-                if (key == "proc") {
-                    e.processor = static_cast<processor_id>(std::stoi(val));
-                } else if (key == "op") {
-                    e.op = static_cast<op_index>(std::stoul(val));
-                } else if (key == "reg") {
-                    e.reg = static_cast<std::uint8_t>(std::stoi(val));
-                } else if (key == "tag") {
-                    e.tag = val != "0";
-                } else if (key == "value") {
-                    e.value = std::stoll(val);
-                } else if (key == "observed") {
-                    e.observed_write =
-                        val == "initial" ? no_event : std::stoull(val);
-                } else {
-                    return fail("unknown field '" + key + "'");
-                }
-            } catch (const std::exception&) {
-                return fail("bad number in field '" + field + "'");
+            const std::string_view val = std::string_view(field).substr(eq + 1);
+            // Each field parses whole into its own type, in range.
+            bool ok = false;
+            if (key == "proc") {
+                ok = parse_number(val, &e.processor) && e.processor >= 0;
+            } else if (key == "op") {
+                ok = parse_number(val, &e.op);
+            } else if (key == "reg") {
+                ok = parse_number(val, &e.reg);
+            } else if (key == "tag") {
+                std::uint8_t tag = 0;
+                ok = parse_number(val, &tag) && tag <= 1;
+                e.tag = tag == 1;
+            } else if (key == "value") {
+                ok = parse_number(val, &e.value);
+            } else if (key == "observed") {
+                e.observed_write = no_event;
+                ok = val == "initial" || parse_number(val, &e.observed_write);
+            } else {
+                return fail("unknown field '" + key + "'");
             }
+            if (!ok) return fail("bad number in field '" + field + "'");
         }
         out.gamma.push_back(e);
     }

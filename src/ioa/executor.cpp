@@ -2,9 +2,13 @@
 
 #include <array>
 #include <cassert>
+#include <limits>
 #include <map>
+#include <string_view>
 
 #include "ioa/protocol_automata.hpp"
+#include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace bloom87::ioa {
@@ -36,13 +40,35 @@ std::vector<action> external_schedule(const schedule& s) {
 
 namespace {
 
-processor_id processor_of_channel(const std::string& chan) {
-    // "ext:wr0" -> 0, "ext:wr1" -> 1, "ext:rd<j>" -> 1+j.
-    if (chan.starts_with("ext:wr")) {
-        return static_cast<processor_id>(std::stoi(chan.substr(6)));
-    }
-    assert(chan.starts_with("ext:rd"));
-    return static_cast<processor_id>(1 + std::stoi(chan.substr(6)));
+/// The processor of a port name: "wr<k>" -> k, "rd<j>" -> 1+j. The number
+/// runs to the end of `port` or to a "->" ("wr0->reg1").
+processor_id port_processor(std::string_view port) {
+    const bool writer = port.starts_with("wr");
+    check(writer || port.starts_with("rd"),
+          "channel names a wr<k> or rd<j> port");
+    std::string_view digits = port.substr(2);
+    digits = digits.substr(0, digits.find("->"));
+    processor_id k = 0;
+    check(parse_number(digits, &k) && k >= 0 &&
+              k < std::numeric_limits<processor_id>::max(),
+          "channel names a wr<k> or rd<j> port");
+    return static_cast<processor_id>(writer ? k : 1 + k);
+}
+
+/// "ext:wr0" -> 0, "ext:rd<j>" -> 1+j.
+processor_id processor_of_channel(std::string_view chan) {
+    check(chan.starts_with("ext:"), "an external channel starts with ext:");
+    return port_processor(chan.substr(4));
+}
+
+/// "rd3->reg1" -> 1: one of the two real registers.
+std::uint8_t channel_register(std::string_view chan) {
+    const std::size_t arrow = chan.find("->reg");
+    std::uint8_t reg = 0;
+    check(arrow != std::string_view::npos &&
+              parse_number(chan.substr(arrow + 5), &reg) && reg < 2,
+          "a register channel names reg0 or reg1");
+    return reg;
 }
 
 }  // namespace
@@ -86,30 +112,12 @@ std::vector<event> to_gamma(const schedule& s) {
     std::map<processor_id, op_index> current_op;
     std::array<event_pos, 2> last_write{no_event, no_event};
 
-    auto channel_processor = [](const std::string& chan) -> processor_id {
-        // "wr0->reg1" -> 0, "rd3->reg0" -> 1+3.
-        if (chan.starts_with("wr")) {
-            return static_cast<processor_id>(std::stoi(chan.substr(2)));
-        }
-        return static_cast<processor_id>(1 + std::stoi(chan.substr(2)));
-    };
-    auto channel_register = [](const std::string& chan) -> std::uint8_t {
-        const auto arrow = chan.find("->reg");
-        return static_cast<std::uint8_t>(std::stoi(chan.substr(arrow + 5)));
-    };
-
     for (const scheduled_action& sa : s) {
         const action& a = sa.act_taken;
         if (a.channel.starts_with("ext:")) {
             if (!is_request(a.kind) && !is_ack(a.kind)) continue;
             event e;
-            const processor_id proc = [&] {
-                const std::string port = a.channel.substr(4);
-                if (port.starts_with("wr")) {
-                    return static_cast<processor_id>(std::stoi(port.substr(2)));
-                }
-                return static_cast<processor_id>(1 + std::stoi(port.substr(2)));
-            }();
+            const processor_id proc = processor_of_channel(a.channel);
             e.processor = proc;
             if (is_request(a.kind)) {
                 current_op[proc] = op_counter[proc]++;
@@ -126,7 +134,7 @@ std::vector<event> to_gamma(const schedule& s) {
             out.push_back(e);
         } else if (is_star(a.kind) && a.channel.find("->reg") != std::string::npos) {
             event e;
-            e.processor = channel_processor(a.channel);
+            e.processor = port_processor(a.channel);
             e.op = current_op[e.processor];
             e.reg = channel_register(a.channel);
             // Register channels carry tagged values encoded as value*2+tag.

@@ -18,10 +18,12 @@
 // memo_hits under truncation is independent of the thread count, because
 // the *set* of states explored (first fingerprint insertion wins) and the
 // set of distinct leaf histories are schedule-invariant. The POR engine
-// (the default) judges histories in one canonical order, so its
-// `first_violation`, and the history count of a run stopped at it, are the
-// same at every thread count. The full engine's `first_violation` is
-// deterministic (DFS order) at threads == 1 and scheduler-dependent above.
+// (the default, por.hpp) judges histories in one canonical order, stepping
+// an incremental judge state (verdicts.hpp) instead of checking each
+// history anew, so its `first_violation`, and the history count of a run
+// stopped at it, are the same at every thread count. The full
+// engine's `first_violation` is deterministic (DFS order) at threads == 1
+// and scheduler-dependent above.
 #pragma once
 
 #include <cstdint>
@@ -88,9 +90,15 @@ struct reduction_stats {
     std::uint64_t symmetry_group{1};  ///< |G|: symmetry permutations considered per arrival
     /// States of the determinized label DAG phase 2 built (por.hpp).
     std::uint64_t dfa_states{0};
-    /// Accepting DAG paths walked in phase 2: one per distinct history
+    /// Accepting DAG paths counted in phase 2: one per distinct history
     /// judged, so it equals distinct_histories.
     std::uint64_t enumerated_paths{0};
+    /// Judge states phase 2 interned (verdicts.hpp's label_judge; the empty
+    /// prefix and the failed state included).
+    std::uint64_t judge_states{0};
+    /// (DAG state, judge state) pairs whose sub-DAG phase 2 walked and
+    /// memoized; a later arrival at one is counted without walking it.
+    std::uint64_t product_pairs{0};
     /// Non-empty when symmetry was requested, the configuration HAS classes
     /// of interchangeable processes, and the reduction still could not
     /// engage (unusable process ids, or a group past the 64-permutation
@@ -111,7 +119,7 @@ struct memory_stats {
     /// keeps no such memo (each DAG path is a distinct history): 0.
     std::uint64_t history_entries{0};
     /// POR engine: quotient nodes + edges + labels, plus the DAG's states,
-    /// edges and kernels.
+    /// edges and kernels, the judge states and the product memo.
     std::uint64_t graph_bytes{0};
 };
 

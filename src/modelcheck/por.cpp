@@ -233,6 +233,13 @@ public:
             }
             for (std::thread& th : pool) th.join();
         }
+        // Phase 2 interns nothing in the phase-1 maps: record their size,
+        // then free them.
+        for (map_stripe& s : map_) {
+            map_entries_ += s.map.size();
+            map_bytes_ += s.map.size() * 48 + s.map.bucket_count() * 8;
+            decltype(s.map)().swap(s.map);
+        }
         if (!truncated_.load(std::memory_order_relaxed)) enumerate();
         return assemble();
     }
@@ -461,7 +468,7 @@ private:
         }
     }
 
-    // --- phase 2: determinize, then judge one history per DAG path -------
+    // --- phase 2: determinize, then judge every DAG path in product ------
     //
     // The quotient graph is a nondeterministic automaton over concrete
     // labels: its states are (node, sigma) pairs, epsilon edges emit
@@ -469,7 +476,9 @@ private:
     // label's position is its timestamp, so a word IS a history. Subset
     // construction over epsilon closures turns the automaton into a DAG
     // with at most one out-edge per label: each accepting DAG path is then
-    // exactly one distinct history, and no history is built twice.
+    // exactly one distinct history. The walk carries the judge state of
+    // its path, so no history is built to be judged, and a (DAG state,
+    // judge state) pair is walked once.
 
     /// Marks nodes from which an accepting node is reachable; edges into
     /// unproductive nodes (sleep-set dead ends) are dropped from phase 2.
@@ -689,63 +698,136 @@ private:
 
     /// DAG states and judged histories count against the budget after the
     /// phase-1 arrivals, so a determinization blow-up truncates.
+    [[nodiscard]] bool phase2_fits(std::uint64_t more) const {
+        return states_explored_.load(std::memory_order_relaxed) +
+                   dfa_.size() + leaves_ + more <=
+               cfg_.max_states;
+    }
     bool phase2_over_budget(std::uint64_t more) {
-        if (states_explored_.load(std::memory_order_relaxed) + dfa_.size() +
-                leaves_ + more >
-            cfg_.max_states) {
-            truncated_.store(true, std::memory_order_relaxed);
-            abort_enumeration_ = true;
-            return true;
-        }
-        return false;
+        if (phase2_fits(more)) return false;
+        truncated_.store(true, std::memory_order_relaxed);
+        abort_enumeration_ = true;
+        return true;
     }
 
-    /// Rebuilds and judges the history of the current DAG path, a distinct
-    /// one by construction: the clock ticks only at emissions, so a label's
-    /// position IS its timestamp, and crashed operations (begin without
-    /// end) stay pending exactly as the full engine records them.
-    void handle_path() {
+    /// One DAG state on the walk's stack, in product with the judge state
+    /// of the label path that reached it.
+    struct frame {
+        std::uint32_t state;
+        std::uint32_t judge;
+        std::uint32_t next{0};
+        /// A history below was judged by judge_history (the judge state
+        /// could not represent it): this pair and every pair above it stay
+        /// out of the memo.
+        bool rebuilt{false};
+        std::uint64_t paths{0};  ///< accepting paths below, so far
+        std::uint64_t bad{0};    ///< violating paths below, so far
+    };
+    /// Memo of the product: (DAG state, judge state) -> violations below.
+    struct pair_slot {
+        std::uint64_t key{kNoPair};
+        std::uint64_t bad{0};
+    };
+    static constexpr std::uint64_t kNoPair = ~std::uint64_t{0};
+    static constexpr std::uint64_t kUnknownPaths = ~std::uint64_t{0};
+
+    [[nodiscard]] static std::uint64_t pair_key(std::uint32_t state,
+                                                std::uint32_t judge) noexcept {
+        return (static_cast<std::uint64_t>(state) << 32) | judge;
+    }
+    [[nodiscard]] std::size_t pair_home(std::uint64_t key) const noexcept {
+        key ^= key >> 31;
+        key *= 0x9e3779b97f4a7c15ULL;
+        return static_cast<std::size_t>(key >> 20) & (memo_.size() - 1);
+    }
+    [[nodiscard]] const pair_slot* find_pair(std::uint64_t key) const {
+        if (memo_.empty()) return nullptr;
+        const std::size_t mask = memo_.size() - 1;
+        for (std::size_t i = pair_home(key);; i = (i + 1) & mask) {
+            if (memo_[i].key == key) return &memo_[i];
+            if (memo_[i].key == kNoPair) return nullptr;
+        }
+    }
+    void remember_pair(std::uint64_t key, std::uint64_t bad) {
+        if (4 * (pairs_ + 1) > 3 * memo_.size()) {  // load factor <= 3/4
+            std::vector<pair_slot> old(
+                std::max<std::size_t>(1024, 2 * memo_.size()));
+            old.swap(memo_);
+            for (const pair_slot& p : old) {
+                if (p.key != kNoPair) place_pair(p);
+            }
+        }
+        place_pair(pair_slot{key, bad});
+        pairs_ += 1;
+    }
+    void place_pair(const pair_slot& p) {
+        std::size_t i = pair_home(p.key);
+        while (memo_[i].key != kNoPair) i = (i + 1) & (memo_.size() - 1);
+        memo_[i] = p;
+    }
+
+    /// Counts the history of the current DAG path -- a distinct one by
+    /// construction -- by the judge state it ends in. The history is
+    /// rebuilt only for the first violation's diagnosis, or when the judge
+    /// state cannot represent it.
+    void judge_leaf(frame& f) {
         if (phase2_over_budget(1)) return;
         leaves_ += 1;
-        path_hist_.clear();
-        std::array<std::int32_t, 64> open;
-        open.fill(-1);
-        event_pos t = 0;
-        for (const emission& l : path_labels_) {
-            const auto pid = static_cast<std::size_t>(l.proc);
-            check(pid < open.size(), "label process id below 64");
-            if (l.is_begin) {
-                operation o;
-                o.id = op_id{l.proc, l.op};
-                o.kind = l.kind;
-                o.value = l.value;
-                o.invoked = t++;
-                open[pid] = static_cast<std::int32_t>(path_hist_.size());
-                path_hist_.push_back(o);
-            } else {
-                check(open[pid] >= 0, "a response closes an open operation");
-                operation& o =
-                    path_hist_[static_cast<std::size_t>(open[pid])];
-                if (o.kind == op_kind::read) o.value = l.value;
-                o.responded = t++;
-                open[pid] = -1;
+        f.paths += 1;
+        const bool representable = f.judge != label_judge::unrepresentable;
+        if (representable && judge_.passes(f.judge)) return;
+        std::vector<operation> hist;
+        judgement j;
+        if (!representable || !first_violation_.has_value()) {
+            hist = history_of(path_labels_);
+            j = judge_history(hist, cfg_.prop, cfg_.initial);
+            if (j.ok) {
+                check(!representable,
+                      "judge_history agrees with the judge state");
+                return;
             }
         }
-        const judgement j =
-            judge_history(path_hist_, cfg_.prop, cfg_.initial);
-        if (!j.ok) {
-            violations_ += 1;
-            property_holds_ = false;
-            if (!first_violation_.has_value()) {
-                first_violation_ = violation{path_hist_, j.diagnosis};
-            }
-            if (cfg_.stop_at_first_violation) abort_enumeration_ = true;
+        f.bad += 1;
+        violations_ += 1;
+        property_holds_ = false;
+        if (!first_violation_.has_value()) {
+            first_violation_ =
+                violation{std::move(hist), std::move(j.diagnosis)};
         }
+        if (cfg_.stop_at_first_violation) abort_enumeration_ = true;
     }
 
-    /// Walks the DAG depth first, building states on first visit. Out-edges
-    /// are sorted by label, so histories are judged in lexicographic order
-    /// whatever the thread count or node numbering.
+    /// Skips an edge into a pair whose sub-DAG was already walked, counting
+    /// its paths and violations in bulk -- unless the bulk would pass the
+    /// budget (truncation lands on the same history as a walk). It never
+    /// passes the first violation, which must be found and reported in
+    /// label order: a pair is memoized once its sub-DAG is walked, so one
+    /// with violations below comes after the first of them.
+    bool skip_known(frame& parent, std::uint32_t state, std::uint32_t judge) {
+        if (judge == label_judge::unrepresentable) return false;
+        const pair_slot* known = find_pair(pair_key(state, judge));
+        if (known == nullptr) return false;
+        check(known->bad == 0 || first_violation_.has_value(),
+              "a pair with violations below is memoized after the first");
+        const std::uint64_t paths = paths_below_[state];
+        if (!phase2_fits(paths)) return false;
+        leaves_ += paths;
+        violations_ += known->bad;
+        parent.paths += paths;
+        parent.bad += known->bad;
+        return true;
+    }
+
+    void push_frame(std::uint32_t state, std::uint32_t judge) {
+        walk_.push_back(
+            frame{state, judge, 0, judge == label_judge::unrepresentable});
+        if (dfa_[state].accepting) judge_leaf(walk_.back());
+    }
+
+    /// Walks the DAG depth first, building states on first visit and
+    /// stepping the judge state along every edge. Out-edges are sorted by
+    /// label, so histories are judged in lexicographic order whatever the
+    /// thread count or node numbering; memoized pairs are skipped.
     void enumerate() {
         if (nodes_.empty()) return;
         mark_productive();
@@ -754,29 +836,40 @@ private:
         const label_move root_seed{emission{}, 0, sigma0_index_};
         const std::uint32_t root = close(&root_seed, &root_seed + 1);
         if (root == kNone) return;
-        struct frame {
-            std::uint32_t state;
-            std::uint32_t next;
-        };
-        std::vector<frame> st;
-        st.push_back(frame{root, 0});
-        if (dfa_[root].accepting) handle_path();
-        while (!st.empty() && !abort_enumeration_) {
-            frame& f = st.back();
+        push_frame(root, label_judge::root());
+        while (!walk_.empty() && !abort_enumeration_) {
+            frame& f = walk_.back();
             if (!dfa_[f.state].expanded) {
                 expand_state(f.state);
                 if (abort_enumeration_) break;
             }
             const dfa_state& d = dfa_[f.state];
-            if (f.next >= d.trans_len) {
-                if (st.size() > 1) path_labels_.pop_back();
-                st.pop_back();
+            if (f.next < d.trans_len) {
+                const dfa_edge e = trans_[d.trans_at + f.next++];
+                const std::uint32_t judge = judge_.step(f.judge, e.label);
+                if (skip_known(f, e.target, judge)) continue;
+                path_labels_.push_back(e.label);
+                push_frame(e.target, judge);
                 continue;
             }
-            const dfa_edge e = trans_[d.trans_at + f.next++];
-            path_labels_.push_back(e.label);
-            st.push_back(frame{e.target, 0});
-            if (dfa_[e.target].accepting) handle_path();
+            // The sub-DAG below f.state is walked: remember its path count,
+            // and the pair's violations unless a history was rebuilt.
+            if (paths_below_.size() < dfa_.size()) {
+                paths_below_.resize(dfa_.size(), kUnknownPaths);
+            }
+            std::uint64_t& paths = paths_below_[f.state];
+            check(paths == kUnknownPaths || paths == f.paths,
+                  "a DAG state's path count does not depend on the prefix");
+            paths = f.paths;
+            if (!f.rebuilt) remember_pair(pair_key(f.state, f.judge), f.bad);
+            const frame done = f;
+            walk_.pop_back();
+            if (walk_.empty()) break;
+            path_labels_.pop_back();
+            frame& parent = walk_.back();
+            parent.paths += done.paths;
+            parent.bad += done.bad;
+            parent.rebuilt = parent.rebuilt || done.rebuilt;
         }
     }
 
@@ -806,23 +899,22 @@ private:
         out.reduction.symmetry_warning = symmetry_warning_;
         out.reduction.dfa_states = dfa_.size();
         out.reduction.enumerated_paths = leaves_;
-        std::uint64_t map_bytes = 0;
-        std::uint64_t map_entries = 0;
-        for (const map_stripe& s : map_) {
-            map_entries += s.map.size();
-            map_bytes += s.map.size() * 48 + s.map.bucket_count() * 8;
-        }
-        out.memory.memo_entries = map_entries;
-        out.memory.memo_bytes = map_bytes;
+        out.reduction.judge_states = judge_.states();
+        out.reduction.product_pairs = pairs_;
+        out.memory.memo_entries = map_entries_;
+        out.memory.memo_bytes = map_bytes_;
         std::uint64_t graph = nodes_.size() * sizeof(qnode);
         for (const qnode& n : nodes_) graph += n.edges.capacity() * sizeof(qedge);
         out.memory.bytes_per_state =
-            map_entries == 0 ? 0 : (map_bytes + graph) / map_entries;
-        // The DAG: ~64 bytes per kernel-map node and vector header.
+            map_entries_ == 0 ? 0 : (map_bytes_ + graph) / map_entries_;
+        // The DAG (~64 bytes per kernel-map node and vector header), the
+        // judge states and the product memo.
         graph += dfa_.capacity() * sizeof(dfa_state) +
                  trans_.capacity() * sizeof(dfa_edge) +
                  dfa_index_.size() * 64 +
-                 kernel_members_ * sizeof(std::uint64_t);
+                 kernel_members_ * sizeof(std::uint64_t) + judge_.bytes() +
+                 memo_.capacity() * sizeof(pair_slot) +
+                 paths_below_.capacity() * sizeof(std::uint64_t);
         out.memory.graph_bytes = graph;
         return out;
     }
@@ -842,6 +934,8 @@ private:
         std::unordered_map<std::uint64_t, std::uint32_t> map;
     };
     std::array<map_stripe, std::size_t{1} << map_stripe_bits> map_;
+    std::uint64_t map_entries_{0};  ///< map_'s size, recorded before freeing
+    std::uint64_t map_bytes_{0};
     std::mutex nodes_mutex_;
     std::deque<qnode> nodes_;
 
@@ -877,7 +971,11 @@ private:
     std::vector<dfa_edge> trans_;
     std::vector<label_move> moves_;
     std::vector<emission> path_labels_;
-    std::vector<operation> path_hist_;
+    std::vector<frame> walk_;
+    label_judge judge_{cfg_.prop, cfg_.initial};
+    std::vector<pair_slot> memo_;  ///< open addressing, power-of-two size
+    std::uint64_t pairs_{0};
+    std::vector<std::uint64_t> paths_below_;  ///< per DAG state, once walked
     std::uint64_t leaves_{0};
     std::uint64_t violations_{0};
     bool property_holds_{true};

@@ -18,23 +18,31 @@
 //   per Mazurkiewicz trace survives, and a trace determines its label
 //   sequence (visible steps are pairwise dependent), so no history is lost.
 //
-//   Phase 2 (sequential): determinize. Read as an automaton over CONCRETE
-//   labels, the graph's states are (node, sigma) pairs, sigma being the
-//   composed per-edge permutation -- symmetric variants arrive via
-//   distinct permutation chains, so counts are exact, not per-orbit. The
-//   subset construction over epsilon closures (built lazily, memoized on
-//   each set's kernel, out-edges sorted by label) yields a DAG in which
+//   Phase 2 (sequential): determinize and judge. Read as an automaton over
+//   CONCRETE labels, the graph's states are (node, sigma) pairs, sigma
+//   being the composed per-edge permutation -- symmetric variants arrive
+//   via distinct permutation chains, so counts are exact, not per-orbit.
+//   The subset construction over epsilon closures (built lazily, memoized
+//   on each set's kernel, out-edges sorted by label) yields a DAG in which
 //   every accepting path spells a different label sequence, i.e. a
 //   different history (accepting = all processes done; crashed counts).
-//   A DFS rebuilds each path's history with exact timestamps and judges
-//   it once with the same checkers as the full engine (verdicts.hpp), in
-//   lexicographic label order at any thread count. property_holds /
-//   violations / distinct_histories are therefore IDENTICAL to full
-//   exploration; states_explored / memo_hits / leaves count quotient
-//   arrivals / quotient memo hits / DAG paths (= distinct histories).
+//   A DFS walks the DAG in product with the judge state (verdicts.hpp's
+//   label_judge), stepping it along every edge: an accepting state's
+//   history gets the verdict judge_history would give it, without being
+//   built. Each (DAG state, judge state) pair whose sub-DAG has been
+//   walked is memoized with its violation count, and a later arrival at it
+//   is counted in bulk. Histories are judged -- and the first violation
+//   found -- in lexicographic label order at any thread count; the first
+//   violation's diagnosis comes from judge_history on its rebuilt history,
+//   as do the verdicts of histories the judge state cannot represent.
+//   property_holds / violations / distinct_histories are therefore
+//   IDENTICAL to full exploration; states_explored / memo_hits / leaves
+//   count quotient arrivals / quotient memo hits / DAG paths (= distinct
+//   histories).
 //
 // The budget (explore_config::max_states) covers phase-1 arrivals plus the
-// DAG states and histories of phase 2; a truncated phase 1 skips phase 2
+// DAG states and histories of phase 2 (a memoized pair's histories count
+// in bulk only when they all fit); a truncated phase 1 skips phase 2
 // entirely (a partial graph cannot be enumerated honestly).
 #pragma once
 

@@ -325,6 +325,44 @@ TEST(SerializeRegression, HeaderInitialTrailingGarbage) {
     EXPECT_FALSE(read_gamma(is).ok());
 }
 
+/// The error read_gamma returns for a one-event archive.
+std::string event_error(const std::string& event_line) {
+    std::istringstream is("gamma v1 initial=0\n" + event_line + "\n");
+    const gamma_parse_result res = read_gamma(is);
+    return res.ok() ? std::string("accepted") : *res.error;
+}
+
+TEST(SerializeRegression, EventValueTrailingGarbage) {
+    EXPECT_EQ(event_error("W_start proc=0 op=0 value=5x"),
+              "line 2: bad number in field 'value=5x'");
+}
+
+TEST(SerializeRegression, EventProcOverflows) {
+    EXPECT_EQ(event_error("R_start proc=70000 op=0 value=0"),
+              "line 2: bad number in field 'proc=70000'");
+}
+
+TEST(SerializeRegression, EventProcNegative) {
+    EXPECT_EQ(event_error("R_start proc=-1 op=0 value=0"),
+              "line 2: bad number in field 'proc=-1'");
+}
+
+TEST(SerializeRegression, EventRegOverflows) {
+    EXPECT_EQ(event_error("real_write proc=0 op=0 reg=256 tag=0 value=1"),
+              "line 2: bad number in field 'reg=256'");
+}
+
+TEST(SerializeRegression, EventObservedNegative) {
+    EXPECT_EQ(event_error("real_read proc=2 op=0 reg=0 tag=0 value=0 "
+                          "observed=-1"),
+              "line 2: bad number in field 'observed=-1'");
+}
+
+TEST(SerializeRegression, EventTagNotABit) {
+    EXPECT_EQ(event_error("real_write proc=0 op=0 reg=0 tag=2 value=1"),
+              "line 2: bad number in field 'tag=2'");
+}
+
 TEST(Serialize, RoundTripParsesBackToSameHistory) {
     const std::vector<event> g = sample_gamma();
     std::ostringstream os;

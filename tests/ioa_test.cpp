@@ -330,5 +330,27 @@ TEST(FairExecutionDetail, StarActionsAreInternal) {
     EXPECT_GT(sys.reg0->stars_taken() + sys.reg1->stars_taken(), 0u);
 }
 
+// Channel names are parsed whole: a port number that is not one, or a
+// register past the two real ones, fails a check() instead of reading
+// garbage or indexing past the per-register tables.
+TEST(ExecutorDeathTest, MalformedChannelsAreRejected) {
+    const auto one = [](act kind, std::string channel) {
+        return schedule{
+            scheduled_action{0, action{kind, std::move(channel), 0}}};
+    };
+    EXPECT_DEATH((void)external_history(one(act::read_request, "ext:rdx")),
+                 "wr<k> or rd<j> port");
+    EXPECT_DEATH((void)to_gamma(one(act::write_request, "ext:wr1z")),
+                 "wr<k> or rd<j> port");
+    EXPECT_DEATH((void)to_gamma(one(act::star_write, "wr0->reg2")),
+                 "reg0 or reg1");
+    EXPECT_DEATH((void)to_gamma(one(act::star_read, "xx0->reg0")),
+                 "wr<k> or rd<j> port");
+    EXPECT_DEATH((void)external_history(one(act::read_request, "ext:")),
+                 "wr<k> or rd<j> port");
+    // Well-formed channels still parse.
+    EXPECT_EQ(to_gamma(one(act::star_read, "rd3->reg1")).front().processor, 4);
+}
+
 }  // namespace
 }  // namespace bloom87::ioa

@@ -99,18 +99,56 @@ sim_state tournament_one_read() {
     return s;
 }
 
-/// Bloom over a substrate that may serve one stale read per process.
-sim_state faulty_stale_read() {
+
+/// Bloom over a faulty substrate: every process may fault once per `cls`.
+sim_state faulty_bloom(fault_class cls) {
     sim_state s;
     for (int i = 0; i < 2; ++i) {
         mc_register r = atomic_reg(6);
         r.track_previous = true;
         s.registers.push_back(r);
     }
-    const fault_class stale = fault_class::stale_read;
-    s.procs.push_back(make_faulty_bloom_writer(0, {1}, stale, 1));
-    s.procs.push_back(make_faulty_bloom_writer(1, {2}, stale, 1));
-    s.procs.push_back(make_faulty_bloom_reader(2, 1, stale, 1));
+    s.procs.push_back(make_faulty_bloom_writer(0, {1}, cls, 1));
+    s.procs.push_back(make_faulty_bloom_writer(1, {2}, cls, 1));
+    s.procs.push_back(make_faulty_bloom_reader(2, 1, cls, 1));
+    return s;
+}
+
+/// Bloom over a substrate that may serve one stale read per process.
+sim_state faulty_stale_read() { return faulty_bloom(fault_class::stale_read); }
+
+/// Writer 0 crashes inside its only write after `stage` real accesses: at
+/// stages 0-1 its write stays open and unread, at stage 2 its register
+/// holds the value and a read may return it from a write open forever.
+sim_state bloom_crashing_writer(int stage) {
+    sim_state s;
+    s.registers.push_back(atomic_reg(6, encode_tagged(0, false)));
+    s.registers.push_back(atomic_reg(6, encode_tagged(0, false)));
+    s.procs.push_back(make_bloom_writer_crashing(0, {1}, 0, stage));
+    s.procs.push_back(make_bloom_writer(1, {2}));
+    s.procs.push_back(make_bloom_reader(2, 2));
+    return s;
+}
+
+/// Both writers write the same value, one of them twice.
+sim_state bloom_duplicate_values() {
+    sim_state s;
+    s.registers.push_back(atomic_reg(4));
+    s.registers.push_back(atomic_reg(4));
+    s.procs.push_back(make_bloom_writer(0, {1, 1}));
+    s.procs.push_back(make_bloom_writer(1, {1}));
+    s.procs.push_back(make_bloom_reader(2, 2));
+    return s;
+}
+
+/// Lamport's binary-encoded register over two safe bits: safe, not regular.
+sim_state binary_2bits() {
+    sim_state s;
+    for (int b = 0; b < 2; ++b) {
+        s.registers.push_back(weak_reg(reg_level::safe, 2));
+    }
+    s.procs.push_back(make_binary_writer(0, 2, {1, 2}));
+    s.procs.push_back(make_binary_reader(0, 2, 1, 2));
     return s;
 }
 
@@ -254,6 +292,29 @@ TEST(ReductionEquivalence, VerdictsMatchFullExplorationOnEveryConfig) {
     expect_reduction_equivalence(bloom_broken_tag_small, exhaustive);
     exhaustive.initial = 1;
     expect_reduction_equivalence(tournament_one_read, exhaustive);
+}
+
+// The cases the POR engine's judge state (verdicts.hpp) treats specially --
+// ops left open by a crash, read or unread; duplicate write values; values
+// no write produced; a read left open; the safe level -- counted over the
+// whole space, every violation included.
+TEST(ReductionEquivalence, JudgeStateEdgeCasesMatchFullExploration) {
+    explore_config all;
+    all.stop_at_first_violation = false;
+    for (int stage = 0; stage <= 2; ++stage) {
+        SCOPED_TRACE("crash stage " + std::to_string(stage));
+        expect_reduction_equivalence(
+            [stage] { return bloom_crashing_writer(stage); }, all);
+    }
+    expect_reduction_equivalence(bloom_duplicate_values, all);
+    for (const fault_class cls :
+         {fault_class::torn_value, fault_class::port_crash}) {
+        SCOPED_TRACE(fault_class_name(cls));
+        expect_reduction_equivalence([cls] { return faulty_bloom(cls); }, all);
+    }
+    explore_config safe = all;
+    safe.prop = property::safe_swmr;
+    expect_reduction_equivalence(binary_2bits, safe);
 }
 
 TEST(ParallelEquivalence, AutoThreadCountMatchesSequential) {

@@ -5,11 +5,13 @@
 // surface the shared equivalence tests (modelcheck_parallel_test) do not:
 // symmetry canonicalization over identical readers, epsilon-cycle
 // enumeration (seqlock retry loops), budget semantics of the two-phase
-// engine, automatic disengagement, and violation-trace provenance.
+// engine, the checker's size limit, automatic disengagement, and
+// violation-trace provenance.
 #include <gtest/gtest.h>
 
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/processes.hpp"
+#include "modelcheck/verdicts.hpp"
 
 namespace bloom87::mc {
 namespace {
@@ -145,6 +147,10 @@ TEST(Stats, ReductionAndMemoryAccountingAreCoherent) {
     // One DAG path per distinct history: nothing is walked twice.
     EXPECT_GT(res.reduction.dfa_states, 0u);
     EXPECT_EQ(res.reduction.enumerated_paths, res.distinct_histories);
+    // Judged in product with the DAG: far fewer pairs than histories.
+    EXPECT_GT(res.reduction.judge_states, 0u);
+    EXPECT_GT(res.reduction.product_pairs, 0u);
+    EXPECT_LT(res.reduction.product_pairs, res.distinct_histories);
 
     // The full engine reports memory too (graph_bytes stays 0).
     const explore_result full = run(bloom_2x2_1reader(), false, false);
@@ -156,25 +162,51 @@ TEST(Stats, ReductionAndMemoryAccountingAreCoherent) {
     EXPECT_LT(res.reduction.core_states * 10, full.memory.memo_entries);
 }
 
+/// The wrong-tag Bloom mutant and Bloom over a stale-read substrate.
+std::vector<sim_state> violating_configs() {
+    sim_state mutant;
+    mutant.registers.push_back(atomic_reg(8));
+    mutant.registers.push_back(atomic_reg(8));
+    mutant.procs.push_back(make_bloom_writer(0, {1}));
+    mutant.procs.push_back(make_bloom_writer_wrong_tag(1, {2}));
+    mutant.procs.push_back(make_bloom_reader(2, 2));
+
+    sim_state stale;
+    for (int i = 0; i < 2; ++i) {
+        mc_register r = atomic_reg(6);
+        r.track_previous = true;
+        stale.registers.push_back(r);
+    }
+    const fault_class cls = fault_class::stale_read;
+    stale.procs.push_back(make_faulty_bloom_writer(0, {1}, cls, 1));
+    stale.procs.push_back(make_faulty_bloom_writer(1, {2}, cls, 1));
+    stale.procs.push_back(make_faulty_bloom_reader(2, 1, cls, 1));
+
+    std::vector<sim_state> out;
+    out.push_back(std::move(mutant));
+    out.push_back(std::move(stale));
+    return out;
+}
+
+// The POR engine reaches verdicts through the judge state, but writes a
+// violation's diagnosis with the per-history checker, on the same history.
 TEST(Provenance, ReducedViolationTraceIsFlagged) {
-    sim_state broken;
-    broken.registers.push_back(atomic_reg(8));
-    broken.registers.push_back(atomic_reg(8));
-    broken.procs.push_back(make_bloom_writer(0, {1}));
-    broken.procs.push_back(make_bloom_writer_wrong_tag(1, {2}));
-    broken.procs.push_back(make_bloom_reader(2, 2));
+    for (const sim_state& broken : violating_configs()) {
+        const explore_result full = run(broken, false, false);
+        ASSERT_FALSE(full.property_holds);
+        ASSERT_TRUE(full.first_violation.has_value());
+        EXPECT_FALSE(full.first_violation_reduced);
 
-    const explore_result full = run(broken, false, false);
-    ASSERT_FALSE(full.property_holds);
-    ASSERT_TRUE(full.first_violation.has_value());
-    EXPECT_FALSE(full.first_violation_reduced);
-
-    const explore_result red = run(broken, true, true);
-    ASSERT_FALSE(red.property_holds);
-    ASSERT_TRUE(red.first_violation.has_value());
-    EXPECT_TRUE(red.first_violation_reduced);
-    EXPECT_FALSE(red.first_violation->hist.empty());
-    EXPECT_FALSE(red.first_violation->diagnosis.empty());
+        const explore_result red = run(broken, true, true);
+        ASSERT_FALSE(red.property_holds);
+        ASSERT_TRUE(red.first_violation.has_value());
+        EXPECT_TRUE(red.first_violation_reduced);
+        EXPECT_FALSE(red.first_violation->hist.empty());
+        const judgement j =
+            judge_history(red.first_violation->hist, property::atomic, 0);
+        EXPECT_FALSE(j.ok);
+        EXPECT_EQ(red.first_violation->diagnosis, j.diagnosis);
+    }
 }
 
 TEST(Budget, TruncatedPhaseOneSkipsEnumeration) {
@@ -190,21 +222,71 @@ TEST(Budget, TruncatedPhaseOneSkipsEnumeration) {
     EXPECT_GE(res.states_explored, cfg.max_states);
 }
 
+// Phase 2's DAG states and histories count against the budget after the
+// phase-1 arrivals. A memoized (DAG state, judge state) pair's histories
+// are counted in bulk only when they all fit, so wherever phase 2
+// truncates, it stops with the budget spent exactly -- on the same history
+// as a walk that judged them one by one.
 TEST(Budget, TruncatedDeterminizationStopsCleanly) {
     explore_config cfg;
     cfg.threads = 1;
     const explore_result whole = explore(bloom_2x2_1reader(), cfg);
     ASSERT_FALSE(whole.truncated);
-    // Phase 1 fits; the DAG states plus the judged histories do not.
-    cfg.max_states = whole.states_explored +
-                     (whole.reduction.dfa_states + whole.distinct_histories) / 2;
-    const explore_result res = explore(bloom_2x2_1reader(), cfg);
-    EXPECT_TRUE(res.truncated);
-    EXPECT_EQ(res.states_explored, whole.states_explored);
-    EXPECT_LT(res.distinct_histories, whole.distinct_histories);
-    EXPECT_LE(res.states_explored + res.reduction.dfa_states + res.leaves,
-              cfg.max_states);
-    EXPECT_TRUE(res.property_holds);
+    ASSERT_GT(whole.reduction.product_pairs, 0u);
+    const std::uint64_t phase2 =
+        whole.reduction.dfa_states + whole.distinct_histories;
+    std::uint64_t last = 0;
+    for (std::uint64_t k = 1; k < 20; ++k) {
+        // Phase 1 fits; the DAG states plus the judged histories do not.
+        cfg.max_states = whole.states_explored + phase2 * k / 20;
+        const explore_result res = explore(bloom_2x2_1reader(), cfg);
+        SCOPED_TRACE("max_states " + std::to_string(cfg.max_states));
+        EXPECT_TRUE(res.truncated);
+        EXPECT_EQ(res.states_explored, whole.states_explored);
+        EXPECT_LT(res.distinct_histories, whole.distinct_histories);
+        EXPECT_EQ(res.states_explored + res.reduction.dfa_states +
+                      res.distinct_histories,
+                  cfg.max_states);
+        EXPECT_GE(res.distinct_histories, last);
+        last = res.distinct_histories;
+        EXPECT_TRUE(res.property_holds);
+    }
+}
+
+/// One writer of `writes` values and one reader of one read: writes + 1 ops.
+sim_state long_single_writer(int writes) {
+    std::vector<mc_value> values;
+    for (int i = 0; i < writes; ++i) {
+        values.push_back(static_cast<mc_value>(1 + i % 2));
+    }
+    sim_state s;
+    s.registers.push_back(atomic_reg(3));
+    s.procs.push_back(make_cell_writer(0, std::move(values)));
+    s.procs.push_back(make_cell_reader(0, 2, 1));
+    return s;
+}
+
+// check_exhaustive judges at most 62 ops. Past that the judge state steps
+// to "unrepresentable" and the POR engine judges each such history with
+// check_exhaustive itself: both engines report its size defect.
+TEST(SizeLimit, SixtyThreeOpsFailWithTheCheckersDefectInBothEngines) {
+    for (const bool por : {true, false}) {
+        SCOPED_TRACE(por ? "por" : "full");
+        const explore_result over = run(long_single_writer(62), por, por);
+        EXPECT_EQ(over.reduction.engaged, por);
+        EXPECT_FALSE(over.truncated);
+        EXPECT_FALSE(over.property_holds);
+        ASSERT_TRUE(over.first_violation.has_value());
+        EXPECT_EQ(over.first_violation->hist.size(), 63u);
+        EXPECT_NE(over.first_violation->diagnosis.find("limit 62 ops"),
+                  std::string::npos)
+            << over.first_violation->diagnosis;
+
+        const explore_result fits = run(long_single_writer(61), por, por);
+        EXPECT_FALSE(fits.truncated);
+        EXPECT_TRUE(fits.property_holds);
+        EXPECT_GT(fits.distinct_histories, 62u);
+    }
 }
 
 TEST(Disengage, RaceDetectionRoutesToTheFullEngine) {

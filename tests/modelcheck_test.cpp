@@ -5,6 +5,8 @@
 
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/processes.hpp"
+#include "modelcheck/verdicts.hpp"
+#include "util/rng.hpp"
 
 namespace bloom87::mc {
 namespace {
@@ -575,6 +577,131 @@ TEST(SafeBitModel, WriteOnlyChangesDisciplineIsRegular) {
     EXPECT_TRUE(res.property_holds)
         << res.first_violation->diagnosis << "\n"
         << format_operations(res.first_violation->hist);
+}
+
+// ---------------------------------------------------------------------------
+// The judge state (verdicts.hpp): stepping it label by label must reach
+// judge_history's verdict on the rebuilt history, for every property.
+// ---------------------------------------------------------------------------
+
+/// A random label sequence: up to 4 processes, each a writer or a reader
+/// with up to 3 ops. A process may stop with an op left open (a crash).
+/// Write values repeat; a read returns a value begun so far or a random
+/// one, possibly never written.
+std::vector<emission> random_labels(rng& gen) {
+    struct plan {
+        op_kind kind;
+        op_index ops;
+        op_index crash_at;  // ops: never
+        op_index next{0};
+        bool open{false};
+    };
+    const auto nprocs = static_cast<std::size_t>(1 + gen.below(4));
+    const std::size_t writers = gen.chance(1, 4) ? 2 : 1;
+    std::vector<plan> procs;
+    for (std::size_t p = 0; p < nprocs; ++p) {
+        const auto ops = static_cast<op_index>(1 + gen.below(3));
+        procs.push_back(plan{p < writers ? op_kind::write : op_kind::read, ops,
+                             gen.chance(1, 4)
+                                 ? static_cast<op_index>(gen.below(ops))
+                                 : ops});
+    }
+    std::vector<emission> labels;
+    std::vector<value_t> begun{0};
+    for (;;) {
+        std::vector<std::size_t> movable;
+        for (std::size_t p = 0; p < procs.size(); ++p) {
+            const plan& q = procs[p];
+            const bool crashed = q.open && q.next == q.crash_at + 1;
+            if (!crashed && (q.open || q.next < q.ops)) movable.push_back(p);
+        }
+        if (movable.empty()) return labels;
+        const std::size_t p = movable[gen.below(movable.size())];
+        plan& q = procs[p];
+        emission l;
+        l.kind = q.kind;
+        l.proc = static_cast<processor_id>(p);
+        l.is_begin = !q.open;
+        l.op = q.open ? q.next - 1 : q.next;
+        if (l.is_begin && q.kind == op_kind::write) {
+            l.value = gen.range(1, 3);
+            begun.push_back(l.value);
+        } else if (!l.is_begin && q.kind == op_kind::read) {
+            l.value = gen.chance(1, 2) ? begun[gen.below(begun.size())]
+                                       : gen.range(0, 4);
+        }
+        if (l.is_begin) ++q.next;
+        q.open = l.is_begin;
+        labels.push_back(l);
+    }
+}
+
+TEST(LabelJudge, AgreesWithJudgeHistoryOnRandomLabelSequences) {
+    rng gen(0x1abe1);
+    for (const property prop :
+         {property::atomic, property::regular_swmr, property::safe_swmr}) {
+        SCOPED_TRACE(static_cast<int>(prop));
+        label_judge judge(prop, 0);
+        std::size_t passed = 0;
+        std::size_t failed = 0;
+        for (int n = 0; n < 10000; ++n) {
+            const std::vector<emission> labels = random_labels(gen);
+            // The whole sequence, and a prefix cut anywhere (more ops open).
+            const std::size_t cut = gen.below(labels.size() + 1);
+            std::uint32_t state = label_judge::root();
+            for (std::size_t i = 0; i <= labels.size(); ++i) {
+                if (i == cut || i == labels.size()) {
+                    ASSERT_NE(state, label_judge::unrepresentable);
+                    const std::vector<emission> prefix(
+                        labels.begin(),
+                        labels.begin() + static_cast<std::ptrdiff_t>(i));
+                    const std::vector<operation> hist = history_of(prefix);
+                    const bool want = judge_history(hist, prop, 0).ok;
+                    ASSERT_EQ(judge.passes(state), want)
+                        << format_operations(hist);
+                    (want ? passed : failed) += 1;
+                }
+                if (i < labels.size()) state = judge.step(state, labels[i]);
+            }
+        }
+        // Both verdicts are well represented.
+        EXPECT_GT(passed, 2000u);
+        EXPECT_GT(failed, 2000u);
+    }
+}
+
+TEST(LabelJudge, PrefixesPastItsLimitsAreUnrepresentable) {
+    // atomic: 62 begins fit check_exhaustive; the 63rd does not.
+    label_judge atomic(property::atomic, 0);
+    std::uint32_t state = label_judge::root();
+    for (op_index i = 0; i < 63; ++i) {
+        ASSERT_NE(state, label_judge::unrepresentable);
+        state = atomic.step(state, emission{true, op_kind::write, 0, i, 1});
+        state = atomic.step(state, emission{false, op_kind::write, 0, i, 1});
+    }
+    EXPECT_EQ(state, label_judge::unrepresentable);
+    // Value sets are one word: the initial value and 63 written ones fit;
+    // a 65th distinct value does not.
+    label_judge regular(property::regular_swmr, 0);
+    state = label_judge::root();
+    for (op_index i = 0; i < 64; ++i) {
+        ASSERT_NE(state, label_judge::unrepresentable);
+        const value_t v = static_cast<value_t>(i) + 1;
+        state = regular.step(state, emission{true, op_kind::write, 0, i, v});
+        state = regular.step(state, emission{false, op_kind::write, 0, i, v});
+    }
+    EXPECT_EQ(state, label_judge::unrepresentable);
+}
+
+TEST(LabelJudgeDeathTest, AProcessHasOneOpOpenAtATime) {
+    label_judge judge(property::atomic, 0);
+    const std::uint32_t open =
+        judge.step(label_judge::root(), emission{true, op_kind::read, 2, 0, 0});
+    EXPECT_DEATH((void)judge.step(open, emission{true, op_kind::read, 2, 1, 0}),
+                 "previous one ended");
+    EXPECT_DEATH(
+        (void)judge.step(open, emission{false, op_kind::write, 2, 0, 0}),
+        "open op of that kind");
 }
 
 // A value outside a register's domain, or a split-level register too wide
