@@ -7,21 +7,18 @@
 // violating trace printed), and the substrate constructions at their exact
 // consistency levels.
 //
-// Every configuration runs under the default partial-order + symmetry
-// reduction on the sequential engine (threads = 1) and on the parallel
-// work-sharing engine (threads = hardware_concurrency, or --threads N);
-// the verdict and the schedule-invariant counters must agree between the
-// two. Unless a row is marked reduction-only (the raw interleaving space is
-// priced out -- that affordability is the row's point), a third run with
-// the reduction off cross-checks the contract: property_holds, violations,
-// and distinct_histories must be IDENTICAL with and without it. Usage:
+// Every configuration runs once under the default partial-order + symmetry
+// reduction. Unless a row is marked reduction-only (the raw interleaving
+// space is priced out -- that affordability is the row's point), a second
+// run with the reduction off (the full engine, on hardware_concurrency
+// threads) cross-checks the contract: property_holds, violations, and
+// distinct_histories must be IDENTICAL with and without it. Usage:
 //
-//   bench_modelcheck [--threads N] [--json BENCH_modelcheck.json]
+//   bench_modelcheck [--json BENCH_modelcheck.json]
 //
-// --json writes a machine-readable record (states/sec, wall ms per engine,
-// thread count, speedup vs 1 thread, reduction + memory accounting) so the
-// perf trajectory is tracked across PRs.
-#include <algorithm>
+// --json writes a machine-readable record (the verification matrix with
+// wall ms per engine, plus reduction + memory accounting) so the perf
+// trajectory is tracked across PRs.
 #include <chrono>
 #include <fstream>
 #include <functional>
@@ -70,7 +67,7 @@ struct timed_result {
     double ms{0};
 };
 
-timed_result run(const bench_config& c, unsigned threads, bool por) {
+timed_result run(const bench_config& c, bool por) {
     // Return the previous configuration's freed heap to the kernel before
     // starting the clock: glibc otherwise charges a one-off consolidation
     // pass (hundreds of ms after a multi-million-state run) to whichever
@@ -80,32 +77,12 @@ timed_result run(const bench_config& c, unsigned threads, bool por) {
     explore_config cfg;
     cfg.prop = c.prop;
     cfg.initial = c.initial;
-    cfg.threads = threads;
     cfg.por = por;
     const auto t0 = std::chrono::steady_clock::now();
     explore_result res = explore(s, cfg);
     const auto t1 = std::chrono::steady_clock::now();
     return {std::move(res),
             std::chrono::duration<double, std::milli>(t1 - t0).count()};
-}
-
-/// The counters that must not depend on the thread count. A truncated run
-/// only fixes the verdict: how much of the space each run covered first is
-/// scheduler-dependent. The POR engine judges histories in one canonical
-/// order, so a run it stopped at the first violation has judged the same
-/// histories at every thread count; the full engine's has not.
-bool verdicts_match(const explore_result& a, const explore_result& b) {
-    if (a.property_holds != b.property_holds || a.truncated != b.truncated) {
-        return false;
-    }
-    if (a.truncated) return true;
-    if (!a.property_holds) {
-        return !(a.reduction.engaged && b.reduction.engaged) ||
-               a.distinct_histories == b.distinct_histories;
-    }
-    return a.leaves == b.leaves &&
-           a.distinct_histories == b.distinct_histories &&
-           a.violations == b.violations;
 }
 
 /// The reduction contract: reduced and full exploration agree on every
@@ -327,22 +304,16 @@ std::string yesno(bool b) { return b ? "true" : "false"; }
 
 int main(int argc, char** argv) {
     std::string json_path;
-    unsigned threads = 0;
     harness::flag_parser parser("bench_modelcheck",
                                 "bounded exhaustive verification, both engines");
     parser.add_string("json", "write a bloom87-harness report here",
                       &json_path);
-    parser.add_unsigned("threads",
-                        "parallel-engine thread count (0 = hardware)",
-                        &threads);
     if (!parser.parse(argc, argv)) return 64;
     if (parser.help_requested()) return 0;
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    if (threads == 0) threads = hw;
 
     print_banner(std::cout, "TAB-D", "Bounded exhaustive verification");
-    std::cout << "parallel engine: " << threads << " thread(s), "
-              << "hardware_concurrency = " << hw << "\n"
+    std::cout << "full-engine cross-check: hardware_concurrency = "
+              << std::thread::hardware_concurrency() << "\n"
               << "reduction: partial-order + symmetry (default); each row is "
                  "cross-checked\nagainst full exploration unless marked "
                  "reduction-only\n\n";
@@ -350,78 +321,60 @@ int main(int argc, char** argv) {
     const std::vector<bench_config> configs = make_configs();
 
     table t({"configuration", "property", "states", "core", "histories",
-             "verdict", "t=1 ms", "t=" + std::to_string(threads) + " ms",
-             "full ms", "reduction"});
+             "verdict", "ms", "full ms", "reduction"});
 
     struct row {
         const bench_config* cfg;
-        timed_result seq;
-        timed_result par;
+        timed_result red;
         std::optional<timed_result> full;  // por = false cross-check
-        bool match;      // seq vs par: thread invariance
-        bool red_match;  // par vs full: reduction contract (true if skipped)
+        bool red_match;  // red vs full: reduction contract (true if skipped)
     };
     std::vector<row> rows;
     bool all_match = true;
     for (const bench_config& c : configs) {
-        timed_result seq = run(c, 1, true);
-        // threads == 1: the parallel run would be the same engine; reuse.
-        timed_result par = threads > 1 ? run(c, threads, true) : seq;
+        timed_result red = run(c, true);
         std::optional<timed_result> full;
-        if (!c.reduction_only) full = run(c, threads, false);
-        const bool match = verdicts_match(seq.res, par.res);
+        if (!c.reduction_only) full = run(c, false);
         const bool red_match =
-            !full || reduction_verdicts_match(par.res, full->res);
-        all_match &= match && red_match;
-        const bool pass = par.res.property_holds;
+            !full || reduction_verdicts_match(red.res, full->res);
+        all_match &= red_match;
+        const bool pass = red.res.property_holds;
         // A truncated run with no violation certifies nothing.
-        const bool truncated_pass = pass && par.res.truncated;
-        const reduction_stats& red = par.res.reduction;
+        const bool truncated_pass = pass && red.res.truncated;
+        const reduction_stats& rs = red.res.reduction;
         std::string check =
             full ? (red_match ? "vs full: ok" : "** MISMATCH **")
                  : "quotient only";
-        if (red.engaged && red.symmetry) {
-            check += ", |G|=" + std::to_string(red.symmetry_group);
+        if (rs.engaged && rs.symmetry) {
+            check += ", |G|=" + std::to_string(rs.symmetry_group);
         }
-        t.row({c.name, c.prop_name, with_commas(par.res.states_explored),
-               red.engaged ? with_commas(red.core_states) : "-",
-               with_commas(par.res.distinct_histories),
+        t.row({c.name, c.prop_name, with_commas(red.res.states_explored),
+               rs.engaged ? with_commas(rs.core_states) : "-",
+               with_commas(red.res.distinct_histories),
                std::string(truncated_pass ? "TRUNCATED"
                            : pass       ? "PASS"
                                         : "FAIL") +
                    (!truncated_pass && pass == c.expect_pass
                         ? " (expected)"
-                        : "  ** UNEXPECTED **") +
-                   (match ? "" : "  ** ENGINE MISMATCH **"),
-               fixed(seq.ms, 1), fixed(par.ms, 1),
-               full ? fixed(full->ms, 1) : "-", check});
-        if (c.print_first_violation && par.res.first_violation) {
+                        : "  ** UNEXPECTED **"),
+               fixed(red.ms, 1), full ? fixed(full->ms, 1) : "-", check});
+        if (c.print_first_violation && red.res.first_violation) {
             std::cout << "  " << c.name << " -- a violating history"
-                      << (par.res.first_violation_reduced
+                      << (red.res.first_violation_reduced
                               ? " (reconstructed from the reduced space)"
                               : "")
                       << ":\n"
-                      << format_operations(par.res.first_violation->hist);
+                      << format_operations(red.res.first_violation->hist);
         }
-        rows.push_back({&c, std::move(seq), std::move(par), std::move(full),
-                        match, red_match});
+        rows.push_back({&c, std::move(red), std::move(full), red_match});
     }
     t.print(std::cout);
     if (!all_match) {
-        std::cout << "\n** at least one configuration DISAGREES across "
-                     "engines (thread count or reduction) **\n";
+        std::cout << "\n** at least one configuration DISAGREES with full "
+                     "exploration **\n";
     }
 
     if (!json_path.empty()) {
-        // Machine-readable engine comparison: raw (uncomma'd) numbers, one
-        // row per configuration, in the shared bloom87-harness report shape so
-        // the perf trajectory is tracked with the same tooling as every
-        // other bench.
-        table engines({"name", "property", "states", "distinct_histories",
-                       "property_holds", "expected_pass", "verdicts_match",
-                       "threads", "wall_ms_1_thread", "wall_ms_n_threads",
-                       "states_per_sec_1_thread", "states_per_sec_n_threads",
-                       "speedup"});
         // Reduction + memory accounting per row, plus the full-engine
         // cross-check (raw states and wall ms give the reduction factor).
         table reduction({"name", "por_engaged", "symmetry", "symmetry_group",
@@ -432,23 +385,7 @@ int main(int argc, char** argv) {
                          "graph_bytes", "full_states", "full_wall_ms",
                          "reduction_verdicts_match"});
         for (const row& r : rows) {
-            auto per_sec = [](const timed_result& tr) {
-                return tr.ms > 0
-                           ? 1000.0 *
-                                 static_cast<double>(tr.res.states_explored) /
-                                 tr.ms
-                           : 0.0;
-            };
-            engines.row(
-                {r.cfg->name, r.cfg->prop_name,
-                 std::to_string(r.seq.res.states_explored),
-                 std::to_string(r.seq.res.distinct_histories),
-                 yesno(r.seq.res.property_holds), yesno(r.cfg->expect_pass),
-                 yesno(r.match), std::to_string(threads),
-                 fixed(r.seq.ms, 3), fixed(r.par.ms, 3),
-                 fixed(per_sec(r.seq), 0), fixed(per_sec(r.par), 0),
-                 fixed(r.par.ms > 0 ? r.seq.ms / r.par.ms : 1.0, 3)});
-            const explore_result& res = r.par.res;
+            const explore_result& res = r.red.res;
             reduction.row(
                 {r.cfg->name, yesno(res.reduction.engaged),
                  yesno(res.reduction.symmetry),
@@ -458,10 +395,8 @@ int main(int argc, char** argv) {
                  std::to_string(res.reduction.sleep_pruned),
                  std::to_string(res.reduction.dfa_states),
                  std::to_string(res.reduction.enumerated_paths),
-                 // The sequential run's: its walk, and so these counts, are
-                 // the same on every run.
-                 std::to_string(r.seq.res.reduction.judge_states),
-                 std::to_string(r.seq.res.reduction.product_pairs),
+                 std::to_string(res.reduction.judge_states),
+                 std::to_string(res.reduction.product_pairs),
                  yesno(res.first_violation_reduced),
                  std::to_string(res.memory.memo_entries),
                  std::to_string(res.memory.memo_bytes),
@@ -479,7 +414,6 @@ int main(int argc, char** argv) {
         }
         harness::report_writer rep(os, "modelcheck");
         rep.add_table("verification_matrix", t);
-        rep.add_table("engine_comparison", engines);
         rep.add_table("reduction", reduction);
         rep.finish();
         std::cout << "\nwrote " << json_path << "\n";

@@ -13,8 +13,11 @@
 //   model_explorer [flags] abd        swmr|mw [writers] [writes_each] [readers] [reads_each] [servers] [crashes]
 //
 // Flags (anywhere; the rest stays positional):
-//   --threads N     worker count of the parallel explorer (default:
-//                   hardware_concurrency; 1 = the deterministic sequential order)
+//   --threads N     worker count of the full engine (--no-por, race mode, or
+//                   a configuration the reduction cannot take; default:
+//                   hardware_concurrency; 1 = the deterministic sequential
+//                   order). The default reduced engine is sequential and
+//                   ignores it.
 //   --max-states N  budget before TRUNCATED (default 20000000): explored
 //                   states, plus the label-DAG states and histories of the
 //                   reduced engine
@@ -35,8 +38,8 @@
 // Examples:
 //   ./model_explorer bloom 2 1 1        # Bloom, 2 writes each, 1 reader
 //   ./model_explorer fourslot regular   # shows why regular bits fail
-//   ./model_explorer --threads 8 bloom 2 2 1
-//   ./model_explorer --no-por bloom 2 1 2   # price the raw interleaving space
+//   ./model_explorer bloom 2 2 1        # 2 readers: 2,209,020 histories
+//   ./model_explorer --no-por --threads 4 bloom 2 1 2  # raw space, 4 workers
 //   ./model_explorer faulty stale_read  # concrete violating schedule
 //   ./model_explorer faulty port_crash  # exhaustive pass: crashes tolerated
 //   ./model_explorer race packed 1 1 1  # certify race-free within the bound

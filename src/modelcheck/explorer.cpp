@@ -396,16 +396,16 @@ private:
 }  // namespace
 
 explore_result explore(const sim_state& initial_state, const explore_config& cfg) {
-    unsigned threads = cfg.threads;
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0) threads = 1;
-    }
     // Route eligible explorations through the trace-quotient POR engine;
     // race-mode states (happens-before clocks break step independence) and
     // oversized configurations fall back to full exploration.
     if (cfg.por && reduction_applicable(initial_state)) {
-        return explore_reduced(initial_state, cfg, threads);
+        return explore_reduced(initial_state, cfg);
+    }
+    unsigned threads = cfg.threads;
+    if (threads == 0) {
+        threads = std::thread::hardware_concurrency();
+        if (threads == 0) threads = 1;
     }
     explore_engine engine(cfg, threads);
     return engine.run(initial_state);

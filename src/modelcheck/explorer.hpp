@@ -14,16 +14,16 @@
 // (atomicity via the exhaustive checker, or single-writer regularity);
 // verdicts are memoized per distinct history.
 //
-// Determinism: every aggregate verdict and count except states_explored /
-// memo_hits under truncation is independent of the thread count, because
-// the *set* of states explored (first fingerprint insertion wins) and the
-// set of distinct leaf histories are schedule-invariant. The POR engine
-// (the default, por.hpp) judges histories in one canonical order, stepping
-// an incremental judge state (verdicts.hpp) instead of checking each
-// history anew, so its `first_violation`, and the history count of a run
-// stopped at it, are the same at every thread count. The full
-// engine's `first_violation` is deterministic (DFS order) at threads == 1
-// and scheduler-dependent above.
+// Determinism: every aggregate verdict and count of this engine except
+// states_explored / memo_hits under truncation is independent of the
+// thread count, because the *set* of states explored (first fingerprint
+// insertion wins) and the set of distinct leaf histories are
+// schedule-invariant. Its `first_violation` is deterministic (DFS order)
+// at threads == 1 and scheduler-dependent above. The POR engine (the
+// default, por.hpp) is sequential and judges histories in one canonical
+// order, stepping an incremental judge state (verdicts.hpp) instead of
+// checking each history anew: everything it reports, `first_violation`
+// included, is a function of the configuration alone.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +45,10 @@ struct explore_config {
     std::uint64_t max_states{20'000'000};
     /// Stop at the first property violation (else count them all).
     bool stop_at_first_violation{true};
-    /// Worker threads. 0 (the default) = hardware_concurrency; 1 =
-    /// sequential (the classic deterministic DFS order, no locking on the
-    /// hot path).
+    /// Worker threads of the full engine. 0 (the default) =
+    /// hardware_concurrency; 1 = sequential (the classic deterministic DFS
+    /// order, no locking on the hot path). The reduced engine (por) ignores
+    /// it and runs on the calling thread.
     unsigned threads{0};
     /// Partial-order reduction (por.hpp): explore the trace-quotient graph
     /// with sleep-set pruning instead of every raw interleaving. Aggregate
@@ -82,10 +83,7 @@ struct reduction_stats {
     std::uint64_t core_states{0};   ///< trace-quotient nodes interned
     std::uint64_t core_edges{0};    ///< labeled edges recorded
     std::uint64_t sleep_pruned{0};  ///< (node, process) expansions suppressed
-    /// Arrivals canonicalized via a non-identity permutation. Informational
-    /// and NOT thread-count-invariant: which of two symmetric twins a worker
-    /// reaches first decides which needed the fold (the graph built, and
-    /// every verdict counter, is the same either way).
+    /// Arrivals canonicalized via a non-identity permutation.
     std::uint64_t symmetry_folds{0};
     std::uint64_t symmetry_group{1};  ///< |G|: symmetry permutations considered per arrival
     /// States of the determinized label DAG phase 2 built (por.hpp).
@@ -132,8 +130,8 @@ struct explore_result {
     bool property_holds{true};
     bool truncated{false};
     /// A violating trace. The POR engine records the first violating history
-    /// in label order, the same at every thread count; the full engine at
-    /// threads > 1 records whichever a worker finds first. Its existence
+    /// in label order; the full engine records the first its DFS reaches at
+    /// threads == 1 and whichever a worker finds first above. Its existence
     /// (whenever property_holds is false) never depends on scheduling.
     std::optional<violation> first_violation;
     /// Lockset-mode only: the first documented divergence between the

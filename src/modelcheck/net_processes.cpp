@@ -2,10 +2,10 @@
 
 #include <array>
 #include <bit>
-#include <cassert>
 #include <memory>
 
 #include "modelcheck/processes.hpp"  // encode_stamp
+#include "util/check.hpp"
 
 namespace bloom87::mc {
 namespace {
@@ -22,8 +22,8 @@ namespace {
         if ((static_cast<unsigned>(visited) >> j & 1U) != 0) continue;
         if (choice-- == 0) return static_cast<std::size_t>(j);
     }
-    assert(false && "choice exceeds unvisited servers");
-    return 0;
+    check_failed("pick_server: choice exceeds the unvisited servers",
+                 std::source_location::current());
 }
 
 [[nodiscard]] std::uint64_t unvisited_mask(int n, mc_value visited) noexcept {

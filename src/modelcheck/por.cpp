@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <thread>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -16,7 +11,6 @@
 
 #include "modelcheck/verdicts.hpp"
 #include "util/check.hpp"
-#include "util/sync.hpp"
 
 namespace bloom87::mc {
 namespace {
@@ -170,9 +164,7 @@ struct qedge {
 }
 
 /// A quotient node: a (core state, sleep set) pair canonicalized over the
-/// symmetry group. Contents are written only by the single worker that
-/// expands the node; the deque that owns nodes is only ever pushed under a
-/// mutex, and deque growth does not move existing elements.
+/// symmetry group.
 struct qnode {
     std::vector<qedge> edges;
     std::uint32_t eps_edges{0};  ///< phase 2: edges[0, eps_edges) emit nothing
@@ -181,7 +173,7 @@ struct qnode {
 };
 
 struct work_item {
-    qnode* node{nullptr};
+    std::uint32_t node{0};
     sim_state state;
     std::uint64_t sleep{0};
     perm_t g{kIdentity};  ///< canonical frame of `node`: index -> slot
@@ -189,10 +181,8 @@ struct work_item {
 
 class por_engine {
 public:
-    por_engine(const explore_config& cfg, unsigned threads,
-               const sim_state& initial)
+    por_engine(const explore_config& cfg, const sim_state& initial)
         : cfg_(cfg),
-          nthreads_(threads),
           G_(build_group(initial, cfg.symmetry, &symmetry_warning_)),
           symmetry_on_(G_.size() > 1) {
         if (symmetry_on_) {
@@ -206,46 +196,18 @@ public:
     }
 
     explore_result run(const sim_state& initial) {
-        std::vector<std::uint64_t> fp;
-        fp.reserve(256);
-        {
-            sim_state root(initial);
-            root.reset_emissions();
-            if (!over_budget()) {
-                const canon c = canonicalize(root, 0, fp);
-                auto [id, node, fresh] = intern(c.key);
-                (void)id;
-                sigma0_ = perm_invert(c.g);
-                if (fresh) {
-                    std::lock_guard<std::mutex> guard(stack_mutex_);
-                    stack_.push_back(
-                        work_item{node, std::move(root), 0, c.g});
-                }
-            }
-        }
-        if (nthreads_ == 1) {
-            worker_main();
-        } else {
-            std::vector<std::thread> pool;
-            pool.reserve(nthreads_);
-            for (unsigned t = 0; t < nthreads_; ++t) {
-                pool.emplace_back([this] { worker_main(); });
-            }
-            for (std::thread& th : pool) th.join();
-        }
-        // Phase 2 interns nothing in the phase-1 maps: record their size,
-        // then free them.
-        for (map_stripe& s : map_) {
-            map_entries_ += s.map.size();
-            map_bytes_ += s.map.size() * 48 + s.map.bucket_count() * 8;
-            decltype(s.map)().swap(s.map);
-        }
-        if (!truncated_.load(std::memory_order_relaxed)) enumerate();
+        build_graph(initial);
+        // Phase 2 interns nothing in the phase-1 map: record its size, then
+        // free it.
+        map_entries_ = map_.size();
+        map_bytes_ = map_.size() * 48 + map_.bucket_count() * 8;
+        decltype(map_)().swap(map_);
+        if (!truncated_) enumerate();
         return assemble();
     }
 
 private:
-    // --- phase 1: build the quotient graph (parallel, shared LIFO) --------
+    // --- phase 1: build the quotient graph (depth first, LIFO) ------------
 
     struct canon {
         std::uint64_t key;
@@ -282,58 +244,42 @@ private:
                 first = false;
             }
         }
-        if (bestg != kIdentity) {
-            symmetry_folds_.fetch_add(1, std::memory_order_relaxed);
-        }
+        if (bestg != kIdentity) ++symmetry_folds_;
         return {best, bestg};
     }
 
     /// Counts one arrival against the budget (same semantics as the full
     /// engine: every generated state counts, memoized or not).
     bool over_budget() {
-        if (stop_.load(std::memory_order_relaxed)) return true;
-        if (states_explored_.fetch_add(1, std::memory_order_relaxed) + 1 >
-            cfg_.max_states) {
-            truncated_.store(true, std::memory_order_relaxed);
-            request_stop();
-            return true;
-        }
-        return false;
+        if (++states_explored_ <= cfg_.max_states) return false;
+        truncated_ = true;
+        return true;
     }
 
-    void request_stop() {
-        stop_.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> guard(stack_mutex_);
-        stack_cv_.notify_all();
+    /// The id of the node keyed `key`, and whether this call created it.
+    std::pair<std::uint32_t, bool> intern(std::uint64_t key) {
+        const auto [it, fresh] = map_.try_emplace(
+            key, static_cast<std::uint32_t>(nodes_.size()));
+        if (fresh) nodes_.emplace_back();
+        return {it->second, fresh};
     }
 
-    struct interned {
-        std::uint32_t id;
-        qnode* node;
-        bool fresh;
-    };
-
-    interned intern(std::uint64_t key) {
-        map_stripe& s = map_[key >> (64 - map_stripe_bits)];
-        const bool locked = nthreads_ > 1;
-        if (locked) s.mutex.lock();
-        auto it = s.map.find(key);
-        if (it != s.map.end()) {
-            const interned out{it->second, nullptr, false};
-            if (locked) s.mutex.unlock();
-            return out;
+    /// Expands every fresh node once, popping the most recently pushed
+    /// first; a node's children are pushed in (process, choice) order.
+    void build_graph(const sim_state& initial) {
+        std::vector<std::uint64_t> fp;
+        fp.reserve(256);
+        if (over_budget()) return;
+        sim_state root(initial);
+        const canon c = canonicalize(root, 0, fp);
+        intern(c.key);
+        sigma0_ = perm_invert(c.g);
+        stack_.push_back(work_item{0, std::move(root), 0, c.g});
+        while (!stack_.empty() && !truncated_) {
+            work_item it = std::move(stack_.back());
+            stack_.pop_back();
+            expand(it, fp);
         }
-        std::uint32_t id;
-        qnode* node;
-        {
-            std::lock_guard<std::mutex> guard(nodes_mutex_);
-            id = static_cast<std::uint32_t>(nodes_.size());
-            nodes_.emplace_back();
-            node = &nodes_.back();
-        }
-        s.map.emplace(key, id);
-        if (locked) s.mutex.unlock();
-        return {id, node, true};
     }
 
     void expand(work_item& it, std::vector<std::uint64_t>& fp) {
@@ -360,14 +306,14 @@ private:
             ++ne;
         }
         if (ne == 0) {
-            it.node->accepting = true;
+            nodes_[it.node].accepting = true;
             return;
         }
         std::uint64_t earlier = 0;
         for (std::size_t i = 0; i < ne; ++i) {
             const enabled_t& e = en[i];
             if (((it.sleep >> e.p) & 1) != 0) {
-                sleep_pruned_.fetch_add(1, std::memory_order_relaxed);
+                ++sleep_pruned_;
                 continue;
             }
             // Sleep-set rule: a sibling explored earlier (or inherited
@@ -383,21 +329,19 @@ private:
                 }
             }
             for (int choice = 0; choice < e.fo; ++choice) {
-                if (stop_.load(std::memory_order_relaxed)) return;
                 sim_state y(x);
                 y.reset_emissions();
                 y.set_acting(static_cast<std::int16_t>(e.p));
                 y.procs[e.p]->step(y, choice);
+                check(y.emitted_count() <= 2, "a step emits at most two labels");
                 if (over_budget()) return;
                 const canon c = canonicalize(y, child_sleep, fp);
-                interned in = intern(c.key);
-                if (!in.fresh) {
-                    memo_hits_.fetch_add(1, std::memory_order_relaxed);
-                }
+                const auto [target, fresh] = intern(c.key);
+                if (!fresh) ++memo_hits_;
                 qedge ed;
-                ed.target = in.id;
+                ed.target = target;
                 ed.perm = perm_compose(it.g, perm_invert(c.g));
-                for (int k = 0; k < y.emitted_count() && k < 2; ++k) {
+                for (int k = 0; k < y.emitted_count(); ++k) {
                     emission l = y.emitted(k);
                     if (symmetry_on_) {
                         // Store in canonical index space of the SOURCE.
@@ -407,64 +351,26 @@ private:
                     }
                     ed.labels[ed.nlabels++] = l;
                 }
+                // Taken after intern(), which may have grown nodes_.
+                std::vector<qedge>& edges = nodes_[it.node].edges;
                 // Distinct choices occasionally produce the same transition
                 // (e.g. a fault choice that lands where the clean one does);
                 // the full engine memoizes the duplicate away, we drop the
                 // parallel edge.
-                bool dup = false;
-                for (const qedge& prev : it.node->edges) {
-                    if (prev.target == ed.target && prev.perm == ed.perm &&
-                        same_labels(prev, ed)) {
-                        dup = true;
-                        break;
-                    }
-                }
+                const bool dup = std::any_of(
+                    edges.begin(), edges.end(), [&](const qedge& prev) {
+                        return prev.target == ed.target &&
+                               prev.perm == ed.perm && same_labels(prev, ed);
+                    });
                 if (dup) continue;
-                it.node->edges.push_back(ed);
-                edges_.fetch_add(1, std::memory_order_relaxed);
-                if (in.fresh) {
-                    std::lock_guard<std::mutex> guard(stack_mutex_);
+                edges.push_back(ed);
+                ++edges_;
+                if (fresh) {
                     stack_.push_back(
-                        work_item{in.node, std::move(y), child_sleep, c.g});
-                    stack_cv_.notify_one();
+                        work_item{target, std::move(y), child_sleep, c.g});
                 }
             }
             earlier |= 1ULL << e.p;
-        }
-    }
-
-    std::optional<work_item> acquire() {
-        std::unique_lock<std::mutex> lock(stack_mutex_);
-        for (;;) {
-            if (stop_.load(std::memory_order_relaxed) || done_) {
-                return std::nullopt;
-            }
-            if (!stack_.empty()) {
-                work_item item = std::move(stack_.back());
-                stack_.pop_back();
-                return item;
-            }
-            idle_workers_.fetch_add(1, std::memory_order_relaxed);
-            if (idle_workers_.load(std::memory_order_relaxed) == nthreads_) {
-                done_ = true;
-                stack_cv_.notify_all();
-                return std::nullopt;
-            }
-            stack_cv_.wait(lock, [this] {
-                return stop_.load(std::memory_order_relaxed) || done_ ||
-                       !stack_.empty();
-            });
-            idle_workers_.fetch_sub(1, std::memory_order_relaxed);
-        }
-    }
-
-    void worker_main() {
-        std::vector<std::uint64_t> fp;
-        fp.reserve(256);
-        for (;;) {
-            std::optional<work_item> item = acquire();
-            if (!item.has_value()) return;
-            expand(*item, fp);
         }
     }
 
@@ -699,13 +605,12 @@ private:
     /// DAG states and judged histories count against the budget after the
     /// phase-1 arrivals, so a determinization blow-up truncates.
     [[nodiscard]] bool phase2_fits(std::uint64_t more) const {
-        return states_explored_.load(std::memory_order_relaxed) +
-                   dfa_.size() + leaves_ + more <=
+        return states_explored_ + dfa_.size() + leaves_ + more <=
                cfg_.max_states;
     }
     bool phase2_over_budget(std::uint64_t more) {
         if (phase2_fits(more)) return false;
-        truncated_.store(true, std::memory_order_relaxed);
+        truncated_ = true;
         abort_enumeration_ = true;
         return true;
     }
@@ -827,7 +732,7 @@ private:
     /// Walks the DAG depth first, building states on first visit and
     /// stepping the judge state along every edge. Out-edges are sorted by
     /// label, so histories are judged in lexicographic order whatever the
-    /// thread count or node numbering; memoized pairs are skipped.
+    /// node numbering; memoized pairs are skipped.
     void enumerate() {
         if (nodes_.empty()) return;
         mark_productive();
@@ -877,24 +782,21 @@ private:
 
     explore_result assemble() {
         explore_result out;
-        out.states_explored =
-            states_explored_.load(std::memory_order_relaxed);
-        out.memo_hits = memo_hits_.load(std::memory_order_relaxed);
+        out.states_explored = states_explored_;
+        out.memo_hits = memo_hits_;
         out.leaves = leaves_;
         out.distinct_histories = leaves_;  // one DAG path per history
         out.violations = violations_;
         out.property_holds = property_holds_;
-        out.truncated = truncated_.load(std::memory_order_relaxed);
+        out.truncated = truncated_;
         out.first_violation = std::move(first_violation_);
         out.first_violation_reduced = out.first_violation.has_value();
         out.reduction.engaged = true;
         out.reduction.symmetry = symmetry_on_;
         out.reduction.core_states = nodes_.size();
-        out.reduction.core_edges = edges_.load(std::memory_order_relaxed);
-        out.reduction.sleep_pruned =
-            sleep_pruned_.load(std::memory_order_relaxed);
-        out.reduction.symmetry_folds =
-            symmetry_folds_.load(std::memory_order_relaxed);
+        out.reduction.core_edges = edges_;
+        out.reduction.sleep_pruned = sleep_pruned_;
+        out.reduction.symmetry_folds = symmetry_folds_;
         out.reduction.symmetry_group = G_.size();
         out.reduction.symmetry_warning = symmetry_warning_;
         out.reduction.dfa_states = dfa_.size();
@@ -920,7 +822,6 @@ private:
     }
 
     const explore_config& cfg_;
-    const unsigned nthreads_;
     std::string symmetry_warning_;  ///< declared before G_: build_group fills it
     const std::vector<perm_t> G_;
     const bool symmetry_on_;
@@ -928,32 +829,18 @@ private:
     std::array<std::uint8_t, 64> idx_of_{};  ///< processor id -> index
     perm_t sigma0_{kIdentity};
 
-    static constexpr std::size_t map_stripe_bits = 6;
-    struct alignas(cacheline_size) map_stripe {
-        std::mutex mutex;
-        std::unordered_map<std::uint64_t, std::uint32_t> map;
-    };
-    std::array<map_stripe, std::size_t{1} << map_stripe_bits> map_;
+    std::unordered_map<std::uint64_t, std::uint32_t> map_;  ///< key -> node id
     std::uint64_t map_entries_{0};  ///< map_'s size, recorded before freeing
     std::uint64_t map_bytes_{0};
-    std::mutex nodes_mutex_;
-    std::deque<qnode> nodes_;
-
-    std::mutex stack_mutex_;
-    std::condition_variable stack_cv_;
+    std::vector<qnode> nodes_;
     std::vector<work_item> stack_;
-    std::atomic<unsigned> idle_workers_{0};
-    bool done_{false};  // guarded by stack_mutex_
+    std::uint64_t states_explored_{0};
+    std::uint64_t memo_hits_{0};
+    std::uint64_t edges_{0};
+    std::uint64_t sleep_pruned_{0};
+    std::uint64_t symmetry_folds_{0};
+    bool truncated_{false};
 
-    std::atomic<std::uint64_t> states_explored_{0};
-    std::atomic<std::uint64_t> memo_hits_{0};
-    std::atomic<std::uint64_t> edges_{0};
-    std::atomic<std::uint64_t> sleep_pruned_{0};
-    std::atomic<std::uint64_t> symmetry_folds_{0};
-    std::atomic<bool> truncated_{false};
-    std::atomic<bool> stop_{false};
-
-    // Phase 2 is sequential; plain fields.
     std::size_t gsize_{1};
     std::vector<std::uint8_t> compose_;  ///< [a * gsize_ + b] = G_[a] o G_[b]
     std::uint8_t sigma0_index_{0};
@@ -991,8 +878,8 @@ bool reduction_applicable(const sim_state& initial) {
 }
 
 explore_result explore_reduced(const sim_state& initial,
-                               const explore_config& cfg, unsigned threads) {
-    por_engine engine(cfg, threads, initial);
+                               const explore_config& cfg) {
+    por_engine engine(cfg, initial);
     return engine.run(initial);
 }
 

@@ -8,7 +8,7 @@
 // whose positions are the timestamps -- to explore the TRACE-QUOTIENT
 // instead, in two phases:
 //
-//   Phase 1 (parallel, work-sharing): DFS over "core" states (fingerprinted
+//   Phase 1 (sequential): DFS over "core" states (fingerprinted
 //   WITHOUT history and clock -- sim_state::fingerprint_core), building a
 //   labeled graph. Nodes are (core state, sleep set) pairs, canonicalized
 //   over the reader-symmetry group; edges carry the emitted label (if any)
@@ -32,9 +32,9 @@
 //   built. Each (DAG state, judge state) pair whose sub-DAG has been
 //   walked is memoized with its violation count, and a later arrival at it
 //   is counted in bulk. Histories are judged -- and the first violation
-//   found -- in lexicographic label order at any thread count; the first
-//   violation's diagnosis comes from judge_history on its rebuilt history,
-//   as do the verdicts of histories the judge state cannot represent.
+//   found -- in lexicographic label order; the first violation's
+//   diagnosis comes from judge_history on its rebuilt history, as do the
+//   verdicts of histories the judge state cannot represent.
 //   property_holds / violations / distinct_histories are therefore
 //   IDENTICAL to full exploration; states_explored / memo_hits / leaves
 //   count quotient arrivals / quotient memo hits / DAG paths (= distinct
@@ -44,6 +44,10 @@
 // DAG states and histories of phase 2 (a memoized pair's histories count
 // in bulk only when they all fit); a truncated phase 1 skips phase 2
 // entirely (a partial graph cannot be enumerated honestly).
+//
+// Both phases run on the calling thread, so every count the engine reports
+// is a function of the configuration alone; explore_config::threads does
+// not apply.
 #pragma once
 
 #include "modelcheck/explorer.hpp"
@@ -57,7 +61,6 @@ namespace bloom87::mc {
 
 /// Runs the reduced exploration. Precondition: reduction_applicable.
 [[nodiscard]] explore_result explore_reduced(const sim_state& initial,
-                                             const explore_config& cfg,
-                                             unsigned threads);
+                                             const explore_config& cfg);
 
 }  // namespace bloom87::mc

@@ -148,7 +148,8 @@ mc_value sim_state::end_read(std::size_t reg, std::int16_t proc, int choice) {
 void sim_state::begin_write(std::size_t reg, mc_value v) {
     mc_register& r = registers[reg];
     assert(r.level != reg_level::atomic);
-    assert(r.active_write < 0 && "concurrent writers on a single-writer register");
+    check(r.active_write < 0, "begin_write on a register with an open write "
+                              "(concurrent writers on a single-writer register)");
     check(r.domain <= 64, "split-level register domain exceeds the 64-bit "
                           "candidate mask");
     check(v >= 0 && v < r.domain, "begin_write: value outside [0, domain)");
@@ -172,7 +173,7 @@ void sim_state::begin_write(std::size_t reg, mc_value v) {
 void sim_state::end_write(std::size_t reg) {
     mc_register& r = registers[reg];
     trace_write(reg);
-    assert(r.active_write >= 0);
+    check(r.active_write >= 0, "end_write without begin_write");
     r.committed = r.active_write;
     r.active_write = -1;
 }

@@ -181,7 +181,9 @@ public:
     /// --- emission capture (POR engine) ---
     /// begin_op / end_op record their external-history event here; the POR
     /// engine resets before each step and reads the labels after. At most
-    /// two emissions per step occur in any machine in the repository.
+    /// two emissions per step occur in any machine in the repository; the
+    /// first two are kept, and the count stops at 3 (the full engine steps
+    /// states in place without resetting, so it must not wrap).
     void reset_emissions() noexcept { emitted_count_ = 0; }
     [[nodiscard]] int emitted_count() const noexcept { return emitted_count_; }
     [[nodiscard]] const emission& emitted(int i) const noexcept {
@@ -258,8 +260,8 @@ private:
         if (tracing_) traced_writes_ |= 1ULL << reg;
     }
     void record_emission(const emission& e) noexcept {
-        if (emitted_count_ < 2) emitted_[static_cast<std::size_t>(emitted_count_)] = e;
-        ++emitted_count_;
+        if (emitted_count_ < emitted_.size()) emitted_[emitted_count_] = e;
+        if (emitted_count_ <= emitted_.size()) ++emitted_count_;
     }
 
     event_pos clock_{0};
@@ -270,7 +272,7 @@ private:
     std::unique_ptr<analysis::lockset_detector> lockset_;
     std::int16_t acting_{0};
     std::array<emission, 2> emitted_{};
-    std::int8_t emitted_count_{0};
+    std::uint8_t emitted_count_{0};
     bool tracing_{false};
     std::uint64_t traced_reads_{0};
     std::uint64_t traced_writes_{0};

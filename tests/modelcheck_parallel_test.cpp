@@ -2,15 +2,17 @@
 // count must never change a verdict. Every schedule-invariant counter
 // (property_holds, leaves, distinct_histories, violations) is identical for
 // threads in {1, 2, 4}; states_explored/memo_hits may differ only when the
-// exploration is truncated or stopped early. The POR engine judges
-// histories in one canonical order, so even a run stopped at its first
-// violation reports the same history count and trace at every thread
-// count. Also pins down the stop-flag semantics: stop_at_first_violation
-// and max_states must terminate every worker without deadlock, and a FAIL
+// exploration is truncated or stopped early. The POR engine is sequential
+// and ignores the thread count, so everything it reports -- every
+// reduction_stats counter, and the history count and trace of a run
+// stopped at its first violation -- is the same at every thread count.
+// Also pins down the stop-flag semantics: stop_at_first_violation and
+// max_states must terminate every worker without deadlock, and a FAIL
 // verdict always carries a violating trace.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <tuple>
 
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/processes.hpp"
@@ -55,6 +57,14 @@ sim_state bloom_1x1_2readers() {
     s.procs.push_back(make_bloom_writer(1, {2}));
     s.procs.push_back(make_bloom_reader(2, 2));
     s.procs.push_back(make_bloom_reader(3, 1));
+    return s;
+}
+
+/// Twin readers (same script): the symmetry group engages. The raw space of
+/// this bound passes the default budget, so only the POR engine runs it.
+sim_state bloom_1x1_twin_readers() {
+    sim_state s = bloom_1x1_2readers();
+    s.procs.back() = make_bloom_reader(3, 2);
     return s;
 }
 
@@ -180,37 +190,61 @@ sim_state unary_3bits() {
     return s;
 }
 
-/// Runs the factory's configuration at threads in {1, 2, 4} and asserts
-/// every schedule-invariant result matches the sequential engine -- once
-/// through the POR (trace-quotient) engine and once through the full
-/// explorer, so thread-count invariance holds with the reduction on AND off.
+/// Every reduction_stats field: the sequential POR engine reports each one
+/// the same at every thread count.
+void expect_same_reduction(const reduction_stats& a, const reduction_stats& b) {
+    EXPECT_EQ(a.engaged, b.engaged);
+    EXPECT_EQ(a.symmetry, b.symmetry);
+    EXPECT_EQ(a.core_states, b.core_states);
+    EXPECT_EQ(a.core_edges, b.core_edges);
+    EXPECT_EQ(a.sleep_pruned, b.sleep_pruned);
+    EXPECT_EQ(a.symmetry_folds, b.symmetry_folds);
+    EXPECT_EQ(a.symmetry_group, b.symmetry_group);
+    EXPECT_EQ(a.dfa_states, b.dfa_states);
+    EXPECT_EQ(a.enumerated_paths, b.enumerated_paths);
+    EXPECT_EQ(a.judge_states, b.judge_states);
+    EXPECT_EQ(a.product_pairs, b.product_pairs);
+    EXPECT_EQ(a.symmetry_warning, b.symmetry_warning);
+}
+
+/// Runs the factory's configuration on cfg's engine at threads in
+/// {1, 2, 4} and asserts every schedule-invariant result matches the
+/// sequential run.
+void expect_same_at_every_thread_count(const state_factory& make,
+                                       explore_config cfg) {
+    cfg.threads = 1;
+    const explore_result seq = explore(make(), cfg);
+    ASSERT_FALSE(seq.truncated) << "equivalence configs must fit the budget";
+    for (unsigned threads : {2u, 4u}) {
+        cfg.threads = threads;
+        const explore_result par = explore(make(), cfg);
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EXPECT_EQ(par.property_holds, seq.property_holds);
+        EXPECT_EQ(par.leaves, seq.leaves);
+        EXPECT_EQ(par.distinct_histories, seq.distinct_histories);
+        EXPECT_EQ(par.violations, seq.violations);
+        EXPECT_FALSE(par.truncated);
+        // Not truncated and not stopped early: even the traversal
+        // counters are schedule-invariant (every reachable state -- raw
+        // or quotient node -- is expanded exactly once, so the arrival
+        // count is a graph property).
+        EXPECT_EQ(par.states_explored, seq.states_explored);
+        EXPECT_EQ(par.memo_hits, seq.memo_hits);
+        if (cfg.por) expect_same_reduction(par.reduction, seq.reduction);
+        if (!par.property_holds) {
+            ASSERT_TRUE(par.first_violation.has_value());
+            EXPECT_FALSE(par.first_violation->hist.empty());
+        }
+    }
+}
+
+/// Thread-count invariance with the reduction on AND off: once through the
+/// POR (trace-quotient) engine and once through the full explorer.
 void expect_thread_equivalence(const state_factory& make, explore_config cfg) {
     for (bool por : {true, false}) {
         cfg.por = por;
         SCOPED_TRACE(por ? "engine=por" : "engine=full");
-        cfg.threads = 1;
-        const explore_result seq = explore(make(), cfg);
-        ASSERT_FALSE(seq.truncated) << "equivalence configs must fit the budget";
-        for (unsigned threads : {2u, 4u}) {
-            cfg.threads = threads;
-            const explore_result par = explore(make(), cfg);
-            SCOPED_TRACE("threads=" + std::to_string(threads));
-            EXPECT_EQ(par.property_holds, seq.property_holds);
-            EXPECT_EQ(par.leaves, seq.leaves);
-            EXPECT_EQ(par.distinct_histories, seq.distinct_histories);
-            EXPECT_EQ(par.violations, seq.violations);
-            EXPECT_FALSE(par.truncated);
-            // Not truncated and not stopped early: even the traversal
-            // counters are schedule-invariant (every reachable state --
-            // raw or quotient node -- is expanded exactly once, so the
-            // arrival count is a graph property).
-            EXPECT_EQ(par.states_explored, seq.states_explored);
-            EXPECT_EQ(par.memo_hits, seq.memo_hits);
-            if (!par.property_holds) {
-                ASSERT_TRUE(par.first_violation.has_value());
-                EXPECT_FALSE(par.first_violation->hist.empty());
-            }
-        }
+        expect_same_at_every_thread_count(make, cfg);
     }
 }
 
@@ -252,6 +286,14 @@ TEST(ParallelEquivalence, Bloom2x2OneReader) {
 
 TEST(ParallelEquivalence, Bloom1x1TwoReaders) {
     expect_thread_equivalence(bloom_1x1_2readers, explore_config{});
+}
+
+// Which twin the search reaches first decides which arrivals need a
+// symmetry fold; a sequential search always reaches the same one.
+TEST(ParallelEquivalence, TwinReadersUnderSymmetry) {
+    const explore_config cfg;
+    ASSERT_TRUE(explore(bloom_1x1_twin_readers(), cfg).reduction.symmetry);
+    expect_same_at_every_thread_count(bloom_1x1_twin_readers, cfg);
 }
 
 TEST(ParallelEquivalence, FourSlotSafeDataAtomicControl) {
@@ -319,6 +361,7 @@ TEST(ReductionEquivalence, JudgeStateEdgeCasesMatchFullExploration) {
 
 TEST(ParallelEquivalence, AutoThreadCountMatchesSequential) {
     explore_config cfg;  // threads = 0: hardware_concurrency
+    cfg.por = false;     // the reduced engine never reads the thread count
     const explore_result auto_res = explore(bloom_2x2_1reader(), cfg);
     cfg.threads = 1;
     const explore_result seq = explore(bloom_2x2_1reader(), cfg);
@@ -331,12 +374,22 @@ TEST(ParallelEquivalence, AutoThreadCountMatchesSequential) {
 // Stop-flag semantics.
 // ---------------------------------------------------------------------------
 
-class StopFlag : public ::testing::TestWithParam<unsigned> {};
+/// (threads, por): the full engine's pool must stop cleanly at every thread
+/// count, and the POR engine must ignore the thread count.
+class StopFlag
+    : public ::testing::TestWithParam<std::tuple<unsigned, bool>> {
+protected:
+    [[nodiscard]] explore_config param_config() const {
+        explore_config cfg;
+        cfg.threads = std::get<0>(GetParam());
+        cfg.por = std::get<1>(GetParam());
+        return cfg;
+    }
+};
 
 TEST_P(StopFlag, BrokenTagMutantAlwaysReportsATrace) {
-    explore_config cfg;
+    explore_config cfg = param_config();
     cfg.stop_at_first_violation = true;
-    cfg.threads = GetParam();
     const explore_result res = explore(bloom_broken_tag(), cfg);
     EXPECT_FALSE(res.truncated);
     EXPECT_FALSE(res.property_holds);
@@ -347,10 +400,9 @@ TEST_P(StopFlag, BrokenTagMutantAlwaysReportsATrace) {
 }
 
 TEST_P(StopFlag, TournamentAlwaysReportsATrace) {
-    explore_config cfg;
+    explore_config cfg = param_config();
     cfg.stop_at_first_violation = true;
     cfg.initial = 1;
-    cfg.threads = GetParam();
     const explore_result res = explore(tournament_fig5(), cfg);
     EXPECT_FALSE(res.truncated);
     EXPECT_FALSE(res.property_holds);
@@ -385,9 +437,8 @@ TEST(FirstViolation, ReducedTraceIsThreadInvariant) {
 }
 
 TEST_P(StopFlag, MaxStatesTruncatesWithoutDeadlock) {
-    explore_config cfg;
+    explore_config cfg = param_config();
     cfg.max_states = 2'000;  // far below the ~450k reachable states
-    cfg.threads = GetParam();
     const explore_result res = explore(bloom_2x2_1reader(), cfg);
     EXPECT_TRUE(res.truncated);
     // A truncated run proves nothing; it must still report coherently.
@@ -395,14 +446,15 @@ TEST_P(StopFlag, MaxStatesTruncatesWithoutDeadlock) {
 }
 
 TEST_P(StopFlag, MaxStatesOfOneStillTerminates) {
-    explore_config cfg;
+    explore_config cfg = param_config();
     cfg.max_states = 1;
-    cfg.threads = GetParam();
     const explore_result res = explore(bloom_2x2_1reader(), cfg);
     EXPECT_TRUE(res.truncated);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, StopFlag, ::testing::Values(1u, 2u, 4u));
+INSTANTIATE_TEST_SUITE_P(ThreadsAndEngine, StopFlag,
+                         ::testing::Combine(::testing::Values(1u, 2u, 4u),
+                                            ::testing::Bool()));
 
 }  // namespace
 }  // namespace bloom87::mc

@@ -3,7 +3,10 @@
 // substrate constructions provide exactly their claimed consistency level.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "modelcheck/explorer.hpp"
+#include "modelcheck/net_processes.hpp"
 #include "modelcheck/processes.hpp"
 #include "modelcheck/verdicts.hpp"
 #include "util/rng.hpp"
@@ -730,6 +733,54 @@ TEST(SimStateDeathTest, SplitReadsNeedABeginAndAnInRangeChoice) {
     ASSERT_EQ(s.read_candidates(0, 1), 1);
     EXPECT_DEATH((void)s.end_read(0, 1, 1), "choice out of range");
     EXPECT_EQ(s.end_read(0, 1, 0), 0);
+}
+
+// end_write commits the open write's value: with none open it would commit
+// -1, which a later begin_read uses as a shift count. A second begin_write
+// would silently drop the first one's value. Always-on checks.
+TEST(SimStateDeathTest, SplitWritesOpenAndCloseInPairs) {
+    sim_state s;
+    s.registers = {weak_reg(reg_level::regular, 4, 0)};
+    EXPECT_DEATH(s.end_write(0), "end_write without begin_write");
+    s.begin_write(0, 1);
+    EXPECT_DEATH(s.begin_write(0, 2), "open write");
+    s.end_write(0);
+    EXPECT_EQ(s.registers[0].committed, 1);
+}
+
+// An ABD client picks the choice-th unvisited server; a choice past them
+// must not fall back to server 0.
+TEST(SimStateDeathTest, AServerChoicePastTheUnvisitedOnesIsRejected) {
+    sim_state s;
+    s.registers = {atomic_reg(8, 0), atomic_reg(8, 0), atomic_reg(8, 0)};
+    const std::unique_ptr<process> writer =
+        make_abd_writer(3, 2, 1, 0, {1}, 2, false);
+    writer->step(s, 0);  // invoke; the SWMR writer goes straight to install
+    EXPECT_DEATH(writer->step(s, 3), "unvisited servers");
+}
+
+// The full engine steps forced stretches in place, never resetting the
+// emission capture: a writer with 70 writes emits 140 labels on one state.
+// The count stops at 3 instead of wrapping into a negative array index.
+TEST(SimState, EmissionCountStopsInsteadOfWrapping) {
+    sim_state s;
+    for (op_index i = 0; i < 70; ++i) {
+        s.end_op(s.begin_op(0, i, op_kind::write, 1), 0);
+    }
+    EXPECT_EQ(s.emitted_count(), 3);
+    EXPECT_FALSE(s.emitted(1).is_begin);
+    // The same stretch inside the full engine: a lone writer's every step
+    // is forced.
+    std::vector<mc_value> writes(70);
+    std::iota(writes.begin(), writes.end(), mc_value{1});
+    explore_config cfg;
+    cfg.prop = property::regular_swmr;
+    cfg.por = false;
+    cfg.threads = 1;
+    const explore_result res =
+        explore(bloom_system(std::move(writes), {}, 0, 0), cfg);
+    EXPECT_TRUE(res.property_holds);
+    EXPECT_EQ(res.distinct_histories, 1u);
 }
 
 }  // namespace
