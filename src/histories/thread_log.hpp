@@ -14,7 +14,11 @@
 //    single-consumer ring of {seq, event} records. Appends are plain
 //    stores plus one release publish of the head index; no allocation
 //    after construction. With capacity covering a scripted run the ring
-//    doubles as a flat slab (nothing is popped until the merge);
+//    doubles as a flat slab (nothing is popped until the merge). The two
+//    indices live on separate cache lines, and each side keeps a private
+//    copy of the other side's index, reloading it (acquire) only when the
+//    copy says "full" (producer) or "empty" (consumer) -- so a push or pop
+//    that the copy already allows touches no line the other side writes;
 //  * `ring_merger` stitches the rings back into one gamma-ordered stream
 //    by ascending seq. Per-ring seqs are strictly increasing (a producer
 //    draws stamps in program order), so the merger can emit the minimum
@@ -35,6 +39,7 @@
 #include <vector>
 
 #include "histories/events.hpp"
+#include "util/sync.hpp"
 
 namespace bloom87 {
 
@@ -81,10 +86,7 @@ public:
 
     void push(std::uint64_t seq, const event& e) noexcept {
         const std::uint64_t h = head_.load(std::memory_order_relaxed);
-        while (h - tail_.load(std::memory_order_acquire) > mask_) {
-            ++stalls_;
-            std::this_thread::yield();
-        }
+        wait_for_room(h, 1);
         slots_[h & mask_] = {seq, e};
         head_.store(h + 1, std::memory_order_release);
     }
@@ -97,11 +99,7 @@ public:
     /// backpressure worsens, retention grows, a feedback loop. Stalling
     /// between operations pins nothing.
     void reserve(std::size_t n) noexcept {
-        const std::uint64_t h = head_.load(std::memory_order_relaxed);
-        while (h + n - tail_.load(std::memory_order_acquire) > mask_ + 1) {
-            ++stalls_;
-            std::this_thread::yield();
-        }
+        wait_for_room(head_.load(std::memory_order_relaxed), n);
     }
 
     /// Non-blocking reserve: true when at least `n` slots are free right
@@ -109,8 +107,7 @@ public:
     /// the WHOLE operation on false -- executing it unrecorded would hand
     /// the checkers a history with invisible writes.
     [[nodiscard]] bool try_reserve(std::size_t n) noexcept {
-        const std::uint64_t h = head_.load(std::memory_order_relaxed);
-        return h + n - tail_.load(std::memory_order_acquire) <= mask_ + 1;
+        return has_room(head_.load(std::memory_order_relaxed), n);
     }
 
     /// Producer is done; the merger treats empty-and-finished as closed.
@@ -120,9 +117,14 @@ public:
 
     // ---- consumer side (one thread) ----
 
-    [[nodiscard]] bool peek(stamped_event* out) const noexcept {
+    [[nodiscard]] bool peek(stamped_event* out) noexcept {
         const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-        if (head_.load(std::memory_order_acquire) == t) return false;
+        // >=, not ==: a consumer that pops without peeking (it knows what
+        // was pushed) can move t past the copy.
+        if (t >= head_seen_) {
+            head_seen_ = head_.load(std::memory_order_acquire);
+            if (t >= head_seen_) return false;
+        }
         *out = slots_[t & mask_];
         return true;
     }
@@ -139,12 +141,33 @@ public:
     [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
 private:
+    /// True when `n` slots past head `h` are free, by the producer's copy
+    /// of tail_; the copy is reloaded before answering false.
+    [[nodiscard]] bool has_room(std::uint64_t h, std::size_t n) noexcept {
+        if (h + n - tail_seen_ <= mask_ + 1) return true;
+        tail_seen_ = tail_.load(std::memory_order_acquire);
+        return h + n - tail_seen_ <= mask_ + 1;
+    }
+
+    void wait_for_room(std::uint64_t h, std::size_t n) noexcept {
+        while (!has_room(h, n)) {
+            ++stalls_;
+            std::this_thread::yield();
+        }
+    }
+
+    // Fixed at construction (the slots themselves pass producer to
+    // consumer through head_ and back through tail_).
     std::vector<stamped_event> slots_;
     std::size_t mask_{0};
-    std::atomic<std::uint64_t> head_{0};
-    std::atomic<std::uint64_t> tail_{0};
+    // Written by the producer only.
+    alignas(cacheline_size) std::atomic<std::uint64_t> head_{0};
+    std::uint64_t tail_seen_{0};  ///< producer's copy of tail_
+    std::uint64_t stalls_{0};     ///< producer-private backpressure counter
     std::atomic<bool> done_{false};
-    std::uint64_t stalls_{0};  ///< producer-private backpressure counter
+    // Written by the consumer only.
+    alignas(cacheline_size) std::atomic<std::uint64_t> tail_{0};
+    std::uint64_t head_seen_{0};  ///< consumer's copy of head_
 };
 
 /// K-way merge of event rings by ascending seq. Single consumer thread.

@@ -43,14 +43,13 @@ void streaming_checker::ingest(const event& e) {
     if (violation_) return;
     if (++since_check_ >= cfg_.stride) {
         since_check_ = 0;
-        run_check();
-        if (!violation_) maybe_retire();
+        maybe_retire();
+        if (!violation_) run_check();
     }
 }
 
 void streaming_checker::declare_crashed(std::size_t i) {
     const operation& op = open_[i].op;
-    crashed_ids_.push_back(op.id);
     if (op.kind == op_kind::write) {
         // Kept: a later read of this value decides the write DID take
         // effect (normalize keeps read-from pending writes).
@@ -62,7 +61,11 @@ void streaming_checker::declare_crashed(std::size_t i) {
 void streaming_checker::on_invocation(const event& e) {
     // A processor invoking while its previous operation never responded
     // crashed mid-operation and recovered (parse_history's reading): the
-    // old operation becomes pending.
+    // old operation becomes pending. Neither it nor an earlier grace-expired
+    // operation of this processor can respond any more.
+    std::erase_if(overdue_, [&](const op_id& id) {
+        return id.processor == e.processor;
+    });
     for (std::size_t i = 0; i < open_.size(); ++i) {
         if (open_[i].op.id.processor == e.processor) {
             declare_crashed(i);
@@ -85,8 +88,8 @@ void streaming_checker::on_response(const event& e) {
         return o.op.id.processor == e.processor;
     });
     if (it == open_.end() || it->op.id != id) {
-        if (std::find(crashed_ids_.begin(), crashed_ids_.end(), id) !=
-            crashed_ids_.end()) {
+        if (std::find(overdue_.begin(), overdue_.end(), id) !=
+            overdue_.end()) {
             flag("operation outlived pending_grace (" +
                  std::to_string(cfg_.pending_grace) +
                  " events) and then responded; raise the streaming window "
@@ -117,6 +120,24 @@ void streaming_checker::on_response(const event& e) {
     }
 }
 
+bool streaming_checker::passes_from_some_candidate(
+    const std::vector<operation>& ops, std::string* first_failure) {
+    if (last_pass_ >= candidates_.size()) last_pass_ = 0;
+    for (std::size_t k = 0; k < candidates_.size(); ++k) {
+        const std::size_t i = (last_pass_ + k) % candidates_.size();
+        const fast_check_result res = check_fast(ops, candidates_[i]);
+        if (res.ok() && res.linearizable) {
+            last_pass_ = i;
+            return true;
+        }
+        if (first_failure->empty()) {
+            *first_failure = res.ok() ? res.diagnosis
+                                      : "checker defect: " + *res.defect;
+        }
+    }
+    return false;
+}
+
 void streaming_checker::run_check() {
     ++stats_.checkpoints;
     if (retained_.empty() && open_.empty() && pending_.empty()) return;
@@ -125,23 +146,11 @@ void streaming_checker::run_check() {
     ops.insert(ops.end(), pending_.begin(), pending_.end());
     for (const open_op& o : open_) ops.push_back(o.op);
 
-    std::string first_failure;
-    if (last_pass_ >= candidates_.size()) last_pass_ = 0;
-    for (std::size_t k = 0; k < candidates_.size(); ++k) {
-        const std::size_t i = (last_pass_ + k) % candidates_.size();
-        const fast_check_result res = check_fast(ops, candidates_[i]);
-        if (res.ok() && res.linearizable) {
-            last_pass_ = i;
-            return;
-        }
-        if (first_failure.empty()) {
-            first_failure = res.ok() ? res.diagnosis
-                                     : "checker defect: " + *res.defect;
-        }
-    }
+    std::string why;
+    if (passes_from_some_candidate(ops, &why)) return;
     flag("streaming window not linearizable against any candidate current "
          "value (|V|=" +
-         std::to_string(candidates_.size()) + "): " + first_failure);
+         std::to_string(candidates_.size()) + "): " + why);
 }
 
 void streaming_checker::maybe_retire() {
@@ -149,6 +158,9 @@ void streaming_checker::maybe_retire() {
     // (a crashed port) cannot pin the window forever.
     for (std::size_t i = 0; i < open_.size();) {
         if (open_[i].op.invoked + cfg_.pending_grace < stats_.events) {
+            // Only a grace-expired operation may still respond, and only
+            // until its processor invokes again.
+            overdue_.push_back(open_[i].op.id);
             declare_crashed(i);
         } else {
             ++i;
@@ -261,11 +273,20 @@ void streaming_checker::retire_prefix(std::size_t k) {
         }
     }
     if (next.empty()) {
-        // Unreachable when the pre-retirement check passed (its witness
-        // restricted to the batch ends with SOME value); kept as a loud
-        // guard rather than a silent soundness hole.
-        flag("internal error: no candidate current value survived "
-             "retirement");
+        // The cut is quiescent, so any linearization of the window restricts
+        // to one of the batch that ends with some probed value: no survivor
+        // means the window is not linearizable, and the batch says why. A
+        // batch that passes while every probe fails is a checker defect.
+        batch.pop_back();  // the virtual read
+        std::string why;
+        if (passes_from_some_candidate(batch, &why)) {
+            flag("internal error: no candidate current value survived "
+                 "retirement");
+        } else {
+            flag("retiring batch not linearizable against any candidate "
+                 "current value (|V|=" +
+                 std::to_string(candidates_.size()) + "): " + why);
+        }
         return;
     }
     candidates_ = std::move(next);
@@ -276,14 +297,6 @@ void streaming_checker::retire_prefix(std::size_t k) {
     stats_.retained_ops = retained_.size();
     stats_.candidate_values = candidates_.size();
     stats_.pending_carried = pending_.size();
-}
-
-bool streaming_checker::check_now() {
-    if (violation_) return true;
-    since_check_ = 0;
-    run_check();
-    if (!violation_) maybe_retire();
-    return violation_;
 }
 
 bool streaming_checker::finish() {

@@ -40,18 +40,29 @@
 //    open crashed mid-operation and recovered (parse_history's reading):
 //    the open operation is declared crashed on the spot, the same way.
 //    Carried pendings are bounded by the crashed writes no read has decided
-//    yet. If a declared-
-//    crashed operation responds after all (the grace was set shorter than
-//    a real stall), the checker reports it as a configuration violation
-//    rather than silently mis-judging.
+//    yet. If a declared-crashed operation responds after all (the grace
+//    was set shorter than a real stall), the checker reports it as a
+//    configuration violation rather than silently mis-judging. Only a
+//    grace-expired operation can still respond, and only until its
+//    processor invokes again, so the checker remembers at most one such id
+//    per processor; a later response is a malformed stream.
+//  * A checkpoint (every `stride` events) RETIRES, THEN CHECKS. Across a
+//    quiescent cut, "the window is linearizable from some v in V" holds
+//    exactly when retirement's probes leave a non-empty V' and the ops
+//    after the cut are linearizable from some u in V'. So the retiring
+//    batch is judged once, by its probes, and the check covers only what
+//    is left. An empty V' is a violation, diagnosed by check_fast over the
+//    batch; a batch that passes while no probe passes is a checker defect
+//    (reported as an internal error).
 //
 // Memory: O(window + ports + |V|) operations, independent of run length.
 // Work: one O(retained) incremental check every `stride` events, plus the
 // retirement probes over the retiring batch -- the checker chases writers
 // at load instead of buffering the run. At window = stride = 4096 that is
-// ~0.3 us per ingested event (`linearizability.ingest_ns_per_event` in
-// `bash benchmark/run.sh --workload verified --trace 1`; 4-core x86-64,
-// GCC 12.2, RelWithDebInfo).
+// ~300 ns per ingested event, each completed op reaching check_fast about
+// twice (`linearizability.ingest_ns_per_event` in `bash benchmark/run.sh
+// --workload verified --trace 1`; 4-core x86-64, GCC 12.2,
+// RelWithDebInfo).
 #pragma once
 
 #include <cstdint>
@@ -99,10 +110,6 @@ public:
     /// violation is sticky; further events are ignored.
     void ingest(const event& e);
 
-    /// Forces an incremental check of everything retained right now.
-    /// Returns violation_found().
-    bool check_now();
-
     /// Final check after the stream ends; returns violation_found().
     bool finish();
 
@@ -125,11 +132,16 @@ private:
     /// Moves open_[i] to the crashed set: a write is carried in pending_
     /// (a later read may decide it took effect), a read is dropped.
     void declare_crashed(std::size_t i);
+    /// check_fast of `ops` from each candidate, starting at the last one
+    /// that passed. On no pass, *first_failure holds the first diagnosis.
+    bool passes_from_some_candidate(const std::vector<operation>& ops,
+                                    std::string* first_failure);
     /// One check_fast pass over retained + open + carried-pending ops
     /// against every candidate initial value; flags on total failure.
     void run_check();
     /// Declares overdue open ops crashed, finds the best quiescent cut,
-    /// retires the decided prefix, and recomputes the candidate set.
+    /// retires the decided prefix, and recomputes the candidate set;
+    /// flags when no candidate survives.
     void maybe_retire();
     void retire_prefix(std::size_t k);
 
@@ -142,7 +154,7 @@ private:
     std::vector<open_op> open_;           ///< <= one per processor
     std::vector<operation> retained_;     ///< completed, ascending responded
     std::vector<operation> pending_;      ///< declared-crashed writes carried
-    std::vector<op_id> crashed_ids_;      ///< declared-crashed, for late resps
+    std::vector<op_id> overdue_;          ///< grace-expired, <= one per proc
     std::vector<value_t> candidates_;     ///< V: possible current values
     std::size_t last_pass_{0};            ///< index into candidates_: hint
 

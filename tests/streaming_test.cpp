@@ -9,8 +9,11 @@
 // hand-built event sequences.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "harness/checkers.hpp"
 #include "harness/driver.hpp"
@@ -92,6 +95,73 @@ TEST(ThreadLog, SeqMergeOrdersByStamp) {
     }
     EXPECT_EQ(expect, 4u);
     EXPECT_EQ(seqs.issued(), 4u);
+}
+
+// Three producers wrap 16-slot rings thousands of times while the merger
+// drains them live: every event arrives exactly once, in seq order. Then a
+// full ring's try_reserve sees a slot the consumer just freed at once --
+// the producer's copy of the consumer index is reloaded before "full".
+TEST(ThreadLog, LiveMergeWrapsSmallRings) {
+    constexpr std::size_t producers = 3;
+    constexpr op_index ops_per_producer = 50000;  // two events per op
+    std::vector<std::unique_ptr<event_ring>> rings;
+    std::vector<event_ring*> rp;
+    for (std::size_t p = 0; p < producers; ++p) {
+        rings.push_back(std::make_unique<event_ring>(16));
+        rp.push_back(rings.back().get());
+    }
+    ASSERT_EQ(rings[0]->capacity(), 16u);
+    seq_source seqs;
+    std::vector<std::thread> pool;
+    for (std::size_t p = 0; p < producers; ++p) {
+        pool.emplace_back([&, p] {
+            event_ring& ring = *rings[p];
+            const auto proc = static_cast<processor_id>(p);
+            for (op_index i = 0; i < ops_per_producer; ++i) {
+                ring.reserve(2);  // at the op boundary, as recorders do
+                ring.push(seqs.draw(), inv_r(proc, i));
+                ring.push(seqs.draw(), resp_r(proc, i, 0));
+            }
+            ring.finish();
+        });
+    }
+    ring_merger merger(rp);
+    stamped_event se;
+    std::uint64_t expect = 0;
+    std::vector<std::uint64_t> next_event(producers, 0);
+    bool in_order = true;
+    while (merger.next(&se)) {
+        const auto p = static_cast<std::size_t>(se.e.processor);
+        // seq k is the k-th stamp drawn, and processor p's events arrive in
+        // program order: invocation, then response, of op 0, 1, ...
+        in_order = in_order && se.seq == expect && p < producers &&
+                   se.e.op == next_event[p] / 2 &&
+                   is_invocation(se.e.kind) == (next_event[p] % 2 == 0);
+        if (p < producers) ++next_event[p];
+        ++expect;
+    }
+    for (std::thread& t : pool) t.join();
+    EXPECT_TRUE(in_order) << "first bad event near seq " << expect;
+    EXPECT_EQ(expect, producers * ops_per_producer * 2);
+    EXPECT_EQ(seqs.issued(), expect);
+
+    // The rings' indices now sit far past their capacity. Refill one
+    // (this thread is its producer now) and free one slot.
+    event_ring& ring = *rings[0];
+    while (ring.try_reserve(1)) ring.push(seqs.draw(), inv_r(0, 0));
+    ASSERT_TRUE(ring.peek(&se));
+    ring.pop();
+    EXPECT_TRUE(ring.try_reserve(1)) << "a popped slot stayed invisible";
+    EXPECT_FALSE(ring.try_reserve(2));
+
+    // A consumer that knows what was pushed may pop without peeking; peek
+    // must still see the drained ring as empty, then the next push.
+    ring.push(seqs.draw(), inv_r(0, 1));
+    for (std::size_t i = 0; i < ring.capacity(); ++i) ring.pop();
+    EXPECT_FALSE(ring.peek(&se)) << "peek read past the last push";
+    ring.push(seqs.draw(), inv_r(0, 2));
+    ASSERT_TRUE(ring.peek(&se));
+    EXPECT_EQ(se.e.op, 2u);
 }
 
 // Seeded schedule + per_thread collection: the merged history is a pure
@@ -214,32 +284,86 @@ TEST(StreamingChecker, MatchesBatchOnCleanRuns) {
     return spec;
 }
 
-// Known-violating faulty runs: the streaming checker must flag what the
-// post-hoc pipeline flags, mid-stream, with a finite op latency between
-// injection and detection.
+// Known-violating faulty runs across window x stride: the streaming
+// checker must flag what the post-hoc pipeline flags, mid-stream, with a
+// finite op latency between injection and detection. Every cell's
+// detection position is pinned (a checkpoint may reorder its work, never
+// move a verdict), and the diagnosis is the checker's, never an internal
+// error.
 TEST(StreamingChecker, CatchesInjectedFaultsMidStream) {
-    for (fault_class cls :
-         {fault_class::stale_read, fault_class::lost_write,
-          fault_class::torn_value}) {
-        const run_spec spec = faulty_stream_spec(cls, 3);
-        const run_result res = run(spec);
-        ASSERT_TRUE(res.ok) << fault_class_name(cls) << ": " << res.error;
-        EXPECT_GT(res.faults_injected.total(), 0u) << fault_class_name(cls);
-        ASSERT_TRUE(res.stream.ran);
-        EXPECT_TRUE(res.stream.violation)
-            << fault_class_name(cls) << ": corruption went unnoticed";
-        ASSERT_NE(res.faults_injected.first_injection, no_event);
-        EXPECT_GT(res.stream.detection_pos,
-                  res.faults_injected.first_injection);
-        EXPECT_LT(res.stream.latency_ops,
-                  res.total_reads + res.total_writes);
+    constexpr unsigned windows[] = {0, 8, 64};
+    constexpr unsigned strides[] = {1, 16, 64};
+    struct row {
+        fault_class cls;
+        std::uint64_t seed;
+        std::uint64_t detection_pos[3][3];  ///< [window][stride]
+    };
+    const row golden[] = {
+        {fault_class::stale_read,
+         3,
+         {{42, 48, 64}, {42, 48, 64}, {42, 48, 64}}},
+        {fault_class::stale_read,
+         7,
+         {{84, 96, 128}, {84, 96, 128}, {84, 96, 128}}},
+        {fault_class::lost_write,
+         3,
+         {{28, 32, 64}, {28, 32, 64}, {28, 32, 64}}},
+        {fault_class::lost_write,
+         7,
+         {{102, 112, 128}, {102, 112, 128}, {102, 112, 128}}},
+        {fault_class::torn_value,
+         3,
+         {{28, 32, 64}, {28, 32, 64}, {28, 32, 64}}},
+        {fault_class::torn_value,
+         7,
+         {{102, 112, 128}, {102, 112, 128}, {102, 112, 128}}},
+        {fault_class::delayed_visibility,
+         3,
+         {{28, 32, 64}, {28, 32, 64}, {28, 32, 64}}},
+        {fault_class::delayed_visibility,
+         7,
+         {{102, 112, 128}, {102, 112, 128}, {102, 112, 128}}},
+    };
+    for (const row& r : golden) {
+        for (std::size_t w = 0; w < 3; ++w) {
+            for (std::size_t s = 0; s < 3; ++s) {
+                run_spec spec = faulty_stream_spec(r.cls, r.seed);
+                spec.stream_window = windows[w];
+                spec.stream_stride = strides[s];
+                const run_result res = run(spec);
+                const std::string where =
+                    std::string(fault_class_name(r.cls)) + " seed " +
+                    std::to_string(r.seed) + " window " +
+                    std::to_string(windows[w]) + " stride " +
+                    std::to_string(strides[s]);
+                ASSERT_TRUE(res.ok) << where << ": " << res.error;
+                EXPECT_GT(res.faults_injected.total(), 0u) << where;
+                ASSERT_TRUE(res.stream.ran) << where;
+                EXPECT_TRUE(res.stream.violation)
+                    << where << ": corruption went unnoticed";
+                ASSERT_NE(res.faults_injected.first_injection, no_event)
+                    << where;
+                EXPECT_GT(res.stream.detection_pos,
+                          res.faults_injected.first_injection)
+                    << where;
+                EXPECT_EQ(res.stream.detection_pos, r.detection_pos[w][s])
+                    << where;
+                EXPECT_LT(res.stream.latency_ops,
+                          res.total_reads + res.total_writes)
+                    << where;
+                EXPECT_EQ(res.stream.diagnosis.find("internal error"),
+                          std::string::npos)
+                    << where << ": " << res.stream.diagnosis;
 
-        const pipeline_result checks =
-            run_checkers(res.events, spec.initial, {checker_kind::fast});
-        ASSERT_TRUE(checks.parsed) << checks.parse_error;
-        EXPECT_FALSE(checks.verdicts[0].pass)
-            << fault_class_name(cls)
-            << ": batch checker disagrees with the streaming verdict";
+                const pipeline_result checks = run_checkers(
+                    res.events, spec.initial, {checker_kind::fast});
+                ASSERT_TRUE(checks.parsed) << where << ": "
+                                           << checks.parse_error;
+                EXPECT_FALSE(checks.verdicts[0].pass)
+                    << where
+                    << ": batch checker disagrees with the streaming verdict";
+            }
+        }
     }
 }
 
@@ -394,6 +518,26 @@ TEST(StreamingChecker, LateResponseAfterGraceIsFlagged) {
     chk.ingest(resp_w(0, 0));  // outlived the grace
     EXPECT_TRUE(chk.violation_found());
     EXPECT_NE(chk.diagnosis().find("pending_grace"), std::string::npos)
+        << chk.diagnosis();
+}
+
+// Once its processor invokes again, a grace-expired operation can no longer
+// respond: a response arriving after that is a malformed stream. (The
+// checker keeps no crashed id past that invocation, so its memory stays
+// flat however many operations crash.)
+TEST(StreamingChecker, LateResponseAfterNextInvocationIsMalformed) {
+    streaming_config cfg = tiny_window();
+    cfg.pending_grace = 4;
+    streaming_checker chk(7, cfg);
+    chk.ingest(inv_w(0, 0, 101));
+    for (op_index i = 0; i < 3; ++i) read_of(chk, 2, i, 7);
+    EXPECT_EQ(chk.stats().pending_carried, 1u);
+    chk.ingest(inv_w(0, 1, 102));  // processor 0 moved on
+    chk.ingest(resp_w(0, 1));
+    ASSERT_FALSE(chk.violation_found()) << chk.diagnosis();
+    chk.ingest(resp_w(0, 0));
+    EXPECT_TRUE(chk.violation_found());
+    EXPECT_NE(chk.diagnosis().find("malformed stream"), std::string::npos)
         << chk.diagnosis();
 }
 
