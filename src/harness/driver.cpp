@@ -286,6 +286,10 @@ run_result fail(std::string why) {
                ".." + std::to_string(info.max_writers) + " writers, got " +
                std::to_string(spec.load.writers);
     }
+    if (info.family == "net" && spec.net_servers == 0) {
+        return info.name + " replicates over servers; net_servers must be "
+                           "at least 1";
+    }
     if (info.requires_log && spec.collect != collect_mode::gamma) {
         return info.name +
                " records real accesses into a shared gamma log; run it "
@@ -485,21 +489,30 @@ run_result run(const run_spec& spec) {
         bool in_pause = false;
         std::size_t current = n_procs;  // runner currently mid-operation
         rng sched(per_proc_seed(spec.seed, n_procs + 1));
+        // A uniformly drawn runner among the live ones other than `skip`
+        // (the k-th in processor order); n_procs when there is none.
+        const auto pick = [&](std::size_t skip) {
+            const auto live = [&](std::size_t p) {
+                return p != skip && !runners[p].exhausted();
+            };
+            std::size_t n = 0;
+            for (std::size_t p = 0; p < n_procs; ++p) n += live(p) ? 1 : 0;
+            if (n == 0) return n_procs;
+            std::uint64_t k = sched.below(n);
+            for (std::size_t p = 0;; ++p) {
+                if (live(p) && k-- == 0) return p;
+            }
+        };
         auto pause_burst = [&]() {
             if (in_pause) return;  // no nested pacing
             in_pause = true;
             for (unsigned i = 0; i < spec.pace.pause_yields; ++i) {
-                std::vector<std::size_t> live;
-                for (std::size_t p = 0; p < runners.size(); ++p) {
-                    // Never step the paused runner itself: re-entering a
-                    // port mid-operation would interleave one processor's
-                    // invocation/response pairs with themselves.
-                    if (p != current && !runners[p].exhausted()) {
-                        live.push_back(p);
-                    }
-                }
-                if (live.empty()) break;
-                runners[live[sched.below(live.size())]].step();
+                // Never step the paused runner itself: re-entering a port
+                // mid-operation would interleave one processor's
+                // invocation/response pairs with themselves.
+                const std::size_t p = pick(current);
+                if (p == n_procs) break;
+                runners[p].step();
             }
             in_pause = false;
         };
@@ -511,12 +524,8 @@ run_result run(const run_spec& spec) {
         }
         const std::uint64_t t0 = now_ns();
         for (;;) {
-            std::vector<std::size_t> live;
-            for (std::size_t p = 0; p < runners.size(); ++p) {
-                if (!runners[p].exhausted()) live.push_back(p);
-            }
-            if (live.empty()) break;
-            current = live[sched.below(live.size())];
+            current = pick(n_procs);
+            if (current == n_procs) break;
             runners[current].step();
             current = n_procs;
         }

@@ -1,49 +1,73 @@
 #include "net/abd.hpp"
 
-#include <cassert>
+#include <algorithm>
+
+#include "util/check.hpp"
 
 namespace bloom87::net {
 
 abd_system::abd_system(const abd_config& cfg, fault_plan* plan)
     : cfg_(cfg),
-      bus_(cfg.clients + cfg.servers, cfg.bus,
+      bus_(*this, cfg.clients + cfg.servers, cfg.bus,
            static_cast<node_id>(cfg.clients), (cfg.servers - 1) / 2, plan),
       replicas_(cfg.servers),
-      inbox_(cfg.clients),
       next_rid_(cfg.clients, 0),
       writer_seq_(cfg.clients, 0),
       recovering_(cfg.servers, false),
       jitter_(cfg.bus.seed ^ 0x6a69747465726564ULL) {
-    assert(cfg_.servers >= 1);
-    assert(cfg_.writers <= cfg_.clients);
-    for (std::size_t s = 0; s < cfg_.servers; ++s) {
-        replicas_[s].value = cfg_.initial;
-        replicas_[s].prev_value = cfg_.initial;
-        const node_id self = server_node(s);
-        bus_.set_handler(self, [this, s, self](const message& m) {
-            if (recovering_[s]) {
-                // Not open for business: during catch-up the replica only
-                // listens for its own state-transfer acks; client protocol
-                // messages are dropped (client retransmission covers them).
-                if (m.kind == msg_kind::read_ack && m.rid == catchup_rid_) {
-                    catchup_box_.push_back(m);
-                }
-                return;
-            }
-            const bool installed =
-                m.kind == msg_kind::write_req && replicas_[s].ts < m.ts;
-            bus_.send(replicas_[s].serve(self, m));
-            observe(m, s, installed);
-        });
+    check(cfg_.servers >= 1, "abd_system: no servers");
+    check(cfg_.writers <= cfg_.clients,
+          "abd_system: more writers than clients");
+    for (abd_server& r : replicas_) {
+        r.value = cfg_.initial;
+        r.prev_value = cfg_.initial;
     }
-    for (std::size_t c = 0; c < cfg_.clients; ++c) {
-        bus_.set_handler(static_cast<node_id>(c), [this, c](const message& m) {
-            inbox_[c].push_back(m);
-        });
+    phase_.acked.resize(cfg_.servers);
+    phase_.inc.resize(cfg_.servers);
+}
+
+void abd_system::deliver(const message& m) {
+    if (m.dst < cfg_.clients) {
+        credit(m);
+        return;
     }
-    bus_.set_recovery_hook([this](node_id n) {
-        recover_server_locked(static_cast<std::size_t>(n) - cfg_.clients);
-    });
+    const std::size_t s = m.dst - cfg_.clients;
+    if (recovering_[s]) {
+        // Not open for business: during catch-up the replica only listens
+        // for its own state-transfer acks; client protocol messages are
+        // dropped (client retransmission covers them).
+        if (m.kind == msg_kind::read_ack && m.rid == catchup_rid_) {
+            catchup_box_.push_back(m);
+        }
+        return;
+    }
+    const bool installed =
+        m.kind == msg_kind::write_req && replicas_[s].ts < m.ts;
+    bus_.send(replicas_[s].serve(m.dst, m));
+    observe(m, s, installed);
+}
+
+void abd_system::rejoin(node_id node) {
+    recover_server_locked(static_cast<std::size_t>(node) - cfg_.clients);
+}
+
+void abd_system::credit(const message& m) {
+    open_phase& ph = phase_;
+    // Anything but an ack for the open phase is a straggler.
+    if (m.dst != ph.client || m.rid != ph.rid) return;
+    const std::size_t s = m.src - cfg_.clients;
+    if (ph.acked[s]) return;  // duplicate delivery / retransmit echo
+    ph.acked[s] = true;
+    ph.inc[s] = m.src_inc;  // the incarnation that sent it
+    ++ph.acks;
+    ph.got = true;
+    if (m.kind != msg_kind::read_ack) return;
+    if (!ph.first && m.ts != ph.res.ts) ph.res.all_equal = false;
+    if (ph.first || ph.res.ts < m.ts) {
+        ph.res.ts = m.ts;
+        ph.res.value = m.value;
+    }
+    ph.first = false;
 }
 
 void abd_system::observe(const message& m, std::size_t server,
@@ -53,8 +77,8 @@ void abd_system::observe(const message& m, std::size_t server,
     // recovering peer's state-transfer query (src is a server node) is
     // bookkeeping. The pumping client is the thread executing the touch.
     if (m.src >= static_cast<node_id>(cfg_.clients)) return;
-    if (pumping_client_ >= cfg_.clients) return;
-    (*cfg_.observer)(pumping_client_, server, installed,
+    if (phase_.client >= cfg_.clients) return;
+    (*cfg_.observer)(phase_.client, server, installed,
                      replicas_[server].value);
 }
 
@@ -62,26 +86,26 @@ abd_system::phase_result abd_system::run_phase(std::size_t client,
                                                msg_kind kind, stamp ts,
                                                value_t v) {
     net_lock::scoped guard(lock_);
-    pumping_client_ = client;
     ++bus_.counters().rounds;
-    const std::uint64_t rid = ++next_rid_[client];
     const std::size_t n = cfg_.servers;
     const std::size_t q = quorum();
-    std::vector<bool> acked(n, false);
-    std::vector<std::uint32_t> ack_inc(n, 0);
-    std::size_t acks = 0;
-    phase_result res;
-    res.value = cfg_.initial;
-    bool first = true;
+    open_phase& ph = phase_;
+    ph.client = client;
+    ph.rid = ++next_rid_[client];
+    std::fill(ph.acked.begin(), ph.acked.end(), false);
+    ph.acks = 0;
+    ph.first = true;
+    ph.res = {};
+    ph.res.value = cfg_.initial;
 
     const auto broadcast = [&] {
         for (std::size_t s = 0; s < n; ++s) {
-            if (acked[s]) continue;
+            if (ph.acked[s]) continue;
             message m;
             m.src = client_node(client);
             m.dst = server_node(s);
             m.kind = kind;
-            m.rid = rid;
+            m.rid = ph.rid;
             m.ts = ts;
             m.value = v;
             bus_.send(m);
@@ -101,39 +125,19 @@ abd_system::phase_result abd_system::run_phase(std::size_t client,
     unsigned idle = 0;
     unsigned patience = cfg_.retransmit_after;
     unsigned attempts = 0;
-    while (acks < q) {
+    while (ph.acks < q) {
         if (abort_requested()) {
-            res.ok = false;
+            ph.res.ok = false;
             break;
         }
-        bus_.pump_one();
-        bool got = false;
-        auto& box = inbox_[client];
-        for (const message& m : box) {
-            if (m.rid != rid) continue;  // a previous phase's straggler
-            const std::size_t s = m.src - cfg_.clients;
-            if (acked[s]) continue;  // duplicate delivery / retransmit echo
-            acked[s] = true;
-            ack_inc[s] = bus_.incarnation(m.src);
-            ++acks;
-            got = true;
-            if (m.kind == msg_kind::read_ack) {
-                if (first) {
-                    res.ts = m.ts;
-                    res.value = m.value;
-                    first = false;
-                } else {
-                    if (m.ts != res.ts) res.all_equal = false;
-                    if (res.ts < m.ts) {
-                        res.ts = m.ts;
-                        res.value = m.value;
-                    }
-                }
-            }
-        }
-        box.clear();  // everything was consumed or provably stale
-        // An ack from a server that has since crashed and re-incarnated is
-        // VOID -- for EVERY phase kind, not just installs. Installs: recovery
+        ph.got = false;
+        bus_.pump_one();  // deliver() credits this phase's acks
+        // An ack from a server that has crashed and re-incarnated since it
+        // SENT the ack is VOID -- for EVERY phase kind, not just installs.
+        // "Sent" matters: a crash swallows only the messages TO the dead
+        // server, so its pre-crash acks can still land after it rejoins
+        // empty, and `inc` holds the sender's incarnation (message::
+        // src_inc), not the one current at arrival. Installs: recovery
         // reset the state the ack promised, so it cannot count toward the
         // quorum (the rebroadcast re-installs; the recovered catch-up stamp
         // is older, so adopt-if-newer lands it again). Queries: the read
@@ -151,12 +155,12 @@ abd_system::phase_result abd_system::run_phase(std::size_t client,
         // the stale ack is harmless (over-approximation only ever forces or
         // feeds the write-back, which re-installs it at live servers).
         for (std::size_t s = 0; s < n; ++s) {
-            if (acked[s] && bus_.incarnation(server_node(s)) != ack_inc[s]) {
-                acked[s] = false;
-                --acks;
+            if (ph.acked[s] && bus_.incarnation(server_node(s)) != ph.inc[s]) {
+                ph.acked[s] = false;
+                --ph.acks;
             }
         }
-        if (got) {
+        if (ph.got) {
             idle = 0;
             continue;
         }
@@ -164,7 +168,7 @@ abd_system::phase_result abd_system::run_phase(std::size_t client,
             if (cfg_.max_attempts != 0 && ++attempts >= cfg_.max_attempts) {
                 // Quorum unavailable within the retry budget: degrade
                 // gracefully instead of livelocking on a dead majority.
-                res.ok = false;
+                ph.res.ok = false;
                 break;
             }
             ++bus_.counters().retransmissions;
@@ -176,8 +180,8 @@ abd_system::phase_result abd_system::run_phase(std::size_t client,
                             cfg_.retransmit_after + 1));
         }
     }
-    pumping_client_ = static_cast<std::size_t>(-1);
-    return res;
+    ph.client = no_client;
+    return ph.res;
 }
 
 void abd_system::bump_op(bool fast_path) {

@@ -27,6 +27,13 @@
 // the optional `pause` hook runs UNLOCKED at the round boundary, which is
 // where the driver's seeded schedule interleaves other processors -- bus
 // stepping under the same deterministic regime as thread scheduling.
+//
+// Delivery: the system is its bus's owner, so each delivered message costs
+// one call. A server serves it; a client-bound ack is credited to the ONE
+// open phase (a phase holds the lock from its broadcast until its quorum
+// answers) the moment it arrives, and any other client-bound message is a
+// straggler for an older request id and is dropped. Each ack counts for
+// the incarnation that sent it (`message::src_inc`).
 #pragma once
 
 #include <atomic>
@@ -83,7 +90,7 @@ struct abd_config {
 /// One replicated register: n server replicas + the client quorum logic.
 /// Thread-safe: any client may be driven by its own thread (one thread per
 /// client, the harness's sequential-processor model).
-class abd_system {
+class abd_system final : private bus_owner {
 public:
     explicit abd_system(const abd_config& cfg, fault_plan* plan = nullptr);
 
@@ -118,7 +125,7 @@ public:
     /// recovering server still counts against the crash budget until the
     /// catch-up completes, so every completed write keeps >= 1 live holder
     /// among the peers (docs/NET.md). Public for tests; plan-driven
-    /// recovery (`fault_spec::recover_after`) runs through the bus hook.
+    /// recovery (`fault_spec::recover_after`) runs through rejoin().
     void recover_server(std::size_t s);
 
     /// Current incarnation of server s (tests pin rejoin semantics).
@@ -130,6 +137,22 @@ private:
         value_t value{0};
         bool all_equal{true};  ///< every quorum read_ack carried ts
         bool ok{true};         ///< false: gave up (unavailable / aborted)
+    };
+
+    static constexpr std::size_t no_client = static_cast<std::size_t>(-1);
+
+    /// The open client phase; at most one exists (see the header comment).
+    struct open_phase {
+        /// The client pumping the bus, which the observer attributes replica
+        /// touches to; no_client outside any client phase.
+        std::size_t client{no_client};
+        std::uint64_t rid{0};
+        std::vector<bool> acked;         ///< per server
+        std::vector<std::uint32_t> inc;  ///< per server: the ack's sender
+        std::size_t acks{0};
+        bool got{false};    ///< an ack was credited during this pump
+        bool first{true};   ///< no read_ack credited yet
+        phase_result res;
     };
 
     [[nodiscard]] node_id client_node(std::size_t c) const noexcept {
@@ -144,14 +167,21 @@ private:
     /// (the phase is self-sufficient: it needs no other thread to finish).
     phase_result run_phase(std::size_t client, msg_kind kind, stamp ts,
                            value_t v);
+    /// bus_owner: a server serves the message, a client credit()s it.
+    /// Requires lock_ held (runs inside pump_one).
+    void deliver(const message& m) override;
+    /// bus_owner: plan-driven rejoin, recover_server_locked under the lock.
+    void rejoin(node_id node) override;
+    /// Counts a client-bound ack toward the open phase, or drops it.
+    void credit(const message& m);
     void bump_op(bool fast_path);
     void note_unavailable();
     /// Reports a replica touch to cfg_.observer (no-op without one, or when
     /// the message is not client traffic, or when no client phase is
-    /// pumping). Requires lock_ held: fires from the server bus handlers.
+    /// pumping). Requires lock_ held: fires from deliver().
     void observe(const message& m, std::size_t server, bool installed);
-    /// The catch-up proper; requires lock_ held (the bus recovery hook
-    /// fires inside pump_one, i.e. under the phase's own lock hold).
+    /// The catch-up proper; requires lock_ held (rejoin() runs inside
+    /// pump_one, i.e. under the phase's own lock hold).
     void recover_server_locked(std::size_t s);
     [[nodiscard]] bool abort_requested() const noexcept {
         return cfg_.abort_flag != nullptr &&
@@ -162,15 +192,12 @@ private:
     net_lock lock_;
     bus bus_;
     std::vector<abd_server> replicas_;
-    std::vector<std::vector<message>> inbox_;   ///< per client
+    open_phase phase_;                          ///< guarded by lock_
     std::vector<std::uint64_t> next_rid_;       ///< per client
     std::vector<std::uint64_t> writer_seq_;     ///< per client (SWMR stamps)
     std::vector<bool> recovering_;              ///< per server (catch-up)
     std::vector<message> catchup_box_;          ///< catch-up read_acks
     std::uint64_t catchup_rid_{0};
-    /// Client whose phase currently pumps the bus (observer attribution);
-    /// SIZE_MAX outside any client phase. Guarded by lock_.
-    std::size_t pumping_client_{static_cast<std::size_t>(-1)};
     rng jitter_;  ///< retransmission backoff jitter (de-synchronizes phases)
 };
 

@@ -1,25 +1,26 @@
 #include "net/bus.hpp"
 
-#include <cassert>
-#include <utility>
+#include <algorithm>
+
+#include "util/check.hpp"
 
 namespace bloom87::net {
 
-bus::bus(std::size_t nodes, const bus_config& cfg, node_id server_lo,
-         std::size_t max_server_crashes, fault_plan* plan)
-    : nodes_(nodes),
+bus::bus(bus_owner& owner, std::size_t nodes, const bus_config& cfg,
+         node_id server_lo, std::size_t max_server_crashes, fault_plan* plan)
+    : owner_(owner),
+      nodes_(nodes),
       cfg_(cfg),
       server_lo_(server_lo),
       max_server_crashes_(max_server_crashes),
       plan_(plan),
       gen_(cfg.seed),
       channel_next_(nodes * nodes, 0),
-      handlers_(nodes),
       crashed_(nodes, false),
       recovering_(nodes, false),
       incarnation_(nodes, 0),
       crash_tick_(nodes, 0) {
-    assert(server_lo_ <= nodes_);
+    check(server_lo_ <= nodes_, "bus: first server id past the node count");
     if (plan_ != nullptr && plan_->spec().crash_budget > 0) {
         // Deliberate over-budget experiments (the driver's op deadline turns
         // the resulting quorum loss into `unavailable`, not a hang).
@@ -27,17 +28,16 @@ bus::bus(std::size_t nodes, const bus_config& cfg, node_id server_lo,
     }
 }
 
-void bus::set_handler(node_id node, handler h) {
-    handlers_[node] = std::move(h);
-}
-
 void bus::enqueue(const message& m, std::uint64_t extra_delay) {
+    const std::uint64_t not_before = tick_ + extra_delay;
+    ripe_at_ = std::max(ripe_at_, not_before);
     flight_.push_back(
-        {m, tick_ + extra_delay, channel_next_[channel(m.src, m.dst)]++});
+        {m, not_before, channel_next_[channel(m.src, m.dst)]++});
 }
 
 void bus::send(message m) {
     ++counters_.sent;
+    m.src_inc = incarnation_[m.src];
     m.dst_inc = incarnation_[m.dst];
     if (crashed_[m.dst]) {
         // Addressed to a halted node: it will never be consumed, so it does
@@ -79,6 +79,7 @@ bool bus::apply_plan(pending& p) {
             // Re-park under its ORIGINAL channel slot, so FIFO channels
             // stay FIFO: everything behind it waits too.
             p.not_before = tick_ + plan_->spec().delay_accesses;
+            ripe_at_ = std::max(ripe_at_, p.not_before);
             flight_.push_back(p);
             return false;
         case fault_class::torn_value: {
@@ -114,34 +115,41 @@ bool bus::apply_plan(pending& p) {
 
 bool bus::pump_one() {
     ++tick_;
-    maybe_recover();
+    if (crashed_servers_ != 0) maybe_recover();
     if (flight_.empty()) return false;
-    pick_.clear();
-    if (cfg_.fifo) {
-        // Deliverable = ripe channel heads. A delay-parked head blocks its
-        // whole channel (that is what FIFO means). O(flight^2) scan; flights
-        // stay small (a few requests per open phase).
-        for (std::size_t i = 0; i < flight_.size(); ++i) {
-            const pending& p = flight_[i];
-            if (p.not_before > tick_) continue;
-            bool head = true;
-            for (std::size_t j = 0; j < flight_.size(); ++j) {
-                if (j != i && flight_[j].m.src == p.m.src &&
-                    flight_[j].m.dst == p.m.dst &&
-                    flight_[j].channel_seq < p.channel_seq) {
-                    head = false;
-                    break;
-                }
-            }
-            if (head) pick_.push_back(i);
-        }
+    std::size_t idx = 0;
+    if (!cfg_.fifo && tick_ >= ripe_at_) {
+        // Nothing is parked, so every message in flight is deliverable: the
+        // scan below would build the identity map, and this is its draw.
+        idx = static_cast<std::size_t>(gen_.below(flight_.size()));
     } else {
-        for (std::size_t i = 0; i < flight_.size(); ++i) {
-            if (flight_[i].not_before <= tick_) pick_.push_back(i);
+        pick_.clear();
+        if (cfg_.fifo) {
+            // Deliverable = ripe channel heads. A delay-parked head blocks
+            // its whole channel (that is what FIFO means). O(flight^2)
+            // scan; flights stay small (a few requests per open phase).
+            for (std::size_t i = 0; i < flight_.size(); ++i) {
+                const pending& p = flight_[i];
+                if (p.not_before > tick_) continue;
+                bool head = true;
+                for (std::size_t j = 0; j < flight_.size(); ++j) {
+                    if (j != i && flight_[j].m.src == p.m.src &&
+                        flight_[j].m.dst == p.m.dst &&
+                        flight_[j].channel_seq < p.channel_seq) {
+                        head = false;
+                        break;
+                    }
+                }
+                if (head) pick_.push_back(i);
+            }
+        } else {
+            for (std::size_t i = 0; i < flight_.size(); ++i) {
+                if (flight_[i].not_before <= tick_) pick_.push_back(i);
+            }
         }
+        if (pick_.empty()) return false;
+        idx = pick_[gen_.below(pick_.size())];
     }
-    if (pick_.empty()) return false;
-    const std::size_t idx = pick_[gen_.below(pick_.size())];
     pending p = flight_[idx];
     flight_[idx] = flight_.back();
     flight_.pop_back();
@@ -158,7 +166,7 @@ bool bus::pump_one() {
     }
     if (!apply_plan(p)) return true;
     ++counters_.delivered;
-    if (handlers_[p.m.dst]) handlers_[p.m.dst](p.m);
+    owner_.deliver(p.m);
     return true;
 }
 
@@ -180,7 +188,7 @@ void bus::crash(node_id node) {
 bool bus::node_crashed(node_id node) const { return crashed_[node]; }
 
 void bus::recover(node_id node) {
-    assert(crashed_[node] && "only a crashed node can recover");
+    check(crashed_[node], "bus::recover: only a crashed node can recover");
     crashed_[node] = false;
     recovering_[node] = true;  // budget still counts it (see bus.hpp)
     ++incarnation_[node];
@@ -200,7 +208,7 @@ void bus::abort_recovery(node_id node) {
 }
 
 void bus::maybe_recover() {
-    if (recovery_active_ || !recovery_hook_ || plan_ == nullptr) return;
+    if (recovery_active_ || plan_ == nullptr) return;
     const std::uint64_t after = plan_->spec().recover_after;
     if (after == 0) return;
     for (node_id n = server_lo_; n < nodes_; ++n) {
@@ -209,7 +217,7 @@ void bus::maybe_recover() {
         // One recovery at a time: the safety argument (docs/NET.md) needs
         // every OTHER crashed slot still counted while this one catches up.
         recovery_active_ = true;
-        recovery_hook_(n);
+        owner_.rejoin(n);
         recovery_active_ = false;
         return;
     }

@@ -6,15 +6,21 @@
 // delivery schedule, delays, losses, duplications, and server crashes are
 // all pure functions of seeds. Sent messages park in an in-flight set;
 // `pump_one()` delivers ONE of the currently deliverable messages, chosen
-// by the bus's seeded rng. Clients block inside their quorum phases by
-// pumping, so under the driver's seeded single-thread schedule the entire
-// delivery order -- and therefore the entire execution -- is reproducible
-// from (workload seed, bus seed, fault seed), exactly like a thread
-// schedule.
+// by the bus's seeded rng, and hands it to the composition that owns the
+// bus in ONE call (`bus_owner::deliver`). Clients block inside their quorum
+// phases by pumping, so under the driver's seeded single-thread schedule
+// the entire delivery order -- and therefore the entire execution -- is
+// reproducible from (workload seed, bus seed, fault seed), exactly like a
+// thread schedule.
+//
+// A pump costs no scan of the in-flight set unless something in it is
+// delay-parked (or channels are FIFO): the bus keeps a high-water mark of
+// every `not_before` it has parked, and past it every message in flight is
+// deliverable, so the pick is one rng draw over the whole set.
 //
 // Concurrency model: the bus itself is UNSYNCHRONIZED. One `net_lock`
-// spinlock per composition serializes every send/pump/handler slice
-// (handlers run inside pump_one, under the caller's lock, and may send).
+// spinlock per composition serializes every send/pump/delivery slice
+// (owner calls run inside pump_one, under the caller's lock, and may send).
 // This mirrors the fault plan's documented trade: the lock removes real
 // substrate-level races, which is acceptable because the net layer studies
 // protocol-level orderings (message interleavings), not data races -- and
@@ -40,7 +46,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/messages.hpp"
@@ -115,23 +120,38 @@ struct net_counters {
     std::uint64_t unavailable_ops{0};  ///< ops that exhausted their attempts
 };
 
+/// The composition a bus delivers into (abd_system, twobit_system). Both
+/// calls run inside pump_one, under the composition's net_lock, and may
+/// call send().
+class bus_owner {
+public:
+    /// One message reaches its live destination node.
+    virtual void deliver(const message& m) = 0;
+    /// Crashed server `node` is due to rejoin (the fault plan's
+    /// `recover_after` ripened): recover() it and run its catch-up. At most
+    /// one rejoin runs at a time.
+    virtual void rejoin(node_id node) = 0;
+
+protected:
+    ~bus_owner() = default;
+};
+
 /// The bus proper. Every method requires the composition's net_lock held by
-/// the caller (handlers are invoked with it held and may call send()).
+/// the caller (owner calls run with it held and may call send()).
 class bus {
 public:
     /// `server_lo`: first server node id (= client count); nodes at or past
-    /// it are crash-eligible servers, capped at `max_server_crashes`.
-    bus(std::size_t nodes, const bus_config& cfg, node_id server_lo,
-        std::size_t max_server_crashes, fault_plan* plan = nullptr);
+    /// it are crash-eligible servers, capped at `max_server_crashes`. The
+    /// bus keeps `owner` by reference and calls it only from pump_one.
+    bus(bus_owner& owner, std::size_t nodes, const bus_config& cfg,
+        node_id server_lo, std::size_t max_server_crashes,
+        fault_plan* plan = nullptr);
 
     bus(const bus&) = delete;
     bus& operator=(const bus&) = delete;
 
-    /// Delivery target: runs under the caller's lock, may call send().
-    using handler = std::function<void(const message&)>;
-    void set_handler(node_id node, handler h);
-
-    /// Enqueues (or loses / duplicates / delays, per the config knobs).
+    /// Enqueues (or loses / duplicates / delays, per the config knobs), and
+    /// stamps the sender's and the destination's current incarnations.
     void send(message m);
 
     /// Delivers one deliverable in-flight message, seeded-randomly chosen
@@ -142,7 +162,7 @@ public:
     bool pump_one();
 
     /// Halts a node: in-flight and future messages to it are swallowed and
-    /// its handler never runs again. Direct form of the port_crash fault
+    /// nothing is delivered to it again. Direct form of the port_crash fault
     /// (tests crash specific servers; the plan crashes seeded-random ones).
     void crash(node_id node);
     [[nodiscard]] bool node_crashed(node_id node) const;
@@ -157,12 +177,7 @@ public:
     // the protocol layer finishes its state-transfer catch-up and calls
     // recovery_complete(). abort_recovery() is the tear-down path (run
     // aborted mid-catch-up): back to plain crash-stop, nothing freed.
-
-    /// Protocol-layer catch-up entry point, invoked (with the composition's
-    /// net_lock already held) when the fault plan's `recover_after` ripens
-    /// for a crashed server. At most one recovery runs at a time.
-    using recovery_fn = std::function<void(node_id)>;
-    void set_recovery_hook(recovery_fn f) { recovery_hook_ = std::move(f); }
+    // Plan-driven rejoins reach the protocol layer as bus_owner::rejoin.
 
     void recover(node_id node);
     void recovery_complete(node_id node);
@@ -197,12 +212,13 @@ private:
     /// false when the message was consumed (lost, crash-swallowed, parked).
     bool apply_plan(pending& p);
     void enqueue(const message& m, std::uint64_t extra_delay);
-    /// Fires the recovery hook for the first crashed server whose
+    /// Calls owner_.rejoin for the first crashed server whose
     /// plan-scheduled rejoin (`fault_spec::recover_after` ticks after the
     /// crash) is due. Called at the top of pump_one, BEFORE the pick
-    /// scratch is built, so the hook's own nested pumps are safe.
+    /// scratch is built, so the rejoin's own nested pumps are safe.
     void maybe_recover();
 
+    bus_owner& owner_;
     std::size_t nodes_;
     bus_config cfg_;
     node_id server_lo_;
@@ -210,15 +226,16 @@ private:
     fault_plan* plan_;
     rng gen_;
     std::uint64_t tick_{0};
+    /// Largest `not_before` ever parked: once tick_ reaches it, every
+    /// message in flight is deliverable.
+    std::uint64_t ripe_at_{0};
     std::vector<pending> flight_;
     std::vector<std::uint64_t> channel_next_;  ///< next seq per channel
-    std::vector<handler> handlers_;
     std::vector<bool> crashed_;
     std::vector<bool> recovering_;
     std::vector<std::uint32_t> incarnation_;
     std::vector<std::uint64_t> crash_tick_;  ///< when each node last crashed
     std::size_t crashed_servers_{0};
-    recovery_fn recovery_hook_{};
     bool recovery_active_{false};
     net_counters counters_{};
     std::vector<std::size_t> pick_;  ///< scratch: deliverable indices

@@ -69,27 +69,34 @@ struct stamp {
 /// One message in flight. ABD uses `rid` + `ts` + `value`; the twobit
 /// construction uses `bits` + `value` (its whole point is that no unbounded
 /// control field -- no `ts` -- ever crosses the wire; see twobit.hpp).
+/// Fields run widest first, so the bus moves 56 bytes per message.
 struct message {
-    node_id src{0};
-    node_id dst{0};
-    msg_kind kind{msg_kind::read_req};
     /// Request id matching acks to the client phase that asked. Bounded in
     /// spirit (a client has one phase outstanding; acks for any other rid
     /// are discarded), 64-bit in practice for cheap uniqueness.
     std::uint64_t rid{0};
     stamp ts{};
     value_t value{0};
+    node_id src{0};
+    node_id dst{0};
+    /// Crash-recovery (bus.hpp): the sender's incarnation number at send
+    /// time. An ack counts for the incarnation that sent it: a server that
+    /// crashed and rejoined empty since then no longer holds what it
+    /// acknowledged.
+    std::uint32_t src_inc{0};
+    /// Crash-recovery (bus.hpp): the destination's incarnation number at
+    /// send time. A recovered node has a higher incarnation, so deliveries
+    /// stamped with the previous one are dropped at the bus -- a message
+    /// addressed to a process that no longer exists.
+    std::uint32_t dst_inc{0};
+    msg_kind kind{msg_kind::read_req};
     /// twobit: the two control bits actually on the wire (version mod 4).
     std::uint8_t bits{0};
     /// Fault layer (bus.hpp): a read_req marked stale makes the server
     /// answer from its PREVIOUS committed pair -- the network twin of
     /// faulty_register's stale_read.
     bool stale{false};
-    /// Crash-recovery (bus.hpp): the destination's incarnation number at
-    /// send time. A recovered node has a higher incarnation, so deliveries
-    /// stamped with the previous one are dropped at the bus -- a message
-    /// addressed to a process that no longer exists.
-    std::uint32_t dst_inc{0};
 };
+static_assert(sizeof(message) == 56, "message grew: reorder its fields");
 
 }  // namespace bloom87::net

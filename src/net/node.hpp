@@ -2,11 +2,11 @@
 //
 // A server node is pure protocol state plus a serve() function from request
 // to reply -- no threads, no timers, no knowledge of the bus. The systems in
-// abd.hpp / twobit.hpp own a vector of these, register bus handlers that
-// call serve(), and forward the replies (and, for twobit, the gossip
-// echoes). Keeping the node logic bus-free is what lets the model checker
-// re-state it as sim_state steps (modelcheck/net_processes.cpp) without
-// duplicating semantics.
+// abd.hpp / twobit.hpp own a vector of these, call serve() from their
+// bus_owner::deliver, and send the replies back through the bus. Keeping
+// the node logic bus-free is what lets the model checker re-state it as
+// sim_state steps (modelcheck/net_processes.cpp) without duplicating
+// semantics.
 #pragma once
 
 #include "net/messages.hpp"

@@ -1,12 +1,14 @@
 #include "net/twobit.hpp"
 
-#include <cassert>
+#include <algorithm>
+
+#include "util/check.hpp"
 
 namespace bloom87::net {
 
 twobit_system::twobit_system(const twobit_config& cfg, fault_plan* plan)
     : cfg_(cfg),
-      bus_((cfg.clients + cfg.servers),
+      bus_(*this, (cfg.clients + cfg.servers),
            [&cfg] {
                bus_config b = cfg.bus;
                b.fifo = true;  // the construction counts on channel order
@@ -14,25 +16,30 @@ twobit_system::twobit_system(const twobit_config& cfg, fault_plan* plan)
            }(),
            static_cast<node_id>(cfg.clients), (cfg.servers - 1) / 2, plan),
       replicas_(cfg.servers),
-      inbox_(cfg.clients),
       next_rid_(cfg.clients, 0),
       recovering_(cfg.servers, false) {
-    assert(cfg_.servers >= 1 && cfg_.clients >= 1);
+    check(cfg_.servers >= 1 && cfg_.clients >= 1,
+          "twobit_system: needs a server and a client");
     cfg_.bus.fifo = true;
-    for (std::size_t s = 0; s < cfg_.servers; ++s) {
-        replicas_[s].value = cfg_.initial;
-        replicas_[s].prev_value = cfg_.initial;
-        bus_.set_handler(server_node(s),
-                         [this, s](const message& m) { serve_at(s, m); });
+    for (twobit_server& r : replicas_) {
+        r.value = cfg_.initial;
+        r.prev_value = cfg_.initial;
     }
-    for (std::size_t c = 0; c < cfg_.clients; ++c) {
-        bus_.set_handler(static_cast<node_id>(c), [this, c](const message& m) {
-            inbox_[c].push_back(m);
-        });
+    phase_.acked.resize(cfg_.servers);
+    phase_.inc.resize(cfg_.servers);
+    phase_.replies.resize(cfg_.servers);
+}
+
+void twobit_system::deliver(const message& m) {
+    if (m.dst < cfg_.clients) {
+        credit(m);
+    } else {
+        serve_at(m.dst - cfg_.clients, m);
     }
-    bus_.set_recovery_hook([this](node_id n) {
-        recover_server_locked(static_cast<std::size_t>(n) - cfg_.clients);
-    });
+}
+
+void twobit_system::rejoin(node_id node) {
+    recover_server_locked(static_cast<std::size_t>(node) - cfg_.clients);
 }
 
 void twobit_system::serve_at(std::size_t s, const message& m) {
@@ -82,30 +89,80 @@ void twobit_system::observe(const message& m, std::size_t server,
                             bool installed) {
     if (cfg_.observer == nullptr || !*cfg_.observer) return;
     if (m.src >= static_cast<node_id>(cfg_.clients)) return;
-    if (pumping_client_ >= cfg_.clients) return;
-    (*cfg_.observer)(pumping_client_, server, installed,
+    if (phase_.client >= cfg_.clients) return;
+    (*cfg_.observer)(phase_.client, server, installed,
                      replicas_[server].value);
 }
 
-bool twobit_system::query_phase(std::size_t client, std::vector<reply>& out) {
-    // Caller holds the lock (read() keeps it across query + write-back).
-    pumping_client_ = client;
+void twobit_system::begin_phase(std::size_t client, msg_kind want,
+                                std::uint8_t code) {
     ++bus_.counters().rounds;
-    const std::uint64_t rid = ++next_rid_[client];
+    open_phase& ph = phase_;
+    ph.client = client;
+    ph.rid = ++next_rid_[client];
+    ph.want = want;
+    ph.code = code;
+    std::fill(ph.acked.begin(), ph.acked.end(), false);
+    ph.count = 0;
+}
+
+void twobit_system::credit(const message& m) {
+    open_phase& ph = phase_;
+    // Anything but an ack for the open phase is a straggler.
+    if (m.dst != ph.client || m.rid != ph.rid || m.kind != ph.want) return;
+    const std::size_t s = m.src - cfg_.clients;
+    if (ph.acked[s]) return;
+    if (ph.want == msg_kind::write_ack) {
+        // Success = the replica provably holds our version: it codes it
+        // exactly, or its consecutive successor (strictly newer). A
+        // laggard's fail-ack is not progress; it answers a later
+        // retransmission once it has caught up.
+        if (m.bits != ph.code && m.bits != ((ph.code + 1U) & 3U)) return;
+    } else {
+        ph.replies[s] = {m.value, static_cast<std::uint8_t>(m.bits & 3U)};
+    }
+    ph.acked[s] = true;
+    ph.inc[s] = m.src_inc;  // the incarnation that sent it
+    ++ph.count;
+    ph.got = true;
+}
+
+void twobit_system::void_stale_acks() {
+    // An ack from a replica that has crashed and re-incarnated since it
+    // SENT the ack is VOID, for the reasons abd.cpp's run_phase gives. A
+    // query: the read fast path treats a code-unanimous quorum as "one
+    // version everywhere", and unanimity across an incarnation change can
+    // pair an ERASED frontier copy with a freshly re-installed one while
+    // the reborn replica sits a version behind -- a later reader's quorum
+    // through it would return the overwritten value (new/old inversion).
+    // An install: the adopted version was erased, and the catch-up
+    // reinstalls the max of the LIVE peers, which may be one version behind
+    // this install. Without the scan the writer believes the recovered
+    // replica holds version k while it sits at k-1, and the NEXT write
+    // (k+1) becomes an unfillable consecutive-adoption gap: livelock.
+    // Either way the retransmission re-asks the recovered replica.
+    open_phase& ph = phase_;
+    for (std::size_t s = 0; s < cfg_.servers; ++s) {
+        if (ph.acked[s] && bus_.incarnation(server_node(s)) != ph.inc[s]) {
+            ph.acked[s] = false;
+            --ph.count;
+        }
+    }
+}
+
+bool twobit_system::query_phase(std::size_t client) {
+    // Caller holds the lock (read() keeps it across query + write-back).
+    begin_phase(client, msg_kind::read_ack, 0);
     const std::size_t n = cfg_.servers;
     const std::size_t q = quorum();
-    out.assign(n, {});
-    std::vector<std::uint32_t> reply_inc(n, 0);
-    std::size_t got = 0;
-
     const auto broadcast = [&] {
         for (std::size_t s = 0; s < n; ++s) {
-            if (out[s].got) continue;
+            if (phase_.acked[s]) continue;
             message m;
             m.src = static_cast<node_id>(client);
             m.dst = server_node(s);
             m.kind = msg_kind::read_req;
-            m.rid = rid;
+            m.rid = phase_.rid;
             bus_.send(m);
         }
     };
@@ -117,38 +174,12 @@ bool twobit_system::query_phase(std::size_t client, std::vector<reply>& out) {
     unsigned idle = 0;
     unsigned patience = cfg_.retransmit_after;
     unsigned attempts = 0;
-    while (got < q) {
+    while (phase_.count < q) {
         if (abort_requested()) return false;
-        bus_.pump_one();
-        bool progress = false;
-        auto& box = inbox_[client];
-        for (const message& m : box) {
-            if (m.rid != rid || m.kind != msg_kind::read_ack) continue;
-            const std::size_t s = m.src - cfg_.clients;
-            if (out[s].got) continue;
-            out[s] = {true, m.value, static_cast<std::uint8_t>(m.bits & 3U)};
-            reply_inc[s] = bus_.incarnation(m.src);
-            ++got;
-            progress = true;
-        }
-        box.clear();
-        // A reply from a replica that has since crashed and re-incarnated is
-        // VOID, same rule as install_phase's hold_inc scan and for the same
-        // reason abd.cpp's run_phase applies it to read acks: the read fast
-        // path treats a code-unanimous quorum as "one version everywhere",
-        // and unanimity across an incarnation change can pair an ERASED
-        // frontier copy with a freshly re-installed one while the reborn
-        // replica sits a version behind -- a later reader's quorum through
-        // it would return the overwritten value (new/old inversion). The
-        // retransmission re-queries the recovered replica.
-        for (std::size_t s = 0; s < n; ++s) {
-            if (out[s].got &&
-                bus_.incarnation(server_node(s)) != reply_inc[s]) {
-                out[s] = {};
-                --got;
-            }
-        }
-        if (progress) {
+        phase_.got = false;
+        bus_.pump_one();  // deliver() credits this phase's replies
+        void_stale_acks();
+        if (phase_.got) {
             idle = 0;
         } else if (++idle >= patience) {
             if (cfg_.max_attempts != 0 && ++attempts >= cfg_.max_attempts) {
@@ -166,14 +197,9 @@ bool twobit_system::query_phase(std::size_t client, std::vector<reply>& out) {
 bool twobit_system::install_phase(std::size_t client, value_t v,
                                   std::uint8_t code) {
     // Caller holds the lock.
-    pumping_client_ = client;
-    ++bus_.counters().rounds;
-    const std::uint64_t rid = ++next_rid_[client];
+    begin_phase(client, msg_kind::write_ack, code);
     const std::size_t n = cfg_.servers;
     const std::size_t q = quorum();
-    std::vector<bool> holds(n, false);
-    std::vector<std::uint32_t> hold_inc(n, 0);
-    std::size_t successes = 0;
     // Client 0 is the writer: its install can never time out (no replica
     // can be AHEAD of the version it is announcing), so it gets unlimited
     // patience; reader write-backs abandon once the quorum has moved on.
@@ -181,12 +207,12 @@ bool twobit_system::install_phase(std::size_t client, value_t v,
 
     const auto broadcast = [&] {
         for (std::size_t s = 0; s < n; ++s) {
-            if (holds[s] || bus_.node_crashed(server_node(s))) continue;
+            if (phase_.acked[s] || bus_.node_crashed(server_node(s))) continue;
             message m;
             m.src = static_cast<node_id>(client);
             m.dst = server_node(s);
             m.kind = msg_kind::write_req;
-            m.rid = rid;
+            m.rid = phase_.rid;
             m.value = v;
             m.bits = code;
             bus_.send(m);
@@ -206,9 +232,11 @@ bool twobit_system::install_phase(std::size_t client, value_t v,
     // perfect failure detector (a documented deviation, docs/NET.md --
     // ABD's unbounded timestamps need no such assumption).
     const auto satisfied = [&]() -> bool {
-        if (limited) return successes >= q;
+        if (limited) return phase_.count >= q;
         for (std::size_t s = 0; s < n; ++s) {
-            if (!holds[s] && !bus_.node_crashed(server_node(s))) return false;
+            if (!phase_.acked[s] && !bus_.node_crashed(server_node(s))) {
+                return false;
+            }
         }
         return true;
     };
@@ -218,40 +246,10 @@ bool twobit_system::install_phase(std::size_t client, value_t v,
     unsigned patience = cfg_.retransmit_after;  // doubles per rebroadcast
     while (!satisfied()) {
         if (abort_requested()) return false;
-        bus_.pump_one();
-        bool progress = false;
-        auto& box = inbox_[client];
-        for (const message& m : box) {
-            if (m.rid != rid || m.kind != msg_kind::write_ack) continue;
-            const std::size_t s = m.src - cfg_.clients;
-            if (holds[s]) continue;
-            // Success = the replica provably holds our version: it codes it
-            // exactly, or its consecutive successor (strictly newer). A
-            // laggard's fail-ack is not progress; it catches up via gossip
-            // and answers a later retransmission.
-            if (m.bits == code || m.bits == ((code + 1U) & 3U)) {
-                holds[s] = true;
-                hold_inc[s] = bus_.incarnation(server_node(s));
-                ++successes;
-                progress = true;
-            }
-        }
-        box.clear();
-        // A hold-ack from a replica that has since crashed and re-incarnated
-        // is VOID (its adopted version was erased; the catch-up reinstalls
-        // the max of the LIVE peers, which may be one version behind this
-        // install). Without this scan the writer believes the recovered
-        // replica holds version k while it sits at k-1, and the NEXT write
-        // (k+1) becomes an unfillable consecutive-adoption gap: livelock.
-        // The retransmission re-lands our code on the caught-up replica.
-        for (std::size_t s = 0; s < n; ++s) {
-            if (holds[s] &&
-                bus_.incarnation(server_node(s)) != hold_inc[s]) {
-                holds[s] = false;
-                --successes;
-            }
-        }
-        if (progress) {
+        phase_.got = false;
+        bus_.pump_one();  // deliver() credits this phase's holds
+        void_stale_acks();
+        if (phase_.got) {
             idle = 0;
         } else if (++idle >= patience) {
             if (limited && rounds_sent >= cfg_.writeback_patience) {
@@ -279,7 +277,6 @@ std::optional<value_t> twobit_system::read(std::size_t client,
     // unbounded timestamps order a stale write-back as old; two-bit codes
     // cannot, so freshness must come from atomicity instead.
     if (pause != nullptr) (*pause)();
-    std::vector<reply> rep;
     net_lock::scoped guard(lock_);
     unsigned tries = 0;
     for (;;) {
@@ -289,7 +286,7 @@ std::optional<value_t> twobit_system::read(std::size_t client,
             note_unavailable_locked();
             return std::nullopt;
         }
-        if (!query_phase(client, rep)) {
+        if (!query_phase(client)) {
             note_unavailable_locked();
             return std::nullopt;
         }
@@ -304,8 +301,9 @@ std::optional<value_t> twobit_system::read(std::size_t client,
         bool conflict = false;
         std::size_t replies = 0;
         int ncodes = 0;
-        for (const reply& r : rep) {
-            if (!r.got) continue;
+        for (std::size_t s = 0; s < cfg_.servers; ++s) {
+            if (!phase_.acked[s]) continue;
+            const reply& r = phase_.replies[s];
             ++replies;
             if (!seen[r.bits]) {
                 seen[r.bits] = true;

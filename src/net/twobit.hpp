@@ -78,7 +78,9 @@ struct twobit_config {
     const replica_observer* observer{nullptr};
 };
 
-class twobit_system {
+/// Delivery works as in abd_system (abd.hpp): the system owns its bus, and
+/// acks are credited to the one open phase on arrival.
+class twobit_system final : private bus_owner {
 public:
     explicit twobit_system(const twobit_config& cfg,
                            fault_plan* plan = nullptr);
@@ -104,19 +106,47 @@ public:
 
 private:
     struct reply {
-        bool got{false};
         value_t value{0};
         std::uint8_t bits{0};
+    };
+
+    static constexpr std::size_t no_client = static_cast<std::size_t>(-1);
+
+    /// The open client phase: a query (wants read_acks) or an install
+    /// (wants write_acks coding `code` or its successor). read() holds the
+    /// lock across its phases, so at most one is open.
+    struct open_phase {
+        /// The client of the latest phase, which the observer attributes
+        /// replica touches to; no_client before the first phase.
+        std::size_t client{no_client};
+        std::uint64_t rid{0};
+        msg_kind want{msg_kind::read_ack};
+        std::uint8_t code{0};
+        /// Per server: replied (query) or provably holds the code (install).
+        std::vector<bool> acked;
+        std::vector<std::uint32_t> inc;  ///< per server: the ack's sender
+        std::vector<reply> replies;      ///< per server (query)
+        std::size_t count{0};
+        bool got{false};  ///< an ack was credited during this pump
     };
 
     [[nodiscard]] node_id server_node(std::size_t s) const noexcept {
         return static_cast<node_id>(cfg_.clients + s);
     }
-    /// Serve + gossip: the bus handler body for server s.
+    /// bus_owner: serve_at for a server, credit() for a client.
+    void deliver(const message& m) override;
+    void rejoin(node_id node) override;
+    /// Serves one message addressed to server s.
     void serve_at(std::size_t s, const message& m);
-    /// Quorum of read_acks, one slot per server. Caller holds the lock.
+    /// Counts a client-bound ack toward the open phase, or drops it.
+    void credit(const message& m);
+    /// Opens phase_ for `client` wanting `want` acks; bumps the round count.
+    void begin_phase(std::size_t client, msg_kind want, std::uint8_t code);
+    /// Voids every ack whose sender has re-incarnated since (phase_).
+    void void_stale_acks();
+    /// Quorum of read_acks into phase_.acked/replies. Caller holds the lock.
     /// False: retry budget exhausted (quorum unavailable) or aborted.
-    bool query_phase(std::size_t client, std::vector<reply>& out);
+    bool query_phase(std::size_t client);
     /// Push (value, code) until a quorum (reader write-back) or every live
     /// replica (writer, client 0) provably holds it; false when a limited
     /// caller's patience ran out (it re-queries). Caller holds the lock.
@@ -134,15 +164,12 @@ private:
     net_lock lock_;
     bus bus_;
     std::vector<twobit_server> replicas_;
-    std::vector<std::vector<message>> inbox_;
+    open_phase phase_;  ///< guarded by lock_
     std::vector<std::uint64_t> next_rid_;
     std::uint64_t writer_version_{0};
     std::vector<bool> recovering_;      ///< per server (catch-up window)
     std::vector<message> catchup_box_;  ///< state-transfer read_acks
     std::uint64_t catchup_rid_{0};
-    /// Client whose phase currently pumps the bus (observer attribution);
-    /// SIZE_MAX outside any client phase. Guarded by lock_.
-    std::size_t pumping_client_{static_cast<std::size_t>(-1)};
 };
 
 }  // namespace bloom87::net

@@ -307,6 +307,17 @@ TEST(HarnessDriver, InvalidSpecsFailFast) {
         spec.schedule = schedule_mode::seeded;
         EXPECT_FALSE(run(spec).ok);
     }
+    // A net/ composition with no replica has no quorum to run against.
+    for (const char* name : {"net/abd-swmr", "net/abd-mw", "net/twobit"}) {
+        run_spec spec;
+        spec.register_name = name;
+        spec.load.writers = std::string(name) == "net/abd-mw" ? 2 : 1;
+        spec.net_servers = 0;
+        const run_result res = run(spec);
+        EXPECT_FALSE(res.ok) << name;
+        EXPECT_NE(res.error.find("net_servers"), std::string::npos)
+            << res.error;
+    }
 }
 
 TEST(HarnessWorkload, WritersFieldIsValidated) {

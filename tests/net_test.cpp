@@ -79,6 +79,93 @@ TEST(NetDeterminism, DifferentSeedsDiverge) {
     EXPECT_TRUE(a.net.sent != b.net.sent || !same_events(a.events, b.events));
 }
 
+// FNV-1a over every event's (kind, processor, op, value), in merged order.
+[[nodiscard]] std::uint64_t history_hash(const std::vector<event>& evs) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t x) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (x >> (8 * b)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const event& e : evs) {
+        mix(static_cast<std::uint64_t>(e.kind));
+        mix(e.processor);
+        mix(e.op);
+        mix(static_cast<std::uint64_t>(e.value));
+    }
+    return h;
+}
+
+// The benchmark's net_faulty settings (benchmark/workloads.cpp): paced ops
+// on the seeded schedule under loss, delay and crash-recovery.
+[[nodiscard]] run_spec faulty_net_spec(const std::string& name,
+                                       std::size_t writers, std::size_t ops) {
+    run_spec spec;
+    spec.register_name = name;
+    spec.net_servers = 3;
+    spec.seed = 1;
+    spec.schedule = schedule_mode::seeded;
+    spec.collect = collect_mode::per_thread;
+    spec.load.writers = writers;
+    spec.load.readers = 1;
+    spec.load.ops_per_writer = ops;
+    spec.load.ops_per_reader = ops;
+    spec.pace.writer_pace_num = 1;
+    spec.pace.writer_pace_den = 8;
+    spec.pace.reader_pace_num = 1;
+    spec.pace.reader_pace_den = 8;
+    spec.pace.pause_yields = 4;
+    spec.fault.composed = {{fault_class::lost_write, 1, 100},
+                           {fault_class::delayed_visibility, 1, 50},
+                           {fault_class::port_crash, 1, 20000}};
+    spec.fault.recover_after = 2000;
+    spec.fault.seed = 1;
+    return spec;
+}
+
+// Every seeded bus schedule is a pure function of its seeds, and the bus's
+// delivery path may be rewritten only if it keeps it: the same rng draws
+// in the same order must pick the same messages. These counters and
+// history hashes pin one schedule per composition, FIFO (twobit) included.
+TEST(NetDeterminism, PinnedSchedules) {
+    struct pinned {
+        run_spec spec;
+        std::uint64_t sent, delivered, lost, delayed, rounds, retransmissions,
+            recoveries, events, hash;
+    };
+    run_spec twobit = faulty_net_spec("net/twobit", 1, 2000);
+    twobit.load.readers = 2;
+    // The fault matrix's composed recovery row.
+    twobit.fault.composed = {{fault_class::lost_write, 1, 64},
+                             {fault_class::port_crash, 1, 64},
+                             {fault_class::delayed_visibility, 1, 64}};
+    twobit.fault.recover_after = 40;
+    const std::vector<pinned> cases = {
+        {faulty_net_spec("net/abd-mw", 2, 20000), 548647, 540353, 8293,
+         11160, 92092, 341, 6, 120000, 0x52178f5605c480bdULL},
+        {faulty_net_spec("net/abd-swmr", 1, 20000), 246654, 242793, 3860,
+         5094, 41429, 154, 3, 80000, 0xa721d1b4c5c131baULL},
+        {twobit, 35045, 32937, 2108, 514, 6000, 304, 204, 12000,
+         0x68a47f15782e1dddULL},
+    };
+    for (const pinned& c : cases) {
+        SCOPED_TRACE(c.spec.register_name);
+        const run_result r = run(c.spec);
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.net.sent, c.sent);
+        EXPECT_EQ(r.net.delivered, c.delivered);
+        EXPECT_EQ(r.net.lost, c.lost);
+        EXPECT_EQ(r.net.delayed, c.delayed);
+        EXPECT_EQ(r.net.rounds, c.rounds);
+        EXPECT_EQ(r.net.retransmissions, c.retransmissions);
+        EXPECT_EQ(r.net.recoveries, c.recoveries);
+        EXPECT_EQ(r.events.size(), c.events);
+        EXPECT_EQ(history_hash(r.events), c.hash)
+            << std::hex << "0x" << history_hash(r.events);
+    }
+}
+
 // --- report plumbing -------------------------------------------------------
 
 TEST(NetStats, SurfaceThroughTheDriver) {
@@ -357,6 +444,82 @@ TEST(NetRecovery, SeededRecoveryScheduleDeterministic) {
         run_checkers(a.events, spec.initial, {checker_kind::fast});
     ASSERT_TRUE(checks.parsed) << checks.parse_error;
     EXPECT_TRUE(checks.verdicts[0].pass) << checks.verdicts[0].diagnosis;
+}
+
+// Servers crash often and rejoin one delivery later. A crash swallows only
+// the messages TO the dead server, so acks it sent before dying are still
+// in flight when it rejoins empty.
+[[nodiscard]] run_spec quick_rejoin_spec(const std::string& name,
+                                         std::size_t writers, bool delay,
+                                         std::uint64_t seed) {
+    run_spec spec;
+    spec.register_name = name;
+    spec.net_servers = 3;
+    spec.seed = seed;
+    spec.schedule = schedule_mode::seeded;
+    spec.collect = collect_mode::per_thread;
+    spec.load.writers = writers;
+    spec.load.readers = 2;
+    spec.load.ops_per_writer = 300;
+    spec.load.ops_per_reader = 300;
+    spec.pace.writer_pace_num = 1;
+    spec.pace.writer_pace_den = 2;
+    spec.pace.reader_pace_num = 1;
+    spec.pace.reader_pace_den = 2;
+    spec.pace.pause_yields = 4;
+    spec.fault.composed = {{fault_class::port_crash, 1, 8}};
+    if (delay) {
+        spec.fault.composed.push_back({fault_class::delayed_visibility, 1, 4});
+    }
+    spec.fault.recover_after = 1;
+    spec.fault.seed = seed;
+    return spec;
+}
+
+[[nodiscard]] bool checks_atomic(const run_spec& spec, std::string* why) {
+    const run_result res = run(spec);
+    if (!res.ok) {
+        *why = res.error;
+        return false;
+    }
+    const pipeline_result checks =
+        run_checkers(res.events, spec.initial, {checker_kind::fast});
+    *why = checks.parsed ? checks.verdicts[0].diagnosis : checks.parse_error;
+    return checks.parsed && checks.verdicts[0].pass;
+}
+
+// An ack counts for the incarnation that SENT it. Crediting a pre-crash
+// ack that lands after the rejoin to the reborn, empty server lets a
+// quorum include an erased copy (the new/old inversion of docs/NET.md §5).
+// Each seed here broke atomicity that way.
+TEST(NetRecovery, AcksFromAPreviousIncarnationAreVoid) {
+    struct repro {
+        const char* name;
+        std::size_t writers;
+        bool delay;
+        std::vector<std::uint64_t> seeds;
+    };
+    for (const repro& r : std::vector<repro>{
+             {"net/abd-mw", 2, true, {53, 104, 109, 134, 152, 168, 177, 191}},
+             {"net/abd-mw", 2, false, {54, 95}},
+             {"net/abd-swmr", 1, true, {60, 123, 124, 197}}}) {
+        for (std::uint64_t seed : r.seeds) {
+            std::string why;
+            EXPECT_TRUE(checks_atomic(
+                quick_rejoin_spec(r.name, r.writers, r.delay, seed), &why))
+                << r.name << (r.delay ? " crash+delay" : " crash")
+                << " seed " << seed << ": " << why;
+        }
+    }
+}
+
+TEST(NetRecovery, QuickRejoinSweepStaysAtomic) {
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        std::string why;
+        EXPECT_TRUE(checks_atomic(
+            quick_rejoin_spec("net/abd-mw", 2, true, seed), &why))
+            << "seed " << seed << ": " << why;
+    }
 }
 
 // --- graceful degradation: the driver's global op deadline -----------------
