@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
         spec.load.ops_per_writer = ops;
         spec.load.ops_per_reader = ops;
         spec.seed = ops * 17 + 3;
-        spec.collect = collect_mode::gamma;
+        spec.collect = collect_mode::per_thread;
         const run_result res = run(spec);
         if (!res.ok) {
             std::cerr << spec.register_name << ": " << res.error << "\n";

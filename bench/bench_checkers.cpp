@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
         spec.load.ops_per_writer = sz.ops;
         spec.load.ops_per_reader = sz.ops;
         spec.seed = sz.ops * 31 + 7;
-        spec.collect = collect_mode::gamma;
+        spec.collect = collect_mode::per_thread;
         const run_result res = run(spec);
         if (!res.ok) {
             std::cerr << spec.register_name << ": " << res.error << "\n";

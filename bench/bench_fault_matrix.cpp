@@ -4,7 +4,7 @@
 // fault class of registers/faulty.hpp, plus the two protocol-level
 // adversaries the harness already knew (a writer crashing mid-protocol, a
 // stalled/paced writer), with the streaming checker reading the recorded
-// gamma log. One verdict per cell:
+// gamma. One verdict per cell:
 //
 //   tolerated  every checker passed and the stream stayed silent. Expected
 //              for crash/stall classes: Bloom's construction is proven
@@ -101,7 +101,7 @@ cell_outcome run_cell(const std::string& reg, const scenario& sc,
         spec.load.ops_per_writer = ops;
         spec.load.ops_per_reader = ops;
         spec.seed = base_seed + attempt;
-        spec.collect = harness::collect_mode::gamma;
+        spec.collect = harness::collect_mode::per_thread;
         // Stalls only exist under real concurrency; everything else runs on
         // the deterministic seeded scheduler so a cell reproduces exactly.
         spec.schedule = sc.writer_stall ? harness::schedule_mode::threads
@@ -203,7 +203,7 @@ scaling_cell run_scaling_cell(std::uint64_t rate_den, unsigned stride,
         spec.load.ops_per_writer = ops;
         spec.load.ops_per_reader = ops;
         spec.seed = base_seed + attempt;
-        spec.collect = harness::collect_mode::gamma;
+        spec.collect = harness::collect_mode::per_thread;
         spec.schedule = harness::schedule_mode::seeded;
         spec.fault.cls = fault_class::stale_read;
         spec.fault.rate_num = 1;

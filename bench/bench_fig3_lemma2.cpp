@@ -20,7 +20,7 @@
 #include "harness/cli.hpp"
 #include "harness/driver.hpp"
 #include "harness/report.hpp"
-#include "histories/event_log.hpp"
+#include "histories/thread_log.hpp"
 #include "histories/workload.hpp"
 #include "registers/recording.hpp"
 #include "util/table.hpp"
@@ -31,7 +31,7 @@ namespace harness = bloom87::harness;
 namespace {
 
 table deterministic_replay() {
-    event_log log(64);
+    run_log log(2);
     recording_register reg0(tagged<value_t>{0, false}, &log, 0);
     recording_register reg1(tagged<value_t>{0, false}, &log, 1);
 
@@ -88,7 +88,7 @@ table deterministic_replay() {
         spec.load.ops_per_reader = 0;
         spec.load.writer_read_num = 0;  // writes only, as in the figure
         spec.seed = seed + 1;
-        spec.collect = harness::collect_mode::gamma;
+        spec.collect = harness::collect_mode::per_thread;
         spec.pace.writer_pace_num = 1;
         spec.pace.writer_pace_den = 10;
         spec.pace.pause_yields = 256;

@@ -22,7 +22,7 @@
 #include "harness/cli.hpp"
 #include "harness/driver.hpp"
 #include "harness/report.hpp"
-#include "histories/event_log.hpp"
+#include "histories/thread_log.hpp"
 #include "histories/workload.hpp"
 #include "linearizability/bloom_linearizer.hpp"
 #include "registers/recording.hpp"
@@ -34,7 +34,7 @@ namespace harness = bloom87::harness;
 namespace {
 
 table deterministic_replay() {
-    event_log log(64);
+    run_log log(3);
     recording_register reg0(tagged<value_t>{0, false}, &log, 0);
     recording_register reg1(tagged<value_t>{0, false}, &log, 1);
 
@@ -45,7 +45,7 @@ table deterministic_replay() {
         e.processor = proc;
         e.op = op;
         e.value = v;
-        log.append(e);
+        log.record(proc, e);
     };
 
     // Reader (proc 2) starts, samples both tags (0,0), then stalls.
@@ -70,7 +70,7 @@ table deterministic_replay() {
         (reader_pick(rt0, rt1) == 0 ? reg0 : reg1).read({2, 0}).value;  // T2
     sim_event(event_kind::sim_respond_read, 2, 0, got);
 
-    parse_result parsed = parse_history(log.snapshot(), 0);
+    parse_result parsed = parse_history(log.merge(), 0);
     const bloom_result res = bloom_linearize(parsed.hist);
 
     std::cout << "slow reader returned: " << got << " (the IMPOTENT write)\n\n";
@@ -124,7 +124,7 @@ table deterministic_replay() {
         spec.load.ops_per_reader = 1500;
         spec.load.writer_read_num = 0;  // writers only write, as in the figure
         spec.seed = seed + 100;
-        spec.collect = harness::collect_mode::gamma;
+        spec.collect = harness::collect_mode::per_thread;
         spec.pace.writer_pace_num = 1;
         spec.pace.writer_pace_den = 10;
         spec.pace.reader_pace_num = 1;

@@ -1,26 +1,20 @@
 // [FRONTEND] The high-throughput front end, measured end to end.
 //
-// Four experiments, one report (the committed BENCH_harness.json):
+// Three experiments, one report (the committed BENCH_harness.json):
 //
-//  1. collection_modes -- scripted threads-mode runs of the same workload
-//     under the shared-gamma MPMC log vs the per-thread lock-free rings,
-//     at 2/4/8 processors (best of N repetitions per cell). The per-thread
-//     path does strictly less shared work per recorded event (one relaxed
-//     fetch_add vs fetch_add + shared slot + release flag), which is the
-//     point of the rework.
-//  2. paced_clients -- timed runs multiplexing open-loop simulated clients
+//  1. paced_clients -- timed runs multiplexing open-loop simulated clients
 //     over the worker threads, below and beyond saturation, reporting the
 //     merged p50/p99/p999 due-time latency (queueing included: no
 //     coordinated omission) and the saturation ops/sec.
-//  3. streaming_long_run -- a timed run watched by the bounded-memory
+//  2. streaming_long_run -- a timed run watched by the bounded-memory
 //     streaming checker until it has verified >= 10x the events the
 //     post-hoc atomicity monitor can hold in memory (1<<20 events), with
 //     the retained-operation peak proving the memory bound.
-//  4. streaming_detection -- a seeded faulty/ run in which the streaming
+//  3. streaming_detection -- a seeded faulty/ run in which the streaming
 //     checker flags the injected corruption mid-stream with a finite
 //     first-violation latency in completed operations.
 //
-//   bench_frontend [--smoke] [--reps N] [--json BENCH_harness.json]
+//   bench_frontend [--smoke] [--json BENCH_harness.json]
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -41,30 +35,14 @@ namespace harness = bloom87::harness;
 namespace {
 
 /// The post-hoc checkers' capacity reference: the atomicity monitor's
-/// default event_log capacity (1<<20 events). The streaming long run must
-/// verify at least 10x this.
+/// default capacity (1<<20 events). The streaming long run must verify at
+/// least 10x this.
 constexpr std::uint64_t posthoc_capacity_events = 1ULL << 20;
 
 struct kept_run {
     harness::run_spec spec;
     harness::run_result result;
 };
-
-[[nodiscard]] harness::run_spec collection_spec(std::size_t procs,
-                                                harness::collect_mode mode,
-                                                std::size_t ops,
-                                                std::uint64_t seed) {
-    harness::run_spec spec;
-    spec.register_name = "bloom/packed";
-    spec.load.writers = 2;
-    spec.load.readers = procs - 2;
-    spec.load.ops_per_writer = ops;
-    spec.load.ops_per_reader = ops;
-    spec.seed = seed;
-    spec.collect = mode;
-    spec.schedule = harness::schedule_mode::threads;
-    return spec;
-}
 
 [[nodiscard]] double total_ops_per_sec(const harness::run_result& r) {
     return r.measured_s > 0
@@ -77,75 +55,22 @@ struct kept_run {
 
 int main(int argc, char** argv) {
     bool smoke = false;
-    std::uint64_t reps = 5;
     std::string json_path;
     harness::flag_parser parser(
-        "bench_frontend",
-        "collection modes, paced-client latency, and streaming checking");
+        "bench_frontend", "paced-client latency and streaming checking");
     parser.add_flag("smoke",
                     "CI scale: small runs, same report structure", &smoke);
-    parser.add_uint64("reps", "repetitions per collection-mode cell (best "
-                              "kept)", &reps);
     parser.add_string("json", "write the run report (harness schema) to PATH",
                       &json_path);
     if (!parser.parse(argc, argv)) return 64;
     if (parser.help_requested()) return 0;
-    if (reps == 0) reps = 1;
 
-    print_banner(std::cout, "FRONTEND",
-                 "Per-thread collection, paced clients, streaming checking");
+    print_banner(std::cout, "FRONTEND", "Paced clients, streaming checking");
 
     std::vector<kept_run> kept;
     bool ok = true;
 
-    // ---- 1. collection modes: shared gamma vs per-thread rings ----------
-    // Cells are a few ms each; best-of-`reps` with the two modes
-    // interleaved per rep, so scheduler/frequency drift hits both alike.
-    const std::size_t cell_ops = smoke ? 2000 : 50000;
-    const std::vector<std::size_t> proc_counts = {2, 4, 8};
-    table modes({"procs", "gamma ops/s", "per_thread ops/s", "speedup"});
-    for (const std::size_t procs : proc_counts) {
-        double best[2] = {0, 0};
-        kept_run best_run[2];
-        for (std::uint64_t rep = 0; rep < reps; ++rep) {
-            for (int m = 0; m < 2; ++m) {
-                const harness::collect_mode mode =
-                    m == 0 ? harness::collect_mode::gamma
-                           : harness::collect_mode::per_thread;
-                const harness::run_spec spec =
-                    collection_spec(procs, mode, cell_ops, 1 + rep);
-                harness::run_result res = harness::run(spec);
-                if (!res.ok) {
-                    std::cerr << "collection cell failed: " << res.error
-                              << "\n";
-                    return 1;
-                }
-                const double ops_s = total_ops_per_sec(res);
-                if (ops_s > best[m]) {
-                    best[m] = ops_s;
-                    // Recorded histories are large; keep the totals only.
-                    res.events.clear();
-                    res.events.shrink_to_fit();
-                    best_run[m] = {spec, std::move(res)};
-                }
-                harness::trim_heap();
-            }
-        }
-        const double speedup = best[0] > 0 ? best[1] / best[0] : 0;
-        modes.row({std::to_string(procs), fixed(best[0], 0), fixed(best[1], 0),
-                   fixed(speedup, 2)});
-        if (procs >= 4 && best[1] <= best[0]) {
-            std::cout << "note: per_thread did not beat gamma at " << procs
-                      << " procs this round\n";
-            if (!smoke) ok = false;
-        }
-        kept.push_back(std::move(best_run[0]));
-        kept.push_back(std::move(best_run[1]));
-    }
-    modes.print(std::cout);
-    std::cout << "\n";
-
-    // ---- 2. open-loop paced clients: latency under and past saturation --
+    // ---- 1. open-loop paced clients: latency under and past saturation --
     table clients_t({"clients", "pace", "offered ops/s", "achieved ops/s",
                      "p50 us", "p99 us", "p999 us", "max us"});
     const unsigned duration_ms = smoke ? 150 : 600;
@@ -193,7 +118,7 @@ int main(int argc, char** argv) {
     std::cout << "\n(latency measured from each client's DUE time: queueing\n"
               << "delay past saturation is charged to the operation.)\n\n";
 
-    // ---- 3. streaming long run: beyond post-hoc capacity ----------------
+    // ---- 2. streaming long run: beyond post-hoc capacity ----------------
     const std::uint64_t target_events =
         smoke ? posthoc_capacity_events / 4 : 10 * posthoc_capacity_events;
     harness::run_spec long_spec;
@@ -241,8 +166,8 @@ int main(int argc, char** argv) {
                   long_res.stream.violation ? "YES (unexpected)" : "none"});
     stream_t.print(std::cout);
     std::cout << "\n(post-hoc capacity reference: the atomicity monitor's\n"
-              << "default 1<<20-event log; the streaming checker holds only\n"
-              << "the retained window regardless of run length.)\n\n";
+              << "default 1<<20-event capacity; the streaming checker holds\n"
+              << "only the retained window regardless of run length.)\n\n";
     if (long_res.stream.violation) {
         std::cerr << "clean streaming run flagged a violation: "
                   << long_res.stream.diagnosis << "\n";
@@ -256,7 +181,7 @@ int main(int argc, char** argv) {
     kept.push_back({long_spec, long_res});
     harness::trim_heap();
 
-    // ---- 4. streaming detection of injected corruption ------------------
+    // ---- 3. streaming detection of injected corruption ------------------
     table detect_t({"fault", "injected", "violation", "detection pos",
                     "latency (ops)"});
     bool caught_all = true;
@@ -269,7 +194,7 @@ int main(int argc, char** argv) {
         spec.load.readers = 2;
         spec.load.ops_per_writer = 160;
         spec.load.ops_per_reader = 160;
-        spec.collect = harness::collect_mode::gamma;
+        spec.collect = harness::collect_mode::per_thread;
         spec.schedule = harness::schedule_mode::seeded;
         spec.fault.cls = cls;
         spec.fault.rate_num = 1;
@@ -328,7 +253,6 @@ int main(int argc, char** argv) {
                             }
                         });
         }
-        rep.add_table("collection_modes", modes);
         rep.add_table("paced_clients", clients_t);
         rep.add_table("streaming_long_run", stream_t);
         rep.add_table("streaming_detection", detect_t);

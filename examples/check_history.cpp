@@ -35,7 +35,7 @@ int do_record(std::uint64_t seed) {
     spec.load.ops_per_reader = 60;
     spec.load.writer_read_num = 0;  // writers only write here
     spec.seed = seed;
-    spec.collect = harness::collect_mode::gamma;
+    spec.collect = harness::collect_mode::per_thread;
     spec.pace.writer_pace_num = 1;
     spec.pace.writer_pace_den = 6;
     spec.pace.reader_pace_num = 1;

@@ -44,8 +44,7 @@ run_spec draw_spec(const registry_entry& e, rng& gen, std::uint64_t seed) {
     spec.load.readers = 1 + gen.below(4);
     spec.load.ops_per_writer = 100 + gen.below(400);
     spec.load.ops_per_reader = 100 + gen.below(400);
-    spec.collect = e.info.requires_log ? collect_mode::gamma
-                                       : collect_mode::per_thread;
+    spec.collect = collect_mode::per_thread;
     spec.schedule = gen.chance(1, 3) ? schedule_mode::seeded
                                      : schedule_mode::threads;
     spec.pace.writer_pace_num = gen.below(6);
@@ -76,12 +75,6 @@ bool run_round(const registry_entry& e, const run_spec& spec,
                      e.info.name.c_str(),
                      static_cast<unsigned long long>(spec.seed),
                      res.error.c_str());
-        return false;
-    }
-    if (res.log_overflowed) {
-        std::fprintf(stderr, "%s seed %llu: LOG OVERFLOW (harness bug)\n",
-                     e.info.name.c_str(),
-                     static_cast<unsigned long long>(spec.seed));
         return false;
     }
     const pipeline_result checks = run_checkers(
@@ -133,7 +126,7 @@ int fuzz_faulty(fault_class cls, std::uint64_t rounds,
             spec.load.readers = 1 + meta.below(3);
             spec.load.ops_per_writer = 100 + meta.below(300);
             spec.load.ops_per_reader = 100 + meta.below(300);
-            spec.collect = collect_mode::gamma;
+            spec.collect = collect_mode::per_thread;
             // Seeded: the fault plan and the schedule replay byte for byte,
             // so a reported seed reproduces the round exactly.
             spec.schedule = schedule_mode::seeded;

@@ -23,7 +23,7 @@ int main() {
     spec.load.ops_per_reader = 8;
     spec.load.writer_read_num = 0;  // writers only write here
     spec.seed = 41;
-    spec.collect = harness::collect_mode::gamma;
+    spec.collect = harness::collect_mode::per_thread;
     spec.pace.writer_pace_num = 1;
     spec.pace.writer_pace_den = 2;
     spec.pace.reader_pace_num = 1;

@@ -78,20 +78,6 @@ constexpr site_contract repair_sites[] = {
     {"c", "fetch_add", "relaxed", site_discipline::relaxed_stat},
 };
 
-constexpr site_contract event_log_sites[] = {
-    // The shared gamma log: slot reservation is a relaxed fetch_add (slot
-    // index IS the serialization), payloads publish through the per-slot
-    // ready flag's release store / acquire load. clear() is single-thread
-    // (relaxed flags, release counter reset).
-    {"next_", "fetch_add", "relaxed", site_discipline::relaxed_stat},
-    {"next_", "load", "acquire", site_discipline::acq_rel},
-    {"next_", "store", "release", site_discipline::acq_rel},
-    {"overflowed_", "load", "acquire", site_discipline::acq_rel},
-    {"overflowed_", "store", "relaxed,release", site_discipline::acq_rel},
-    {"value", "load", "acquire", site_discipline::acq_rel},
-    {"value", "store", "relaxed,release", site_discipline::acq_rel},
-};
-
 constexpr site_contract thread_log_sites[] = {
     // Per-thread SPSC rings: the producer publishes records with one
     // release store of head_ (acquired by the merger's peek); the
@@ -131,7 +117,6 @@ constexpr file_contract contracts[] = {
     {"repair.hpp", repair_sites},
     // The harness's own collection structures are audited like any
     // register: their memory orders carry the recorded history's validity.
-    {"event_log.hpp", event_log_sites, "histories"},
     {"thread_log.hpp", thread_log_sites, "histories"},
     // The message bus under the net/ compositions: one spinlock, no other
     // atomics anywhere in src/net. The protocol .cpp files are audited as

@@ -9,7 +9,6 @@
 
 #include <atomic>
 
-#include "histories/event_log.hpp"
 #include "histories/events.hpp"
 #include "util/bits.hpp"
 #include "util/sync.hpp"

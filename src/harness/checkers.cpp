@@ -60,7 +60,6 @@ constexpr std::size_t exhaustive_limit = 62;
                                              value_t initial) {
     atomicity_monitor mon(initial, h.gamma.size() + 16);
     std::map<processor_id, atomicity_monitor::port> ports;
-    std::map<processor_id, bool> open;
     for (const event& e : h.gamma) {
         if (is_real(e.kind)) continue;
         auto it = ports.find(e.processor);
@@ -70,22 +69,18 @@ constexpr std::size_t exhaustive_limit = 62;
         atomicity_monitor::port& port = it->second;
         switch (e.kind) {
             case event_kind::sim_invoke_write:
-                if (open[e.processor]) port.abandon();
+                port.abandon();  // no-op unless the last op crashed
                 port.begin_write(e.value);
-                open[e.processor] = true;
                 break;
             case event_kind::sim_invoke_read:
-                if (open[e.processor]) port.abandon();
+                port.abandon();
                 port.begin_read();
-                open[e.processor] = true;
                 break;
             case event_kind::sim_respond_write:
                 port.end_write();
-                open[e.processor] = false;
                 break;
             case event_kind::sim_respond_read:
                 port.end_read(e.value);
-                open[e.processor] = false;
                 break;
             default:
                 break;

@@ -335,24 +335,11 @@ run_spec common_flags::to_spec() const {
     }
     spec.net_servers = net_servers;
 
-    if (duration_ms == 0) {
-        const registry_entry* e = find_register(register_name);
-        // Fault runs always collect through the shared gamma log: the
-        // injection position lives there.
-        // Registers that record real accesses (the recording substrate,
-        // net/ replica observers) also need the shared log, or the race
-        // checker would have nothing to replay.
-        spec.collect = (e != nullptr && (e->info.requires_log ||
-                                         e->info.records_real_accesses)) ||
-                               spec.fault.active()
-                           ? collect_mode::gamma
-                           : collect_mode::per_thread;
-    } else {
-        // Timed runs collect nothing -- unless the streaming checker rides
-        // along, which checks and discards a per_thread merge.
-        spec.collect = streaming ? collect_mode::per_thread
-                                 : collect_mode::none;
-    }
+    // Scripted runs record their gamma. Timed runs collect nothing --
+    // unless the streaming checker rides along, which checks and discards
+    // a live merge.
+    spec.collect = duration_ms == 0 || streaming ? collect_mode::per_thread
+                                                 : collect_mode::none;
     return spec;
 }
 

@@ -31,13 +31,13 @@ using steady = std::chrono::steady_clock;
             .count());
 }
 
-/// Where a script_runner records its operation boundaries: a per-thread
-/// ring stamped from the shared seq source (per_thread), the shared gamma
-/// log (gamma), or nowhere (both null).
+/// Where a script_runner records its operation boundaries: the scripted
+/// run's run_log, a timed run's ring stamped from the shared seq source, or
+/// nowhere (all null).
 struct recorder {
+    run_log* log{nullptr};
     event_ring* ring{nullptr};
     seq_source* seqs{nullptr};
-    event_log* log{nullptr};
 };
 
 /// Executes one processor's script against its port, applying pacing, crash
@@ -197,14 +197,13 @@ private:
         if (!port_->crashed()) record(op_kind::read, /*response=*/true, out);
     }
 
-    /// Records one sim event. Into this thread's ring: a stamp drawn from
-    /// the shared relaxed counter (the only cross-thread write on the
-    /// path), then plain stores plus one release publish. The stamp is
-    /// drawn inside the operation's invocation..response window, so the
-    /// fetch_add order is a legal serialization and the seq merge
-    /// reconstructs a valid external schedule. Into the gamma log: one
-    /// append, interleaved with the real accesses the register logs. The
-    /// op index counts invocations, exactly as the registers' own
+    /// Records one sim event: a stamp drawn from the shared relaxed counter
+    /// (the only cross-thread write on the path), stored in this
+    /// processor's run_log buffer or ring. The stamp is drawn inside the
+    /// operation's invocation..response window, so the fetch_add order is a
+    /// legal serialization and the stamp merge reconstructs a valid gamma,
+    /// interleaved with the real accesses the register records. The op
+    /// index counts invocations, exactly as the registers' own
     /// access_context counters do, so real accesses land in their op.
     void record(op_kind kind, bool response, value_t v) {
         if (rec_.ring == nullptr && rec_.log == nullptr) return;
@@ -223,7 +222,7 @@ private:
         if (rec_.ring != nullptr) {
             rec_.ring->push(rec_.seqs->draw(), e);
         } else {
-            rec_.log->append(e);
+            rec_.log->record(proc_, e);
         }
     }
 
@@ -277,6 +276,10 @@ run_result fail(std::string why) {
     return r;
 }
 
+/// Ops one processor's script may hold: 80x the largest script in use,
+/// and far below what a script's allocation or an op index can carry.
+constexpr std::size_t max_ops_per_processor = std::size_t{1} << 24;
+
 /// Why `spec` cannot run against `entry`; empty when it can.
 [[nodiscard]] std::string spec_error(const run_spec& spec,
                                      const register_info& info) {
@@ -286,22 +289,35 @@ run_result fail(std::string why) {
                ".." + std::to_string(info.max_writers) + " writers, got " +
                std::to_string(spec.load.writers);
     }
+    // One OS thread and one fault-plan crash flag per processor.
+    const std::size_t procs = spec.load.writers + spec.load.readers;
+    if (procs > fault_plan::max_processors) {
+        return "at most " + std::to_string(fault_plan::max_processors) +
+               " processors (writers + readers), got " +
+               std::to_string(procs);
+    }
+    const std::size_t ops =
+        std::max(spec.load.ops_per_writer, spec.load.ops_per_reader);
+    if (ops > max_ops_per_processor) {
+        return "at most " + std::to_string(max_ops_per_processor) +
+               " ops per processor, got " + std::to_string(ops);
+    }
     if (info.family == "net" && spec.net_servers == 0) {
         return info.name + " replicates over servers; net_servers must be "
                            "at least 1";
     }
-    if (info.requires_log && spec.collect != collect_mode::gamma) {
-        return info.name +
-               " records real accesses into a shared gamma log; run it "
-               "with collect=gamma";
-    }
     const bool timed = spec.duration_ms > 0;
+    if (info.requires_log &&
+        (spec.collect == collect_mode::none || timed)) {
+        return info.name +
+               " records real accesses into the run's gamma; run it "
+               "scripted (duration_ms=0) with collect=per_thread";
+    }
     if (timed && spec.collect != collect_mode::none &&
-        !(spec.collect == collect_mode::per_thread &&
-          spec.streaming_monitor)) {
+        !spec.streaming_monitor) {
         return "timed runs produce unbounded histories; collect on a timed "
-               "run only with per_thread + streaming_monitor (events are "
-               "checked and discarded, never retained)";
+               "run only with streaming_monitor (events are checked and "
+               "discarded, never retained)";
     }
     if (timed && spec.schedule == schedule_mode::seeded) {
         return "the seeded schedule is scripted-only (duration_ms=0)";
@@ -314,7 +330,7 @@ run_result fail(std::string why) {
     }
     if (spec.streaming_monitor && spec.collect == collect_mode::none) {
         return "the streaming checker consumes recorded events; run with "
-               "collect=gamma or collect=per_thread";
+               "collect=per_thread";
     }
     if (spec.clients > 0 &&
         (!timed || spec.schedule != schedule_mode::threads)) {
@@ -364,19 +380,20 @@ run_result run(const run_spec& spec) {
     const workload wl = make_workload(spec.load, spec.seed);
     if (!wl.valid()) return fail("generated workload failed validation");
 
-    // Recording substrate: <= 4 real accesses per op on top of the 2
-    // invocation/response events the script runners record; net/
-    // compositions additionally log one replica touch per delivered client
-    // protocol message (up to 2 quorum phases x servers per op, plus
-    // retransmission duplicates). 16x leaves slack for cached-read paths
-    // and default-sized (3-server) quorums.
-    const bool gamma = spec.collect == collect_mode::gamma;
-    event_log log(gamma ? wl.total_ops() * 16 + 4096 : 1);
+    // A scripted recorded run stamps every event -- the script runners'
+    // invocations/responses and the registers' real accesses -- into one
+    // run_log. A timed recorded run streams through bounded rings instead
+    // and records no real accesses (see the header comment).
+    const std::size_t n_procs = wl.scripts.size();
+    const bool recorded = spec.collect == collect_mode::per_thread;
+    const bool logged = recorded && !timed;  // one run_log
+    const bool live = recorded && timed;     // rings, merged live
+    run_log log(logged ? n_procs : 0);
     register_args args;
     args.initial = spec.initial;
     args.writers = spec.load.writers;
     args.readers = spec.load.readers;
-    args.log = gamma ? &log : nullptr;
+    args.log = logged ? &log : nullptr;
     args.fault = spec.fault;
     args.servers = spec.net_servers;
     // Bus delivery order varies with the run seed (reproducibly), without
@@ -395,7 +412,6 @@ run_result run(const run_spec& spec) {
         make_register(spec.register_name, args, &make_error);
     if (reg == nullptr) return fail(std::move(make_error));
 
-    const std::size_t n_procs = wl.scripts.size();
     std::vector<std::unique_ptr<any_port>> ports;
     ports.reserve(n_procs);
     for (std::size_t p = 0; p < n_procs; ++p) {
@@ -405,23 +421,18 @@ run_result run(const run_spec& spec) {
             reg->make_port(static_cast<processor_id>(p), role));
     }
 
-    const bool per_thread = spec.collect == collect_mode::per_thread;
-    // Scripted rings cover the whole script (<= 2 events per op), so push
-    // never blocks and the ring is a flat slab. Timed streaming rings are
-    // bounded; a full ring backpressures its producer (counted in stalls).
-    // Timed streaming rings are kept SMALL on purpose: ring slack is
+    // Timed rings are bounded; a full ring backpressures its producer
+    // (counted in stalls). They are kept SMALL on purpose: ring slack is
     // exactly how far the merged stream can run past one preempted
     // mid-operation producer, and every event streamed past an open op
     // stays retained in the checker (the quiescent cut cannot pass it).
     // Big rings -> huge retained windows -> superlinear checkpoint cost.
     seq_source seqs;
     std::vector<std::unique_ptr<event_ring>> rings;
-    if (per_thread) {
+    if (live) {
         rings.reserve(n_procs);
         for (std::size_t p = 0; p < n_procs; ++p) {
-            rings.push_back(std::make_unique<event_ring>(
-                timed ? std::size_t{1} << 10
-                      : wl.scripts[p].size() * 2 + 8));
+            rings.push_back(std::make_unique<event_ring>(std::size_t{1} << 10));
         }
     }
 
@@ -430,49 +441,41 @@ run_result run(const run_spec& spec) {
     result.threads.resize(n_procs);
     std::vector<latency_histogram> hists(n_procs);
 
-    // The streaming checker consumes the recorded stream. Timed runs
-    // (per_thread only) feed it the live ring merge; scripted runs feed it
-    // the retained history after the workers finish -- the seq merge, or
-    // the gamma log -- so checking never perturbs the measured schedule.
-    // Ingest is sticky on violation.
+    // The streaming checker consumes the recorded stream. Timed runs feed
+    // it the live ring merge; scripted runs feed it the retained history
+    // after the workers finish, so checking never perturbs the measured
+    // schedule. Ingest is sticky on violation.
     streaming_config scfg;
     scfg.window = spec.stream_window;
     scfg.stride = spec.stream_stride;
     streaming_checker stream_chk(spec.initial, scfg);
 
-    // per_thread collection. Timed runs need a LIVE consumer: rings are
-    // bounded, so one merge thread runs the k-way seq merge concurrently,
-    // feeding the streaming checker and discarding (backpressure throttles
-    // the producers to the checker's pace). Scripted runs record at pure
-    // ring-push speed instead -- the rings cover the whole script, so the
-    // merge runs AFTER the workers finish, off the measured path. Merged
-    // order is a pure function of seq stamps either way, so consumer
-    // timing never changes the history.
-    const auto drain_merge = [&] {
-        std::vector<event_ring*> rp;
-        rp.reserve(rings.size());
-        for (const auto& r : rings) rp.push_back(r.get());
-        ring_merger merger(rp);
-        stamped_event se;
-        while (merger.next(&se)) {
-            if (timed) {
-                stream_chk.ingest(se.e);
-            } else {
-                result.events.push_back(se.e);
-            }
-        }
-        // The final check stays on the thread that ran every checkpoint:
-        // it reuses that thread's warmed heap instead of growing another.
-        if (timed) stream_chk.finish();
-    };
+    // Timed collection needs a LIVE consumer: rings are bounded, so one
+    // merge thread runs the k-way seq merge concurrently, feeding the
+    // streaming checker and discarding (backpressure throttles the
+    // producers to the checker's pace). Merged order is a pure function of
+    // seq stamps, so consumer timing never changes the history.
     std::thread merge_thread;
-    if (per_thread && timed) merge_thread = std::thread(drain_merge);
+    if (live) {
+        merge_thread = std::thread([&] {
+            std::vector<event_ring*> rp;
+            rp.reserve(rings.size());
+            for (const auto& r : rings) rp.push_back(r.get());
+            ring_merger merger(rp);
+            stamped_event se;
+            while (merger.next(&se)) stream_chk.ingest(se.e);
+            // The final check stays on the thread that ran every
+            // checkpoint: it reuses that thread's warmed heap instead of
+            // growing another.
+            stream_chk.finish();
+        });
+    }
     const auto recorder_for = [&](std::size_t p) {
         recorder rec;
-        if (per_thread) {
+        if (live) {
             rec.ring = rings[p].get();
             rec.seqs = &seqs;
-        } else if (gamma) {
+        } else if (logged) {
             rec.log = &log;
         }
         return rec;
@@ -483,7 +486,7 @@ run_result run(const run_spec& spec) {
         // paced operation's pause runs a bounded burst of OTHER processors'
         // ops, so the recorded gamma contains real overlap -- reproducibly.
         // Seq stamps are drawn by this one thread in schedule order, so the
-        // merged per_thread history is byte-identical across runs.
+        // merged history is byte-identical across runs.
         std::vector<script_runner> runners;
         runners.reserve(n_procs);
         bool in_pause = false;
@@ -530,9 +533,6 @@ run_result run(const run_spec& spec) {
             current = n_procs;
         }
         result.measured_s = static_cast<double>(now_ns() - t0) / 1e9;
-        if (per_thread) {
-            for (auto& r : rings) r->finish();
-        }
         for (std::size_t p = 0; p < n_procs; ++p) {
             thread_result& tr = result.threads[p];
             tr.processor = static_cast<processor_id>(p);
@@ -638,7 +638,7 @@ run_result run(const run_spec& spec) {
                     while (runner.step()) {}
                 }
                 const double secs = static_cast<double>(now_ns() - t0) / 1e9;
-                if (per_thread) rings[p]->finish();
+                if (live) rings[p]->finish();
                 thread_result& tr = result.threads[p];
                 tr.processor = static_cast<processor_id>(p);
                 tr.role = runner.role();
@@ -702,7 +702,7 @@ run_result run(const run_spec& spec) {
     }
 
     if (merge_thread.joinable()) merge_thread.join();
-    if (per_thread && !timed) drain_merge();
+    if (logged) result.events = log.merge();
 
     for (const thread_result& tr : result.threads) {
         result.total_reads += tr.reads;
@@ -712,11 +712,6 @@ run_result run(const run_spec& spec) {
         latency_histogram total;
         for (const latency_histogram& h : hists) total.merge(h);
         fill_latency(result.latency, total);
-    }
-
-    if (gamma) {
-        result.events = log.snapshot();
-        result.log_overflowed = log.overflowed();
     }
 
     result.faults_injected = reg->faults();

@@ -18,26 +18,29 @@
 // One recorder: the driver's script runner records every simulated
 // invocation/response -- registers and their adapters never do -- with the
 // same pending-on-crash rules everywhere (no response after a crashed
-// write, a crashed port, or a parked net/ port). It writes into one of two
-// collectors:
-//   * gamma      -- one shared MPMC event_log; required for the recording
-//     substrate and the net/ replica observer, whose REAL accesses must
-//     interleave with the simulated events in one total order;
-//   * per_thread -- each worker records into its own fixed-capacity
-//     lock-free ring (histories/thread_log.hpp), stamping every record
-//     from one shared relaxed fetch_add counter -- the only shared write
-//     on the record path. The driver merges the rings into gamma order by
-//     ascending stamp; under the seeded schedule the merge is
-//     byte-identical across runs, and equal to the gamma run's simulated
-//     events.
+// write, a crashed port, or a parked net/ port). Every recorded event draws
+// its gamma position from one relaxed fetch_add counter (seq_source,
+// histories/thread_log.hpp) -- the only shared write on the record path --
+// and lands in its processor's own buffer:
+//   * a scripted run records into a run_log, one growable buffer per
+//     processor. The registers record their REAL accesses into the same
+//     log (the recording substrate, the net/ replica observer), so real
+//     and simulated events share one total order, and the fault plan reads
+//     its first-injection position from it. The merge places the event
+//     stamped k at index k; under the seeded schedule it is byte-identical
+//     across runs;
+//   * a timed run, which may collect only to feed the streaming checker,
+//     gives each worker a bounded lock-free ring and merges the rings live
+//     by ascending stamp. It never records real accesses: a real access
+//     pushed into a full ring while its thread held the recording spinlock
+//     or net_lock could starve the ring the merger is waiting on.
 //
 // One online checker: a run can carry the bounded-memory STREAMING checker
-// (linearizability/streaming.hpp) with either collector. A scripted run
-// feeds it the retained history after the run; a TIMED run, which may
-// collect only with per_thread + streaming_monitor, feeds it the live
-// ring merge, checking and discarding events instead of retaining them. When it flags a violation on a retained history, the driver
-// localizes the culprit: the minimal violating prefix
-// (linearizability/monitor.hpp).
+// (linearizability/streaming.hpp). A scripted run feeds it the retained
+// history after the run; a TIMED run feeds it the live ring merge, checking
+// and discarding events instead of retaining them. When it flags a
+// violation on a retained history, the driver localizes the culprit: the
+// minimal violating prefix (linearizability/monitor.hpp).
 #pragma once
 
 #include <cstdint>
@@ -49,11 +52,10 @@
 
 namespace bloom87::harness {
 
-/// How the driver records the run's external schedule.
+/// Whether the driver records the run's gamma.
 enum class collect_mode : std::uint8_t {
     none,        ///< throughput runs: nothing recorded
-    gamma,       ///< one shared event_log (plus the registers' real accesses)
-    per_thread,  ///< lock-free per-thread rings, merged by sequence stamp
+    per_thread,  ///< per-processor buffers, merged by sequence stamp
 };
 
 /// How operations are interleaved.
@@ -62,7 +64,7 @@ enum class schedule_mode : std::uint8_t {
     seeded,   ///< deterministic single-thread interleaving from the seed
 };
 
-/// What a per_thread producer does when its event ring is full.
+/// What a timed run's producer does when its event ring is full.
 enum class ring_policy : std::uint8_t {
     block,  ///< stall between ops until the consumer drains (default)
     drop,   ///< skip the whole op, count it (run_result::ops_dropped)
@@ -95,7 +97,8 @@ struct run_spec {
 
     /// 0 = scripted run (each processor runs its script once).
     /// > 0 = timed run: scripts are cycled until the clock expires
-    /// (collect must be none -- histories of a timed run are unbounded).
+    /// (collect must be none unless the streaming checker consumes the
+    /// events -- histories of a timed run are unbounded).
     unsigned duration_ms{0};
     unsigned warmup_ms{0};
     /// Timed runs: after the epoch ends, workers get this long to finish
@@ -129,7 +132,7 @@ struct run_spec {
     unsigned stream_window{4096};
     unsigned stream_stride{256};
 
-    /// Backpressure policy of the per_thread rings. `drop` sheds load
+    /// Backpressure policy of a timed run's rings. `drop` sheds load
     /// instead of stalling: a full ring skips the ENTIRE next operation
     /// (not executed, not recorded -- recording gaps would fabricate
     /// checker violations) and counts it in run_result::ops_dropped.
@@ -218,9 +221,8 @@ struct run_result {
     std::uint64_t ops_dropped{0};
     std::vector<thread_result> threads;
 
-    /// Recorded external schedule (collect != none), in gamma order.
+    /// Recorded gamma of a scripted run (collect != none).
     std::vector<event> events;
-    bool log_overflowed{false};
 
     /// Substrate fault injection counters (faulty/ registers; zero
     /// elsewhere) and the streaming checker's findings.
@@ -239,8 +241,9 @@ struct run_result {
 };
 
 /// Runs one spec. Validates the spec against the registry entry (writer
-/// range, recording requirements, timed-run restrictions) and reports
-/// violations through run_result::error instead of crashing.
+/// range, processor and op bounds, recording requirements, timed-run
+/// restrictions) and reports violations through run_result::error instead
+/// of crashing.
 [[nodiscard]] run_result run(const run_spec& spec);
 
 /// Returns freed heap pages to the OS between configs so one config's

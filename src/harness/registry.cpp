@@ -22,9 +22,9 @@
 namespace bloom87::harness {
 namespace {
 
-// Adapters never log simulated operations: the driver's script runner
+// Adapters never record simulated operations: the driver's script runner
 // records every invocation/response, so the only events a register writes
-// into a gamma log are its real accesses (recording substrate, net/
+// into the run's recorder are its real accesses (recording substrate, net/
 // replica observer).
 
 // ---------------------------------------------------------------- bloom/* --
@@ -456,14 +456,14 @@ private:
     return s;
 }
 
-/// Gamma-log bridge for the net/ replica observer (abd.hpp): each server
+/// Recorder bridge for the net/ replica observer (abd.hpp): each server
 /// replica is real register 2 + server (reg 0/1 stay the Bloom base
-/// registers), attributed to the PUMPING client -- the processor whose
-/// thread executed the touch under the composition's net_lock. That is the
-/// feed the hybrid race checker replays against the net/ contracts
+/// registers), recorded into the PUMPING client's buffer -- the processor
+/// whose thread executed the touch under the composition's net_lock. That
+/// is the feed the hybrid race checker replays against the net/ contracts
 /// (blanket lock_region, src/analysis/contracts.cpp); history parsing
 /// exempts reg >= 2 from base-register validation.
-[[nodiscard]] net::replica_observer make_net_observer(event_log* log) {
+[[nodiscard]] net::replica_observer make_net_observer(run_log* log) {
     if (log == nullptr) return {};
     return [log](std::size_t client, std::size_t server, bool is_write,
                  value_t v) {
@@ -472,7 +472,7 @@ private:
         e.reg = static_cast<std::uint8_t>(2 + server);
         e.processor = static_cast<processor_id>(client);
         e.value = v;
-        log->append(e);
+        log->record(e.processor, e);
     };
 }
 
@@ -637,9 +637,9 @@ register_info info(std::string name, std::string description,
 
 /// bloom/recording and bloom/plain: Bloom over the recording substrate,
 /// built through the factory constructor, so only the real accesses reach
-/// the gamma log from inside the register.
+/// the recorder from inside the register.
 std::unique_ptr<any_register> make_recording(const register_args& a) {
-    event_log* log = a.log;
+    run_log* log = a.log;
     return std::make_unique<bloom_any<recording_register>>(
         std::make_unique<two_writer_register<value_t, recording_register>>(
             a.initial, [log](tagged<value_t> init, int reg_index) {
@@ -700,7 +700,7 @@ std::vector<registry_entry> build_registry() {
     {
         register_info i =
             info("bloom/recording",
-                 "Bloom two-writer over the recording substrate (gamma log "
+                 "Bloom two-writer over the recording substrate (gamma "
                  "with real accesses; input to the Section 7 checker)",
                  2, 2, true);
         i.records_real_accesses = true;
@@ -759,14 +759,14 @@ std::vector<registry_entry> build_registry() {
         register_info i =
             info("faulty/recording",
                  "fault-injected recording substrate: corrupted runs keep a "
-                 "full gamma log for forensics and culprit localization",
+                 "full gamma for forensics and culprit localization",
                  2, 2, true);
         i.records_real_accesses = true;
         i.requires_log = true;
         r.push_back(
             {std::move(i),
              [](const register_args& a) -> std::unique_ptr<any_register> {
-                 event_log* log = a.log;
+                 run_log* log = a.log;
                  return std::make_unique<faulty_any<recording_register>>(
                      a, [log](tagged<value_t> init, fault_plan* plan,
                               int reg_index) {
@@ -949,8 +949,8 @@ std::unique_ptr<any_register> make_register(std::string_view name,
     if (e->info.requires_log && args.log == nullptr) {
         if (error != nullptr) {
             *error = e->info.name +
-                     " requires a gamma log (run with a recording collection "
-                     "mode)";
+                     " records real accesses into the run's recorder (run "
+                     "it scripted, with collect=per_thread)";
         }
         return nullptr;
     }

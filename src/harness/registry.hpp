@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "core/two_writer.hpp"  // crash_point
-#include "histories/event_log.hpp"
 #include "histories/events.hpp"
+#include "histories/thread_log.hpp"
 #include "registers/faulty.hpp"  // fault_spec, fault_counts
 
 namespace bloom87::harness {
@@ -124,10 +124,10 @@ struct register_info {
     std::size_t min_writers{1};
     std::size_t max_writers{1};
     bool wait_free{true};
-    /// Accesses to the real registers appear in the gamma log, so the
+    /// Accesses to the real registers appear in the recorded gamma, so the
     /// constructive (Section 7) checker can run on recorded histories.
     bool records_real_accesses{false};
-    /// Must be constructed with a shared gamma log (recording substrate).
+    /// Must be constructed with the run's recorder (recording substrate).
     bool requires_log{false};
     /// Known NOT to be atomic (the Section 8 tournament) -- checkers are
     /// expected to fail it.
@@ -171,11 +171,12 @@ struct register_args {
     value_t initial{0};
     std::size_t writers{2};
     std::size_t readers{2};
-    /// Shared gamma log, or null for unrecorded runs. Instances log only
-    /// REAL accesses into it (the recording substrate, the net/ replica
-    /// observer) plus the fault plan's first-injection position; the
-    /// driver's script runner records every simulated invocation/response.
-    event_log* log{nullptr};
+    /// The run's stamped recorder, or null for unrecorded runs. Instances
+    /// record only REAL accesses into it (the recording substrate, the net/
+    /// replica observer), each into the accessing processor's buffer, and
+    /// read the fault plan's first-injection position from it; the driver's
+    /// script runner records every simulated invocation/response.
+    run_log* log{nullptr};
     /// Substrate fault injection; the faulty/ and net/ families read it
     /// (other entries ignore an active spec -- the driver rejects that
     /// combination up front).
@@ -209,8 +210,8 @@ struct registry_entry {
 
 /// Constructs a register by name. Returns null and fills `error` when the
 /// name is unknown, the writer count is out of the entry's range, the
-/// entry requires a log and none was given, or the entry packs values and
-/// `initial` is outside the packed domain.
+/// entry requires a recorder and none was given, or the entry packs values
+/// and `initial` is outside the packed domain.
 [[nodiscard]] std::unique_ptr<any_register> make_register(
     std::string_view name, const register_args& args, std::string* error);
 

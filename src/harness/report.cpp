@@ -16,12 +16,7 @@ constexpr const char* schema_name = "bloom87-harness-v8";
 }
 
 [[nodiscard]] const char* collect_name(collect_mode m) {
-    switch (m) {
-        case collect_mode::gamma: return "gamma";
-        case collect_mode::per_thread: return "per_thread";
-        case collect_mode::none: break;
-    }
-    return "none";
+    return m == collect_mode::per_thread ? "per_thread" : "none";
 }
 
 }  // namespace
@@ -75,9 +70,10 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
         w_.field("clients", spec.clients);
         w_.field("client_pace_ns", spec.client_pace_ns);
     }
-    // v5: backpressure policy of the per_thread rings (named only when the
-    // rings exist) and the replica count of net/ compositions.
-    if (spec.collect == collect_mode::per_thread) {
+    // v5: backpressure policy of the rings (named only when the rings
+    // exist: a timed collecting run) and the replica count of net/
+    // compositions.
+    if (spec.collect == collect_mode::per_thread && spec.duration_ms > 0) {
         w_.field("ring_policy",
                  spec.ring == ring_policy::drop ? "drop" : "block");
     }
@@ -100,7 +96,6 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
     // under block, so consumers can assert on it unconditionally).
     w_.field("ops_dropped", result.ops_dropped);
     w_.field("events", static_cast<std::uint64_t>(result.events.size()));
-    w_.field("log_overflowed", result.log_overflowed);
     // v4: merged latency percentiles across every worker (histogram-based,
     // ~6% resolution; max is exact), present when anything was sampled.
     if (result.latency.samples > 0) {

@@ -113,7 +113,10 @@
 // faults.online.latency_ops) and `culprit_processor` / `culprit_op` (the
 // op closing it). `stream.latency_ops` keeps its meaning (ops up to where
 // the streaming checker flagged). `environment.build` records the real
-// CMake build type instead of release/debug from NDEBUG.
+// CMake build type instead of release/debug from NDEBUG. Later, still v8:
+// `totals` lost its log-overflow flag (the one recorder grows with the run,
+// so nothing overflows) and `config.collect` names none or per_thread only;
+// no consumer read either, so the version did not move.
 #pragma once
 
 #include <functional>

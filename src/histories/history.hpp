@@ -1,10 +1,11 @@
 // bloom87: structured views over a recorded gamma sequence.
 //
-// A raw event vector (from event_log::snapshot) is parsed into a `history`:
-// per-operation records with invocation/response gamma positions and the
-// real-register accesses each operation performed. Both checkers consume
-// this form: the generic linearizability checker uses only the simulated
-// operations; the Bloom constructive linearizer also uses the real accesses.
+// A raw event vector (a run's recorded gamma, run_log::merge) is parsed
+// into a `history`: per-operation records with invocation/response gamma
+// positions and the real-register accesses each operation performed. Both
+// checkers consume this form: the generic linearizability checker uses only
+// the simulated operations; the Bloom constructive linearizer also uses the
+// real accesses.
 #pragma once
 
 #include <cstdint>

@@ -1,34 +1,30 @@
-// bloom87: per-thread lock-free event logs + the deterministic seq merge.
+// bloom87: the stamped recorder, per-thread lock-free rings, and the
+// deterministic seq merge.
 //
-// The shared MPMC event_log (event_log.hpp) costs every recorded event one
-// contended fetch_add, one store into a shared slot array, and one shared
-// ready-flag publish. This header is the contention-free alternative the
-// harness's per-thread collection mode runs on:
+// Every recorded event draws its gamma position from one `seq_source`: a
+// single relaxed fetch_add, the ONLY shared write on the record path. The
+// fetch_add order is a legal serialization of the recording instants (a
+// stamp is drawn inside its operation's invocation..response window, and a
+// real access draws its stamp inside the critical section that makes the
+// access atomic), so ordering by stamp reconstructs a valid gamma.
 //
-//  * a global `seq_source` hands out 64-bit sequence numbers with a single
-//    relaxed fetch_add -- the ONLY shared write on the record path. The
-//    fetch_add order is a legal serialization of the recording instants
-//    (each stamp is drawn inside its operation's invocation..response
-//    window), so sorting by seq reconstructs a valid external schedule;
-//  * each worker owns one `event_ring`: a fixed-capacity single-producer/
-//    single-consumer ring of {seq, event} records. Appends are plain
-//    stores plus one release publish of the head index; no allocation
-//    after construction. With capacity covering a scripted run the ring
-//    doubles as a flat slab (nothing is popped until the merge). The two
+//  * A scripted run records into a `run_log`: one growable append-only
+//    buffer per processor. Every drawn stamp is stored, so a stamp IS the
+//    event's gamma position: the merge places the event stamped k at index
+//    k, and a real read names the write it observed by that write's stamp.
+//  * A timed run, whose history is unbounded, gives each worker one
+//    `event_ring`: a fixed-capacity single-producer/single-consumer ring of
+//    {seq, event} records, no allocation after construction. The two
 //    indices live on separate cache lines, and each side keeps a private
 //    copy of the other side's index, reloading it (acquire) only when the
-//    copy says "full" (producer) or "empty" (consumer) -- so a push or pop
-//    that the copy already allows touches no line the other side writes;
-//  * `ring_merger` stitches the rings back into one gamma-ordered stream
-//    by ascending seq. Per-ring seqs are strictly increasing (a producer
-//    draws stamps in program order), so the merger can emit the minimum
-//    head as soon as every unfinished ring is non-empty -- which makes the
-//    same merger work post-run (all rings finished) and LIVE, chasing the
-//    producers while they append.
+//    copy says "full" (producer) or "empty" (consumer). `ring_merger`
+//    stitches the rings into one stream by ascending seq, LIVE: per-ring
+//    seqs increase, so the minimum head is safe to emit as soon as every
+//    unfinished ring is non-empty.
 //
 // Determinism: under the seeded single-thread schedule, seq assignment is
 // a pure function of the spec, so the merged history is byte-identical
-// across runs -- the property tests/streaming_test.cpp pins.
+// across runs -- the property tests/harness_test.cpp pins.
 #pragma once
 
 #include <atomic>
@@ -39,6 +35,7 @@
 #include <vector>
 
 #include "histories/events.hpp"
+#include "util/check.hpp"
 #include "util/sync.hpp"
 
 namespace bloom87 {
@@ -65,11 +62,62 @@ struct stamped_event {
     event e{};
 };
 
-/// Fixed-capacity SPSC ring of stamped events. The producer never
-/// allocates; when the ring is full it yields until the consumer drains
-/// (backpressure -- counted in stalls() so saturation is visible, not
-/// silent). Sized to cover the whole run, push never blocks and the ring
-/// behaves as an append-only slab.
+/// Places each event of `buf` at its stamp's index in `out`. Buffers that
+/// together hold every stamp in [0, out.size()) fill `out` exactly.
+inline void scatter_by_stamp(const std::vector<stamped_event>& buf,
+                             std::vector<event>& out) {
+    for (const stamped_event& se : buf) {
+        check(se.seq < out.size(), "stamp outside the merged stream");
+        out[se.seq] = se.e;
+    }
+}
+
+/// The scripted-run recorder: one append-only buffer per processor, every
+/// record stamped from one seq_source. Only the thread acting as processor
+/// p records for p; merge() runs once every recorder has stopped (threads
+/// joined). Memory grows with the events recorded: nothing is preallocated
+/// and nothing can overflow.
+class run_log {
+public:
+    explicit run_log(std::size_t processors) : bufs_(processors) {}
+
+    run_log(const run_log&) = delete;
+    run_log& operator=(const run_log&) = delete;
+
+    /// Appends `e` to processor p's buffer; returns its gamma position.
+    event_pos record(processor_id p, const event& e) {
+        const auto i = static_cast<std::size_t>(p);
+        check(i < bufs_.size(), "run_log::record: processor outside the run");
+        const std::uint64_t seq = seqs_.draw();
+        bufs_[i].events.push_back({seq, e});
+        return seq;
+    }
+
+    /// The gamma position the next record will take.
+    [[nodiscard]] event_pos next_pos() const noexcept {
+        return seqs_.issued();
+    }
+
+    /// The recorded gamma: the event stamped k at index k.
+    [[nodiscard]] std::vector<event> merge() const {
+        std::vector<event> out(seqs_.issued());
+        for (const buffer& b : bufs_) scatter_by_stamp(b.events, out);
+        return out;
+    }
+
+private:
+    struct alignas(cacheline_size) buffer {
+        std::vector<stamped_event> events;
+    };
+
+    alignas(cacheline_size) seq_source seqs_;
+    std::vector<buffer> bufs_;
+};
+
+/// Fixed-capacity SPSC ring of stamped events (timed runs). The producer
+/// never allocates; when the ring is full it yields until the consumer
+/// drains (backpressure -- counted in stalls() so saturation is visible,
+/// not silent).
 class event_ring {
 public:
     explicit event_ring(std::size_t capacity) {

@@ -33,12 +33,6 @@ struct workload {
         return scripts.size() - writers;
     }
 
-    [[nodiscard]] std::size_t total_ops() const noexcept {
-        std::size_t n = 0;
-        for (const auto& s : scripts) n += s.size();
-        return n;
-    }
-
     /// Sanity of the processor-id convention: writer count within range and
     /// writer scripts are the only ones containing writes.
     [[nodiscard]] bool valid() const noexcept {

@@ -1,7 +1,6 @@
 #include "ioa/executor.hpp"
 
 #include <array>
-#include <cassert>
 #include <limits>
 #include <map>
 #include <string_view>
@@ -24,7 +23,10 @@ schedule run_fair(composition& system, std::uint64_t seed,
         system.apply(owner, a);
         out.push_back(scheduled_action{owner, std::move(a)});
     }
-    assert(false && "run_fair exceeded max_steps; system does not quiesce");
+    // A truncated schedule returned as if the system had quiesced would
+    // hand its caller an incomplete execution.
+    check(system.enabled().empty(),
+          "run_fair exceeded max_steps; the system does not quiesce");
     return out;
 }
 
@@ -94,7 +96,7 @@ std::vector<operation> external_history(const schedule& s) {
             out.push_back(op);
         } else if (is_ack(a.kind)) {
             auto it = open.find(a.channel);
-            assert(it != open.end());
+            check(it != open.end(), "an acknowledgment follows its request");
             operation& op = out[it->second];
             if (op.kind == op_kind::read) op.value = a.value;
             op.responded = clock++;

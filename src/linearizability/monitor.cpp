@@ -1,58 +1,51 @@
 #include "linearizability/monitor.hpp"
 
-#include <cassert>
-
 #include "histories/history.hpp"
 #include "linearizability/fast_register.hpp"
+#include "util/check.hpp"
 
 namespace bloom87 {
 
-atomicity_monitor::atomicity_monitor(value_t initial, std::size_t capacity)
-    : initial_(initial), log_(capacity) {}
+atomicity_monitor::port atomicity_monitor::make_port(processor_id processor) {
+    const std::lock_guard<std::mutex> guard(ports_mu_);
+    return port{*this, buffers_.emplace_back(), processor};
+}
+
+void atomicity_monitor::port::record(event_kind kind, value_t v) {
+    event e;
+    e.kind = kind;
+    e.processor = processor_;
+    e.op = open_op_;
+    e.value = v;
+    const std::uint64_t seq = owner_->seqs_.draw();
+    if (seq < owner_->capacity_) buffer_->push_back({seq, e});
+}
 
 void atomicity_monitor::port::begin_write(value_t v) {
-    assert(!open_ && "port already has an operation in flight");
-    event e;
-    e.kind = event_kind::sim_invoke_write;
-    e.processor = processor_;
-    e.op = next_op_;
-    e.value = v;
-    owner_->log_.append(e);
+    check(!open_, "port already has an operation in flight");
     open_ = true;
     open_op_ = next_op_++;
     open_is_write_ = true;
+    record(event_kind::sim_invoke_write, v);
 }
 
 void atomicity_monitor::port::end_write() {
-    assert(open_ && open_is_write_);
-    event e;
-    e.kind = event_kind::sim_respond_write;
-    e.processor = processor_;
-    e.op = open_op_;
-    owner_->log_.append(e);
+    check(open_ && open_is_write_, "end_write needs an open write");
+    record(event_kind::sim_respond_write, 0);
     open_ = false;
 }
 
 void atomicity_monitor::port::begin_read() {
-    assert(!open_ && "port already has an operation in flight");
-    event e;
-    e.kind = event_kind::sim_invoke_read;
-    e.processor = processor_;
-    e.op = next_op_;
-    owner_->log_.append(e);
+    check(!open_, "port already has an operation in flight");
     open_ = true;
     open_op_ = next_op_++;
     open_is_write_ = false;
+    record(event_kind::sim_invoke_read, 0);
 }
 
 void atomicity_monitor::port::end_read(value_t result) {
-    assert(open_ && !open_is_write_);
-    event e;
-    e.kind = event_kind::sim_respond_read;
-    e.processor = processor_;
-    e.op = open_op_;
-    e.value = result;
-    owner_->log_.append(e);
+    check(open_ && !open_is_write_, "end_read needs an open read");
+    record(event_kind::sim_respond_read, result);
     open_ = false;
 }
 
@@ -60,11 +53,18 @@ void atomicity_monitor::port::abandon() { open_ = false; }
 
 monitor_verdict atomicity_monitor::verify() const {
     monitor_verdict out;
-    if (log_.overflowed()) {
+    if (overflowed()) {
         out.diagnosis = "monitor capacity exceeded; history incomplete";
         return out;
     }
-    const parse_result parsed = parse_history(log_.snapshot(), initial_);
+    std::vector<event> gamma(seqs_.issued());
+    {
+        const std::lock_guard<std::mutex> guard(ports_mu_);
+        for (const std::vector<stamped_event>& b : buffers_) {
+            scatter_by_stamp(b, gamma);
+        }
+    }
+    const parse_result parsed = parse_history(gamma, initial_);
     if (!parsed.ok()) {
         out.diagnosis = "malformed history: " + parsed.error->message;
         return out;

@@ -1,8 +1,10 @@
 // bloom87: runtime atomicity monitoring for any register implementation.
 //
-// A thin, thread-safe facade over the event log + checkers: application
-// code reports each operation's boundaries through a per-processor port,
-// and verify() renders a verdict over everything recorded so far. Use it
+// A thin, thread-safe facade over the stamped recorder + checkers:
+// application code reports each operation's boundaries through a
+// per-processor port, and verify() renders a verdict over everything
+// recorded so far. Each port records into its own buffer, stamping every
+// event from one shared seq_source (histories/thread_log.hpp). Use it
 // to put ANY register implementation (including ones outside this
 // repository) under the same verification regime as the built-in ones:
 //
@@ -19,13 +21,14 @@
 // defined over: the external history.
 #pragma once
 
-#include <memory>
+#include <deque>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "histories/event_log.hpp"
 #include "histories/events.hpp"
+#include "histories/thread_log.hpp"
 
 namespace bloom87 {
 
@@ -38,7 +41,9 @@ struct monitor_verdict {
 class atomicity_monitor {
 public:
     /// `capacity` bounds the number of recorded events (2 per operation).
-    explicit atomicity_monitor(value_t initial, std::size_t capacity = 1 << 20);
+    /// Memory grows with the events recorded, not with the capacity.
+    explicit atomicity_monitor(value_t initial, std::size_t capacity = 1 << 20)
+        : initial_(initial), capacity_(capacity) {}
 
     atomicity_monitor(const atomicity_monitor&) = delete;
     atomicity_monitor& operator=(const atomicity_monitor&) = delete;
@@ -59,10 +64,15 @@ public:
 
     private:
         friend class atomicity_monitor;
-        port(atomicity_monitor& owner, processor_id processor)
-            : owner_(&owner), processor_(processor) {}
+        port(atomicity_monitor& owner, std::vector<stamped_event>& buffer,
+             processor_id processor)
+            : owner_(&owner), buffer_(&buffer), processor_(processor) {}
+
+        /// Records one boundary event of the open (or opening) operation.
+        void record(event_kind kind, value_t v);
 
         atomicity_monitor* owner_;
+        std::vector<stamped_event>* buffer_;
         processor_id processor_;
         op_index next_op_{0};
         bool open_{false};
@@ -70,9 +80,8 @@ public:
         bool open_is_write_{false};
     };
 
-    [[nodiscard]] port make_port(processor_id processor) {
-        return port{*this, processor};
-    }
+    /// Thread-safe: worker threads may create their ports concurrently.
+    [[nodiscard]] port make_port(processor_id processor);
 
     /// Checks everything recorded so far. Call after the threads driving
     /// ports are quiescent (typically joined); in-flight operations are
@@ -80,11 +89,19 @@ public:
     [[nodiscard]] monitor_verdict verify() const;
 
     /// True if the monitor ran out of capacity (verify() also reports it).
-    [[nodiscard]] bool overflowed() const noexcept { return log_.overflowed(); }
+    [[nodiscard]] bool overflowed() const noexcept {
+        return seqs_.issued() > capacity_;
+    }
 
 private:
     value_t initial_;
-    event_log log_;
+    std::size_t capacity_;
+    /// Every event's gamma position; stamps past capacity_ are dropped.
+    seq_source seqs_;
+    mutable std::mutex ports_mu_;
+    /// One buffer per port; a deque keeps each port's buffer in place
+    /// while other ports are added.
+    std::deque<std::vector<stamped_event>> buffers_;
 };
 
 /// The shortest prefix of a recorded history that already fails the

@@ -32,17 +32,17 @@
 
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "histories/event_log.hpp"
 #include "histories/events.hpp"
+#include "histories/thread_log.hpp"
 #include "registers/concepts.hpp"
 #include "registers/tagged.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace bloom87 {
@@ -134,8 +134,9 @@ struct fault_counts {
     std::uint64_t torn_values{0};
     std::uint64_t delayed_writes{0};
     std::uint64_t port_crashes{0};
-    /// Gamma position at the moment of the first injection (the log's size
-    /// right then), or no_event when nothing was injected / no log attached.
+    /// Gamma position at the moment of the first injection (the recorder's
+    /// next stamp right then), or no_event when nothing was injected / no
+    /// recorder attached.
     event_pos first_injection{no_event};
 
     [[nodiscard]] std::uint64_t total() const noexcept {
@@ -151,7 +152,10 @@ struct fault_counts {
 /// are additionally readable lock-free (the driver polls them per step).
 class fault_plan {
 public:
-    explicit fault_plan(const fault_spec& spec, const event_log* log = nullptr)
+    /// Processors a plan can crash: one flag each.
+    static constexpr std::size_t max_processors = 64;
+
+    explicit fault_plan(const fault_spec& spec, const run_log* log = nullptr)
         : spec_(spec), log_(log), gen_(spec.seed) {
         for (std::size_t i = 0; i < crashed_.size(); ++i) {
             crashed_[i].store(false, std::memory_order_relaxed);
@@ -215,9 +219,8 @@ public:
     /// Under the lock: bump one class counter and stamp the first injection.
     void note(fault_class cls) noexcept {
         if (counts_.total() == 0) {
-            counts_.first_injection = log_ != nullptr
-                                          ? static_cast<event_pos>(log_->size())
-                                          : no_event;
+            counts_.first_injection =
+                log_ != nullptr ? log_->next_pos() : no_event;
         }
         switch (cls) {
             case fault_class::stale_read: ++counts_.stale_reads; break;
@@ -240,9 +243,9 @@ public:
 
     void crash_port(processor_id p) noexcept {
         const auto i = static_cast<std::size_t>(p);
-        if (i < crashed_.size()) {
-            crashed_[i].store(true, std::memory_order_release);
-        }
+        check(i < crashed_.size(),
+              "fault_plan::crash_port: processor past the crash flags");
+        crashed_[i].store(true, std::memory_order_release);
     }
 
     /// Takes the lock; callable any time (benches read it after the run).
@@ -256,12 +259,12 @@ public:
 
 private:
     fault_spec spec_;
-    const event_log* log_;
+    const run_log* log_;
     std::atomic<bool> locked_{false};
     rng gen_;
     std::uint64_t accesses_{0};
     fault_counts counts_{};
-    std::array<std::atomic<bool>, 64> crashed_{};
+    std::array<std::atomic<bool>, max_processors> crashed_{};
 };
 
 /// Wraps a tagged substrate register with the plan's fault model. Satisfies
@@ -284,7 +287,7 @@ public:
           plan_(plan),
           current_(initial),
           previous_(initial) {
-        assert(plan_ != nullptr);
+        check(plan_ != nullptr, "faulty_register needs a fault_plan");
     }
 
     faulty_register(const faulty_register&) = delete;

@@ -341,7 +341,7 @@ harness::run_spec gamma_spec(const std::string& name) {
     spec.load.ops_per_writer = 60;
     spec.load.ops_per_reader = 60;
     spec.seed = 11;
-    spec.collect = harness::collect_mode::gamma;
+    spec.collect = harness::collect_mode::per_thread;
     return spec;
 }
 
@@ -392,8 +392,8 @@ TEST(HarnessRace, SkipReasonsSayWhy) {
     EXPECT_NE(checks.verdicts.at(0).skip_reason.find("no/contract"),
               std::string::npos);
 
-    // A history without real accesses (bloom/packed records no gamma log;
-    // per-thread collection yields simulated events only).
+    // A history without real accesses (bloom/packed's substrate records
+    // nothing, so the run yields simulated events only).
     harness::run_spec spec = gamma_spec("bloom/packed");
     spec.collect = harness::collect_mode::per_thread;
     const harness::run_result packed = harness::run(spec);

@@ -8,9 +8,9 @@
 #include <sstream>
 
 #include "core/protocol.hpp"
-#include "histories/event_log.hpp"
 #include "histories/history.hpp"
 #include "histories/serialize.hpp"
+#include "histories/thread_log.hpp"
 #include "linearizability/bloom_linearizer.hpp"
 #include "registers/recording.hpp"
 
@@ -19,10 +19,11 @@ namespace {
 
 /// Single-threaded scenario driver: performs the writer/reader protocols of
 /// the paper one real access at a time, under test-controlled interleaving.
+/// Processors 0..3 record into one run_log.
 class scenario {
 public:
     scenario()
-        : log_(512), reg0_(tagged<value_t>{0, false}, &log_, 0),
+        : log_(4), reg0_(tagged<value_t>{0, false}, &log_, 0),
           reg1_(tagged<value_t>{0, false}, &log_, 1) {}
 
     recording_register& reg(std::size_t i) { return i == 0 ? reg0_ : reg1_; }
@@ -41,7 +42,7 @@ public:
             e.processor = static_cast<processor_id>(writer);
             e.op = op;
             e.value = value;
-            s->log_.append(e);
+            s->log_.record(e.processor, e);
         }
         void real_read() {
             const auto other = s->reg(static_cast<std::size_t>(1 - writer)).read(
@@ -58,7 +59,7 @@ public:
             e.kind = event_kind::sim_respond_write;
             e.processor = static_cast<processor_id>(writer);
             e.op = op;
-            s->log_.append(e);
+            s->log_.record(e.processor, e);
         }
         void run_all() {
             invoke();
@@ -81,7 +82,7 @@ public:
             e.kind = event_kind::sim_invoke_read;
             e.processor = proc;
             e.op = op;
-            s->log_.append(e);
+            s->log_.record(proc, e);
         }
         void read_r0() { t0 = s->reg(0).read({proc, op}).tag; }
         void read_r1() { t1 = s->reg(1).read({proc, op}).tag; }
@@ -96,7 +97,7 @@ public:
             e.processor = proc;
             e.op = op;
             e.value = result;
-            s->log_.append(e);
+            s->log_.record(proc, e);
         }
         void run_all() {
             invoke();
@@ -111,13 +112,13 @@ public:
     read_op reader(processor_id proc, op_index op) { return {this, proc, op}; }
 
     history parsed() {
-        parse_result res = parse_history(log_.snapshot(), 0);
+        parse_result res = parse_history(log_.merge(), 0);
         EXPECT_TRUE(res.ok()) << res.error->message;
         return std::move(res.hist);
     }
 
 private:
-    event_log log_;
+    run_log log_;
     recording_register reg0_;
     recording_register reg1_;
 };

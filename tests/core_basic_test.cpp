@@ -278,7 +278,7 @@ TEST(RecordingIntegration, GammaHasProtocolShape) {
     spec.load.ops_per_writer = 8;
     spec.load.ops_per_reader = 8;
     spec.seed = 3;
-    spec.collect = harness::collect_mode::gamma;
+    spec.collect = harness::collect_mode::per_thread;
     spec.schedule = harness::schedule_mode::seeded;
     const harness::run_result run = harness::run(spec);
     ASSERT_TRUE(run.ok) << run.error;

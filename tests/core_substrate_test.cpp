@@ -18,24 +18,20 @@ using namespace bloom87::harness;
 
 class SubstrateConcurrency : public ::testing::TestWithParam<std::string> {
 protected:
-    /// A threaded run of 2 writers and 2 readers on the substrate under
-    /// test. The recording substrate needs the gamma log; the others
-    /// record into per-thread rings.
+    /// A recorded threaded run of 2 writers and 2 readers on the
+    /// substrate under test.
     [[nodiscard]] run_spec spec(std::uint64_t seed) const {
         run_spec s;
         s.register_name = GetParam();
         s.load.readers = 2;
         s.seed = seed;
-        s.collect = s.register_name == "bloom/recording"
-                        ? collect_mode::gamma
-                        : collect_mode::per_thread;
+        s.collect = collect_mode::per_thread;
         return s;
     }
 
     static void expect_atomic(const run_spec& s) {
         const run_result res = run(s);
         ASSERT_TRUE(res.ok) << res.error;
-        ASSERT_FALSE(res.log_overflowed);
         const parse_result parsed = parse_history(res.events, s.initial);
         ASSERT_TRUE(parsed.ok()) << parsed.error->message;
         const auto fast = check_fast(parsed.hist.ops, s.initial);

@@ -1,5 +1,6 @@
 // The run harness itself: registry round-trips, driver determinism, spec
-// validation, collection modes, and the checker pipeline's skip rules.
+// validation, the pinned seeded histories, and the checker pipeline's skip
+// rules.
 // Everything a bench or example relies on when it trusts `run()` blindly.
 #include <gtest/gtest.h>
 
@@ -24,8 +25,7 @@ using namespace bloom87::harness;
     spec.load.ops_per_writer = 150;
     spec.load.ops_per_reader = 150;
     spec.seed = 5;
-    spec.collect =
-        e.info.requires_log ? collect_mode::gamma : collect_mode::per_thread;
+    spec.collect = collect_mode::per_thread;
     return spec;
 }
 
@@ -42,7 +42,6 @@ TEST(HarnessRegistry, EveryNameConstructsRunsAndChecks) {
         const run_spec spec = smoke_spec(e);
         const run_result res = run(spec);
         ASSERT_TRUE(res.ok) << e.info.name << ": " << res.error;
-        EXPECT_FALSE(res.log_overflowed) << e.info.name;
         EXPECT_EQ(res.threads.size(), spec.load.writers + spec.load.readers)
             << e.info.name;
 
@@ -141,80 +140,155 @@ TEST(HarnessDriver, SameSeedSameWorkload) {
     EXPECT_TRUE(differs) << "different seeds produced identical workloads";
 }
 
-// Under the seeded scheduler the ENTIRE execution is a function of the
-// spec: running the same spec twice must record byte-identical histories.
-TEST(HarnessDriver, SeededScheduleIsDeterministic) {
-    run_spec spec;
-    spec.register_name = "bloom/recording";
-    spec.load.writers = 2;
-    spec.load.readers = 2;
-    spec.load.ops_per_writer = 300;
-    spec.load.ops_per_reader = 300;
-    spec.seed = 1234;
-    spec.collect = collect_mode::gamma;
-    spec.schedule = schedule_mode::seeded;
-    spec.pace.writer_pace_num = 1;
-    spec.pace.writer_pace_den = 8;
-
-    const run_result a = run(spec);
-    const run_result b = run(spec);
-    ASSERT_TRUE(a.ok) << a.error;
-    ASSERT_TRUE(b.ok) << b.error;
-    ASSERT_EQ(a.events.size(), b.events.size());
-    for (std::size_t i = 0; i < a.events.size(); ++i) {
-        EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "event " << i;
-        EXPECT_EQ(a.events[i].processor, b.events[i].processor) << "event " << i;
-        EXPECT_EQ(a.events[i].op, b.events[i].op) << "event " << i;
-        EXPECT_EQ(a.events[i].value, b.events[i].value) << "event " << i;
-        EXPECT_EQ(a.events[i].reg, b.events[i].reg) << "event " << i;
+/// FNV-1a over every field of every event, each widened to 64 bits.
+[[nodiscard]] std::uint64_t gamma_hash(const std::vector<event>& evs) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t x) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (x >> (8 * b)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const event& e : evs) {
+        mix(static_cast<std::uint64_t>(e.kind));
+        mix(e.reg);
+        mix(static_cast<std::uint64_t>(e.processor));
+        mix(e.op);
+        mix(e.tag ? 1 : 0);
+        mix(static_cast<std::uint64_t>(e.value));
+        mix(e.observed_write);
     }
-    const pipeline_result checks =
-        run_checkers(a.events, 0, {checker_kind::bloom, checker_kind::fast});
-    ASSERT_TRUE(checks.parsed) << checks.parse_error;
-    for (const check_verdict& v : checks.verdicts) {
-        ASSERT_TRUE(v.ran) << v.skip_reason;
-        EXPECT_TRUE(v.pass) << checker_name(v.kind) << ": " << v.diagnosis;
-    }
+    return h;
 }
 
-// One recorder writes both collectors: for every entry that can run without
-// the shared log, a seeded gamma run and a seeded per_thread run of the
-// same spec record the same simulated events, event for event, once the
-// gamma log's real accesses are filtered out. Crashes and cached reads are
-// on, so the pending-on-crash rules are covered too.
-TEST(HarnessDriver, GammaAndPerThreadRecordTheSameOperations) {
-    for (const registry_entry& e : registry()) {
-        if (e.info.requires_log) continue;
-        run_spec spec = smoke_spec(e);
-        spec.schedule = schedule_mode::seeded;
-        spec.load.ops_per_writer = 120;
-        spec.load.ops_per_reader = 120;
-        spec.pace.writer_pace_num = 1;
-        spec.pace.writer_pace_den = 6;
+enum plan : std::uint8_t { paced, stale, torn, composed };
+
+/// smoke_spec's shape on the seeded schedule, with paced ops and cached
+/// writer reads. The paced plan also crashes writes; the fault plans
+/// stream-check with a small window instead.
+[[nodiscard]] run_spec pinned_spec(const registry_entry& e, plan p) {
+    run_spec spec = smoke_spec(e);
+    spec.schedule = schedule_mode::seeded;
+    spec.load.ops_per_writer = 120;
+    spec.load.ops_per_reader = 120;
+    spec.pace.writer_pace_num = 1;
+    spec.pace.writer_pace_den = 6;
+    spec.pace.reader_pace_num = 1;
+    spec.pace.reader_pace_den = 7;
+    spec.pace.pause_yields = 8;
+    spec.cached_writer_reads = true;
+    if (p == paced) {
         spec.pace.crash_num = 1;
         spec.pace.crash_den = 9;
-        spec.pace.pause_yields = 8;
-        spec.cached_writer_reads = true;
-        spec.collect = collect_mode::gamma;
-        const run_result g = run(spec);
-        spec.collect = collect_mode::per_thread;
-        const run_result p = run(spec);
-        ASSERT_TRUE(g.ok) << e.info.name << ": " << g.error;
-        ASSERT_TRUE(p.ok) << e.info.name << ": " << p.error;
-
-        std::vector<event> sim;
-        for (const event& ev : g.events) {
-            if (!is_real(ev.kind)) sim.push_back(ev);
-        }
-        ASSERT_EQ(sim.size(), p.events.size()) << e.info.name;
-        for (std::size_t i = 0; i < sim.size(); ++i) {
-            const event& a = sim[i];
-            const event& b = p.events[i];
-            ASSERT_TRUE(a.kind == b.kind && a.processor == b.processor &&
-                        a.op == b.op && a.value == b.value)
-                << e.info.name << ": event " << i << " differs";
-        }
+        return spec;
     }
+    spec.streaming_monitor = true;
+    spec.stream_window = 64;
+    spec.stream_stride = 16;
+    if (e.info.family == "net") spec.fault.recover_after = 40;
+    if (p == stale) {
+        spec.fault.cls = fault_class::stale_read;
+        spec.fault.rate_den = 32;
+        spec.fault.seed = 11;
+    } else if (p == torn) {
+        spec.fault.cls = fault_class::torn_value;
+        spec.fault.rate_den = 24;
+        spec.fault.seed = 12;
+    } else {
+        spec.fault.composed = {{fault_class::lost_write, 1, 16},
+                               {fault_class::delayed_visibility, 1, 8},
+                               {fault_class::port_crash, 1, 200}};
+        spec.fault.seed = 13;
+    }
+    return spec;
+}
+
+/// One pinned seeded run. The defaults mean "nothing injected" and
+/// "no violation flagged".
+struct golden {
+    const char* name;
+    plan p;
+    std::size_t events;
+    std::uint64_t hash;  ///< gamma_hash
+    event_pos injection{no_event};
+    std::uint64_t detection{0};  ///< stream.detection_pos
+    std::uint64_t prefix{0};     ///< stream.detection_prefix
+    int culprit_processor{-1};
+    op_index culprit_op{0};
+};
+
+const golden pinned_runs[] = {
+    {"bloom/packed", paced, 945, 0xb0207b769503d8d7},
+    {"bloom/seqlock", paced, 945, 0xb0207b769503d8d7},
+    {"bloom/fourslot", paced, 945, 0xb0207b769503d8d7},
+    {"bloom/recording", paced, 2101, 0x566ea9265e736f9c},
+    {"bloom/plain", paced, 2101, 0x566ea9265e736f9c},
+    {"faulty/seqlock", paced, 945, 0xb0207b769503d8d7},
+    {"faulty/seqlock", stale, 960, 0xe87600e14217b486, 29, 64, 53, 3, 6},
+    {"faulty/seqlock", torn, 960, 0xeef86113f0209148, 155, 160, 158, 3, 20},
+    {"faulty/seqlock", composed, 601, 0xd879003398adae83, 10, 32, 19, 2, 2},
+    {"faulty/fourslot", paced, 945, 0xb0207b769503d8d7},
+    {"faulty/fourslot", stale, 960, 0xe87600e14217b486, 29, 64, 53, 3, 6},
+    {"faulty/fourslot", torn, 960, 0xeef86113f0209148, 155, 160, 158, 3, 20},
+    {"faulty/fourslot", composed, 601, 0xd879003398adae83, 10, 32, 19, 2, 2},
+    {"faulty/recording", paced, 2101, 0x566ea9265e736f9c},
+    {"faulty/recording", stale, 2134, 0x0b2ca0ae609712c9, 65, 142, 117, 3, 6},
+    {"faulty/recording", torn, 2132, 0x49d32dee79e611eb, 339, 351, 346, 3, 20},
+    {"faulty/recording", composed, 1357, 0xcbf9bf7d0306fb50, 22, 71, 42, 2, 2},
+    {"repair/seqlock", paced, 945, 0xb0207b769503d8d7},
+    {"repair/seqlock", stale, 960, 0x3d6600730ccc3e6f, 7, 128, 116, 3, 10},
+    {"repair/seqlock", torn, 960, 0x2bd3196f0acc8b88, 276},
+    {"repair/seqlock", composed, 411, 0xccdfbb2a88cd8716, 5},
+    {"swmr/fourslot", paced, 720, 0xdf1d1865b7a037db},
+    {"va/seqlock", paced, 720, 0xdf1d1865b7a037db},
+    {"tournament/native", paced, 1440, 0xf7c602795bc35703},
+    {"net/abd-swmr", paced, 1813, 0x0e3fee637a38bcb9},
+    {"net/abd-swmr", stale, 1899, 0xb651c1871759974c, 16, 586, 581, 2, 39},
+    {"net/abd-swmr", torn, 1832, 0x2302fd8920f8bc98, 21, 80, 41, 2, 3},
+    {"net/abd-swmr", composed, 1815, 0x241af32dad293829, 12},
+    {"net/abd-mw", paced, 2967, 0xcdcf7f97a0f685ef},
+    {"net/abd-mw", stale, 3045, 0xaa48ec7c9a27babc, 14, 522, 518, 3, 20},
+    {"net/abd-mw", torn, 2991, 0xe24ffbdfd44a7f16, 17, 413, 371, 1, 17},
+    {"net/abd-mw", composed, 2929, 0x3d72025333c50837, 10},
+    {"net/twobit", paced, 1803, 0x740ed7cee4834992},
+    {"net/twobit", stale, 1857, 0x25d2ab69cfcdaac3, 16},
+    {"net/twobit", torn, 1751, 0x5ae62cc41e52212e, 29},
+    {"net/twobit", composed, 1791, 0x564a256fb60fe0c7, 12},
+    {"baseline/mutex", paced, 720, 0xdf1d1865b7a037db},
+    {"baseline/rwlock", paced, 720, 0xdf1d1865b7a037db},
+    {"baseline/native", paced, 720, 0xdf1d1865b7a037db},
+};
+
+// The per-processor recorder keeps every seeded history the shared MPMC
+// gamma log used to record, byte for byte: the real accesses and their
+// observed_write positions, the net/ replica touches, the fault plan's
+// first-injection position, and the streaming checker's detection
+// position, minimal violating prefix and culprit. Every registry entry
+// runs the paced plan (crashed writes, cached writer reads); the faulty/,
+// repair/ and net/ entries also run stale, torn and composed fault plans.
+// The pinned values were recorded by the shared gamma log. Pinning exact
+// bytes also pins the seeded schedule's determinism.
+TEST(HarnessDriver, SeededRunsMatchTheRetiredGammaLog) {
+    std::set<std::string> covered;
+    for (const golden& g : pinned_runs) {
+        SCOPED_TRACE(std::string(g.name) + " plan " + std::to_string(g.p));
+        const registry_entry* e = find_register(g.name);
+        ASSERT_NE(e, nullptr);
+        covered.insert(g.name);
+        const run_result r = run(pinned_spec(*e, g.p));
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.events.size(), g.events);
+        EXPECT_EQ(gamma_hash(r.events), g.hash)
+            << std::hex << "0x" << gamma_hash(r.events);
+        EXPECT_EQ(r.faults_injected.first_injection, g.injection);
+        const stream_outcome& s = r.stream;
+        EXPECT_EQ(s.violation ? s.detection_pos : 0, g.detection);
+        EXPECT_EQ(s.culprit_known ? s.detection_prefix : 0, g.prefix);
+        EXPECT_EQ(s.culprit_known ? s.culprit.processor : -1,
+                  g.culprit_processor);
+        EXPECT_EQ(s.culprit_known ? s.culprit.op : 0, g.culprit_op);
+    }
+    EXPECT_EQ(covered.size(), registry().size());
 }
 
 // The driver numbers a processor's ops; the recording register tags its
@@ -233,7 +307,7 @@ TEST(HarnessDriver, RecordingOpIndicesMatchTheDriver) {
     spec.load.writer_read_num = 1;
     spec.load.writer_read_den = 2;
     spec.seed = 77;
-    spec.collect = collect_mode::gamma;
+    spec.collect = collect_mode::per_thread;
     spec.schedule = schedule_mode::seeded;
     spec.cached_writer_reads = true;
     spec.pace.writer_pace_num = 1;
@@ -284,11 +358,20 @@ TEST(HarnessDriver, InvalidSpecsFailFast) {
         EXPECT_FALSE(run(spec).ok);
     }
     {
-        // The recording register cannot run without the shared gamma log.
+        // The recording register records into a scripted run's gamma: it
+        // cannot run uncollected, nor timed (a timed run records no real
+        // accesses, even under the streaming checker).
         run_spec spec;
         spec.register_name = "bloom/recording";
-        spec.collect = collect_mode::per_thread;
+        spec.collect = collect_mode::none;
         EXPECT_FALSE(run(spec).ok);
+        spec.collect = collect_mode::per_thread;
+        spec.duration_ms = 10;
+        spec.streaming_monitor = true;
+        const run_result res = run(spec);
+        EXPECT_FALSE(res.ok);
+        EXPECT_NE(res.error.find("real accesses"), std::string::npos)
+            << res.error;
     }
     {
         // Timed runs are throughput-only: unbounded histories don't fit the
@@ -318,6 +401,27 @@ TEST(HarnessDriver, InvalidSpecsFailFast) {
         EXPECT_NE(res.error.find("net_servers"), std::string::npos)
             << res.error;
     }
+}
+
+// One OS thread and one fault-plan crash flag per processor, and a script
+// allocated up front: `quickstart --readers 100000` and `--ops 4000000000`
+// fail with an error naming the bound, not an uncaught thread-creation
+// failure or bad_alloc.
+TEST(HarnessDriver, ProcessorAndOpBoundsAreRejected) {
+    run_spec spec;
+    spec.load.readers = 100000;
+    run_result res = run(spec);
+    EXPECT_NE(res.error.find("at most 64 processors"), std::string::npos)
+        << res.error;
+    spec.load.readers = 62;
+    spec.load.ops_per_writer = spec.load.ops_per_reader = 4000000000;
+    res = run(spec);
+    EXPECT_NE(res.error.find("at most 16777216 ops per processor"),
+              std::string::npos)
+        << res.error;
+    spec.load.ops_per_writer = spec.load.ops_per_reader = 4;
+    res = run(spec);  // 64 processors: the bound itself runs
+    EXPECT_TRUE(res.ok) << res.error;
 }
 
 TEST(HarnessWorkload, WritersFieldIsValidated) {

@@ -1,4 +1,4 @@
-// Tests for src/histories: event log concurrency, history parsing and
+// Tests for src/histories: the stamped recorder, history parsing and
 // validation, workload generation.
 #include <gtest/gtest.h>
 
@@ -8,11 +8,11 @@
 
 #include <sstream>
 
-#include "histories/event_log.hpp"
 #include "histories/events.hpp"
 #include "histories/history.hpp"
 #include "histories/serialize.hpp"
 #include "histories/stats.hpp"
+#include "histories/thread_log.hpp"
 #include "histories/workload.hpp"
 
 namespace bloom87 {
@@ -40,45 +40,45 @@ event real_ev(event_kind k, std::uint8_t reg, processor_id proc, op_index op,
     return e;
 }
 
-TEST(EventLog, AppendsSequentially) {
-    event_log log(16);
-    EXPECT_EQ(log.append(sim_ev(event_kind::sim_invoke_read, 2, 0)), 0u);
-    EXPECT_EQ(log.append(sim_ev(event_kind::sim_respond_read, 2, 0, 7)), 1u);
-    EXPECT_EQ(log.size(), 2u);
-    const auto snap = log.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].kind, event_kind::sim_invoke_read);
-    EXPECT_EQ(snap[1].value, 7);
-}
-
-TEST(EventLog, ClearResets) {
-    event_log log(8);
-    log.append(sim_ev(event_kind::sim_invoke_read, 2, 0));
-    log.clear();
-    EXPECT_EQ(log.size(), 0u);
-    EXPECT_EQ(log.append(sim_ev(event_kind::sim_invoke_write, 0, 0)), 0u);
-}
-
-TEST(EventLog, ConcurrentAppendsAllLand) {
+// Each processor records into its own buffer; the merge places the event
+// stamped k at index k, so every record lands once, in stamp order.
+TEST(RunLog, ConcurrentRecordsMergeByStamp) {
     constexpr int threads = 8, per_thread = 2000;
-    event_log log(threads * per_thread);
+    run_log log(threads);
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
         pool.emplace_back([&, t] {
             for (int i = 0; i < per_thread; ++i) {
-                log.append(sim_ev(event_kind::sim_invoke_read,
+                log.record(static_cast<processor_id>(t),
+                           sim_ev(event_kind::sim_invoke_read,
                                   static_cast<processor_id>(t),
                                   static_cast<op_index>(i)));
             }
         });
     }
     for (auto& th : pool) th.join();
-    const auto snap = log.snapshot();
-    ASSERT_EQ(snap.size(), static_cast<std::size_t>(threads * per_thread));
-    // Every (processor, op) pair appears exactly once.
+    EXPECT_EQ(log.next_pos(), static_cast<event_pos>(threads * per_thread));
+    const std::vector<event> merged = log.merge();
+    ASSERT_EQ(merged.size(), static_cast<std::size_t>(threads * per_thread));
+    // Every (processor, op) pair appears exactly once, each processor's in
+    // program order.
     std::set<std::pair<processor_id, op_index>> seen;
-    for (const event& e : snap) seen.insert({e.processor, e.op});
-    EXPECT_EQ(seen.size(), snap.size());
+    std::vector<op_index> next(threads, 0);
+    for (const event& e : merged) {
+        seen.insert({e.processor, e.op});
+        EXPECT_EQ(e.op, next[static_cast<std::size_t>(e.processor)]++);
+    }
+    EXPECT_EQ(seen.size(), merged.size());
+}
+
+// The processor indexes a buffer: one outside the run fails a check() in
+// every build type instead of writing past the buffers.
+TEST(RunLogDeathTest, ProcessorOutsideTheRunIsRejected) {
+    run_log log(2);
+    EXPECT_DEATH(log.record(2, sim_ev(event_kind::sim_invoke_read, 2, 0)),
+                 "processor outside the run");
+    EXPECT_DEATH(log.record(-1, sim_ev(event_kind::sim_invoke_read, 0, 0)),
+                 "processor outside the run");
 }
 
 TEST(ParseHistory, BuildsOperations) {
@@ -397,7 +397,6 @@ TEST(Workload, GeneratesRequestedShape) {
     ASSERT_EQ(w.scripts.size(), 5u);
     EXPECT_EQ(w.scripts[0].size(), 40u);
     EXPECT_EQ(w.scripts[4].size(), 25u);
-    EXPECT_EQ(w.total_ops(), 2 * 40u + 3 * 25u);
     for (std::size_t r = 2; r < 5; ++r) {
         for (const workload_op& op : w.scripts[r]) {
             EXPECT_EQ(op.kind, op_kind::read);

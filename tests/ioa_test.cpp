@@ -330,6 +330,22 @@ TEST(FairExecutionDetail, StarActionsAreInternal) {
     EXPECT_GT(sys.reg0->stars_taken() + sys.reg1->stars_taken(), 0u);
 }
 
+// A run that hits max_steps is not a quiescent execution, and an
+// acknowledgment names the request it answers: both are check()s, so a
+// release build cannot return a truncated schedule or read past the open
+// operations.
+TEST(ExecutorDeathTest, TruncatedRunsAndOrphanAcksAreRejected) {
+    std::vector<env_port> ports;
+    ports.push_back({"ext:wr0", {{true, 101}}});
+    ports.push_back({"ext:rd1", {{false, 0}}});
+    simulated_register_system sys =
+        make_simulated_register(9, 1, std::move(ports));
+    EXPECT_DEATH((void)run_fair(*sys.system, 7, 2), "does not quiesce");
+    const schedule orphan{
+        scheduled_action{0, action{act::read_ack, "ext:rd0", 0}}};
+    EXPECT_DEATH((void)external_history(orphan), "follows its request");
+}
+
 // Channel names are parsed whole: a port number that is not one, or a
 // register past the two real ones, fails a check() instead of reading
 // garbage or indexing past the per-register tables.

@@ -213,6 +213,19 @@ TEST(MinimalPrefix, TornValueSurfacesAsViolation) {
     EXPECT_EQ(found->culprit.processor, 2);
 }
 
+// Port misuse would record a malformed history; the guards are check()s
+// that hold in every build type.
+TEST(MonitorDeathTest, PortMisuseIsRejected) {
+    atomicity_monitor mon(0);
+    auto w = mon.make_port(0);
+    w.begin_write(1);
+    EXPECT_DEATH(w.begin_write(2), "already has an operation in flight");
+    EXPECT_DEATH(w.begin_read(), "already has an operation in flight");
+    EXPECT_DEATH(w.end_read(1), "end_read needs an open read");
+    w.end_write();
+    EXPECT_DEATH(w.end_write(), "end_write needs an open write");
+}
+
 TEST(Monitor, ReportsOverflow) {
     atomicity_monitor mon(0, /*capacity=*/4);
     auto w = mon.make_port(0);

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/protocol.hpp"
-#include "histories/event_log.hpp"
 #include "histories/history.hpp"
+#include "histories/thread_log.hpp"
 #include "linearizability/bloom_linearizer.hpp"
 #include "linearizability/exhaustive.hpp"
 #include "linearizability/fast_register.hpp"
@@ -19,7 +19,7 @@ namespace {
 /// W0(300) impotent (overlapped), read(300)... built single-threaded for
 /// determinism.
 std::vector<event> known_good_gamma() {
-    event_log log(128);
+    run_log log(4);
     recording_register reg0(tagged<value_t>{0, false}, &log, 0);
     recording_register reg1(tagged<value_t>{0, false}, &log, 1);
 
@@ -29,7 +29,7 @@ std::vector<event> known_good_gamma() {
         e.processor = p;
         e.op = op;
         e.value = v;
-        log.append(e);
+        log.record(p, e);
     };
     auto full_write = [&](int w, op_index op, value_t v) {
         sim(event_kind::sim_invoke_write, static_cast<processor_id>(w), op, v);
@@ -62,7 +62,7 @@ std::vector<event> known_good_gamma() {
     full_read(2, 1);        // picks Reg1: returns 200
     full_write(1, 1, 400);  // potent
     full_read(3, 0);        // returns 400
-    return log.snapshot();
+    return log.merge();
 }
 
 history parse_ok(const std::vector<event>& g) {

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "histories/event_log.hpp"
+#include "histories/thread_log.hpp"
 #include "registers/concepts.hpp"
 #include "registers/fourslot.hpp"
 #include "registers/instrumented.hpp"
@@ -170,7 +170,7 @@ TEST(FourSlot, LargePayloadNeverTears) {
 // ---------------------------------------------------------------------------
 
 TEST(Recording, LogsAccessesWithObservedWrites) {
-    event_log log(64);
+    run_log log(3);
     recording_register reg(tagged<value_t>{10, false}, &log, 0);
 
     access_context w_ctx{0, 0};
@@ -181,7 +181,7 @@ TEST(Recording, LogsAccessesWithObservedWrites) {
     EXPECT_EQ(got.value, 20);
     EXPECT_TRUE(got.tag);
 
-    const auto snap = log.snapshot();
+    const auto snap = log.merge();
     ASSERT_EQ(snap.size(), 3u);
     EXPECT_EQ(snap[0].kind, event_kind::real_read);
     EXPECT_EQ(snap[0].observed_write, no_event);  // initial value
@@ -193,7 +193,7 @@ TEST(Recording, LogsAccessesWithObservedWrites) {
 }
 
 TEST(Recording, ConcurrentAccessesProduceConsistentGamma) {
-    event_log log(1 << 16);
+    run_log log(3);
     recording_register reg(tagged<value_t>{0, false}, &log, 0);
     std::thread writer([&] {
         for (value_t v = 1; v <= 5000; ++v) {
@@ -209,7 +209,7 @@ TEST(Recording, ConcurrentAccessesProduceConsistentGamma) {
     reader.join();
 
     // Replay gamma: every read's observed_write must be the latest write.
-    const auto snap = log.snapshot();
+    const auto snap = log.merge();
     event_pos last_write = no_event;
     for (event_pos p = 0; p < snap.size(); ++p) {
         if (snap[p].kind == event_kind::real_write) {

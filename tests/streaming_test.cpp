@@ -1,23 +1,20 @@
-// The high-throughput front end: per-thread lock-free collection with the
-// deterministic seq merge, and the bounded-memory streaming checker.
+// The high-throughput front end: the stamped recorder and rings with the
+// seq merge, and the bounded-memory streaming checker.
 //
-// Pins the two properties the collection rework promises -- seeded runs
-// merge byte-identically, and the streaming verdict matches the post-hoc
-// checker on the same history (including known-violating faulty runs) --
-// plus the streaming checker's bounded-memory and mid-stream-detection
-// behavior, and its quiescent-cut/candidate-set corner cases fed as
-// hand-built event sequences.
+// Pins that the streaming verdict matches the post-hoc checker on the same
+// history (including known-violating faulty runs), plus the streaming
+// checker's bounded-memory and mid-stream-detection behavior, and its
+// quiescent-cut/candidate-set corner cases fed as hand-built event
+// sequences. (tests/harness_test.cpp pins the seeded merges byte for byte.)
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "harness/checkers.hpp"
 #include "harness/driver.hpp"
-#include "histories/serialize.hpp"
 #include "histories/thread_log.hpp"
 #include "linearizability/fast_register.hpp"
 #include "linearizability/streaming.hpp"
@@ -164,46 +161,9 @@ TEST(ThreadLog, LiveMergeWrapsSmallRings) {
     EXPECT_EQ(se.e.op, 2u);
 }
 
-// Seeded schedule + per_thread collection: the merged history is a pure
-// function of the spec -- byte for byte, across repeated runs, with
-// pacing-induced overlap in the schedule.
-TEST(PerThreadCollection, SeededMergeIsDeterministic) {
-    for (std::uint64_t seed : {1ULL, 7ULL, 23ULL}) {
-        run_spec spec;
-        spec.register_name = "bloom/packed";
-        spec.load.writers = 2;
-        spec.load.readers = 3;
-        spec.load.ops_per_writer = 200;
-        spec.load.ops_per_reader = 200;
-        spec.seed = seed;
-        spec.collect = collect_mode::per_thread;
-        spec.schedule = schedule_mode::seeded;
-        spec.pace.writer_pace_num = 1;
-        spec.pace.writer_pace_den = 4;
-        spec.pace.reader_pace_num = 1;
-        spec.pace.reader_pace_den = 8;
-
-        const run_result a = run(spec);
-        const run_result b = run(spec);
-        ASSERT_TRUE(a.ok) << a.error;
-        ASSERT_TRUE(b.ok) << b.error;
-        ASSERT_FALSE(a.events.empty());
-        std::ostringstream ga;
-        std::ostringstream gb;
-        write_gamma(ga, a.events, 0);
-        write_gamma(gb, b.events, 0);
-        EXPECT_EQ(ga.str(), gb.str()) << "seed " << seed;
-
-        const pipeline_result checks =
-            run_checkers(a.events, spec.initial, {checker_kind::fast});
-        ASSERT_TRUE(checks.parsed) << checks.parse_error;
-        EXPECT_TRUE(checks.verdicts[0].pass) << checks.verdicts[0].diagnosis;
-    }
-}
-
-// Real concurrency through the rings: the seq merge of a threads-mode run
-// still parses and checks atomic (the fetch_add order is a legal
-// serialization of the recording instants).
+// Real concurrency through the per-processor buffers: the stamp merge of a
+// threads-mode run still parses and checks atomic (the fetch_add order is a
+// legal serialization of the recording instants).
 TEST(PerThreadCollection, ThreadsModeMergeChecksAtomic) {
     run_spec spec;
     spec.register_name = "bloom/packed";
@@ -272,7 +232,7 @@ TEST(StreamingChecker, MatchesBatchOnCleanRuns) {
     spec.load.ops_per_writer = 160;
     spec.load.ops_per_reader = 160;
     spec.seed = seed;
-    spec.collect = collect_mode::gamma;  // faulty/ records real accesses
+    spec.collect = collect_mode::per_thread;
     spec.schedule = schedule_mode::seeded;
     spec.fault.cls = cls;
     spec.fault.rate_num = 1;

@@ -9,9 +9,9 @@
 
 #include "core/two_writer.hpp"
 #include "harness/driver.hpp"
-#include "histories/event_log.hpp"
 #include "histories/workload.hpp"
 #include "linearizability/fast_register.hpp"
+#include "linearizability/monitor.hpp"
 #include "registers/swmr_from_swsr.hpp"
 #include "util/sync.hpp"
 
@@ -83,50 +83,38 @@ TEST(SwmrFromSwsr, PerReaderMonotonicityTorture) {
     EXPECT_EQ(violations.load(), 0);
 }
 
-// Cross-reader atomicity: record the external schedule by hand and check
-// with the polynomial register checker. This is the property the report
-// round exists for (no new-old inversion BETWEEN readers).
+// Cross-reader atomicity: report the external schedule to a monitor and
+// check it with the polynomial register checker. This is the property the
+// report round exists for (no new-old inversion BETWEEN readers).
 TEST(SwmrFromSwsr, CrossReaderHistoriesAtomic) {
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
         constexpr int readers = 3;
         swmr_from_swsr<value_t> reg(tagged<value_t>{0, false}, readers);
-        event_log log(1 << 15);
+        atomicity_monitor mon(0);
         start_gate gate;
         std::atomic<bool> done{false};
 
         std::thread writer([&] {
+            auto port = mon.make_port(0);
             gate.wait();
             for (std::uint32_t i = 0; i < 1500; ++i) {
                 const value_t v = unique_value(0, i);
-                event e;
-                e.kind = event_kind::sim_invoke_write;
-                e.processor = 0;
-                e.op = i;
-                e.value = v;
-                log.append(e);
+                port.begin_write(v);
                 reg.write(tagged<value_t>{v, false});
-                e.kind = event_kind::sim_respond_write;
-                log.append(e);
+                port.end_write();
             }
             done.store(true, std::memory_order_release);
         });
         std::vector<std::thread> pool;
         for (int r = 0; r < readers; ++r) {
             pool.emplace_back([&, r] {
-                auto port = reg.make_reader_port(static_cast<std::size_t>(r));
+                auto port = mon.make_port(static_cast<processor_id>(2 + r));
+                auto rd = reg.make_reader_port(static_cast<std::size_t>(r));
                 gate.wait();
-                // Bounded so the log cannot overflow.
-                for (op_index op = 0;
+                for (int op = 0;
                      op < 3000 && !done.load(std::memory_order_acquire); ++op) {
-                    event e;
-                    e.kind = event_kind::sim_invoke_read;
-                    e.processor = static_cast<processor_id>(2 + r);
-                    e.op = op;
-                    log.append(e);
-                    const value_t v = port.read().value;
-                    e.kind = event_kind::sim_respond_read;
-                    e.value = v;
-                    log.append(e);
+                    port.begin_read();
+                    port.end_read(rd.read().value);
                 }
             });
         }
@@ -134,12 +122,8 @@ TEST(SwmrFromSwsr, CrossReaderHistoriesAtomic) {
         writer.join();
         for (auto& t : pool) t.join();
 
-        ASSERT_FALSE(log.overflowed());
-        parse_result parsed = parse_history(log.snapshot(), 0);
-        ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-        const auto res = check_fast(parsed.hist.ops, 0);
-        ASSERT_TRUE(res.ok()) << *res.defect;
-        EXPECT_TRUE(res.linearizable) << "seed " << seed << ": " << res.diagnosis;
+        const monitor_verdict v = mon.verify();
+        EXPECT_TRUE(v.atomic) << "seed " << seed << ": " << v.diagnosis;
     }
 }
 
@@ -186,7 +170,7 @@ TEST(FullStack, AlternatingWritersLastWriteWins) {
 
 TEST(FullStack, ConcurrentHistoriesAtomic) {
     // bloom/fourslot is this full stack behind the registry: Bloom over the
-    // SWMR-from-SWSR ladder, threaded, with per-thread event rings.
+    // SWMR-from-SWSR ladder, threaded, recorded per processor.
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
         harness::run_spec spec;
         spec.register_name = "bloom/fourslot";

@@ -7,9 +7,8 @@
 #include <thread>
 #include <vector>
 
-#include "histories/event_log.hpp"
 #include "histories/workload.hpp"
-#include "linearizability/fast_register.hpp"
+#include "linearizability/monitor.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/processes.hpp"
 #include "registers/va_register.hpp"
@@ -51,54 +50,38 @@ class VaConcurrent : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(VaConcurrent, HistoriesAtomicForManyWriters) {
     const std::size_t writers = GetParam();
     va_register<value_t> reg(0, writers);
-    event_log log(1 << 16);
+    atomicity_monitor mon(0);
     start_gate gate;
 
     std::vector<std::thread> pool;
     for (std::size_t w = 0; w < writers; ++w) {
         pool.emplace_back([&, w] {
             auto port = reg.make_writer_port(w);
+            auto mport = mon.make_port(static_cast<processor_id>(w));
             gate.wait();
             for (std::uint32_t i = 0; i < 400; ++i) {
                 const value_t v = unique_value(static_cast<processor_id>(w), i);
-                event e;
-                e.kind = event_kind::sim_invoke_write;
-                e.processor = static_cast<processor_id>(w);
-                e.op = i;
-                e.value = v;
-                log.append(e);
+                mport.begin_write(v);
                 port.write(v);
-                e.kind = event_kind::sim_respond_write;
-                log.append(e);
+                mport.end_write();
             }
         });
     }
     for (std::size_t r = 0; r < 2; ++r) {
         pool.emplace_back([&, r] {
-            const auto proc = static_cast<processor_id>(10 + r);
+            auto mport = mon.make_port(static_cast<processor_id>(10 + r));
             gate.wait();
-            for (op_index i = 0; i < 600; ++i) {
-                event e;
-                e.kind = event_kind::sim_invoke_read;
-                e.processor = proc;
-                e.op = i;
-                log.append(e);
-                const value_t v = reg.read();
-                e.kind = event_kind::sim_respond_read;
-                e.value = v;
-                log.append(e);
+            for (int i = 0; i < 600; ++i) {
+                mport.begin_read();
+                mport.end_read(reg.read());
             }
         });
     }
     gate.open();
     for (auto& t : pool) t.join();
 
-    ASSERT_FALSE(log.overflowed());
-    parse_result parsed = parse_history(log.snapshot(), 0);
-    ASSERT_TRUE(parsed.ok()) << parsed.error->message;
-    const auto res = check_fast(parsed.hist.ops, 0);
-    ASSERT_TRUE(res.ok()) << *res.defect;
-    EXPECT_TRUE(res.linearizable) << writers << " writers: " << res.diagnosis;
+    const monitor_verdict v = mon.verify();
+    EXPECT_TRUE(v.atomic) << writers << " writers: " << v.diagnosis;
 }
 
 INSTANTIATE_TEST_SUITE_P(WriterCounts, VaConcurrent,
