@@ -19,8 +19,9 @@
 //                   order). The default reduced engine is sequential and
 //                   ignores it.
 //   --max-states N  budget before TRUNCATED (default 20000000): explored
-//                   states, plus the label-DAG states and histories of the
-//                   reduced engine
+//                   states; the reduced engine adds its label-DAG states,
+//                   memoized (DAG state, judge state) pairs and histories
+//                   rebuilt for the per-history checker
 //   --no-por        full interleaving exploration instead of the default
 //                   partial-order-reduced (trace-quotient) engine
 //   --no-symmetry   keep POR but disable reader-symmetry canonicalization
@@ -46,6 +47,8 @@
 //   ./model_explorer race plain 1 1 1   # minimal racy schedule (exit 2)
 //   ./model_explorer abd swmr           # ABD replication: atomic under f=1 crash
 //   ./model_explorer abd mw 2 1 2 1     # two-writer ABD, 2 readers, f=1
+#include <sys/resource.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -94,10 +97,14 @@ int report(const explore_result& res) {
                     static_cast<unsigned long long>(res.reduction.judge_states),
                     static_cast<unsigned long long>(res.reduction.product_pairs));
     }
-    std::printf("memo memory        : %llu entries, ~%llu KiB (+%llu KiB graph)\n",
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);  // ru_maxrss is KiB
+    std::printf("memo memory        : %llu entries, ~%llu KiB (+%llu KiB graph), "
+                "peak RSS %llu MiB\n",
                 static_cast<unsigned long long>(res.memory.memo_entries),
                 static_cast<unsigned long long>(res.memory.memo_bytes / 1024),
-                static_cast<unsigned long long>(res.memory.graph_bytes / 1024));
+                static_cast<unsigned long long>(res.memory.graph_bytes / 1024),
+                static_cast<unsigned long long>(ru.ru_maxrss / 1024));
     if (!res.reduction.symmetry_warning.empty()) {
         std::printf("WARNING            : %s\n",
                     res.reduction.symmetry_warning.c_str());

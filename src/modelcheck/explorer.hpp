@@ -41,7 +41,12 @@ enum class property : std::uint8_t { atomic, regular_swmr, safe_swmr };
 struct explore_config {
     property prop{property::atomic};
     value_t initial{0};
-    /// Safety valve; exploration reports truncated=true when hit.
+    /// Safety valve; exploration reports truncated=true when hit. It counts
+    /// work: the states the full engine explores, or, in the reduced engine
+    /// (por.hpp), phase-1 arrivals plus phase 2's DAG states, memoized
+    /// (DAG state, judge state) pairs and histories rebuilt for the
+    /// per-history checker. A history counted in bulk, or passed by its
+    /// judge state, costs nothing.
     std::uint64_t max_states{20'000'000};
     /// Stop at the first property violation (else count them all).
     bool stop_at_first_violation{true};
@@ -116,8 +121,10 @@ struct memory_stats {
     /// Full engine: distinct-history verdict memo entries. The POR engine
     /// keeps no such memo (each DAG path is a distinct history): 0.
     std::uint64_t history_entries{0};
-    /// POR engine: quotient nodes + edges + labels, plus the DAG's states,
-    /// edges and kernels, the judge states and the product memo.
+    /// POR engine, by capacity: the quotient's nodes and edge array, the
+    /// label tables, the closure marks, the DAG's states, edges, kernel
+    /// arena and index, the judge states, the step and product memos and
+    /// the path counts.
     std::uint64_t graph_bytes{0};
 };
 

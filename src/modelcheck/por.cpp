@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstdint>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -134,40 +133,98 @@ std::vector<perm_t> build_group(const sim_state& s, bool want_symmetry,
 }
 
 // ---------------------------------------------------------------------------
+// The fixed-key table: the phase-1 node map, the judge-step memo and the
+// product memo.
+// ---------------------------------------------------------------------------
+
+/// Maps 64-bit keys to values by linear probing in a power-of-two array
+/// kept at most 3/4 full. kNoKey marks an empty slot, so it is the one key
+/// the table cannot hold.
+template <class V>
+class key_table {
+public:
+    static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+    [[nodiscard]] const V* find(std::uint64_t key) const {
+        if (slots_.empty()) return nullptr;
+        const slot& s = slots_[probe(key)];
+        return s.key == key ? &s.value : nullptr;
+    }
+
+    /// The value under `key`, after inserting `value` there if the key was
+    /// absent; the flag says whether it was.
+    std::pair<V, bool> try_emplace(std::uint64_t key, V value) {
+        if (4 * (size_ + 1) > 3 * slots_.size()) grow();
+        slot& s = slots_[probe(key)];
+        if (s.key == key) return {s.value, false};
+        s = slot{key, value};
+        size_ += 1;
+        return {value, true};
+    }
+
+    [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
+    [[nodiscard]] std::uint64_t bytes() const noexcept {
+        return slots_.capacity() * sizeof(slot);
+    }
+
+private:
+    struct slot {
+        std::uint64_t key{kNoKey};
+        V value{};
+    };
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    [[nodiscard]] std::size_t probe(std::uint64_t key) const {
+        check(key != kNoKey, "a table key is not the empty marker");
+        std::uint64_t h = key ^ (key >> 31);
+        h *= 0x9e3779b97f4a7c15ULL;
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = static_cast<std::size_t>(h >> 20) & mask;
+        while (slots_[i].key != key && slots_[i].key != kNoKey) {
+            i = (i + 1) & mask;
+        }
+        return i;
+    }
+    void grow() {
+        std::vector<slot> old(std::max<std::size_t>(1024, 2 * slots_.size()));
+        old.swap(slots_);
+        for (const slot& s : old) {
+            if (s.key != kNoKey) slots_[probe(s.key)] = s;
+        }
+    }
+
+    std::vector<slot> slots_;
+    std::uint64_t size_{0};
+};
+
+// ---------------------------------------------------------------------------
 // The trace-quotient graph.
 // ---------------------------------------------------------------------------
 
 /// One labeled transition, stored in the SOURCE node's canonical frame:
-/// `labels` are the external-history emissions of the step (process field in
-/// canonical index space when symmetry is on), `perm` aligns the target's
-/// canonical frame with the source's (sigma' = sigma o perm while walking).
+/// `labels` are the ids of the step's external-history emissions in the
+/// stored-label table (process field in canonical index space when symmetry
+/// is on), and `perm` is the index in G of the permutation that aligns the
+/// target's canonical frame with the source's (sigma' = sigma o G[perm]
+/// while walking).
 struct qedge {
-    std::array<emission, 2> labels{};
-    std::uint8_t nlabels{0};
-    std::uint8_t perm_index{0};  ///< phase 2: position of `perm` in G
-    perm_t perm{kIdentity};
     std::uint32_t target{0};
-    std::uint32_t mid{0};  ///< phase 2: mid-edge slot of a 2-label edge
+    std::array<std::uint32_t, 2> labels{};
+    std::uint8_t nlabels{0};
+    std::uint8_t perm{0};
+
+    friend bool operator==(const qedge&, const qedge&) = default;
 };
 
-[[nodiscard]] bool same_labels(const qedge& a, const qedge& b) noexcept {
-    if (a.nlabels != b.nlabels) return false;
-    for (int i = 0; i < a.nlabels; ++i) {
-        const emission &x = a.labels[static_cast<std::size_t>(i)],
-                       &y = b.labels[static_cast<std::size_t>(i)];
-        if (x.is_begin != y.is_begin || x.kind != y.kind || x.proc != y.proc ||
-            x.op != y.op || x.value != y.value) {
-            return false;
-        }
-    }
-    return true;
-}
-
 /// A quotient node: a (core state, sleep set) pair canonicalized over the
-/// symmetry group.
+/// symmetry group. Its out-edges are edges_[begin, end), appended when the
+/// node is expanded. Once the graph is frozen, a productive node's range
+/// holds only edges into productive nodes, the epsilon edges
+/// edges_[begin, eps) first.
 struct qnode {
-    std::vector<qedge> edges;
-    std::uint32_t eps_edges{0};  ///< phase 2: edges[0, eps_edges) emit nothing
+    std::uint32_t begin{0};
+    std::uint32_t eps{0};
+    std::uint32_t end{0};
     bool accepting{false};
     bool productive{false};
 };
@@ -176,7 +233,7 @@ struct work_item {
     std::uint32_t node{0};
     sim_state state;
     std::uint64_t sleep{0};
-    perm_t g{kIdentity};  ///< canonical frame of `node`: index -> slot
+    std::uint8_t g{0};  ///< canonical frame of `node`: index -> slot, in G
 };
 
 class por_engine {
@@ -184,7 +241,8 @@ public:
     por_engine(const explore_config& cfg, const sim_state& initial)
         : cfg_(cfg),
           G_(build_group(initial, cfg.symmetry, &symmetry_warning_)),
-          symmetry_on_(G_.size() > 1) {
+          symmetry_on_(G_.size() > 1),
+          gsize_(G_.size()) {
         if (symmetry_on_) {
             for (std::size_t i = 0; i < initial.procs.size(); ++i) {
                 const auto pid =
@@ -193,25 +251,49 @@ public:
                 idx_of_[pid] = static_cast<std::uint8_t>(i);
             }
         }
+        compose_.resize(gsize_ * gsize_);
+        inverse_.resize(gsize_);
+        for (std::size_t a = 0; a < gsize_; ++a) {
+            inverse_[a] = index_of(perm_invert(G_[a]));
+            for (std::size_t b = 0; b < gsize_; ++b) {
+                compose_[a * gsize_ + b] =
+                    index_of(perm_compose(G_[a], G_[b]));
+            }
+        }
     }
 
     explore_result run(const sim_state& initial) {
         build_graph(initial);
         // Phase 2 interns nothing in the phase-1 map: record its size, then
         // free it.
-        map_entries_ = map_.size();
-        map_bytes_ = map_.size() * 48 + map_.bucket_count() * 8;
-        decltype(map_)().swap(map_);
+        map_entries_ = node_ids_.size();
+        map_bytes_ = node_ids_.bytes();
+        node_ids_ = {};
         if (!truncated_) enumerate();
         return assemble();
     }
 
 private:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    /// The index of `p` in G_, a group: closed under composition and
+    /// inversion.
+    [[nodiscard]] std::uint8_t index_of(perm_t p) const {
+        const auto it = std::find(G_.begin(), G_.end(), p);
+        check(it != G_.end(), "the symmetry group is closed");
+        return static_cast<std::uint8_t>(it - G_.begin());
+    }
+
+    /// The index of G_[a] o G_[b].
+    [[nodiscard]] std::uint8_t compose(std::size_t a, std::size_t b) const {
+        return compose_[a * gsize_ + b];
+    }
+
     // --- phase 1: build the quotient graph (depth first, LIFO) ------------
 
     struct canon {
         std::uint64_t key;
-        perm_t g;
+        std::uint8_t g;  ///< index in G_
     };
 
     canon canonicalize(const sim_state& s, std::uint64_t sleep,
@@ -221,14 +303,14 @@ private:
             s.fingerprint_core(fp);
             fp.push_back(0x51EE9ULL);
             fp.push_back(sleep);
-            return {hash_words(fp), kIdentity};
+            return {hash_words(fp), 0};
         }
         std::uint64_t best = 0;
-        perm_t bestg = kIdentity;
-        bool first = true;
+        std::uint8_t bestg = 0;
         std::array<std::uint8_t, 16> garr{};
         std::array<std::uint8_t, 16> inv{};
-        for (perm_t g : G_) {
+        for (std::size_t gi = 0; gi < gsize_; ++gi) {
+            const perm_t g = G_[gi];
             for (unsigned i = 0; i < 16; ++i) {
                 garr[i] = static_cast<std::uint8_t>(perm_at(g, i));
                 inv[garr[i]] = static_cast<std::uint8_t>(i);
@@ -238,13 +320,12 @@ private:
             fp.push_back(0x51EE9ULL);
             fp.push_back(perm_bits(g, sleep));
             const std::uint64_t h = hash_words(fp);
-            if (first || h < best) {
+            if (gi == 0 || h < best) {
                 best = h;
-                bestg = g;
-                first = false;
+                bestg = static_cast<std::uint8_t>(gi);
             }
         }
-        if (bestg != kIdentity) ++symmetry_folds_;
+        if (G_[bestg] != kIdentity) ++symmetry_folds_;
         return {best, bestg};
     }
 
@@ -258,10 +339,30 @@ private:
 
     /// The id of the node keyed `key`, and whether this call created it.
     std::pair<std::uint32_t, bool> intern(std::uint64_t key) {
-        const auto [it, fresh] = map_.try_emplace(
+        // A fingerprint equal to the table's empty marker is folded onto
+        // its neighbour: at worst a false merge, as any collision is.
+        if (key == key_table<std::uint32_t>::kNoKey) key -= 1;
+        const auto [id, fresh] = node_ids_.try_emplace(
             key, static_cast<std::uint32_t>(nodes_.size()));
-        if (fresh) nodes_.emplace_back();
-        return {it->second, fresh};
+        if (fresh) {
+            check(nodes_.size() < kNone, "node ids fit 32 bits");
+            nodes_.emplace_back();
+        }
+        return {id, fresh};
+    }
+
+    /// The id of `l` in the stored-label table.
+    std::uint32_t stored_label(const emission& l) {
+        const std::array<std::uint64_t, 2> words{
+            static_cast<std::uint64_t>(l.is_begin) |
+                (static_cast<std::uint64_t>(l.kind) << 8) |
+                (static_cast<std::uint64_t>(static_cast<std::uint16_t>(l.proc))
+                 << 16) |
+                (static_cast<std::uint64_t>(l.op) << 32),
+            static_cast<std::uint64_t>(l.value)};
+        const auto [id, fresh] = stored_ids_.intern(words);
+        if (fresh) stored_.push_back(l);
+        return id;
     }
 
     /// Expands every fresh node once, popping the most recently pushed
@@ -273,7 +374,7 @@ private:
         sim_state root(initial);
         const canon c = canonicalize(root, 0, fp);
         intern(c.key);
-        sigma0_ = perm_invert(c.g);
+        sigma0_ = inverse_[c.g];
         stack_.push_back(work_item{0, std::move(root), 0, c.g});
         while (!stack_.empty() && !truncated_) {
             work_item it = std::move(stack_.back());
@@ -282,8 +383,13 @@ private:
         }
     }
 
+    /// Appends the out-edges of `it.node`, which no earlier call expanded,
+    /// to edges_.
     void expand(work_item& it, std::vector<std::uint64_t>& fp) {
         sim_state& x = it.state;
+        const auto begin = static_cast<std::uint32_t>(edges_.size());
+        nodes_[it.node].begin = begin;
+        nodes_[it.node].end = begin;  // until the children are appended
         struct enabled_t {
             std::uint8_t p;
             int fo;
@@ -340,31 +446,27 @@ private:
                 if (!fresh) ++memo_hits_;
                 qedge ed;
                 ed.target = target;
-                ed.perm = perm_compose(it.g, perm_invert(c.g));
+                ed.perm = compose(it.g, inverse_[c.g]);
                 for (int k = 0; k < y.emitted_count(); ++k) {
                     emission l = y.emitted(k);
                     if (symmetry_on_) {
                         // Store in canonical index space of the SOURCE.
                         l.proc = static_cast<processor_id>(perm_at(
-                            it.g,
+                            G_[it.g],
                             idx_of_[static_cast<std::size_t>(l.proc)]));
                     }
-                    ed.labels[ed.nlabels++] = l;
+                    ed.labels[ed.nlabels++] = stored_label(l);
                 }
-                // Taken after intern(), which may have grown nodes_.
-                std::vector<qedge>& edges = nodes_[it.node].edges;
                 // Distinct choices occasionally produce the same transition
                 // (e.g. a fault choice that lands where the clean one does);
                 // the full engine memoizes the duplicate away, we drop the
                 // parallel edge.
-                const bool dup = std::any_of(
-                    edges.begin(), edges.end(), [&](const qedge& prev) {
-                        return prev.target == ed.target &&
-                               prev.perm == ed.perm && same_labels(prev, ed);
-                    });
-                if (dup) continue;
-                edges.push_back(ed);
-                ++edges_;
+                if (std::find(edges_.begin() + begin, edges_.end(), ed) !=
+                    edges_.end()) {
+                    continue;
+                }
+                check(edges_.size() < kNone, "edge ids fit 32 bits");
+                edges_.push_back(ed);
                 if (fresh) {
                     stack_.push_back(
                         work_item{target, std::move(y), child_sleep, c.g});
@@ -372,6 +474,7 @@ private:
             }
             earlier |= 1ULL << e.p;
         }
+        nodes_[it.node].end = static_cast<std::uint32_t>(edges_.size());
     }
 
     // --- phase 2: determinize, then judge every DAG path in product ------
@@ -389,110 +492,79 @@ private:
     /// Marks nodes from which an accepting node is reachable; edges into
     /// unproductive nodes (sleep-set dead ends) are dropped from phase 2.
     void mark_productive() {
-        std::vector<std::vector<std::uint32_t>> rev(nodes_.size());
+        // The in-edges of node t come from from[first[t], first[t + 1]).
+        const std::size_t n = nodes_.size();
+        std::vector<std::uint32_t> first(n + 1, 0);
+        for (const qedge& e : edges_) ++first[e.target + 1];
+        for (std::size_t t = 0; t < n; ++t) first[t + 1] += first[t];
+        std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+        std::vector<std::uint32_t> from(edges_.size());
         std::vector<std::uint32_t> queue;
-        for (std::uint32_t n = 0; n < nodes_.size(); ++n) {
-            for (const qedge& e : nodes_[n].edges) rev[e.target].push_back(n);
-            if (nodes_[n].accepting) {
-                nodes_[n].productive = true;
-                queue.push_back(n);
+        for (std::uint32_t s = 0; s < n; ++s) {
+            for (std::uint32_t k = nodes_[s].begin; k < nodes_[s].end; ++k) {
+                from[next[edges_[k].target]++] = s;
+            }
+            if (nodes_[s].accepting) {
+                nodes_[s].productive = true;
+                queue.push_back(s);
             }
         }
         while (!queue.empty()) {
-            const std::uint32_t n = queue.back();
+            const std::uint32_t t = queue.back();
             queue.pop_back();
-            for (std::uint32_t p : rev[n]) {
-                if (!nodes_[p].productive) {
-                    nodes_[p].productive = true;
-                    queue.push_back(p);
+            for (std::uint32_t k = first[t]; k < first[t + 1]; ++k) {
+                qnode& p = nodes_[from[k]];
+                if (!p.productive) {
+                    p.productive = true;
+                    queue.push_back(from[k]);
                 }
             }
         }
     }
 
     /// A DAG state: an epsilon-closed set of automaton members,
-    /// (slot << 6) | sigma-index, kept as its sorted kernel -- the members
-    /// that accept or emit; the rest add nothing to the future. Slots below
-    /// nodes_.size() are nodes; the others are mid-edge members, between
-    /// the two labels of a 2-label edge (mid_edges_).
+    /// (slot << 6) | sigma-index, kept as its sorted kernel in kernels_ --
+    /// the members that accept or emit; the rest add nothing to the future.
+    /// Slots below nodes_.size() are nodes; slot nodes_.size() + k is the
+    /// mid-edge member of the 2-label edge edges_[k], between its two
+    /// labels. A DAG state's id is its kernel's id.
     struct dfa_state {
-        const std::vector<std::uint64_t>* kernel;
-        std::uint64_t trans_at{0};
+        std::uint32_t trans_at{0};
         std::uint32_t trans_len{0};
         bool accepting{false};
         bool expanded{false};
     };
     struct dfa_edge {
-        emission label;
+        std::uint32_t label;  ///< concrete-label id
         std::uint32_t target;
     };
     /// One labelled move out of a DAG state, before grouping by label.
     struct label_move {
-        emission label;
+        std::uint32_t label;  ///< concrete-label id
         std::uint32_t slot;
         std::uint8_t sigma;
     };
-    struct kernel_hash {
-        std::size_t operator()(const std::vector<std::uint64_t>& k) const {
-            return hash_words(k);
-        }
-    };
 
-    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-
-    /// Readies the quotient graph for the subset construction: drops edges
-    /// into unproductive nodes, puts each node's epsilon edges first, and
-    /// numbers G_'s elements and the mid-edge slots.
-    void prepare_automaton() {
-        std::unordered_map<perm_t, std::uint8_t> index;
-        for (std::size_t i = 0; i < G_.size(); ++i) {
-            index.emplace(G_[i], static_cast<std::uint8_t>(i));
-        }
-        gsize_ = G_.size();
-        compose_.resize(gsize_ * gsize_);
-        for (std::size_t a = 0; a < gsize_; ++a) {
-            for (std::size_t b = 0; b < gsize_; ++b) {
-                compose_[a * gsize_ + b] =
-                    index.at(perm_compose(G_[a], G_[b]));
-            }
-        }
-        sigma0_index_ = index.at(sigma0_);
+    /// Freezes the quotient graph in place for the subset construction:
+    /// drops edges into unproductive nodes, puts each node's epsilon edges
+    /// first, and numbers the concrete labels.
+    void freeze() {
+        check(nodes_.size() + edges_.size() < kNone,
+              "phase-2 slots fit 32 bits");
         for (qnode& q : nodes_) {
             if (!q.productive) continue;
-            std::erase_if(q.edges, [this](const qedge& e) {
-                return !nodes_[e.target].productive;
-            });
-            const auto emitting = std::stable_partition(
-                q.edges.begin(), q.edges.end(),
-                [](const qedge& e) { return e.nlabels == 0; });
-            q.eps_edges =
-                static_cast<std::uint32_t>(emitting - q.edges.begin());
-            for (qedge& e : q.edges) {
-                e.perm_index = index.at(e.perm);
-                if (e.nlabels != 2) continue;
-                e.mid = static_cast<std::uint32_t>(nodes_.size() +
-                                                   mid_edges_.size());
-                mid_edges_.push_back(&e);
-            }
+            const auto first = edges_.begin() + q.begin;
+            const auto kept = std::partition(
+                first, edges_.begin() + q.end,
+                [this](const qedge& e) { return nodes_[e.target].productive; });
+            const auto emitting = std::partition(
+                first, kept, [](const qedge& e) { return e.nlabels == 0; });
+            q.eps = static_cast<std::uint32_t>(emitting - edges_.begin());
+            q.end = static_cast<std::uint32_t>(kept - edges_.begin());
         }
-        const std::size_t slots = nodes_.size() + mid_edges_.size();
-        check(slots < kNone, "phase-2 slots fit 32 bits");
-        mark_gen_.assign(slots, 0);
-        mark_mask_.assign(slots, 0);
-    }
-
-    /// The sigma of an edge's target: sigma o G_[e.perm_index].
-    [[nodiscard]] std::uint8_t step_sigma(std::uint8_t sigma,
-                                          const qedge& e) const {
-        return compose_[sigma * gsize_ + e.perm_index];
-    }
-
-    emission concrete_label(const emission& stored, std::uint8_t sigma) const {
-        if (!symmetry_on_) return stored;
-        emission l = stored;
-        l.proc = pid_of_[perm_at(G_[sigma],
-                                 static_cast<unsigned>(stored.proc))];
-        return l;
+        number_labels();
+        mark_gen_.assign(nodes_.size(), 0);
+        mark_mask_.assign(nodes_.size(), 0);
     }
 
     [[nodiscard]] static bool label_less(const emission& a,
@@ -501,7 +573,54 @@ private:
                std::tuple(b.proc, b.op, !b.is_begin, b.kind, b.value);
     }
 
-    /// Adds (slot, sigma) to the closure under construction unless present.
+    /// The concrete label a stored label spells under G_[sigma].
+    [[nodiscard]] emission concrete_label(emission l, std::size_t sigma) const {
+        if (symmetry_on_) {
+            l.proc = pid_of_[perm_at(G_[sigma], static_cast<unsigned>(l.proc))];
+        }
+        return l;
+    }
+
+    /// Numbers the concrete label of every (stored label, sigma) pair in
+    /// label order, so that ids compare as their labels do: labels_[id] is
+    /// the label, and concrete_[stored * |G| + sigma] its id.
+    void number_labels() {
+        for (const emission& l : stored_) {
+            for (std::size_t g = 0; g < gsize_; ++g) {
+                labels_.push_back(concrete_label(l, g));
+            }
+        }
+        std::sort(labels_.begin(), labels_.end(), label_less);
+        labels_.erase(std::unique(labels_.begin(), labels_.end(),
+                                  [](const emission& a, const emission& b) {
+                                      return !label_less(a, b);
+                                  }),
+                      labels_.end());
+        concrete_.reserve(stored_.size() * gsize_);
+        for (const emission& l : stored_) {
+            for (std::size_t g = 0; g < gsize_; ++g) {
+                concrete_.push_back(static_cast<std::uint32_t>(
+                    std::lower_bound(labels_.begin(), labels_.end(),
+                                     concrete_label(l, g), label_less) -
+                    labels_.begin()));
+            }
+        }
+    }
+
+    /// The concrete-label id of stored label `stored` under G_[sigma].
+    [[nodiscard]] std::uint32_t label_id(std::uint32_t stored,
+                                         std::uint8_t sigma) const {
+        return concrete_[stored * gsize_ + sigma];
+    }
+
+    /// The sigma of an edge's target: sigma o G_[e.perm].
+    [[nodiscard]] std::uint8_t step_sigma(std::uint8_t sigma,
+                                          const qedge& e) const {
+        return compose(sigma, e.perm);
+    }
+
+    /// Adds node (slot, sigma) to the closure under construction unless
+    /// present.
     void visit(std::uint32_t slot, std::uint8_t sigma) {
         if (mark_gen_[slot] != gen_) {
             mark_gen_[slot] = gen_;
@@ -522,72 +641,72 @@ private:
         }
         work_.clear();
         kernel_.clear();
+        const auto nodes = static_cast<std::uint32_t>(nodes_.size());
         for (const label_move* m = first; m != last; ++m) {
-            visit(m->slot, m->sigma);
+            if (m->slot < nodes) {
+                visit(m->slot, m->sigma);
+            } else {
+                // A mid-edge member emits, has no epsilon edge, and is
+                // seeded at most once: only its edge's source member,
+                // unique in the kernel it was expanded from, moves there.
+                kernel_.push_back((std::uint64_t{m->slot} << 6) | m->sigma);
+            }
         }
         bool accepting = false;
         while (!work_.empty()) {
             const auto [slot, sigma] = work_.back();
             work_.pop_back();
-            const std::uint64_t member =
-                (static_cast<std::uint64_t>(slot) << 6) | sigma;
-            if (slot >= nodes_.size()) {
-                kernel_.push_back(member);
-                continue;
-            }
             const qnode& q = nodes_[slot];
-            if (q.accepting || q.edges.size() > q.eps_edges) {
-                kernel_.push_back(member);
+            if (q.accepting || q.end > q.eps) {
+                kernel_.push_back((std::uint64_t{slot} << 6) | sigma);
             }
             accepting = accepting || q.accepting;
-            for (std::uint32_t k = 0; k < q.eps_edges; ++k) {
-                visit(q.edges[k].target, step_sigma(sigma, q.edges[k]));
+            for (std::uint32_t k = q.begin; k < q.eps; ++k) {
+                visit(edges_[k].target, step_sigma(sigma, edges_[k]));
             }
         }
         std::sort(kernel_.begin(), kernel_.end());
-        if (const auto it = dfa_index_.find(kernel_); it != dfa_index_.end()) {
-            return it->second;
-        }
-        if (phase2_over_budget(1)) return kNone;
-        const auto id = static_cast<std::uint32_t>(dfa_.size());
-        const auto it = dfa_index_.emplace(kernel_, id).first;
-        dfa_.push_back(dfa_state{&it->first, 0, 0, accepting, false});
-        kernel_members_ += kernel_.size();
+        const auto [id, fresh] = kernels_.intern(kernel_);
+        if (!fresh) return id;
+        // A kernel interned past the budget is never expanded.
+        if (phase2_over_budget()) return kNone;
+        check(id == dfa_.size(), "a DAG state's id is its kernel's");
+        dfa_.push_back(dfa_state{0, 0, accepting, false});
         return id;
     }
 
     /// Builds the out-edges of DAG state `id`, sorted by concrete label.
     void expand_state(std::uint32_t id) {
         moves_.clear();
-        for (const std::uint64_t member : *dfa_[id].kernel) {
+        const auto nodes = static_cast<std::uint32_t>(nodes_.size());
+        // close() may grow the arena: done with the kernel before it runs.
+        for (const std::uint64_t member : kernels_.words(id)) {
             const auto slot = static_cast<std::uint32_t>(member >> 6);
             const auto sigma = static_cast<std::uint8_t>(member & 63);
-            if (slot >= nodes_.size()) {
-                const qedge& e = *mid_edges_[slot - nodes_.size()];
-                moves_.push_back(
-                    label_move{concrete_label(e.labels[1], sigma), e.target,
-                               step_sigma(sigma, e)});
+            if (slot >= nodes) {
+                const qedge& e = edges_[slot - nodes];
+                moves_.push_back(label_move{label_id(e.labels[1], sigma),
+                                            e.target, step_sigma(sigma, e)});
                 continue;
             }
             const qnode& q = nodes_[slot];
-            for (std::size_t k = q.eps_edges; k < q.edges.size(); ++k) {
-                const qedge& e = q.edges[k];
-                const emission l = concrete_label(e.labels[0], sigma);
+            for (std::uint32_t k = q.eps; k < q.end; ++k) {
+                const qedge& e = edges_[k];
+                const std::uint32_t l = label_id(e.labels[0], sigma);
                 moves_.push_back(
                     e.nlabels == 1
                         ? label_move{l, e.target, step_sigma(sigma, e)}
-                        : label_move{l, e.mid, sigma});
+                        : label_move{l, nodes + k, sigma});
             }
         }
         std::sort(moves_.begin(), moves_.end(),
                   [](const label_move& a, const label_move& b) {
-                      return label_less(a.label, b.label);
+                      return a.label < b.label;
                   });
-        const std::uint64_t trans_at = trans_.size();
+        const std::size_t trans_at = trans_.size();
         for (std::size_t lo = 0; lo < moves_.size();) {
             std::size_t hi = lo + 1;
-            while (hi < moves_.size() &&
-                   !label_less(moves_[lo].label, moves_[hi].label)) {
+            while (hi < moves_.size() && moves_[hi].label == moves_[lo].label) {
                 ++hi;
             }
             const std::uint32_t target =
@@ -596,20 +715,21 @@ private:
             trans_.push_back(dfa_edge{moves_[lo].label, target});
             lo = hi;
         }
-        dfa_[id].trans_at = trans_at;
+        check(trans_.size() < kNone, "DAG edge ids fit 32 bits");
+        dfa_[id].trans_at = static_cast<std::uint32_t>(trans_at);
         dfa_[id].trans_len =
             static_cast<std::uint32_t>(trans_.size() - trans_at);
         dfa_[id].expanded = true;
     }
 
-    /// DAG states and judged histories count against the budget after the
-    /// phase-1 arrivals, so a determinization blow-up truncates.
-    [[nodiscard]] bool phase2_fits(std::uint64_t more) const {
-        return states_explored_ + dfa_.size() + leaves_ + more <=
-               cfg_.max_states;
-    }
-    bool phase2_over_budget(std::uint64_t more) {
-        if (phase2_fits(more)) return false;
+    /// Phase 2's work counts against the budget after the phase-1 arrivals:
+    /// DAG states, memoized pairs, and histories rebuilt for judge_history.
+    /// A history counted in bulk or passed by its judge state costs nothing.
+    bool phase2_over_budget() {
+        if (states_explored_ + dfa_.size() + pairs_.size() + rebuilt_ <
+            cfg_.max_states) {
+            return false;
+        }
         truncated_ = true;
         abort_enumeration_ = true;
         return true;
@@ -628,47 +748,27 @@ private:
         std::uint64_t paths{0};  ///< accepting paths below, so far
         std::uint64_t bad{0};    ///< violating paths below, so far
     };
-    /// Memo of the product: (DAG state, judge state) -> violations below.
-    struct pair_slot {
-        std::uint64_t key{kNoPair};
-        std::uint64_t bad{0};
-    };
-    static constexpr std::uint64_t kNoPair = ~std::uint64_t{0};
     static constexpr std::uint64_t kUnknownPaths = ~std::uint64_t{0};
 
-    [[nodiscard]] static std::uint64_t pair_key(std::uint32_t state,
-                                                std::uint32_t judge) noexcept {
-        return (static_cast<std::uint64_t>(state) << 32) | judge;
+    [[nodiscard]] static std::uint64_t pair_key(std::uint32_t hi,
+                                                std::uint32_t lo) noexcept {
+        return (static_cast<std::uint64_t>(hi) << 32) | lo;
     }
-    [[nodiscard]] std::size_t pair_home(std::uint64_t key) const noexcept {
-        key ^= key >> 31;
-        key *= 0x9e3779b97f4a7c15ULL;
-        return static_cast<std::size_t>(key >> 20) & (memo_.size() - 1);
-    }
-    [[nodiscard]] const pair_slot* find_pair(std::uint64_t key) const {
-        if (memo_.empty()) return nullptr;
-        const std::size_t mask = memo_.size() - 1;
-        for (std::size_t i = pair_home(key);; i = (i + 1) & mask) {
-            if (memo_[i].key == key) return &memo_[i];
-            if (memo_[i].key == kNoPair) return nullptr;
-        }
-    }
-    void remember_pair(std::uint64_t key, std::uint64_t bad) {
-        if (4 * (pairs_ + 1) > 3 * memo_.size()) {  // load factor <= 3/4
-            std::vector<pair_slot> old(
-                std::max<std::size_t>(1024, 2 * memo_.size()));
-            old.swap(memo_);
-            for (const pair_slot& p : old) {
-                if (p.key != kNoPair) place_pair(p);
-            }
-        }
-        place_pair(pair_slot{key, bad});
-        pairs_ += 1;
-    }
-    void place_pair(const pair_slot& p) {
-        std::size_t i = pair_home(p.key);
-        while (memo_[i].key != kNoPair) i = (i + 1) & (memo_.size() - 1);
-        memo_[i] = p;
+
+    /// The judge state after `judge` then concrete label `label`, memoized.
+    /// The memo is exact: label_judge::step reads the judge's value table
+    /// only through the indices `judge` already holds, and the table only
+    /// grows (a value a later step adds gets an index no earlier state
+    /// holds, and a full table stays full), so the next state is a fixed
+    /// function of the pair. A hit thus returns what a fresh step would,
+    /// and skips no check() the first step did not pass.
+    std::uint32_t step_judge(std::uint32_t judge, std::uint32_t label) {
+        if (judge == label_judge::unrepresentable) return judge;
+        const std::uint64_t key = pair_key(judge, label);
+        if (const std::uint32_t* next = steps_.find(key)) return *next;
+        const std::uint32_t next = judge_.step(judge, labels_[label]);
+        steps_.try_emplace(key, next);
+        return next;
     }
 
     /// Counts the history of the current DAG path -- a distinct one by
@@ -676,15 +776,24 @@ private:
     /// rebuilt only for the first violation's diagnosis, or when the judge
     /// state cannot represent it.
     void judge_leaf(frame& f) {
-        if (phase2_over_budget(1)) return;
+        const bool representable = f.judge != label_judge::unrepresentable;
+        const bool passes = representable && judge_.passes(f.judge);
+        const bool rebuild =
+            !representable || (!passes && !first_violation_.has_value());
+        if (rebuild && phase2_over_budget()) return;
         leaves_ += 1;
         f.paths += 1;
-        const bool representable = f.judge != label_judge::unrepresentable;
-        if (representable && judge_.passes(f.judge)) return;
+        if (passes) return;
         std::vector<operation> hist;
         judgement j;
-        if (!representable || !first_violation_.has_value()) {
-            hist = history_of(path_labels_);
+        if (rebuild) {
+            rebuilt_ += 1;
+            std::vector<emission> spelled;
+            spelled.reserve(path_labels_.size());
+            for (const std::uint32_t l : path_labels_) {
+                spelled.push_back(labels_[l]);
+            }
+            hist = history_of(spelled);
             j = judge_history(hist, cfg_.prop, cfg_.initial);
             if (j.ok) {
                 check(!representable,
@@ -703,23 +812,22 @@ private:
     }
 
     /// Skips an edge into a pair whose sub-DAG was already walked, counting
-    /// its paths and violations in bulk -- unless the bulk would pass the
-    /// budget (truncation lands on the same history as a walk). It never
-    /// passes the first violation, which must be found and reported in
-    /// label order: a pair is memoized once its sub-DAG is walked, so one
-    /// with violations below comes after the first of them.
+    /// its paths and violations in bulk. It never passes the first
+    /// violation, which must be found and reported in label order: a pair
+    /// is memoized once its sub-DAG is walked, so one with violations below
+    /// comes after the first of them.
     bool skip_known(frame& parent, std::uint32_t state, std::uint32_t judge) {
         if (judge == label_judge::unrepresentable) return false;
-        const pair_slot* known = find_pair(pair_key(state, judge));
-        if (known == nullptr) return false;
-        check(known->bad == 0 || first_violation_.has_value(),
+        const std::uint64_t* bad = pairs_.find(pair_key(state, judge));
+        if (bad == nullptr) return false;
+        check(*bad == 0 || first_violation_.has_value(),
               "a pair with violations below is memoized after the first");
+        check(state < paths_below_.size(), "a memoized state's paths");
         const std::uint64_t paths = paths_below_[state];
-        if (!phase2_fits(paths)) return false;
         leaves_ += paths;
-        violations_ += known->bad;
+        violations_ += *bad;
         parent.paths += paths;
-        parent.bad += known->bad;
+        parent.bad += *bad;
         return true;
     }
 
@@ -737,8 +845,8 @@ private:
         if (nodes_.empty()) return;
         mark_productive();
         if (!nodes_[0].productive) return;  // no complete execution in budget
-        prepare_automaton();
-        const label_move root_seed{emission{}, 0, sigma0_index_};
+        freeze();
+        const label_move root_seed{0, 0, sigma0_};
         const std::uint32_t root = close(&root_seed, &root_seed + 1);
         if (root == kNone) return;
         push_frame(root, label_judge::root());
@@ -751,7 +859,7 @@ private:
             const dfa_state& d = dfa_[f.state];
             if (f.next < d.trans_len) {
                 const dfa_edge e = trans_[d.trans_at + f.next++];
-                const std::uint32_t judge = judge_.step(f.judge, e.label);
+                const std::uint32_t judge = step_judge(f.judge, e.label);
                 if (skip_known(f, e.target, judge)) continue;
                 path_labels_.push_back(e.label);
                 push_frame(e.target, judge);
@@ -766,7 +874,10 @@ private:
             check(paths == kUnknownPaths || paths == f.paths,
                   "a DAG state's path count does not depend on the prefix");
             paths = f.paths;
-            if (!f.rebuilt) remember_pair(pair_key(f.state, f.judge), f.bad);
+            if (!f.rebuilt) {
+                if (phase2_over_budget()) break;
+                pairs_.try_emplace(pair_key(f.state, f.judge), f.bad);
+            }
             const frame done = f;
             walk_.pop_back();
             if (walk_.empty()) break;
@@ -794,7 +905,7 @@ private:
         out.reduction.engaged = true;
         out.reduction.symmetry = symmetry_on_;
         out.reduction.core_states = nodes_.size();
-        out.reduction.core_edges = edges_;
+        out.reduction.core_edges = edges_.size();
         out.reduction.sleep_pruned = sleep_pruned_;
         out.reduction.symmetry_folds = symmetry_folds_;
         out.reduction.symmetry_group = G_.size();
@@ -802,20 +913,24 @@ private:
         out.reduction.dfa_states = dfa_.size();
         out.reduction.enumerated_paths = leaves_;
         out.reduction.judge_states = judge_.states();
-        out.reduction.product_pairs = pairs_;
+        out.reduction.product_pairs = pairs_.size();
         out.memory.memo_entries = map_entries_;
         out.memory.memo_bytes = map_bytes_;
-        std::uint64_t graph = nodes_.size() * sizeof(qnode);
-        for (const qnode& n : nodes_) graph += n.edges.capacity() * sizeof(qedge);
+        std::uint64_t graph = nodes_.capacity() * sizeof(qnode) +
+                              edges_.capacity() * sizeof(qedge);
         out.memory.bytes_per_state =
             map_entries_ == 0 ? 0 : (map_bytes_ + graph) / map_entries_;
-        // The DAG (~64 bytes per kernel-map node and vector header), the
-        // judge states and the product memo.
-        graph += dfa_.capacity() * sizeof(dfa_state) +
-                 trans_.capacity() * sizeof(dfa_edge) +
-                 dfa_index_.size() * 64 +
-                 kernel_members_ * sizeof(std::uint64_t) + judge_.bytes() +
-                 memo_.capacity() * sizeof(pair_slot) +
+        // Everything else phase 2 keeps, by capacity: the label tables, the
+        // closure marks, the DAG's states, edges and kernels, the judge
+        // states, the step and product memos, and the path counts.
+        graph += stored_ids_.bytes() +
+                 (stored_.capacity() + labels_.capacity()) * sizeof(emission) +
+                 concrete_.capacity() * sizeof(std::uint32_t) +
+                 mark_gen_.capacity() * sizeof(std::uint32_t) +
+                 mark_mask_.capacity() * sizeof(std::uint64_t) +
+                 dfa_.capacity() * sizeof(dfa_state) +
+                 trans_.capacity() * sizeof(dfa_edge) + kernels_.bytes() +
+                 judge_.bytes() + steps_.bytes() + pairs_.bytes() +
                  paths_below_.capacity() * sizeof(std::uint64_t);
         out.memory.graph_bytes = graph;
         return out;
@@ -825,45 +940,47 @@ private:
     std::string symmetry_warning_;  ///< declared before G_: build_group fills it
     const std::vector<perm_t> G_;
     const bool symmetry_on_;
+    const std::size_t gsize_;
+    std::vector<std::uint8_t> compose_;  ///< [a * gsize_ + b] = G_[a] o G_[b]
+    std::vector<std::uint8_t> inverse_;  ///< [a] = G_[a]^-1
     std::array<processor_id, 16> pid_of_{};  ///< index -> processor id
     std::array<std::uint8_t, 64> idx_of_{};  ///< processor id -> index
-    perm_t sigma0_{kIdentity};
+    std::uint8_t sigma0_{0};  ///< the root's frame, in G_
 
-    std::unordered_map<std::uint64_t, std::uint32_t> map_;  ///< key -> node id
-    std::uint64_t map_entries_{0};  ///< map_'s size, recorded before freeing
+    key_table<std::uint32_t> node_ids_;  ///< canonical key -> node id
+    std::uint64_t map_entries_{0};  ///< node_ids_'s size, before freeing
     std::uint64_t map_bytes_{0};
     std::vector<qnode> nodes_;
+    std::vector<qedge> edges_;
+    word_interner stored_ids_;      ///< stored label -> id
+    std::vector<emission> stored_;  ///< id -> stored label
     std::vector<work_item> stack_;
     std::uint64_t states_explored_{0};
     std::uint64_t memo_hits_{0};
-    std::uint64_t edges_{0};
     std::uint64_t sleep_pruned_{0};
     std::uint64_t symmetry_folds_{0};
     bool truncated_{false};
 
-    std::size_t gsize_{1};
-    std::vector<std::uint8_t> compose_;  ///< [a * gsize_ + b] = G_[a] o G_[b]
-    std::uint8_t sigma0_index_{0};
-    std::vector<const qedge*> mid_edges_;  ///< mid-edge slot - nodes -> edge
-    // Closure marks per slot: a sigma bitmask, valid when its stamp is gen_.
+    std::vector<emission> labels_;  ///< concrete-label id -> label, in order
+    std::vector<std::uint32_t> concrete_;  ///< (stored, sigma) -> concrete id
+    // Closure marks per node: a sigma bitmask, valid when its stamp is gen_.
     std::vector<std::uint32_t> mark_gen_;
     std::vector<std::uint64_t> mark_mask_;
     std::uint32_t gen_{0};
     std::vector<std::pair<std::uint32_t, std::uint8_t>> work_;
     std::vector<std::uint64_t> kernel_;
-    std::unordered_map<std::vector<std::uint64_t>, std::uint32_t, kernel_hash>
-        dfa_index_;
-    std::uint64_t kernel_members_{0};
+    word_interner kernels_;  ///< DAG state id -> kernel
     std::vector<dfa_state> dfa_;
     std::vector<dfa_edge> trans_;
     std::vector<label_move> moves_;
-    std::vector<emission> path_labels_;
+    std::vector<std::uint32_t> path_labels_;
     std::vector<frame> walk_;
     label_judge judge_{cfg_.prop, cfg_.initial};
-    std::vector<pair_slot> memo_;  ///< open addressing, power-of-two size
-    std::uint64_t pairs_{0};
+    key_table<std::uint32_t> steps_;  ///< (judge, label) -> next judge
+    key_table<std::uint64_t> pairs_;  ///< (DAG state, judge) -> bad below
     std::vector<std::uint64_t> paths_below_;  ///< per DAG state, once walked
     std::uint64_t leaves_{0};
+    std::uint64_t rebuilt_{0};  ///< histories handed to judge_history
     std::uint64_t violations_{0};
     bool property_holds_{true};
     bool abort_enumeration_{false};

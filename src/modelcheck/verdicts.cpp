@@ -12,6 +12,42 @@
 
 namespace bloom87::mc {
 
+std::pair<std::uint32_t, bool> word_interner::intern(
+    std::span<const std::uint64_t> w) {
+    const std::uint64_t h = hash_words(w);
+    std::size_t mask = index_.size() - 1;
+    std::size_t pos = h & mask;
+    for (; index_[pos] != kEmpty; pos = (pos + 1) & mask) {
+        const std::uint32_t id = index_[pos];
+        if (hashes_[id] == h && std::ranges::equal(w, words(id))) {
+            return {id, false};
+        }
+    }
+    const auto id = static_cast<std::uint32_t>(hashes_.size());
+    check(id < kEmpty, "interned ids fit 32 bits");
+    arena_.insert(arena_.end(), w.begin(), w.end());
+    starts_.push_back(arena_.size());
+    hashes_.push_back(h);
+    if (2 * hashes_.size() <= index_.size()) {
+        index_[pos] = id;
+        return {id, true};
+    }
+    index_.assign(2 * index_.size(), kEmpty);
+    mask = index_.size() - 1;
+    for (std::uint32_t i = 0; i < hashes_.size(); ++i) {
+        std::size_t p = hashes_[i] & mask;
+        while (index_[p] != kEmpty) p = (p + 1) & mask;
+        index_[p] = i;
+    }
+    return {id, true};
+}
+
+std::uint64_t word_interner::bytes() const noexcept {
+    return (arena_.capacity() + starts_.capacity() + hashes_.capacity()) *
+               sizeof(std::uint64_t) +
+           index_.capacity() * sizeof(std::uint32_t);
+}
+
 judgement judge_history(const std::vector<operation>& hist, property prop,
                         value_t initial) {
     judgement j;
@@ -80,7 +116,6 @@ std::vector<operation> history_of(const std::vector<emission>& labels) {
 namespace {
 
 constexpr std::uint64_t kFailed = std::uint64_t{1} << 63;
-constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
 constexpr std::size_t kMaxSlots = 16;     // mask fields are 16 bits wide
 constexpr std::uint64_t kMaxBegins = 62;  // check_exhaustive's limit
 constexpr std::size_t kMaxValues = 64;    // value sets are one word
@@ -121,28 +156,20 @@ constexpr std::size_t kMaxValues = 64;    // value sets are one word
 }  // namespace
 
 label_judge::label_judge(property prop, value_t initial)
-    : prop_(prop), values_{initial}, index_(16, kEmpty) {
+    : prop_(prop), values_{initial} {
     // Root (id 0): nothing open, the register holds the initial value.
     buffer_.assign({0, make_cfg(0, 0, 0)});
-    (void)intern_buffer();
+    (void)states_.intern(buffer_);
     buffer_.assign({kFailed});
-    failed_ = intern_buffer();
+    failed_ = states_.intern(buffer_).first;
 }
 
 std::uint64_t label_judge::bytes() const noexcept {
-    return (arena_.capacity() + starts_.capacity() + hashes_.capacity() +
-            values_.capacity()) *
-               sizeof(std::uint64_t) +
-           index_.capacity() * sizeof(std::uint32_t);
-}
-
-std::span<const std::uint64_t> label_judge::words(std::uint32_t state) const {
-    return std::span(arena_).subspan(starts_[state],
-                                     starts_[state + 1] - starts_[state]);
+    return states_.bytes() + values_.capacity() * sizeof(value_t);
 }
 
 void label_judge::load(std::uint32_t state) {
-    const std::span<const std::uint64_t> w = words(state);
+    const std::span<const std::uint64_t> w = states_.words(state);
     header_ = w[0];
     const std::span<const std::uint64_t> slots = w.subspan(1, header_ & 0xFF);
     slots_.assign(slots.begin(), slots.end());
@@ -348,36 +375,8 @@ std::uint32_t label_judge::step(std::uint32_t state, const emission& label) {
     buffer_.push_back(header_);
     buffer_.insert(buffer_.end(), slots_.begin(), slots_.end());
     buffer_.insert(buffer_.end(), configs_.begin(), configs_.end());
-    return intern_buffer();
-}
-
-std::uint32_t label_judge::intern_buffer() {
-    const std::uint64_t h = hash_words(buffer_);
-    std::size_t mask = index_.size() - 1;
-    std::size_t pos = h & mask;
-    for (; index_[pos] != kEmpty; pos = (pos + 1) & mask) {
-        const std::uint32_t id = index_[pos];
-        if (hashes_[id] == h && std::ranges::equal(buffer_, words(id))) {
-            return id;
-        }
-    }
-    const auto id = static_cast<std::uint32_t>(hashes_.size());
-    check(id < unrepresentable, "judge-state ids fit 32 bits");
-    arena_.insert(arena_.end(), buffer_.begin(), buffer_.end());
-    starts_.push_back(arena_.size());
-    hashes_.push_back(h);
-    if (2 * hashes_.size() <= index_.size()) {
-        index_[pos] = id;
-        return id;
-    }
-    index_.assign(2 * index_.size(), kEmpty);
-    mask = index_.size() - 1;
-    for (std::uint32_t i = 0; i < hashes_.size(); ++i) {
-        std::size_t p = hashes_[i] & mask;
-        while (index_[p] != kEmpty) p = (p + 1) & mask;
-        index_[p] = i;
-    }
-    return id;
+    // Ids stay below ~0: no state is mistaken for `unrepresentable`.
+    return states_.intern(buffer_).first;
 }
 
 }  // namespace bloom87::mc

@@ -4,25 +4,27 @@
 // (por.cpp) must agree BIT-FOR-BIT on what verdict a history gets -- the
 // reduction's whole contract is "same property_holds / violations /
 // distinct_histories, fewer states". This header holds the pieces both
-// engines share: the word hasher and the per-history judge, plus the two
-// the POR engine adds on top of them: the history a label sequence spells,
-// and the judge state, which reaches judge_history's verdict one label at a
-// time.
+// engines share: the word hasher and the per-history judge, plus what the
+// POR engine adds on top of them: the word interner, the history a label
+// sequence spells, and the judge state, which reaches judge_history's
+// verdict one label at a time.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "histories/history.hpp"
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/sim.hpp"
+#include "util/check.hpp"
 
 namespace bloom87::mc {
 
 [[nodiscard]] inline std::uint64_t hash_words(
-    const std::vector<std::uint64_t>& words) {
+    std::span<const std::uint64_t> words) {
     // FNV-1a over 64-bit words, then a finalizer. One collision in a
     // visited set only costs a false prune; the full engine's history memo
     // takes the same odds (negligible at the scale of these explorations),
@@ -38,6 +40,37 @@ namespace bloom87::mc {
     h ^= h >> 33;
     return h;
 }
+
+/// Word strings interned in one flat arena: string i is the words
+/// [starts_[i], starts_[i + 1]), and an open-addressing index over their
+/// hashes finds it again. Ids count up from 0 in insertion order, and
+/// nothing is allocated per string. The judge states and the POR engine's
+/// DAG kernels and stored labels live in one each.
+class word_interner {
+public:
+    /// The id of `w` and whether this call inserted it.
+    std::pair<std::uint32_t, bool> intern(std::span<const std::uint64_t> w);
+
+    /// The words of string `id`. Valid until the next insertion.
+    [[nodiscard]] std::span<const std::uint64_t> words(std::uint32_t id) const {
+        check(id < hashes_.size(), "an interned id");
+        return std::span(arena_).subspan(starts_[id],
+                                         starts_[id + 1] - starts_[id]);
+    }
+    [[nodiscard]] std::uint32_t size() const noexcept {
+        return static_cast<std::uint32_t>(hashes_.size());
+    }
+    /// Arena, offsets, hashes and index, by capacity.
+    [[nodiscard]] std::uint64_t bytes() const noexcept;
+
+private:
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+    std::vector<std::uint64_t> arena_;
+    std::vector<std::uint64_t> starts_{0};
+    std::vector<std::uint64_t> hashes_;
+    std::vector<std::uint32_t> index_ = std::vector<std::uint32_t>(16, kEmpty);
+};
 
 struct judgement {
     bool ok{true};
@@ -103,31 +136,22 @@ public:
     }
 
     [[nodiscard]] std::uint64_t states() const noexcept {
-        return hashes_.size();
+        return states_.size();
     }
-    /// Arena, offsets, hashes and index, by capacity.
+    /// Interned states and the value table, by capacity.
     [[nodiscard]] std::uint64_t bytes() const noexcept;
 
 private:
-    [[nodiscard]] std::span<const std::uint64_t> words(
-        std::uint32_t state) const;
     void load(std::uint32_t state);
     [[nodiscard]] int value_index(value_t v) const noexcept;
     void insert_slot(std::size_t at, std::uint64_t slot);
     void remove_slot(std::size_t at);
     void close_under_linearization();
     void sort_unique_configs();
-    /// The id of the state spelled by buffer_, interned if new.
-    [[nodiscard]] std::uint32_t intern_buffer();
 
     const property prop_;
     std::vector<value_t> values_;  ///< value indices; [0] = initial
-
-    // Interned states: words [starts_[i], starts_[i + 1]) of arena_.
-    std::vector<std::uint64_t> arena_;
-    std::vector<std::uint64_t> starts_{0};
-    std::vector<std::uint64_t> hashes_;
-    std::vector<std::uint32_t> index_;  ///< open addressing; ~0 = empty
+    word_interner states_;
     std::uint32_t failed_{0};
 
     // The state being stepped: a header word, one word per open op (sorted

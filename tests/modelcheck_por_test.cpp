@@ -5,8 +5,8 @@
 // surface the shared equivalence tests (modelcheck_parallel_test) do not:
 // symmetry canonicalization over identical readers, epsilon-cycle
 // enumeration (seqlock retry loops), budget semantics of the two-phase
-// engine, the checker's size limit, automatic disengagement, and
-// violation-trace provenance.
+// engine, phase 2's pinned counts, the checker's size limit, automatic
+// disengagement, and violation-trace provenance.
 #include <gtest/gtest.h>
 
 #include "modelcheck/explorer.hpp"
@@ -222,11 +222,11 @@ TEST(Budget, TruncatedPhaseOneSkipsEnumeration) {
     EXPECT_GE(res.states_explored, cfg.max_states);
 }
 
-// Phase 2's DAG states and histories count against the budget after the
-// phase-1 arrivals. A memoized (DAG state, judge state) pair's histories
-// are counted in bulk only when they all fit, so wherever phase 2
-// truncates, it stops with the budget spent exactly -- on the same history
-// as a walk that judged them one by one.
+// Phase 2's work counts against the budget after the phase-1 arrivals: its
+// DAG states and memoized (DAG state, judge state) pairs, plus the histories
+// it rebuilds for judge_history (none here: the property holds). Histories
+// counted in bulk or passed by the judge state cost nothing. Wherever phase
+// 2 truncates, it stops with the budget spent exactly.
 TEST(Budget, TruncatedDeterminizationStopsCleanly) {
     explore_config cfg;
     cfg.threads = 1;
@@ -234,10 +234,10 @@ TEST(Budget, TruncatedDeterminizationStopsCleanly) {
     ASSERT_FALSE(whole.truncated);
     ASSERT_GT(whole.reduction.product_pairs, 0u);
     const std::uint64_t phase2 =
-        whole.reduction.dfa_states + whole.distinct_histories;
+        whole.reduction.dfa_states + whole.reduction.product_pairs;
     std::uint64_t last = 0;
     for (std::uint64_t k = 1; k < 20; ++k) {
-        // Phase 1 fits; the DAG states plus the judged histories do not.
+        // Phase 1 fits; the DAG states plus the memoized pairs do not.
         cfg.max_states = whole.states_explored + phase2 * k / 20;
         const explore_result res = explore(bloom_2x2_1reader(), cfg);
         SCOPED_TRACE("max_states " + std::to_string(cfg.max_states));
@@ -245,12 +245,53 @@ TEST(Budget, TruncatedDeterminizationStopsCleanly) {
         EXPECT_EQ(res.states_explored, whole.states_explored);
         EXPECT_LT(res.distinct_histories, whole.distinct_histories);
         EXPECT_EQ(res.states_explored + res.reduction.dfa_states +
-                      res.distinct_histories,
+                      res.reduction.product_pairs,
                   cfg.max_states);
         EXPECT_GE(res.distinct_histories, last);
         last = res.distinct_histories;
         EXPECT_TRUE(res.property_holds);
     }
+}
+
+/// The paper's footnote 5: the reader samples the two tags in either order.
+sim_state footnote5() {
+    sim_state s;
+    s.registers.push_back(atomic_reg(12));
+    s.registers.push_back(atomic_reg(12));
+    s.procs.push_back(make_bloom_writer(0, {1, 2}));
+    s.procs.push_back(make_bloom_writer(1, {3, 4}));
+    s.procs.push_back(make_bloom_reader_reversed(2, 2));
+    return s;
+}
+
+// Phase 2's own counts, pinned: the label DAG, the judge states and the
+// memoized pairs depend on how phase 2 builds and walks the DAG, not only
+// on which histories exist, and the first violation's history pins the
+// order in which histories are judged.
+TEST(PhaseTwo, CountsArePinned) {
+    const explore_result fn5 = run(footnote5(), true, true);
+    EXPECT_EQ(fn5.reduction.symmetry_group, 1u);
+    EXPECT_EQ(fn5.reduction.dfa_states, 4464u);
+    EXPECT_EQ(fn5.reduction.judge_states, 1528u);
+    EXPECT_EQ(fn5.reduction.product_pairs, 5653u);
+    EXPECT_EQ(fn5.distinct_histories, 247354u);
+
+    // |G| = 2: every stored label is numbered once per permutation.
+    const explore_result twins = run(bloom_twin_readers(), true, true);
+    EXPECT_EQ(twins.reduction.symmetry_group, 2u);
+    EXPECT_EQ(twins.reduction.dfa_states, 1062u);
+    EXPECT_EQ(twins.reduction.judge_states, 647u);
+    EXPECT_EQ(twins.reduction.product_pairs, 1598u);
+    EXPECT_EQ(twins.distinct_histories, 14032u);
+
+    const explore_result mutant = run(violating_configs().front(), true, true);
+    ASSERT_TRUE(mutant.first_violation.has_value());
+    EXPECT_EQ(format_operations(mutant.first_violation->hist),
+              "proc 0 write(1) [0, 1)\n"
+              "proc 1 write(2) [2, 3)\n"
+              "proc 2 read(1) [4, 5)\n"
+              "proc 2 read(1) [6, 7)\n");
+    EXPECT_EQ(mutant.first_violation->diagnosis, "history is not linearizable");
 }
 
 /// One writer of `writes` values and one reader of one read: writes + 1 ops.
