@@ -243,8 +243,8 @@ void common_flags::add_to(flag_parser& p) {
                "on scripted runs)",
                &streaming);
     p.add_unsigned("stream-window",
-                   "streaming checker: events of context kept behind the "
-                   "frontier",
+                   "streaming checker: events a judged op stays in memory "
+                   "behind the frontier (and the default pending grace)",
                    &stream_window);
     p.add_unsigned("stream-stride",
                    "streaming checker: events between incremental checks",

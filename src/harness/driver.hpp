@@ -127,8 +127,10 @@ struct run_spec {
     /// retained history; live during a TIMED run (collect=per_thread
     /// only: events are checked and discarded, never retained).
     bool streaming_monitor{false};
-    /// Streaming checker knobs: events of context kept behind the
-    /// frontier, and events ingested between incremental checks.
+    /// Streaming checker knobs: how many events a judged op stays in memory
+    /// behind the frontier (also sets the default pending grace, 16 x
+    /// window + 1024; it does not change what is checked), and events
+    /// ingested between incremental checks.
     unsigned stream_window{4096};
     unsigned stream_stride{256};
 

@@ -4,11 +4,12 @@
 #include <limits>
 
 #include "linearizability/fast_register.hpp"
+#include "util/check.hpp"
 
 namespace bloom87 {
 namespace {
 
-/// Processor id reserved for the virtual reads appended at retirement;
+/// Processor id reserved for the virtual reads appended when judging;
 /// far above anything the harness hands out.
 constexpr processor_id vread_processor =
     std::numeric_limits<processor_id>::max();
@@ -43,8 +44,7 @@ void streaming_checker::ingest(const event& e) {
     if (violation_) return;
     if (++since_check_ >= cfg_.stride) {
         since_check_ = 0;
-        maybe_retire();
-        if (!violation_) run_check();
+        checkpoint();
     }
 }
 
@@ -125,14 +125,22 @@ bool streaming_checker::passes_from_some_candidate(
     if (last_pass_ >= candidates_.size()) last_pass_ = 0;
     for (std::size_t k = 0; k < candidates_.size(); ++k) {
         const std::size_t i = (last_pass_ + k) % candidates_.size();
+        stats_.ops_checked += ops.size();
         const fast_check_result res = check_fast(ops, candidates_[i]);
         if (res.ok() && res.linearizable) {
             last_pass_ = i;
             return true;
         }
-        if (first_failure->empty()) {
-            *first_failure = res.ok() ? res.diagnosis
-                                      : "checker defect: " + *res.defect;
+        if (!first_failure->empty()) continue;
+        if (res.ok()) {
+            *first_failure = res.diagnosis;
+        } else if (res.defect->starts_with("internal error")) {
+            *first_failure = "checker defect: " + *res.defect;
+        } else {
+            // A history defect is the violation itself: a read of a value
+            // no write in the window produced is a stale read of a judged,
+            // overwritten value (or a corrupted one).
+            *first_failure = *res.defect;
         }
     }
     return false;
@@ -140,9 +148,12 @@ bool streaming_checker::passes_from_some_candidate(
 
 void streaming_checker::run_check() {
     ++stats_.checkpoints;
-    if (retained_.empty() && open_.empty() && pending_.empty()) return;
+    if (judged_ == retained_.size() && open_.empty() && pending_.empty()) {
+        return;
+    }
     std::vector<operation>& ops = check_ops_;
-    ops.assign(retained_.begin(), retained_.end());
+    ops.assign(retained_.begin() + static_cast<std::ptrdiff_t>(judged_),
+               retained_.end());
     ops.insert(ops.end(), pending_.begin(), pending_.end());
     for (const open_op& o : open_) ops.push_back(o.op);
 
@@ -153,9 +164,9 @@ void streaming_checker::run_check() {
          std::to_string(candidates_.size()) + "): " + why);
 }
 
-void streaming_checker::maybe_retire() {
+void streaming_checker::checkpoint() {
     // Declare overdue open operations crashed so an eternally-pending op
-    // (a crashed port) cannot pin the window forever.
+    // (a crashed port) cannot pin either cut forever.
     for (std::size_t i = 0; i < open_.size();) {
         if (open_[i].op.invoked + cfg_.pending_grace < stats_.events) {
             // Only a grace-expired operation may still respond, and only
@@ -167,48 +178,63 @@ void streaming_checker::maybe_retire() {
         }
     }
     stats_.pending_carried = pending_.size();
-    if (retained_.empty()) return;
 
-    // The cut must not split any live operation, and keeps `window` events
-    // of context behind the frontier.
-    std::uint64_t upper =
-        stats_.events > cfg_.window ? stats_.events - cfg_.window : 0;
+    // Neither cut may split an open operation.
+    event_pos first_open = no_event;
     for (const open_op& o : open_) {
-        upper = std::min(upper, static_cast<std::uint64_t>(o.op.invoked));
+        first_open = std::min(first_open, o.op.invoked);
     }
 
-    // retained_ is sorted by responded. Retire the longest prefix [0, k)
-    // whose last response lands before `upper` and before every later
-    // retained invocation -- a quiescent cut in stream position space.
-    const std::size_t n = retained_.size();
-    suffix_min_inv_.assign(n + 1, no_event);
-    for (std::size_t i = n; i > 0; --i) {
-        suffix_min_inv_[i - 1] =
-            std::min(suffix_min_inv_[i],
-                     static_cast<std::uint64_t>(retained_[i - 1].invoked));
+    // Judge up to the frontier: V then accounts for everything before the
+    // judged cut.
+    const std::size_t judged =
+        last_quiescent_cut(std::min(stats_.events, first_open));
+    if (judged > judged_) {
+        judge_through(judged);
+        if (violation_) return;
     }
-    std::size_t best = 0;
-    for (std::size_t k = n; k > 0; --k) {
-        const std::uint64_t resp = retained_[k - 1].responded;
-        if (resp >= upper) continue;
-        if (suffix_min_inv_[k] > resp) {
-            best = k;
-            break;
-        }
+
+    // Retire what is `window` events old. Both cuts pass the same test and
+    // this bound is never above the judge's, so only judged ops retire.
+    const std::uint64_t lag =
+        stats_.events > cfg_.window ? stats_.events - cfg_.window : 0;
+    const std::size_t retire = last_quiescent_cut(std::min(lag, first_open));
+    check(retire <= judged_, "the retirement cut passed the judged cut");
+    if (retire > 0) {
+        retained_.erase(
+            retained_.begin(),
+            retained_.begin() + static_cast<std::ptrdiff_t>(retire));
+        judged_ -= retire;
+        stats_.ops_retired += retire;
+        ++stats_.retire_batches;
+        stats_.retained_ops = retained_.size();
     }
-    if (best > 0) retire_prefix(best);
+
+    run_check();
 }
 
-void streaming_checker::retire_prefix(std::size_t k) {
-    std::vector<operation>& batch = check_ops_;
-    batch.assign(retained_.begin(),
-                 retained_.begin() + static_cast<std::ptrdiff_t>(k));
-    retained_.erase(retained_.begin(),
-                    retained_.begin() + static_cast<std::ptrdiff_t>(k));
+std::size_t streaming_checker::last_quiescent_cut(event_pos upper) const {
+    // retained_ is sorted by responded. The cut after retained_[k - 1] is
+    // quiescent when that op responded before every later retained
+    // invocation -- no retained op spans it.
+    event_pos later_invoked = no_event;  // min over retained_[k, n)
+    for (std::size_t k = retained_.size(); k > 0; --k) {
+        const operation& op = retained_[k - 1];
+        if (op.responded < upper && op.responded < later_invoked) return k;
+        later_invoked = std::min(later_invoked, op.invoked);
+    }
+    return 0;
+}
 
-    // A retiring read that observed a carried pending (crashed) write
+void streaming_checker::judge_through(std::size_t k) {
+    std::vector<operation>& batch = check_ops_;
+    batch.assign(retained_.begin() + static_cast<std::ptrdiff_t>(judged_),
+                 retained_.begin() + static_cast<std::ptrdiff_t>(k));
+
+    // A judged read that observed a carried pending (crashed) write
     // decides that write: materialize it into the batch.
-    for (std::size_t r = 0; r < k; ++r) {
+    const std::size_t reads_end = batch.size();
+    for (std::size_t r = 0; r < reads_end; ++r) {
         if (batch[r].kind != op_kind::read) continue;
         auto it = std::find_if(
             pending_.begin(), pending_.end(), [&](const operation& w) {
@@ -225,7 +251,7 @@ void streaming_checker::retire_prefix(std::size_t k) {
     // value u -- probed by appending a virtual read of u after the batch.
     //
     // The universe of possible u is pruned before probing (this is what
-    // keeps retirement O(batch), not O(batch^2)): writes are totally
+    // keeps judging O(batch), not O(batch^2)): writes are totally
     // ordered among themselves, so a write real-time-followed by another
     // write (some write invoked after its response) can never linearize
     // last -- only the real-time-maximal writes are eligible, and there
@@ -265,6 +291,7 @@ void streaming_checker::retire_prefix(std::size_t k) {
     for (const value_t u : universe) {
         vread.value = u;
         for (const value_t v : candidates_) {
+            stats_.ops_checked += batch.size();
             const fast_check_result res = check_fast(batch, v);
             if (res.ok() && res.linearizable) {
                 next.push_back(u);
@@ -280,10 +307,10 @@ void streaming_checker::retire_prefix(std::size_t k) {
         batch.pop_back();  // the virtual read
         std::string why;
         if (passes_from_some_candidate(batch, &why)) {
-            flag("internal error: no candidate current value survived "
-                 "retirement");
+            flag("internal error: no candidate current value survived the "
+                 "judged batch");
         } else {
-            flag("retiring batch not linearizable against any candidate "
+            flag("judged batch not linearizable against any candidate "
                  "current value (|V|=" +
                  std::to_string(candidates_.size()) + "): " + why);
         }
@@ -291,10 +318,7 @@ void streaming_checker::retire_prefix(std::size_t k) {
     }
     candidates_ = std::move(next);
     last_pass_ = 0;
-
-    stats_.ops_retired += k;
-    ++stats_.retire_batches;
-    stats_.retained_ops = retained_.size();
+    judged_ = k;
     stats_.candidate_values = candidates_.size();
     stats_.pending_carried = pending_.size();
 }

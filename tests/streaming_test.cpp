@@ -251,41 +251,43 @@ TEST(StreamingChecker, MatchesBatchOnCleanRuns) {
 // move a verdict), and the diagnosis is the checker's, never an internal
 // error.
 TEST(StreamingChecker, CatchesInjectedFaultsMidStream) {
-    constexpr unsigned windows[] = {0, 8, 64};
+    // Window 4096 outlasts every run: nothing retires before detection, so
+    // the judged cut runs far ahead of the retirement cut.
+    constexpr unsigned windows[] = {0, 8, 64, 4096};
     constexpr unsigned strides[] = {1, 16, 64};
     struct row {
         fault_class cls;
         std::uint64_t seed;
-        std::uint64_t detection_pos[3][3];  ///< [window][stride]
+        std::uint64_t detection_pos[4][3];  ///< [window][stride]
     };
     const row golden[] = {
         {fault_class::stale_read,
          3,
-         {{42, 48, 64}, {42, 48, 64}, {42, 48, 64}}},
+         {{42, 48, 64}, {42, 48, 64}, {42, 48, 64}, {42, 48, 64}}},
         {fault_class::stale_read,
          7,
-         {{84, 96, 128}, {84, 96, 128}, {84, 96, 128}}},
+         {{84, 96, 128}, {84, 96, 128}, {84, 96, 128}, {84, 96, 128}}},
         {fault_class::lost_write,
          3,
-         {{28, 32, 64}, {28, 32, 64}, {28, 32, 64}}},
+         {{28, 32, 64}, {28, 32, 64}, {28, 32, 64}, {28, 32, 64}}},
         {fault_class::lost_write,
          7,
-         {{102, 112, 128}, {102, 112, 128}, {102, 112, 128}}},
+         {{102, 112, 128}, {102, 112, 128}, {102, 112, 128}, {102, 112, 128}}},
         {fault_class::torn_value,
          3,
-         {{28, 32, 64}, {28, 32, 64}, {28, 32, 64}}},
+         {{28, 32, 64}, {28, 32, 64}, {28, 32, 64}, {28, 32, 64}}},
         {fault_class::torn_value,
          7,
-         {{102, 112, 128}, {102, 112, 128}, {102, 112, 128}}},
+         {{102, 112, 128}, {102, 112, 128}, {102, 112, 128}, {102, 112, 128}}},
         {fault_class::delayed_visibility,
          3,
-         {{28, 32, 64}, {28, 32, 64}, {28, 32, 64}}},
+         {{28, 32, 64}, {28, 32, 64}, {28, 32, 64}, {28, 32, 64}}},
         {fault_class::delayed_visibility,
          7,
-         {{102, 112, 128}, {102, 112, 128}, {102, 112, 128}}},
+         {{102, 112, 128}, {102, 112, 128}, {102, 112, 128}, {102, 112, 128}}},
     };
     for (const row& r : golden) {
-        for (std::size_t w = 0; w < 3; ++w) {
+        for (std::size_t w = 0; w < 4; ++w) {
             for (std::size_t s = 0; s < 3; ++s) {
                 run_spec spec = faulty_stream_spec(r.cls, r.seed);
                 spec.stream_window = windows[w];
@@ -388,6 +390,11 @@ TEST(StreamingChecker, ReadCommitsTheWriteOrderAcrossRetirement) {
     EXPECT_GT(chk.stats().ops_retired, 0u);
     read_of(chk, 2, 3, 202);  // 202 was overwritten before the first read
     EXPECT_TRUE(chk.finish()) << "stale read of a retired value survived";
+    // A stale read is a violation of the history, not of the checker.
+    EXPECT_NE(chk.diagnosis().find("no write produced"), std::string::npos)
+        << chk.diagnosis();
+    EXPECT_EQ(chk.diagnosis().find("checker defect"), std::string::npos)
+        << chk.diagnosis();
 }
 
 // Sequential (non-overlapping) writes leave exactly one candidate; reading
@@ -403,6 +410,10 @@ TEST(StreamingChecker, SequentialWritesLeaveOneCandidate) {
     EXPECT_GT(chk.stats().ops_retired, 0u);
     read_of(chk, 2, 3, 101);
     EXPECT_TRUE(chk.finish()) << "read of the overwritten value survived";
+    EXPECT_NE(chk.diagnosis().find("no write produced"), std::string::npos)
+        << chk.diagnosis();
+    EXPECT_EQ(chk.diagnosis().find("checker defect"), std::string::npos)
+        << chk.diagnosis();
 }
 
 // A write whose port crashed (invocation, never a response) is declared
@@ -559,8 +570,8 @@ TEST(PinnedOutputs, FastWitnessOnLedgerHistory) {
 
 // The `verified` settings (window = stride = 4096) over the ledger history
 // with one write's response cut out: the writer's next invocation makes it
-// pending, and a later read decides it. Verdict and every retirement
-// counter are pinned.
+// pending, and a later read decides it. Verdict, every retirement counter
+// and the ops handed to check_fast are pinned.
 TEST(PinnedOutputs, StreamingStatsAtVerifiedSettings) {
     const run_result& res = ledger_shaped_run();
     ASSERT_TRUE(res.ok) << res.error;
@@ -603,6 +614,27 @@ TEST(PinnedOutputs, StreamingStatsAtVerifiedSettings) {
     EXPECT_EQ(s.peak_retained_ops, 4100u);
     EXPECT_EQ(s.candidate_values, 1u);
     EXPECT_EQ(s.pending_carried, 0u);
+    EXPECT_EQ(s.ops_checked, 136554u);
+}
+
+// Each completed op reaches check_fast about once, whatever the stride:
+// the judged cut follows the frontier, and retirement probes nothing.
+TEST(StreamingChecker, EachOpIsCheckedAboutOnce) {
+    const run_result& res = ledger_shaped_run();
+    ASSERT_TRUE(res.ok) << res.error;
+    for (const std::size_t stride : {4096, 256, 64}) {
+        streaming_config cfg;
+        cfg.window = 4096;
+        cfg.stride = stride;
+        streaming_checker chk(0, cfg);
+        for (const event& e : res.events) chk.ingest(e);
+        ASSERT_FALSE(chk.finish()) << chk.diagnosis();
+        const streaming_stats& s = chk.stats();
+        EXPECT_LE(static_cast<double>(s.ops_checked),
+                  1.25 * static_cast<double>(s.ops_completed))
+            << "stride " << stride << ": " << s.ops_checked
+            << " ops checked for " << s.ops_completed << " completed";
+    }
 }
 
 // ------------------------------------------------------- spec validation --
