@@ -80,9 +80,11 @@ constexpr site_contract repair_sites[] = {
 
 constexpr site_contract thread_log_sites[] = {
     // Per-thread SPSC rings: the producer publishes records with one
-    // release store of head_ (acquired by the merger's peek); the
-    // backpressure check acquires tail_. The global seq stamp is a relaxed
-    // fetch_add -- the only cross-thread write on the record path.
+    // release store of head_ (acquired by the merger's peek); the merger
+    // hands slots back with one release store of tail_ per batch (and
+    // before it waits), which the backpressure check acquires. The global
+    // seq stamp is a relaxed fetch_add -- the only cross-thread write on
+    // the record path.
     {"next_", "fetch_add", "relaxed", site_discipline::relaxed_stat},
     {"next_", "load", "relaxed", site_discipline::relaxed_stat},
     {"head_", "load", "acquire,relaxed", site_discipline::acq_rel},

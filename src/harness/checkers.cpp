@@ -116,12 +116,11 @@ check_verdict run_one(checker_kind kind, const history& h, value_t initial,
             break;
         }
         case checker_kind::fast: {
-            const fast_check_result r = check_fast(h.ops, initial);
+            fast_checker checker;
+            const fast_check_result r = checker.check(h.ops, initial);
             v.ran = true;
             v.pass = r.ok() && r.linearizable;
-            if (!v.pass) {
-                v.diagnosis = r.defect.has_value() ? *r.defect : r.diagnosis;
-            }
+            if (!v.pass) v.diagnosis = r.failure();
             break;
         }
         case checker_kind::exhaustive: {

@@ -20,7 +20,10 @@
 //    copy says "full" (producer) or "empty" (consumer). `ring_merger`
 //    stitches the rings into one stream by ascending seq, LIVE: per-ring
 //    seqs increase, so the minimum head is safe to emit as soon as every
-//    unfinished ring is non-empty.
+//    unfinished ring is non-empty. The merger hands a ring's slots back
+//    in batches (one release store of tail_ per quarter ring), and before
+//    it waits or returns, so a blocked producer is not polling a line the
+//    consumer writes once per event.
 //
 // Determinism: under the seeded single-thread schedule, seq assignment is
 // a pure function of the spec, so the merged history is byte-identical
@@ -165,8 +168,11 @@ public:
 
     // ---- consumer side (one thread) ----
 
-    [[nodiscard]] bool peek(stamped_event* out) noexcept {
-        const std::uint64_t t = tail_.load(std::memory_order_relaxed);
+    /// Reads the record `ahead` slots past the tail without consuming it;
+    /// false when the producer has not published that far. A consumer that
+    /// holds records it already used (not yet popped) peeks past them.
+    [[nodiscard]] bool peek(stamped_event* out, std::size_t ahead = 0) noexcept {
+        const std::uint64_t t = tail_.load(std::memory_order_relaxed) + ahead;
         // >=, not ==: a consumer that pops without peeking (it knows what
         // was pushed) can move t past the copy.
         if (t >= head_seen_) {
@@ -177,9 +183,11 @@ public:
         return true;
     }
 
-    void pop() noexcept {
+    /// Hands the `n` oldest records' slots back to the producer with one
+    /// release store.
+    void pop(std::size_t n = 1) noexcept {
         const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-        tail_.store(t + 1, std::memory_order_release);
+        tail_.store(t + n, std::memory_order_release);
     }
 
     [[nodiscard]] bool finished() const noexcept {
@@ -222,48 +230,80 @@ private:
 /// next() blocks (yielding) while any unfinished ring is empty -- an empty
 /// live ring may still publish a smaller seq than every current head, so
 /// emitting early would break the global order. Liveness holds because
-/// producers publish each record immediately after drawing its stamp.
+/// producers publish each record immediately after drawing its stamp, and
+/// the merger hands back every slot it holds before it waits: a producer
+/// blocked on a full ring then waits only for records the merger has not
+/// emitted yet.
+///
+/// An emitted record's slot is held, not freed, until its ring's batch
+/// (a quarter of the ring) is full: one release store per batch instead of
+/// one per event, on the line blocked producers poll. A producer's view of
+/// the free room only lags, so its reserve() at an operation boundary
+/// still guarantees that the operation's pushes never block; merged order
+/// is still a pure function of the stamps.
 class ring_merger {
 public:
-    explicit ring_merger(std::span<event_ring* const> rings)
-        : rings_(rings.begin(), rings.end()) {}
+    explicit ring_merger(std::span<event_ring* const> rings) {
+        sources_.reserve(rings.size());
+        for (event_ring* r : rings) sources_.push_back({r, 0, r->capacity() / 4});
+    }
 
     /// Emits the next event in global seq order; false when every ring is
-    /// finished and drained.
+    /// finished and drained (every slot handed back).
     bool next(stamped_event* out) {
         for (;;) {
             bool waiting = false;
-            std::size_t best = rings_.size();
+            std::size_t best = sources_.size();
             stamped_event best_se{};
-            for (std::size_t i = 0; i < rings_.size(); ++i) {
+            for (std::size_t i = 0; i < sources_.size(); ++i) {
+                source& s = sources_[i];
                 stamped_event se;
-                if (!rings_[i]->peek(&se)) {
-                    if (!rings_[i]->finished()) {
+                if (!s.ring->peek(&se, s.held)) {
+                    if (!s.ring->finished()) {
                         waiting = true;
                         break;
                     }
                     // finish() is released after the last push: one
                     // re-peek catches a record published just before it.
-                    if (!rings_[i]->peek(&se)) continue;
+                    if (!s.ring->peek(&se, s.held)) continue;
                 }
-                if (best == rings_.size() || se.seq < best_se.seq) {
+                if (best == sources_.size() || se.seq < best_se.seq) {
                     best = i;
                     best_se = se;
                 }
             }
-            if (waiting) {
+            if (waiting || best == sources_.size()) {
+                hand_back_all();
+                if (!waiting) return false;  // all drained
                 std::this_thread::yield();
                 continue;
             }
-            if (best == rings_.size()) return false;  // all drained
-            rings_[best]->pop();
+            source& s = sources_[best];
+            if (++s.held == s.batch) {
+                s.ring->pop(s.held);
+                s.held = 0;
+            }
             *out = best_se;
             return true;
         }
     }
 
 private:
-    std::vector<event_ring*> rings_;
+    struct source {
+        event_ring* ring;
+        std::size_t held;   ///< emitted records whose slots are not back yet
+        std::size_t batch;  ///< hand back once this many are held
+    };
+
+    void hand_back_all() noexcept {
+        for (source& s : sources_) {
+            if (s.held == 0) continue;
+            s.ring->pop(s.held);
+            s.held = 0;
+        }
+    }
+
+    std::vector<source> sources_;
 };
 
 }  // namespace bloom87

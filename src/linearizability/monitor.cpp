@@ -70,20 +70,18 @@ monitor_verdict atomicity_monitor::verify() const {
         return out;
     }
     out.operations = parsed.hist.ops.size();
-    const fast_check_result res = check_fast(parsed.hist.ops, initial_);
-    if (!res.ok()) {
-        out.diagnosis = "checker defect: " + *res.defect;
-        return out;
-    }
-    out.atomic = res.linearizable;
-    if (!out.atomic) out.diagnosis = res.diagnosis;
+    fast_checker checker;
+    const fast_check_result res = checker.check(parsed.hist.ops, initial_);
+    out.atomic = res.ok() && res.linearizable;
+    if (!out.atomic) out.diagnosis = res.failure();
     return out;
 }
 
 namespace {
 
 /// Checks events[0..n); fills `diagnosis` and returns true on violation.
-[[nodiscard]] bool prefix_violates(const std::vector<event>& events,
+[[nodiscard]] bool prefix_violates(fast_checker& checker,
+                                   const std::vector<event>& events,
                                    std::size_t n, value_t initial,
                                    std::string* diagnosis) {
     const parse_result parsed = parse_history(
@@ -93,16 +91,10 @@ namespace {
         *diagnosis = "malformed history: " + parsed.error->message;
         return true;
     }
-    const fast_check_result res = check_fast(parsed.hist.ops, initial);
-    if (!res.ok()) {
-        *diagnosis = "checker defect: " + *res.defect;
-        return true;
-    }
-    if (!res.linearizable) {
-        *diagnosis = res.diagnosis;
-        return true;
-    }
-    return false;
+    const fast_check_result res = checker.check(parsed.hist.ops, initial);
+    if (res.ok() && res.linearizable) return false;
+    *diagnosis = res.failure();
+    return true;
 }
 
 }  // namespace
@@ -110,7 +102,9 @@ namespace {
 std::optional<violating_prefix> minimal_violating_prefix(
     const std::vector<event>& events, value_t initial) {
     violating_prefix out;
-    if (!prefix_violates(events, events.size(), initial, &out.diagnosis)) {
+    fast_checker checker;
+    if (!prefix_violates(checker, events, events.size(), initial,
+                         &out.diagnosis)) {
         return std::nullopt;
     }
     // Invariant: prefix `hi` violates, prefix `lo` does not.
@@ -119,7 +113,7 @@ std::optional<violating_prefix> minimal_violating_prefix(
     while (hi - lo > 1) {
         const std::size_t mid = lo + (hi - lo) / 2;
         std::string diagnosis;
-        if (prefix_violates(events, mid, initial, &diagnosis)) {
+        if (prefix_violates(checker, events, mid, initial, &diagnosis)) {
             hi = mid;
             out.diagnosis = std::move(diagnosis);
         } else {

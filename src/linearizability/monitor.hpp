@@ -116,11 +116,12 @@ struct violating_prefix {
 /// Culprit localization for a run the streaming checker flagged: binary
 /// search over the prefix length of `events` for the minimal violating
 /// prefix. Valid because linearizability is prefix-closed -- a violating
-/// prefix stays violating under extension. A parse failure or checker
+/// prefix stays violating under extension. A parse failure or history
 /// defect on a prefix (a read of a value no write produced, a duplicate
-/// write) counts as a violation: under substrate fault injection that is
-/// exactly how torn values surface. nullopt when the whole history checks
-/// atomic.
+/// write) counts as a violation and is named as such: under substrate
+/// fault injection that is exactly how torn values surface. Only the fast
+/// checker's internal error reads "checker defect: ...". nullopt when the
+/// whole history checks atomic.
 [[nodiscard]] std::optional<violating_prefix> minimal_violating_prefix(
     const std::vector<event>& events, value_t initial);
 

@@ -12,14 +12,14 @@
 //    linearization after every operation that overlaps it.
 //
 // Also validates the unique-writes discipline the fast checker relies on.
-// One sort of (value, index) pairs over the writes and complete reads does
-// all of it: each run of equal values says whether the value was written
-// twice or is the initial value, whether some read returned it, and whether
-// a read returned a value no write produced.
+// One open-addressing table keyed by value does all of it: a scan of the
+// writes in raw order meets a value's first write (which claims its slot),
+// a second write of it, or a write of the initial value; the complete reads
+// then find their value's first write, mark it observed, or name a value no
+// write produced. Expected O(N) with no sort, however the values spread.
 #pragma once
 
-#include <cstddef>
-#include <limits>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,24 +44,45 @@ struct normalized_history {
     const std::vector<operation>& raw, value_t initial,
     bool require_unique_writes = true);
 
-/// normalize_history without the copies: the surviving raw indices, and
-/// for each survivor the write it carries the value of.
-struct normalized_index {
-    static constexpr std::size_t no_source =
-        std::numeric_limits<std::size_t>::max();
+/// normalize_history without the copies, reusable: its table and outputs
+/// live as long as the object, so a caller that normalizes often allocates
+/// only when a history outgrows every earlier one.
+class normalizer {
+public:
+    static constexpr std::uint32_t no_source = UINT32_MAX;
 
-    std::vector<std::size_t> kept;  ///< raw indices of the survivors, raw order
+    /// Normalizes `raw`: nullptr, or the defect (a static message) that
+    /// normalize_history would report.
+    [[nodiscard]] const char* run(const std::vector<operation>& raw,
+                                  value_t initial, bool require_unique_writes);
+
+    /// Raw indices of the survivors, in raw order.
+    [[nodiscard]] const std::vector<std::uint32_t>& kept() const noexcept {
+        return kept_;
+    }
     /// Per survivor (unique writes only): for a write, its own position in
-    /// `kept`; for a read, the position in `kept` of the one write of its
-    /// value, or `no_source` when it returned the initial value.
-    std::vector<std::size_t> source;
-    std::optional<std::string> defect;
+    /// kept(); for a read, the position in kept() of the one write of its
+    /// value, or no_source when it returned the initial value.
+    [[nodiscard]] const std::vector<std::uint32_t>& source() const noexcept {
+        return source_;
+    }
 
-    [[nodiscard]] bool ok() const noexcept { return !defect.has_value(); }
+private:
+    /// One distinct value of the run's writes and complete reads.
+    struct slot {
+        value_t value;
+        std::uint32_t write;  ///< raw index of its first write, or no_source
+        std::uint32_t state;  ///< used_bit | read_bit
+    };
+
+    std::vector<slot> table_;
+    /// Per raw op: its value's slot (writes and complete reads; no_source
+    /// for a pending read), then, once scanned, a read's write (raw index)
+    /// and a kept write's position in kept_.
+    std::vector<std::uint32_t> link_;
+    std::vector<std::uint8_t> shape_;  ///< per raw op: is write, is complete
+    std::vector<std::uint32_t> kept_;
+    std::vector<std::uint32_t> source_;
 };
-
-[[nodiscard]] normalized_index normalize_indices(
-    const std::vector<operation>& raw, value_t initial,
-    bool require_unique_writes);
 
 }  // namespace bloom87

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "linearizability/fast_register.hpp"
 #include "util/check.hpp"
 
 namespace bloom87 {
@@ -126,22 +125,15 @@ bool streaming_checker::passes_from_some_candidate(
     for (std::size_t k = 0; k < candidates_.size(); ++k) {
         const std::size_t i = (last_pass_ + k) % candidates_.size();
         stats_.ops_checked += ops.size();
-        const fast_check_result res = check_fast(ops, candidates_[i]);
+        const fast_check_result res = fast_.check(ops, candidates_[i]);
         if (res.ok() && res.linearizable) {
             last_pass_ = i;
             return true;
         }
-        if (!first_failure->empty()) continue;
-        if (res.ok()) {
-            *first_failure = res.diagnosis;
-        } else if (res.defect->starts_with("internal error")) {
-            *first_failure = "checker defect: " + *res.defect;
-        } else {
-            // A history defect is the violation itself: a read of a value
-            // no write in the window produced is a stale read of a judged,
-            // overwritten value (or a corrupted one).
-            *first_failure = *res.defect;
-        }
+        // A history defect is the violation itself: a read of a value no
+        // write in the window produced is a stale read of a judged,
+        // overwritten value (or a corrupted one).
+        if (first_failure->empty()) *first_failure = res.failure();
     }
     return false;
 }
@@ -292,7 +284,7 @@ void streaming_checker::judge_through(std::size_t k) {
         vread.value = u;
         for (const value_t v : candidates_) {
             stats_.ops_checked += batch.size();
-            const fast_check_result res = check_fast(batch, v);
+            const fast_check_result res = fast_.check(batch, v);
             if (res.ok() && res.linearizable) {
                 next.push_back(u);
                 break;

@@ -67,13 +67,15 @@
 // Memory: O(window + ports + |V|) operations, independent of run length.
 // Work: one probe of each judged batch and one check of the short tail
 // after the judged cut every `stride` events -- the checker chases writers
-// at load instead of buffering the run. On the benchmark ledger's recorded
-// history at window = stride = 4096 that is 129-144 ns per ingested event
-// (`linearizability.ingest_ns_per_event` in `bash benchmark/run.sh
-// --workload verified --trace 1`, 3 runs; 4-core x86-64, GCC 12.2,
-// RelWithDebInfo), with each completed op handed to check_fast about 1.1
-// times (`stats().ops_checked`: 136,554 for 119,999 completed ops in
-// streaming_test's StreamingStatsAtVerifiedSettings).
+// at load instead of buffering the run. Every probe and check runs on one
+// fast_checker, whose work arrays are reused across them. On the benchmark
+// ledger's recorded history at window = stride = 4096 that is 114-179 ns
+// per ingested event, median 144 (`linearizability.ingest_ns_per_event` in
+// `bash benchmark/run.sh --workload verified --seconds 5 --trace 1`, 6
+// runs; 4-core x86-64, GCC 12.2, RelWithDebInfo), with each completed op
+// handed to check_fast about 1.1 times (`stats().ops_checked`: 136,554 for
+// 119,999 completed ops in streaming_test's
+// StreamingStatsAtVerifiedSettings).
 #pragma once
 
 #include <cstdint>
@@ -82,6 +84,7 @@
 
 #include "histories/events.hpp"
 #include "histories/history.hpp"
+#include "linearizability/fast_register.hpp"
 
 namespace bloom87 {
 
@@ -186,6 +189,8 @@ private:
     /// Reused per check: the ops handed to check_fast (the ops after the
     /// judged cut, or the judged batch plus its virtual read).
     std::vector<operation> check_ops_;
+    /// Runs every probe and check, reusing its work arrays across them.
+    fast_checker fast_;
 
     bool violation_{false};
     std::string diagnosis_;

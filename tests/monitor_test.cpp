@@ -50,6 +50,27 @@ TEST(Monitor, CatchesStaleRead) {
     EXPECT_FALSE(v.diagnosis.empty());
 }
 
+// verify() names a torn read as the history's violation, not as a bug in
+// the checker.
+TEST(Monitor, TornReadIsAViolationNotACheckerDefect) {
+    atomicity_monitor mon(0);
+    auto w0 = mon.make_port(0);
+    auto w1 = mon.make_port(1);
+    auto r = mon.make_port(2);
+    w0.begin_write(0x0F);
+    w0.end_write();
+    w1.begin_write(0xF0);
+    w1.end_write();
+    r.begin_read();
+    r.end_read(0xFF);  // neither write produced 0xFF
+    const auto v = mon.verify();
+    EXPECT_FALSE(v.atomic);
+    EXPECT_NE(v.diagnosis.find("no write produced"), std::string::npos)
+        << v.diagnosis;
+    EXPECT_EQ(v.diagnosis.find("checker defect"), std::string::npos)
+        << v.diagnosis;
+}
+
 TEST(Monitor, PendingOperationTreatedAsCrash) {
     atomicity_monitor mon(0);
     auto w = mon.make_port(0);
@@ -199,9 +220,9 @@ TEST(MinimalPrefix, LaterEventsDoNotMoveTheCulprit) {
     EXPECT_TRUE(later->culprit == first->culprit);
 }
 
-// A read of a value no write produced (a torn word) surfaces as a checker
-// defect on the parsed prefix; it counts as a violation, not an internal
-// error.
+// A read of a value no write produced (a torn word) surfaces as a history
+// defect on the parsed prefix; it counts as a violation and is named as
+// one, not as a checker defect.
 TEST(MinimalPrefix, TornValueSurfacesAsViolation) {
     std::vector<event> h;
     append_write(h, 0, 0, 0x0F);
@@ -209,7 +230,10 @@ TEST(MinimalPrefix, TornValueSurfacesAsViolation) {
     append_read(h, 2, 0, 0xFF);  // neither write produced 0xFF
     const auto found = minimal_violating_prefix(h, 0);
     ASSERT_TRUE(found.has_value());
-    EXPECT_FALSE(found->diagnosis.empty());
+    EXPECT_NE(found->diagnosis.find("no write produced"), std::string::npos)
+        << found->diagnosis;
+    EXPECT_EQ(found->diagnosis.find("checker defect"), std::string::npos)
+        << found->diagnosis;
     EXPECT_EQ(found->culprit.processor, 2);
 }
 

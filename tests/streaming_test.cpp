@@ -161,6 +161,43 @@ TEST(ThreadLog, LiveMergeWrapsSmallRings) {
     EXPECT_EQ(se.e.op, 2u);
 }
 
+// The merger hands a ring's slots back in batches of at most a quarter ring,
+// and before next() returns false: after k records of a ring are emitted its
+// producer sees at least k - capacity/4 free slots, and once the merge is
+// over every slot of every ring is back.
+TEST(ThreadLog, MergerHandsSlotsBackPerBatch) {
+    event_ring a(16);
+    event_ring b(16);
+    const std::size_t cap = a.capacity();
+    ASSERT_EQ(cap, 16u);
+    seq_source seqs;
+    // This thread produces both rings: a full ring a, then three records on
+    // b stamped after all of a's, so the merger emits a's first and never
+    // waits.
+    while (a.try_reserve(1)) a.push(seqs.draw(), inv_r(0, 0));
+    for (int i = 0; i < 3; ++i) b.push(seqs.draw(), inv_r(1, 0));
+    event_ring* rings[] = {&a, &b};
+    ring_merger merger(rings);
+    stamped_event se;
+    for (std::size_t k = 1; k <= cap; ++k) {
+        ASSERT_TRUE(merger.next(&se));
+        ASSERT_EQ(se.e.processor, processor_id{0});
+        if (k > cap / 4) {
+            EXPECT_TRUE(a.try_reserve(k - cap / 4))
+                << k << " records emitted, fewer slots freed";
+        }
+    }
+    // Fewer than a batch more on a: both rings end with slots held.
+    for (int i = 0; i < 2; ++i) a.push(seqs.draw(), inv_r(0, 1));
+    a.finish();
+    b.finish();
+    std::size_t rest = 0;
+    while (merger.next(&se)) ++rest;
+    EXPECT_EQ(rest, 5u);
+    EXPECT_TRUE(a.try_reserve(cap)) << "a slot of ring a stayed held";
+    EXPECT_TRUE(b.try_reserve(cap)) << "a slot of ring b stayed held";
+}
+
 // Real concurrency through the per-processor buffers: the stamp merge of a
 // threads-mode run still parses and checks atomic (the fetch_add order is a
 // legal serialization of the recording instants).
@@ -566,6 +603,73 @@ TEST(PinnedOutputs, FastWitnessOnLedgerHistory) {
     EXPECT_EQ(fast.witness.size(), 120000u);
     EXPECT_EQ(witness_hash(fast.witness), 0xac0a3729b4741cb9ULL)
         << std::hex << witness_hash(fast.witness);
+}
+
+[[nodiscard]] operation make_op(processor_id proc, op_index idx, op_kind kind,
+                                value_t v, event_pos inv, event_pos resp) {
+    operation op;
+    op.id = op_id{proc, idx};
+    op.kind = kind;
+    op.value = v;
+    op.invoked = inv;
+    op.responded = resp;
+    return op;
+}
+
+// One fast_checker over histories that grow and shrink and mix every
+// outcome answers each exactly as a fresh check_fast does: no state left
+// in its work arrays by one check reaches the next.
+TEST(FastChecker, ReusedMatchesFresh) {
+    const run_result& res = ledger_shaped_run();
+    ASSERT_TRUE(res.ok) << res.error;
+    const parse_result parsed = parse_history(res.events, 0);
+    ASSERT_TRUE(parsed.ok());
+    const std::vector<operation>& ledger = parsed.hist.ops;
+    ASSERT_GE(ledger.size(), 20000u);
+    const auto slice = [&](std::size_t from, std::size_t count) {
+        const auto b = ledger.begin() + static_cast<std::ptrdiff_t>(from);
+        return std::vector<operation>(b, b + static_cast<std::ptrdiff_t>(count));
+    };
+    constexpr op_kind w = op_kind::write;
+    constexpr op_kind r = op_kind::read;
+    const std::vector<operation> clean{  // linearizes as w(2) r(2) w(1) r(1)
+        make_op(0, 0, w, 1, 0, 3), make_op(1, 0, w, 2, 1, 5),
+        make_op(2, 0, r, 2, 2, 4), make_op(2, 1, r, 1, 6, 7)};
+    const std::vector<operation> cyclic{  // 1 reappears after 2 was read
+        make_op(0, 0, w, 1, 0, 1), make_op(1, 0, w, 2, 2, 3),
+        make_op(2, 0, r, 2, 4, 5), make_op(2, 1, r, 1, 6, 7)};
+    const std::vector<operation> duplicate{
+        make_op(0, 0, w, 5, 0, 1), make_op(1, 0, w, 5, 2, 3)};
+    const std::vector<operation> writes_initial{
+        make_op(0, 0, w, 3, 0, 1), make_op(1, 0, w, 0, 2, 3)};
+    const std::vector<operation> unwritten{
+        make_op(0, 0, w, 0x0F, 0, 1), make_op(2, 0, r, 0xFF, 2, 3)};
+    const std::vector<operation> from_future{
+        make_op(2, 0, r, 1, 0, 1), make_op(0, 0, w, 1, 2, 3)};
+    const std::vector<operation> pending_decided{
+        make_op(0, 0, w, 1, 0, no_event), make_op(2, 0, r, 1, 1, 2),
+        make_op(1, 0, w, 3, 3, 4), make_op(2, 1, r, 3, 5, 6)};
+    const std::vector<operation> cases[] = {
+        slice(0, 20000), clean, slice(0, 300), cyclic, slice(0, 5000),
+        duplicate, slice(1000, 2000), writes_initial, {}, unwritten,
+        slice(0, 12000), from_future, pending_decided, slice(0, 20),
+        cyclic, slice(0, 20000), clean};
+    fast_checker reused;
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+        const std::vector<operation>& h = cases[c];
+        const fast_check_result got = reused.check(h, 0);
+        const fast_check_result want = check_fast(h, 0);
+        EXPECT_EQ(got.linearizable, want.linearizable) << "case " << c;
+        EXPECT_EQ(got.diagnosis, want.diagnosis) << "case " << c;
+        EXPECT_EQ(got.defect, want.defect) << "case " << c;
+        EXPECT_TRUE(got.witness.empty()) << "case " << c;
+        const std::vector<const operation*>& seq = reused.witness();
+        ASSERT_EQ(seq.size(), want.witness.size()) << "case " << c;
+        for (std::size_t k = 0; k < seq.size(); ++k) {
+            ASSERT_TRUE(seq[k]->id == want.witness[k].id)
+                << "case " << c << ", witness position " << k;
+        }
+    }
 }
 
 // The `verified` settings (window = stride = 4096) over the ledger history
