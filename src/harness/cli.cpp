@@ -255,10 +255,6 @@ void common_flags::add_to(flag_parser& p) {
                    &clients);
     p.add_uint64("client-pace-ns", "per-client inter-arrival time",
                  &client_pace_ns);
-    p.add_string("ring-policy",
-                 "per-thread ring backpressure: block (stall producers) or "
-                 "drop (shed whole ops, counted in the report)",
-                 &ring_policy);
     p.add_size("net-servers", "replica count for net/ compositions",
                &net_servers);
 }
@@ -327,12 +323,6 @@ run_spec common_flags::to_spec() const {
     spec.stream_stride = stream_stride;
     spec.clients = clients;
     spec.client_pace_ns = client_pace_ns;
-    if (ring_policy == "drop") {
-        spec.ring = bloom87::harness::ring_policy::drop;
-    } else if (ring_policy != "block") {
-        std::cerr << "warning: unknown --ring-policy '" << ring_policy
-                  << "' ignored (known: block, drop)\n";
-    }
     spec.net_servers = net_servers;
 
     // Scripted runs record their gamma. Timed runs collect nothing --

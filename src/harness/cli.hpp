@@ -121,9 +121,6 @@ struct common_flags {
     unsigned clients{0};
     std::uint64_t client_pace_ns{1000000};
 
-    /// per_thread ring backpressure: "block" (stall producers) or "drop"
-    /// (shed whole ops, counted in the report).
-    std::string ring_policy{"block"};
     /// Replica count for net/ compositions.
     std::size_t net_servers{3};
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -83,7 +85,7 @@ public:
         }
         const workload_op& op = (*script_)[cursor_++];
         ++op_counter_;
-        if (!ring_space()) return true;  // dropped; the client's slot is spent
+        ring_space();
         if (op.kind == op_kind::write) {
             do_write(op.value);
         } else {
@@ -98,7 +100,7 @@ public:
     void rewind() noexcept { cursor_ = 0; }
 
     void reset_counters() noexcept {
-        reads_ = writes_ = crashes_ = dropped_ = 0;
+        reads_ = writes_ = crashes_ = 0;
         hist_.clear();
     }
 
@@ -107,25 +109,16 @@ public:
     [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }
     [[nodiscard]] std::uint64_t writes() const noexcept { return writes_; }
     [[nodiscard]] std::uint64_t crashes() const noexcept { return crashes_; }
-    [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
     [[nodiscard]] const latency_histogram& hist() const noexcept {
         return hist_;
     }
 
 private:
     /// Backpressure lands HERE, between operations, never inside one (see
-    /// event_ring::reserve). Returns false when the drop policy sheds the
-    /// op: it is skipped ENTIRELY -- executing it unrecorded would hand
-    /// the checkers a history with invisible writes.
-    [[nodiscard]] bool ring_space() {
-        if (rec_.ring == nullptr) return true;
-        if (spec_->ring == ring_policy::drop) {
-            if (rec_.ring->try_reserve(2)) return true;
-            ++dropped_;
-            return false;
-        }
-        rec_.ring->reserve(2);
-        return true;
+    /// event_ring::reserve): a full ring stalls the producer until the
+    /// merge drains it.
+    void ring_space() {
+        if (rec_.ring != nullptr) rec_.ring->reserve(2);
     }
 
     void run_op(const workload_op& op) {
@@ -133,7 +126,7 @@ private:
             spec_->latency_sample_every != 0 &&
             op_counter_ % spec_->latency_sample_every == 0;
         ++op_counter_;
-        if (!ring_space()) return;
+        ring_space();
         const std::uint64_t t0 = sample ? now_ns() : 0;
         if (op.kind == op_kind::write) {
             do_write(op.value);
@@ -243,7 +236,6 @@ private:
     std::uint64_t reads_{0};
     std::uint64_t writes_{0};
     std::uint64_t crashes_{0};
-    std::uint64_t dropped_{0};
     latency_histogram hist_;
 };
 
@@ -400,10 +392,11 @@ run_result run(const run_spec& spec) {
     // colliding with the per-processor workload seed stream.
     std::uint64_t net_seed = spec.seed ^ 0x6e65742d62757331ULL;
     args.net_seed = splitmix64_next(net_seed);
-    // Global per-op deadline: a timed run's watchdog trips this flag
-    // grace_ms after the epoch ends, and every in-flight net/ quorum phase
-    // bails out as `unavailable` instead of pumping a dead majority past
-    // the run's clock. Must outlive the register (phases poll it).
+    // Global per-op deadline: a timed run trips this flag when its workers
+    // are still running grace_ms after the epoch ends, and every in-flight
+    // net/ quorum phase bails out as `unavailable` instead of pumping a dead
+    // majority past the run's clock. Must outlive the register (phases poll
+    // it).
     std::atomic<bool> abort_ops{false};
     args.abort = &abort_ops;
 
@@ -540,7 +533,6 @@ run_result run(const run_spec& spec) {
             tr.reads = runners[p].reads();
             tr.writes = runners[p].writes();
             result.crashes_injected += runners[p].crashes();
-            result.ops_dropped += runners[p].dropped();
             fill_latency(tr, runners[p].hist());
             hists[p].merge(runners[p].hist());
         }
@@ -551,7 +543,10 @@ run_result run(const run_spec& spec) {
         start_gate gate;
         std::atomic<int> phase{timed && spec.warmup_ms > 0 ? 0 : 1};
         std::atomic<std::uint64_t> crash_total{0};
-        std::atomic<std::uint64_t> drop_total{0};
+        // The last worker to finish wakes the calling thread.
+        std::mutex done_mutex;
+        std::condition_variable all_done;
+        std::size_t running = n_procs;
         std::vector<std::thread> pool;
         pool.reserve(n_procs);
         for (std::size_t p = 0; p < n_procs; ++p) {
@@ -652,8 +647,8 @@ run_result run(const run_spec& spec) {
                 hists[p].merge(runner.hist());
                 crash_total.fetch_add(runner.crashes(),
                                       std::memory_order_relaxed);
-                drop_total.fetch_add(runner.dropped(),
-                                     std::memory_order_relaxed);
+                const std::lock_guard<std::mutex> lock(done_mutex);
+                if (--running == 0) all_done.notify_one();
             });
         }
         const std::uint64_t t0 = now_ns();
@@ -668,37 +663,27 @@ run_result run(const run_spec& spec) {
                 std::chrono::milliseconds(spec.duration_ms));
             phase.store(2, std::memory_order_release);
         }
-        // Deadline watchdog: workers finish their in-flight op and exit,
-        // but an op against an unavailable quorum (a crashed majority)
-        // would otherwise pump until its retry bound -- or forever, with
-        // retries disabled. Give them grace_ms, then trip the abort flag:
-        // quorum phases poll it and surface `unavailable`, so joining is
-        // bounded by duration + grace, never by a dead quorum.
-        std::atomic<bool> workers_done{false};
-        std::thread watchdog;
+        // Deadline: workers finish their in-flight op and exit, but an op
+        // against an unavailable quorum (a crashed majority) would
+        // otherwise pump until its retry bound -- or forever, with retries
+        // disabled. Wait grace_ms for the last worker, then trip the abort
+        // flag: quorum phases poll it and surface `unavailable`, so joining
+        // is bounded by duration + grace, never by a dead quorum.
         if (timed) {
-            watchdog = std::thread([&] {
-                const std::uint64_t deadline =
-                    now_ns() +
-                    static_cast<std::uint64_t>(spec.grace_ms) * 1000000ULL;
-                while (!workers_done.load(std::memory_order_acquire)) {
-                    if (now_ns() >= deadline) {
-                        abort_ops.store(true, std::memory_order_release);
-                        return;
-                    }
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(1));
-                }
-            });
+            std::unique_lock<std::mutex> lock(done_mutex);
+            if (!all_done.wait_until(
+                    lock,
+                    std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(spec.grace_ms),
+                    [&] { return running == 0; })) {
+                abort_ops.store(true, std::memory_order_release);
+            }
         }
         for (std::thread& t : pool) t.join();
-        workers_done.store(true, std::memory_order_release);
-        if (watchdog.joinable()) watchdog.join();
         result.measured_s =
             timed ? spec.duration_ms / 1000.0
                   : static_cast<double>(now_ns() - t0) / 1e9;
         result.crashes_injected = crash_total.load(std::memory_order_relaxed);
-        result.ops_dropped = drop_total.load(std::memory_order_relaxed);
     }
 
     if (merge_thread.joinable()) merge_thread.join();
@@ -718,10 +703,9 @@ run_result run(const run_spec& spec) {
     result.net = reg->net();
     result.repair = reg->repair();
     // An op that exhausted its retries against an unavailable quorum never
-    // responded: dropped but accounted, through the same seam as ring-
-    // policy drops (the port parks itself, so the op stays pending in the
-    // history -- the standard crashed-port semantics).
-    result.ops_dropped += result.net.unavailable_ops;
+    // responded: dropped but accounted (the port parks itself, so the op
+    // stays pending in the history -- the standard crashed-port semantics).
+    result.ops_dropped = result.net.unavailable_ops;
     if (spec.streaming_monitor) {
         if (!timed) {
             for (const event& e : result.events) stream_chk.ingest(e);

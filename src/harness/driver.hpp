@@ -64,12 +64,6 @@ enum class schedule_mode : std::uint8_t {
     seeded,   ///< deterministic single-thread interleaving from the seed
 };
 
-/// What a timed run's producer does when its event ring is full.
-enum class ring_policy : std::uint8_t {
-    block,  ///< stall between ops until the consumer drains (default)
-    drop,   ///< skip the whole op, count it (run_result::ops_dropped)
-};
-
 /// Adversarial pacing and failure injection, applied to scripted ops.
 struct pacing {
     /// Fraction (num/den) of writer ops run through write_paced with a
@@ -133,12 +127,6 @@ struct run_spec {
     /// ingested between incremental checks.
     unsigned stream_window{4096};
     unsigned stream_stride{256};
-
-    /// Backpressure policy of a timed run's rings. `drop` sheds load
-    /// instead of stalling: a full ring skips the ENTIRE next operation
-    /// (not executed, not recorded -- recording gaps would fabricate
-    /// checker violations) and counts it in run_result::ops_dropped.
-    ring_policy ring{ring_policy::block};
 
     /// Replica count for net/ compositions (ignored elsewhere).
     std::size_t net_servers{3};
@@ -219,7 +207,8 @@ struct run_result {
     std::uint64_t total_reads{0};
     std::uint64_t total_writes{0};
     std::uint64_t crashes_injected{0};
-    /// Operations shed by the drop ring policy (zero under block).
+    /// net/ operations that gave up on an unavailable quorum: dropped but
+    /// accounted (each stays pending in the history).
     std::uint64_t ops_dropped{0};
     std::vector<thread_result> threads;
 

@@ -70,13 +70,7 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
         w_.field("clients", spec.clients);
         w_.field("client_pace_ns", spec.client_pace_ns);
     }
-    // v5: backpressure policy of the rings (named only when the rings
-    // exist: a timed collecting run) and the replica count of net/
-    // compositions.
-    if (spec.collect == collect_mode::per_thread && spec.duration_ms > 0) {
-        w_.field("ring_policy",
-                 spec.ring == ring_policy::drop ? "drop" : "block");
-    }
+    // v5: the replica count of net/ compositions.
     if (result.net.ran) {
         w_.field("net_servers",
                  static_cast<std::uint64_t>(result.net.servers));
@@ -92,8 +86,9 @@ void report_writer::add_run(const run_spec& spec, const run_result& result,
     w_.field("ops_per_sec",
              result.measured_s > 0 ? total_ops / result.measured_s : 0.0);
     w_.field("crashes_injected", result.crashes_injected);
-    // v5: operations shed by the drop ring policy (always present; zero
-    // under block, so consumers can assert on it unconditionally).
+    // v5: operations dropped but accounted -- net/ ops that gave up on an
+    // unavailable quorum (always present, so consumers can assert on it
+    // unconditionally).
     w_.field("ops_dropped", result.ops_dropped);
     w_.field("events", static_cast<std::uint64_t>(result.events.size()));
     // v4: merged latency percentiles across every worker (histogram-based,

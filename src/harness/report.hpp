@@ -13,7 +13,7 @@
 //        "register": "...",
 //        "config":   { writers, readers, ops, seed, duration_ms,
 //                      schedule, collect, stream_window, stream_stride,
-//                      clients, client_pace_ns, ring_policy, net_servers },
+//                      clients, client_pace_ns, net_servers },
 //        "totals":   { reads, writes, ops_per_sec, measured_s,
 //                      crashes_injected, ops_dropped, events,
 //                      latency: { p50_us, p99_us, p999_us, max_us,
@@ -116,7 +116,9 @@
 // CMake build type instead of release/debug from NDEBUG. Later, still v8:
 // `totals` lost its log-overflow flag (the one recorder grows with the run,
 // so nothing overflows) and `config.collect` names none or per_thread only;
-// no consumer read either, so the version did not move.
+// no consumer read either, so the version did not move. Likewise
+// `config.ring_policy` is gone with the drop policy: a timed run's rings
+// always block, and `totals.ops_dropped` counts unavailable net/ ops only.
 #pragma once
 
 #include <functional>

@@ -154,9 +154,7 @@ public:
     }
 
     /// Non-blocking reserve: true when at least `n` slots are free right
-    /// now. The drop ring policy calls this instead of reserve() and skips
-    /// the WHOLE operation on false -- executing it unrecorded would hand
-    /// the checkers a history with invisible writes.
+    /// now (what reserve() waits for).
     [[nodiscard]] bool try_reserve(std::size_t n) noexcept {
         return has_room(head_.load(std::memory_order_relaxed), n);
     }

@@ -1,9 +1,11 @@
 #include "modelcheck/processes.hpp"
 
 #include <array>
-#include <cassert>
+#include <functional>
+#include <utility>
 
 #include "core/protocol.hpp"
+#include "util/check.hpp"
 
 namespace bloom87::mc {
 namespace {
@@ -430,1194 +432,271 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Simpson's four-slot register over safe/regular/atomic base registers.
+// Every other protocol is one op body, run by one replaying process.
 //
-// Both processes are written against an abstract access list and adapt to
-// the level of each base register: an ATOMIC access is one indivisible
-// step; SAFE/REGULAR accesses split into begin and end steps (the end step
-// of a read is where the explorer branches over candidate values).
+// A body is the protocol's operation written straight through, the way
+// registers/*.hpp and the papers write it: it reads and writes base
+// registers through an `op`, keeps what must outlive an access in four kept
+// slots, and returns a read's result (a write's return value is ignored).
+// The process runs it one action per explorer step: step 0 invokes; then
+// come the body's accesses in program order, one action for an ATOMIC
+// register and two (begin, end) for a SAFE or REGULAR one, the end of a
+// read being where the explorer branches over candidate values; the last
+// step responds.
+//
+// Each step re-runs the body from its start. Accesses the op already took
+// are answered from its recorded read results without touching sim_state;
+// the next action is performed; the body then runs on to the action after
+// it, where the process parks (fanout() reads it), and every later call is
+// inert. A process's state is (script position, steps taken in the op,
+// kept slots), and only that is fingerprinted. Hence the keep rule: a body
+// keeps every value it uses after a later access. Kept slots are never
+// reset between ops (a monotone filter or a last-written value carries
+// over), and every re-run starts from the slots its attempt began with, so
+// a body uses them like locals; a body that clears a slot before its first
+// access spares the explorer states that differ only in what the previous
+// op left there. A body may retry: restart the op without a new
+// invocation, from the kept slots as they stand.
 // ---------------------------------------------------------------------------
 
-/// Helper mixin: executes one abstract access, splitting it when the target
-/// register is weak. `mid` (stored by the caller) tracks a begun access.
-struct level_aware_access {
-    /// Performs (one step of) a read of `reg` for processor `proc`.
-    /// Returns true when the read completed; `out` then holds the value.
-    static bool read_step(sim_state& s, std::size_t reg, std::int16_t proc,
-                          int choice, bool& mid, mc_value& out) {
-        if (s.registers[reg].level == reg_level::atomic) {
-            out = s.read_atomic(reg);
-            return true;
-        }
-        if (!mid) {
-            s.begin_read(reg, proc);
-            mid = true;
-            return false;
-        }
-        out = s.end_read(reg, proc, choice);
-        mid = false;
-        return true;
-    }
-
-    /// Performs (one step of) a write. Returns true when it completed.
-    static bool write_step(sim_state& s, std::size_t reg, mc_value v,
-                           bool& mid) {
-        if (s.registers[reg].level == reg_level::atomic) {
-            s.write_atomic(reg, v);
-            return true;
-        }
-        if (!mid) {
-            s.begin_write(reg, v);
-            mid = true;
-            return false;
-        }
-        s.end_write(reg);
-        mid = false;
-        return true;
-    }
-
-    /// Fanout of the NEXT step of a read of `reg`.
-    static int read_fanout(const sim_state& s, std::size_t reg,
-                           std::int16_t proc, bool mid) {
-        if (!mid) return 1;  // begin steps and atomic reads are deterministic
-        return s.read_candidates(reg, proc);
-    }
+/// What a replaying process carries between steps.
+struct replay_state {
+    std::size_t pos{0};  ///< script position
+    int steps{0};        ///< actions taken in the current attempt
+    std::array<mc_value, 4> kept{};
+    std::array<mc_value, 4> start{};  ///< kept slots the attempt began with
+    std::array<mc_value, 64> seen{};  ///< the attempt's read results
+    std::uint8_t nseen{0};
+    /// The split read whose end the process is parked at, else -1.
+    std::int16_t read_end{-1};
 };
 
-class fourslot_writer_proc final : public script_process {
+/// One run of an op body: the calls before action `perform` replay, that
+/// action is performed on `s`, and the next one parks the run.
+class op {
 public:
-    fourslot_writer_proc(std::size_t base, std::vector<mc_value> values)
-        : script_process(/*proc=*/0, std::move(values)), base_(base) {}
+    op(replay_state& st, sim_state& s, processor_id proc, mc_value arg,
+       int perform, int choice)
+        : st_(st), s_(s), proc_(proc), arg_(arg), perform_(perform),
+          choice_(choice) {
+        st_.kept = st_.start;
+    }
 
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<fourslot_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state& s) const override {
-        if (pc_ == 1 || pc_ == 2) {
-            return level_aware_access::read_fanout(s, read_target(), proc_, mid_);
+    /// The op's index in the script, and the value a write op writes.
+    [[nodiscard]] std::size_t index() const noexcept { return st_.pos; }
+    [[nodiscard]] mc_value arg() const noexcept { return arg_; }
+
+    mc_value read(std::size_t reg) {
+        if (inert_) return 0;
+        const auto [first, last] = claim(reg);
+        if (last < perform_) {
+            check(seen_ < st_.nseen, "a replayed read has a recorded result");
+            return st_.seen[seen_++];
         }
-        return 1;
-    }
-
-    // Abstract steps: 0 inv; 1 read reading->wp; 2 read slot[wp]->wi;
-    // 3 write data[wp][wi]; 4 write slot[wp]; 5 write latest; 6 resp.
-    void step(sim_state& s, int choice) override {
-        mc_value v{};
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                pc_ = 1;
-                break;
-            case 1:
-                if (level_aware_access::read_step(s, base_ + 7, proc_, choice,
-                                                  mid_, v)) {
-                    locals_[0] = static_cast<mc_value>(1 - v);  // wp
-                    pc_ = 2;
-                }
-                break;
-            case 2:
-                if (level_aware_access::read_step(s, read_target(), proc_,
-                                                  choice, mid_, v)) {
-                    locals_[1] = static_cast<mc_value>(1 - v);  // wi
-                    pc_ = 3;
-                }
-                break;
-            case 3:
-                if (level_aware_access::write_step(s, data_reg(), script_[pos_],
-                                                   mid_)) {
-                    pc_ = 4;
-                }
-                break;
-            case 4:
-                if (level_aware_access::write_step(
-                        s, base_ + 4 + static_cast<std::size_t>(locals_[0]),
-                        locals_[1], mid_)) {
-                    pc_ = 5;
-                }
-                break;
-            case 5:
-                if (level_aware_access::write_step(s, base_ + 6, locals_[0],
-                                                   mid_)) {
-                    pc_ = 6;
-                }
-                break;
-            case 6:
-                s.end_op(open_op_, 0);
-                advance_script();
-                break;
+        if (last == perform_) {
+            const mc_value v = first == last ? s_.read_atomic(reg)
+                                             : s_.end_read(reg, proc_, choice_);
+            check(st_.nseen < st_.seen.size(), "an op reads at most 64 values");
+            st_.seen[st_.nseen++] = v;
+            ++seen_;
+            return v;
         }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1004);
-        out.push_back(base_ * 2 + (mid_ ? 1 : 0));
-    }
-
-private:
-    [[nodiscard]] std::size_t read_target() const {
-        return pc_ == 1 ? base_ + 7
-                        : base_ + 4 + static_cast<std::size_t>(locals_[0]);
-    }
-    [[nodiscard]] std::size_t data_reg() const {
-        return base_ + static_cast<std::size_t>(locals_[0]) * 2 +
-               static_cast<std::size_t>(locals_[1]);
-    }
-
-    std::size_t base_;
-    bool mid_{false};
-};
-
-class fourslot_reader_proc final : public script_process {
-public:
-    fourslot_reader_proc(std::size_t base, processor_id proc, int num_reads)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          base_(base) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<fourslot_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state& s) const override {
-        if (pc_ == 1 || pc_ == 3 || pc_ == 4) {
-            return level_aware_access::read_fanout(s, read_target(), proc_, mid_);
+        if (first == perform_) {
+            s_.begin_read(reg, proc_);
+            return park(static_cast<std::int16_t>(reg));
         }
-        return 1;
+        return park(-1);
     }
 
-    // Abstract steps: 0 inv; 1 read latest->rp; 2 write reading=rp;
-    // 3 read slot[rp]->ri; 4 read data[rp][ri]->val; 5 resp.
-    void step(sim_state& s, int choice) override {
-        mc_value v{};
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-                pc_ = 1;
-                break;
-            case 1:
-                if (level_aware_access::read_step(s, base_ + 6, proc_, choice,
-                                                  mid_, v)) {
-                    locals_[0] = v;  // rp
-                    pc_ = 2;
-                }
-                break;
-            case 2:
-                if (level_aware_access::write_step(s, base_ + 7, locals_[0],
-                                                   mid_)) {
-                    pc_ = 3;
-                }
-                break;
-            case 3:
-                if (level_aware_access::read_step(s, read_target(), proc_,
-                                                  choice, mid_, v)) {
-                    locals_[1] = v;  // ri
-                    pc_ = 4;
-                }
-                break;
-            case 4:
-                if (level_aware_access::read_step(s, read_target(), proc_,
-                                                  choice, mid_, v)) {
-                    locals_[2] = v;  // the value
-                    pc_ = 5;
-                }
-                break;
-            case 5:
-                s.end_op(open_op_, static_cast<value_t>(locals_[2]));
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1005);
-        out.push_back(base_ * 2 + (mid_ ? 1 : 0));
-    }
-
-private:
-    [[nodiscard]] std::size_t read_target() const {
-        if (pc_ == 1) return base_ + 6;
-        if (pc_ == 3) return base_ + 4 + static_cast<std::size_t>(locals_[0]);
-        return base_ + static_cast<std::size_t>(locals_[0]) * 2 +
-               static_cast<std::size_t>(locals_[1]);
-    }
-
-    std::size_t base_;
-    bool mid_{false};
-};
-
-// ---------------------------------------------------------------------------
-// Seqlock SWMR register over two atomic cells (race-certification model).
-// Register base+0 = sequence number, base+1 = the payload word; both are
-// single-step ATOMIC -- the race modes distinguish them by sync class
-// (seq sync, payload relaxed or plain), not by consistency level.
-// ---------------------------------------------------------------------------
-
-class seqlock_writer_proc final : public script_process {
-public:
-    seqlock_writer_proc(std::size_t base, std::vector<mc_value> values)
-        : script_process(/*proc=*/0, std::move(values)), base_(base) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<seqlock_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    // Abstract steps: 0 inv; 1 read seq -> s; 2 write seq = s+1 (odd);
-    // 3 write payload; 4 write seq = s+2 (even); 5 resp.
-    void step(sim_state& s, int) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                pc_ = 1;
-                break;
-            case 1:
-                locals_[0] = s.read_atomic(base_);
-                pc_ = 2;
-                break;
-            case 2:
-                s.write_atomic(base_, static_cast<mc_value>(locals_[0] + 1));
-                pc_ = 3;
-                break;
-            case 3:
-                s.write_atomic(base_ + 1, script_[pos_]);
-                pc_ = 4;
-                break;
-            case 4:
-                s.write_atomic(base_, static_cast<mc_value>(locals_[0] + 2));
-                pc_ = 5;
-                break;
-            case 5:
-                s.end_op(open_op_, 0);
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x101d);
-        out.push_back(base_);
-    }
-
-private:
-    std::size_t base_;
-};
-
-class seqlock_reader_proc final : public script_process {
-public:
-    seqlock_reader_proc(std::size_t base, processor_id proc, int num_reads)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          base_(base) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<seqlock_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    // Abstract steps: 0 inv; 1 read seq -> before (stays at 1 while odd);
-    // 2 read payload -> v; 3 re-read seq (back to 1 on a change); 4 resp.
-    // Retry states reconverge structurally, so the explorer's visited set
-    // bounds the loop; retries never tick the history clock.
-    void step(sim_state& s, int) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-                pc_ = 1;
-                break;
-            case 1:
-                locals_[0] = s.read_atomic(base_);
-                if ((locals_[0] & 1) == 0) pc_ = 2;
-                break;
-            case 2:
-                locals_[1] = s.read_atomic(base_ + 1);
-                pc_ = 3;
-                break;
-            case 3:
-                pc_ = s.read_atomic(base_) == locals_[0] ? 4 : 1;
-                break;
-            case 4:
-                s.end_op(open_op_, static_cast<value_t>(locals_[1]));
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x101e);
-        out.push_back(base_);
-    }
-
-private:
-    std::size_t base_;
-};
-
-// ---------------------------------------------------------------------------
-// Lamport's unary k-valued regular register from regular bits.
-// ---------------------------------------------------------------------------
-
-class unary_writer_proc final : public script_process {
-public:
-    unary_writer_proc(std::size_t base, int k, std::vector<mc_value> values)
-        : script_process(/*proc=*/0, std::move(values)), base_(base), k_(k) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<unary_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    void step(sim_state& s, int) override {
-        const mc_value v = pos_ < script_.size() ? script_[pos_] : 0;
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(v));
-                pc_ = 1;
-                break;
-            case 1:  // set bit v
-                s.begin_write(base_ + static_cast<std::size_t>(v), 1);
-                pc_ = 2;
-                break;
-            case 2:
-                s.end_write(base_ + static_cast<std::size_t>(v));
-                locals_[0] = static_cast<mc_value>(v - 1);  // next bit to clear
-                pc_ = locals_[0] < 0 ? 5 : 3;
-                break;
-            case 3:  // clear bit j
-                s.begin_write(base_ + static_cast<std::size_t>(locals_[0]), 0);
-                pc_ = 4;
-                break;
-            case 4:
-                s.end_write(base_ + static_cast<std::size_t>(locals_[0]));
-                --locals_[0];
-                pc_ = locals_[0] < 0 ? 5 : 3;
-                break;
-            case 5:
-                s.end_op(open_op_, 0);
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1006);
-        out.push_back(base_);
-    }
-
-private:
-    std::size_t base_;
-    int k_;
-};
-
-class unary_reader_proc final : public script_process {
-public:
-    unary_reader_proc(std::size_t base, int k, processor_id proc, int num_reads)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          base_(base), k_(k) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<unary_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state& s) const override {
-        return pc_ == 2
-                   ? s.read_candidates(base_ + static_cast<std::size_t>(locals_[0]),
-                                       proc_)
-                   : 1;
-    }
-
-    void step(sim_state& s, int choice) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-                locals_[0] = 0;  // scan index
-                pc_ = 1;
-                break;
-            case 1:
-                s.begin_read(base_ + static_cast<std::size_t>(locals_[0]), proc_);
-                pc_ = 2;
-                break;
-            case 2: {
-                const mc_value bit = s.end_read(
-                    base_ + static_cast<std::size_t>(locals_[0]), proc_, choice);
-                if (bit == 1) {
-                    locals_[1] = locals_[0];  // found the value
-                    pc_ = 3;
-                } else if (locals_[0] + 1 >= k_) {
-                    locals_[1] = -1;  // scan fell off the end: protocol failure
-                    pc_ = 3;
-                } else {
-                    ++locals_[0];
-                    pc_ = 1;
-                }
-                break;
-            }
-            case 3:
-                s.end_op(open_op_, static_cast<value_t>(locals_[1]));
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1007);
-        out.push_back(base_);
-    }
-
-private:
-    std::size_t base_;
-    int k_;
-};
-
-// ---------------------------------------------------------------------------
-// Split-write Bloom mutant: value and tag in separate registers.
-// ---------------------------------------------------------------------------
-
-class split_bloom_writer_proc final : public script_process {
-public:
-    split_bloom_writer_proc(int writer_index, std::vector<mc_value> values)
-        : script_process(static_cast<processor_id>(writer_index),
-                         std::move(values)),
-          writer_(writer_index) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<split_bloom_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    // Layout: value_i at 2*i, tag_i at 2*i+1.
-    void step(sim_state& s, int) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                pc_ = 1;
-                break;
-            case 1: {  // read the other tag
-                const mc_value t =
-                    s.read_atomic(static_cast<std::size_t>(2 * (1 - writer_) + 1));
-                locals_[0] = writer_tag_choice(writer_, t != 0) ? 1 : 0;
-                pc_ = 2;
-                break;
-            }
-            case 2:  // write the value cell (first half of the split write)
-                s.write_atomic(static_cast<std::size_t>(2 * writer_),
-                               script_[pos_]);
-                pc_ = 3;
-                break;
-            case 3:  // write the tag cell (second half)
-                s.write_atomic(static_cast<std::size_t>(2 * writer_ + 1),
-                               locals_[0]);
-                pc_ = 4;
-                break;
-            case 4:
-                s.end_op(open_op_, 0);
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1012);
-    }
-
-private:
-    int writer_;
-};
-
-class split_bloom_reader_proc final : public script_process {
-public:
-    split_bloom_reader_proc(processor_id proc, int num_reads)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<split_bloom_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    void step(sim_state& s, int) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-                pc_ = 1;
-                break;
-            case 1:
-                locals_[0] = s.read_atomic(1);  // tag0
-                pc_ = 2;
-                break;
-            case 2:
-                locals_[1] = s.read_atomic(3);  // tag1
-                pc_ = 3;
-                break;
-            case 3: {
-                const int pick = reader_pick(locals_[0] != 0, locals_[1] != 0);
-                locals_[2] = s.read_atomic(static_cast<std::size_t>(2 * pick));
-                pc_ = 4;
-                break;
-            }
-            case 4:
-                s.end_op(open_op_, static_cast<value_t>(locals_[2]));
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1013);
-    }
-};
-
-// ---------------------------------------------------------------------------
-// VA-style multi-writer register over atomic stamp cells.
-// ---------------------------------------------------------------------------
-
-class va_writer_proc final : public script_process {
-public:
-    va_writer_proc(std::size_t base, int n, int writer_id,
-                   std::vector<mc_value> values, mc_value vdom)
-        : script_process(static_cast<processor_id>(writer_id),
-                         std::move(values)),
-          base_(base), n_(n), writer_(writer_id), vdom_(vdom) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<va_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    // pc 0: inv; pc 1..n: scan cell pc-1 tracking max ts; pc n+1: write own
-    // cell with ts = max+1; pc n+2: resp.
-    void step(sim_state& s, int) override {
-        if (pc_ == 0) {
-            open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                  static_cast<value_t>(script_[pos_]));
-            locals_[0] = 0;  // max ts seen
-            pc_ = 1;
-        } else if (pc_ <= n_) {
-            const mc_value stamp =
-                s.read_atomic(base_ + static_cast<std::size_t>(pc_ - 1));
-            const mc_value ts = static_cast<mc_value>(stamp / (vdom_ * n_));
-            if (ts > locals_[0]) locals_[0] = ts;
-            ++pc_;
-        } else if (pc_ == n_ + 1) {
-            s.write_atomic(base_ + static_cast<std::size_t>(writer_),
-                           encode_stamp(locals_[0] + 1, writer_, script_[pos_],
-                                        n_, vdom_));
-            ++pc_;
-        } else {
-            s.end_op(open_op_, 0);
-            advance_script();
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1014);
-        out.push_back(base_);
-    }
-
-private:
-    std::size_t base_;
-    int n_;
-    int writer_;
-    mc_value vdom_;
-};
-
-class va_reader_proc final : public script_process {
-public:
-    va_reader_proc(std::size_t base, int n, processor_id proc, int num_reads,
-                   mc_value vdom)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          base_(base), n_(n), vdom_(vdom) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<va_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    void step(sim_state& s, int) override {
-        if (pc_ == 0) {
-            open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-            locals_[0] = 0;  // best stamp (lexicographic (ts, writer) order
-                             // IS numeric order of the encoding given writer
-                             // < n and value stripped; compare by stamp/vdom)
-            pc_ = 1;
-        } else if (pc_ <= n_) {
-            const mc_value stamp =
-                s.read_atomic(base_ + static_cast<std::size_t>(pc_ - 1));
-            if (stamp / vdom_ > locals_[0] / vdom_) locals_[0] = stamp;
-            ++pc_;
-        } else {
-            s.end_op(open_op_, static_cast<value_t>(locals_[0] % vdom_));
-            advance_script();
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1015);
-        out.push_back(base_);
-    }
-
-private:
-    std::size_t base_;
-    int n_;
-    mc_value vdom_;
-};
-
-// ---------------------------------------------------------------------------
-// SWMR-from-SWSR multi-reader construction over atomic seq cells.
-// ---------------------------------------------------------------------------
-
-class mr_writer_proc final : public script_process {
-public:
-    mr_writer_proc(std::size_t base, int n, std::vector<mc_value> values)
-        : script_process(/*proc=*/0, std::move(values)), base_(base), n_(n) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<mr_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    // pc 0: inv; pc 1..n: write Value[pc-1] := seq; pc n+1: resp.
-    void step(sim_state& s, int) override {
-        if (pc_ == 0) {
-            open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                  static_cast<value_t>(script_[pos_]));
-            pc_ = 1;
-        } else if (pc_ <= n_) {
-            const auto seq = static_cast<mc_value>(pos_ + 1);
-            s.write_atomic(base_ + static_cast<std::size_t>(pc_ - 1), seq);
-            ++pc_;
-        } else {
-            s.end_op(open_op_, 0);
-            advance_script();
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x100a);
-        out.push_back(base_);
-    }
-
-private:
-    std::size_t base_;
-    int n_;
-};
-
-class mr_reader_proc final : public script_process {
-public:
-    mr_reader_proc(std::size_t base, int n, int index, processor_id proc,
-                   int num_reads, std::vector<mc_value> writer_values,
-                   bool report)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          base_(base), n_(n), index_(index),
-          writer_values_(std::move(writer_values)), report_(report) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<mr_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    // pc 0: inv; pc 1: read Value[index]; pc 2..n: read Report[j][index]
-    // for the j != index in ascending order; then (if reporting)
-    // pc n+1..2n-1: write Report[index][j]; last pc: resp.
-    void step(sim_state& s, int) override {
-        const int read_stages = n_;            // 1 value read + (n-1) reports
-        const int write_stages = report_ ? n_ - 1 : 0;
-        if (pc_ == 0) {
-            open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-            locals_[0] = 0;  // best seq so far
-            pc_ = 1;
-        } else if (pc_ == 1) {
-            locals_[0] = s.read_atomic(base_ + static_cast<std::size_t>(index_));
-            pc_ = 2;
-        } else if (pc_ <= read_stages) {
-            const int j = nth_other(pc_ - 2);
-            const mc_value seq = s.read_atomic(report_cell(j, index_));
-            if (seq > locals_[0]) locals_[0] = seq;
-            ++pc_;
-        } else if (pc_ <= read_stages + write_stages) {
-            const int j = nth_other(pc_ - read_stages - 1);
-            s.write_atomic(report_cell(index_, j), locals_[0]);
-            ++pc_;
-        } else {
-            const mc_value seq = locals_[0];
-            const value_t v =
-                seq == 0 ? 0
-                         : static_cast<value_t>(
-                               writer_values_[static_cast<std::size_t>(seq - 1)]);
-            s.end_op(open_op_, v);
-            advance_script();
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, report_ ? 0x100b : 0x100c);
-        out.push_back(base_ + static_cast<std::size_t>(index_) * 131);
-    }
-
-private:
-    [[nodiscard]] int nth_other(int k) const {
-        // The k-th reader index != index_, ascending.
-        return k < index_ ? k : k + 1;
-    }
-    [[nodiscard]] std::size_t report_cell(int from, int to) const {
-        return base_ + static_cast<std::size_t>(n_) +
-               static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
-               static_cast<std::size_t>(to);
-    }
-
-    std::size_t base_;
-    int n_;
-    int index_;
-    shared_script writer_values_;
-    bool report_;
-};
-
-// ---------------------------------------------------------------------------
-// Lamport's binary-encoded SAFE register from safe bits.
-// ---------------------------------------------------------------------------
-
-class binary_writer_proc final : public script_process {
-public:
-    binary_writer_proc(std::size_t base, int bits, std::vector<mc_value> values)
-        : script_process(/*proc=*/0, std::move(values)), base_(base),
-          bits_(bits) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<binary_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    // pc 0: inv; then per bit b: begin_write, end_write; finally resp.
-    void step(sim_state& s, int) override {
-        if (pc_ == 0) {
-            open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                  static_cast<value_t>(script_[pos_]));
-            pc_ = 1;
-            return;
-        }
-        const int access = pc_ - 1;          // 0 .. 2*bits-1
-        if (access < 2 * bits_) {
-            const int bit = access / 2;
-            const std::size_t reg = base_ + static_cast<std::size_t>(bit);
-            if (access % 2 == 0) {
-                s.begin_write(reg, (script_[pos_] >> bit) & 1);
+    void write(std::size_t reg, mc_value v) {
+        if (inert_) return;
+        const auto [first, last] = claim(reg);
+        if (last < perform_) return;
+        if (last == perform_) {
+            if (first == last) {
+                s_.write_atomic(reg, v);
             } else {
-                s.end_write(reg);
+                s_.end_write(reg);
             }
-            ++pc_;
             return;
         }
-        s.end_op(open_op_, 0);
-        advance_script();
+        if (first == perform_) s_.begin_write(reg, v);
+        park(-1);
     }
 
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x101a);
-        out.push_back(base_);
+    [[nodiscard]] mc_value kept(std::size_t slot) const {
+        return st_.kept[slot];
     }
+    void keep(std::size_t slot, mc_value v) {
+        if (!inert_) st_.kept[slot] = v;
+    }
+
+    /// Restarts the op; the body returns right after (`return o.retry();`).
+    mc_value retry() {
+        if (inert_) return 0;
+        check(next_ == perform_ + 1,
+              "a body retries right after the access it performs");
+        retried_ = true;
+        inert_ = true;
+        return 0;
+    }
+
+    [[nodiscard]] bool retried() const noexcept { return retried_; }
+    [[nodiscard]] bool parked() const noexcept { return inert_ && !retried_; }
+    /// The action after the body's last access: its response.
+    [[nodiscard]] int response() const noexcept { return next_; }
 
 private:
-    std::size_t base_;
-    int bits_;
+    /// Numbers the access's actions [first, last]: one for an atomic
+    /// register, begin and end for a split one.
+    std::pair<int, int> claim(std::size_t reg) {
+        const int first = next_;
+        next_ += s_.registers[reg].level == reg_level::atomic ? 1 : 2;
+        return {first, next_ - 1};
+    }
+
+    mc_value park(std::int16_t read_end) {
+        st_.read_end = read_end;
+        inert_ = true;
+        return 0;
+    }
+
+    replay_state& st_;
+    sim_state& s_;
+    processor_id proc_;
+    mc_value arg_;
+    int perform_;
+    int choice_;
+    int next_{1};  ///< action 0 is the invocation
+    std::uint8_t seen_{0};
+    bool inert_{false};
+    bool retried_{false};
 };
 
-class binary_reader_proc final : public script_process {
+using op_body = std::function<mc_value(op&)>;
+
+/// One protocol role: its op body and the script it runs, shared by every
+/// clone of the process.
+struct program {
+    std::uint64_t type_id;  ///< fingerprint type word
+    op_kind kind;
+    std::vector<mc_value> script;  ///< a reader's holds one 0 per read
+    op_body body;
+};
+
+class replay_proc final : public process {
 public:
-    binary_reader_proc(std::size_t base, int bits, processor_id proc,
-                       int num_reads)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          base_(base), bits_(bits) {}
+    replay_proc(processor_id proc, std::shared_ptr<const program> prog)
+        : proc_(proc), prog_(std::move(prog)) {}
 
     [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<binary_reader_proc>(*this);
+        return std::make_unique<replay_proc>(*this);
     }
     [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
+        return st_.pos == prog_->script.size();
     }
     [[nodiscard]] int fanout(const sim_state& s) const override {
-        const int access = pc_ - 1;
-        if (pc_ >= 1 && access < 2 * bits_ && access % 2 == 1) {
-            const int bit = access / 2;
-            return s.read_candidates(base_ + static_cast<std::size_t>(bit),
-                                     proc_);
-        }
-        return 1;
+        return st_.read_end < 0
+                   ? 1
+                   : s.read_candidates(static_cast<std::size_t>(st_.read_end),
+                                       proc_);
     }
+    [[nodiscard]] processor_id id() const override { return proc_; }
 
     void step(sim_state& s, int choice) override {
-        if (pc_ == 0) {
-            open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-            locals_[0] = 0;  // assembled value
-            pc_ = 1;
+        const program& pr = *prog_;
+        const mc_value arg = pr.script[st_.pos];
+        if (st_.steps == 0) {
+            open_op_ = s.begin_op(proc_, static_cast<op_index>(st_.pos),
+                                  pr.kind, pr.kind == op_kind::write ? arg : 0);
+        }
+        op o(st_, s, proc_, arg, st_.steps, choice);
+        const mc_value result = pr.body(o);
+        if (o.retried()) {
+            // A fresh attempt from the kept slots as they stand, parked at
+            // its first action.
+            st_.start = st_.kept;
+            st_.nseen = 0;
+            st_.steps = 1;
+            op again(st_, s, proc_, arg, 0, 0);
+            (void)pr.body(again);
+            check(!again.retried(), "a body retries only after an access");
+            if (!again.parked()) st_.read_end = -1;
             return;
         }
-        const int access = pc_ - 1;
-        if (access < 2 * bits_) {
-            const int bit = access / 2;
-            const std::size_t reg = base_ + static_cast<std::size_t>(bit);
-            if (access % 2 == 0) {
-                s.begin_read(reg, proc_);
-            } else {
-                const mc_value b = s.end_read(reg, proc_, choice);
-                locals_[0] = static_cast<mc_value>(locals_[0] | (b << bit));
+        if (!o.parked()) {
+            if (o.response() == st_.steps) {
+                s.end_op(open_op_,
+                         pr.kind == op_kind::read ? static_cast<value_t>(result)
+                                                  : 0);
+                st_.start = st_.kept;
+                st_.nseen = 0;
+                st_.steps = 0;
+                st_.read_end = -1;
+                ++st_.pos;
+                return;
             }
-            ++pc_;
-            return;
+            check(o.response() == st_.steps + 1,
+                  "a replayed op retakes the path it recorded");
+            st_.read_end = -1;
         }
-        s.end_op(open_op_, static_cast<value_t>(locals_[0]));
-        advance_script();
+        ++st_.steps;
+        check(st_.steps < 256, "an op takes fewer than 256 steps (its "
+                               "fingerprint byte)");
     }
 
     void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x101b);
-        out.push_back(base_);
-    }
-
-private:
-    std::size_t base_;
-    int bits_;
-};
-
-// ---------------------------------------------------------------------------
-// Primitive cell processes: one base register used as the whole register.
-// ---------------------------------------------------------------------------
-
-class cell_writer_proc final : public script_process {
-public:
-    cell_writer_proc(std::size_t reg, std::vector<mc_value> values)
-        : script_process(/*proc=*/0, std::move(values)), reg_(reg) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<cell_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    void step(sim_state& s, int) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                pc_ = 1;
-                break;
-            case 1:
-                if (level_aware_access::write_step(s, reg_, script_[pos_],
-                                                   mid_)) {
-                    pc_ = 2;
-                }
-                break;
-            case 2:
-                s.end_op(open_op_, 0);
-                advance_script();
-                break;
+        out.push_back(prog_->type_id);
+        out.push_back(
+            (static_cast<std::uint64_t>(static_cast<std::uint16_t>(proc_))
+             << 32) |
+            (static_cast<std::uint64_t>(st_.pos) << 8) |
+            static_cast<std::uint64_t>(st_.steps));
+        for (mc_value k : st_.kept) {
+            out.push_back(
+                static_cast<std::uint64_t>(static_cast<std::uint16_t>(k)));
         }
     }
 
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1016);
-        out.push_back(reg_ * 2 + (mid_ ? 1 : 0));
-    }
-
 private:
-    std::size_t reg_;
-    bool mid_{false};
+    processor_id proc_;
+    std::shared_ptr<const program> prog_;
+    replay_state st_;
+    std::size_t open_op_{0};
 };
 
-class cell_reader_proc final : public script_process {
-public:
-    cell_reader_proc(std::size_t reg, processor_id proc, int num_reads)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          reg_(reg) {}
+std::unique_ptr<process> replayed_writer(processor_id proc,
+                                         std::uint64_t type_id,
+                                         std::vector<mc_value> values,
+                                         op_body body) {
+    return std::make_unique<replay_proc>(
+        proc, std::make_shared<const program>(program{
+                  type_id, op_kind::write, std::move(values),
+                  std::move(body)}));
+}
 
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<cell_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state& s) const override {
-        return pc_ == 1 ? level_aware_access::read_fanout(s, reg_, proc_, mid_)
-                        : 1;
-    }
+std::unique_ptr<process> replayed_reader(processor_id proc,
+                                         std::uint64_t type_id, int num_reads,
+                                         op_body body) {
+    return std::make_unique<replay_proc>(
+        proc, std::make_shared<const program>(program{
+                  type_id, op_kind::read,
+                  std::vector<mc_value>(static_cast<std::size_t>(num_reads), 0),
+                  std::move(body)}));
+}
 
-    void step(sim_state& s, int choice) override {
-        mc_value v{};
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-                pc_ = 1;
-                break;
-            case 1:
-                if (level_aware_access::read_step(s, reg_, proc_, choice, mid_,
-                                                  v)) {
-                    locals_[0] = v;
-                    pc_ = 2;
-                }
-                break;
-            case 2:
-                s.end_op(open_op_, static_cast<value_t>(locals_[0]));
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1017);
-        out.push_back(reg_ * 2 + (mid_ ? 1 : 0));
-    }
-
-private:
-    std::size_t reg_;
-    bool mid_{false};
-};
-
-class stamped_cell_writer_proc final : public script_process {
-public:
-    stamped_cell_writer_proc(std::size_t reg, std::vector<mc_value> values,
-                             mc_value vdom)
-        : script_process(/*proc=*/0, std::move(values)), reg_(reg), vdom_(vdom) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<stamped_cell_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    void step(sim_state& s, int) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                pc_ = 1;
-                break;
-            case 1: {
-                const auto seq = static_cast<mc_value>(pos_ + 1);
-                const auto stamp =
-                    static_cast<mc_value>(seq * vdom_ + script_[pos_]);
-                if (level_aware_access::write_step(s, reg_, stamp, mid_)) {
-                    pc_ = 2;
-                }
-                break;
-            }
-            case 2:
-                s.end_op(open_op_, 0);
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1018);
-        out.push_back(reg_ * 2 + (mid_ ? 1 : 0));
-    }
-
-private:
-    std::size_t reg_;
-    mc_value vdom_;
-    bool mid_{false};
-};
-
-class stamped_cell_reader_proc final : public script_process {
-public:
-    stamped_cell_reader_proc(std::size_t reg, processor_id proc, int num_reads,
-                             mc_value vdom)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          reg_(reg), vdom_(vdom) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<stamped_cell_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state& s) const override {
-        return pc_ == 1 ? level_aware_access::read_fanout(s, reg_, proc_, mid_)
-                        : 1;
-    }
-
-    void step(sim_state& s, int choice) override {
-        mc_value v{};
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-                pc_ = 1;
-                break;
-            case 1:
-                if (level_aware_access::read_step(s, reg_, proc_, choice, mid_,
-                                                  v)) {
-                    // Monotone filter: keep the freshest stamp ever seen
-                    // (locals_[1] survives across operations).
-                    if (v > locals_[1]) locals_[1] = v;
-                    pc_ = 2;
-                }
-                break;
-            case 2:
-                s.end_op(open_op_, static_cast<value_t>(locals_[1] % vdom_));
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1019);
-        out.push_back(reg_ * 2 + (mid_ ? 1 : 0));
-    }
-
-private:
-    std::size_t reg_;
-    mc_value vdom_;
-    bool mid_{false};
-};
-
-// ---------------------------------------------------------------------------
-// Safe bit with / without the write-only-changes discipline.
-// ---------------------------------------------------------------------------
-
-class bit_writer_proc final : public script_process {
-public:
-    bit_writer_proc(std::size_t reg, std::vector<mc_value> values,
-                    bool only_write_changes)
-        : script_process(/*proc=*/0, std::move(values)), reg_(reg),
-          disciplined_(only_write_changes) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<bit_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override { return 1; }
-
-    void step(sim_state& s, int) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                pc_ = disciplined_ && script_[pos_] == last_ ? 3 : 1;
-                break;
-            case 1:
-                s.begin_write(reg_, script_[pos_]);
-                pc_ = 2;
-                break;
-            case 2:
-                s.end_write(reg_);
-                last_ = script_[pos_];
-                pc_ = 3;
-                break;
-            case 3:
-                s.end_op(open_op_, 0);
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1008);
-        out.push_back(static_cast<std::uint64_t>(static_cast<std::uint16_t>(last_)));
-    }
-
-private:
-    std::size_t reg_;
-    bool disciplined_;
-    mc_value last_{0};  // matches the register's initial value
-};
-
-class bit_reader_proc final : public script_process {
-public:
-    bit_reader_proc(std::size_t reg, processor_id proc, int num_reads)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          reg_(reg) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<bit_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state& s) const override {
-        return pc_ == 2 ? s.read_candidates(reg_, proc_) : 1;
-    }
-
-    void step(sim_state& s, int choice) override {
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-                pc_ = 1;
-                break;
-            case 1:
-                s.begin_read(reg_, proc_);
-                pc_ = 2;
-                break;
-            case 2:
-                locals_[0] = s.end_read(reg_, proc_, choice);
-                pc_ = 3;
-                break;
-            case 3:
-                s.end_op(open_op_, static_cast<value_t>(locals_[0]));
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, 0x1009);
-    }
-
-private:
-    std::size_t reg_;
-};
+/// A read of one register, whatever its level (cells, bits).
+op_body read_one(std::size_t reg) {
+    return [reg](op& o) {
+        const mc_value v = o.read(reg);
+        o.keep(0, v);
+        return v;
+    };
+}
 
 }  // namespace
+
+// Bloom's variants are options of its two machines above.
 
 std::unique_ptr<process> make_bloom_writer(int writer_index,
                                            std::vector<mc_value> values) {
@@ -1695,113 +774,313 @@ std::unique_ptr<process> make_tournament_reader(processor_id proc,
                                                 int num_reads) {
     return std::make_unique<tag_reader_proc>(proc, num_reads);
 }
+
+// Simpson's four-slot register (registers/fourslot.hpp): the writer picks
+// the pair the reader is not reading and, in it, the slot not last written,
+// fills that slot, then publishes slot and pair; the reader announces the
+// latest pair as the one it reads and takes that pair's last-written slot.
 std::unique_ptr<process> make_fourslot_writer(std::size_t base,
                                               std::vector<mc_value> values) {
-    return std::make_unique<fourslot_writer_proc>(base, std::move(values));
+    return replayed_writer(0, 0x1004, std::move(values), [base](op& o) {
+        const auto wp = static_cast<mc_value>(1 - o.read(base + 7));
+        o.keep(0, wp);
+        const auto wi = static_cast<mc_value>(
+            1 - o.read(base + 4 + static_cast<std::size_t>(wp)));
+        o.keep(1, wi);
+        o.write(base + static_cast<std::size_t>(wp * 2 + wi), o.arg());
+        o.write(base + 4 + static_cast<std::size_t>(wp), wi);
+        o.write(base + 6, wp);
+        return mc_value{0};
+    });
 }
 std::unique_ptr<process> make_fourslot_reader(std::size_t base,
                                               processor_id proc, int num_reads) {
-    return std::make_unique<fourslot_reader_proc>(base, proc, num_reads);
+    return replayed_reader(proc, 0x1005, num_reads, [base](op& o) {
+        const mc_value rp = o.read(base + 6);
+        o.keep(0, rp);
+        o.write(base + 7, rp);
+        const mc_value ri = o.read(base + 4 + static_cast<std::size_t>(rp));
+        o.keep(1, ri);
+        const mc_value v = o.read(base + static_cast<std::size_t>(rp * 2 + ri));
+        o.keep(2, v);
+        return v;
+    });
 }
+
+// Seqlock (registers/seqlock.hpp): the writer makes the sequence odd around
+// the payload write; the reader retries while it is odd or moved.
 std::unique_ptr<process> make_seqlock_writer(std::size_t base,
                                              std::vector<mc_value> values) {
-    return std::make_unique<seqlock_writer_proc>(base, std::move(values));
+    return replayed_writer(0, 0x101d, std::move(values), [base](op& o) {
+        const mc_value seq = o.read(base);
+        o.keep(0, seq);
+        o.write(base, static_cast<mc_value>(seq + 1));
+        o.write(base + 1, o.arg());
+        o.write(base, static_cast<mc_value>(seq + 2));
+        return mc_value{0};
+    });
 }
 std::unique_ptr<process> make_seqlock_reader(std::size_t base,
                                              processor_id proc, int num_reads) {
-    return std::make_unique<seqlock_reader_proc>(base, proc, num_reads);
+    return replayed_reader(proc, 0x101e, num_reads, [base](op& o) {
+        const mc_value before = o.read(base);
+        o.keep(0, before);
+        if ((before & 1) != 0) return o.retry();
+        const mc_value v = o.read(base + 1);
+        o.keep(1, v);
+        if (o.read(base) != before) return o.retry();
+        return v;
+    });
 }
-std::unique_ptr<process> make_unary_writer(std::size_t base, int k,
+
+// Lamport's unary register: writing v sets bit v, then clears the bits
+// below it from the top; a read returns the first set bit from the bottom
+// (-1 when the scan falls off the end: a protocol failure).
+std::unique_ptr<process> make_unary_writer(std::size_t base, int /*k*/,
                                            std::vector<mc_value> values) {
-    return std::make_unique<unary_writer_proc>(base, k, std::move(values));
+    return replayed_writer(0, 0x1006, std::move(values), [base](op& o) {
+        o.write(base + static_cast<std::size_t>(o.arg()), 1);
+        for (auto j = static_cast<mc_value>(o.arg() - 1);; --j) {
+            o.keep(0, j);  // the next bit to clear
+            if (j < 0) break;
+            o.write(base + static_cast<std::size_t>(j), 0);
+        }
+        return mc_value{0};
+    });
 }
 std::unique_ptr<process> make_unary_reader(std::size_t base, int k,
                                            processor_id proc, int num_reads) {
-    return std::make_unique<unary_reader_proc>(base, k, proc, num_reads);
+    return replayed_reader(proc, 0x1007, num_reads, [base, k](op& o) {
+        for (mc_value j = 0; j < k; ++j) {
+            o.keep(0, j);
+            if (o.read(base + static_cast<std::size_t>(j)) == 1) {
+                o.keep(1, j);
+                return j;
+            }
+        }
+        o.keep(1, -1);
+        return mc_value{-1};
+    });
 }
+
+// Bloom's protocol with value and tag in separate registers (value_i at
+// 2i, tag_i at 2i+1), written value first.
 std::unique_ptr<process> make_split_bloom_writer(int writer_index,
                                                  std::vector<mc_value> values) {
-    return std::make_unique<split_bloom_writer_proc>(writer_index,
-                                                     std::move(values));
+    const auto w = static_cast<std::size_t>(writer_index);
+    return replayed_writer(
+        static_cast<processor_id>(writer_index), 0x1012, std::move(values),
+        [w, writer_index](op& o) {
+            const bool other_tag = o.read(2 * (1 - w) + 1) != 0;
+            const mc_value tag = writer_tag_choice(writer_index, other_tag);
+            o.keep(0, tag);
+            o.write(2 * w, o.arg());
+            o.write(2 * w + 1, tag);
+            return mc_value{0};
+        });
 }
 std::unique_ptr<process> make_split_bloom_reader(processor_id proc,
                                                  int num_reads) {
-    return std::make_unique<split_bloom_reader_proc>(proc, num_reads);
+    return replayed_reader(proc, 0x1013, num_reads, [](op& o) {
+        const mc_value t0 = o.read(1);
+        o.keep(0, t0);
+        const mc_value t1 = o.read(3);
+        o.keep(1, t1);
+        const mc_value v =
+            o.read(static_cast<std::size_t>(2 * reader_pick(t0 != 0, t1 != 0)));
+        o.keep(2, v);
+        return v;
+    });
 }
+
+// VA-style multi-writer register (registers/va_register.hpp): a writer
+// stamps its value one past the largest timestamp it collects; a reader
+// returns the value of the largest (ts, writer) stamp.
 std::unique_ptr<process> make_va_writer(std::size_t base, int n_writers,
                                         int writer_id,
                                         std::vector<mc_value> values,
                                         mc_value value_domain) {
-    return std::make_unique<va_writer_proc>(base, n_writers, writer_id,
-                                            std::move(values), value_domain);
+    return replayed_writer(
+        static_cast<processor_id>(writer_id), 0x1014, std::move(values),
+        [base, n_writers, writer_id, value_domain](op& o) {
+            mc_value max_ts = 0;
+            o.keep(0, max_ts);
+            for (int i = 0; i < n_writers; ++i) {
+                const auto ts = static_cast<mc_value>(
+                    o.read(base + static_cast<std::size_t>(i)) /
+                    (value_domain * n_writers));
+                if (ts > max_ts) {
+                    max_ts = ts;
+                    o.keep(0, max_ts);
+                }
+            }
+            o.write(base + static_cast<std::size_t>(writer_id),
+                    encode_stamp(max_ts + 1, writer_id, o.arg(), n_writers,
+                                 value_domain));
+            return mc_value{0};
+        });
 }
 std::unique_ptr<process> make_va_reader(std::size_t base, int n_writers,
                                         processor_id proc, int num_reads,
                                         mc_value value_domain) {
-    return std::make_unique<va_reader_proc>(base, n_writers, proc, num_reads,
-                                            value_domain);
+    return replayed_reader(
+        proc, 0x1015, num_reads, [base, n_writers, value_domain](op& o) {
+            // (ts, writer) order is the numeric order of stamp / domain.
+            mc_value best = 0;
+            o.keep(0, best);
+            for (int i = 0; i < n_writers; ++i) {
+                const mc_value stamp =
+                    o.read(base + static_cast<std::size_t>(i));
+                if (stamp / value_domain > best / value_domain) {
+                    best = stamp;
+                    o.keep(0, best);
+                }
+            }
+            return static_cast<mc_value>(best % value_domain);
+        });
 }
 
+// SWMR from SWSR (registers/swmr_from_swsr.hpp): the writer writes its
+// sequence number to every reader's cell; a reader takes the largest of its
+// cell and the reports addressed to it, then (the report round) tells
+// every other reader what it returns.
 std::unique_ptr<process> make_mr_writer(std::size_t base, int n,
                                         std::vector<mc_value> values) {
-    return std::make_unique<mr_writer_proc>(base, n, std::move(values));
+    return replayed_writer(0, 0x100a, std::move(values), [base, n](op& o) {
+        for (int i = 0; i < n; ++i) {
+            o.write(base + static_cast<std::size_t>(i),
+                    static_cast<mc_value>(o.index() + 1));
+        }
+        return mc_value{0};
+    });
 }
+
+namespace {
+
+std::unique_ptr<process> mr_reader(std::size_t base, int n, int index,
+                                   processor_id proc, int num_reads,
+                                   std::vector<mc_value> writer_values,
+                                   bool report) {
+    const auto cell = [base, n](int from, int to) {
+        return base + static_cast<std::size_t>(n + from * n + to);
+    };
+    return replayed_reader(
+        proc, report ? 0x100b : 0x100c, num_reads,
+        [base, n, index, cell, report,
+         values = std::move(writer_values)](op& o) {
+            o.keep(0, 0);
+            mc_value best = o.read(base + static_cast<std::size_t>(index));
+            o.keep(0, best);
+            for (int j = 0; j < n; ++j) {
+                if (j == index) continue;
+                const mc_value seq = o.read(cell(j, index));
+                if (seq > best) {
+                    best = seq;
+                    o.keep(0, best);
+                }
+            }
+            for (int j = 0; report && j < n; ++j) {
+                if (j != index) o.write(cell(index, j), best);
+            }
+            return best == 0 ? mc_value{0}
+                             : values[static_cast<std::size_t>(best - 1)];
+        });
+}
+
+}  // namespace
+
 std::unique_ptr<process> make_mr_reader(std::size_t base, int n,
                                         int reader_index, processor_id proc,
                                         int num_reads,
                                         std::vector<mc_value> writer_values) {
-    return std::make_unique<mr_reader_proc>(base, n, reader_index, proc,
-                                            num_reads, std::move(writer_values),
-                                            true);
+    return mr_reader(base, n, reader_index, proc, num_reads,
+                     std::move(writer_values), true);
 }
 std::unique_ptr<process> make_mr_reader_no_report(
     std::size_t base, int n, int reader_index, processor_id proc, int num_reads,
     std::vector<mc_value> writer_values) {
-    return std::make_unique<mr_reader_proc>(base, n, reader_index, proc,
-                                            num_reads, std::move(writer_values),
-                                            false);
+    return mr_reader(base, n, reader_index, proc, num_reads,
+                     std::move(writer_values), false);
 }
 
+// Lamport's binary encoding: one write and one read per bit, low bit first.
 std::unique_ptr<process> make_binary_writer(std::size_t base, int bits,
                                             std::vector<mc_value> values) {
-    return std::make_unique<binary_writer_proc>(base, bits, std::move(values));
+    return replayed_writer(0, 0x101a, std::move(values), [base, bits](op& o) {
+        for (int b = 0; b < bits; ++b) {
+            o.write(base + static_cast<std::size_t>(b),
+                    static_cast<mc_value>((o.arg() >> b) & 1));
+        }
+        return mc_value{0};
+    });
 }
 std::unique_ptr<process> make_binary_reader(std::size_t base, int bits,
                                             processor_id proc, int num_reads) {
-    return std::make_unique<binary_reader_proc>(base, bits, proc, num_reads);
+    return replayed_reader(proc, 0x101b, num_reads, [base, bits](op& o) {
+        mc_value v = 0;
+        o.keep(0, v);
+        for (int b = 0; b < bits; ++b) {
+            v = static_cast<mc_value>(
+                v | (o.read(base + static_cast<std::size_t>(b)) << b));
+            o.keep(0, v);
+        }
+        return v;
+    });
 }
 
+// One base register used as the whole register.
 std::unique_ptr<process> make_cell_writer(std::size_t reg,
                                           std::vector<mc_value> values) {
-    return std::make_unique<cell_writer_proc>(reg, std::move(values));
+    return replayed_writer(0, 0x1016, std::move(values), [reg](op& o) {
+        o.write(reg, o.arg());
+        return mc_value{0};
+    });
 }
 std::unique_ptr<process> make_cell_reader(std::size_t reg, processor_id proc,
                                           int num_reads) {
-    return std::make_unique<cell_reader_proc>(reg, proc, num_reads);
+    return replayed_reader(proc, 0x1017, num_reads, read_one(reg));
 }
+
+// Monotone (seq, value) stamps over a regular cell: the reader keeps the
+// freshest stamp it ever saw.
 std::unique_ptr<process> make_stamped_cell_writer(std::size_t reg,
                                                   std::vector<mc_value> values,
                                                   mc_value value_domain) {
-    return std::make_unique<stamped_cell_writer_proc>(reg, std::move(values),
-                                                      value_domain);
+    return replayed_writer(
+        0, 0x1018, std::move(values), [reg, value_domain](op& o) {
+            const auto seq = static_cast<mc_value>(o.index() + 1);
+            o.write(reg, static_cast<mc_value>(seq * value_domain + o.arg()));
+            return mc_value{0};
+        });
 }
 std::unique_ptr<process> make_stamped_cell_reader(std::size_t reg,
                                                   processor_id proc,
                                                   int num_reads,
                                                   mc_value value_domain) {
-    return std::make_unique<stamped_cell_reader_proc>(reg, proc, num_reads,
-                                                      value_domain);
+    return replayed_reader(proc, 0x1019, num_reads, [reg, value_domain](op& o) {
+        const mc_value stamp = o.read(reg);
+        if (stamp > o.kept(0)) o.keep(0, stamp);
+        return static_cast<mc_value>(o.kept(0) % value_domain);
+    });
 }
 
+// A safe bit; the disciplined writer skips a write of the value it last
+// wrote (the bit starts at 0).
 std::unique_ptr<process> make_bit_writer(std::size_t reg,
                                          std::vector<mc_value> values,
                                          bool only_write_changes) {
-    return std::make_unique<bit_writer_proc>(reg, std::move(values),
-                                             only_write_changes);
+    return replayed_writer(
+        0, 0x1008, std::move(values), [reg, only_write_changes](op& o) {
+            if (!only_write_changes || o.arg() != o.kept(0)) {
+                o.write(reg, o.arg());
+                o.keep(0, o.arg());
+            }
+            return mc_value{0};
+        });
 }
 std::unique_ptr<process> make_bit_reader(std::size_t reg, processor_id proc,
                                          int num_reads) {
-    return std::make_unique<bit_reader_proc>(reg, proc, num_reads);
+    return replayed_reader(proc, 0x1009, num_reads, read_one(reg));
 }
 
 }  // namespace bloom87::mc

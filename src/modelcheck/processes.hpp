@@ -1,11 +1,24 @@
 // bloom87: protocol processes for the model checker.
 //
-// Each class is a small-step state machine version of a protocol from the
-// repository, over simulated base registers (see sim.hpp). Invocations and
-// responses are explicit steps, so operation intervals in the recorded
-// external history are as loose as the real protocol allows -- important
-// when hunting violations (shrunken intervals could manufacture false
-// positives).
+// Each factory returns a process running one protocol role over simulated
+// base registers (see sim.hpp), one atomic action per explorer step.
+// Invocations and responses are explicit steps, so operation intervals in
+// the recorded external history are as loose as the real protocol allows
+// -- important when hunting violations (shrunken intervals could
+// manufacture false positives).
+//
+// Bloom's writer and reader (and the tournament, faulty and mutant variants
+// built from them) are two hand-written step machines, because they carry
+// fault choices, forced crashes, delayed writes, declared footprints and
+// reader symmetry. Every other protocol is written once, as a straight-line
+// op body, and run by one replaying process: each step re-runs the body
+// from the op's start, answers the accesses already taken from the op's
+// recorded read results, performs the next action (the invocation, one
+// atomic access, one half of a split safe/regular access -- the form
+// follows the register's level -- or the response) and parks at the one
+// after it. Only (script position, steps taken in the op, four kept slots)
+// is fingerprinted, so a body keeps every value it uses after a later
+// access (processes.cpp).
 //
 // Value encoding: base registers hold small non-negative integers; a tagged
 // pair (v, t) is encoded as v*2 + t.
@@ -97,8 +110,9 @@ namespace bloom87::mc {
 /// Base register layout (pass as `base`): base+0..base+3 = data slots
 /// data[pair][index] (any level, domain = num distinct values);
 /// base+4, base+5 = slot[pair] bits; base+6 = latest; base+7 = reading
-/// (control bits: any level, domain 2 -- atomic accesses take one step,
-/// weaker levels split into begin/end steps automatically).
+/// (control bits: any level, domain 2). As in every replayed protocol, an
+/// access to an atomic register takes one step and one to a weaker register
+/// a begin and an end step.
 /// The writer/reader processes record external read/write operations so the
 /// explorer can check the register they jointly implement is ATOMIC.
 [[nodiscard]] std::unique_ptr<process> make_fourslot_writer(
@@ -120,7 +134,8 @@ namespace bloom87::mc {
                                                            int num_reads);
 
 /// --- Lamport's unary construction: k-valued REGULAR from regular bits ----
-/// Base registers base+0 .. base+k-1: one bit per value (level regular).
+/// Base registers base+0 .. base+k-1: one bit per value (level regular;
+/// over atomic bits each access is one step).
 /// Initially bit 0 is 1 (register holds 0). Writer writing v sets bit v,
 /// then clears bits v-1 .. 0; reader scans upward from 0 and returns the
 /// first set bit. Provides regularity but NOT atomicity -- the explorer

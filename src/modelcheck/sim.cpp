@@ -52,7 +52,8 @@ void sim_state::enable_lockset_detection() {
 
 mc_value sim_state::read_atomic(std::size_t reg) {
     mc_register& r = registers[reg];
-    assert(r.level == reg_level::atomic);
+    check(r.level == reg_level::atomic,
+          "read_atomic on a split-level register");
     trace_read(reg);
     if (detector_ != nullptr) {
         detector_->on_access(static_cast<std::size_t>(acting_), reg, false,
@@ -67,14 +68,16 @@ mc_value sim_state::read_atomic(std::size_t reg) {
 
 mc_value sim_state::read_previous(std::size_t reg) {
     mc_register& r = registers[reg];
-    assert(r.track_previous);
+    check(r.track_previous,
+          "read_previous on a register without track_previous");
     trace_read(reg);
     return r.previous;
 }
 
 void sim_state::write_atomic(std::size_t reg, mc_value v) {
     mc_register& r = registers[reg];
-    assert(r.level == reg_level::atomic);
+    check(r.level == reg_level::atomic,
+          "write_atomic on a split-level register");
     check(v >= 0 && v < r.domain, "write_atomic: value outside [0, domain)");
     trace_write(reg);
     if (detector_ != nullptr) {
@@ -91,7 +94,7 @@ void sim_state::write_atomic(std::size_t reg, mc_value v) {
 
 void sim_state::begin_read(std::size_t reg, std::int16_t proc) {
     mc_register& r = registers[reg];
-    assert(r.level != reg_level::atomic);
+    check(r.level != reg_level::atomic, "begin_read on an atomic register");
     check(r.domain <= 64, "split-level register domain exceeds the 64-bit "
                           "candidate mask");
     // Split reads trace as WRITES: they mutate the active-read set that
@@ -147,7 +150,7 @@ mc_value sim_state::end_read(std::size_t reg, std::int16_t proc, int choice) {
 
 void sim_state::begin_write(std::size_t reg, mc_value v) {
     mc_register& r = registers[reg];
-    assert(r.level != reg_level::atomic);
+    check(r.level != reg_level::atomic, "begin_write on an atomic register");
     check(r.active_write < 0, "begin_write on a register with an open write "
                               "(concurrent writers on a single-writer register)");
     check(r.domain <= 64, "split-level register domain exceeds the 64-bit "

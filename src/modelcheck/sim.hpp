@@ -133,12 +133,14 @@ public:
 
     /// --- register access API used by processes ---
 
-    /// Atomic single-step read/write (register must be level atomic).
-    /// Written values must lie in [0, domain): checked in every build.
+    /// Atomic single-step read/write: the register must be level atomic,
+    /// and written values must lie in [0, domain). Both are checked in
+    /// every build.
     [[nodiscard]] mc_value read_atomic(std::size_t reg);
     void write_atomic(std::size_t reg, mc_value v);
 
-    /// Split-phase access for safe/regular registers.
+    /// Split-phase access for safe/regular registers (a begin on an atomic
+    /// register fails a check in every build).
     void begin_read(std::size_t reg, std::int16_t proc);
     /// Number of values the pending read may return (the explorer's fanout).
     [[nodiscard]] int read_candidates(std::size_t reg, std::int16_t proc) const;
@@ -148,8 +150,8 @@ public:
     void end_write(std::size_t reg);
 
     /// The previously committed value (fault modeling: STALE reads are
-    /// served from it). Requires track_previous; goes through the access
-    /// API so footprint tracing sees the dependency.
+    /// served from it). Requires track_previous (checked); goes through the
+    /// access API so footprint tracing sees the dependency.
     [[nodiscard]] mc_value read_previous(std::size_t reg);
 
     /// --- external-history hooks ---
@@ -294,8 +296,8 @@ public:
     /// choices. The default derives an EXACT footprint by stepping a scratch
     /// copy of `s` with access tracing armed; hot protocol classes override
     /// it with an equivalent declared footprint to skip the copies
-    /// (processes.cpp asserts the declarations cover the traced truth in
-    /// debug builds).
+    /// (por.cpp asserts the declarations cover the traced truth in debug
+    /// builds).
     [[nodiscard]] virtual step_footprint footprint(const sim_state& s,
                                                    std::size_t self) const;
     /// The processor id this process stamps on its external-history

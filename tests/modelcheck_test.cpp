@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/net_processes.hpp"
@@ -583,6 +585,328 @@ TEST(SafeBitModel, WriteOnlyChangesDisciplineIsRegular) {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned counts of every protocol model outside Bloom's own writer and
+// reader, one small configuration per factory and variant. A rewrite of a
+// protocol's process must keep each number: it is the same protocol only
+// if it reaches the same states, the same histories and the same first
+// violation.
+// ---------------------------------------------------------------------------
+
+sim_state seqlock_system(int writes, int reads,
+                         analysis::sync_class payload_sync) {
+    // The race mode of examples/model_explorer builds the same model.
+    mc_register seq = atomic_reg(static_cast<mc_value>(2 * writes + 1), 0);
+    seq.sync = analysis::sync_class::sync;
+    mc_register payload = atomic_reg(static_cast<mc_value>(writes + 1), 0);
+    payload.sync = payload_sync;
+    sim_state s;
+    s.registers = {seq, payload};
+    std::vector<mc_value> script;
+    for (int i = 1; i <= writes; ++i) {
+        script.push_back(static_cast<mc_value>(i));
+    }
+    s.procs.push_back(make_seqlock_writer(0, script));
+    s.procs.push_back(make_seqlock_reader(0, 1, reads));
+    return s;
+}
+
+/// The four-slot model of model_explorer's race mode: plain data slots
+/// guarded by the handshake bits, synchronizing control bits.
+sim_state fourslot_race_system(reg_level control, int writes) {
+    sim_state s;
+    for (int i = 0; i < 4; ++i) {
+        mc_register r = atomic_reg(static_cast<mc_value>(writes + 1), 0);
+        r.sync = analysis::sync_class::plain;
+        r.guards = 0xF0;
+        s.registers.push_back(r);
+    }
+    for (int i = 0; i < 4; ++i) {
+        mc_register r = weak_reg(control, 2, 0);
+        r.sync = analysis::sync_class::sync;
+        s.registers.push_back(r);
+    }
+    std::vector<mc_value> script;
+    for (int i = 1; i <= writes; ++i) {
+        script.push_back(static_cast<mc_value>(i));
+    }
+    s.procs.push_back(make_fourslot_writer(0, script));
+    s.procs.push_back(make_fourslot_reader(0, 1, 1));
+    return s;
+}
+
+sim_state va_system(int n, int reads) {
+    const auto vdom = static_cast<mc_value>(n + 2);
+    const auto domain = static_cast<mc_value>((n + 1) * n * vdom);
+    sim_state s;
+    for (int i = 0; i < n; ++i) s.registers.push_back(atomic_reg(domain, 0));
+    for (int w = 0; w < n; ++w) {
+        s.procs.push_back(
+            make_va_writer(0, n, w, {static_cast<mc_value>(w + 1)}, vdom));
+    }
+    s.procs.push_back(make_va_reader(0, n, 4, reads, vdom));
+    return s;
+}
+
+sim_state split_write_system() {
+    sim_state s;
+    for (int i = 0; i < 4; ++i) {
+        s.registers.push_back(atomic_reg(i % 2 == 0 ? 5 : 2, 0));
+    }
+    s.procs.push_back(make_split_bloom_writer(0, {1, 2}));
+    s.procs.push_back(make_split_bloom_writer(1, {3, 4}));
+    s.procs.push_back(make_split_bloom_reader(2, 2));
+    return s;
+}
+
+sim_state binary_system(reg_level level) {
+    sim_state s;
+    for (int b = 0; b < 2; ++b) s.registers.push_back(weak_reg(level, 2, 0));
+    s.procs.push_back(make_binary_writer(0, 2, {1, 2}));
+    s.procs.push_back(make_binary_reader(0, 2, 1, 2));
+    return s;
+}
+
+sim_state stamped_cell_system(int readers, int reads_each) {
+    constexpr mc_value vdom = 4;
+    sim_state s;
+    s.registers.push_back(weak_reg(reg_level::regular, 3 * vdom, 0));
+    s.procs.push_back(make_stamped_cell_writer(0, {1, 2}, vdom));
+    for (int r = 0; r < readers; ++r) {
+        s.procs.push_back(make_stamped_cell_reader(
+            0, static_cast<processor_id>(2 + r), reads_each, vdom));
+    }
+    return s;
+}
+
+struct pinned_model {
+    const char* name;
+    sim_state (*build)();
+    property prop;
+    /// "<verdict> <states> <core states> <histories> <DAG states> <judge
+    /// states> <product pairs> | <full states> <full histories>": the
+    /// reduced engine, then the full engine on one thread.
+    const char* counts;
+    /// format_operations of the reduced engine's first violation; empty
+    /// when the property holds.
+    const char* violation;
+};
+
+std::string pinned_counts(const explore_result& reduced,
+                          const explore_result& full) {
+    std::ostringstream o;
+    o << (reduced.property_holds ? "holds " : "fails ")
+      << reduced.states_explored << ' ' << reduced.reduction.core_states << ' '
+      << reduced.distinct_histories << ' ' << reduced.reduction.dfa_states
+      << ' ' << reduced.reduction.judge_states << ' '
+      << reduced.reduction.product_pairs << " | " << full.states_explored << ' '
+      << full.distinct_histories;
+    return o.str();
+}
+
+const pinned_model kPinnedModels[] = {
+    {"four-slot, atomic control bits",
+     [] {
+         return fourslot_system(reg_level::safe, reg_level::atomic, {1, 2}, 2);
+     },
+     property::atomic, "holds 837 689 206 64 52 78 | 8057 206",
+     ""},
+    {"four-slot, regular control bits",
+     [] {
+         return fourslot_system(reg_level::safe, reg_level::regular, {1, 2}, 2);
+     },
+     property::atomic, "fails 2543 1893 10 29 19 15 | 367 10",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(2) [2, 6)\n"
+     "proc 1 read(2) [3, 4)\n"
+     "proc 1 read(1) [5, 7)\n"},
+    {"four-slot, safe control bits",
+     [] { return fourslot_system(reg_level::safe, reg_level::safe, {1}, 1); },
+     property::atomic, "holds 407 328 10 15 14 17 | 959 10",
+     ""},
+    {"seqlock",
+     [] { return seqlock_system(2, 2, analysis::sync_class::relaxed); },
+     property::atomic, "holds 661 447 206 52 52 65 | 5303 206",
+     ""},
+    {"unary over regular bits, regularity",
+     [] { return unary_system(3, {2, 1}, 2); }, property::regular_swmr,
+     "holds 715 487 222 54 15 54 | 5971 222",
+     ""},
+    {"unary over regular bits, atomicity",
+     [] { return unary_system(3, {2, 1}, 2); }, property::atomic,
+     "fails 715 487 6 22 14 7 | 299 12",
+     "proc 0 write(2) [0, 1)\n"
+     "proc 0 write(1) [2, 6)\n"
+     "proc 1 read(1) [3, 4)\n"
+     "proc 1 read(2) [5, 7)\n"},
+    {"split write", split_write_system, property::atomic,
+     "fails 22191 13036 577 212 153 211 | 57871 3117",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(2) [2, 6)\n"
+     "proc 1 write(3) [3, 4)\n"
+     "proc 2 read(4) [5, 8)\n"
+     "proc 1 write(4) [7, 10)\n"
+     "proc 2 read(2) [9, 11)\n"},
+    {"VA, 2 writers", [] { return va_system(2, 2); }, property::atomic,
+     "holds 1451 908 1720 193 178 235 | 33359 1720",
+     ""},
+    {"VA, 3 writers", [] { return va_system(3, 1); }, property::atomic,
+     "holds 20676 12577 7824 983 769 1259 | 1009348 7824",
+     ""},
+    {"SWMR from SWSR",
+     [] { return mr_system(2, {1, 2}, {2, 1}, true); }, property::atomic,
+     "holds 5443 3452 18630 449 279 666 | 365660 18630",
+     ""},
+    {"SWMR from SWSR without the report round",
+     [] { return mr_system(2, {1, 2}, {2, 2}, false); }, property::atomic,
+     "fails 4865 2921 178 81 43 57 | 8194 631",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(2) [2, 8)\n"
+     "proc 2 read(1) [3, 4)\n"
+     "proc 2 read(2) [5, 6)\n"
+     "proc 3 read(1) [7, 9)\n"
+     "proc 3 read(2) [10, 11)\n"},
+    {"binary over safe bits",
+     [] { return binary_system(reg_level::safe); }, property::safe_swmr,
+     "holds 772 499 614 66 15 69 | 11249 614",
+     ""},
+    {"binary over regular bits",
+     [] { return binary_system(reg_level::regular); }, property::regular_swmr,
+     "fails 632 415 2 21 9 5 | 88 6",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(2) [2, 4)\n"
+     "proc 1 read(0) [3, 5)\n"
+     "proc 1 read(2) [6, 7)\n"},
+    {"atomic cell",
+     [] { return cell_system(reg_level::atomic, {1, 2}, 2, 1); },
+     property::atomic, "holds 573 340 1780 164 157 248 | 9491 1780",
+     ""},
+    {"regular cell",
+     [] { return cell_system(reg_level::regular, {1, 2}, 1, 2); },
+     property::atomic, "fails 340 203 10 23 19 13 | 115 12",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(2) [2, 6)\n"
+     "proc 2 read(2) [3, 4)\n"
+     "proc 2 read(1) [5, 7)\n"},
+    {"safe cell",
+     [] { return cell_system(reg_level::safe, {1, 1}, 1, 1); },
+     property::regular_swmr, "fails 116 80 2 15 7 3 | 31 4",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(1) [2, 4)\n"
+     "proc 2 read(0) [3, 5)\n"},
+    {"stamped cell, one reader",
+     [] { return stamped_cell_system(1, 3); }, property::atomic,
+     "holds 546 316 798 83 76 103 | 9541 798",
+     ""},
+    {"stamped cell, two readers",
+     [] { return stamped_cell_system(2, 2); }, property::atomic,
+     "fails 14172 5826 178 91 43 67 | 13107 977",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(2) [2, 8)\n"
+     "proc 2 read(1) [3, 4)\n"
+     "proc 2 read(2) [5, 6)\n"
+     "proc 3 read(1) [7, 9)\n"
+     "proc 3 read(2) [10, 11)\n"},
+    {"naive safe bit", [] { return bit_system(false, {1, 1}, 1); },
+     property::regular_swmr, "fails 116 80 2 15 7 3 | 31 4",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(1) [2, 4)\n"
+     "proc 1 read(0) [3, 5)\n"},
+    {"disciplined safe bit",
+     [] { return bit_system(true, {1, 1, 0, 0, 1}, 2); },
+     property::regular_swmr, "holds 582 351 2813 113 19 113 | 32587 2813",
+     ""},
+};
+
+TEST(PinnedModels, CountsAndFirstViolationsAreExact) {
+    for (const pinned_model& m : kPinnedModels) {
+        SCOPED_TRACE(m.name);
+        explore_config cfg;
+        cfg.prop = m.prop;
+        const explore_result reduced = explore(m.build(), cfg);
+        cfg.por = false;
+        cfg.threads = 1;
+        const explore_result full = explore(m.build(), cfg);
+        EXPECT_TRUE(reduced.reduction.engaged);
+        EXPECT_FALSE(reduced.truncated || full.truncated);
+        EXPECT_EQ(reduced.property_holds, full.property_holds);
+        EXPECT_EQ(pinned_counts(reduced, full), m.counts);
+        EXPECT_EQ(reduced.first_violation
+                      ? format_operations(reduced.first_violation->hist)
+                      : std::string(),
+                  m.violation);
+    }
+}
+
+// The unary construction over ATOMIC bits: every bit access is one action
+// (the same model over regular bits above has 715 reduced states), and at
+// this bound no schedule breaks atomicity.
+TEST(PinnedModels, UnaryOverAtomicBitsTakesOneActionPerAccess) {
+    sim_state s = unary_system(3, {2, 1}, 2);
+    for (mc_register& r : s.registers) r.level = reg_level::atomic;
+    explore_config cfg;
+    const explore_result reduced = explore(s, cfg);
+    cfg.por = false;
+    cfg.threads = 1;
+    const explore_result full = explore(s, cfg);
+    EXPECT_EQ(pinned_counts(reduced, full),
+              "holds 251 184 206 52 52 65 | 2250 206");
+}
+
+/// model_explorer's race models: the detector rides the full engine, which
+/// stops at the first race.
+struct pinned_race {
+    const char* name;
+    sim_state (*build)();
+    bool lockset;  ///< the lockset detector, else happens-before
+    property prop;
+    /// "<verdict> <states> <histories>" at one thread.
+    const char* counts;
+};
+
+const pinned_race kPinnedRaces[] = {
+    {"seqlock",
+     [] { return seqlock_system(1, 1, analysis::sync_class::relaxed); }, false,
+     property::atomic, "holds 226 10"},
+    {"seqlock",
+     [] { return seqlock_system(1, 1, analysis::sync_class::relaxed); }, true,
+     property::atomic, "holds 214 10"},
+    {"seqlock-weak",
+     [] { return seqlock_system(1, 1, analysis::sync_class::plain); }, false,
+     property::atomic, "fails 47 3"},
+    {"seqlock-weak",
+     [] { return seqlock_system(1, 1, analysis::sync_class::plain); }, true,
+     property::atomic, "fails 69 3"},
+    {"fourslot", [] { return fourslot_race_system(reg_level::atomic, 1); },
+     false, property::atomic, "holds 282 10"},
+    {"fourslot", [] { return fourslot_race_system(reg_level::atomic, 1); },
+     true, property::atomic, "holds 206 10"},
+    {"fourslot-regular",
+     [] { return fourslot_race_system(reg_level::regular, 2); }, false,
+     property::safe_swmr, "fails 201 5"},
+};
+
+TEST(PinnedModels, RaceModelCountsAreExact) {
+    for (const pinned_race& m : kPinnedRaces) {
+        SCOPED_TRACE(std::string(m.name) + (m.lockset ? " lockset" : " hb"));
+        sim_state s = m.build();
+        if (m.lockset) {
+            s.enable_lockset_detection();
+        } else {
+            s.enable_race_detection();
+        }
+        explore_config cfg;
+        cfg.prop = m.prop;
+        cfg.threads = 1;
+        const explore_result res = explore(s, cfg);
+        EXPECT_FALSE(res.reduction.engaged);
+        std::ostringstream o;
+        o << (res.property_holds ? "holds " : "fails ") << res.states_explored
+          << ' ' << res.distinct_histories;
+        EXPECT_EQ(o.str(), m.counts);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The judge state (verdicts.hpp): stepping it label by label must reach
 // judge_history's verdict on the rebuilt history, for every property.
 // ---------------------------------------------------------------------------
@@ -746,6 +1070,20 @@ TEST(SimStateDeathTest, SplitWritesOpenAndCloseInPairs) {
     EXPECT_DEATH(s.begin_write(0, 2), "open write");
     s.end_write(0);
     EXPECT_EQ(s.registers[0].committed, 1);
+}
+
+// A misbuilt model must not run silently: an atomic access to a split-level
+// register would read `committed` through an open write, a split access to
+// an atomic register would give it regular semantics, and a stale read
+// without track_previous would serve 0. Always-on checks.
+TEST(SimStateDeathTest, AccessesMustMatchTheRegisterLevel) {
+    sim_state s;
+    s.registers = {atomic_reg(4, 0), weak_reg(reg_level::regular, 4, 0)};
+    EXPECT_DEATH((void)s.read_atomic(1), "read_atomic on a split-level");
+    EXPECT_DEATH(s.write_atomic(1, 1), "write_atomic on a split-level");
+    EXPECT_DEATH(s.begin_read(0, 1), "begin_read on an atomic register");
+    EXPECT_DEATH(s.begin_write(0, 1), "begin_write on an atomic register");
+    EXPECT_DEATH((void)s.read_previous(0), "without track_previous");
 }
 
 // An ABD client picks the choice-th unvisited server; a choice past them
