@@ -15,9 +15,10 @@
 // Flags (anywhere; the rest stays positional):
 //   --threads N     worker count of the full engine (--no-por, race mode, or
 //                   a configuration the reduction cannot take; default:
-//                   hardware_concurrency; 1 = the deterministic sequential
-//                   order). The default reduced engine is sequential and
-//                   ignores it.
+//                   hardware_concurrency, but 1 in race mode; 1 = the
+//                   deterministic sequential order, so a racy schedule's
+//                   counts repeat run to run). The default reduced engine
+//                   is sequential and ignores it.
 //   --max-states N  budget before TRUNCATED (default 20000000): explored
 //                   states; the reduced engine adds its label-DAG states,
 //                   memoized (DAG state, judge state) pairs and histories
@@ -172,6 +173,7 @@ int arg_or(int argc, char** argv, int index, int fallback) {
 
 int main(int argc, char** argv) {
     explore_config cfg;
+    bool threads_given = false;
     std::string detector = "both";
     // Peel off --threads N (anywhere); the rest stays positional.
     std::vector<char*> args;
@@ -180,6 +182,7 @@ int main(int argc, char** argv) {
         const std::string arg(argv[i]);
         if (arg == "--threads" && i + 1 < argc) {
             cfg.threads = number_or_exit<unsigned>("--threads", argv[++i]);
+            threads_given = true;
         } else if (arg == "--max-states" && i + 1 < argc) {
             cfg.max_states =
                 number_or_exit<std::uint64_t>("--max-states", argv[++i]);
@@ -340,7 +343,9 @@ int main(int argc, char** argv) {
         // rides inside the explorer, so EVERY schedule within the bound is
         // certified race-free (exit 0) or the first racy schedule is printed
         // (exit 2). Sync classes follow each substrate's declared contract
-        // (src/analysis/contracts.cpp).
+        // (src/analysis/contracts.cpp). One worker unless --threads says
+        // otherwise: several stop at whichever race one finds first.
+        if (!threads_given) cfg.threads = 1;
         const std::string sub = argc > 2 ? argv[2] : "packed";
         sim_state s;
         if (sub == "packed" || sub == "plain") {

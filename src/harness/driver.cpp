@@ -271,6 +271,12 @@ run_result fail(std::string why) {
 /// Ops one processor's script may hold: 80x the largest script in use,
 /// and far below what a script's allocation or an op index can carry.
 constexpr std::size_t max_ops_per_processor = std::size_t{1} << 24;
+/// Replicas of a net/ composition: 50x the most in use, and the bus keeps
+/// one counter per (node, node) channel, (servers + processors)^2 of them.
+constexpr std::size_t max_net_servers = 256;
+/// Open-loop clients of a timed run: 16x the most in use, and a worker
+/// scans its share of them before each op.
+constexpr std::size_t max_clients = std::size_t{1} << 16;
 
 /// Why `spec` cannot run against `entry`; empty when it can.
 [[nodiscard]] std::string spec_error(const run_spec& spec,
@@ -293,6 +299,14 @@ constexpr std::size_t max_ops_per_processor = std::size_t{1} << 24;
     if (ops > max_ops_per_processor) {
         return "at most " + std::to_string(max_ops_per_processor) +
                " ops per processor, got " + std::to_string(ops);
+    }
+    if (spec.net_servers > max_net_servers) {
+        return "at most " + std::to_string(max_net_servers) +
+               " net servers, got " + std::to_string(spec.net_servers);
+    }
+    if (spec.clients > max_clients) {
+        return "at most " + std::to_string(max_clients) + " clients, got " +
+               std::to_string(spec.clients);
     }
     if (info.family == "net" && spec.net_servers == 0) {
         return info.name + " replicates over servers; net_servers must be "
@@ -443,6 +457,26 @@ run_result run(const run_spec& spec) {
     scfg.stride = spec.stream_stride;
     streaming_checker stream_chk(spec.initial, scfg);
 
+    // Threads mode's phases: 0 = warmup, 1 = measured epoch, 2 = stop.
+    // Scripted runs (duration_ms == 0) skip warmup and run each script
+    // exactly once. A timed run's phases end on the clock, counted from
+    // the epoch (when the gate opened; 0 before).
+    std::atomic<int> phase{timed && spec.warmup_ms > 0 ? 0 : 1};
+    std::atomic<std::uint64_t> epoch_ns{0};
+    const std::uint64_t warmup_end_ms = spec.warmup_ms;
+    const std::uint64_t stop_ms = warmup_end_ms + spec.duration_ms;
+    const auto advance_phase = [&](std::uint64_t now) {
+        const std::uint64_t start = epoch_ns.load(std::memory_order_acquire);
+        const auto after = [&](std::uint64_t ms) {
+            return start != 0 && now >= start + ms * 1000000;
+        };
+        const int due = after(stop_ms) ? 2 : after(warmup_end_ms) ? 1 : 0;
+        int at = phase.load(std::memory_order_relaxed);
+        while (at < due && !phase.compare_exchange_weak(
+                               at, due, std::memory_order_release)) {
+        }
+    };
+
     // Timed collection needs a LIVE consumer: rings are bounded, so one
     // merge thread runs the k-way seq merge concurrently, feeding the
     // streaming checker and discarding (backpressure throttles the
@@ -456,7 +490,13 @@ run_result run(const run_spec& spec) {
             for (const auto& r : rings) rp.push_back(r.get());
             ring_merger merger(rp);
             stamped_event se;
-            while (merger.next(&se)) stream_chk.ingest(se.e);
+            // This thread also ends the phases on time: when it keeps pace,
+            // every core is busy, and the calling thread's timer wakeup
+            // may wait a scheduler slice for one.
+            for (std::uint64_t n = 1; merger.next(&se); ++n) {
+                stream_chk.ingest(se.e);
+                if (n % 64 == 0) advance_phase(now_ns());
+            }
             // The final check stays on the thread that ran every
             // checkpoint: it reuses that thread's warmed heap instead of
             // growing another.
@@ -537,11 +577,8 @@ run_result run(const run_spec& spec) {
             hists[p].merge(runners[p].hist());
         }
     } else {
-        // One OS thread per processor. phase: 0 = warmup, 1 = measured
-        // epoch, 2 = stop. Scripted runs (duration_ms == 0) skip warmup and
-        // run each script exactly once.
+        // One OS thread per processor.
         start_gate gate;
-        std::atomic<int> phase{timed && spec.warmup_ms > 0 ? 0 : 1};
         std::atomic<std::uint64_t> crash_total{0};
         // The last worker to finish wakes the calling thread.
         std::mutex done_mutex;
@@ -652,16 +689,14 @@ run_result run(const run_spec& spec) {
             });
         }
         const std::uint64_t t0 = now_ns();
+        epoch_ns.store(t0, std::memory_order_release);
         gate.open();
         if (timed) {
-            if (spec.warmup_ms > 0) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(spec.warmup_ms));
-                phase.store(1, std::memory_order_release);
+            for (const std::uint64_t ms : {warmup_end_ms, stop_ms}) {
+                std::this_thread::sleep_until(steady::time_point(
+                    std::chrono::nanoseconds(t0 + ms * 1000000)));
+                advance_phase(now_ns());
             }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(spec.duration_ms));
-            phase.store(2, std::memory_order_release);
         }
         // Deadline: workers finish their in-flight op and exit, but an op
         // against an unavailable quorum (a crashed majority) would

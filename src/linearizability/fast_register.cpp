@@ -91,7 +91,7 @@ void fast_checker::order_endpoints() {
     for (const endpoint& e : ends_) order_.push_back(e.tag);
 }
 
-fast_check_result fast_checker::check(const std::vector<operation>& raw,
+fast_check_result fast_checker::check(std::span<const operation> raw,
                                       value_t initial) {
     fast_check_result out;
     seq_.clear();

@@ -35,15 +35,18 @@
 // size, plus a heap over ready nodes.
 //
 // `fast_checker` is the reusable form: it owns every work array, so a
-// caller that checks often (the streaming checker, the monitor's prefix
-// search) allocates only when a history outgrows every earlier one. It
-// builds and re-verifies the witness on every passing check but copies
-// nothing out; witness() exposes it. check_fast() is the one-shot wrapper
-// that copies the witness into its result.
+// caller that checks often (the monitor's prefix search) allocates only
+// when a history outgrows every earlier one. It builds and re-verifies the
+// witness on every passing check but copies nothing out; witness() exposes
+// it. check_fast() is the one-shot wrapper that copies the witness into
+// its result. The streaming checker judges with the zone test alone
+// (zones.hpp: same verdict, no graph and no witness) and runs a
+// fast_checker only to explain a failure.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,7 +79,7 @@ class fast_checker {
 public:
     /// Checks atomicity of `raw`: check_fast's verdict, diagnosis and
     /// defect, with the result's witness left empty.
-    [[nodiscard]] fast_check_result check(const std::vector<operation>& raw,
+    [[nodiscard]] fast_check_result check(std::span<const operation> raw,
                                           value_t initial);
 
     /// The witness linearization of the last check() when it passed

@@ -6,7 +6,7 @@
 
 namespace bloom87 {
 
-const char* normalizer::run(const std::vector<operation>& raw,
+const char* normalizer::run(std::span<const operation> raw,
                             value_t initial, bool require_unique_writes) {
     constexpr std::uint32_t none = no_source;
     constexpr std::uint32_t used_bit = 1;

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,7 @@ public:
 
     /// Normalizes `raw`: nullptr, or the defect (a static message) that
     /// normalize_history would report.
-    [[nodiscard]] const char* run(const std::vector<operation>& raw,
+    [[nodiscard]] const char* run(std::span<const operation> raw,
                                   value_t initial, bool require_unique_writes);
 
     /// Raw indices of the survivors, in raw order.

@@ -1,19 +1,10 @@
 #include "linearizability/streaming.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/check.hpp"
 
 namespace bloom87 {
-namespace {
-
-/// Processor id reserved for the virtual reads appended when judging;
-/// far above anything the harness hands out.
-constexpr processor_id vread_processor =
-    std::numeric_limits<processor_id>::max();
-
-}  // namespace
 
 streaming_checker::streaming_checker(value_t initial, streaming_config cfg)
     : cfg_(cfg), initial_(initial) {
@@ -119,17 +110,25 @@ void streaming_checker::on_response(const event& e) {
     }
 }
 
-bool streaming_checker::passes_from_some_candidate(
-    const std::vector<operation>& ops, std::string* first_failure) {
-    if (last_pass_ >= candidates_.size()) last_pass_ = 0;
+bool streaming_checker::judge_from_some_candidate(
+    std::span<const operation> ops) {
     for (std::size_t k = 0; k < candidates_.size(); ++k) {
         const std::size_t i = (last_pass_ + k) % candidates_.size();
         stats_.ops_checked += ops.size();
-        const fast_check_result res = fast_.check(ops, candidates_[i]);
-        if (res.ok() && res.linearizable) {
+        if (zones_.judge(ops, candidates_[i])) {
             last_pass_ = i;
             return true;
         }
+    }
+    return false;
+}
+
+bool streaming_checker::explain(std::span<const operation> ops,
+                                std::string* first_failure) {
+    for (std::size_t k = 0; k < candidates_.size(); ++k) {
+        const std::size_t i = (last_pass_ + k) % candidates_.size();
+        const fast_check_result res = fast_.check(ops, candidates_[i]);
+        if (res.ok() && res.linearizable) return true;
         // A history defect is the violation itself: a read of a value no
         // write in the window produced is a stale read of a judged,
         // overwritten value (or a corrupted one).
@@ -149,8 +148,12 @@ void streaming_checker::run_check() {
     ops.insert(ops.end(), pending_.begin(), pending_.end());
     for (const open_op& o : open_) ops.push_back(o.op);
 
+    if (judge_from_some_candidate(ops)) return;
     std::string why;
-    if (passes_from_some_candidate(ops, &why)) return;
+    if (explain(ops, &why)) {
+        flag("internal error: the zones reject a window check_fast accepts");
+        return;
+    }
     flag("streaming window not linearizable against any candidate current "
          "value (|V|=" +
          std::to_string(candidates_.size()) + "): " + why);
@@ -219,86 +222,47 @@ std::size_t streaming_checker::last_quiescent_cut(event_pos upper) const {
 }
 
 void streaming_checker::judge_through(std::size_t k) {
-    std::vector<operation>& batch = check_ops_;
-    batch.assign(retained_.begin() + static_cast<std::ptrdiff_t>(judged_),
-                 retained_.begin() + static_cast<std::ptrdiff_t>(k));
+    const std::span<const operation> judged(retained_.data() + judged_,
+                                            k - judged_);
 
     // A judged read that observed a carried pending (crashed) write
-    // decides that write: materialize it into the batch.
-    const std::size_t reads_end = batch.size();
-    for (std::size_t r = 0; r < reads_end; ++r) {
-        if (batch[r].kind != op_kind::read) continue;
+    // decides that write: materialize it into a copy of the batch.
+    check_ops_.clear();
+    for (const operation& r : judged) {
+        if (pending_.empty()) break;
+        if (r.kind != op_kind::read) continue;
         auto it = std::find_if(
-            pending_.begin(), pending_.end(), [&](const operation& w) {
-                return w.value == batch[r].value;
-            });
-        if (it != pending_.end()) {
-            batch.push_back(std::move(*it));
-            pending_.erase(it);
-        }
+            pending_.begin(), pending_.end(),
+            [&](const operation& w) { return w.value == r.value; });
+        if (it == pending_.end()) continue;
+        if (check_ops_.empty()) check_ops_.assign(judged.begin(), judged.end());
+        check_ops_.push_back(std::move(*it));
+        pending_.erase(it);
     }
+    const std::span<const operation> batch =
+        check_ops_.empty() ? judged : std::span<const operation>(check_ops_);
 
-    // Recompute the candidate current values: u survives iff some
-    // linearization of the batch (from some previous candidate) ends with
-    // value u -- probed by appending a virtual read of u after the batch.
-    //
-    // The universe of possible u is pruned before probing (this is what
-    // keeps judging O(batch), not O(batch^2)): writes are totally
-    // ordered among themselves, so a write real-time-followed by another
-    // write (some write invoked after its response) can never linearize
-    // last -- only the real-time-maximal writes are eligible, and there
-    // are at most `writers` of those. And if the batch contains any write,
-    // SOME write linearizes last, so the previous candidates (values no
-    // batch write produced) cannot survive at all.
-    std::vector<value_t> universe;
-    std::uint64_t max_write_inv = 0;
-    bool batch_has_write = false;
-    for (const operation& op : batch) {
-        if (op.kind != op_kind::write) continue;
-        batch_has_write = true;
-        max_write_inv = std::max(
-            max_write_inv, static_cast<std::uint64_t>(op.invoked));
-    }
-    if (!batch_has_write) {
-        universe = candidates_;
-    } else {
-        for (const operation& op : batch) {
-            // A write's own invocation precedes its response, so the
-            // global max works: followed iff some OTHER write was invoked
-            // after this response.
-            if (op.kind == op_kind::write &&
-                max_write_inv <= static_cast<std::uint64_t>(op.responded)) {
-                universe.push_back(op.value);
-            }
-        }
-    }
-    // One virtual read, after everything in the batch, whose value is
-    // rewritten for each probe.
-    operation& vread = batch.emplace_back();
-    vread.id = {vread_processor, 0};
-    vread.kind = op_kind::read;
-    vread.invoked = stats_.events;
-    vread.responded = stats_.events + 1;
-    std::vector<value_t> next;
-    for (const value_t u : universe) {
-        vread.value = u;
-        for (const value_t v : candidates_) {
-            stats_.ops_checked += batch.size();
-            const fast_check_result res = fast_.check(batch, v);
-            if (res.ok() && res.linearizable) {
+    // The candidate current values at the judged cut: every value some
+    // linearization of the batch, from some v in V, ends with, in batch
+    // order of their writes (V's own order when the batch writes nothing).
+    std::vector<value_t>& next = next_candidates_;
+    next.clear();
+    for (const value_t v : candidates_) {
+        stats_.ops_checked += batch.size();
+        if (!zones_.judge(batch, v)) continue;
+        for (const value_t u : zones_.last_values()) {
+            if (std::find(next.begin(), next.end(), u) == next.end()) {
                 next.push_back(u);
-                break;
             }
         }
     }
     if (next.empty()) {
         // The cut is quiescent, so any linearization of the window restricts
-        // to one of the batch that ends with some probed value: no survivor
-        // means the window is not linearizable, and the batch says why. A
-        // batch that passes while every probe fails is a checker defect.
-        batch.pop_back();  // the virtual read
+        // to one of the batch: no survivor means the window is not
+        // linearizable, and check_fast over the batch says why. A batch it
+        // passes is a checker defect.
         std::string why;
-        if (passes_from_some_candidate(batch, &why)) {
+        if (explain(batch, &why)) {
             flag("internal error: no candidate current value survived the "
                  "judged batch");
         } else {
@@ -308,7 +272,7 @@ void streaming_checker::judge_through(std::size_t k) {
         }
         return;
     }
-    candidates_ = std::move(next);
+    candidates_.swap(next);
     last_pass_ = 0;
     judged_ = k;
     stats_.candidate_values = candidates_.size();

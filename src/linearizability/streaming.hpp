@@ -17,19 +17,29 @@
 //    its final value can constrain the future.
 //  * That final value is not always unique: concurrent writes can
 //    linearize in either order. The checker therefore carries a CANDIDATE
-//    SET V of possible current values. Judging a batch of ops recomputes V
-//    by appending a virtual read of each candidate u to the batch and
-//    asking check_fast whether some linearization ends with value u
-//    (starting from some previous candidate). The ops after the cut are
-//    then accepted iff they check out against at least one v in V. |V| is
-//    bounded by the writes concurrent at the cut, in practice <= writers+1.
+//    SET V of possible current values, and judges a batch of ops from each
+//    v in V with the zone test (zones.hpp). A CLUSTER is a write plus the
+//    reads of its value, v being a virtual write at -infinity; its ZONE
+//    runs from its earliest response f to its latest invocation s, FORWARD
+//    when f < s and BACKWARD otherwise. The batch is atomic from v iff two
+//    local conditions hold -- no read responds before its write is
+//    invoked, and no read of v follows a completed write (v's zone puts
+//    this one under the next two rules) -- no two forward zones overlap,
+//    and no backward zone lies inside a forward zone.
+//  * V' RULE. After a batch, V' holds the values some linearization of it
+//    from some v in V ends with: u iff its cluster's f is at or after
+//    every other cluster's s (a read of u appended after the batch keeps
+//    the zones apart), and v itself only when the batch writes nothing;
+//    in batch order of the writes (V's order without writes). The ops
+//    after the cut are then accepted iff they pass from some v in V. |V|
+//    is bounded by the writes concurrent at the cut, in practice
+//    <= writers+1.
 //  * A read of a value that is neither live nor in V surfaces through
-//    check_fast/normalize as "read returned a value no write produced" --
-//    which in this setting is precisely a stale read of a judged,
-//    overwritten value (or a corrupted one), and is reported as the
-//    violation. Sound: u not in V means no linearization of the prefix
-//    ends with u, and every interleaving puts the whole prefix before the
-//    reader.
+//    normalize as "read returned a value no write produced" -- which in
+//    this setting is precisely a stale read of a judged, overwritten value
+//    (or a corrupted one), and is reported as the violation. Sound: u not
+//    in V means no linearization of the prefix ends with u, and every
+//    interleaving puts the whole prefix before the reader.
 //  * Pending operations never block a cut. An operation still open
 //    `pending_grace` events after its invocation is declared crashed:
 //    pending reads are dropped (they constrain nothing), pending writes
@@ -37,6 +47,9 @@
 //    pending write exactly when some read observed it), so "did that
 //    crashed write land?" stays undecided until a reader decides it --
 //    at which point the write is materialized into the judged batch.
+//    So an UNOBSERVED pending write, the one case the V' rule does not
+//    cover (a read appended after it could observe it), never reaches a
+//    judged batch: completed ops and the writes their reads decided do.
 //    A processor that invokes again while its previous operation is still
 //    open crashed mid-operation and recovered (parse_history's reading):
 //    the open operation is declared crashed on the spot, the same way.
@@ -49,42 +62,45 @@
 //    per processor; a later response is a malformed stream.
 //  * A checkpoint (every `stride` events) keeps TWO CUTS. The JUDGED cut
 //    moves to the last quiescent cut at or before the frontier and the
-//    earliest open invocation; the ops it passes are probed from V, once,
-//    and V becomes the survivors. The RETIREMENT cut, the last quiescent
-//    cut `window` events behind the frontier, only frees memory: it never
-//    passes the judged cut, so every retired op is already judged. Then
-//    the checkpoint checks the ops after the judged cut (with the open and
+//    earliest open invocation; the ops it passes are judged from V, once,
+//    and V becomes V'. The RETIREMENT cut, the last quiescent cut `window`
+//    events behind the frontier, only frees memory: it never passes the
+//    judged cut, so every retired op is already judged. Then the
+//    checkpoint judges the ops after the judged cut (with the open and
 //    carried ops) from V. This is exact wherever the judged cut sits:
 //    across a quiescent cut, "linearizable from some v in V" holds exactly
-//    when the probes leave a non-empty V' and the ops after the cut are
-//    linearizable from some u in V'. So every verdict and detection
-//    position is the one a check of everything since the retirement cut
-//    would give, while each completed op reaches check_fast about once. An
-//    empty V' is a violation, diagnosed by check_fast over the judged
-//    batch; a batch that passes while no probe passes is a checker defect
-//    (reported as an internal error).
+//    when V' is non-empty and the ops after the cut are linearizable from
+//    some u in V'. So every verdict and detection position is the one a
+//    check of everything since the retirement cut would give, while each
+//    completed op is judged about once.
+//  * check_fast only EXPLAINS: when no candidate passes the zones,
+//    fast_checker runs over the same ops from each candidate in the same
+//    order, and its first diagnosis is the report -- the one a checker
+//    judging with check_fast alone gives. A pass there is a checker
+//    defect (reported as an internal error).
 //
 // Memory: O(window + ports + |V|) operations, independent of run length.
-// Work: one probe of each judged batch and one check of the short tail
-// after the judged cut every `stride` events -- the checker chases writers
-// at load instead of buffering the run. Every probe and check runs on one
-// fast_checker, whose work arrays are reused across them. On the benchmark
-// ledger's recorded history at window = stride = 4096 that is 114-179 ns
-// per ingested event, median 144 (`linearizability.ingest_ns_per_event` in
+// Work: one zone judgment of each judged batch per candidate and one of
+// the short tail after the judged cut every `stride` events -- the checker
+// chases writers at load instead of buffering the run. One zone_judge and
+// one fast_checker keep their work arrays across calls. On the benchmark
+// ledger's recorded history at window = stride = 4096 that is 55-67 ns
+// per ingested event, median 65 (`linearizability.ingest_ns_per_event` in
 // `bash benchmark/run.sh --workload verified --seconds 5 --trace 1`, 6
 // runs; 4-core x86-64, GCC 12.2, RelWithDebInfo), with each completed op
-// handed to check_fast about 1.1 times (`stats().ops_checked`: 136,554 for
-// 119,999 completed ops in streaming_test's
-// StreamingStatsAtVerifiedSettings).
+// judged about 1.05 times (`stats().ops_checked`: 126,241 for 119,999
+// completed ops in streaming_test's StreamingStatsAtVerifiedSettings).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "histories/events.hpp"
 #include "histories/history.hpp"
 #include "linearizability/fast_register.hpp"
+#include "linearizability/zones.hpp"
 
 namespace bloom87 {
 
@@ -112,9 +128,9 @@ struct streaming_stats {
     std::size_t peak_retained_ops{0};
     std::size_t candidate_values{0};  ///< |V| right now
     std::size_t pending_carried{0};   ///< declared-crashed writes carried
-    /// Ops handed to check_fast, summed over calls: each probe's batch
-    /// with its virtual read, and each check's ops after the judged cut
-    /// with the open and carried ones.
+    /// Ops handed to the zone judge, summed over calls: each judged batch
+    /// once per candidate, and each check's ops after the judged cut with
+    /// the open and carried ones.
     std::uint64_t ops_checked{0};
 };
 
@@ -152,13 +168,15 @@ private:
     /// Moves open_[i] to the crashed set: a write is carried in pending_
     /// (a later read may decide it took effect), a read is dropped.
     void declare_crashed(std::size_t i);
-    /// check_fast of `ops` from each candidate, starting at the last one
-    /// that passed. On no pass, *first_failure holds the first diagnosis.
-    bool passes_from_some_candidate(const std::vector<operation>& ops,
-                                    std::string* first_failure);
-    /// One check_fast pass over the ops after the judged cut + open +
-    /// carried-pending ops against every candidate initial value; flags on
-    /// total failure.
+    /// Zone-judges `ops` from each candidate, starting at the last one that
+    /// passed, which a pass moves to.
+    bool judge_from_some_candidate(std::span<const operation> ops);
+    /// check_fast of `ops` from each candidate in the same order, run only
+    /// once no candidate passed the zones: true on a pass (a checker
+    /// defect), else *first_failure holds the first diagnosis.
+    bool explain(std::span<const operation> ops, std::string* first_failure);
+    /// Judges the ops after the judged cut + open + carried-pending ops
+    /// from some candidate; flags on total failure.
     void run_check();
     /// Declares overdue open ops crashed, judges up to the frontier,
     /// retires what is `window` old, then runs the check.
@@ -166,9 +184,9 @@ private:
     /// The largest k such that the cut after retained_[k - 1] is quiescent
     /// and lies before `upper`; 0 if there is none.
     [[nodiscard]] std::size_t last_quiescent_cut(event_pos upper) const;
-    /// Probes retained_[judged_, k) -- with the carried pending writes its
-    /// reads decide -- and replaces V with the survivors; flags when none
-    /// survives.
+    /// Judges retained_[judged_, k) -- with the carried pending writes its
+    /// reads decide -- from each candidate, and replaces V with the values
+    /// it can end with; flags when there are none.
     void judge_through(std::size_t k);
 
     streaming_config cfg_;
@@ -186,11 +204,12 @@ private:
     std::size_t last_pass_{0};            ///< index into candidates_: hint
 
     std::uint64_t since_check_{0};
-    /// Reused per check: the ops handed to check_fast (the ops after the
-    /// judged cut, or the judged batch plus its virtual read).
+    /// Reused per check: the ops after the judged cut, or a judged batch
+    /// with the carried pending writes its reads decide.
     std::vector<operation> check_ops_;
-    /// Runs every probe and check, reusing its work arrays across them.
-    fast_checker fast_;
+    std::vector<value_t> next_candidates_;  ///< V' while it is built
+    zone_judge zones_;                    ///< judges every batch and check
+    fast_checker fast_;                   ///< explains a failed judgment
 
     bool violation_{false};
     std::string diagnosis_;

@@ -3,6 +3,7 @@
 // diagnosis quality, and randomized cross-validation including crashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "linearizability/normalize.hpp"
 #include "linearizability/regularity.hpp"
 #include "linearizability/spec.hpp"
+#include "linearizability/zones.hpp"
 #include "util/rng.hpp"
 
 namespace bloom87 {
@@ -317,8 +319,9 @@ std::vector<operation> random_history_with_crashes(rng& gen) {
     return ops;
 }
 
-TEST_P(CrashCrossValidation, FastAgreesWithExhaustive) {
+TEST_P(CrashCrossValidation, FastAndZonesAgreeWithExhaustive) {
     rng gen(GetParam() * 977 + 5);
+    zone_judge zones;
     for (int iter = 0; iter < 300; ++iter) {
         const auto h = random_history_with_crashes(gen);
         const auto slow = check_exhaustive(h, 0);
@@ -327,7 +330,57 @@ TEST_P(CrashCrossValidation, FastAgreesWithExhaustive) {
         ASSERT_TRUE(fast.ok()) << *fast.defect;
         ASSERT_EQ(slow.linearizable, fast.linearizable)
             << "disagreement at seed " << GetParam() << " iter " << iter;
+        ASSERT_EQ(zones.judge(h, 0), slow.linearizable)
+            << "zones disagree at seed " << GetParam() << " iter " << iter;
     }
+}
+
+// The zone judge's last values are the values a read appended after
+// everything may return: for an atomic history, u is one iff check_fast
+// passes the history plus that read of u. Histories with an unobserved
+// pending write are skipped -- the appended read could observe it, and the
+// streaming checker never judges such a write (it retains only completed
+// ops, plus the pending writes their reads decided).
+TEST_P(CrashCrossValidation, LastValuesMatchVirtualReadProbes) {
+    rng gen(GetParam() * 7919 + 3);
+    zone_judge zones;
+    int judged = 0;
+    int several = 0;  // histories with two or more last values
+    for (int iter = 0; iter < 4000; ++iter) {
+        std::vector<operation> h = random_history_with_crashes(gen);
+        const bool unobserved_pending =
+            std::any_of(h.begin(), h.end(), [&](const operation& w) {
+                return w.kind == op_kind::write && !w.complete() &&
+                       std::none_of(h.begin(), h.end(), [&](const operation& r) {
+                           return r.kind == op_kind::read && r.complete() &&
+                                  r.value == w.value;
+                       });
+            });
+        if (unobserved_pending || !zones.judge(h, 0)) continue;
+        ++judged;
+        const std::vector<value_t> last = zones.last_values();
+        several += last.size() > 1 ? 1 : 0;
+
+        // Candidates in the order last_values() lists them: the writes in
+        // history order, then the initial value.
+        std::vector<value_t> universe;
+        event_pos end = 0;
+        for (const operation& o : h) {
+            if (o.kind == op_kind::write) universe.push_back(o.value);
+            end = std::max(end, o.invoked + 1);
+            if (o.complete()) end = std::max(end, o.responded + 1);
+        }
+        universe.push_back(0);
+        h.push_back(make_op(9, 0, op_kind::read, 0, end, end + 1));
+        std::vector<value_t> probed;
+        for (const value_t u : universe) {
+            h.back().value = u;
+            if (check_fast(h, 0).linearizable) probed.push_back(u);
+        }
+        ASSERT_EQ(last, probed) << "seed " << GetParam() << " iter " << iter;
+    }
+    EXPECT_GT(judged, 800);
+    EXPECT_GT(several, 100);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashCrossValidation,

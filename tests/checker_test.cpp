@@ -10,6 +10,7 @@
 #include "linearizability/fast_register.hpp"
 #include "linearizability/normalize.hpp"
 #include "linearizability/regularity.hpp"
+#include "linearizability/zones.hpp"
 #include "util/rng.hpp"
 
 namespace bloom87 {
@@ -182,8 +183,9 @@ TEST(Fast, WitnessIsValidLinearization) {
 }
 
 // ---------------------------------------------------------------------------
-// Random cross-validation: the fast checker must agree with the exhaustive
-// one on every randomly generated small history (valid or not).
+// Random cross-validation: the fast checker and the zone judge must agree
+// with the exhaustive checker on every randomly generated small history
+// (valid or not).
 // ---------------------------------------------------------------------------
 
 class CrossValidation : public ::testing::TestWithParam<std::uint64_t> {};
@@ -252,8 +254,9 @@ std::vector<operation> random_history(rng& gen) {
     return ops;
 }
 
-TEST_P(CrossValidation, FastAgreesWithExhaustive) {
+TEST_P(CrossValidation, FastAndZonesAgreeWithExhaustive) {
     rng gen(GetParam());
+    zone_judge zones;
     for (int iter = 0; iter < 400; ++iter) {
         const std::vector<operation> h = random_history(gen);
         const auto slow = check_exhaustive(h, 0);
@@ -262,6 +265,8 @@ TEST_P(CrossValidation, FastAgreesWithExhaustive) {
         ASSERT_TRUE(fast.ok()) << *fast.defect;
         ASSERT_EQ(slow.linearizable, fast.linearizable)
             << "disagreement on seed " << GetParam() << " iter " << iter;
+        ASSERT_EQ(zones.judge(h, 0), slow.linearizable)
+            << "zones disagree on seed " << GetParam() << " iter " << iter;
     }
 }
 

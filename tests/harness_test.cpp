@@ -424,6 +424,38 @@ TEST(HarnessDriver, ProcessorAndOpBoundsAreRejected) {
     EXPECT_TRUE(res.ok) << res.error;
 }
 
+// Replicas and open-loop clients are bounded too, before any register,
+// port or thread is made: `quickstart --net-servers 4294967295` fails with
+// an error naming the bound. Each spec also asks for clients on a scripted
+// run, which is rejected only after the bounds, so a missing bound fails
+// here on the message instead of building 2^32-1 replicas or clients.
+TEST(HarnessDriver, ServerAndClientBoundsAreRejected) {
+    run_spec spec;
+    spec.register_name = "net/abd-mw";
+    spec.load.writers = 2;
+    spec.clients = 8;
+    spec.net_servers = 4294967295;
+    run_result res = run(spec);
+    EXPECT_NE(res.error.find("at most 256 net servers"), std::string::npos)
+        << res.error;
+    spec.net_servers = 3;
+    spec.clients = 4294967295;
+    res = run(spec);
+    EXPECT_NE(res.error.find("at most 65536 clients"), std::string::npos)
+        << res.error;
+    spec.clients = 8;
+    res = run(spec);
+    EXPECT_NE(res.error.find("timed threads-mode run"), std::string::npos)
+        << res.error;
+    // The server bound itself runs, on the single-thread seeded schedule.
+    spec.clients = 0;
+    spec.net_servers = 256;
+    spec.schedule = schedule_mode::seeded;
+    spec.load.ops_per_writer = spec.load.ops_per_reader = 4;
+    res = run(spec);
+    EXPECT_TRUE(res.ok) << res.error;
+}
+
 TEST(HarnessWorkload, WritersFieldIsValidated) {
     workload wl;
     wl.scripts = {{{op_kind::write, 1}}, {{op_kind::read, 0}}};

@@ -675,7 +675,7 @@ TEST(FastChecker, ReusedMatchesFresh) {
 // The `verified` settings (window = stride = 4096) over the ledger history
 // with one write's response cut out: the writer's next invocation makes it
 // pending, and a later read decides it. Verdict, every retirement counter
-// and the ops handed to check_fast are pinned.
+// and the ops handed to the zone judge are pinned.
 TEST(PinnedOutputs, StreamingStatsAtVerifiedSettings) {
     const run_result& res = ledger_shaped_run();
     ASSERT_TRUE(res.ok) << res.error;
@@ -718,11 +718,11 @@ TEST(PinnedOutputs, StreamingStatsAtVerifiedSettings) {
     EXPECT_EQ(s.peak_retained_ops, 4100u);
     EXPECT_EQ(s.candidate_values, 1u);
     EXPECT_EQ(s.pending_carried, 0u);
-    EXPECT_EQ(s.ops_checked, 136554u);
+    EXPECT_EQ(s.ops_checked, 126241u);
 }
 
-// Each completed op reaches check_fast about once, whatever the stride:
-// the judged cut follows the frontier, and retirement probes nothing.
+// Each completed op reaches the zone judge about once, whatever the stride:
+// the judged cut follows the frontier, and retirement judges nothing.
 TEST(StreamingChecker, EachOpIsCheckedAboutOnce) {
     const run_result& res = ledger_shaped_run();
     ASSERT_TRUE(res.ok) << res.error;
