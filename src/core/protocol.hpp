@@ -6,9 +6,10 @@
 // r = t0 (+) t1. These two lines are the entire algorithm; everything else
 // in this repository is substrate, harness, or proof.
 //
-// Shared by the threaded implementation (two_writer.hpp), the model-checker
-// step machines, and the I/O-automaton processes, so the protocol logic
-// exists in exactly one place.
+// Shared by the threaded implementation (two_writer.hpp), the model
+// checker's writer and reader op bodies (modelcheck/processes.cpp), and the
+// I/O-automaton processes, so the protocol logic exists in exactly one
+// place.
 #pragma once
 
 namespace bloom87 {

@@ -245,6 +245,13 @@ void streaming_checker::judge_through(std::size_t k) {
     // The candidate current values at the judged cut: every value some
     // linearization of the batch, from some v in V, ends with, in batch
     // order of their writes (V's own order when the batch writes nothing).
+    // A batch that writes is judged until one v passes: a value is written
+    // once, so a passing v is not read in the batch, and every passing v
+    // leaves the same clusters, none of them the initial one.
+    const bool writes =
+        std::any_of(batch.begin(), batch.end(), [](const operation& o) {
+            return o.kind == op_kind::write;
+        });
     std::vector<value_t>& next = next_candidates_;
     next.clear();
     for (const value_t v : candidates_) {
@@ -255,6 +262,7 @@ void streaming_checker::judge_through(std::size_t k) {
                 next.push_back(u);
             }
         }
+        if (writes) break;
     }
     if (next.empty()) {
         // The cut is quiescent, so any linearization of the window restricts

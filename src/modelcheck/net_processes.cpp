@@ -31,10 +31,9 @@ namespace {
                                    static_cast<std::uint16_t>(visited));
 }
 
-/// Shared boilerplate of the two client machines (processes.cpp's
-/// script_process is file-local, so the pattern is restated here: an
-/// immutable refcounted script, a (pos, pc, locals) machine state, and a
-/// fingerprint that packs identity + position + locals). locals_ layout:
+/// Shared boilerplate of the two client machines: an immutable refcounted
+/// script, a (pos, pc, locals) machine state, and a fingerprint that packs
+/// identity + position + locals. locals_ layout:
 ///   [0] = working stamp (phase 1: max seen; phase 2: stamp to install)
 ///   [1] = visited-server bitmask of the CURRENT phase
 ///   [2] = reader only: 1 while every phase-1 reply carried the same stamp

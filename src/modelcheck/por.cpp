@@ -404,7 +404,7 @@ private:
             en[ne].fp = x.procs[p]->footprint(x, p);
 #ifndef NDEBUG
             // Declared footprints must cover the traced truth.
-            const step_footprint probed = x.procs[p]->process::footprint(x, p);
+            const step_footprint probed = probe_footprint(x, p);
             assert((en[ne].fp.reads | probed.reads) == en[ne].fp.reads);
             assert((en[ne].fp.writes | probed.writes) == en[ne].fp.writes);
             assert(en[ne].fp.visible || !probed.visible);

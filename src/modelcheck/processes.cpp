@@ -10,454 +10,77 @@
 namespace bloom87::mc {
 namespace {
 
-/// Immutable operation script, refcounted across process clones. The
-/// explorer clones every process at every branch point; the script never
-/// changes after construction, so sharing it turns a heap allocation plus
-/// copy per clone into one atomic refcount bump (safe across the parallel
-/// explorer's workers -- the payload is read-only).
-class shared_script {
-public:
-    shared_script(std::vector<mc_value> values)
-        : values_(std::make_shared<const std::vector<mc_value>>(
-              std::move(values))) {}
-
-    [[nodiscard]] std::size_t size() const noexcept { return values_->size(); }
-    [[nodiscard]] mc_value operator[](std::size_t i) const {
-        return (*values_)[i];
-    }
-
-private:
-    std::shared_ptr<const std::vector<mc_value>> values_;
-};
-
-/// Shared boilerplate: a process driven by a script of operations.
-class script_process : public process {
-public:
-    script_process(processor_id proc, std::vector<mc_value> script)
-        : proc_(proc), script_(std::move(script)) {}
-
-    [[nodiscard]] processor_id id() const override { return proc_; }
-
-protected:
-    void base_fingerprint(std::vector<std::uint64_t>& out,
-                          std::uint64_t type_id) const {
-        base_fingerprint_as(out, type_id, proc_);
-    }
-
-    /// base_fingerprint with the identity substituted: what the symmetry
-    /// reduction calls (via fingerprint_as) to fingerprint this process as
-    /// if it were the interchangeable twin `as`.
-    void base_fingerprint_as(std::vector<std::uint64_t>& out,
-                             std::uint64_t type_id, processor_id as) const {
-        out.push_back(type_id);
-        out.push_back((static_cast<std::uint64_t>(
-                           static_cast<std::uint16_t>(as))
-                       << 32) |
-                      (static_cast<std::uint64_t>(pos_) << 8) |
-                      static_cast<std::uint64_t>(static_cast<std::uint8_t>(pc_)));
-        for (mc_value l : locals_) {
-            out.push_back(static_cast<std::uint64_t>(static_cast<std::uint16_t>(l)));
-        }
-    }
-
-    void advance_script() {
-        ++opno_;
-        ++pos_;
-        pc_ = 0;
-    }
-
-    processor_id proc_;
-    shared_script script_;
-    std::size_t pos_{0};
-    int pc_{0};
-    op_index opno_{0};
-    std::size_t open_op_{0};
-    std::array<mc_value, 4> locals_{};
-};
-
 // ---------------------------------------------------------------------------
-// Bloom's two-writer protocol over atomic base registers 0 and 1: one writer
-// machine and one reader machine. Every variant the explorer checks -- the
-// wrong-tag mutant, the forced crash, the faulty substrate, the Section 8
-// tournament writer, the reversed and no-reread readers -- is a constructor
-// option of these two, never a separate machine. Each variant keeps its own
-// fingerprint type word, and only the variants that declared a footprint
-// before (plain writers, fault-free readers) declare one; the rest use the
-// exact probing default. So state counts stay what the tests pin.
-//
-// Faulty-substrate semantics (the model-checked twin of registers/
-// faulty.hpp): each eligible real access may nondeterministically misbehave
-// the way one fault class prescribes. The explorer branches over "fault
-// fires here" vs "access is clean" at every eligible step, bounded by a
-// per-process fault budget -- so a reported violation comes with a concrete
-// schedule, and an exhaustive pass covers EVERY placement of up to
-// `max_faults` faults:
-//   stale_read          a real read returns the register's previously
-//                       committed value (registers need track_previous);
-//   lost_write          a real write is silently dropped;
-//   torn_value          the write commits the OLD value bits under the
-//                       NEW tag bit (the adapter's bit-mix, minimized);
-//   delayed_visibility  the real write lands only AFTER the op responded,
-//                       as a separate later step other processes can
-//                       interleave with;
-//   port_crash          the process halts mid-op; the op stays pending.
-// ---------------------------------------------------------------------------
-
-/// The options that make one writer variant.
-struct writer_options {
-    std::uint64_t type_id{0x1001};  ///< fingerprint type word
-    int tag_index{0};               ///< index fed to writer_tag_choice
-    bool declared_footprint{false};
-    /// Forced crash: halt for good after `crash_stage` real accesses of
-    /// script op `crash_op` (0 = right after invoking).
-    bool forced_crash{false};
-    std::size_t crash_op{0};
-    int crash_stage{0};
-    /// Faulty substrate: fault class and per-process budget.
-    bool faulty{false};
-    fault_class cls{fault_class::none};
-    int max_faults{0};
-};
-
-/// Writer owning base register `reg`: for each scripted value: invoke; read
-/// the other register; write (v, tag) to its own; respond. The Bloom writer
-/// i owns register i; tournament writer id owns its pair's register id/2.
-class bloom_writer_proc final : public script_process {
-public:
-    bloom_writer_proc(processor_id proc, int reg, std::vector<mc_value> values,
-                      const writer_options& o)
-        : script_process(proc, std::move(values)), reg_(reg), opt_(o),
-          faults_left_(o.max_faults) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<bloom_writer_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return crashed_ || pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override {
-        return fault_choice_here() ? 2 : 1;
-    }
-
-    void step(sim_state& s, int choice) override {
-        const bool fire = choice == 1 && fault_choice_here();
-        const auto reg = static_cast<std::size_t>(reg_);
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::write,
-                                      static_cast<value_t>(script_[pos_]));
-                if (forced_crash_at(0)) return;
-                pc_ = 1;
-                break;
-            case 1: {  // read the other writer's register
-                if (fire && opt_.cls == fault_class::port_crash) {
-                    fault_crash();
-                    return;
-                }
-                mc_value other;
-                if (fire) {  // stale_read (traced access: POR needs the dep)
-                    other = s.read_previous(1 - reg);
-                    --faults_left_;
-                } else {
-                    other = s.read_atomic(1 - reg);
-                }
-                const bool t = writer_tag_choice(opt_.tag_index, decode_tag(other));
-                locals_[0] = encode_tagged(script_[pos_], t);
-                if (forced_crash_at(1)) return;
-                pc_ = 2;
-                break;
-            }
-            case 2:  // write own register
-                if (fire) {
-                    switch (opt_.cls) {
-                        case fault_class::port_crash: fault_crash(); return;
-                        case fault_class::lost_write: --faults_left_; break;
-                        case fault_class::torn_value: {
-                            // Old value bits under the new tag bit: the
-                            // smallest torn mix the encoding can express,
-                            // and always within the register's domain.
-                            const auto torn = static_cast<mc_value>(
-                                (s.registers[reg].committed &
-                                 ~static_cast<mc_value>(1)) |
-                                (locals_[0] & 1));
-                            if (torn != locals_[0]) --faults_left_;
-                            s.write_atomic(reg, torn);
-                            break;
-                        }
-                        case fault_class::delayed_visibility:
-                            pending_ = locals_[0];
-                            has_pending_ = true;
-                            --faults_left_;
-                            break;
-                        default: s.write_atomic(reg, locals_[0]); break;
-                    }
-                } else {
-                    s.write_atomic(reg, locals_[0]);
-                }
-                if (forced_crash_at(2)) return;
-                pc_ = 3;
-                break;
-            case 3:  // respond
-                if (fire) {  // port_crash: halt without responding
-                    fault_crash();
-                    return;
-                }
-                s.end_op(open_op_, 0);
-                if (has_pending_) {
-                    pc_ = 4;  // the delayed write lands as a later step
-                } else {
-                    advance_script();
-                }
-                break;
-            case 4:  // delayed write becomes visible after the response
-                s.write_atomic(reg, pending_);
-                has_pending_ = false;
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        base_fingerprint(out, opt_.type_id);
-        if (opt_.forced_crash) {
-            out.push_back((opt_.crash_op << 8) |
-                          static_cast<std::uint64_t>(opt_.crash_stage * 2 +
-                                                     (crashed_ ? 1 : 0)));
-        }
-        if (opt_.faulty) {
-            out.push_back((static_cast<std::uint64_t>(
-                               static_cast<std::uint16_t>(faults_left_))
-                           << 32) |
-                          (static_cast<std::uint64_t>(
-                               static_cast<std::uint16_t>(pending_))
-                           << 8) |
-                          (has_pending_ ? 2ULL : 0ULL) |
-                          (crashed_ ? 1ULL : 0ULL));
-        }
-    }
-
-    // Declared footprint (plain writers): begin/end are label-only, the tag
-    // sample reads the OTHER writer's register, the install writes OURS.
-    [[nodiscard]] step_footprint footprint(const sim_state& s,
-                                           std::size_t self) const override {
-        if (!opt_.declared_footprint) return process::footprint(s, self);
-        switch (pc_) {
-            case 1:
-                return {1ULL << (1 - reg_), 0, false};
-            case 2:
-                return {0, 1ULL << reg_, false};
-            default:
-                return {0, 0, true};
-        }
-    }
-
-private:
-    [[nodiscard]] bool fault_choice_here() const {
-        if (crashed_ || faults_left_ <= 0) return false;
-        switch (opt_.cls) {
-            case fault_class::port_crash:
-                return pc_ == 1 || pc_ == 2 || pc_ == 3;
-            case fault_class::stale_read: return pc_ == 1;
-            case fault_class::lost_write:
-            case fault_class::torn_value:
-            case fault_class::delayed_visibility: return pc_ == 2;
-            default: return false;
-        }
-    }
-
-    bool forced_crash_at(int stage) {
-        if (!opt_.forced_crash || pos_ != opt_.crash_op ||
-            opt_.crash_stage != stage) {
-            return false;
-        }
-        crashed_ = true;
-        return true;
-    }
-
-    void fault_crash() {
-        crashed_ = true;
-        --faults_left_;
-    }
-
-    int reg_;
-    writer_options opt_;
-    int faults_left_;
-    bool crashed_{false};
-    bool has_pending_{false};
-    mc_value pending_{0};
-};
-
-/// The tag reader, shared by Bloom and tournament configurations (identical
-/// read protocol). `reversed` samples the tags in the opposite order (the
-/// paper's footnote 5 says the proof tolerates reordering/parallelizing the
-/// first two reads); `no_reread` skips the third real read and returns the
-/// value captured with the chosen tag. A faulty reader applies the
-/// read-side classes (stale_read, port_crash) of the section comment; for
-/// write-side classes it behaves like the standard reader.
-class tag_reader_proc final : public script_process {
-public:
-    enum class variant : std::uint8_t { standard, reversed, no_reread };
-
-    tag_reader_proc(processor_id proc, int num_reads,
-                    variant v = variant::standard, bool faulty = false,
-                    fault_class cls = fault_class::none, int max_faults = 0)
-        : script_process(proc, std::vector<mc_value>(
-                                   static_cast<std::size_t>(num_reads), 0)),
-          variant_(v), faulty_(faulty), cls_(cls), faults_left_(max_faults) {}
-
-    [[nodiscard]] std::unique_ptr<process> clone() const override {
-        return std::make_unique<tag_reader_proc>(*this);
-    }
-    [[nodiscard]] bool done(const sim_state&) const override {
-        return crashed_ || pos_ == script_.size();
-    }
-    [[nodiscard]] int fanout(const sim_state&) const override {
-        return fault_choice_here() ? 2 : 1;
-    }
-
-    void step(sim_state& s, int choice) override {
-        const bool fire = choice == 1 && fault_choice_here();
-        if (fire && cls_ == fault_class::port_crash) {
-            crashed_ = true;
-            --faults_left_;
-            return;
-        }
-        const bool rev = variant_ == variant::reversed;
-        switch (pc_) {
-            case 0:
-                open_op_ = s.begin_op(proc_, opno_, op_kind::read, 0);
-                pc_ = 1;
-                break;
-            case 1:
-                locals_[rev ? 1 : 0] = read(s, rev ? 1 : 0, fire);
-                pc_ = 2;
-                break;
-            case 2:
-                locals_[rev ? 0 : 1] = read(s, rev ? 0 : 1, fire);
-                pc_ = 3;
-                break;
-            case 3: {
-                const int pick =
-                    reader_pick(decode_tag(locals_[0]), decode_tag(locals_[1]));
-                // no_reread responds on the next step anyway: the skipped
-                // read keeps the step count uniform without touching
-                // shared state.
-                locals_[2] = variant_ == variant::no_reread
-                                 ? locals_[pick]
-                                 : read(s, static_cast<std::size_t>(pick), fire);
-                pc_ = 4;
-                break;
-            }
-            case 4:
-                s.end_op(open_op_,
-                         static_cast<value_t>(decode_value(locals_[2])));
-                advance_script();
-                break;
-        }
-    }
-
-    void fingerprint(std::vector<std::uint64_t>& out) const override {
-        fingerprint_as(out, proc_);
-    }
-
-    // Declared footprint (fault-free readers): only the three tag-protocol
-    // reads touch shared state; no_reread's third "read" is local.
-    [[nodiscard]] step_footprint footprint(const sim_state& s,
-                                           std::size_t self) const override {
-        if (faulty_) return process::footprint(s, self);
-        const bool rev = variant_ == variant::reversed;
-        switch (pc_) {
-            case 1:
-                return {1ULL << (rev ? 1 : 0), 0, false};
-            case 2:
-                return {1ULL << (rev ? 0 : 1), 0, false};
-            case 3: {
-                if (variant_ == variant::no_reread) return {0, 0, false};
-                const int pick =
-                    reader_pick(decode_tag(locals_[0]), decode_tag(locals_[1]));
-                return {1ULL << pick, 0, false};
-            }
-            default:
-                return {0, 0, true};
-        }
-    }
-
-    // Fault-free tag readers with the same variant and script length are
-    // fully interchangeable: identical program over registers 0/1, identity
-    // only in the history labels. Faulty readers stay singletons.
-    [[nodiscard]] std::uint64_t symmetry_key() const override {
-        if (faulty_) return 0;
-        return 0xA11CE000ULL | (static_cast<std::uint64_t>(variant_) << 8) |
-               script_.size();
-    }
-    void fingerprint_as(std::vector<std::uint64_t>& out,
-                        processor_id as_proc) const override {
-        if (!faulty_) {
-            base_fingerprint_as(
-                out, 0x1002 + (static_cast<std::uint64_t>(variant_) << 8),
-                as_proc);
-            return;
-        }
-        base_fingerprint_as(out, 0x1021 | (static_cast<std::uint64_t>(cls_) << 8),
-                            as_proc);
-        out.push_back((static_cast<std::uint64_t>(
-                           static_cast<std::uint16_t>(faults_left_))
-                       << 8) |
-                      (crashed_ ? 1ULL : 0ULL));
-    }
-
-private:
-    [[nodiscard]] bool fault_choice_here() const {
-        if (crashed_ || faults_left_ <= 0) return false;
-        switch (cls_) {
-            case fault_class::port_crash: return pc_ >= 1 && pc_ <= 4;
-            case fault_class::stale_read: return pc_ >= 1 && pc_ <= 3;
-            default: return false;
-        }
-    }
-
-    [[nodiscard]] mc_value read(sim_state& s, std::size_t reg, bool fire) {
-        if (fire) {  // stale_read (traced access: POR needs the dep)
-            --faults_left_;
-            return s.read_previous(reg);
-        }
-        return s.read_atomic(reg);
-    }
-
-    variant variant_;
-    bool faulty_;
-    fault_class cls_;
-    int faults_left_;
-    bool crashed_{false};
-};
-
-// ---------------------------------------------------------------------------
-// Every other protocol is one op body, run by one replaying process.
+// Every protocol is one op body, run by one replaying process.
 //
 // A body is the protocol's operation written straight through, the way
 // registers/*.hpp and the papers write it: it reads and writes base
 // registers through an `op`, keeps what must outlive an access in four kept
 // slots, and returns a read's result (a write's return value is ignored).
 // The process runs it one action per explorer step: step 0 invokes; then
-// come the body's accesses in program order, one action for an ATOMIC
-// register and two (begin, end) for a SAFE or REGULAR one, the end of a
-// read being where the explorer branches over candidate values; the last
-// step responds.
+// come the body's actions in program order -- one for an access to an
+// ATOMIC register, two (begin, end) for one to a SAFE or REGULAR register,
+// the end of a read being where the explorer branches over candidate
+// values, and one for a silent action that touches nothing; the last step
+// responds.
 //
 // Each step re-runs the body from its start. Accesses the op already took
 // are answered from its recorded read results without touching sim_state;
 // the next action is performed; the body then runs on to the action after
-// it, where the process parks (fanout() reads it), and every later call is
-// inert. A process's state is (script position, steps taken in the op,
-// kept slots), and only that is fingerprinted. Hence the keep rule: a body
-// keeps every value it uses after a later access. Kept slots are never
-// reset between ops (a monotone filter or a last-written value carries
-// over), and every re-run starts from the slots its attempt began with, so
-// a body uses them like locals; a body that clears a slot before its first
-// access spares the explorer states that differ only in what the previous
-// op left there. A body may retry: restart the op without a new
-// invocation, from the kept slots as they stand.
+// it, where the process parks, and every later call is inert. The parked
+// action is all fanout() and footprint() read: an invocation or a response
+// is visible, an atomic read reads its register, and an atomic write or
+// either half of a split access writes it. A process's state is (script
+// position, steps taken in the op, kept slots, and the fault rules' state
+// below), and only that is fingerprinted. Hence the keep rule: a body keeps
+// every value it uses after a later access. Kept slots are never reset between ops (a monotone
+// filter or a last-written value carries over), and every re-run starts
+// from the slots its attempt began with, so a body uses them like locals; a
+// body that clears a slot before its first access spares the explorer
+// states that differ only in what the previous op left there. A body may
+// retry: restart the op without a new invocation, from the kept slots as
+// they stand.
+//
+// Faults and crashes are rules of the process, the model-checked twin of
+// registers/faulty.hpp, so a body never sees them. While a program's fault
+// budget lasts, each action its class hits gets one more choice, "the fault
+// fires here" (an atomic access then has fanout 2), so an exhaustive pass
+// covers every placement of up to `max_faults` faults:
+//   stale_read          an atomic read returns the register's previously
+//                       committed value (registers need track_previous);
+//   lost_write          an atomic write is silently dropped;
+//   torn_value          an atomic write commits the register's OLD value
+//                       bits under the NEW low (tag) bit -- the smallest
+//                       torn mix the v*2+t encoding can express; the budget
+//                       is spent only when the mix changes the value;
+//   delayed_visibility  an atomic write lands only AFTER the op responded,
+//                       as its own step other processes can interleave
+//                       with;
+//   port_crash          any action after the invocation, the response
+//                       included, halts the process instead.
+// A forced crash halts the process after action `crash_stage` of op
+// `crash_op`, if that action comes before the response. Either way the op
+// never responds: it stays pending.
 // ---------------------------------------------------------------------------
+
+/// The actions a replaying process can be parked at.
+enum class act : std::uint8_t {
+    invoke,
+    read,   ///< an atomic read
+    write,  ///< an atomic write
+    begin_read,
+    end_read,
+    begin_write,
+    end_write,
+    silent,
+    respond,
+    land,  ///< a delayed write becomes visible, after the response
+};
+
+struct action {
+    act kind{act::invoke};
+    std::uint8_t reg{0};
+};
 
 /// What a replaying process carries between steps.
 struct replay_state {
@@ -467,18 +90,23 @@ struct replay_state {
     std::array<mc_value, 4> start{};  ///< kept slots the attempt began with
     std::array<mc_value, 64> seen{};  ///< the attempt's read results
     std::uint8_t nseen{0};
-    /// The split read whose end the process is parked at, else -1.
-    std::int16_t read_end{-1};
+    action next{};  ///< the action the process is parked at
+    std::int16_t faults_left{0};
+    bool crashed{false};
+    bool delayed{false};  ///< a delayed write waits to land
+    action delayed_write{act::land};
+    mc_value delayed_value{0};
 };
 
 /// One run of an op body: the calls before action `perform` replay, that
-/// action is performed on `s`, and the next one parks the run.
+/// action is performed on `s` (faulted per `fault`), and the next one parks
+/// the run.
 class op {
 public:
     op(replay_state& st, sim_state& s, processor_id proc, mc_value arg,
-       int perform, int choice)
+       int perform, int choice, fault_class fault)
         : st_(st), s_(s), proc_(proc), arg_(arg), perform_(perform),
-          choice_(choice) {
+          choice_(choice), fault_(fault) {
         st_.kept = st_.start;
     }
 
@@ -494,8 +122,15 @@ public:
             return st_.seen[seen_++];
         }
         if (last == perform_) {
-            const mc_value v = first == last ? s_.read_atomic(reg)
-                                             : s_.end_read(reg, proc_, choice_);
+            mc_value v;
+            if (first < last) {
+                v = s_.end_read(reg, proc_, choice_);
+            } else if (fault_ == fault_class::stale_read) {
+                v = s_.read_previous(reg);  // traced: POR needs the dep
+                --st_.faults_left;
+            } else {
+                v = s_.read_atomic(reg);
+            }
             check(st_.nseen < st_.seen.size(), "an op reads at most 64 values");
             st_.seen[st_.nseen++] = v;
             ++seen_;
@@ -503,9 +138,9 @@ public:
         }
         if (first == perform_) {
             s_.begin_read(reg, proc_);
-            return park(static_cast<std::int16_t>(reg));
+            return park(act::end_read, reg);
         }
-        return park(-1);
+        return park(first == last ? act::read : act::begin_read, reg);
     }
 
     void write(std::size_t reg, mc_value v) {
@@ -513,15 +148,24 @@ public:
         const auto [first, last] = claim(reg);
         if (last < perform_) return;
         if (last == perform_) {
-            if (first == last) {
-                s_.write_atomic(reg, v);
-            } else {
+            if (first < last) {
                 s_.end_write(reg);
+            } else {
+                write_atomic(reg, v);
             }
             return;
         }
-        if (first == perform_) s_.begin_write(reg, v);
-        park(-1);
+        if (first == perform_) {
+            s_.begin_write(reg, v);
+            park(act::end_write, reg);
+            return;
+        }
+        park(first == last ? act::write : act::begin_write, reg);
+    }
+
+    /// An action that touches nothing.
+    void silent() {
+        if (!inert_ && next_++ > perform_) park(act::silent, 0);
     }
 
     [[nodiscard]] mc_value kept(std::size_t slot) const {
@@ -543,7 +187,7 @@ public:
 
     [[nodiscard]] bool retried() const noexcept { return retried_; }
     [[nodiscard]] bool parked() const noexcept { return inert_ && !retried_; }
-    /// The action after the body's last access: its response.
+    /// The action after the body's last one: its response.
     [[nodiscard]] int response() const noexcept { return next_; }
 
 private:
@@ -555,10 +199,33 @@ private:
         return {first, next_ - 1};
     }
 
-    mc_value park(std::int16_t read_end) {
-        st_.read_end = read_end;
+    mc_value park(act kind, std::size_t reg) {
+        st_.next = action{kind, static_cast<std::uint8_t>(reg)};
         inert_ = true;
         return 0;
+    }
+
+    void write_atomic(std::size_t reg, mc_value v) {
+        switch (fault_) {
+            case fault_class::lost_write:
+                --st_.faults_left;
+                return;
+            case fault_class::torn_value: {
+                const auto torn = static_cast<mc_value>(
+                    (s_.registers[reg].committed & ~mc_value{1}) | (v & 1));
+                if (torn != v) --st_.faults_left;
+                s_.write_atomic(reg, torn);
+                return;
+            }
+            case fault_class::delayed_visibility:
+                --st_.faults_left;
+                st_.delayed = true;
+                st_.delayed_write.reg = static_cast<std::uint8_t>(reg);
+                st_.delayed_value = v;
+                return;
+            default:
+                s_.write_atomic(reg, v);
+        }
     }
 
     replay_state& st_;
@@ -567,6 +234,7 @@ private:
     mc_value arg_;
     int perform_;
     int choice_;
+    fault_class fault_;
     int next_{1};  ///< action 0 is the invocation
     std::uint8_t seen_{0};
     bool inert_{false};
@@ -575,53 +243,92 @@ private:
 
 using op_body = std::function<mc_value(op&)>;
 
-/// One protocol role: its op body and the script it runs, shared by every
-/// clone of the process.
+/// One protocol role: its op body, the script it runs, and its fault rules,
+/// shared by every clone of the process.
 struct program {
     std::uint64_t type_id;  ///< fingerprint type word
     op_kind kind;
     std::vector<mc_value> script;  ///< a reader's holds one 0 per read
     op_body body;
+    /// Non-zero for interchangeable twins (Bloom's fault-free readers).
+    std::uint64_t symmetry_key{0};
+    fault_class fault{fault_class::none};
+    int max_faults{0};
+    /// Forced crash after action `crash_stage` of op `crash_op` (one before
+    /// its response); -1: none.
+    std::size_t crash_op{0};
+    int crash_stage{-1};
 };
 
 class replay_proc final : public process {
 public:
     replay_proc(processor_id proc, std::shared_ptr<const program> prog)
-        : proc_(proc), prog_(std::move(prog)) {}
+        : proc_(proc), prog_(std::move(prog)) {
+        st_.faults_left = static_cast<std::int16_t>(prog_->max_faults);
+    }
 
     [[nodiscard]] std::unique_ptr<process> clone() const override {
         return std::make_unique<replay_proc>(*this);
     }
     [[nodiscard]] bool done(const sim_state&) const override {
-        return st_.pos == prog_->script.size();
+        return st_.crashed || st_.pos == prog_->script.size();
     }
     [[nodiscard]] int fanout(const sim_state& s) const override {
-        return st_.read_end < 0
-                   ? 1
-                   : s.read_candidates(static_cast<std::size_t>(st_.read_end),
-                                       proc_);
+        return clean_fanout(s) + (may_fault() ? 1 : 0);
     }
     [[nodiscard]] processor_id id() const override { return proc_; }
 
+    [[nodiscard]] step_footprint footprint(const sim_state&,
+                                           std::size_t) const override {
+        const std::uint64_t bit = 1ULL << st_.next.reg;
+        switch (st_.next.kind) {
+            case act::invoke:
+            case act::respond: return {0, 0, true};
+            case act::read: return {bit, 0, false};
+            case act::silent: return {0, 0, false};
+            default: return {0, bit, false};
+        }
+    }
+
     void step(sim_state& s, int choice) override {
         const program& pr = *prog_;
+        // The last choice of a fault-eligible action fires the fault.
+        const fault_class fault = may_fault() && choice == clean_fanout(s)
+                                      ? pr.fault
+                                      : fault_class::none;
+        if (fault == fault_class::port_crash) {
+            --st_.faults_left;
+            st_.crashed = true;
+            return;
+        }
+        if (st_.next.kind == act::land) {
+            s.write_atomic(st_.delayed_write.reg, st_.delayed_value);
+            st_.delayed = false;
+            next_op();
+            return;
+        }
         const mc_value arg = pr.script[st_.pos];
         if (st_.steps == 0) {
             open_op_ = s.begin_op(proc_, static_cast<op_index>(st_.pos),
                                   pr.kind, pr.kind == op_kind::write ? arg : 0);
         }
-        op o(st_, s, proc_, arg, st_.steps, choice);
+        op o(st_, s, proc_, arg, st_.steps, choice, fault);
         const mc_value result = pr.body(o);
+        if (st_.pos == pr.crash_op && st_.steps == pr.crash_stage &&
+            o.response() != st_.steps) {
+            st_.crashed = true;
+            return;
+        }
         if (o.retried()) {
             // A fresh attempt from the kept slots as they stand, parked at
             // its first action.
             st_.start = st_.kept;
             st_.nseen = 0;
             st_.steps = 1;
-            op again(st_, s, proc_, arg, 0, 0);
+            op again(st_, s, proc_, arg, 0, 0, fault_class::none);
             (void)pr.body(again);
             check(!again.retried(), "a body retries only after an access");
-            if (!again.parked()) st_.read_end = -1;
+            if (!again.parked()) st_.next = action{act::respond};
             return;
         }
         if (!o.parked()) {
@@ -629,16 +336,16 @@ public:
                 s.end_op(open_op_,
                          pr.kind == op_kind::read ? static_cast<value_t>(result)
                                                   : 0);
-                st_.start = st_.kept;
-                st_.nseen = 0;
-                st_.steps = 0;
-                st_.read_end = -1;
-                ++st_.pos;
-                return;
+                if (!st_.delayed) {
+                    next_op();
+                    return;
+                }
+                st_.next = st_.delayed_write;
+            } else {
+                check(o.response() == st_.steps + 1,
+                      "a replayed op retakes the path it recorded");
+                st_.next = action{act::respond};
             }
-            check(o.response() == st_.steps + 1,
-                  "a replayed op retakes the path it recorded");
-            st_.read_end = -1;
         }
         ++st_.steps;
         check(st_.steps < 256, "an op takes fewer than 256 steps (its "
@@ -646,9 +353,16 @@ public:
     }
 
     void fingerprint(std::vector<std::uint64_t>& out) const override {
+        fingerprint_as(out, proc_);
+    }
+    [[nodiscard]] std::uint64_t symmetry_key() const override {
+        return prog_->symmetry_key;
+    }
+    void fingerprint_as(std::vector<std::uint64_t>& out,
+                        processor_id as) const override {
         out.push_back(prog_->type_id);
         out.push_back(
-            (static_cast<std::uint64_t>(static_cast<std::uint16_t>(proc_))
+            (static_cast<std::uint64_t>(static_cast<std::uint16_t>(as))
              << 32) |
             (static_cast<std::uint64_t>(st_.pos) << 8) |
             static_cast<std::uint64_t>(st_.steps));
@@ -656,33 +370,79 @@ public:
             out.push_back(
                 static_cast<std::uint64_t>(static_cast<std::uint16_t>(k)));
         }
+        if (prog_->fault != fault_class::none || prog_->crash_stage >= 0) {
+            // The last delayed write stays in the word after it lands.
+            out.push_back(
+                (static_cast<std::uint64_t>(
+                     static_cast<std::uint16_t>(st_.faults_left))
+                 << 32) |
+                (static_cast<std::uint64_t>(st_.delayed_write.reg) << 24) |
+                (static_cast<std::uint64_t>(
+                     static_cast<std::uint16_t>(st_.delayed_value))
+                 << 8) |
+                (st_.delayed ? 2ULL : 0ULL) | (st_.crashed ? 1ULL : 0ULL));
+        }
     }
 
 private:
+    /// The parked action's outcomes without a fault: a split read's
+    /// candidate values, else one.
+    [[nodiscard]] int clean_fanout(const sim_state& s) const {
+        return st_.next.kind == act::end_read
+                   ? s.read_candidates(st_.next.reg, proc_)
+                   : 1;
+    }
+
+    /// Whether the fault budget lasts and the class hits the parked action.
+    [[nodiscard]] bool may_fault() const {
+        if (st_.faults_left <= 0) return false;
+        switch (prog_->fault) {
+            case fault_class::stale_read: return st_.next.kind == act::read;
+            case fault_class::lost_write:
+            case fault_class::torn_value:
+            case fault_class::delayed_visibility:
+                return st_.next.kind == act::write;
+            case fault_class::port_crash: return st_.next.kind != act::invoke;
+            default: return false;
+        }
+    }
+
+    void next_op() {
+        st_.start = st_.kept;
+        st_.nseen = 0;
+        st_.steps = 0;
+        st_.next = action{};
+        ++st_.pos;
+    }
+
     processor_id proc_;
     std::shared_ptr<const program> prog_;
     replay_state st_;
     std::size_t open_op_{0};
 };
 
+std::unique_ptr<process> run(processor_id proc, program p) {
+    return std::make_unique<replay_proc>(
+        proc, std::make_shared<const program>(std::move(p)));
+}
+
 std::unique_ptr<process> replayed_writer(processor_id proc,
                                          std::uint64_t type_id,
                                          std::vector<mc_value> values,
                                          op_body body) {
-    return std::make_unique<replay_proc>(
-        proc, std::make_shared<const program>(program{
-                  type_id, op_kind::write, std::move(values),
-                  std::move(body)}));
+    return run(proc, program{type_id, op_kind::write, std::move(values),
+                             std::move(body)});
+}
+
+std::vector<mc_value> reads(int num_reads) {
+    return std::vector<mc_value>(static_cast<std::size_t>(num_reads), 0);
 }
 
 std::unique_ptr<process> replayed_reader(processor_id proc,
                                          std::uint64_t type_id, int num_reads,
                                          op_body body) {
-    return std::make_unique<replay_proc>(
-        proc, std::make_shared<const program>(program{
-                  type_id, op_kind::read,
-                  std::vector<mc_value>(static_cast<std::size_t>(num_reads), 0),
-                  std::move(body)}));
+    return run(proc, program{type_id, op_kind::read, reads(num_reads),
+                             std::move(body)});
 }
 
 /// A read of one register, whatever its level (cells, bits).
@@ -694,85 +454,123 @@ op_body read_one(std::size_t reg) {
     };
 }
 
-}  // namespace
+// Bloom's protocol (paper, Section 5) over atomic registers 0 and 1, each
+// holding an encoded tagged pair; every variant the explorer checks is a
+// parameter of these two programs.
 
-// Bloom's variants are options of its two machines above.
+/// The writer owning register `own` (Bloom's writer i owns register i, the
+/// tournament's writer id its pair's register id/2): read the other
+/// register's tag t', write (v, writer_tag_choice(tag_index, t')) to its
+/// own.
+program bloom_writer(std::size_t own, int tag_index, std::uint64_t type_id,
+                     std::vector<mc_value> values) {
+    return program{type_id, op_kind::write, std::move(values),
+                   [own, tag_index](op& o) {
+                       const bool t = writer_tag_choice(
+                           tag_index, decode_tag(o.read(1 - own)));
+                       o.keep(0, encode_tagged(o.arg(), t));
+                       o.write(own, o.kept(0));
+                       return mc_value{0};
+                   }};
+}
+
+enum class reader_variant : std::uint8_t { standard, reversed, no_reread };
+
+/// The reader: read both tags (Reg1 first when `reversed`, footnote 5),
+/// then re-read the register reader_pick names -- or, the no-reread
+/// ablation, take one silent action and return the value read with its
+/// tag. Slot i keeps what register i read, slot 2 the result.
+program bloom_reader(reader_variant variant, int num_reads) {
+    const auto v = static_cast<std::uint64_t>(variant);
+    const std::size_t first = variant == reader_variant::reversed ? 1 : 0;
+    const bool reread = variant != reader_variant::no_reread;
+    return program{0x1002 + (v << 8), op_kind::read, reads(num_reads),
+                   [first, reread](op& o) {
+                       o.keep(first, o.read(first));
+                       o.keep(1 - first, o.read(1 - first));
+                       const auto pick = static_cast<std::size_t>(
+                           reader_pick(decode_tag(o.kept(0)),
+                                       decode_tag(o.kept(1))));
+                       if (reread) {
+                           o.keep(2, o.read(pick));
+                       } else {
+                           o.silent();
+                           o.keep(2, o.kept(pick));
+                       }
+                       return decode_value(o.kept(2));
+                   },
+                   0xA11CE000ULL | (v << 8) |
+                       static_cast<std::uint64_t>(num_reads)};
+}
+
+}  // namespace
 
 std::unique_ptr<process> make_bloom_writer(int writer_index,
                                            std::vector<mc_value> values) {
-    return std::make_unique<bloom_writer_proc>(
-        static_cast<processor_id>(writer_index), writer_index,
-        std::move(values),
-        writer_options{.type_id = 0x1001,
-                       .tag_index = writer_index,
-                       .declared_footprint = true});
+    return run(static_cast<processor_id>(writer_index),
+               bloom_writer(static_cast<std::size_t>(writer_index),
+                            writer_index, 0x1001, std::move(values)));
 }
 std::unique_ptr<process> make_bloom_writer_crashing(
     int writer_index, std::vector<mc_value> values, std::size_t crash_op,
     int crash_stage) {
-    return std::make_unique<bloom_writer_proc>(
-        static_cast<processor_id>(writer_index), writer_index,
-        std::move(values),
-        writer_options{.type_id = 0x101c,
-                       .tag_index = writer_index,
-                       .forced_crash = true,
-                       .crash_op = crash_op,
-                       .crash_stage = crash_stage});
+    program p = bloom_writer(static_cast<std::size_t>(writer_index),
+                             writer_index, 0x101c, std::move(values));
+    p.crash_op = crash_op;
+    p.crash_stage = crash_stage;
+    return run(static_cast<processor_id>(writer_index), std::move(p));
 }
 std::unique_ptr<process> make_bloom_writer_wrong_tag(
     int writer_index, std::vector<mc_value> values) {
     // The other writer's tag rule: t := (1-i) (+) t'.
-    return std::make_unique<bloom_writer_proc>(
-        static_cast<processor_id>(writer_index), writer_index,
-        std::move(values),
-        writer_options{.type_id = 0x1011,
-                       .tag_index = 1 - writer_index,
-                       .declared_footprint = true});
+    return run(static_cast<processor_id>(writer_index),
+               bloom_writer(static_cast<std::size_t>(writer_index),
+                            1 - writer_index, 0x1011, std::move(values)));
 }
 std::unique_ptr<process> make_bloom_reader(processor_id proc, int num_reads) {
-    return std::make_unique<tag_reader_proc>(proc, num_reads);
+    return run(proc, bloom_reader(reader_variant::standard, num_reads));
 }
 std::unique_ptr<process> make_bloom_reader_reversed(processor_id proc,
                                                     int num_reads) {
-    return std::make_unique<tag_reader_proc>(proc, num_reads,
-                                             tag_reader_proc::variant::reversed);
+    return run(proc, bloom_reader(reader_variant::reversed, num_reads));
 }
 std::unique_ptr<process> make_bloom_reader_no_reread(processor_id proc,
                                                      int num_reads) {
-    return std::make_unique<tag_reader_proc>(
-        proc, num_reads, tag_reader_proc::variant::no_reread);
+    return run(proc, bloom_reader(reader_variant::no_reread, num_reads));
 }
 std::unique_ptr<process> make_faulty_bloom_writer(int writer_index,
                                                   std::vector<mc_value> values,
                                                   fault_class cls,
                                                   int max_faults) {
-    return std::make_unique<bloom_writer_proc>(
-        static_cast<processor_id>(writer_index), writer_index,
-        std::move(values),
-        writer_options{.type_id = 0x1020 | (static_cast<std::uint64_t>(cls) << 8),
-                       .tag_index = writer_index,
-                       .faulty = true,
-                       .cls = cls,
-                       .max_faults = max_faults});
+    program p = bloom_writer(static_cast<std::size_t>(writer_index),
+                             writer_index,
+                             0x1020 | (static_cast<std::uint64_t>(cls) << 8),
+                             std::move(values));
+    p.fault = cls;
+    p.max_faults = max_faults;
+    return run(static_cast<processor_id>(writer_index), std::move(p));
 }
 std::unique_ptr<process> make_faulty_bloom_reader(processor_id proc,
                                                   int num_reads, fault_class cls,
                                                   int max_faults) {
-    return std::make_unique<tag_reader_proc>(
-        proc, num_reads, tag_reader_proc::variant::standard, true, cls,
-        max_faults);
+    program p = bloom_reader(reader_variant::standard, num_reads);
+    p.type_id = 0x1021 | (static_cast<std::uint64_t>(cls) << 8);
+    p.symmetry_key = 0;  // a faulty reader stays a singleton
+    p.fault = cls;
+    p.max_faults = max_faults;
+    return run(proc, std::move(p));
 }
 std::unique_ptr<process> make_tournament_writer(int writer_id,
                                                 std::vector<mc_value> values) {
     // Bloom's writer one level up: writer id owns its pair's register.
     const int pair = writer_id >> 1;
-    return std::make_unique<bloom_writer_proc>(
-        static_cast<processor_id>(writer_id), pair, std::move(values),
-        writer_options{.type_id = 0x1003, .tag_index = pair});
+    return run(static_cast<processor_id>(writer_id),
+               bloom_writer(static_cast<std::size_t>(pair), pair, 0x1003,
+                            std::move(values)));
 }
 std::unique_ptr<process> make_tournament_reader(processor_id proc,
                                                 int num_reads) {
-    return std::make_unique<tag_reader_proc>(proc, num_reads);
+    return make_bloom_reader(proc, num_reads);
 }
 
 // Simpson's four-slot register (registers/fourslot.hpp): the writer picks

@@ -7,18 +7,19 @@
 // -- important when hunting violations (shrunken intervals could
 // manufacture false positives).
 //
-// Bloom's writer and reader (and the tournament, faulty and mutant variants
-// built from them) are two hand-written step machines, because they carry
-// fault choices, forced crashes, delayed writes, declared footprints and
-// reader symmetry. Every other protocol is written once, as a straight-line
-// op body, and run by one replaying process: each step re-runs the body
-// from the op's start, answers the accesses already taken from the op's
-// recorded read results, performs the next action (the invocation, one
-// atomic access, one half of a split safe/regular access -- the form
-// follows the register's level -- or the response) and parks at the one
-// after it. Only (script position, steps taken in the op, four kept slots)
-// is fingerprinted, so a body keeps every value it uses after a later
-// access (processes.cpp).
+// Every protocol role is written once, as a straight-line op body, and run
+// by one replaying process: each step re-runs the body from the op's
+// start, answers the accesses already taken from the op's recorded read
+// results, performs the next action (the invocation, one atomic access,
+// one half of a split safe/regular access -- the form follows the
+// register's level -- a silent action, or the response) and parks at the
+// one after it. The parked action alone gives the step's fanout and its
+// footprint. Only (script position, steps taken in the op, four kept
+// slots) is fingerprinted, so a body keeps every value it uses after a
+// later access. Bloom's writer and reader are two such bodies over the
+// rules of core/protocol.hpp; the tournament, faulty, crashing and mutant
+// variants are parameters of them. Faults, forced crashes and delayed
+// writes are rules of the process, not of a body (processes.cpp).
 //
 // Value encoding: base registers hold small non-negative integers; a tagged
 // pair (v, t) is encoded as v*2 + t.
@@ -78,7 +79,7 @@ namespace bloom87::mc {
     std::size_t crash_op, int crash_stage);
 
 /// --- Faulty-substrate Bloom processes (fault model of registers/faulty.hpp)
-/// The same machines over base registers whose accesses may misbehave:
+/// The same programs over base registers whose accesses may misbehave:
 /// the explorer branches over "this access faults" vs "this access is
 /// clean" at every eligible step, bounded by `max_faults` faults per
 /// process. Value-corrupting classes (stale_read, lost_write, torn_value,

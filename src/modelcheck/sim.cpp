@@ -319,13 +319,9 @@ void sim_state::fingerprint_core(std::vector<std::uint64_t>& out,
     }
 }
 
-step_footprint process::footprint(const sim_state& s, std::size_t self) const {
-    // Exact-by-construction default: step every choice on a scratch copy
-    // with access tracing armed and union what was actually touched. Hot
-    // classes override this with an equivalent declared footprint to skip
-    // the copies.
+step_footprint probe_footprint(const sim_state& s, std::size_t self) {
     step_footprint f{0, 0, false};
-    const int n = fanout(s);
+    const int n = s.procs[self]->fanout(s);
     for (int choice = 0; choice < n; ++choice) {
         sim_state copy(s);
         copy.start_trace();

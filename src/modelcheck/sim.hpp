@@ -192,12 +192,10 @@ public:
         return emitted_[static_cast<std::size_t>(i)];
     }
 
-    /// --- footprint tracing (POR engine) ---
+    /// --- footprint tracing (probe_footprint) ---
     /// While armed, every register access ORs its index bit into the traced
     /// masks; split-phase read steps trace as writes (they mutate the
-    /// register's active-read set). process::footprint's default
-    /// implementation derives an exact footprint by stepping a scratch copy
-    /// with tracing on.
+    /// register's active-read set).
     void start_trace() noexcept { tracing_ = true; traced_reads_ = traced_writes_ = 0; }
     [[nodiscard]] std::uint64_t traced_reads() const noexcept { return traced_reads_; }
     [[nodiscard]] std::uint64_t traced_writes() const noexcept { return traced_writes_; }
@@ -293,13 +291,11 @@ public:
 
     /// Footprint of this process's next step in `s` (which must be the
     /// state this process is about to step in), unioned over all fanout
-    /// choices. The default derives an EXACT footprint by stepping a scratch
-    /// copy of `s` with access tracing armed; hot protocol classes override
-    /// it with an equivalent declared footprint to skip the copies
-    /// (por.cpp asserts the declarations cover the traced truth in debug
-    /// builds).
+    /// choices. Every process declares it; probe_footprint is the traced
+    /// truth it must cover (por.cpp asserts so in debug builds, and
+    /// modelcheck_test walks every reachable state of each model).
     [[nodiscard]] virtual step_footprint footprint(const sim_state& s,
-                                                   std::size_t self) const;
+                                                   std::size_t self) const = 0;
     /// The processor id this process stamps on its external-history
     /// operations (what it passes to begin_op), or -1 when unknown. The
     /// symmetry reduction needs the id <-> procs-index correspondence to
@@ -320,5 +316,12 @@ public:
         fingerprint(out);
     }
 };
+
+/// The exact footprint of process `self`'s next step in `s`: every choice
+/// stepped on a scratch copy of `s` with access tracing armed, and what was
+/// touched unioned. The reference a declared process::footprint is checked
+/// against.
+[[nodiscard]] step_footprint probe_footprint(const sim_state& s,
+                                             std::size_t self);
 
 }  // namespace bloom87::mc

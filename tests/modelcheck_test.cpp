@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -177,9 +179,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 /// Bloom system over a faulty substrate: both writers and the reader may
-/// fault per `cls`, at most once each; registers track the previous commit
-/// so modeled stale reads have a value to serve.
-sim_state faulty_bloom_system(fault_class cls) {
+/// fault per `cls`, at most `max_faults` times each; registers track the
+/// previous commit so modeled stale reads have a value to serve.
+sim_state faulty_bloom_system(fault_class cls, int max_faults = 1) {
     sim_state s;
     const auto domain = static_cast<mc_value>((2 * 1 + 1) * 2);
     for (int i = 0; i < 2; ++i) {
@@ -187,9 +189,9 @@ sim_state faulty_bloom_system(fault_class cls) {
         r.track_previous = true;
         s.registers.push_back(r);
     }
-    s.procs.push_back(make_faulty_bloom_writer(0, {1}, cls, 1));
-    s.procs.push_back(make_faulty_bloom_writer(1, {2}, cls, 1));
-    s.procs.push_back(make_faulty_bloom_reader(2, 1, cls, 1));
+    s.procs.push_back(make_faulty_bloom_writer(0, {1}, cls, max_faults));
+    s.procs.push_back(make_faulty_bloom_writer(1, {2}, cls, max_faults));
+    s.procs.push_back(make_faulty_bloom_reader(2, 1, cls, max_faults));
     return s;
 }
 
@@ -585,12 +587,58 @@ TEST(SafeBitModel, WriteOnlyChangesDisciplineIsRegular) {
 }
 
 // ---------------------------------------------------------------------------
-// Pinned counts of every protocol model outside Bloom's own writer and
-// reader, one small configuration per factory and variant. A rewrite of a
-// protocol's process must keep each number: it is the same protocol only
-// if it reaches the same states, the same histories and the same first
-// violation.
+// Pinned counts of every protocol model, one small configuration per
+// factory and variant. A rewrite of a protocol's process must keep each
+// number: it is the same protocol only if it reaches the same states, the
+// same histories and the same first violation.
 // ---------------------------------------------------------------------------
+
+/// Bloom's registers as the tests above build them: domain 16, both tagged
+/// (initial, 0).
+sim_state bloom_registers(mc_value initial) {
+    sim_state s;
+    for (int i = 0; i < 2; ++i) {
+        s.registers.push_back(atomic_reg(16, encode_tagged(initial, false)));
+    }
+    return s;
+}
+
+/// Writers {1, 2} and {3, 4}, writer 1 built by `w1`, one reader of two
+/// reads built by `reader`.
+template <typename W1, typename R>
+sim_state bloom_variant(W1 w1, R reader) {
+    sim_state s = bloom_registers(0);
+    s.procs.push_back(make_bloom_writer(0, {1, 2}));
+    s.procs.push_back(w1(1, std::vector<mc_value>{3, 4}));
+    s.procs.push_back(reader(2, 2));
+    return s;
+}
+
+/// Writer 0 crashes in op `crash_op` after `crash_stage` real accesses.
+sim_state bloom_crash_system(std::size_t crash_op, int crash_stage) {
+    sim_state s = bloom_registers(0);
+    s.procs.push_back(
+        make_bloom_writer_crashing(0, {1, 2}, crash_op, crash_stage));
+    s.procs.push_back(make_bloom_writer(1, {3, 4}));
+    s.procs.push_back(make_bloom_reader(2, 1));
+    return s;
+}
+
+/// The Figure 5 tournament (three writers, two of them in pair 0), or one
+/// writer per pair.
+sim_state tournament_system(bool figure5) {
+    sim_state s = bloom_registers(1);
+    if (figure5) {
+        s.procs.push_back(make_tournament_writer(0, {2}));
+        s.procs.push_back(make_tournament_writer(1, {3}));
+        s.procs.push_back(make_tournament_writer(3, {4}));
+    } else {
+        s.procs.push_back(make_tournament_writer(0, {2, 3}));
+        s.procs.push_back(make_tournament_writer(2, {4, 5}));
+    }
+    s.procs.push_back(make_tournament_reader(4, 2));
+    return s;
+}
 
 sim_state seqlock_system(int writes, int reads,
                          analysis::sync_class payload_sync) {
@@ -689,17 +737,23 @@ struct pinned_model {
     /// format_operations of the reduced engine's first violation; empty
     /// when the property holds.
     const char* violation;
+    value_t initial{0};
+    /// Whether the full engine runs too; `counts` then ends at the product
+    /// pairs.
+    bool full{true};
 };
 
 std::string pinned_counts(const explore_result& reduced,
-                          const explore_result& full) {
+                          const explore_result* full) {
     std::ostringstream o;
     o << (reduced.property_holds ? "holds " : "fails ")
       << reduced.states_explored << ' ' << reduced.reduction.core_states << ' '
       << reduced.distinct_histories << ' ' << reduced.reduction.dfa_states
       << ' ' << reduced.reduction.judge_states << ' '
-      << reduced.reduction.product_pairs << " | " << full.states_explored << ' '
-      << full.distinct_histories;
+      << reduced.reduction.product_pairs;
+    if (full != nullptr) {
+        o << " | " << full->states_explored << ' ' << full->distinct_histories;
+    }
     return o.str();
 }
 
@@ -815,6 +869,97 @@ const pinned_model kPinnedModels[] = {
      [] { return bit_system(true, {1, 1, 0, 0, 1}, 2); },
      property::regular_swmr, "holds 582 351 2813 113 19 113 | 32587 2813",
      ""},
+    // Bloom's writer and reader, and every variant built from them. The
+    // full engine runs where it takes under 0.3 s.
+    {"Bloom, 2 writes each, 1 reader x 1 read",
+     [] { return bloom_system({1, 2}, {3, 4}, 1, 1); }, property::atomic,
+     "holds 6258 4160 10342 1420 737 1785", "", 0, false},
+    {"Bloom, footnote 5 (reversed tag sampling)",
+     [] { return bloom_variant(make_bloom_writer, make_bloom_reader_reversed); },
+     property::atomic, "holds 20581 12124 247354 4464 1528 5653", "", 0, false},
+    {"Bloom, no re-read",
+     [] { return bloom_variant(make_bloom_writer, make_bloom_reader_no_reread); },
+     property::atomic, "fails 14280 8744 431 156 121 146 | 47219 3067",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(2) [2, 7)\n"
+     "proc 1 write(3) [3, 4)\n"
+     "proc 1 write(4) [5, 8)\n"
+     "proc 2 read(1) [6, 9)\n"
+     "proc 2 read(4) [10, 11)\n"},
+    {"Bloom, wrong tag rule",
+     [] { return bloom_variant(make_bloom_writer_wrong_tag, make_bloom_reader); },
+     property::atomic, "fails 9593 5374 1 25 11 0 | 27 1",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 0 write(2) [2, 3)\n"
+     "proc 1 write(3) [4, 5)\n"
+     "proc 1 write(4) [6, 7)\n"
+     "proc 2 read(2) [8, 9)\n"
+     "proc 2 read(2) [10, 11)\n"},
+    {"Bloom, crash in op 0 after invoking",
+     [] { return bloom_crash_system(0, 0); }, property::atomic,
+     "holds 267 189 217 57 92 109 | 2384 217", ""},
+    {"Bloom, crash in op 0 after the read",
+     [] { return bloom_crash_system(0, 1); }, property::atomic,
+     "holds 548 393 217 84 92 122 | 6437 217", ""},
+    {"Bloom, crash in op 0 after the write",
+     [] { return bloom_crash_system(0, 2); }, property::atomic,
+     "holds 1096 808 287 120 106 147 | 14716 287", ""},
+    {"Bloom, crash in op 1 after invoking",
+     [] { return bloom_crash_system(1, 0); }, property::atomic,
+     "holds 2436 1608 3514 504 469 803 | 82172 3514", ""},
+    {"Bloom, crash in op 1 after the read",
+     [] { return bloom_crash_system(1, 1); }, property::atomic,
+     "holds 3448 2340 3514 665 469 869 | 157873 3514", ""},
+    {"Bloom, crash in op 1 after the write",
+     [] { return bloom_crash_system(1, 2); }, property::atomic,
+     "holds 4792 3303 4018 783 483 977 | 265906 4018", ""},
+    {"Bloom, 1 stale read",
+     [] { return faulty_bloom_system(fault_class::stale_read, 1); },
+     property::atomic, "fails 3442 2186 1 15 7 0 | 16 2",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 1 write(2) [2, 3)\n"
+     "proc 2 read(0) [4, 5)\n"},
+    {"Bloom, 2 stale reads",
+     [] { return faulty_bloom_system(fault_class::stale_read, 2); },
+     property::atomic, "fails 4602 2845 1 15 7 0 | 16 2",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 1 write(2) [2, 3)\n"
+     "proc 2 read(0) [4, 5)\n"},
+    {"Bloom, 1 lost write",
+     [] { return faulty_bloom_system(fault_class::lost_write, 1); },
+     property::atomic, "fails 1146 711 1 15 7 0 | 35 4",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 1 write(2) [2, 3)\n"
+     "proc 2 read(0) [4, 5)\n"},
+    {"Bloom, 1 torn value",
+     [] { return faulty_bloom_system(fault_class::torn_value, 1); },
+     property::atomic, "fails 1379 906 1 14 7 0 | 35 4",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 1 write(2) [2, 3)\n"
+     "proc 2 read(0) [4, 5)\n"},
+    {"Bloom, 1 delayed write",
+     [] { return faulty_bloom_system(fault_class::delayed_visibility, 1); },
+     property::atomic, "fails 1752 1137 1 15 7 0 | 44 4",
+     "proc 0 write(1) [0, 1)\n"
+     "proc 1 write(2) [2, 3)\n"
+     "proc 2 read(0) [4, 5)\n"},
+    {"Bloom, 1 port crash",
+     [] { return faulty_bloom_system(fault_class::port_crash, 1); },
+     property::atomic, "holds 2713 1646 442 93 87 114 | 21396 442", ""},
+    {"tournament, Figure 5", [] { return tournament_system(true); },
+     property::atomic, "fails 25203 13413 2787 501 336 543 | 355169 17635",
+     "proc 0 write(2) [0, 3)\n"
+     "proc 1 write(3) [1, 6)\n"
+     "proc 3 write(4) [2, 4)\n"
+     "proc 4 read(2) [5, 7)\n"
+     "proc 4 read(4) [8, 9)\n",
+     1},
+    {"tournament, one writer per pair",
+     [] { return tournament_system(false); }, property::atomic,
+     "holds 18939 11188 247354 4141 1528 5290", "", 1, false},
+    {"Bloom, twin readers",
+     [] { return bloom_system({1}, {2}, 2, 1); }, property::atomic,
+     "holds 6661 4110 14032 1062 647 1598", "", 0, false},
 };
 
 TEST(PinnedModels, CountsAndFirstViolationsAreExact) {
@@ -822,14 +967,19 @@ TEST(PinnedModels, CountsAndFirstViolationsAreExact) {
         SCOPED_TRACE(m.name);
         explore_config cfg;
         cfg.prop = m.prop;
+        cfg.initial = m.initial;
         const explore_result reduced = explore(m.build(), cfg);
-        cfg.por = false;
-        cfg.threads = 1;
-        const explore_result full = explore(m.build(), cfg);
         EXPECT_TRUE(reduced.reduction.engaged);
-        EXPECT_FALSE(reduced.truncated || full.truncated);
-        EXPECT_EQ(reduced.property_holds, full.property_holds);
-        EXPECT_EQ(pinned_counts(reduced, full), m.counts);
+        EXPECT_FALSE(reduced.truncated);
+        std::optional<explore_result> full;
+        if (m.full) {
+            cfg.por = false;
+            cfg.threads = 1;
+            full = explore(m.build(), cfg);
+            EXPECT_FALSE(full->truncated);
+            EXPECT_EQ(reduced.property_holds, full->property_holds);
+        }
+        EXPECT_EQ(pinned_counts(reduced, full ? &*full : nullptr), m.counts);
         EXPECT_EQ(reduced.first_violation
                       ? format_operations(reduced.first_violation->hist)
                       : std::string(),
@@ -848,7 +998,7 @@ TEST(PinnedModels, UnaryOverAtomicBitsTakesOneActionPerAccess) {
     cfg.por = false;
     cfg.threads = 1;
     const explore_result full = explore(s, cfg);
-    EXPECT_EQ(pinned_counts(reduced, full),
+    EXPECT_EQ(pinned_counts(reduced, &full),
               "holds 251 184 206 52 52 65 | 2250 206");
 }
 
@@ -903,6 +1053,134 @@ TEST(PinnedModels, RaceModelCountsAreExact) {
         o << (res.property_holds ? "holds " : "fails ") << res.states_explored
           << ' ' << res.distinct_histories;
         EXPECT_EQ(o.str(), m.counts);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Declared footprints (process::footprint) against the traced truth
+// (probe_footprint), at every reachable state: a coarser declaration costs
+// only reduction, a finer one loses schedules, and neither shows anywhere
+// but here and in a debug build's assert.
+// ---------------------------------------------------------------------------
+
+struct footprint_walk {
+    std::size_t checks{0};
+    std::size_t coarser{0};    ///< covers the probe but is not equal to it
+    std::size_t uncovered{0};  ///< misses something the probe touched
+};
+
+footprint_walk walk_footprints(const sim_state& initial) {
+    footprint_walk w;
+    std::set<std::vector<std::uint64_t>> seen;
+    std::vector<sim_state> stack;
+    const auto visit = [&](sim_state&& s) {
+        std::vector<std::uint64_t> fp;
+        s.fingerprint_core(fp);
+        if (seen.insert(std::move(fp)).second) stack.push_back(std::move(s));
+    };
+    visit(sim_state(initial));
+    while (!stack.empty()) {
+        const sim_state x = std::move(stack.back());
+        stack.pop_back();
+        for (std::size_t p = 0; p < x.procs.size(); ++p) {
+            if (x.procs[p]->done(x)) continue;
+            const step_footprint d = x.procs[p]->footprint(x, p);
+            const step_footprint t = probe_footprint(x, p);
+            ++w.checks;
+            if ((d.reads | t.reads) != d.reads ||
+                (d.writes | t.writes) != d.writes || (t.visible && !d.visible)) {
+                ++w.uncovered;
+            } else if (d.reads != t.reads || d.writes != t.writes ||
+                       d.visible != t.visible) {
+                ++w.coarser;
+            }
+            for (int c = 0; c < x.procs[p]->fanout(x); ++c) {
+                sim_state y(x);
+                y.procs[p]->step(y, c);
+                visit(std::move(y));
+            }
+        }
+    }
+    return w;
+}
+
+TEST(Footprints, EveryReplayedProgramDeclaresExactlyWhatItTouches) {
+    const std::pair<const char*, sim_state (*)()> models[] = {
+        {"Bloom", [] { return bloom_system({1, 2}, {3, 4}, 1, 1); }},
+        {"Bloom, reversed reader",
+         [] {
+             return bloom_variant(make_bloom_writer, make_bloom_reader_reversed);
+         }},
+        {"Bloom, no re-read",
+         [] {
+             return bloom_variant(make_bloom_writer,
+                                  make_bloom_reader_no_reread);
+         }},
+        {"Bloom, wrong tag rule",
+         [] {
+             return bloom_variant(make_bloom_writer_wrong_tag,
+                                  make_bloom_reader);
+         }},
+        {"Bloom, crashing writer", [] { return bloom_crash_system(1, 1); }},
+        {"Bloom, stale reads",
+         [] { return faulty_bloom_system(fault_class::stale_read, 2); }},
+        {"Bloom, lost writes",
+         [] { return faulty_bloom_system(fault_class::lost_write, 2); }},
+        {"Bloom, torn values",
+         [] { return faulty_bloom_system(fault_class::torn_value, 2); }},
+        {"Bloom, delayed writes",
+         [] { return faulty_bloom_system(fault_class::delayed_visibility, 2); }},
+        {"Bloom, port crashes",
+         [] { return faulty_bloom_system(fault_class::port_crash, 2); }},
+        {"tournament", [] { return tournament_system(true); }},
+        {"four-slot over safe slots, regular control",
+         [] {
+             return fourslot_system(reg_level::safe, reg_level::regular, {1, 2},
+                                    2);
+         }},
+        {"seqlock",
+         [] { return seqlock_system(2, 2, analysis::sync_class::relaxed); }},
+        {"unary", [] { return unary_system(3, {2, 1}, 2); }},
+        {"split write", split_write_system},
+        {"VA", [] { return va_system(2, 2); }},
+        {"SWMR from SWSR", [] { return mr_system(2, {1, 2}, {2, 1}, true); }},
+        {"SWMR from SWSR without the report round",
+         [] { return mr_system(2, {1, 2}, {2, 2}, false); }},
+        {"binary over safe bits", [] { return binary_system(reg_level::safe); }},
+        {"regular cell",
+         [] { return cell_system(reg_level::regular, {1, 2}, 2, 2); }},
+        {"stamped cell", [] { return stamped_cell_system(2, 2); }},
+        {"disciplined safe bit", [] { return bit_system(true, {1, 0, 1}, 2); }},
+        {"naive safe bit", [] { return bit_system(false, {1, 1}, 2); }},
+    };
+    for (const auto& [name, build] : models) {
+        SCOPED_TRACE(name);
+        const footprint_walk w = walk_footprints(build());
+        EXPECT_GT(w.checks, 100u);
+        EXPECT_EQ(w.uncovered, 0u);
+        EXPECT_EQ(w.coarser, 0u);
+    }
+}
+
+// The ABD clients declare a visit's footprint as every server it may pick,
+// and an install visit as writing each. That covers the probe, but is
+// coarser than it where a server already holds the stamp (the install only
+// reads it there), and the crash-rejoin step declares the reads it races
+// with as writes: coarser on 2,808 of 12,399 checks here (SWMR, 2
+// readers), 6,444 of 28,542 (MW, 2 writers) and 9,451 of 44,468 (SWMR with
+// a crash-rejoin). That costs reduction, not soundness.
+TEST(Footprints, AbdClientsCoverWhatTheyTouch) {
+    abd_model_config swmr;
+    abd_model_config mw;
+    mw.writers = 2;
+    mw.multi_writer = true;
+    mw.readers = 1;
+    abd_model_config crash;
+    crash.crash_rejoin = true;
+    for (const abd_model_config& cfg : {swmr, mw, crash}) {
+        const footprint_walk w = walk_footprints(make_abd_state(cfg));
+        EXPECT_GT(w.checks, 100u);
+        EXPECT_EQ(w.uncovered, 0u);
     }
 }
 

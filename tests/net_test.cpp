@@ -7,7 +7,12 @@
 // histories, and the bounded ABD model certifies the protocol under POR.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "harness/checkers.hpp"
@@ -536,6 +541,45 @@ TEST(NetDriver, MajorityCrashTimedRunDoesNotWedge) {
     EXPECT_GT(res.net.unavailable_ops, 0u);
     // Unavailable ops ride the PR-8 accounting seam.
     EXPECT_GE(res.ops_dropped, res.net.unavailable_ops);
+}
+
+// An op only the driver's deadline abort can end: every message is lost,
+// and twobit's writer installs on every live replica with no retry bound.
+// The run must trip the abort grace_ms after the epoch ends, surface the
+// write as unavailable, and return. The run sits on its own thread, so a
+// driver that never aborts ends this binary with a failure instead of
+// hanging the suite.
+TEST(NetDriver, DeadlineAbortEndsAnInstallNoReplicaAcks) {
+    run_spec spec;
+    spec.register_name = "net/twobit";
+    spec.load.writers = 1;
+    spec.load.readers = 0;
+    spec.seed = 5;
+    spec.duration_ms = 100;
+    spec.grace_ms = 100;
+    spec.collect = collect_mode::none;
+    spec.schedule = schedule_mode::threads;
+    spec.fault.composed.push_back({fault_class::lost_write, 1, 1});
+    std::packaged_task<run_result()> task([spec] { return run(spec); });
+    std::future<run_result> ran = task.get_future();
+    const auto t0 = std::chrono::steady_clock::now();
+    std::thread runner(std::move(task));
+    if (ran.wait_for(std::chrono::seconds(2)) != std::future_status::ready) {
+        std::fputs("the write is still installing 2 s after the start\n",
+                   stderr);
+        std::_Exit(1);
+    }
+    const auto took = std::chrono::steady_clock::now() - t0;
+    runner.join();
+    const run_result res = ran.get();
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.total_writes, 1u);  // the one write, never acked
+    EXPECT_EQ(res.net.unavailable_ops, 1u);
+    EXPECT_EQ(res.ops_dropped, 1u);
+    EXPECT_GE(took, std::chrono::milliseconds(spec.duration_ms +
+                                              spec.grace_ms));
+    EXPECT_LT(took, std::chrono::milliseconds(spec.duration_ms +
+                                              spec.grace_ms + 500));
 }
 
 // --- twobit sequential sanity ----------------------------------------------

@@ -718,7 +718,7 @@ TEST(PinnedOutputs, StreamingStatsAtVerifiedSettings) {
     EXPECT_EQ(s.peak_retained_ops, 4100u);
     EXPECT_EQ(s.candidate_values, 1u);
     EXPECT_EQ(s.pending_carried, 0u);
-    EXPECT_EQ(s.ops_checked, 126241u);
+    EXPECT_EQ(s.ops_checked, 122149u);
 }
 
 // Each completed op reaches the zone judge about once, whatever the stride:
