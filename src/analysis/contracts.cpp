@@ -104,6 +104,13 @@ constexpr site_contract net_bus_sites[] = {
     {"locked_", "store", "release", site_discipline::net_lock},
 };
 
+constexpr site_contract net_servers_sites[] = {
+    // The driver's run deadline, polled by every quorum phase and catch-up
+    // (server_group::abort_requested): a relaxed flag read, never
+    // synchronization -- whatever it cuts short runs under the bus lock.
+    {"abort_flag", "load", "relaxed", site_discipline::relaxed_stat},
+};
+
 constexpr file_contract contracts[] = {
     {"packed_atomic.hpp", packed_atomic_sites},
     {"seqlock.hpp", seqlock_sites},
@@ -120,12 +127,15 @@ constexpr file_contract contracts[] = {
     // The harness's own collection structures are audited like any
     // register: their memory orders carry the recorded history's validity.
     {"thread_log.hpp", thread_log_sites, "histories"},
-    // The message bus under the net/ compositions: one spinlock, no other
-    // atomics anywhere in src/net. The protocol .cpp files are audited as
+    // The message bus under the net/ compositions: one spinlock. The only
+    // other atomic in src/net is the relaxed load of the driver's abort
+    // flag in servers.hpp. The protocol .cpp files are audited as
     // zero-site lock regions: every replica/bus touch they make runs under
     // the composition's net_lock, and any atomic call site appearing in
     // them would bypass that discipline.
     {"bus.hpp", net_bus_sites, "net"},
+    {"servers.hpp", net_servers_sites, "net"},
+    {"servers.cpp", {}, "net"},
     {"abd.cpp", {}, "net"},
     {"twobit.cpp", {}, "net"},
 };

@@ -66,9 +66,10 @@ constexpr std::array<std::string_view, 7> member_ops = {
     return slash != std::string_view::npos && slash < pos;
 }
 
-/// Receiver identifier ending just before `dot`, with one trailing
-/// [subscript] stripped ("words_[i]." yields "words_"). Empty when the
-/// receiver is not a simple identifier (e.g. "ports[i].second.").
+/// Receiver identifier ending just before `dot` (a '.' or the '-' of
+/// "->"), with one trailing [subscript] stripped ("words_[i]." yields
+/// "words_"). Empty when the receiver is not a simple identifier (e.g.
+/// "ports[i].second.").
 [[nodiscard]] std::string_view receiver_before(std::string_view content,
                                                std::size_t dot) {
     std::size_t end = dot;
@@ -145,10 +146,16 @@ struct found_site {
             pos = close - 1;
             continue;
         }
-        if (content[pos] != '.') continue;
+        // A member call through `.` or through a pointer's `->`.
+        std::size_t name = pos + 1;
+        if (content.compare(pos, 2, "->") == 0) {
+            name = pos + 2;
+        } else if (content[pos] != '.') {
+            continue;
+        }
         for (const std::string_view op : member_ops) {
-            if (content.compare(pos + 1, op.size(), op) != 0) continue;
-            const std::size_t open = pos + 1 + op.size();
+            if (content.compare(name, op.size(), op) != 0) continue;
+            const std::size_t open = name + op.size();
             if (open >= content.size() || content[open] != '(') continue;
             // Longest-match guard: ".load(" must not also match inside
             // ".fetch_add(" scans; ops are distinct prefixes except

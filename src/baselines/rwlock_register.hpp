@@ -33,7 +33,7 @@ public:
 
     /// Simulates a writer stalled (or crashed) inside its critical section;
     /// used by bench_stall_tolerance.
-    [[nodiscard]] std::unique_lock<std::shared_mutex> stall_writer() {
+    [[nodiscard]] std::unique_lock<std::shared_mutex> stall() {
         return std::unique_lock<std::shared_mutex>(mutex_);
     }
 

@@ -72,6 +72,19 @@ public:
             finish_write();
         }
 
+        /// A write asleep in `pause` between its two phases (Wr00's sleep).
+        template <typename Pause>
+        void write_paced(T v, Pause&& pause) {
+            begin_write(v);
+            pause();
+            finish_write();
+        }
+
+        /// The reader protocol: a writer's port reads too.
+        [[nodiscard]] T read() {
+            return owner_->make_reader(static_cast<processor_id>(id_)).read();
+        }
+
         /// Phase 1: the real read + tag computation ("(reads)" in Fig. 5).
         /// Calling it twice without finish_write fails a check(): the
         /// second call would overwrite the pending write.

@@ -271,28 +271,36 @@ run_result fail(std::string why) {
 /// Ops one processor's script may hold: 80x the largest script in use,
 /// and far below what a script's allocation or an op index can carry.
 constexpr std::size_t max_ops_per_processor = std::size_t{1} << 24;
-/// Replicas of a net/ composition: 50x the most in use, and the bus keeps
-/// one counter per (node, node) channel, (servers + processors)^2 of them.
-constexpr std::size_t max_net_servers = 256;
 /// Open-loop clients of a timed run: 16x the most in use, and a worker
 /// scans its share of them before each op.
 constexpr std::size_t max_clients = std::size_t{1} << 16;
 
-/// Why `spec` cannot run against `entry`; empty when it can.
+/// The register arguments `spec` asks for, recording into `log`.
+[[nodiscard]] register_args args_of(const run_spec& spec, run_log* log) {
+    register_args args;
+    args.initial = spec.initial;
+    args.writers = spec.load.writers;
+    args.readers = spec.load.readers;
+    args.log = log;
+    args.fault = spec.fault;
+    args.servers = spec.net_servers;
+    return args;
+}
+
+/// Why `spec` cannot run against `info`; empty when it can. The register's
+/// arguments are checked first, as make_register checks them, so that a
+/// spec fails before any script, register, port or thread is made. A
+/// scripted recorded run's recorder is made only after that, so an empty
+/// one stands in for it here.
 [[nodiscard]] std::string spec_error(const run_spec& spec,
                                      const register_info& info) {
-    if (spec.load.writers < info.min_writers ||
-        spec.load.writers > info.max_writers) {
-        return info.name + " supports " + std::to_string(info.min_writers) +
-               ".." + std::to_string(info.max_writers) + " writers, got " +
-               std::to_string(spec.load.writers);
-    }
-    // One OS thread and one fault-plan crash flag per processor.
-    const std::size_t procs = spec.load.writers + spec.load.readers;
-    if (procs > fault_plan::max_processors) {
-        return "at most " + std::to_string(fault_plan::max_processors) +
-               " processors (writers + readers), got " +
-               std::to_string(procs);
+    const bool timed = spec.duration_ms > 0;
+    run_log recorder(0);
+    const bool logged = spec.collect == collect_mode::per_thread && !timed;
+    if (std::string why = register_args_error(
+            info, args_of(spec, logged ? &recorder : nullptr));
+        !why.empty()) {
+        return why;
     }
     const std::size_t ops =
         std::max(spec.load.ops_per_writer, spec.load.ops_per_reader);
@@ -300,24 +308,9 @@ constexpr std::size_t max_clients = std::size_t{1} << 16;
         return "at most " + std::to_string(max_ops_per_processor) +
                " ops per processor, got " + std::to_string(ops);
     }
-    if (spec.net_servers > max_net_servers) {
-        return "at most " + std::to_string(max_net_servers) +
-               " net servers, got " + std::to_string(spec.net_servers);
-    }
     if (spec.clients > max_clients) {
         return "at most " + std::to_string(max_clients) + " clients, got " +
                std::to_string(spec.clients);
-    }
-    if (info.family == "net" && spec.net_servers == 0) {
-        return info.name + " replicates over servers; net_servers must be "
-                           "at least 1";
-    }
-    const bool timed = spec.duration_ms > 0;
-    if (info.requires_log &&
-        (spec.collect == collect_mode::none || timed)) {
-        return info.name +
-               " records real accesses into the run's gamma; run it "
-               "scripted (duration_ms=0) with collect=per_thread";
     }
     if (timed && spec.collect != collect_mode::none &&
         !spec.streaming_monitor) {
@@ -327,12 +320,6 @@ constexpr std::size_t max_clients = std::size_t{1} << 16;
     }
     if (timed && spec.schedule == schedule_mode::seeded) {
         return "the seeded schedule is scripted-only (duration_ms=0)";
-    }
-    if (spec.fault.active() && info.family != "faulty" &&
-        info.family != "net" && info.family != "repair") {
-        return info.name +
-               " has no fault plan; --fault needs a faulty/, repair/ or "
-               "net/ register";
     }
     if (spec.streaming_monitor && spec.collect == collect_mode::none) {
         return "the streaming checker consumes recorded events; run with "
@@ -395,13 +382,7 @@ run_result run(const run_spec& spec) {
     const bool logged = recorded && !timed;  // one run_log
     const bool live = recorded && timed;     // rings, merged live
     run_log log(logged ? n_procs : 0);
-    register_args args;
-    args.initial = spec.initial;
-    args.writers = spec.load.writers;
-    args.readers = spec.load.readers;
-    args.log = logged ? &log : nullptr;
-    args.fault = spec.fault;
-    args.servers = spec.net_servers;
+    register_args args = args_of(spec, logged ? &log : nullptr);
     // Bus delivery order varies with the run seed (reproducibly), without
     // colliding with the per-processor workload seed stream.
     std::uint64_t net_seed = spec.seed ^ 0x6e65742d62757331ULL;

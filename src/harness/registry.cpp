@@ -1,5 +1,8 @@
 #include "harness/registry.hpp"
 
+#include <optional>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/contracts.hpp"
@@ -10,7 +13,6 @@
 #include "histories/workload.hpp"
 #include "net/abd.hpp"
 #include "net/twobit.hpp"
-#include "registers/fourslot.hpp"
 #include "registers/packed_atomic.hpp"
 #include "registers/recording.hpp"
 #include "registers/repair.hpp"
@@ -18,889 +20,466 @@
 #include "registers/swmr_from_swsr.hpp"
 #include "registers/va_register.hpp"
 #include "util/bits.hpp"
+#include "util/check.hpp"
 
 namespace bloom87::harness {
 namespace {
 
-// Adapters never record simulated operations: the driver's script runner
-// records every invocation/response, so the only events a register writes
-// into the run's recorder are its real accesses (recording substrate, net/
-// replica observer).
+template <typename Substrate>
+using bloom = two_writer_register<value_t, Substrate>;
+using swmr = swmr_from_swsr<value_t>;
 
-// ---------------------------------------------------------------- bloom/* --
+/// Replicas of a net/ composition: 50x the most in use, and the bus keeps
+/// one counter per (node, node) channel, (servers + processors)^2 of them.
+constexpr std::size_t max_net_servers = 256;
 
-/// The write/read ports of every composition over two_writer_register:
-/// bloom/*, and the fault-plan-driven faulty/* and repair/*. The latter pass
-/// their plan and set `Injected`. A port killed by a port_crash fault then
-/// reports crashed(): the driver leaves the operation that triggered it
-/// PENDING (invocation without response) -- the external trace of a
-/// processor that died mid-operation, exactly what the checkers must
-/// tolerate -- and stops stepping the port. bloom/* entries pass a null
-/// plan with `Injected` false, which compiles the crash test out of their
-/// per-operation path.
-template <typename RegT, bool Injected>
-class bloom_wport final : public any_port {
+/// abd_system and twobit_system (net/servers.hpp).
+template <typename Sys>
+concept net_system = requires(Sys& s) { s.server_incarnation(0); };
+
+// -------------------------------------------------------------- handles --
+// handle<role>(r, p) is what processor p's port forwards to: the register's
+// own writer or reader object where it has one, else the register itself,
+// else (for a register that does not speak the port vocabulary) a few-line
+// handle here.
+
+template <port_role Role, typename R>
+R* handle(R& r, processor_id) { return &r; }
+template <port_role Role, typename S>
+auto handle(bloom<S>& r, processor_id p) {
+    if constexpr (Role == port_role::reader) return r.make_reader(p);
+    else return p == 0 ? &r.writer0() : &r.writer1();
+}
+template <port_role Role>
+auto handle(tournament_four_writer<value_t>& r, processor_id p) {
+    if constexpr (Role == port_role::reader) return r.make_reader(p);
+    else return r.make_writer(p);
+}
+template <port_role Role>
+auto handle(va_register<value_t>& r, processor_id p) {
+    if constexpr (Role == port_role::reader) return &r;
+    else return r.make_writer_port(static_cast<std::size_t>(p));
+}
+
+/// The SWMR-from-SWSR ladder holds tagged values; reader p reads through
+/// port p - 1, and the writer through the extra port `readers`.
+struct swmr_reader {
+    swmr::reader_port port;
+    value_t read() { return port.read().value; }
+};
+struct swmr_writer : swmr_reader {
+    swmr* reg;
+    void write(value_t v) { reg->write(tagged<value_t>{v, false}); }
+};
+template <port_role Role>
+auto handle(swmr& r, processor_id p) {
+    if constexpr (Role == port_role::reader) {
+        return swmr_reader{r.make_reader_port(static_cast<std::size_t>(p) - 1)};
+    } else {
+        return swmr_writer{{r.make_reader_port(r.readers() - 1)}, &r};
+    }
+}
+
+/// A net/ client (only a writer's writes run). An UNAVAILABLE outcome parks
+/// it: the op stays pending, like a crashed port's (a sub-quorum install
+/// may or may not take effect), and the driver stops stepping it. A paced
+/// op pauses at the protocol's round boundary.
+template <typename Sys>
+struct net_client {
+    Sys* sys;
+    std::size_t client;
+    bool writes;
+    bool parked{false};
+
+    value_t read() { return read_at(nullptr); }
+    value_t read_paced(const pause_fn& pause) { return read_at(&pause); }
+    void write(value_t v) { write_at(v, nullptr); }
+    void write_paced(value_t v, const pause_fn& pause) { write_at(v, &pause); }
+    [[nodiscard]] bool crashed() const { return parked; }
+
+    value_t read_at(const pause_fn* pause) {
+        const std::optional<value_t> out = sys->read(client, pause);
+        parked = !out.has_value();
+        return out.value_or(0);
+    }
+    void write_at(value_t v, const pause_fn* pause) {
+        if (writes) parked = !sys->write(client, v, pause);
+    }
+};
+template <port_role Role, net_system Sys>
+net_client<Sys> handle(Sys& s, processor_id p) {
+    return {&s, static_cast<std::size_t>(p), Role == port_role::writer};
+}
+
+// ----------------------------------------------------------------- port --
+
+/// The one port: processor `proc_`'s handle `H` (an object, or a pointer to
+/// one). read and write forward to it, and so does each optional operation
+/// of any_port that the handle has; the others keep any_port's default.
+/// Ports record nothing: the driver records every invocation and response.
+/// An `Injected` port's register runs over fault-injecting substrates: a
+/// port_crash fault kills the port, crashed() asks the plan, and every
+/// later operation is a no-op (the driver leaves the killing operation
+/// pending and stops stepping the port). Other ports compile that test
+/// out, unless the handle answers crashed() itself (a parked net/ client).
+template <typename H, bool Injected>
+class port final : public any_port {
+    using T = std::remove_pointer_t<H>;
+    static constexpr bool paces_reads =
+        requires(T& t, const pause_fn& p) { t.read_paced(p); };
+    static constexpr bool paces_writes =
+        requires(T& t, const pause_fn& p) { t.write_paced(0, p); };
+    static constexpr bool crashes_writes =
+        requires(T& t) { t.write_crashed(0, crash_point::after_read); };
+    static constexpr bool caches_reads = requires(T& t) { t.read_cached(); };
+    static constexpr bool parks = requires(const H& h) { h.crashed(); };
+
 public:
-    bloom_wport(RegT& r, int index, fault_plan* plan)
-        : w_(index == 0 ? &r.writer0() : &r.writer1()), plan_(plan),
-          proc_(static_cast<processor_id>(index)) {}
+    port(H h, processor_id proc, port_role role, std::size_t writers,
+         std::size_t processors, const fault_plan* plan)
+        : h_(std::move(h)), plan_(plan), proc_(proc), role_(role) {
+        const auto p = static_cast<std::size_t>(proc);
+        check(p < processors, "make_port: processor outside the register");
+        check((role == port_role::writer) == (p < writers),
+              "make_port: the role does not match the processor "
+              "(writers first)");
+    }
 
-    value_t read() override { return crashed() ? 0 : w_->read(); }
+    value_t read() override { return crashed() ? 0 : get(h_).read(); }
     void write(value_t v) override {
-        if (!crashed()) w_->write(v);
+        if constexpr (requires { get(h_).write(v); }) {
+            if (!crashed()) get(h_).write(v);
+        }
+    }
+    value_t read_paced(const pause_fn& pause) override {
+        if constexpr (!paces_reads) return any_port::read_paced(pause);
+        else return crashed() ? 0 : get(h_).read_paced(pause);
     }
     void write_paced(value_t v, const pause_fn& pause) override {
-        if (!crashed()) w_->write_paced(v, pause);
+        if constexpr (!paces_writes) any_port::write_paced(v, pause);
+        else if (!crashed()) get(h_).write_paced(v, pause);
     }
     bool write_crashed(value_t v, crash_point cp) override {
-        if (!crashed()) w_->write_crashed(v, cp);
-        return true;
+        if constexpr (crashes_writes) {
+            if (!crashed()) get(h_).write_crashed(v, cp);
+        }
+        return crashes_writes;
     }
     bool read_cached(value_t& out) override {
-        out = crashed() ? 0 : w_->read_cached();
-        return true;
+        if constexpr (caches_reads) out = crashed() ? 0 : get(h_).read_cached();
+        return caches_reads;
     }
+    /// A lock's writer stalls holding the lock, a Bloom or tournament
+    /// writer between its real read and its real write, a Bloom reader
+    /// before its final real read. A net/ client, which may park instead
+    /// of finishing, has nothing to stall.
     bool stall(const pause_fn& during) override {
-        // Counter offset keeps staller values disjoint from any scripted
-        // workload value (those counters stay < 2^31).
-        if (!crashed()) {
-            w_->write_paced(unique_value(proc_, 0x80000000u + stall_count_++),
-                            during);
+        if constexpr (requires { get(h_).stall(); }) {
+            if (role_ != port_role::writer) return false;
+            const auto lock = get(h_).stall();
+            during();
+        } else if constexpr (!parks && paces_writes) {
+            // The counter offset keeps staller values disjoint from any
+            // scripted workload value (those counters stay < 2^31).
+            write_paced(unique_value(proc_, 0x80000000u + stalls_++), during);
+        } else if constexpr (!parks && paces_reads) {
+            (void)read_paced(during);
+        } else {
+            return false;
         }
         return true;
     }
     [[nodiscard]] bool crashed() const override {
         if constexpr (Injected) return plan_->crashed(proc_);
-        return false;
+        else if constexpr (parks) return h_.crashed();
+        else return false;
     }
 
 private:
-    typename RegT::writer* w_;
-    fault_plan* plan_;
+    static T& get(T& t) { return t; }
+    static T& get(T* t) { return *t; }
+
+    H h_;
+    const fault_plan* plan_;
     processor_id proc_;
-    std::uint32_t stall_count_{0};
+    port_role role_;
+    std::uint32_t stalls_{0};
 };
 
-template <typename RegT, bool Injected>
-class bloom_rport final : public any_port {
-public:
-    bloom_rport(typename RegT::reader rd, fault_plan* plan)
-        : rd_(std::move(rd)), plan_(plan) {}
+// ------------------------------------------------------------- register --
 
-    value_t read() override { return crashed() ? 0 : rd_.read(); }
-    void write(value_t) override {}  // reader ports never write
-    value_t read_paced(const pause_fn& pause) override {
-        return crashed() ? 0 : rd_.read_paced(pause);
-    }
-    bool stall(const pause_fn& during) override {
-        (void)read_paced(during);
-        return true;
-    }
-    [[nodiscard]] bool crashed() const override {
-        if constexpr (Injected) return plan_->crashed(rd_.processor());
-        return false;
-    }
-
-private:
-    typename RegT::reader rd_;
-    fault_plan* plan_;
+/// What an entry builds besides its register, and before it: the fault plan
+/// its substrates or bus read, a repair/ stack's counters, and a net/
+/// system's replica observer. The register keeps their addresses.
+struct parts {
+    std::optional<fault_plan> plan;
+    std::optional<repair_counts> repairs;
+    net::replica_observer observer;
 };
 
-template <bool Injected, typename RegT>
-std::unique_ptr<any_port> make_bloom_port(RegT& reg, processor_id processor,
-                                          port_role role, fault_plan* plan) {
-    if (role == port_role::writer) {
-        return std::make_unique<bloom_wport<RegT, Injected>>(reg, processor,
-                                                             plan);
-    }
-    return std::make_unique<bloom_rport<RegT, Injected>>(
-        reg.make_reader(processor), plan);
-}
-
-/// Adapter over two_writer_register<value_t, Reg>.
+/// Bloom stacks over fault-injecting substrates, whose ports a port_crash
+/// fault kills (faulty/, repair/).
 template <typename Reg>
-class bloom_any final : public any_register {
-    using reg_t = two_writer_register<value_t, Reg>;
+constexpr bool crashes_ports = false;
+template <typename Inner>
+constexpr bool crashes_ports<bloom<faulty_register<Inner>>> = true;
+template <typename Inner>
+constexpr bool crashes_ports<bloom<repair_register<Inner>>> = true;
 
-public:
-    explicit bloom_any(std::unique_ptr<reg_t> reg) : reg_(std::move(reg)) {}
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role role) override {
-        return make_bloom_port<false>(*reg_, processor, role, nullptr);
-    }
-
-private:
-    std::unique_ptr<reg_t> reg_;
-};
-
-// ------------------------------------------------------------- baseline/* --
-
-/// Adapter over the blocking baselines (mutex / rw-lock).
+/// The one register: an entry's `Reg`, built in place by the entry's
+/// factory, and the parts the factory built for it.
 template <typename Reg>
-class lock_any final : public any_register {
+class owned final : public any_register {
 public:
-    explicit lock_any(value_t initial) : reg_(initial) {}
+    template <typename Build>
+    owned(const register_args& a, Build build)
+        : reg_(new Reg(build(a, parts_))), writers_(a.writers),
+          processors_(a.writers + a.readers) {}
 
-    class port final : public any_port {
-    public:
-        port(Reg& r, port_role role) : reg_(&r), role_(role) {}
-
-        value_t read() override { return reg_->read(); }
-        void write(value_t v) override { reg_->write(v); }
-        bool stall(const pause_fn& during) override {
-            if (role_ != port_role::writer) return false;
-            auto lock = take_lock(*reg_);
-            during();
-            return true;
-        }
-
-    private:
-        static auto take_lock(mutex_register<value_t>& r) { return r.stall(); }
-        static auto take_lock(rwlock_register<value_t>& r) {
-            return r.stall_writer();
-        }
-
-        Reg* reg_;
-        port_role role_;
-    };
-
-    std::unique_ptr<any_port> make_port(processor_id,
+    std::unique_ptr<any_port> make_port(processor_id p,
                                         port_role role) override {
-        return std::make_unique<port>(reg_, role);
-    }
-
-private:
-    Reg reg_;
-};
-
-/// Adapter over the native MRMW atomic word.
-class native_any final : public any_register {
-    using reg_t = native_atomic_register<value_t>;
-
-public:
-    explicit native_any(value_t initial) : reg_(initial) {}
-
-    class port final : public any_port {
-    public:
-        port(reg_t& r, processor_id proc) : reg_(&r), proc_(proc) {}
-
-        value_t read() override { return reg_->read(proc_); }
-        void write(value_t v) override { reg_->write(v, proc_); }
-
-    private:
-        reg_t* reg_;
-        processor_id proc_;
-    };
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role) override {
-        return std::make_unique<port>(reg_, processor);
-    }
-
-private:
-    reg_t reg_;
-};
-
-// ------------------------------------------------------------------- va/* --
-
-class va_any final : public any_register {
-    using reg_t = va_register<value_t>;
-
-public:
-    va_any(value_t initial, std::size_t writers) : reg_(initial, writers) {}
-
-    class wport final : public any_port {
-    public:
-        explicit wport(reg_t::writer_port p) : p_(std::move(p)) {}
-
-        value_t read() override { return p_.read(); }
-        void write(value_t v) override { p_.write(v); }
-
-    private:
-        reg_t::writer_port p_;
-    };
-
-    class rport final : public any_port {
-    public:
-        explicit rport(reg_t& r) : reg_(&r) {}
-
-        value_t read() override { return reg_->read(); }
-        void write(value_t) override {}
-
-    private:
-        reg_t* reg_;
-    };
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role role) override {
-        if (role == port_role::writer) {
-            return std::make_unique<wport>(
-                reg_.make_writer_port(static_cast<std::size_t>(processor)));
+        if (role == port_role::reader) {
+            return wrap(handle<port_role::reader>(*reg_, p), p, role);
         }
-        return std::make_unique<rport>(reg_);
+        return wrap(handle<port_role::writer>(*reg_, p), p, role);
     }
-
-private:
-    reg_t reg_;
-};
-
-// ----------------------------------------------------------------- swmr/* --
-
-/// The SWMR-from-SWSR ladder as a 1-writer register in its own right.
-/// The ladder gets readers + 1 ports: reader processor p (>= 1) maps to
-/// port p - 1, and the writer (whose scripted reads must go through a real
-/// port too) owns the extra port `readers`.
-class swmr_any final : public any_register {
-    using reg_t = swmr_from_swsr<value_t>;
-
-public:
-    swmr_any(value_t initial, std::size_t readers)
-        : reg_(tagged<value_t>{initial, false}, readers + 1),
-          writer_read_port_(readers) {}
-
-    class wport final : public any_port {
-    public:
-        wport(reg_t& r, std::size_t read_port)
-            : reg_(&r), rd_(r.make_reader_port(read_port)) {}
-
-        value_t read() override { return rd_.read().value; }
-        void write(value_t v) override {
-            reg_->write(tagged<value_t>{v, false});
-        }
-
-    private:
-        reg_t* reg_;
-        reg_t::reader_port rd_;
-    };
-
-    class rport final : public any_port {
-    public:
-        explicit rport(reg_t::reader_port p) : p_(std::move(p)) {}
-
-        value_t read() override { return p_.read().value; }
-        void write(value_t) override {}
-
-    private:
-        reg_t::reader_port p_;
-    };
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role role) override {
-        if (role == port_role::writer) {
-            return std::make_unique<wport>(reg_, writer_read_port_);
-        }
-        return std::make_unique<rport>(
-            reg_.make_reader_port(static_cast<std::size_t>(processor) - 1));
+    [[nodiscard]] fault_counts faults() override {
+        return parts_.plan ? parts_.plan->counts() : fault_counts{};
     }
-
-private:
-    reg_t reg_;
-    std::size_t writer_read_port_;
-};
-
-// ----------------------------------------------------------- tournament/* --
-
-/// The BROKEN Section 8 tournament (4 writers over native atomic words).
-/// Registered so the harness can demonstrate the failure: checkers are
-/// expected to reject its histories (info.expected_atomic = false). A
-/// writer's scripted reads are served by an internal reader handle.
-class tournament_any final : public any_register {
-    using reg_t = tournament_four_writer<value_t>;
-
-public:
-    explicit tournament_any(value_t initial) : reg_(initial) {}
-
-    class wport final : public any_port {
-    public:
-        wport(reg_t& r, processor_id proc)
-            : w_(r.make_writer(proc)), rd_(r.make_reader(proc)),
-              proc_(proc) {}
-
-        value_t read() override { return rd_.read(); }
-        void write(value_t v) override { w_.write(v); }
-        void write_paced(value_t v, const pause_fn& pause) override {
-            w_.begin_write(v);
-            pause();
-            w_.finish_write();
-        }
-        bool stall(const pause_fn& during) override {
-            write_paced(unique_value(proc_, 0x80000000u + stall_count_++),
-                        during);
-            return true;
-        }
-
-    private:
-        reg_t::writer w_;
-        reg_t::reader rd_;
-        processor_id proc_;
-        std::uint32_t stall_count_{0};
-    };
-
-    class rport final : public any_port {
-    public:
-        explicit rport(reg_t::reader rd) : rd_(std::move(rd)) {}
-
-        value_t read() override { return rd_.read(); }
-        void write(value_t) override {}
-
-    private:
-        reg_t::reader rd_;
-    };
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role role) override {
-        if (role == port_role::writer) {
-            return std::make_unique<wport>(reg_, processor);
-        }
-        return std::make_unique<rport>(reg_.make_reader(processor));
+    [[nodiscard]] net_stats net() override {
+        if constexpr (!net_system<Reg>) return {};
+        else return {reg_->counters(), true, reg_->servers(), reg_->quorum()};
     }
-
-private:
-    reg_t reg_;
-};
-
-// ----------------------------------------------------------------- faulty/* --
-
-/// Bloom's construction over substrates wrapped in the fault injector
-/// (registers/faulty.hpp).
-template <typename Inner>
-class faulty_any final : public any_register {
-    using reg_t = two_writer_register<value_t, faulty_register<Inner>>;
-
-public:
-    /// `make_inner(init, plan, reg_index)` builds one wrapped substrate.
-    template <typename MakeInner>
-    faulty_any(const register_args& a, MakeInner&& make_inner)
-        : plan_(a.fault, a.log),
-          reg_(a.initial, [&](tagged<value_t> init, int reg_index) {
-              return make_inner(init, &plan_, reg_index);
-          }) {}
-
-    [[nodiscard]] fault_counts faults() override { return plan_.counts(); }
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role role) override {
-        return make_bloom_port<true>(reg_, processor, role, &plan_);
-    }
-
-private:
-    fault_plan plan_;  // before reg_: the factory lambda takes its address
-    reg_t reg_;
-};
-
-// ----------------------------------------------------------------- repair/* --
-
-/// The self-healing wrapper (registers/repair.hpp) around the fault
-/// injector: same plan, same crash semantics, same ports as faulty_any --
-/// plus the
-/// repair-overhead counters surfaced through repair().
-template <typename Inner>
-class repair_any final : public any_register {
-    using reg_t =
-        two_writer_register<value_t, repair_register<Inner>>;
-
-public:
-    explicit repair_any(const register_args& a)
-        : plan_(a.fault, a.log),
-          reg_(a.initial, [&](tagged<value_t> init, int) {
-              return repair_register<Inner>(init, &plan_, &counts_);
-          }) {}
-
-    [[nodiscard]] fault_counts faults() override { return plan_.counts(); }
     [[nodiscard]] repair_stats repair() override {
-        repair_stats s;
-        s.ran = true;
-        s.verify_reads =
-            counts_.verify_reads.load(std::memory_order_relaxed);
-        s.rereads = counts_.rereads.load(std::memory_order_relaxed);
-        s.rewrites = counts_.rewrites.load(std::memory_order_relaxed);
-        s.repaired = counts_.repaired.load(std::memory_order_relaxed);
-        return s;
-    }
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role role) override {
-        return make_bloom_port<true>(reg_, processor, role, &plan_);
+        if (!parts_.repairs) return {};
+        const repair_counts& c = *parts_.repairs;
+        return {true, c.verify_reads.load(std::memory_order_relaxed),
+                c.rereads.load(std::memory_order_relaxed),
+                c.rewrites.load(std::memory_order_relaxed),
+                c.repaired.load(std::memory_order_relaxed)};
     }
 
 private:
-    fault_plan plan_;       // before reg_: the factory lambda takes both
-    repair_counts counts_;  // addresses
-    reg_t reg_;
+    template <typename H>
+    std::unique_ptr<any_port> wrap(H h, processor_id p, port_role role) {
+        return std::make_unique<port<H, crashes_ports<Reg>>>(
+            std::move(h), p, role, writers_, processors_,
+            parts_.plan ? &*parts_.plan : nullptr);
+    }
+
+    parts parts_;  // before reg_: the factory fills it first
+    // Its own allocation: glibc serves cacheline-aligned blocks outside its
+    // thread cache, so every make_register carves a fresh one; keep it no
+    // larger than the register.
+    std::unique_ptr<Reg> reg_;
+    std::size_t writers_;
+    std::size_t processors_;
 };
 
-// ------------------------------------------------------------------- net/* --
+// ------------------------------------------------------------ factories --
+// A factory `build(args, parts)` fills the parts it needs and returns the
+// entry's register by value, built in place.
 
-[[nodiscard]] net_stats to_net_stats(const net::net_counters& c,
-                                     std::size_t servers,
-                                     std::size_t quorum) {
-    net_stats s;
-    s.ran = true;
-    s.servers = servers;
-    s.quorum = quorum;
-    s.sent = c.sent;
-    s.delivered = c.delivered;
-    s.lost = c.lost;
-    s.duplicated = c.duplicated;
-    s.delayed = c.delayed;
-    s.retransmissions = c.retransmissions;
-    s.server_crashes = c.server_crashes;
-    s.ops = c.ops;
-    s.rounds = c.rounds;
-    s.fast_path_ops = c.fast_path_ops;
-    s.recoveries = c.recoveries;
-    s.catchup_rounds = c.catchup_rounds;
-    s.stale_inc_drops = c.stale_inc_drops;
-    s.unavailable_ops = c.unavailable_ops;
-    return s;
+template <typename Reg>
+constexpr auto from_initial = [](const register_args& a, parts&) {
+    return Reg(a.initial);
+};
+
+/// The entry's one fault plan, made on first use.
+fault_plan* plan_of(const register_args& a, parts& p) {
+    return p.plan ? &*p.plan : &p.plan.emplace(a.fault, a.log);
 }
 
-/// Recorder bridge for the net/ replica observer (abd.hpp): each server
-/// replica is real register 2 + server (reg 0/1 stay the Bloom base
-/// registers), recorded into the PUMPING client's buffer -- the processor
-/// whose thread executed the touch under the composition's net_lock. That
-/// is the feed the hybrid race checker replays against the net/ contracts
-/// (blanket lock_region, src/analysis/contracts.cpp); history parsing
-/// exempts reg >= 2 from base-register validation.
-[[nodiscard]] net::replica_observer make_net_observer(run_log* log) {
-    if (log == nullptr) return {};
-    return [log](std::size_t client, std::size_t server, bool is_write,
-                 value_t v) {
-        event e;
-        e.kind = is_write ? event_kind::real_write : event_kind::real_read;
-        e.reg = static_cast<std::uint8_t>(2 + server);
-        e.processor = static_cast<processor_id>(client);
-        e.value = v;
-        log->record(e.processor, e);
-    };
-}
+/// Real register i of a Bloom stack over substrate S is
+/// S(init, real<S>::args(a, p, i)...); a wrapping substrate's own
+/// arguments come before its inner one's.
+template <typename S>
+struct real {
+    static auto args(const register_args& a, parts&, int i) {
+        if constexpr (std::is_same_v<S, ported_substrate<value_t>>) {
+            return std::tuple(a.readers, i);
+        } else if constexpr (std::is_same_v<S, recording_register>) {
+            return std::tuple(a.log, static_cast<std::uint8_t>(i));
+        } else {
+            return std::tuple();
+        }
+    }
+};
+template <typename Inner>
+struct real<faulty_register<Inner>> {
+    static auto args(const register_args& a, parts& p, int i) {
+        return std::tuple_cat(std::tuple(plan_of(a, p)),
+                              real<Inner>::args(a, p, i));
+    }
+};
+template <typename Inner>
+struct real<repair_register<Inner>> {
+    static auto args(const register_args& a, parts& p, int i) {
+        if (!p.repairs) p.repairs.emplace();
+        return std::tuple_cat(std::tuple(plan_of(a, p), &*p.repairs),
+                              real<Inner>::args(a, p, i));
+    }
+};
 
-/// ABD quorum replication behind the type-erased interface. Client index ==
-/// processor id (writers first). The paced variants hand the harness's
-/// pause to the protocol's round boundary -- which is where the driver's
-/// seeded schedule interleaves other processors' bus activity.
-class abd_any final : public any_register {
-public:
-    explicit abd_any(const register_args& a)
-        : plan_(a.fault, a.log), observer_(make_net_observer(a.log)) {
-        net::abd_config cfg;
-        cfg.servers = a.servers;
-        cfg.clients = a.writers + a.readers;
+template <typename S>
+constexpr auto bloom_of = [](const register_args& a, parts& p) {
+    return bloom<S>(a.initial, [&](tagged<value_t> init, int i) {
+        return std::apply([&](auto... x) { return S(init, x...); },
+                          real<S>::args(a, p, i));
+    });
+};
+
+/// A net/ system: client index == processor id (writers first), the bus
+/// seeded from the run and faulted by the entry's plan. A recorded run logs
+/// each replica touch as real register 2 + server (0 and 1 stay the Bloom
+/// base registers) in the PUMPING client's buffer -- the processor whose
+/// thread made the touch under the net_lock, which the race checker
+/// replays against the net/ contracts (src/analysis/contracts.cpp).
+template <typename Sys, typename Config>
+constexpr auto net_of = [](const register_args& a, parts& p) {
+    Config cfg;
+    cfg.servers = a.servers;
+    cfg.clients = a.writers + a.readers;
+    cfg.initial = a.initial;
+    cfg.bus.seed = a.net_seed;
+    cfg.abort_flag = a.abort;
+    if (run_log* log = a.log) {
+        p.observer = [log](std::size_t client, std::size_t server,
+                           bool is_write, value_t v) {
+            event e;
+            e.kind = is_write ? event_kind::real_write : event_kind::real_read;
+            e.reg = static_cast<std::uint8_t>(2 + server);
+            e.processor = static_cast<processor_id>(client);
+            e.value = v;
+            log->record(e.processor, e);
+        };
+    }
+    cfg.observer = &p.observer;
+    if constexpr (std::is_same_v<Config, net::abd_config>) {
         cfg.writers = a.writers;
         cfg.multi_writer = a.writers > 1;
-        cfg.initial = a.initial;
-        cfg.bus.seed = a.net_seed;
-        cfg.abort_flag = a.abort;
-        cfg.observer = &observer_;
-        sys_ = std::make_unique<net::abd_system>(cfg, &plan_);
     }
-
-    [[nodiscard]] fault_counts faults() override { return plan_.counts(); }
-    [[nodiscard]] net_stats net() override {
-        return to_net_stats(sys_->counters(), sys_->servers(), sys_->quorum());
-    }
-
-    class port final : public any_port {
-    public:
-        port(net::abd_system& s, processor_id proc, port_role role)
-            : sys_(&s), proc_(proc), role_(role) {}
-
-        value_t read() override { return do_read(nullptr); }
-        void write(value_t v) override { do_write(v, nullptr); }
-        value_t read_paced(const pause_fn& pause) override {
-            return do_read(&pause);
-        }
-        void write_paced(value_t v, const pause_fn& pause) override {
-            do_write(v, &pause);
-        }
-        /// Parked after an UNAVAILABLE outcome: the op stays pending (the
-        /// same external trace as a crashed port -- an incomplete op may or
-        /// may not take effect, which is exactly what a sub-quorum install
-        /// means) and the driver stops stepping the processor.
-        [[nodiscard]] bool crashed() const override { return parked_; }
-
-    private:
-        value_t do_read(const pause_fn* pause) {
-            if (parked_) return 0;
-            const std::optional<value_t> out =
-                sys_->read(static_cast<std::size_t>(proc_), pause);
-            parked_ = !out.has_value();  // pending forever, like a crash
-            return out.value_or(0);
-        }
-        void do_write(value_t v, const pause_fn* pause) {
-            if (role_ != port_role::writer || parked_) return;
-            parked_ = !sys_->write(static_cast<std::size_t>(proc_), v, pause);
-        }
-
-        net::abd_system* sys_;
-        processor_id proc_;
-        port_role role_;
-        bool parked_{false};
-    };
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role role) override {
-        return std::make_unique<port>(*sys_, processor, role);
-    }
-
-private:
-    fault_plan plan_;  // before sys_: the bus keeps its address
-    net::replica_observer observer_;  // before sys_: cfg keeps its address
-    std::unique_ptr<net::abd_system> sys_;
+    return Sys(cfg, plan_of(a, p));
 };
 
-/// The Mostefaoui-Raynal two-bit-message construction behind the same
-/// interface. Processor 0 is THE writer (SWMR); its scripted reads run the
-/// reader protocol on client 0.
-class twobit_any final : public any_register {
-public:
-    explicit twobit_any(const register_args& a)
-        : plan_(a.fault, a.log),
-          observer_(make_net_observer(a.log)),
-          cfg_servers_(a.servers) {
-        net::twobit_config cfg;
-        cfg.servers = a.servers;
-        cfg.clients = 1 + a.readers;
-        cfg.initial = a.initial;
-        cfg.bus.seed = a.net_seed;
-        cfg.abort_flag = a.abort;
-        cfg.observer = &observer_;
-        sys_ = std::make_unique<net::twobit_system>(cfg, &plan_);
-    }
+// ---------------------------------------------------------------- table --
 
-    [[nodiscard]] fault_counts faults() override { return plan_.counts(); }
-    [[nodiscard]] net_stats net() override {
-        return to_net_stats(sys_->counters(), cfg_servers_, sys_->quorum());
-    }
-
-    class port final : public any_port {
-    public:
-        port(net::twobit_system& s, processor_id proc)
-            : sys_(&s), proc_(proc) {}
-
-        value_t read() override { return do_read(nullptr); }
-        void write(value_t v) override { do_write(v, nullptr); }
-        value_t read_paced(const pause_fn& pause) override {
-            return do_read(&pause);
-        }
-        void write_paced(value_t v, const pause_fn& pause) override {
-            do_write(v, &pause);
-        }
-        /// Same UNAVAILABLE parking convention as abd_any::port.
-        [[nodiscard]] bool crashed() const override { return parked_; }
-
-    private:
-        value_t do_read(const pause_fn* pause) {
-            if (parked_) return 0;
-            const std::optional<value_t> out =
-                sys_->read(static_cast<std::size_t>(proc_), pause);
-            parked_ = !out.has_value();
-            return out.value_or(0);
-        }
-        void do_write(value_t v, const pause_fn* pause) {
-            if (proc_ != 0 || parked_) return;
-            parked_ = !sys_->write(v, pause);
-        }
-
-        net::twobit_system* sys_;
-        processor_id proc_;
-        bool parked_{false};
-    };
-
-    std::unique_ptr<any_port> make_port(processor_id processor,
-                                        port_role) override {
-        return std::make_unique<port>(*sys_, processor);
-    }
-
-private:
-    fault_plan plan_;  // before sys_: the bus keeps its address
-    net::replica_observer observer_;  // before sys_: cfg keeps its address
-    std::unique_ptr<net::twobit_system> sys_;
-    std::size_t cfg_servers_{3};
+/// register_info flags: an entry is wait-free and atomic, records nothing
+/// and packs nothing unless it is `blocking`, `records` real accesses,
+/// `needs_log` (a recorder), is `not_atomic` or `packs` values.
+enum entry_flags : unsigned {
+    blocking = 1U, records = 2U, needs_log = 4U, not_atomic = 8U, packs = 16U
 };
 
-// --------------------------------------------------------------- registry --
-
-register_info info(std::string name, std::string description,
-                   std::size_t min_writers, std::size_t max_writers,
-                   bool wait_free) {
-    register_info i;
-    i.name = name;
-    i.family = name.substr(0, name.find('/'));
-    i.description = std::move(description);
-    i.min_writers = min_writers;
-    i.max_writers = max_writers;
-    i.wait_free = wait_free;
-    return i;
-}
-
-/// bloom/recording and bloom/plain: Bloom over the recording substrate,
-/// built through the factory constructor, so only the real accesses reach
-/// the recorder from inside the register.
-std::unique_ptr<any_register> make_recording(const register_args& a) {
-    run_log* log = a.log;
-    return std::make_unique<bloom_any<recording_register>>(
-        std::make_unique<two_writer_register<value_t, recording_register>>(
-            a.initial, [log](tagged<value_t> init, int reg_index) {
-                return recording_register(
-                    init, log, static_cast<std::uint8_t>(reg_index));
-            }));
+/// One row of the table. The family is the name up to its '/', and the
+/// declared synchronization contract comes from src/analysis/contracts.cpp
+/// ("" for an entry without a row there).
+template <typename Build>
+registry_entry row(std::string name, std::size_t min_writers,
+                   std::size_t max_writers, unsigned flags, Build,
+                   std::string description) {
+    const auto cls = analysis::registry_sync_class(name);
+    register_info i{name, name.substr(0, name.find('/')),
+                    std::move(description), min_writers, max_writers,
+                    (flags & blocking) == 0, (flags & records) != 0,
+                    (flags & needs_log) != 0, (flags & not_atomic) == 0,
+                    (flags & packs) != 0,
+                    cls ? analysis::sync_class_name(*cls) : ""};
+    using reg_t = std::invoke_result_t<Build, const register_args&, parts&>;
+    return {std::move(i),
+            [](const register_args& a) -> std::unique_ptr<any_register> {
+                return std::make_unique<owned<reg_t>>(a, Build{});
+            }};
 }
 
 std::vector<registry_entry> build_registry() {
+    using seqlock = seqlock_register<value_t>;
+    using ported = ported_substrate<value_t>;
+    using recording = recording_register;
+    using abd = net::abd_system;
+    using twobit = net::twobit_system;
     std::vector<registry_entry> r;
-
-    {
-        register_info i =
-            info("bloom/packed",
-                 "Bloom two-writer over one packed atomic word per real "
-                 "register (production substrate)",
-                 2, 2, true);
-        i.packed_values = true;
-        r.push_back(
-            {std::move(i),
-             [](const register_args& a) -> std::unique_ptr<any_register> {
-                 using substrate = packed_atomic_register<value_t>;
-                 return std::make_unique<bloom_any<substrate>>(
-                     std::make_unique<two_writer_register<value_t, substrate>>(
-                         a.initial));
-             }});
-    }
-
-    r.push_back({info("bloom/seqlock",
-                      "Bloom two-writer over seqlock registers "
-                      "(arbitrary-size values; readers retry during writes)",
-                      2, 2, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     using reg_t =
-                         two_writer_register<value_t, seqlock_register<value_t>>;
-                     return std::make_unique<
-                         bloom_any<seqlock_register<value_t>>>(
-                         std::make_unique<reg_t>(a.initial));
-                 }});
-
-    r.push_back({info("bloom/fourslot",
-                      "Bloom two-writer over the depth-2 ladder: SWMR from "
-                      "SWSR four-slot registers (footnote 3)",
-                      2, 2, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     using reg_t =
-                         two_writer_register<value_t, ported_substrate<value_t>>;
-                     const std::size_t n = a.readers;
-                     auto reg = std::make_unique<reg_t>(
-                         a.initial, [n](tagged<value_t> init, int reg_index) {
-                             return ported_substrate<value_t>(init, n, reg_index);
-                         });
-                     return std::make_unique<
-                         bloom_any<ported_substrate<value_t>>>(
-                         std::move(reg));
-                 }});
-
-    {
-        register_info i =
-            info("bloom/recording",
-                 "Bloom two-writer over the recording substrate (gamma "
-                 "with real accesses; input to the Section 7 checker)",
-                 2, 2, true);
-        i.records_real_accesses = true;
-        i.requires_log = true;
-        r.push_back({std::move(i), make_recording});
-    }
-
-    {
-        // The race-checker's live negative fixture: physically it is the
-        // recording substrate (serialized, safe to run on real threads), but
-        // it DECLARES the plain synchronization contract of registers/
-        // plain.hpp -- so the race checker must flag its recorded histories.
-        // Not expected to pass atomicity checking ceremony either: reports
-        // should show the race verdict, not certify the composition.
-        register_info i =
-            info("bloom/plain",
-                 "Bloom two-writer DECLARED over plain (unsynchronized) "
-                 "registers -- the race checker's expected-fail fixture",
-                 2, 2, true);
-        i.records_real_accesses = true;
-        i.requires_log = true;
-        i.expected_atomic = false;
-        r.push_back({std::move(i), make_recording});
-    }
-
-    r.push_back({info("faulty/seqlock",
-                      "Bloom two-writer over seqlock substrates wrapped in "
-                      "the fault injector (--fault picks the class; "
-                      "docs/FAULTS.md)",
-                      2, 2, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<
-                         faulty_any<seqlock_register<value_t>>>(
-                         a, [](tagged<value_t> init, fault_plan* plan, int) {
-                             return faulty_register<seqlock_register<value_t>>(
-                                 init, plan);
-                         });
-                 }});
-
-    r.push_back({info("faulty/fourslot",
-                      "Bloom two-writer over the fault-injected SWMR-from-"
-                      "SWSR ladder (substrate faults under the deepest stack)",
-                      2, 2, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     const std::size_t n = a.readers;
-                     return std::make_unique<
-                         faulty_any<ported_substrate<value_t>>>(
-                         a, [n](tagged<value_t> init, fault_plan* plan,
-                                int reg_index) {
-                             return faulty_register<ported_substrate<value_t>>(
-                                 init, plan, n, reg_index);
-                         });
-                 }});
-
-    {
-        register_info i =
-            info("faulty/recording",
-                 "fault-injected recording substrate: corrupted runs keep a "
-                 "full gamma for forensics and culprit localization",
-                 2, 2, true);
-        i.records_real_accesses = true;
-        i.requires_log = true;
-        r.push_back(
-            {std::move(i),
-             [](const register_args& a) -> std::unique_ptr<any_register> {
-                 run_log* log = a.log;
-                 return std::make_unique<faulty_any<recording_register>>(
-                     a, [log](tagged<value_t> init, fault_plan* plan,
-                              int reg_index) {
-                         return faulty_register<recording_register>(
-                             init, plan, log,
-                             static_cast<std::uint8_t>(reg_index));
-                     });
-             }});
-    }
-
-    r.push_back({info("repair/seqlock",
-                      "fault-injected seqlock substrates behind the self-"
-                      "healing repair wrapper: majority-vote reads and "
-                      "verify-rewrite writes mask injected faults at a "
-                      "measured access-count cost (docs/FAULTS.md)",
-                      2, 2, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<
-                         repair_any<seqlock_register<value_t>>>(a);
-                 }});
-
-    r.push_back({info("swmr/fourslot",
-                      "the SWMR-from-SWSR ladder alone: 1 writer, n readers "
-                      "over Simpson four-slot registers",
-                      1, 1, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<swmr_any>(a.initial, a.readers);
-                 }});
-
-    r.push_back({info("va/seqlock",
-                      "n-writer timestamp register (Vitanyi-Awerbuch style, "
-                      "Section 8's way forward) over seqlock cells",
-                      1, 16, true),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<va_any>(a.initial, a.writers);
-                 }});
-
-    {
-        register_info i =
-            info("tournament/native",
-                 "the BROKEN four-writer tournament (Section 8) over native "
-                 "atomic words -- checkers are expected to reject it",
-                 4, 4, true);
-        i.expected_atomic = false;
-        i.packed_values = true;
-        r.push_back({std::move(i),
-                     [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<tournament_any>(a.initial);
-                     }});
-    }
-
-    {
-        register_info i =
-            info("net/abd-swmr",
-                 "ABD quorum replication over the in-process message bus, "
-                 "single writer: 1-round writes, fast-path reads",
-                 1, 1, true);
-        // Gamma-collecting runs log per-replica touches at reg 2+server
-        // (make_net_observer), so the race checker can replay them.
-        i.records_real_accesses = true;
-        r.push_back({std::move(i),
-                     [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<abd_any>(a);
-                     }});
-    }
-
-    {
-        register_info i =
-            info("net/abd-mw",
-                 "two-writer ABD: quorum timestamp replication -- the "
-                 "paper's two-writer register, distributed",
-                 2, 2, true);
-        i.records_real_accesses = true;
-        r.push_back({std::move(i),
-                     [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<abd_any>(a);
-                     }});
-    }
-
-    {
-        register_info i =
-            info("net/twobit",
-                 "Mostefaoui-Raynal bounded-control replication: only "
-                 "two-bit version codes cross the wire (single writer; "
-                 "reads obstruction-free)",
-                 1, 1, false);
-        i.records_real_accesses = true;
-        r.push_back({std::move(i),
-                     [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<twobit_any>(a);
-                     }});
-    }
-
-    r.push_back({info("baseline/mutex",
-                      "blocking MRMW register via one mutex (the Section 4 "
-                      "anti-pattern)",
-                      1, 16, false),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<lock_any<mutex_register<value_t>>>(
-                         a.initial);
-                 }});
-
-    r.push_back({info("baseline/rwlock",
-                      "blocking MRMW register via a readers-writers lock "
-                      "([CHP])",
-                      1, 16, false),
-                 [](const register_args& a) -> std::unique_ptr<any_register> {
-                     return std::make_unique<
-                         lock_any<rwlock_register<value_t>>>(a.initial);
-                 }});
-
-    {
-        register_info i = info("baseline/native",
-                               "one native MRMW atomic word (the hardware "
-                               "upper baseline)",
-                               1, 16, true);
-        i.packed_values = true;
-        r.push_back({std::move(i),
-                     [](const register_args& a) -> std::unique_ptr<any_register> {
-                         return std::make_unique<native_any>(a.initial);
-                     }});
-    }
-
-    // Stamp each entry with its declared synchronization contract (the race
-    // checker and the report writer surface it); entries without a row in
-    // src/analysis/contracts.cpp stay "".
-    for (registry_entry& e : r) {
-        const std::optional<analysis::sync_class> cls =
-            analysis::registry_sync_class(e.info.name);
-        if (cls.has_value()) {
-            e.info.access_contract = analysis::sync_class_name(*cls);
-        }
-    }
-
+    r.push_back(row("bloom/packed", 2, 2, packs,
+                    bloom_of<packed_atomic_register<value_t>>,
+                    "Bloom two-writer over one packed atomic word per real "
+                    "register (production substrate)"));
+    r.push_back(row("bloom/seqlock", 2, 2, 0, bloom_of<seqlock>,
+                    "Bloom two-writer over seqlock registers (arbitrary-size "
+                    "values; readers retry during writes)"));
+    r.push_back(row("bloom/fourslot", 2, 2, 0, bloom_of<ported>,
+                    "Bloom two-writer over the depth-2 ladder: SWMR from SWSR "
+                    "four-slot registers (footnote 3)"));
+    r.push_back(row("bloom/recording", 2, 2, records | needs_log,
+                    bloom_of<recording>,
+                    "Bloom two-writer over the recording substrate (gamma with "
+                    "real accesses; input to the Section 7 checker)"));
+    // The race checker's negative fixture: the recording substrate,
+    // DECLARED plain, so the race checker must flag its histories.
+    r.push_back(row("bloom/plain", 2, 2, records | needs_log | not_atomic,
+                    bloom_of<recording>,
+                    "Bloom two-writer DECLARED over plain (unsynchronized) "
+                    "registers -- the race checker's expected-fail fixture"));
+    r.push_back(row("faulty/seqlock", 2, 2, 0,
+                    bloom_of<faulty_register<seqlock>>,
+                    "Bloom two-writer over seqlock substrates wrapped in the "
+                    "fault injector (--fault picks the class; "
+                    "docs/FAULTS.md)"));
+    r.push_back(row("faulty/fourslot", 2, 2, 0,
+                    bloom_of<faulty_register<ported>>,
+                    "Bloom two-writer over the fault-injected SWMR-from-SWSR "
+                    "ladder (substrate faults under the deepest stack)"));
+    r.push_back(row("faulty/recording", 2, 2, records | needs_log,
+                    bloom_of<faulty_register<recording>>,
+                    "fault-injected recording substrate: corrupted runs keep a "
+                    "full gamma for forensics and culprit localization"));
+    r.push_back(row("repair/seqlock", 2, 2, 0,
+                    bloom_of<repair_register<seqlock>>,
+                    "fault-injected seqlock substrates behind the self-healing "
+                    "repair wrapper: majority-vote reads and verify-rewrite "
+                    "writes mask injected faults at a measured access-count "
+                    "cost (docs/FAULTS.md)"));
+    r.push_back(row("swmr/fourslot", 1, 1, 0,
+                    [](const register_args& a, parts&) {
+                        return swmr(tagged<value_t>{a.initial, false},
+                                    a.readers + 1);
+                    },
+                    "the SWMR-from-SWSR ladder alone: 1 writer, n readers "
+                    "over Simpson four-slot registers"));
+    r.push_back(row("va/seqlock", 1, 16, 0,
+                    [](const register_args& a, parts&) {
+                        return va_register<value_t>(a.initial, a.writers);
+                    },
+                    "n-writer timestamp register (Vitanyi-Awerbuch style, "
+                    "Section 8's way forward) over seqlock cells"));
+    r.push_back(row("tournament/native", 4, 4, not_atomic | packs,
+                    from_initial<tournament_four_writer<value_t>>,
+                    "the BROKEN four-writer tournament (Section 8) over native "
+                    "atomic words -- checkers are expected to reject it"));
+    r.push_back(row("net/abd-swmr", 1, 1, records,
+                    net_of<abd, net::abd_config>,
+                    "ABD quorum replication over the in-process message bus, "
+                    "single writer: 1-round writes, fast-path reads"));
+    r.push_back(row("net/abd-mw", 2, 2, records,
+                    net_of<abd, net::abd_config>,
+                    "two-writer ABD: quorum timestamp replication -- the "
+                    "paper's two-writer register, distributed"));
+    r.push_back(row("net/twobit", 1, 1, blocking | records,
+                    net_of<twobit, net::twobit_config>,
+                    "Mostefaoui-Raynal bounded-control replication: only "
+                    "two-bit version codes cross the wire (single writer; "
+                    "reads obstruction-free)"));
+    r.push_back(row("baseline/mutex", 1, 16, blocking,
+                    from_initial<mutex_register<value_t>>,
+                    "blocking MRMW register via one mutex (the Section 4 "
+                    "anti-pattern)"));
+    r.push_back(row("baseline/rwlock", 1, 16, blocking,
+                    from_initial<rwlock_register<value_t>>,
+                    "blocking MRMW register via a readers-writers lock "
+                    "([CHP])"));
+    r.push_back(row("baseline/native", 1, 16, packs,
+                    from_initial<native_atomic_register<value_t>>,
+                    "one native MRMW atomic word (the hardware upper "
+                    "baseline)"));
     return r;
 }
 
@@ -918,52 +497,57 @@ const registry_entry* find_register(std::string_view name) {
     return nullptr;
 }
 
-std::vector<std::string> register_names() {
-    std::vector<std::string> names;
-    names.reserve(registry().size());
-    for (const registry_entry& e : registry()) names.push_back(e.info.name);
-    return names;
+std::string register_args_error(const register_info& info,
+                                const register_args& args) {
+    const auto str = [](auto n) { return std::to_string(n); };
+    if (args.writers < info.min_writers || args.writers > info.max_writers) {
+        return info.name + " supports " + str(info.min_writers) + ".." +
+               str(info.max_writers) + " writers, got " + str(args.writers);
+    }
+    // One OS thread and one fault-plan crash flag per processor (the sum
+    // cannot wrap: the writer range above is at most 16).
+    const std::size_t processors = args.writers + args.readers;
+    constexpr std::size_t max_processors = fault_plan::max_processors;
+    if (args.readers > max_processors || processors > max_processors) {
+        return "at most " + str(max_processors) +
+               " processors (writers + readers), got " + str(processors);
+    }
+    if (args.servers > max_net_servers) {
+        return "at most " + str(max_net_servers) + " net servers, got " +
+               str(args.servers);
+    }
+    const bool net = info.family == "net";
+    if (net && args.servers == 0) {
+        return info.name +
+               " replicates over servers; net_servers must be at least 1";
+    }
+    if (info.requires_log && args.log == nullptr) {
+        return info.name + " records real accesses into the run's recorder "
+                           "(run it scripted, with collect=per_thread)";
+    }
+    if (args.fault.active() && !net && info.family != "faulty" &&
+        info.family != "repair") {
+        return info.name + " has no fault plan; --fault needs a faulty/, "
+                           "repair/ or net/ register";
+    }
+    if (info.packed_values && !fits_packed_int64(args.initial)) {
+        return info.name + " packs values into 63 bits: initial " +
+               str(args.initial) + " is outside [" + str(packed_int64_min) +
+               ", " + str(packed_int64_max) + "]";
+    }
+    return {};
 }
 
 std::unique_ptr<any_register> make_register(std::string_view name,
                                             const register_args& args,
                                             std::string* error) {
     const registry_entry* e = find_register(name);
-    if (e == nullptr) {
-        if (error != nullptr) {
-            *error = "unknown register '" + std::string(name) +
-                     "' (see --list for registered names)";
-        }
-        return nullptr;
-    }
-    if (args.writers < e->info.min_writers ||
-        args.writers > e->info.max_writers) {
-        if (error != nullptr) {
-            *error = e->info.name + " supports " +
-                     std::to_string(e->info.min_writers) + ".." +
-                     std::to_string(e->info.max_writers) + " writers, got " +
-                     std::to_string(args.writers);
-        }
-        return nullptr;
-    }
-    if (e->info.requires_log && args.log == nullptr) {
-        if (error != nullptr) {
-            *error = e->info.name +
-                     " records real accesses into the run's recorder (run "
-                     "it scripted, with collect=per_thread)";
-        }
-        return nullptr;
-    }
-    if (e->info.packed_values && !fits_packed_int64(args.initial)) {
-        if (error != nullptr) {
-            *error = e->info.name + " packs values into 63 bits: initial " +
-                     std::to_string(args.initial) + " is outside [" +
-                     std::to_string(packed_int64_min) + ", " +
-                     std::to_string(packed_int64_max) + "]";
-        }
-        return nullptr;
-    }
-    return e->make(args);
+    std::string why = e == nullptr ? "unknown register '" + std::string(name) +
+                                         "' (see --list for registered names)"
+                                   : register_args_error(e->info, args);
+    if (why.empty()) return e->make(args);
+    if (error != nullptr) *error = std::move(why);
+    return nullptr;
 }
 
 }  // namespace bloom87::harness

@@ -2,12 +2,14 @@
 //
 // Every register composition the repository can build -- Bloom's two-writer
 // construction over each substrate, the SWMR-from-SWSR ladder, the
-// timestamp-based multi-writer register, the Section 8 tournament, and the
-// blocking/native baselines -- is constructible from a NAME STRING
-// ("bloom/packed", "baseline/mutex", ...) behind one type-erased interface.
-// The driver (driver.hpp), the benches, the examples, and the fuzzer all go
-// through this map, so opening a new register to every workload and checker
-// is one registry entry.
+// timestamp-based multi-writer register, the Section 8 tournament, the
+// replicated net/ registers, and the blocking/native baselines -- is
+// constructible from a NAME STRING ("bloom/packed", "baseline/mutex", ...)
+// behind one type-erased interface. The driver (driver.hpp), the benches,
+// the examples, and the fuzzer all go through this map, so opening a new
+// register to every workload and checker is one registry entry: a row of
+// the table in registry.cpp, which names the entry and builds its register
+// (docs/HARNESS.md §1).
 //
 // Type erasure costs one virtual call per operation. That overhead is
 // uniform across every registered register, so relative comparisons stay
@@ -25,6 +27,7 @@
 #include "core/two_writer.hpp"  // crash_point
 #include "histories/events.hpp"
 #include "histories/thread_log.hpp"
+#include "net/counters.hpp"
 #include "registers/faulty.hpp"  // fault_spec, fault_counts
 
 namespace bloom87::harness {
@@ -81,28 +84,13 @@ public:
 };
 
 /// Snapshot of a net/ composition's message traffic, exposed through the
-/// type-erased interface the way fault_counts is. Field meanings match
-/// net::net_counters (src/net/bus.hpp); duplicated here so harness
-/// consumers need no net headers.
-struct net_stats {
-    bool ran{false};       ///< true iff the register is a net/ composition
+/// type-erased interface the way fault_counts is: the composition's
+/// net::net_counters (src/net/counters.hpp, which includes no bus) plus its
+/// shape.
+struct net_stats : net::net_counters {
+    bool ran{false};  ///< true iff the register is a net/ composition
     std::size_t servers{0};
     std::size_t quorum{0};
-    std::uint64_t sent{0};
-    std::uint64_t delivered{0};
-    std::uint64_t lost{0};
-    std::uint64_t duplicated{0};
-    std::uint64_t delayed{0};
-    std::uint64_t retransmissions{0};
-    std::uint64_t server_crashes{0};
-    std::uint64_t ops{0};
-    std::uint64_t rounds{0};
-    std::uint64_t fast_path_ops{0};
-    // Crash-recovery lifecycle (the report's v6 `recovery` block).
-    std::uint64_t recoveries{0};       ///< completed crash->rejoin cycles
-    std::uint64_t catchup_rounds{0};   ///< state-transfer query rounds
-    std::uint64_t stale_inc_drops{0};  ///< deliveries to a dead incarnation
-    std::uint64_t unavailable_ops{0};  ///< ops that exhausted their retries
 };
 
 /// Snapshot of a repair/ composition's self-healing overhead (the access-
@@ -138,14 +126,15 @@ struct register_info {
     bool packed_values{false};
     /// Declared synchronization contract of the composition's real accesses
     /// ("sync"/"relaxed"/"plain"; src/analysis/contracts.cpp), "" when the
-    /// entry declares none. The race checker keys off this; build_registry
+    /// entry declares none. The race checker keys off this; each registry row
     /// fills it from analysis::registry_sync_class.
     std::string access_contract;
 };
 
 /// A type-erased register instance. Ports are created before the run, one
 /// per participating processor: writer ports for processors [0, writers),
-/// reader ports for processors [writers, writers + readers).
+/// reader ports for processors [writers, writers + readers). Any other
+/// processor, or a role its number does not give it, fails a check().
 class any_register {
 public:
     virtual ~any_register() = default;
@@ -153,7 +142,8 @@ public:
                                                 port_role role) = 0;
 
     /// Injection counters of the run so far; all-zero for registers without
-    /// a fault plan (everything outside the faulty/ family).
+    /// a fault plan (everything outside the faulty/, repair/ and net/
+    /// families).
     [[nodiscard]] virtual fault_counts faults() { return {}; }
 
     /// Message-layer counters of the run so far; `ran` stays false for
@@ -177,12 +167,13 @@ struct register_args {
     /// read the fault plan's first-injection position from it; the driver's
     /// script runner records every simulated invocation/response.
     run_log* log{nullptr};
-    /// Substrate fault injection; the faulty/ and net/ families read it
-    /// (other entries ignore an active spec -- the driver rejects that
-    /// combination up front).
+    /// Substrate fault injection; the faulty/, repair/ and net/ families
+    /// read it (the argument check rejects an active spec on any other
+    /// entry).
     fault_spec fault{};
-    /// Replica count for net/ compositions (ignored elsewhere). Quorum is
-    /// servers/2 + 1; tolerated crashes f = (servers-1)/2.
+    /// Replica count for net/ compositions (ignored elsewhere, though the
+    /// argument check bounds it everywhere). Quorum is servers/2 + 1;
+    /// tolerated crashes f = (servers-1)/2.
     std::size_t servers{3};
     /// Seed for the bus's delivery schedule (net/ compositions only). The
     /// driver derives it from the run seed so delivery order varies with
@@ -205,13 +196,18 @@ struct registry_entry {
 /// Looks up one entry; null if the name is unknown.
 [[nodiscard]] const registry_entry* find_register(std::string_view name);
 
-/// All registered names, in presentation order.
-[[nodiscard]] std::vector<std::string> register_names();
+/// Why `args` cannot build `info`'s register; empty when they can. Rejects
+/// a writer count outside the entry's range, more processors (writers +
+/// readers) than a fault plan has crash flags, more than 256 net servers,
+/// a net/ entry with no server, an entry that records real accesses with no
+/// recorder, an active fault spec on an entry without a fault plan, and an
+/// initial value outside a packing entry's domain.
+[[nodiscard]] std::string register_args_error(const register_info& info,
+                                              const register_args& args);
 
 /// Constructs a register by name. Returns null and fills `error` when the
-/// name is unknown, the writer count is out of the entry's range, the
-/// entry requires a recorder and none was given, or the entry packs values
-/// and `initial` is outside the packed domain.
+/// name is unknown or register_args_error rejects the arguments; builds
+/// nothing then.
 [[nodiscard]] std::unique_ptr<any_register> make_register(
     std::string_view name, const register_args& args, std::string* error);
 

@@ -7,21 +7,12 @@
 namespace bloom87::net {
 
 abd_system::abd_system(const abd_config& cfg, fault_plan* plan)
-    : cfg_(cfg),
-      bus_(*this, cfg.clients + cfg.servers, cfg.bus,
-           static_cast<node_id>(cfg.clients), (cfg.servers - 1) / 2, plan),
-      replicas_(cfg.servers),
+    : server_group(cfg, plan),
       next_rid_(cfg.clients, 0),
       writer_seq_(cfg.clients, 0),
-      recovering_(cfg.servers, false),
       jitter_(cfg.bus.seed ^ 0x6a69747465726564ULL) {
-    check(cfg_.servers >= 1, "abd_system: no servers");
     check(cfg_.writers <= cfg_.clients,
           "abd_system: more writers than clients");
-    for (abd_server& r : replicas_) {
-        r.value = cfg_.initial;
-        r.prev_value = cfg_.initial;
-    }
     phase_.acked.resize(cfg_.servers);
     phase_.inc.resize(cfg_.servers);
 }
@@ -45,10 +36,6 @@ void abd_system::deliver(const message& m) {
         m.kind == msg_kind::write_req && replicas_[s].ts < m.ts;
     bus_.send(replicas_[s].serve(m.dst, m));
     observe(m, s, installed);
-}
-
-void abd_system::rejoin(node_id node) {
-    recover_server_locked(static_cast<std::size_t>(node) - cfg_.clients);
 }
 
 void abd_system::credit(const message& m) {
@@ -243,119 +230,6 @@ bool abd_system::write(std::size_t client, value_t v,
     }
     bump_op(fast);
     return true;
-}
-
-net_counters abd_system::counters() {
-    net_lock::scoped guard(lock_);
-    return bus_.counters();
-}
-
-void abd_system::crash_server(std::size_t s) {
-    net_lock::scoped guard(lock_);
-    bus_.crash(server_node(s));
-}
-
-void abd_system::recover_server(std::size_t s) {
-    net_lock::scoped guard(lock_);
-    recover_server_locked(s);
-}
-
-std::uint32_t abd_system::server_incarnation(std::size_t s) {
-    net_lock::scoped guard(lock_);
-    return bus_.incarnation(server_node(s));
-}
-
-void abd_system::recover_server_locked(std::size_t s) {
-    const node_id self = server_node(s);
-    if (!bus_.node_crashed(self)) return;
-
-    // Rejoin: EMPTY register state (zero stamp over the initial value)
-    // under a fresh incarnation -- messages addressed to the crashed
-    // incarnation are now rejected by the bus.
-    replicas_[s] = abd_server{};
-    replicas_[s].value = cfg_.initial;
-    replicas_[s].prev_value = cfg_.initial;
-    bus_.recover(self);
-    recovering_[s] = true;
-    ++bus_.counters().catchup_rounds;
-
-    // State transfer: query EVERY live peer, not just a quorum. With at
-    // most f servers down at once (this one still counts against the
-    // budget until the catch-up completes), any completed write sits on a
-    // quorum of which >= quorum - f >= 1 members are live peers -- so the
-    // all-live query provably sees the newest completed stamp.
-    const std::uint64_t rid = ++catchup_rid_;
-    catchup_box_.clear();
-    const auto live_peer = [&](std::size_t t) {
-        const node_id node = server_node(t);
-        return t != s && !bus_.node_crashed(node) &&
-               !bus_.node_recovering(node);
-    };
-    const auto broadcast = [&](const std::vector<bool>& acked) {
-        for (std::size_t t = 0; t < cfg_.servers; ++t) {
-            if (!live_peer(t) || acked[t]) continue;
-            message m;
-            m.src = self;
-            m.dst = server_node(t);
-            m.kind = msg_kind::read_req;
-            m.rid = rid;
-            bus_.send(m);
-        }
-    };
-    std::vector<bool> acked(cfg_.servers, false);
-    broadcast(acked);
-
-    stamp best{};
-    value_t best_value = cfg_.initial;
-    unsigned idle = 0;
-    unsigned patience = cfg_.retransmit_after;
-    for (;;) {
-        if (abort_requested() || bus_.node_crashed(self)) {
-            // Torn down (driver deadline) or re-crashed mid-catch-up:
-            // never half-open -- back to crash-stop, budget untouched.
-            recovering_[s] = false;
-            bus_.abort_recovery(self);
-            return;
-        }
-        bool done = true;
-        for (std::size_t t = 0; t < cfg_.servers; ++t) {
-            if (live_peer(t) && !acked[t]) done = false;
-        }
-        if (done) break;
-        bus_.pump_one();
-        bool got = false;
-        for (const message& m : catchup_box_) {
-            const std::size_t t = m.src - cfg_.clients;
-            if (acked[t]) continue;
-            acked[t] = true;
-            got = true;
-            if (best < m.ts) {
-                best = m.ts;
-                best_value = m.value;
-            }
-        }
-        catchup_box_.clear();
-        if (got) {
-            idle = 0;
-            continue;
-        }
-        if (++idle >= patience) {
-            ++bus_.counters().retransmissions;
-            broadcast(acked);
-            idle = 0;
-            patience += patience;
-        }
-    }
-
-    // Install the transferred state and open for business.
-    if (replicas_[s].ts < best) {
-        replicas_[s].ts = best;
-        replicas_[s].value = best_value;
-        replicas_[s].prev_ts = best;
-        replicas_[s].prev_value = best_value;
-    }
-    recovering_[s] = false;
-    bus_.recovery_complete(self);
 }
 
 }  // namespace bloom87::net

@@ -38,30 +38,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
-#include "net/bus.hpp"
-#include "net/node.hpp"
+#include "net/servers.hpp"
 #include "util/rng.hpp"
 
 namespace bloom87::net {
-
-/// Mid-operation scheduling hook (the harness's adversarial pause).
-using pause_hook = std::function<void()>;
-
-/// Replica-access observer (the harness's gamma collector). Invoked under
-/// the composition's net_lock every time a CLIENT protocol message touches
-/// a server replica's register state: `client` is the PUMPING client -- the
-/// processor whose thread delivered the message and executed the touch,
-/// which is what a race detector must attribute the access to -- `server`
-/// the replica index, `is_write` whether the replica installed a new value,
-/// `v` the replica's value after serving. State-transfer traffic (recovery
-/// catch-up and peer queries, src != a client node) is not client work and
-/// is never reported.
-using replica_observer = std::function<void(
-    std::size_t client, std::size_t server, bool is_write, value_t v)>;
 
 struct abd_config {
     std::size_t servers{3};
@@ -87,10 +70,11 @@ struct abd_config {
     const replica_observer* observer{nullptr};
 };
 
-/// One replicated register: n server replicas + the client quorum logic.
+/// One replicated register: n server replicas (server_group, which also
+/// owns the lock, the bus and crash recovery) + the client quorum logic.
 /// Thread-safe: any client may be driven by its own thread (one thread per
 /// client, the harness's sequential-processor model).
-class abd_system final : private bus_owner {
+class abd_system final : public server_group<abd_server, abd_config> {
 public:
     explicit abd_system(const abd_config& cfg, fault_plan* plan = nullptr);
 
@@ -101,35 +85,6 @@ public:
         std::size_t client, const pause_hook* pause = nullptr);
     [[nodiscard]] bool write(std::size_t client, value_t v,
                              const pause_hook* pause = nullptr);
-
-    [[nodiscard]] std::size_t quorum() const noexcept {
-        return cfg_.servers / 2 + 1;
-    }
-    [[nodiscard]] std::size_t servers() const noexcept { return cfg_.servers; }
-    /// Largest crash count quorum liveness survives: f = ceil(n/2) - 1.
-    [[nodiscard]] std::size_t max_crashes() const noexcept {
-        return (cfg_.servers - 1) / 2;
-    }
-
-    /// Snapshot of the run's traffic and round counters (takes the lock).
-    [[nodiscard]] net_counters counters();
-
-    /// Halts server s outright (tests; callers must respect max_crashes()
-    /// if they still want operations to terminate).
-    void crash_server(std::size_t s);
-
-    /// Crash-RECOVERY: rejoins crashed server s under a new incarnation
-    /// with EMPTY register state, runs the state-transfer catch-up round
-    /// (query every live peer for the max stamp, install it), and only then
-    /// reopens the replica for client protocol messages. Safe because a
-    /// recovering server still counts against the crash budget until the
-    /// catch-up completes, so every completed write keeps >= 1 live holder
-    /// among the peers (docs/NET.md). Public for tests; plan-driven
-    /// recovery (`fault_spec::recover_after`) runs through rejoin().
-    void recover_server(std::size_t s);
-
-    /// Current incarnation of server s (tests pin rejoin semantics).
-    [[nodiscard]] std::uint32_t server_incarnation(std::size_t s);
 
 private:
     struct phase_result {
@@ -158,9 +113,6 @@ private:
     [[nodiscard]] node_id client_node(std::size_t c) const noexcept {
         return static_cast<node_id>(c);
     }
-    [[nodiscard]] node_id server_node(std::size_t s) const noexcept {
-        return static_cast<node_id>(cfg_.clients + s);
-    }
 
     /// One quorum round trip: broadcast `kind` and pump until a quorum
     /// answers, retransmitting through silence. Takes and holds the lock
@@ -170,8 +122,6 @@ private:
     /// bus_owner: a server serves the message, a client credit()s it.
     /// Requires lock_ held (runs inside pump_one).
     void deliver(const message& m) override;
-    /// bus_owner: plan-driven rejoin, recover_server_locked under the lock.
-    void rejoin(node_id node) override;
     /// Counts a client-bound ack toward the open phase, or drops it.
     void credit(const message& m);
     void bump_op(bool fast_path);
@@ -180,24 +130,10 @@ private:
     /// the message is not client traffic, or when no client phase is
     /// pumping). Requires lock_ held: fires from deliver().
     void observe(const message& m, std::size_t server, bool installed);
-    /// The catch-up proper; requires lock_ held (rejoin() runs inside
-    /// pump_one, i.e. under the phase's own lock hold).
-    void recover_server_locked(std::size_t s);
-    [[nodiscard]] bool abort_requested() const noexcept {
-        return cfg_.abort_flag != nullptr &&
-               cfg_.abort_flag->load(std::memory_order_relaxed);
-    }
 
-    abd_config cfg_;
-    net_lock lock_;
-    bus bus_;
-    std::vector<abd_server> replicas_;
     open_phase phase_;                          ///< guarded by lock_
     std::vector<std::uint64_t> next_rid_;       ///< per client
     std::vector<std::uint64_t> writer_seq_;     ///< per client (SWMR stamps)
-    std::vector<bool> recovering_;              ///< per server (catch-up)
-    std::vector<message> catchup_box_;          ///< catch-up read_acks
-    std::uint64_t catchup_rid_{0};
     rng jitter_;  ///< retransmission backoff jitter (de-synchronizes phases)
 };
 

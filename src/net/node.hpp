@@ -1,9 +1,11 @@
 // bloom87: server-node state machines.
 //
 // A server node is pure protocol state plus a serve() function from request
-// to reply -- no threads, no timers, no knowledge of the bus. The systems in
-// abd.hpp / twobit.hpp own a vector of these, call serve() from their
-// bus_owner::deliver, and send the replies back through the bus. Keeping
+// to reply -- no threads, no timers, no knowledge of the bus -- and an
+// adopt() that installs a recovery catch-up's winner. The systems in
+// abd.hpp / twobit.hpp own a vector of these (through servers.hpp), call
+// serve() from their bus_owner::deliver, and send the replies back through
+// the bus. Keeping
 // the node logic bus-free is what lets the model checker re-state it as
 // sim_state steps (modelcheck/net_processes.cpp) without duplicating
 // semantics.
@@ -51,6 +53,14 @@ struct abd_server {
         r.kind = msg_kind::write_ack;
         r.ts = m.ts;
         return r;
+    }
+
+    /// Recovery: installs a catch-up's winner if it is newer, as the
+    /// previous pair too (a reborn replica has no older one to serve).
+    void adopt(stamp t, value_t v) {
+        if (!(ts < t)) return;
+        ts = prev_ts = t;
+        value = prev_value = v;
     }
 };
 
@@ -103,6 +113,14 @@ struct twobit_server {
         r.kind = msg_kind::write_ack;
         r.bits = code();
         return r;
+    }
+
+    /// Recovery: installs a catch-up's winner if it is newer. A peer's
+    /// catch-up reply carries its full version as the stamp's seq.
+    void adopt(stamp t, value_t v) {
+        if (version >= t.seq) return;
+        version = t.seq;
+        value = prev_value = v;
     }
 };
 

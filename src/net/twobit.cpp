@@ -7,24 +7,14 @@
 namespace bloom87::net {
 
 twobit_system::twobit_system(const twobit_config& cfg, fault_plan* plan)
-    : cfg_(cfg),
-      bus_(*this, (cfg.clients + cfg.servers),
-           [&cfg] {
-               bus_config b = cfg.bus;
-               b.fifo = true;  // the construction counts on channel order
-               return b;
-           }(),
-           static_cast<node_id>(cfg.clients), (cfg.servers - 1) / 2, plan),
-      replicas_(cfg.servers),
-      next_rid_(cfg.clients, 0),
-      recovering_(cfg.servers, false) {
-    check(cfg_.servers >= 1 && cfg_.clients >= 1,
-          "twobit_system: needs a server and a client");
-    cfg_.bus.fifo = true;
-    for (twobit_server& r : replicas_) {
-        r.value = cfg_.initial;
-        r.prev_value = cfg_.initial;
-    }
+    : server_group(
+          [&cfg] {
+              twobit_config c = cfg;
+              c.bus.fifo = true;  // the construction counts on channel order
+              return c;
+          }(),
+          plan),
+      next_rid_(cfg.clients, 0) {
     phase_.acked.resize(cfg_.servers);
     phase_.inc.resize(cfg_.servers);
     phase_.replies.resize(cfg_.servers);
@@ -36,10 +26,6 @@ void twobit_system::deliver(const message& m) {
     } else {
         serve_at(m.dst - cfg_.clients, m);
     }
-}
-
-void twobit_system::rejoin(node_id node) {
-    recover_server_locked(static_cast<std::size_t>(node) - cfg_.clients);
 }
 
 void twobit_system::serve_at(std::size_t s, const message& m) {
@@ -350,11 +336,13 @@ std::optional<value_t> twobit_system::read(std::size_t client,
     }
 }
 
-bool twobit_system::write(value_t v, const pause_hook* pause) {
+bool twobit_system::write(std::size_t client, value_t v,
+                          const pause_hook* pause) {
+    check(client == 0, "twobit_system: client 0 is the only writer");
     ++writer_version_;
     if (pause != nullptr) (*pause)();
     net_lock::scoped guard(lock_);
-    if (!install_phase(0, v,
+    if (!install_phase(client, v,
                        static_cast<std::uint8_t>(writer_version_ & 3U))) {
         // Only the abort flag can fail the writer's install (it waits on
         // LIVE replicas only): the run is being torn down, so leaving
@@ -366,118 +354,8 @@ bool twobit_system::write(value_t v, const pause_hook* pause) {
     return true;
 }
 
-net_counters twobit_system::counters() {
-    net_lock::scoped guard(lock_);
-    return bus_.counters();
-}
-
-void twobit_system::crash_server(std::size_t s) {
-    net_lock::scoped guard(lock_);
-    bus_.crash(server_node(s));
-}
-
 void twobit_system::note_unavailable_locked() {
     ++bus_.counters().unavailable_ops;
-}
-
-void twobit_system::recover_server(std::size_t s) {
-    net_lock::scoped guard(lock_);
-    recover_server_locked(s);
-}
-
-std::uint32_t twobit_system::server_incarnation(std::size_t s) {
-    net_lock::scoped guard(lock_);
-    return bus_.incarnation(server_node(s));
-}
-
-void twobit_system::recover_server_locked(std::size_t s) {
-    const node_id self = server_node(s);
-    if (!bus_.node_crashed(self)) return;
-
-    // Rejoin with EMPTY state under a fresh incarnation, then state-transfer
-    // from EVERY live peer (same shape as abd.cpp's catch-up, and the same
-    // ">= 1 live holder" budget argument). The replies carry full versions
-    // in ts.seq (serve_at's deviation comment); taking their max leaves the
-    // reborn replica at most ONE version behind the writer's frontier --
-    // the writer installs on every live replica, so all live peers sit at
-    // the frontier or its predecessor -- which restores the lag bound the
-    // two-bit ordering argument needs.
-    replicas_[s] = twobit_server{};
-    replicas_[s].value = cfg_.initial;
-    replicas_[s].prev_value = cfg_.initial;
-    bus_.recover(self);
-    recovering_[s] = true;
-    ++bus_.counters().catchup_rounds;
-
-    const std::uint64_t rid = ++catchup_rid_;
-    catchup_box_.clear();
-    const auto live_peer = [&](std::size_t t) {
-        const node_id node = server_node(t);
-        return t != s && !bus_.node_crashed(node) &&
-               !bus_.node_recovering(node);
-    };
-    const auto broadcast = [&](const std::vector<bool>& acked) {
-        for (std::size_t t = 0; t < cfg_.servers; ++t) {
-            if (!live_peer(t) || acked[t]) continue;
-            message m;
-            m.src = self;
-            m.dst = server_node(t);
-            m.kind = msg_kind::read_req;
-            m.rid = rid;
-            bus_.send(m);
-        }
-    };
-    std::vector<bool> acked(cfg_.servers, false);
-    broadcast(acked);
-
-    std::uint64_t best_version = 0;
-    value_t best_value = cfg_.initial;
-    unsigned idle = 0;
-    unsigned patience = cfg_.retransmit_after;
-    for (;;) {
-        if (abort_requested() || bus_.node_crashed(self)) {
-            // Torn down or re-crashed mid-catch-up: never half-open.
-            recovering_[s] = false;
-            bus_.abort_recovery(self);
-            return;
-        }
-        bool done = true;
-        for (std::size_t t = 0; t < cfg_.servers; ++t) {
-            if (live_peer(t) && !acked[t]) done = false;
-        }
-        if (done) break;
-        bus_.pump_one();
-        bool got = false;
-        for (const message& m : catchup_box_) {
-            const std::size_t t = m.src - cfg_.clients;
-            if (acked[t]) continue;
-            acked[t] = true;
-            got = true;
-            if (best_version < m.ts.seq) {
-                best_version = m.ts.seq;
-                best_value = m.value;
-            }
-        }
-        catchup_box_.clear();
-        if (got) {
-            idle = 0;
-            continue;
-        }
-        if (++idle >= patience) {
-            ++bus_.counters().retransmissions;
-            broadcast(acked);
-            idle = 0;
-            patience += patience;
-        }
-    }
-
-    if (replicas_[s].version < best_version) {
-        replicas_[s].version = best_version;
-        replicas_[s].value = best_value;
-        replicas_[s].prev_value = best_value;
-    }
-    recovering_[s] = false;
-    bus_.recovery_complete(self);
 }
 
 }  // namespace bloom87::net

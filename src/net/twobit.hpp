@@ -47,12 +47,12 @@
 // write values and re-queried rather than mis-ordered.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "net/abd.hpp"  // pause_hook
-#include "net/bus.hpp"
-#include "net/node.hpp"
+#include "net/servers.hpp"
 
 namespace bloom87::net {
 
@@ -74,13 +74,22 @@ struct twobit_config {
     unsigned max_attempts{10};
     /// Driver's global op deadline (see abd_config::abort_flag).
     const std::atomic<bool>* abort_flag{nullptr};
-    /// Optional replica-access observer (abd.hpp); must outlive the system.
+    /// Optional replica-access observer (servers.hpp); must outlive the
+    /// system.
     const replica_observer* observer{nullptr};
 };
 
 /// Delivery works as in abd_system (abd.hpp): the system owns its bus, and
-/// acks are credited to the one open phase on arrival.
-class twobit_system final : private bus_owner {
+/// acks are credited to the one open phase on arrival. Crash recovery is
+/// server_group's (servers.hpp). The catch-up acks carry the replica's FULL
+/// version counter in ts.seq -- a documented deviation: recovery is
+/// out-of-band state transfer, and the two-bit bound is a steady-state
+/// claim about the client protocol, not about bootstrapping a reborn
+/// replica. Their max leaves the reborn replica at most ONE version behind
+/// the writer's frontier -- the writer installs on every live replica, so
+/// all live peers sit at the frontier or its predecessor -- which restores
+/// the lag bound the two-bit ordering argument needs.
+class twobit_system final : public server_group<twobit_server, twobit_config> {
 public:
     explicit twobit_system(const twobit_config& cfg,
                            fault_plan* plan = nullptr);
@@ -88,21 +97,9 @@ public:
     /// nullopt / false = UNAVAILABLE (see abd_system::read).
     [[nodiscard]] std::optional<value_t> read(
         std::size_t client, const pause_hook* pause = nullptr);
-    [[nodiscard]] bool write(value_t v, const pause_hook* pause = nullptr);
-
-    [[nodiscard]] std::size_t quorum() const noexcept {
-        return cfg_.servers / 2 + 1;
-    }
-    [[nodiscard]] net_counters counters();
-    void crash_server(std::size_t s);
-
-    /// Crash-recovery rejoin + catch-up (see abd_system::recover_server).
-    /// The catch-up acks carry the replica's FULL version counter in
-    /// ts.seq -- a documented deviation: recovery is out-of-band state
-    /// transfer, and the two-bit bound is a steady-state claim about the
-    /// client protocol, not about bootstrapping a reborn replica.
-    void recover_server(std::size_t s);
-    [[nodiscard]] std::uint32_t server_incarnation(std::size_t s);
+    /// Client 0 is the only writer; any other client fails a check().
+    [[nodiscard]] bool write(std::size_t client, value_t v,
+                             const pause_hook* pause = nullptr);
 
 private:
     struct reply {
@@ -130,12 +127,8 @@ private:
         bool got{false};  ///< an ack was credited during this pump
     };
 
-    [[nodiscard]] node_id server_node(std::size_t s) const noexcept {
-        return static_cast<node_id>(cfg_.clients + s);
-    }
     /// bus_owner: serve_at for a server, credit() for a client.
     void deliver(const message& m) override;
-    void rejoin(node_id node) override;
     /// Serves one message addressed to server s.
     void serve_at(std::size_t s, const message& m);
     /// Counts a client-bound ack toward the open phase, or drops it.
@@ -152,24 +145,12 @@ private:
     /// caller's patience ran out (it re-queries). Caller holds the lock.
     bool install_phase(std::size_t client, value_t v, std::uint8_t code);
     void note_unavailable_locked();
-    void recover_server_locked(std::size_t s);
     /// Observer report for one replica touch (see abd_system::observe).
     void observe(const message& m, std::size_t server, bool installed);
-    [[nodiscard]] bool abort_requested() const noexcept {
-        return cfg_.abort_flag != nullptr &&
-               cfg_.abort_flag->load(std::memory_order_relaxed);
-    }
 
-    twobit_config cfg_;
-    net_lock lock_;
-    bus bus_;
-    std::vector<twobit_server> replicas_;
     open_phase phase_;  ///< guarded by lock_
     std::vector<std::uint64_t> next_rid_;
     std::uint64_t writer_version_{0};
-    std::vector<bool> recovering_;      ///< per server (catch-up window)
-    std::vector<message> catchup_box_;  ///< state-transfer read_acks
-    std::uint64_t catchup_rid_{0};
 };
 
 }  // namespace bloom87::net

@@ -270,12 +270,17 @@ TEST(MoLint, FlagsWeakenedOrder) {
 }
 
 TEST(MoLint, FlagsUndeclaredSitesAndStaleRows) {
-    // An atomic call on an undeclared receiver, and neither declared word_
-    // site present: 1 undeclared + 2 stale-row findings.
-    const auto findings = lint_source(
-        "packed_atomic.hpp", "other_.load(std::memory_order_seq_cst);\n");
-    ASSERT_EQ(findings.size(), 3u) << format_findings(findings);
+    // Atomic calls on two undeclared receivers, one through a pointer, and
+    // neither declared word_ site present: 2 undeclared + 2 stale-row
+    // findings.
+    const auto findings =
+        lint_source("packed_atomic.hpp",
+                    "other_.load(std::memory_order_seq_cst);\n"
+                    "flag_->load(std::memory_order_relaxed);\n");
+    ASSERT_EQ(findings.size(), 4u) << format_findings(findings);
     EXPECT_EQ(findings[0].object, "other_");
+    EXPECT_EQ(findings[1].object, "flag_");
+    EXPECT_EQ(findings[1].line, 2u);
     std::size_t stale = 0;
     for (const lint_finding& f : findings) {
         if (f.message.find("stale contract row") != std::string::npos) ++stale;

@@ -78,7 +78,7 @@ TEST(RwlockRegister, ConcurrentHistoryIsAtomic) {
 TEST(RwlockRegister, StalledWriterBlocksReaders) {
     rwlock_register<int> reg(0);
     std::atomic<bool> read_done{false};
-    auto lock = reg.stall_writer();
+    auto lock = reg.stall();
     std::thread reader([&] {
         (void)reg.read();
         read_done.store(true);

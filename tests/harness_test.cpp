@@ -112,6 +112,224 @@ TEST(HarnessRegistry, PackedEntriesRoundTripTheirValueDomain) {
     }
 }
 
+/// What one port answers on a fresh register: the optional operations'
+/// return values, and how often read_paced and write_paced run their pause.
+struct port_surface {
+    bool read_cached;
+    bool write_crashed;
+    bool stall;
+    int read_pauses;
+    int write_pauses;
+};
+
+/// Every register_info field of one entry, and its writer port 0's and
+/// first reader port's surface.
+struct pinned_entry {
+    const char* name;
+    const char* family;
+    const char* description;
+    std::size_t min_writers, max_writers;
+    bool wait_free, records_real_accesses, requires_log, expected_atomic,
+        packed_values;
+    const char* access_contract;
+    port_surface writer, reader;
+};
+
+constexpr port_surface bloom_writer{true, true, true, 1, 1};
+constexpr port_surface bloom_reader{false, false, true, 1, 1};
+constexpr port_surface plain_port{false, false, false, 1, 1};
+constexpr port_surface stalling_port{false, false, true, 1, 1};
+constexpr port_surface net_reader{false, false, false, 1, 0};
+
+const pinned_entry pinned_entries[] = {
+    {"bloom/packed", "bloom",
+     "Bloom two-writer over one packed atomic word per real register "
+     "(production substrate)",
+     2, 2, true, false, false, true, true, "sync", bloom_writer, bloom_reader},
+    {"bloom/seqlock", "bloom",
+     "Bloom two-writer over seqlock registers (arbitrary-size values; "
+     "readers retry during writes)",
+     2, 2, true, false, false, true, false, "sync", bloom_writer,
+     bloom_reader},
+    {"bloom/fourslot", "bloom",
+     "Bloom two-writer over the depth-2 ladder: SWMR from SWSR four-slot "
+     "registers (footnote 3)",
+     2, 2, true, false, false, true, false, "sync", bloom_writer,
+     bloom_reader},
+    {"bloom/recording", "bloom",
+     "Bloom two-writer over the recording substrate (gamma with real "
+     "accesses; input to the Section 7 checker)",
+     2, 2, true, true, true, true, false, "sync", bloom_writer, bloom_reader},
+    {"bloom/plain", "bloom",
+     "Bloom two-writer DECLARED over plain (unsynchronized) registers -- "
+     "the race checker's expected-fail fixture",
+     2, 2, true, true, true, false, false, "plain", bloom_writer,
+     bloom_reader},
+    {"faulty/seqlock", "faulty",
+     "Bloom two-writer over seqlock substrates wrapped in the fault "
+     "injector (--fault picks the class; docs/FAULTS.md)",
+     2, 2, true, false, false, true, false, "sync", bloom_writer,
+     bloom_reader},
+    {"faulty/fourslot", "faulty",
+     "Bloom two-writer over the fault-injected SWMR-from-SWSR ladder "
+     "(substrate faults under the deepest stack)",
+     2, 2, true, false, false, true, false, "sync", bloom_writer,
+     bloom_reader},
+    {"faulty/recording", "faulty",
+     "fault-injected recording substrate: corrupted runs keep a full gamma "
+     "for forensics and culprit localization",
+     2, 2, true, true, true, true, false, "sync", bloom_writer, bloom_reader},
+    {"repair/seqlock", "repair",
+     "fault-injected seqlock substrates behind the self-healing repair "
+     "wrapper: majority-vote reads and verify-rewrite writes mask injected "
+     "faults at a measured access-count cost (docs/FAULTS.md)",
+     2, 2, true, false, false, true, false, "sync", bloom_writer,
+     bloom_reader},
+    {"swmr/fourslot", "swmr",
+     "the SWMR-from-SWSR ladder alone: 1 writer, n readers over Simpson "
+     "four-slot registers",
+     1, 1, true, false, false, true, false, "sync", plain_port, plain_port},
+    {"va/seqlock", "va",
+     "n-writer timestamp register (Vitanyi-Awerbuch style, Section 8's way "
+     "forward) over seqlock cells",
+     1, 16, true, false, false, true, false, "sync", plain_port, plain_port},
+    {"tournament/native", "tournament",
+     "the BROKEN four-writer tournament (Section 8) over native atomic "
+     "words -- checkers are expected to reject it",
+     4, 4, true, false, false, false, true, "sync", stalling_port, plain_port},
+    {"net/abd-swmr", "net",
+     "ABD quorum replication over the in-process message bus, single "
+     "writer: 1-round writes, fast-path reads",
+     1, 1, true, true, false, true, false, "lock_region", plain_port,
+     net_reader},
+    {"net/abd-mw", "net",
+     "two-writer ABD: quorum timestamp replication -- the paper's "
+     "two-writer register, distributed",
+     2, 2, true, true, false, true, false, "lock_region", plain_port,
+     net_reader},
+    {"net/twobit", "net",
+     "Mostefaoui-Raynal bounded-control replication: only two-bit version "
+     "codes cross the wire (single writer; reads obstruction-free)",
+     1, 1, false, true, false, true, false, "lock_region", plain_port,
+     net_reader},
+    {"baseline/mutex", "baseline",
+     "blocking MRMW register via one mutex (the Section 4 anti-pattern)", 1,
+     16, false, false, false, true, false, "sync", stalling_port, plain_port},
+    {"baseline/rwlock", "baseline",
+     "blocking MRMW register via a readers-writers lock ([CHP])", 1, 16,
+     false, false, false, true, false, "sync", stalling_port, plain_port},
+    {"baseline/native", "baseline",
+     "one native MRMW atomic word (the hardware upper baseline)", 1, 16, true,
+     false, false, true, true, "sync", plain_port, plain_port},
+};
+
+/// Drives one fresh port through every optional operation of any_port.
+void expect_surface(any_port& port, processor_id proc,
+                    const port_surface& want) {
+    EXPECT_FALSE(port.crashed());
+    value_t cached = 0;
+    EXPECT_EQ(port.read_cached(cached), want.read_cached);
+    EXPECT_EQ(
+        port.write_crashed(unique_value(proc, 1), crash_point::after_read),
+        want.write_crashed);
+    EXPECT_EQ(port.stall([] {}), want.stall);
+    int pauses = 0;
+    const pause_fn count = [&pauses] { ++pauses; };
+    (void)port.read_paced(count);
+    EXPECT_EQ(pauses, want.read_pauses);
+    pauses = 0;
+    port.write_paced(unique_value(proc, 2), count);
+    EXPECT_EQ(pauses, want.write_pauses);
+}
+
+// The registry's whole surface, entry by entry: every register_info field,
+// and what a fresh writer and reader port answer to each optional
+// operation. Any rewrite of the entries and their ports keeps all of it.
+TEST(HarnessRegistry, EveryEntryKeepsItsInfoAndPortSurface) {
+    ASSERT_EQ(registry().size(), std::size(pinned_entries));
+    for (std::size_t i = 0; i < registry().size(); ++i) {
+        const register_info& got = registry()[i].info;
+        const pinned_entry& want = pinned_entries[i];
+        SCOPED_TRACE(want.name);
+        EXPECT_EQ(got.name, want.name);
+        EXPECT_EQ(got.family, want.family);
+        EXPECT_EQ(got.description, want.description);
+        EXPECT_EQ(got.min_writers, want.min_writers);
+        EXPECT_EQ(got.max_writers, want.max_writers);
+        EXPECT_EQ(got.wait_free, want.wait_free);
+        EXPECT_EQ(got.records_real_accesses, want.records_real_accesses);
+        EXPECT_EQ(got.requires_log, want.requires_log);
+        EXPECT_EQ(got.expected_atomic, want.expected_atomic);
+        EXPECT_EQ(got.packed_values, want.packed_values);
+        EXPECT_EQ(got.access_contract, want.access_contract);
+
+        register_args a;
+        a.writers = want.min_writers;
+        a.readers = 2;
+        run_log log(a.writers + a.readers);
+        a.log = &log;
+        std::string error;
+        const std::unique_ptr<any_register> reg =
+            make_register(want.name, a, &error);
+        ASSERT_NE(reg, nullptr) << error;
+        const auto first_reader = static_cast<processor_id>(a.writers);
+        const std::unique_ptr<any_port> w =
+            reg->make_port(0, port_role::writer);
+        const std::unique_ptr<any_port> r =
+            reg->make_port(first_reader, port_role::reader);
+        expect_surface(*w, 0, want.writer);
+        expect_surface(*r, first_reader, want.reader);
+    }
+}
+
+// make_register checks every argument the driver checks, so a caller that
+// builds a register directly gets an error instead of a register over no
+// replica (which aborted), 257 replicas, 65 processors (one past the fault
+// plan's crash flags), or a fault plan the entry never reads.
+TEST(HarnessRegistry, MakeRegisterRejectsWhatTheDriverRejects) {
+    const auto expect_rejected = [](const char* name, const register_args& a,
+                                    const char* why) {
+        SCOPED_TRACE(name);
+        std::string error;
+        EXPECT_EQ(make_register(name, a, &error), nullptr);
+        EXPECT_NE(error.find(why), std::string::npos) << error;
+    };
+    for (const char* name : {"net/abd-swmr", "net/abd-mw", "net/twobit"}) {
+        register_args a;
+        a.writers = find_register(name)->info.min_writers;
+        a.servers = 0;
+        expect_rejected(name, a, "net_servers must be at least 1");
+        a.servers = 257;
+        expect_rejected(name, a, "at most 256 net servers, got 257");
+    }
+    register_args a;
+    a.readers = 63;
+    expect_rejected("bloom/packed", a, "at most 64 processors");
+    a.readers = 2;
+    a.fault.cls = fault_class::stale_read;
+    expect_rejected("bloom/packed", a, "has no fault plan");
+}
+
+// A port exists only for a processor of the register, in the role its
+// number gives it (writers first): anything else is a caller bug that would
+// index past the register's reader ports.
+TEST(HarnessRegistryDeathTest, MakePortChecksProcessorAndRole) {
+    register_args a;
+    a.writers = 1;
+    a.readers = 2;
+    std::string error;
+    const std::unique_ptr<any_register> swmr =
+        make_register("swmr/fourslot", a, &error);
+    ASSERT_NE(swmr, nullptr) << error;
+    EXPECT_DEATH((void)swmr->make_port(0, port_role::reader), "role");
+    a.writers = 2;
+    const std::unique_ptr<any_register> bloom =
+        make_register("bloom/fourslot", a, &error);
+    ASSERT_NE(bloom, nullptr) << error;
+    EXPECT_DEATH((void)bloom->make_port(4, port_role::reader),
+                 "processor outside the register");
+}
+
 TEST(HarnessDriver, SameSeedSameWorkload) {
     workload_config cfg;
     cfg.writers = 2;

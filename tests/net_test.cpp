@@ -117,7 +117,8 @@ TEST(NetDeterminism, PinnedSchedules) {
     struct pinned {
         run_spec spec;
         std::uint64_t sent, delivered, lost, delayed, rounds, retransmissions,
-            recoveries, events, hash, gamma_events, gamma_hash;
+            recoveries, catchup_rounds, stale_inc_drops, unavailable_ops,
+            events, hash, gamma_events, gamma_hash;
     };
     run_spec twobit = faulty_net_spec("net/twobit", 1, 2000);
     twobit.load.readers = 2;
@@ -128,12 +129,12 @@ TEST(NetDeterminism, PinnedSchedules) {
     twobit.fault.recover_after = 40;
     const std::vector<pinned> cases = {
         {faulty_net_spec("net/abd-mw", 2, 20000), 548647, 540353, 8293,
-         11160, 92092, 341, 6, 120000, 0x52178f5605c480bdULL, 391526,
-         0xf43209b702a309cfULL},
+         11160, 92092, 341, 6, 6, 0, 0, 120000, 0x52178f5605c480bdULL,
+         391526, 0xf43209b702a309cfULL},
         {faulty_net_spec("net/abd-swmr", 1, 20000), 246654, 242793, 3860,
-         5094, 41429, 154, 3, 80000, 0xa721d1b4c5c131baULL, 201984,
-         0xcc65cfe5b58bd350ULL},
-        {twobit, 35045, 32937, 2108, 514, 6000, 304, 204, 12000,
+         5094, 41429, 154, 3, 3, 0, 0, 80000, 0xa721d1b4c5c131baULL,
+         201984, 0xcc65cfe5b58bd350ULL},
+        {twobit, 35045, 32937, 2108, 514, 6000, 304, 204, 204, 0, 0, 12000,
          0x68a47f15782e1dddULL, 28189, 0x0ea24f2d89f3d34cULL},
     };
     for (const pinned& c : cases) {
@@ -147,6 +148,9 @@ TEST(NetDeterminism, PinnedSchedules) {
         EXPECT_EQ(r.net.rounds, c.rounds);
         EXPECT_EQ(r.net.retransmissions, c.retransmissions);
         EXPECT_EQ(r.net.recoveries, c.recoveries);
+        EXPECT_EQ(r.net.catchup_rounds, c.catchup_rounds);
+        EXPECT_EQ(r.net.stale_inc_drops, c.stale_inc_drops);
+        EXPECT_EQ(r.net.unavailable_ops, c.unavailable_ops);
         std::vector<event> sim;
         for (const event& e : r.events) {
             if (!is_real(e.kind)) sim.push_back(e);
@@ -267,10 +271,10 @@ TEST(NetTwobit, SurvivesOneCrashOfThree) {
     cfg.servers = 3;
     cfg.clients = 3;
     net::twobit_system sys(cfg);
-    ASSERT_TRUE(sys.write(5));
+    ASSERT_TRUE(sys.write(0, 5));
     sys.crash_server(1);
     EXPECT_EQ(sys.read(1), 5);
-    ASSERT_TRUE(sys.write(6));
+    ASSERT_TRUE(sys.write(0, 6));
     EXPECT_EQ(sys.read(2), 6);
 }
 
@@ -395,10 +399,10 @@ TEST(NetRecovery, TwobitRejoinCatchesUp) {
     cfg.servers = 3;
     cfg.clients = 3;
     net::twobit_system sys(cfg);
-    ASSERT_TRUE(sys.write(1));
+    ASSERT_TRUE(sys.write(0, 1));
     sys.crash_server(0);
-    ASSERT_TRUE(sys.write(2));
-    ASSERT_TRUE(sys.write(3));
+    ASSERT_TRUE(sys.write(0, 2));
+    ASSERT_TRUE(sys.write(0, 3));
     sys.recover_server(0);
     EXPECT_EQ(sys.server_incarnation(0), 1u);
     sys.crash_server(1);
@@ -406,7 +410,7 @@ TEST(NetRecovery, TwobitRejoinCatchesUp) {
     // install fills it): sequential reads must keep seeing latest writes.
     EXPECT_EQ(sys.read(1), 3);
     for (int i = 4; i <= 12; ++i) {
-        ASSERT_TRUE(sys.write(static_cast<value_t>(i)));
+        ASSERT_TRUE(sys.write(0, static_cast<value_t>(i)));
         EXPECT_EQ(sys.read(2), static_cast<value_t>(i));
     }
     const net::net_counters c = sys.counters();
@@ -589,7 +593,7 @@ TEST(NetTwobit, SequentialReadsSeeLatestWrite) {
     net::twobit_system sys(cfg);
     EXPECT_EQ(sys.read(1), 0);  // initial
     for (int i = 1; i <= 40; ++i) {
-        ASSERT_TRUE(sys.write(static_cast<value_t>(i)));
+        ASSERT_TRUE(sys.write(0, static_cast<value_t>(i)));
         EXPECT_EQ(sys.read(1), static_cast<value_t>(i));
         EXPECT_EQ(sys.read(2), static_cast<value_t>(i));
     }
