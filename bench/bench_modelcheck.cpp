@@ -10,9 +10,11 @@
 // Every configuration runs once under the default partial-order + symmetry
 // reduction. Unless a row is marked reduction-only (the raw interleaving
 // space is priced out -- that affordability is the row's point), a second
-// run with the reduction off (the full engine, on hardware_concurrency
-// threads) cross-checks the contract: property_holds, violations, and
-// distinct_histories must be IDENTICAL with and without it. Usage:
+// run with the reduction off (the full engine, one sequential DFS)
+// cross-checks the contract: property_holds, violations, and
+// distinct_histories must be IDENTICAL with and without it. Both engines
+// run on one thread, so every count, the full engine's states at a FAIL
+// row's first violation included, repeats run to run. Usage:
 //
 //   bench_modelcheck [--json BENCH_modelcheck.json]
 //
@@ -25,7 +27,6 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness/cli.hpp"
@@ -312,9 +313,7 @@ int main(int argc, char** argv) {
     if (parser.help_requested()) return 0;
 
     print_banner(std::cout, "TAB-D", "Bounded exhaustive verification");
-    std::cout << "full-engine cross-check: hardware_concurrency = "
-              << std::thread::hardware_concurrency() << "\n"
-              << "reduction: partial-order + symmetry (default); each row is "
+    std::cout << "reduction: partial-order + symmetry (default); each row is "
                  "cross-checked\nagainst full exploration unless marked "
                  "reduction-only\n\n";
 

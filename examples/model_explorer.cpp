@@ -13,12 +13,6 @@
 //   model_explorer [flags] abd        swmr|mw [writers] [writes_each] [readers] [reads_each] [servers] [crashes]
 //
 // Flags (anywhere; the rest stays positional):
-//   --threads N     worker count of the full engine (--no-por, race mode, or
-//                   a configuration the reduction cannot take; default:
-//                   hardware_concurrency, but 1 in race mode; 1 = the
-//                   deterministic sequential order, so a racy schedule's
-//                   counts repeat run to run). The default reduced engine
-//                   is sequential and ignores it.
 //   --max-states N  budget before TRUNCATED (default 20000000): explored
 //                   states; the reduced engine adds its label-DAG states,
 //                   memoized (DAG state, judge state) pairs and histories
@@ -32,16 +26,22 @@
 //                   are printed after the two reports)
 //
 // The verdict -- and so the exit code -- is the same with and without the
-// reduction flags. Only the work counters differ. Exit codes:
+// reduction flags. Only the work counters differ. Both engines run on one
+// thread, so every line but the memory line repeats run to run. A shape the
+// checker cannot judge is a usage error: more than 62 ops per history (the
+// limit of check_exhaustive and the judge state), more than 64 processes,
+// a unary register of k outside [2, 64] bits, more than 32767 faults per
+// process, more than 16 ABD servers, or ABD stamps past 32767. Exit codes:
 //   0  = property holds on every schedule
 //   2  = violation found (history printed), truncated or not
 //   3  = no violation within the budget, but truncated: nothing certified
-//   64 = usage error (unknown mode or flag, malformed number)
+//   64 = usage error (unknown mode or flag, malformed number, a shape the
+//        checker cannot judge)
 // Examples:
 //   ./model_explorer bloom 2 1 1        # Bloom, 2 writes each, 1 reader
 //   ./model_explorer fourslot regular   # shows why regular bits fail
 //   ./model_explorer bloom 2 2 1        # 2 readers: 2,209,020 histories
-//   ./model_explorer --no-por --threads 4 bloom 2 1 2  # raw space, 4 workers
+//   ./model_explorer --no-por bloom 2 1 2  # the raw space, every interleaving
 //   ./model_explorer faulty stale_read  # concrete violating schedule
 //   ./model_explorer faulty port_crash  # exhaustive pass: crashes tolerated
 //   ./model_explorer race packed 1 1 1  # certify race-free within the bound
@@ -169,21 +169,33 @@ int arg_or(int argc, char** argv, int index, int fallback) {
     return v;
 }
 
+/// Exits 64 with `what` unless `ok`.
+void require(bool ok, const char* what, long long value) {
+    if (ok) return;
+    std::fprintf(stderr, what, value);
+    std::fputc('\n', stderr);
+    std::exit(64);
+}
+
+/// Exits 64 unless every history of the configuration fits the checker
+/// (check_exhaustive and the judge state take at most 62 ops) and its
+/// processes fit 64.
+void require_shape(long long ops, long long procs) {
+    require(ops <= 62, "%lld ops per history exceed the limit of 62", ops);
+    require(procs <= 64, "%lld processes exceed the limit of 64", procs);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     explore_config cfg;
-    bool threads_given = false;
     std::string detector = "both";
-    // Peel off --threads N (anywhere); the rest stays positional.
+    // Peel off the flags (anywhere); the rest stays positional.
     std::vector<char*> args;
     args.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         const std::string arg(argv[i]);
-        if (arg == "--threads" && i + 1 < argc) {
-            cfg.threads = number_or_exit<unsigned>("--threads", argv[++i]);
-            threads_given = true;
-        } else if (arg == "--max-states" && i + 1 < argc) {
+        if (arg == "--max-states" && i + 1 < argc) {
             cfg.max_states =
                 number_or_exit<std::uint64_t>("--max-states", argv[++i]);
         } else if (arg == "--no-por") {
@@ -200,6 +212,9 @@ int main(int argc, char** argv) {
                              detector.c_str());
                 return 64;
             }
+        } else if (arg.starts_with("--")) {
+            std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+            return 64;
         } else {
             args.push_back(argv[i]);
         }
@@ -212,6 +227,7 @@ int main(int argc, char** argv) {
         const int writes = arg_or(argc, argv, 2, 2);
         const int readers = arg_or(argc, argv, 3, 1);
         const int reads = arg_or(argc, argv, 4, 1);
+        require_shape(2LL * writes + 1LL * readers * reads, 2LL + readers);
         std::printf("Bloom two-writer register: %d writes/writer, %d reader(s) x %d read(s)\n\n",
                     writes, readers, reads);
         sim_state s;
@@ -250,6 +266,9 @@ int main(int argc, char** argv) {
         const int writes = arg_or(argc, argv, 3, 1);
         const int reads = arg_or(argc, argv, 4, 1);
         const int max_faults = arg_or(argc, argv, 5, 1);
+        require_shape(2LL * writes + reads, 3);
+        require(max_faults <= 32767,
+                "max_faults %lld exceeds the limit of 32767", max_faults);
         std::printf("Bloom two-writer over a FAULTY substrate: class %s, "
                     "%d write(s)/writer, 1 reader x %d read(s), <= %d "
                     "fault(s)/process\n",
@@ -278,6 +297,7 @@ int main(int argc, char** argv) {
 
     if (mode == "tournament") {
         const int reads = arg_or(argc, argv, 2, 2);
+        require_shape(3LL + reads, 4);
         std::printf("Four-writer tournament (Section 8): 3 writers x 1 write, "
                     "1 reader x %d reads\n\n", reads);
         sim_state s;
@@ -298,6 +318,7 @@ int main(int argc, char** argv) {
                                                             : reg_level::atomic;
         const int writes = arg_or(argc, argv, 3, 2);
         const int reads = arg_or(argc, argv, 4, 2);
+        require_shape(1LL * writes + reads, 2);
         std::printf("Simpson four-slot: safe data slots, %s control bits, "
                     "%d writes, %d reads\n\n", level_name.c_str(), writes, reads);
         sim_state s;
@@ -318,6 +339,8 @@ int main(int argc, char** argv) {
     if (mode == "unary") {
         const int k = arg_or(argc, argv, 2, 3);
         const int reads = arg_or(argc, argv, 3, 2);
+        require(k >= 2 && k <= 64, "k = %lld is outside [2, 64]", k);
+        require_shape(2LL + reads, 2);
         std::printf("Lamport unary register: %d regular bits, writes {%d, 1}, "
                     "%d reads -- checking REGULARITY then ATOMICITY\n\n",
                     k, k - 1, reads);
@@ -343,15 +366,14 @@ int main(int argc, char** argv) {
         // rides inside the explorer, so EVERY schedule within the bound is
         // certified race-free (exit 0) or the first racy schedule is printed
         // (exit 2). Sync classes follow each substrate's declared contract
-        // (src/analysis/contracts.cpp). One worker unless --threads says
-        // otherwise: several stop at whichever race one finds first.
-        if (!threads_given) cfg.threads = 1;
+        // (src/analysis/contracts.cpp).
         const std::string sub = argc > 2 ? argv[2] : "packed";
         sim_state s;
         if (sub == "packed" || sub == "plain") {
             const int writes = arg_or(argc, argv, 3, 1);
             const int readers = arg_or(argc, argv, 4, 1);
             const int reads = arg_or(argc, argv, 5, 1);
+            require_shape(2LL * writes + 1LL * readers * reads, 2LL + readers);
             const auto cls = sub == "packed" ? analysis::sync_class::sync
                                              : analysis::sync_class::plain;
             std::printf("Race check: Bloom two-writer over %s base registers, "
@@ -382,6 +404,7 @@ int main(int argc, char** argv) {
         } else if (sub == "seqlock" || sub == "seqlock-weak") {
             const int writes = arg_or(argc, argv, 3, 1);
             const int reads = arg_or(argc, argv, 4, 1);
+            require_shape(1LL * writes + reads, 2);
             const bool weak = sub == "seqlock-weak";
             std::printf("Race check: seqlock SWMR register, %s payload, "
                         "%d write(s), 1 reader x %d read(s)\n",
@@ -439,6 +462,7 @@ int main(int argc, char** argv) {
                 argc, argv, 3,
                 textbook || control_level == reg_level::regular ? 2 : 1);
             const int reads = arg_or(argc, argv, 4, 1);
+            require_shape(1LL * writes + reads, 2);
             const bool expect_race =
                 (textbook && writes >= 2) ||
                 control_level == reg_level::safe ||
@@ -555,6 +579,17 @@ int main(int argc, char** argv) {
         mcfg.reads_each = arg_or(argc, argv, 6, 1);
         mcfg.servers = arg_or(argc, argv, 7, 3);
         const int crashes = arg_or(argc, argv, 8, 1);
+        require_shape(1LL * mcfg.writers * mcfg.writes_each +
+                          1LL * mcfg.readers * mcfg.reads_each,
+                      1LL * mcfg.writers + mcfg.readers);
+        // A client's visited set is a 16-bit mask, and a stamp (sequence
+        // number, writer, value) must fit one register value.
+        require(mcfg.servers <= 16, "%lld servers exceed the limit of 16",
+                mcfg.servers);
+        const long long installs = 1LL * mcfg.writers * mcfg.writes_each;
+        require((installs + 1) * (installs + 1) * mcfg.writers <= 32767,
+                "a stamp domain of %lld values exceeds the limit of 32767",
+                (installs + 1) * (installs + 1) * mcfg.writers);
         mcfg.quorum = mcfg.servers - crashes;
         if (2 * mcfg.quorum <= mcfg.servers || mcfg.quorum < 1) {
             std::fprintf(stderr,

@@ -205,8 +205,6 @@ void common_flags::add_to(flag_parser& p) {
     p.add_unsigned("duration-ms",
                    "timed run length (0 = scripted run, checkable)",
                    &duration_ms);
-    p.add_unsigned("threads", "worker threads where applicable (0 = auto)",
-                   &threads);
     p.add_flag("list", "print the register registry and exit", &list);
     p.add_string("fault",
                  "fault class (none,stale_read,lost_write,torn_value,"

@@ -4,7 +4,7 @@
 // `--flag=value`, bare boolean flags, optional positionals, and a built-in
 // `--help` that prints every registered flag with its default. The common
 // harness flags (--register/--writers/--readers/--ops/--seed/--json/
-// --check/--duration-ms/--threads) come pre-bundled as `common_flags`.
+// --check/--duration-ms) come pre-bundled as `common_flags`.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +91,7 @@ struct common_flags {
     std::size_t ops{64};
     std::uint64_t seed{1};
     unsigned duration_ms{0};
-    unsigned threads{0};  ///< explorer/worker thread count (0 = auto)
-    bool list{false};     ///< print registered register names and exit
+    bool list{false};  ///< print registered register names and exit
 
     /// Substrate fault injection (faulty/, repair/ and net/ registers): one
     /// class name, or a comma-separated list for a COMPOSED multi-class

@@ -1,29 +1,24 @@
 // bloom87: exhaustive bounded interleaving exploration.
 //
-// Work-sharing parallel search over every schedule (and every
-// nondeterministic safe/regular read outcome) of a sim_state. Each worker
-// thread runs an explicit-stack DFS over branch nodes -- a (state,
-// pending-choices) pair whose state has already been counted and memoized;
-// idle workers are fed by frontier splitting: a busy worker donates the
-// later choices of its shallowest unexhausted branch node (the largest
-// subtrees it still owes) to a shared queue. Interior states are memoized
-// by a structural fingerprint held in a sharded hash set -- confluent
-// interleavings that produce the same memory, process, and history state
-// are explored once, globally, across all workers. Each complete
+// The full engine is one sequential explicit-stack DFS over every schedule
+// (and every nondeterministic safe/regular read outcome) of a sim_state.
+// Its stack holds branch nodes -- a (state, pending-choices) pair whose
+// state has already been counted and memoized; a forced stretch (one
+// enabled move) steps in place, and a node's last move takes its state
+// instead of copying it. Interior states are memoized by a structural
+// fingerprint in a flat open-addressing table of 64-bit fingerprints
+// (verdicts.hpp's key_table): confluent interleavings that produce the
+// same memory, process, and history state are explored once. Each complete
 // execution's external history is checked against the requested property
 // (atomicity via the exhaustive checker, or single-writer regularity);
-// verdicts are memoized per distinct history.
+// verdicts are memoized per distinct history in a second such table.
 //
-// Determinism: every aggregate verdict and count of this engine except
-// states_explored / memo_hits under truncation is independent of the
-// thread count, because the *set* of states explored (first fingerprint
-// insertion wins) and the set of distinct leaf histories are
-// schedule-invariant. Its `first_violation` is deterministic (DFS order)
-// at threads == 1 and scheduler-dependent above. The POR engine (the
-// default, por.hpp) is sequential and judges histories in one canonical
-// order, stepping an incremental judge state (verdicts.hpp) instead of
-// checking each history anew: everything it reports, `first_violation`
-// included, is a function of the configuration alone.
+// Determinism: both engines run on the calling thread, so everything they
+// report -- `first_violation` and the counts of a run stopped early
+// included -- is a function of the configuration alone. The POR engine
+// (the default, por.hpp) judges histories in one canonical order, stepping
+// an incremental judge state (verdicts.hpp) instead of checking each
+// history anew.
 #pragma once
 
 #include <cstdint>
@@ -50,10 +45,8 @@ struct explore_config {
     std::uint64_t max_states{20'000'000};
     /// Stop at the first property violation (else count them all).
     bool stop_at_first_violation{true};
-    /// Worker threads of the full engine. 0 (the default) =
-    /// hardware_concurrency; 1 = sequential (the classic deterministic DFS
-    /// order, no locking on the hot path). The reduced engine (por) ignores
-    /// it and runs on the calling thread.
+    /// Ignored: both engines run on the calling thread. It stays only
+    /// because benchmark/workloads.cpp:68 still sets it.
     unsigned threads{0};
     /// Partial-order reduction (por.hpp): explore the trace-quotient graph
     /// with sleep-set pruning instead of every raw interleaving. Aggregate
@@ -116,7 +109,7 @@ struct reduction_stats {
 /// this as often as on time.
 struct memory_stats {
     std::uint64_t memo_entries{0};    ///< visited-set entries (= peak)
-    std::uint64_t memo_bytes{0};      ///< visited-set estimate incl. buckets
+    std::uint64_t memo_bytes{0};      ///< visited-set bytes, by capacity
     std::uint64_t bytes_per_state{0}; ///< memo_bytes / memo_entries
     /// Full engine: distinct-history verdict memo entries. The POR engine
     /// keeps no such memo (each DAG path is a distinct history): 0.
@@ -136,10 +129,9 @@ struct explore_result {
     std::uint64_t violations{0};
     bool property_holds{true};
     bool truncated{false};
-    /// A violating trace. The POR engine records the first violating history
-    /// in label order; the full engine records the first its DFS reaches at
-    /// threads == 1 and whichever a worker finds first above. Its existence
-    /// (whenever property_holds is false) never depends on scheduling.
+    /// A violating trace, present whenever property_holds is false. The POR
+    /// engine records the first violating history in label order; the full
+    /// engine records the first its DFS reaches.
     std::optional<violation> first_violation;
     /// Lockset-mode only: the first documented divergence between the
     /// lockset second opinion and happens-before (a raw candidate-set

@@ -133,71 +133,6 @@ std::vector<perm_t> build_group(const sim_state& s, bool want_symmetry,
 }
 
 // ---------------------------------------------------------------------------
-// The fixed-key table: the phase-1 node map, the judge-step memo and the
-// product memo.
-// ---------------------------------------------------------------------------
-
-/// Maps 64-bit keys to values by linear probing in a power-of-two array
-/// kept at most 3/4 full. kNoKey marks an empty slot, so it is the one key
-/// the table cannot hold.
-template <class V>
-class key_table {
-public:
-    static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
-
-    [[nodiscard]] const V* find(std::uint64_t key) const {
-        if (slots_.empty()) return nullptr;
-        const slot& s = slots_[probe(key)];
-        return s.key == key ? &s.value : nullptr;
-    }
-
-    /// The value under `key`, after inserting `value` there if the key was
-    /// absent; the flag says whether it was.
-    std::pair<V, bool> try_emplace(std::uint64_t key, V value) {
-        if (4 * (size_ + 1) > 3 * slots_.size()) grow();
-        slot& s = slots_[probe(key)];
-        if (s.key == key) return {s.value, false};
-        s = slot{key, value};
-        size_ += 1;
-        return {value, true};
-    }
-
-    [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
-    [[nodiscard]] std::uint64_t bytes() const noexcept {
-        return slots_.capacity() * sizeof(slot);
-    }
-
-private:
-    struct slot {
-        std::uint64_t key{kNoKey};
-        V value{};
-    };
-
-    /// The slot holding `key`, or the empty slot where it belongs.
-    [[nodiscard]] std::size_t probe(std::uint64_t key) const {
-        check(key != kNoKey, "a table key is not the empty marker");
-        std::uint64_t h = key ^ (key >> 31);
-        h *= 0x9e3779b97f4a7c15ULL;
-        const std::size_t mask = slots_.size() - 1;
-        std::size_t i = static_cast<std::size_t>(h >> 20) & mask;
-        while (slots_[i].key != key && slots_[i].key != kNoKey) {
-            i = (i + 1) & mask;
-        }
-        return i;
-    }
-    void grow() {
-        std::vector<slot> old(std::max<std::size_t>(1024, 2 * slots_.size()));
-        old.swap(slots_);
-        for (const slot& s : old) {
-            if (s.key != kNoKey) slots_[probe(s.key)] = s;
-        }
-    }
-
-    std::vector<slot> slots_;
-    std::uint64_t size_{0};
-};
-
-// ---------------------------------------------------------------------------
 // The trace-quotient graph.
 // ---------------------------------------------------------------------------
 
@@ -339,9 +274,6 @@ private:
 
     /// The id of the node keyed `key`, and whether this call created it.
     std::pair<std::uint32_t, bool> intern(std::uint64_t key) {
-        // A fingerprint equal to the table's empty marker is folded onto
-        // its neighbour: at worst a false merge, as any collision is.
-        if (key == key_table<std::uint32_t>::kNoKey) key -= 1;
         const auto [id, fresh] = node_ids_.try_emplace(
             key, static_cast<std::uint32_t>(nodes_.size()));
         if (fresh) {

@@ -59,8 +59,7 @@
 // graph cannot be enumerated honestly).
 //
 // Both phases run on the calling thread, so every count the engine reports
-// is a function of the configuration alone; explore_config::threads does
-// not apply.
+// is a function of the configuration alone.
 #pragma once
 
 #include "modelcheck/explorer.hpp"

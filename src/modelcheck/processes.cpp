@@ -1,6 +1,7 @@
 #include "modelcheck/processes.hpp"
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <utility>
 
@@ -195,7 +196,7 @@ private:
     /// register, begin and end for a split one.
     std::pair<int, int> claim(std::size_t reg) {
         const int first = next_;
-        next_ += s_.registers[reg].level == reg_level::atomic ? 1 : 2;
+        next_ += s_.reg_at(reg).level == reg_level::atomic ? 1 : 2;
         return {first, next_ - 1};
     }
 
@@ -212,7 +213,7 @@ private:
                 return;
             case fault_class::torn_value: {
                 const auto torn = static_cast<mc_value>(
-                    (s_.registers[reg].committed & ~mc_value{1}) | (v & 1));
+                    (s_.reg_at(reg).committed & ~mc_value{1}) | (v & 1));
                 if (torn != v) --st_.faults_left;
                 s_.write_atomic(reg, torn);
                 return;
@@ -264,6 +265,8 @@ class replay_proc final : public process {
 public:
     replay_proc(processor_id proc, std::shared_ptr<const program> prog)
         : proc_(proc), prog_(std::move(prog)) {
+        check(prog_->max_faults >= 0 && prog_->max_faults <= INT16_MAX,
+              "max_faults in [0, 32767]: the fault budget is 16 bits");
         st_.faults_left = static_cast<std::int16_t>(prog_->max_faults);
     }
 

@@ -51,7 +51,7 @@ void sim_state::enable_lockset_detection() {
 }
 
 mc_value sim_state::read_atomic(std::size_t reg) {
-    mc_register& r = registers[reg];
+    mc_register& r = reg_at(reg);
     check(r.level == reg_level::atomic,
           "read_atomic on a split-level register");
     trace_read(reg);
@@ -67,7 +67,7 @@ mc_value sim_state::read_atomic(std::size_t reg) {
 }
 
 mc_value sim_state::read_previous(std::size_t reg) {
-    mc_register& r = registers[reg];
+    mc_register& r = reg_at(reg);
     check(r.track_previous,
           "read_previous on a register without track_previous");
     trace_read(reg);
@@ -75,7 +75,7 @@ mc_value sim_state::read_previous(std::size_t reg) {
 }
 
 void sim_state::write_atomic(std::size_t reg, mc_value v) {
-    mc_register& r = registers[reg];
+    mc_register& r = reg_at(reg);
     check(r.level == reg_level::atomic,
           "write_atomic on a split-level register");
     check(v >= 0 && v < r.domain, "write_atomic: value outside [0, domain)");
@@ -93,7 +93,7 @@ void sim_state::write_atomic(std::size_t reg, mc_value v) {
 }
 
 void sim_state::begin_read(std::size_t reg, std::int16_t proc) {
-    mc_register& r = registers[reg];
+    mc_register& r = reg_at(reg);
     check(r.level != reg_level::atomic, "begin_read on an atomic register");
     check(r.domain <= 64, "split-level register domain exceeds the 64-bit "
                           "candidate mask");
@@ -121,7 +121,7 @@ void sim_state::begin_read(std::size_t reg, std::int16_t proc) {
 }
 
 int sim_state::read_candidates(std::size_t reg, std::int16_t proc) const {
-    const mc_register& r = registers[reg];
+    const mc_register& r = reg_at(reg);
     for (const auto& [p, mask] : r.active_reads) {
         if (p == proc) return std::popcount(mask);
     }
@@ -130,7 +130,7 @@ int sim_state::read_candidates(std::size_t reg, std::int16_t proc) const {
 }
 
 mc_value sim_state::end_read(std::size_t reg, std::int16_t proc, int choice) {
-    mc_register& r = registers[reg];
+    mc_register& r = reg_at(reg);
     trace_write(reg);
     auto it = std::find_if(r.active_reads.begin(), r.active_reads.end(),
                            [&](const auto& pr) { return pr.first == proc; });
@@ -149,7 +149,7 @@ mc_value sim_state::end_read(std::size_t reg, std::int16_t proc, int choice) {
 }
 
 void sim_state::begin_write(std::size_t reg, mc_value v) {
-    mc_register& r = registers[reg];
+    mc_register& r = reg_at(reg);
     check(r.level != reg_level::atomic, "begin_write on an atomic register");
     check(r.active_write < 0, "begin_write on a register with an open write "
                               "(concurrent writers on a single-writer register)");
@@ -174,7 +174,7 @@ void sim_state::begin_write(std::size_t reg, mc_value v) {
 }
 
 void sim_state::end_write(std::size_t reg) {
-    mc_register& r = registers[reg];
+    mc_register& r = reg_at(reg);
     trace_write(reg);
     check(r.active_write >= 0, "end_write without begin_write");
     r.committed = r.active_write;

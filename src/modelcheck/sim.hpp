@@ -36,6 +36,7 @@
 #include "analysis/race_detector.hpp"
 #include "histories/events.hpp"
 #include "histories/history.hpp"
+#include "util/check.hpp"
 
 namespace bloom87::mc {
 
@@ -246,6 +247,17 @@ public:
         return lockset_ != nullptr && lockset_->first_divergence().has_value()
                    ? &*lockset_->first_divergence()
                    : nullptr;
+    }
+
+    /// registers[reg], checked: a model that names a register it lacks
+    /// aborts instead of reaching past the vector.
+    [[nodiscard]] mc_register& reg_at(std::size_t reg) {
+        check(reg < registers.size(), "register index out of range");
+        return registers[reg];
+    }
+    [[nodiscard]] const mc_register& reg_at(std::size_t reg) const {
+        check(reg < registers.size(), "register index out of range");
+        return registers[reg];
     }
 
     /// Explorer hook: the index (into procs) of the process about to step;

@@ -4,15 +4,19 @@
 // (por.cpp) must agree BIT-FOR-BIT on what verdict a history gets -- the
 // reduction's whole contract is "same property_holds / violations /
 // distinct_histories, fewer states". This header holds the pieces both
-// engines share: the word hasher and the per-history judge, plus what the
-// POR engine adds on top of them: the word interner, the history a label
-// sequence spells, and the judge state, which reaches judge_history's
-// verdict one label at a time.
+// engines share: the word hasher, the fixed-key table and the per-history
+// judge, plus what the POR engine adds on top of them: the word interner,
+// the history a label sequence spells, and the judge state, which reaches
+// judge_history's verdict one label at a time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,6 +44,78 @@ namespace bloom87::mc {
     h ^= h >> 33;
     return h;
 }
+
+/// Maps 64-bit keys to values by linear probing in a power-of-two array
+/// kept at most 3/4 full. With the default empty value type it is a set of
+/// bare keys in 8-byte slots: the full engine's visited and history memos.
+/// The POR engine keeps its node map and step and product memos in one
+/// each. kNoKey marks an empty slot, so the table keeps that one key's
+/// entry beside the array.
+template <class V = std::tuple<>>
+class key_table {
+public:
+    static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+    [[nodiscard]] const V* find(std::uint64_t key) const {
+        if (key == kNoKey) return no_key_ ? &*no_key_ : nullptr;
+        if (slots_.empty()) return nullptr;
+        const slot& s = slots_[probe(key)];
+        return s.key == key ? &s.value : nullptr;
+    }
+
+    /// The value under `key`, after inserting `value` there if the key was
+    /// absent; the flag says whether it was.
+    std::pair<V, bool> try_emplace(std::uint64_t key, V value = {}) {
+        if (key == kNoKey) {
+            if (no_key_) return {*no_key_, false};
+            no_key_ = value;
+            size_ += 1;
+            return {value, true};
+        }
+        if (4 * (size_ + 1) > 3 * slots_.size()) grow();
+        slot& s = slots_[probe(key)];
+        if (s.key == key) return {s.value, false};
+        s = slot{key, value};
+        size_ += 1;
+        return {value, true};
+    }
+
+    [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
+    [[nodiscard]] std::uint64_t bytes() const noexcept {
+        return slots_.capacity() * sizeof(slot);
+    }
+
+private:
+    struct slot {
+        std::uint64_t key{kNoKey};
+        [[no_unique_address]] V value{};
+    };
+    static_assert(!std::is_empty_v<V> || sizeof(slot) == sizeof(std::uint64_t),
+                  "a set keeps bare keys");
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    [[nodiscard]] std::size_t probe(std::uint64_t key) const {
+        std::uint64_t h = key ^ (key >> 31);
+        h *= 0x9e3779b97f4a7c15ULL;
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = static_cast<std::size_t>(h >> 20) & mask;
+        while (slots_[i].key != key && slots_[i].key != kNoKey) {
+            i = (i + 1) & mask;
+        }
+        return i;
+    }
+    void grow() {
+        std::vector<slot> old(std::max<std::size_t>(1024, 2 * slots_.size()));
+        old.swap(slots_);
+        for (const slot& s : old) {
+            if (s.key != kNoKey) slots_[probe(s.key)] = s;
+        }
+    }
+
+    std::vector<slot> slots_;
+    std::optional<V> no_key_;
+    std::uint64_t size_{0};
+};
 
 /// Word strings interned in one flat arena: string i is the words
 /// [starts_[i], starts_[i + 1]), and an open-addressing index over their

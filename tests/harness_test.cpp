@@ -756,6 +756,17 @@ TEST(HarnessCli, ParserRejectsUnknownFlag) {
     EXPECT_FALSE(parser.parse(2, const_cast<char**>(argv)));
 }
 
+// No harness binary sizes a thread pool from its command line, so
+// --threads is not a flag: passing it fails to parse instead of being
+// silently ignored.
+TEST(HarnessCli, ParserRejectsThreads) {
+    common_flags flags;
+    flag_parser parser("t", "test");
+    flags.add_to(parser);
+    const char* argv[] = {"t", "--threads", "4"};
+    EXPECT_FALSE(parser.parse(3, const_cast<char**>(argv)));
+}
+
 TEST(HarnessCli, CheckerListParses) {
     std::string err;
     const auto kinds = parse_checker_list("fast,bloom,monitor", &err);

@@ -1,18 +1,14 @@
-// Parallel work-sharing explorer (src/modelcheck/explorer.cpp): the thread
-// count must never change a verdict. Every schedule-invariant counter
-// (property_holds, leaves, distinct_histories, violations) is identical for
-// threads in {1, 2, 4}; states_explored/memo_hits may differ only when the
-// exploration is truncated or stopped early. The POR engine is sequential
-// and ignores the thread count, so everything it reports -- every
-// reduction_stats counter, and the history count and trace of a run
-// stopped at its first violation -- is the same at every thread count.
-// Also pins down the stop-flag semantics: stop_at_first_violation and
-// max_states must terminate every worker without deadlock, and a FAIL
-// verdict always carries a violating trace.
+// The two model-check engines side by side: the reduced engine
+// (src/modelcheck/por.cpp) must report the same property_holds,
+// violations and distinct_histories as full exploration
+// (src/modelcheck/explorer.cpp) on the seed configurations and on the
+// judge state's edge cases. Also pins the stop semantics of both engines:
+// a run stopped at its first violation or at the budget reports
+// coherently, a FAIL verdict always carries a trace, and the full
+// engine's stopped-early counts and trace are exact.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <tuple>
 
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/processes.hpp"
@@ -38,18 +34,8 @@ mc_register weak_reg(reg_level level, mc_value domain, mc_value committed = 0) {
 
 using state_factory = std::function<sim_state()>;
 
-/// Seed configurations mirroring modelcheck_test / modelcheck_sweep_test.
-sim_state bloom_2x2_1reader() {
-    sim_state s;
-    s.registers.push_back(atomic_reg(12));
-    s.registers.push_back(atomic_reg(12));
-    s.procs.push_back(make_bloom_writer(0, {1, 2}));
-    s.procs.push_back(make_bloom_writer(1, {3, 4}));
-    s.procs.push_back(make_bloom_reader(2, 1));
-    return s;
-}
-
-sim_state bloom_1x1_2readers() {
+/// Bloom 1x1 with two readers of different read counts.
+sim_state bloom_unequal_readers() {
     sim_state s;
     s.registers.push_back(atomic_reg(6));
     s.registers.push_back(atomic_reg(6));
@@ -60,14 +46,17 @@ sim_state bloom_1x1_2readers() {
     return s;
 }
 
-/// Twin readers (same script): the symmetry group engages. The raw space of
-/// this bound passes the default budget, so only the POR engine runs it.
-sim_state bloom_1x1_twin_readers() {
-    sim_state s = bloom_1x1_2readers();
-    s.procs.back() = make_bloom_reader(3, 2);
+sim_state bloom_2x2_1reader() {
+    sim_state s;
+    s.registers.push_back(atomic_reg(12));
+    s.registers.push_back(atomic_reg(12));
+    s.procs.push_back(make_bloom_writer(0, {1, 2}));
+    s.procs.push_back(make_bloom_writer(1, {3, 4}));
+    s.procs.push_back(make_bloom_reader(2, 1));
     return s;
 }
 
+/// The wrong-tag Bloom mutant, two writes each.
 sim_state bloom_broken_tag() {
     sim_state s;
     s.registers.push_back(atomic_reg(16));
@@ -90,6 +79,7 @@ sim_state bloom_broken_tag_small() {
     return s;
 }
 
+/// The paper's Figure 5 (initial value 1): the four-writer tournament.
 sim_state tournament_fig5() {
     sim_state s;
     s.registers.push_back(atomic_reg(16, encode_tagged(1, false)));
@@ -108,7 +98,6 @@ sim_state tournament_one_read() {
     s.procs.back() = make_tournament_reader(4, 1);
     return s;
 }
-
 
 /// Bloom over a faulty substrate: every process may fault once per `cls`.
 sim_state faulty_bloom(fault_class cls) {
@@ -190,70 +179,15 @@ sim_state unary_3bits() {
     return s;
 }
 
-/// Every reduction_stats field: the sequential POR engine reports each one
-/// the same at every thread count.
-void expect_same_reduction(const reduction_stats& a, const reduction_stats& b) {
-    EXPECT_EQ(a.engaged, b.engaged);
-    EXPECT_EQ(a.symmetry, b.symmetry);
-    EXPECT_EQ(a.core_states, b.core_states);
-    EXPECT_EQ(a.core_edges, b.core_edges);
-    EXPECT_EQ(a.sleep_pruned, b.sleep_pruned);
-    EXPECT_EQ(a.symmetry_folds, b.symmetry_folds);
-    EXPECT_EQ(a.symmetry_group, b.symmetry_group);
-    EXPECT_EQ(a.dfa_states, b.dfa_states);
-    EXPECT_EQ(a.enumerated_paths, b.enumerated_paths);
-    EXPECT_EQ(a.judge_states, b.judge_states);
-    EXPECT_EQ(a.product_pairs, b.product_pairs);
-    EXPECT_EQ(a.symmetry_warning, b.symmetry_warning);
-}
-
-/// Runs the factory's configuration on cfg's engine at threads in
-/// {1, 2, 4} and asserts every schedule-invariant result matches the
-/// sequential run.
-void expect_same_at_every_thread_count(const state_factory& make,
-                                       explore_config cfg) {
-    cfg.threads = 1;
-    const explore_result seq = explore(make(), cfg);
-    ASSERT_FALSE(seq.truncated) << "equivalence configs must fit the budget";
-    for (unsigned threads : {2u, 4u}) {
-        cfg.threads = threads;
-        const explore_result par = explore(make(), cfg);
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        EXPECT_EQ(par.property_holds, seq.property_holds);
-        EXPECT_EQ(par.leaves, seq.leaves);
-        EXPECT_EQ(par.distinct_histories, seq.distinct_histories);
-        EXPECT_EQ(par.violations, seq.violations);
-        EXPECT_FALSE(par.truncated);
-        // Not truncated and not stopped early: even the traversal
-        // counters are schedule-invariant (every reachable state -- raw
-        // or quotient node -- is expanded exactly once, so the arrival
-        // count is a graph property).
-        EXPECT_EQ(par.states_explored, seq.states_explored);
-        EXPECT_EQ(par.memo_hits, seq.memo_hits);
-        if (cfg.por) expect_same_reduction(par.reduction, seq.reduction);
-        if (!par.property_holds) {
-            ASSERT_TRUE(par.first_violation.has_value());
-            EXPECT_FALSE(par.first_violation->hist.empty());
-        }
-    }
-}
-
-/// Thread-count invariance with the reduction on AND off: once through the
-/// POR (trace-quotient) engine and once through the full explorer.
-void expect_thread_equivalence(const state_factory& make, explore_config cfg) {
-    for (bool por : {true, false}) {
-        cfg.por = por;
-        SCOPED_TRACE(por ? "engine=por" : "engine=full");
-        expect_same_at_every_thread_count(make, cfg);
-    }
-}
+/// Seqlock reader retry loops are epsilon CYCLES in the quotient graph
+// ---------------------------------------------------------------------------
+// Reduced against full exploration.
+// ---------------------------------------------------------------------------
 
 /// The reduction's contract (explore_config::por): every aggregate verdict
-/// is IDENTICAL with the reduction on and off. Exercised on the same seed
-/// configurations as the thread-equivalence suite.
+/// is IDENTICAL with the reduction on and off.
 void expect_reduction_equivalence(const state_factory& make,
                                   explore_config cfg) {
-    cfg.threads = 1;
     cfg.por = false;
     const explore_result full = explore(make(), cfg);
     ASSERT_FALSE(full.truncated) << "equivalence configs must fit the budget";
@@ -280,55 +214,16 @@ void expect_reduction_equivalence(const state_factory& make,
     }
 }
 
-TEST(ParallelEquivalence, Bloom2x2OneReader) {
-    expect_thread_equivalence(bloom_2x2_1reader, explore_config{});
-}
-
-TEST(ParallelEquivalence, Bloom1x1TwoReaders) {
-    expect_thread_equivalence(bloom_1x1_2readers, explore_config{});
-}
-
-// Which twin the search reaches first decides which arrivals need a
-// symmetry fold; a sequential search always reaches the same one.
-TEST(ParallelEquivalence, TwinReadersUnderSymmetry) {
-    const explore_config cfg;
-    ASSERT_TRUE(explore(bloom_1x1_twin_readers(), cfg).reduction.symmetry);
-    expect_same_at_every_thread_count(bloom_1x1_twin_readers, cfg);
-}
-
-TEST(ParallelEquivalence, FourSlotSafeDataAtomicControl) {
-    expect_thread_equivalence(fourslot_safe_atomic, explore_config{});
-}
-
-TEST(ParallelEquivalence, MultiReaderConstruction) {
-    expect_thread_equivalence(mr_2readers, explore_config{});
-}
-
-TEST(ParallelEquivalence, UnaryRegularity) {
-    explore_config cfg;
-    cfg.prop = property::regular_swmr;
-    expect_thread_equivalence(unary_3bits, cfg);
-}
-
-TEST(ParallelEquivalence, ViolatingConfigsCountedExhaustively) {
-    // With stop_at_first_violation off the full space is explored, so even
-    // FAIL verdicts have schedule-invariant counts (distinct violating
-    // histories are deduplicated globally).
-    explore_config cfg;
-    cfg.stop_at_first_violation = false;
-    expect_thread_equivalence(bloom_broken_tag_small, cfg);
-    cfg.initial = 1;
-    expect_thread_equivalence(tournament_one_read, cfg);
-}
-
 TEST(ReductionEquivalence, VerdictsMatchFullExplorationOnEveryConfig) {
     expect_reduction_equivalence(bloom_2x2_1reader, explore_config{});
-    expect_reduction_equivalence(bloom_1x1_2readers, explore_config{});
+    expect_reduction_equivalence(bloom_unequal_readers, explore_config{});
     expect_reduction_equivalence(fourslot_safe_atomic, explore_config{});
     expect_reduction_equivalence(mr_2readers, explore_config{});
     explore_config regular;
     regular.prop = property::regular_swmr;
     expect_reduction_equivalence(unary_3bits, regular);
+    // With stop_at_first_violation off the whole space is explored, so even
+    // FAIL verdicts count every distinct violating history.
     explore_config exhaustive;
     exhaustive.stop_at_first_violation = false;
     expect_reduction_equivalence(bloom_broken_tag_small, exhaustive);
@@ -359,30 +254,17 @@ TEST(ReductionEquivalence, JudgeStateEdgeCasesMatchFullExploration) {
     expect_reduction_equivalence(binary_2bits, safe);
 }
 
-TEST(ParallelEquivalence, AutoThreadCountMatchesSequential) {
-    explore_config cfg;  // threads = 0: hardware_concurrency
-    cfg.por = false;     // the reduced engine never reads the thread count
-    const explore_result auto_res = explore(bloom_2x2_1reader(), cfg);
-    cfg.threads = 1;
-    const explore_result seq = explore(bloom_2x2_1reader(), cfg);
-    EXPECT_TRUE(auto_res.property_holds);
-    EXPECT_EQ(auto_res.leaves, seq.leaves);
-    EXPECT_EQ(auto_res.distinct_histories, seq.distinct_histories);
-}
-
 // ---------------------------------------------------------------------------
-// Stop-flag semantics.
+// Stop semantics: stop_at_first_violation and max_states end either engine
+// with a coherent report, and a FAIL verdict always carries a trace.
 // ---------------------------------------------------------------------------
 
-/// (threads, por): the full engine's pool must stop cleanly at every thread
-/// count, and the POR engine must ignore the thread count.
-class StopFlag
-    : public ::testing::TestWithParam<std::tuple<unsigned, bool>> {
+/// The parameter: the reduction on (the POR engine) or off (the full one).
+class StopFlag : public ::testing::TestWithParam<bool> {
 protected:
     [[nodiscard]] explore_config param_config() const {
         explore_config cfg;
-        cfg.threads = std::get<0>(GetParam());
-        cfg.por = std::get<1>(GetParam());
+        cfg.por = GetParam();
         return cfg;
     }
 };
@@ -410,33 +292,7 @@ TEST_P(StopFlag, TournamentAlwaysReportsATrace) {
     EXPECT_FALSE(res.first_violation->hist.empty());
 }
 
-TEST(FirstViolation, ReducedTraceIsThreadInvariant) {
-    explore_config cfg;
-    cfg.stop_at_first_violation = true;
-    const std::vector<std::pair<state_factory, value_t>> configs = {
-        {bloom_broken_tag, 0}, {tournament_fig5, 1}, {faulty_stale_read, 0}};
-    for (const auto& [make, initial] : configs) {
-        cfg.initial = initial;
-        cfg.threads = 1;
-        const explore_result seq = explore(make(), cfg);
-        ASSERT_TRUE(seq.reduction.engaged);
-        ASSERT_FALSE(seq.truncated);
-        ASSERT_FALSE(seq.property_holds);
-        ASSERT_TRUE(seq.first_violation.has_value());
-        for (unsigned threads : {2u, 4u}) {
-            SCOPED_TRACE("threads=" + std::to_string(threads));
-            cfg.threads = threads;
-            const explore_result par = explore(make(), cfg);
-            EXPECT_FALSE(par.property_holds);
-            EXPECT_EQ(par.distinct_histories, seq.distinct_histories);
-            ASSERT_TRUE(par.first_violation.has_value());
-            EXPECT_EQ(format_operations(par.first_violation->hist),
-                      format_operations(seq.first_violation->hist));
-        }
-    }
-}
-
-TEST_P(StopFlag, MaxStatesTruncatesWithoutDeadlock) {
+TEST_P(StopFlag, MaxStatesTruncates) {
     explore_config cfg = param_config();
     cfg.max_states = 2'000;  // far below the ~450k reachable states
     const explore_result res = explore(bloom_2x2_1reader(), cfg);
@@ -452,9 +308,51 @@ TEST_P(StopFlag, MaxStatesOfOneStillTerminates) {
     EXPECT_TRUE(res.truncated);
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadsAndEngine, StopFlag,
-                         ::testing::Combine(::testing::Values(1u, 2u, 4u),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(Engine, StopFlag, ::testing::Bool());
+
+// The full engine is one sequential DFS, so a run stopped at its first
+// violation is a function of the configuration: the states it explored,
+// the histories it judged and the trace it reports are pinned.
+TEST(FirstViolation, FullEngineStopsAtAPinnedTrace) {
+    struct pinned {
+        state_factory make;
+        value_t initial;
+        std::uint64_t states;
+        std::uint64_t histories;
+        const char* trace;
+    };
+    const pinned runs[] = {
+        {tournament_fig5, 1, 355169, 17635,
+         "proc 0 write(2) [0, 6)\n"
+         "proc 1 write(3) [1, 3)\n"
+         "proc 3 write(4) [2, 4)\n"
+         "proc 4 read(2) [5, 7)\n"
+         "proc 4 read(4) [8, 9)\n"},
+        {bloom_broken_tag, 0, 27, 1,
+         "proc 0 write(1) [0, 1)\n"
+         "proc 0 write(2) [2, 3)\n"
+         "proc 1 write(3) [4, 5)\n"
+         "proc 1 write(4) [6, 7)\n"
+         "proc 2 read(2) [8, 9)\n"
+         "proc 2 read(2) [10, 11)\n"},
+        {faulty_stale_read, 0, 16, 2,
+         "proc 0 write(1) [0, 1)\n"
+         "proc 1 write(2) [2, 3)\n"
+         "proc 2 read(0) [4, 5)\n"},
+    };
+    for (const pinned& p : runs) {
+        explore_config cfg;
+        cfg.por = false;
+        cfg.initial = p.initial;
+        const explore_result res = explore(p.make(), cfg);
+        ASSERT_FALSE(res.truncated);
+        ASSERT_FALSE(res.property_holds);
+        ASSERT_TRUE(res.first_violation.has_value());
+        EXPECT_EQ(res.states_explored, p.states);
+        EXPECT_EQ(res.distinct_histories, p.histories);
+        EXPECT_EQ(format_operations(res.first_violation->hist), p.trace);
+    }
+}
 
 }  // namespace
 }  // namespace bloom87::mc

@@ -2,12 +2,15 @@
 // trace-quotient engine must agree with full exploration on every aggregate
 // verdict -- property_holds, violations, distinct_histories -- while
 // exploring far fewer states. This suite pins the reduction-specific
-// surface the shared equivalence tests (modelcheck_parallel_test) do not:
+// surface the cross-engine tests (modelcheck_engines_test) do not:
 // symmetry canonicalization over identical readers, epsilon-cycle
 // enumeration (seqlock retry loops), budget semantics of the two-phase
 // engine, phase 2's pinned counts, the checker's size limit, automatic
-// disengagement, and violation-trace provenance.
+// disengagement, violation-trace provenance, and the memo table both
+// engines share.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "modelcheck/explorer.hpp"
 #include "modelcheck/processes.hpp"
@@ -23,6 +26,8 @@ mc_register atomic_reg(mc_value domain, mc_value committed = 0) {
     r.committed = committed;
     return r;
 }
+
+using state_factory = std::function<sim_state()>;
 
 /// Two IDENTICAL readers (same read count): the canonical symmetry fixture.
 sim_state bloom_twin_readers() {
@@ -58,6 +63,35 @@ sim_state bloom_2x2_1reader() {
     return s;
 }
 
+/// Smaller mutant (one write each) for FULL-space exploration: still
+/// violates (130 distinct violating histories) at a fraction of the cost.
+sim_state bloom_broken_tag_small() {
+    sim_state s;
+    s.registers.push_back(atomic_reg(8));
+    s.registers.push_back(atomic_reg(8));
+    s.procs.push_back(make_bloom_writer(0, {1}));
+    s.procs.push_back(make_bloom_writer_wrong_tag(1, {2}));
+    s.procs.push_back(make_bloom_reader(2, 2));
+    return s;
+}
+
+/// Bloom over a faulty substrate: every process may fault once per `cls`.
+sim_state faulty_bloom(fault_class cls) {
+    sim_state s;
+    for (int i = 0; i < 2; ++i) {
+        mc_register r = atomic_reg(6);
+        r.track_previous = true;
+        s.registers.push_back(r);
+    }
+    s.procs.push_back(make_faulty_bloom_writer(0, {1}, cls, 1));
+    s.procs.push_back(make_faulty_bloom_writer(1, {2}, cls, 1));
+    s.procs.push_back(make_faulty_bloom_reader(2, 1, cls, 1));
+    return s;
+}
+
+/// Bloom over a substrate that may serve one stale read per process.
+sim_state faulty_stale_read() { return faulty_bloom(fault_class::stale_read); }
+
 /// Seqlock reader retry loops are epsilon CYCLES in the quotient graph
 /// (the retry returns to an already-interned core state without emitting a
 /// label); the epsilon closures of phase 2 absorb them, and the result must
@@ -75,7 +109,6 @@ sim_state seqlock_1write_1read() {
 explore_result run(const sim_state& s, bool por, bool symmetry,
                    bool stop_at_first = true) {
     explore_config cfg;
-    cfg.threads = 1;
     cfg.por = por;
     cfg.symmetry = symmetry;
     cfg.stop_at_first_violation = stop_at_first;
@@ -162,36 +195,36 @@ TEST(Stats, ReductionAndMemoryAccountingAreCoherent) {
     EXPECT_LT(res.reduction.core_states * 10, full.memory.memo_entries);
 }
 
-/// The wrong-tag Bloom mutant and Bloom over a stale-read substrate.
-std::vector<sim_state> violating_configs() {
-    sim_state mutant;
-    mutant.registers.push_back(atomic_reg(8));
-    mutant.registers.push_back(atomic_reg(8));
-    mutant.procs.push_back(make_bloom_writer(0, {1}));
-    mutant.procs.push_back(make_bloom_writer_wrong_tag(1, {2}));
-    mutant.procs.push_back(make_bloom_reader(2, 2));
-
-    sim_state stale;
-    for (int i = 0; i < 2; ++i) {
-        mc_register r = atomic_reg(6);
-        r.track_previous = true;
-        stale.registers.push_back(r);
+// Both engines memoize in key_table. Its empty-slot marker, the all-ones
+// key, is a fingerprint like any other: the table holds it beside the
+// array, as a set and as a map, across growth.
+TEST(KeyTable, TheEmptyMarkerIsAnOrdinaryKey) {
+    constexpr std::uint64_t marker = key_table<>::kNoKey;
+    key_table<> set;
+    EXPECT_TRUE(set.try_emplace(marker).second);
+    for (std::uint64_t k = 0; k < 5000; ++k) {
+        EXPECT_TRUE(set.try_emplace(k * 0x9e3779b97f4a7c15ULL).second);
     }
-    const fault_class cls = fault_class::stale_read;
-    stale.procs.push_back(make_faulty_bloom_writer(0, {1}, cls, 1));
-    stale.procs.push_back(make_faulty_bloom_writer(1, {2}, cls, 1));
-    stale.procs.push_back(make_faulty_bloom_reader(2, 1, cls, 1));
+    EXPECT_FALSE(set.try_emplace(marker).second);
+    EXPECT_FALSE(set.try_emplace(4999 * 0x9e3779b97f4a7c15ULL).second);
+    EXPECT_EQ(set.size(), 5001u);
+    EXPECT_EQ(set.bytes(), 8192u * 8);
 
-    std::vector<sim_state> out;
-    out.push_back(std::move(mutant));
-    out.push_back(std::move(stale));
-    return out;
+    key_table<std::uint32_t> map;
+    EXPECT_EQ(map.find(marker), nullptr);
+    EXPECT_EQ(map.try_emplace(marker, 7).first, 7u);
+    EXPECT_EQ(map.try_emplace(marker, 9).first, 7u);
+    ASSERT_NE(map.find(marker), nullptr);
+    EXPECT_EQ(*map.find(marker), 7u);
+    EXPECT_EQ(map.find(0), nullptr);
 }
 
 // The POR engine reaches verdicts through the judge state, but writes a
 // violation's diagnosis with the per-history checker, on the same history.
 TEST(Provenance, ReducedViolationTraceIsFlagged) {
-    for (const sim_state& broken : violating_configs()) {
+    for (const state_factory& make :
+         {state_factory(bloom_broken_tag_small), state_factory(faulty_stale_read)}) {
+        const sim_state broken = make();
         const explore_result full = run(broken, false, false);
         ASSERT_FALSE(full.property_holds);
         ASSERT_TRUE(full.first_violation.has_value());
@@ -211,7 +244,6 @@ TEST(Provenance, ReducedViolationTraceIsFlagged) {
 
 TEST(Budget, TruncatedPhaseOneSkipsEnumeration) {
     explore_config cfg;
-    cfg.threads = 1;
     cfg.max_states = 100;  // far below the quotient's ~6k arrivals
     const explore_result res = explore(bloom_2x2_1reader(), cfg);
     EXPECT_TRUE(res.reduction.engaged);
@@ -229,7 +261,6 @@ TEST(Budget, TruncatedPhaseOneSkipsEnumeration) {
 // 2 truncates, it stops with the budget spent exactly.
 TEST(Budget, TruncatedDeterminizationStopsCleanly) {
     explore_config cfg;
-    cfg.threads = 1;
     const explore_result whole = explore(bloom_2x2_1reader(), cfg);
     ASSERT_FALSE(whole.truncated);
     ASSERT_GT(whole.reduction.product_pairs, 0u);
@@ -284,7 +315,7 @@ TEST(PhaseTwo, CountsArePinned) {
     EXPECT_EQ(twins.reduction.product_pairs, 1598u);
     EXPECT_EQ(twins.distinct_histories, 14032u);
 
-    const explore_result mutant = run(violating_configs().front(), true, true);
+    const explore_result mutant = run(bloom_broken_tag_small(), true, true);
     ASSERT_TRUE(mutant.first_violation.has_value());
     EXPECT_EQ(format_operations(mutant.first_violation->hist),
               "proc 0 write(1) [0, 1)\n"
@@ -333,8 +364,7 @@ TEST(SizeLimit, SixtyThreeOpsFailWithTheCheckersDefectInBothEngines) {
 TEST(Disengage, RaceDetectionRoutesToTheFullEngine) {
     sim_state s = bloom_twin_readers();
     s.enable_race_detection();
-    explore_config cfg;
-    cfg.threads = 1;  // por/symmetry left on: must auto-disengage
+    explore_config cfg;  // por/symmetry left on: must auto-disengage
     const explore_result res = explore(s, cfg);
     EXPECT_FALSE(res.reduction.engaged);
     EXPECT_TRUE(res.property_holds);  // packed-default sync: race-free
@@ -351,9 +381,7 @@ TEST(SymmetryWarning, UnusableIdsWithTwinsWarn) {
     s.procs.push_back(make_bloom_writer(1, {2}));
     s.procs.push_back(make_bloom_reader(16, 1));  // twins, ids past the cap
     s.procs.push_back(make_bloom_reader(17, 1));
-    explore_config cfg;
-    cfg.threads = 1;
-    const explore_result res = explore(s, cfg);
+    const explore_result res = explore(s, explore_config{});
     EXPECT_TRUE(res.reduction.engaged);       // POR itself still runs
     EXPECT_FALSE(res.reduction.symmetry);     // ...without symmetry
     EXPECT_FALSE(res.reduction.symmetry_warning.empty());
@@ -364,7 +392,6 @@ TEST(SymmetryWarning, UnusableIdsWithTwinsWarn) {
 
 TEST(SymmetryWarning, EngagedOrNothingToPermuteStaysSilent) {
     explore_config cfg;
-    cfg.threads = 1;
     // Twins with good ids: symmetry engages, no warning.
     const explore_result twins = explore(bloom_twin_readers(), cfg);
     EXPECT_TRUE(twins.reduction.symmetry);

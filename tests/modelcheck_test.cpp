@@ -227,6 +227,16 @@ TEST(FaultyModel, PortCrashesPreserveAtomicityOnEverySchedule) {
     EXPECT_GT(res.leaves, 0u);
 }
 
+// A process's fault budget is 16 bits: a larger one would wrap to a
+// budget that never fires, and the model would pass without faults.
+TEST(FaultyModelDeathTest, AFaultBudgetPastSixteenBitsIsRejected) {
+    const fault_class cls = fault_class::stale_read;
+    EXPECT_DEATH((void)make_faulty_bloom_writer(0, {1}, cls, 32768),
+                 "max_faults");
+    EXPECT_DEATH((void)make_faulty_bloom_reader(2, 1, cls, -1), "max_faults");
+    EXPECT_NE(make_faulty_bloom_reader(2, 1, cls, 32767), nullptr);
+}
+
 TEST(TournamentModel, ViolationFoundWithThreeWriters) {
     // The Figure 5 schedule needs Wr00, Wr01 (pair 0) and Wr11 (pair 1),
     // plus a reader taking two reads. The explorer must find a
@@ -732,7 +742,7 @@ struct pinned_model {
     property prop;
     /// "<verdict> <states> <core states> <histories> <DAG states> <judge
     /// states> <product pairs> | <full states> <full histories>": the
-    /// reduced engine, then the full engine on one thread.
+    /// reduced engine, then the full engine.
     const char* counts;
     /// format_operations of the reduced engine's first violation; empty
     /// when the property holds.
@@ -974,7 +984,6 @@ TEST(PinnedModels, CountsAndFirstViolationsAreExact) {
         std::optional<explore_result> full;
         if (m.full) {
             cfg.por = false;
-            cfg.threads = 1;
             full = explore(m.build(), cfg);
             EXPECT_FALSE(full->truncated);
             EXPECT_EQ(reduced.property_holds, full->property_holds);
@@ -996,7 +1005,6 @@ TEST(PinnedModels, UnaryOverAtomicBitsTakesOneActionPerAccess) {
     explore_config cfg;
     const explore_result reduced = explore(s, cfg);
     cfg.por = false;
-    cfg.threads = 1;
     const explore_result full = explore(s, cfg);
     EXPECT_EQ(pinned_counts(reduced, &full),
               "holds 251 184 206 52 52 65 | 2250 206");
@@ -1009,7 +1017,7 @@ struct pinned_race {
     sim_state (*build)();
     bool lockset;  ///< the lockset detector, else happens-before
     property prop;
-    /// "<verdict> <states> <histories>" at one thread.
+    /// "<verdict> <states> <histories>".
     const char* counts;
 };
 
@@ -1046,7 +1054,6 @@ TEST(PinnedModels, RaceModelCountsAreExact) {
         }
         explore_config cfg;
         cfg.prop = m.prop;
-        cfg.threads = 1;
         const explore_result res = explore(s, cfg);
         EXPECT_FALSE(res.reduction.engaged);
         std::ostringstream o;
@@ -1364,6 +1371,25 @@ TEST(SimStateDeathTest, AccessesMustMatchTheRegisterLevel) {
     EXPECT_DEATH((void)s.read_previous(0), "without track_previous");
 }
 
+// A model that names a register it lacks must not reach past the register
+// vector: every access checks its index. A one-bit unary register writing
+// its value 1 sets bit 1, which does not exist.
+TEST(SimStateDeathTest, ARegisterIndexPastTheVectorIsRejected) {
+    sim_state s;
+    s.registers = {atomic_reg(4, 0), weak_reg(reg_level::regular, 4, 0)};
+    const char* const msg = "register index out of range";
+    EXPECT_DEATH((void)s.read_atomic(2), msg);
+    EXPECT_DEATH((void)s.read_previous(2), msg);
+    EXPECT_DEATH(s.write_atomic(2, 1), msg);
+    EXPECT_DEATH(s.begin_read(2, 0), msg);
+    EXPECT_DEATH((void)s.read_candidates(2, 0), msg);
+    EXPECT_DEATH((void)s.end_read(2, 0, 0), msg);
+    EXPECT_DEATH(s.begin_write(2, 1), msg);
+    EXPECT_DEATH(s.end_write(2), msg);
+    EXPECT_DEATH((void)explore(unary_system(1, {0, 1}, 1), explore_config{}),
+                 msg);
+}
+
 // An ABD client picks the choice-th unvisited server; a choice past them
 // must not fall back to server 0.
 TEST(SimStateDeathTest, AServerChoicePastTheUnvisitedOnesIsRejected) {
@@ -1392,7 +1418,6 @@ TEST(SimState, EmissionCountStopsInsteadOfWrapping) {
     explore_config cfg;
     cfg.prop = property::regular_swmr;
     cfg.por = false;
-    cfg.threads = 1;
     const explore_result res =
         explore(bloom_system(std::move(writes), {}, 0, 0), cfg);
     EXPECT_TRUE(res.property_holds);
