@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
     };
     // Bounded-control composition (net/twobit): its own per-MESSAGE-CLASS
     // rows, one per bus fault keyed to the message kinds it touches.
-    // Loss (any non-echo kind), delay, and crashing servers are the design
+    // Loss (any kind), delay, and crashing servers are the design
     // envelope -- consecutive adoption is idempotent under retransmission
     // and duplication -- so those rows stay tolerated. stale_read forges
     // only read_req replies (prev value + prev two-bit code) and torn_value

@@ -335,11 +335,12 @@ constexpr auto bloom_of = [](const register_args& a, parts& p) {
 /// base registers) in the PUMPING client's buffer -- the processor whose
 /// thread made the touch under the net_lock, which the race checker
 /// replays against the net/ contracts (src/analysis/contracts.cpp).
-template <typename Sys, typename Config>
+template <typename Sys>
 constexpr auto net_of = [](const register_args& a, parts& p) {
-    Config cfg;
+    net::net_config cfg;
     cfg.servers = a.servers;
     cfg.clients = a.writers + a.readers;
+    cfg.writers = a.writers;
     cfg.initial = a.initial;
     cfg.bus.seed = a.net_seed;
     cfg.abort_flag = a.abort;
@@ -355,10 +356,6 @@ constexpr auto net_of = [](const register_args& a, parts& p) {
         };
     }
     cfg.observer = &p.observer;
-    if constexpr (std::is_same_v<Config, net::abd_config>) {
-        cfg.writers = a.writers;
-        cfg.multi_writer = a.writers > 1;
-    }
     return Sys(cfg, plan_of(a, p));
 };
 
@@ -456,15 +453,15 @@ std::vector<registry_entry> build_registry() {
                     "the BROKEN four-writer tournament (Section 8) over native "
                     "atomic words -- checkers are expected to reject it"));
     r.push_back(row("net/abd-swmr", 1, 1, records,
-                    net_of<abd, net::abd_config>,
+                    net_of<abd>,
                     "ABD quorum replication over the in-process message bus, "
                     "single writer: 1-round writes, fast-path reads"));
     r.push_back(row("net/abd-mw", 2, 2, records,
-                    net_of<abd, net::abd_config>,
+                    net_of<abd>,
                     "two-writer ABD: quorum timestamp replication -- the "
                     "paper's two-writer register, distributed"));
     r.push_back(row("net/twobit", 1, 1, blocking | records,
-                    net_of<twobit, net::twobit_config>,
+                    net_of<twobit>,
                     "Mostefaoui-Raynal bounded-control replication: only "
                     "two-bit version codes cross the wire (single writer; "
                     "reads obstruction-free)"));

@@ -241,7 +241,8 @@ public:
                 // "First reply" is tracked in the flag, NOT as an empty
                 // visited mask: invalidation can empty the mask mid-phase,
                 // and the forced re-visit must compare against the kept max
-                // (run_phase keeps res.ts from voided acks), not reset it.
+                // (abd_system::phase's fold keeps the stamp of a voided
+                // ack), not reset it.
                 if (locals_[2] == 2) {
                     locals_[0] = enc;
                     locals_[2] = 1;
@@ -280,9 +281,9 @@ public:
     /// j holds the old value -- a later reader through j then returns old:
     /// new/old inversion). Scoping invalidation to installs makes this
     /// model FIND that trace at servers=3. The max and the unanimity flag
-    /// keep the stale reply's contribution (matching run_phase); the forced
-    /// re-visit reads j's CURRENT stamp against them, which is what breaks
-    /// the false unanimity.
+    /// keep the stale reply's contribution (as abd_system::phase does); the
+    /// forced re-visit reads j's CURRENT stamp against them, which is what
+    /// breaks the false unanimity.
     void invalidate_visits(int j) override {
         if (pc_ == 1 || pc_ == 2) {
             locals_[1] = static_cast<mc_value>(

@@ -50,8 +50,7 @@ void bus::send(message m) {
         delay = cfg_.delay_steps;
         ++counters_.delayed;
     }
-    if (cfg_.loss_num != 0 && m.kind != msg_kind::echo &&
-        gen_.chance(cfg_.loss_num, cfg_.loss_den)) {
+    if (cfg_.loss_num != 0 && gen_.chance(cfg_.loss_num, cfg_.loss_den)) {
         ++counters_.lost;
         return;
     }
@@ -67,9 +66,6 @@ bool bus::apply_plan(pending& p) {
     fault_plan::scoped_lock guard(*plan_);
     switch (plan_->trigger_any()) {
         case fault_class::lost_write:
-            // Message loss. Echo traffic is modeled reliable (bus_config's
-            // rationale applies to the plan too).
-            if (p.m.kind == msg_kind::echo) return true;
             plan_->note(fault_class::lost_write);
             ++counters_.lost;
             return false;

@@ -85,10 +85,7 @@ struct bus_config {
     /// version counts from in-order two-bit messages). ABD runs without it
     /// for maximal reordering coverage.
     bool fifo{false};
-    /// Each non-echo send is dropped with probability loss_num/loss_den.
-    /// Echoes (msg_kind::echo, server-to-server traffic) are exempt: they
-    /// model reliable server-side channels, and client round-trips are the
-    /// interesting lossy part.
+    /// Each send is dropped with probability loss_num/loss_den.
     std::uint64_t loss_num{0};
     std::uint64_t loss_den{1};
     /// Each send is enqueued twice with probability dup_num/dup_den.
@@ -100,7 +97,7 @@ struct bus_config {
     unsigned delay_steps{3};
 };
 
-/// The composition a bus delivers into (abd_system, twobit_system). Both
+/// The composition a bus delivers into (server_group, servers.hpp). Both
 /// calls run inside pump_one, under the composition's net_lock, and may
 /// call send().
 class bus_owner {

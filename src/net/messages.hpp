@@ -32,9 +32,6 @@ enum class msg_kind : std::uint8_t {
     read_ack,   ///< its reply, carrying the server's current pair
     write_req,  ///< ABD phase 2: "adopt this (timestamp, value) if newer"
     write_ack,  ///< its reply (adoption or no-op, either way: received)
-    echo,       ///< unacked server-to-server traffic (loss-exempt; no
-                ///< shipped protocol sends these -- twobit.cpp's serve_at
-                ///< explains why two-bit gossip had to go)
 };
 
 [[nodiscard]] constexpr const char* msg_kind_name(msg_kind k) noexcept {
@@ -43,16 +40,19 @@ enum class msg_kind : std::uint8_t {
         case msg_kind::read_ack: return "read_ack";
         case msg_kind::write_req: return "write_req";
         case msg_kind::write_ack: return "write_ack";
-        case msg_kind::echo: return "echo";
     }
     return "?";
+}
+
+/// The kind a server answers a request of kind `k` with.
+[[nodiscard]] constexpr msg_kind ack_of(msg_kind k) noexcept {
+    return k == msg_kind::read_req ? msg_kind::read_ack : msg_kind::write_ack;
 }
 
 /// True for kinds that carry a register value (the torn-value fault only
 /// applies to these; pure acknowledgments have no payload to corrupt).
 [[nodiscard]] constexpr bool carries_value(msg_kind k) noexcept {
-    return k == msg_kind::read_ack || k == msg_kind::write_req ||
-           k == msg_kind::echo;
+    return k == msg_kind::read_ack || k == msg_kind::write_req;
 }
 
 /// ABD logical timestamp: (sequence, writer id), compared lexicographically.

@@ -2,13 +2,14 @@
 //
 // A server node is pure protocol state plus a serve() function from request
 // to reply -- no threads, no timers, no knowledge of the bus -- and an
-// adopt() that installs a recovery catch-up's winner. The systems in
-// abd.hpp / twobit.hpp own a vector of these (through servers.hpp), call
-// serve() from their bus_owner::deliver, and send the replies back through
-// the bus. Keeping
-// the node logic bus-free is what lets the model checker re-state it as
-// sim_state steps (modelcheck/net_processes.cpp) without duplicating
-// semantics.
+// adopt() that installs a recovery catch-up's winner. server_group
+// (servers.hpp) owns a vector of these, calls serve() from its
+// bus_owner::deliver, and sends the replies back through the bus. Both
+// serve()s take the same arguments: `from_peer` marks a recovering peer's
+// state-transfer query, and `adopted` reports whether the request installed
+// a new value. Keeping the node logic bus-free is what lets the model
+// checker re-state it as sim_state steps (modelcheck/net_processes.cpp)
+// without duplicating semantics.
 #pragma once
 
 #include "net/messages.hpp"
@@ -26,8 +27,11 @@ struct abd_server {
 
     /// Serves one request addressed to this node (`self`); returns the
     /// reply. write_req adopts iff strictly newer (idempotent under
-    /// duplication and retransmission).
-    [[nodiscard]] message serve(node_id self, const message& m) {
+    /// duplication and retransmission). A peer's query is answered like a
+    /// client's: the stamp is the state to transfer.
+    [[nodiscard]] message serve(node_id self, const message& m,
+                                bool /*from_peer*/, bool& adopted) {
+        adopted = false;
         message r;
         r.src = self;
         r.dst = m.src;
@@ -49,6 +53,7 @@ struct abd_server {
             prev_value = value;
             ts = m.ts;
             value = m.value;
+            adopted = true;
         }
         r.kind = msg_kind::write_ack;
         r.ts = m.ts;
@@ -82,15 +87,25 @@ struct twobit_server {
         return static_cast<std::uint8_t>(version & 3U);
     }
 
-    /// Serves one request; `adopted` (non-null) reports whether a new
-    /// version was installed.
+    /// Serves one request. A peer's query is answered with the FULL version
+    /// counter in ts.seq -- the documented recovery deviation (twobit.hpp):
+    /// two bits cannot bootstrap a reborn replica, and the bounded-control
+    /// claim is about the steady-state client protocol, not out-of-band
+    /// state transfer.
     [[nodiscard]] message serve(node_id self, const message& m,
-                                bool* adopted) {
-        if (adopted != nullptr) *adopted = false;
+                                bool from_peer, bool& adopted) {
+        adopted = false;
         message r;
         r.src = self;
         r.dst = m.src;
         r.rid = m.rid;
+        if (m.kind == msg_kind::read_req && from_peer) {
+            r.kind = msg_kind::read_ack;
+            r.ts = {version, 0};
+            r.value = value;
+            r.bits = code();
+            return r;
+        }
         if (m.kind == msg_kind::read_req) {
             r.kind = msg_kind::read_ack;
             if (m.stale) {
@@ -102,13 +117,13 @@ struct twobit_server {
             }
             return r;
         }
-        // write_req (from the writer) or echo (peer gossip) or a reader
-        // write-back: all use the same consecutive-adoption rule.
+        // write_req, from the writer or a reader's write-back: both use the
+        // same consecutive-adoption rule.
         if (m.bits == ((version + 1) & 3U)) {
             prev_value = value;
             ++version;
             value = m.value;
-            if (adopted != nullptr) *adopted = true;
+            adopted = true;
         }
         r.kind = msg_kind::write_ack;
         r.bits = code();

@@ -1,62 +1,97 @@
 #include "net/servers.hpp"
 
-#include "net/abd.hpp"
-#include "net/twobit.hpp"
 #include "util/check.hpp"
 
 namespace bloom87::net {
 
-template <typename Server, typename Config>
-server_group<Server, Config>::server_group(const Config& cfg,
-                                           fault_plan* plan)
+template <typename Server>
+server_group<Server>::server_group(const net_config& cfg, fault_plan* plan)
     : cfg_(cfg),
       bus_(*this, cfg.clients + cfg.servers, cfg.bus,
            static_cast<node_id>(cfg.clients), (cfg.servers - 1) / 2, plan),
       replicas_(cfg.servers, empty_replica()),
+      next_rid_(cfg.clients, 0),
       recovering_(cfg.servers, false) {
     check(cfg_.servers >= 1 && cfg_.clients >= 1,
           "net composition: needs a server and a client");
+    check(cfg_.writers <= cfg_.clients,
+          "net composition: more writers than clients");
+    phase_.acked.resize(cfg_.servers);
+    phase_.inc.resize(cfg_.servers);
 }
 
-template <typename Server, typename Config>
-Server server_group<Server, Config>::empty_replica() const {
+template <typename Server>
+Server server_group<Server>::empty_replica() const {
     Server r{};
     r.value = cfg_.initial;
     r.prev_value = cfg_.initial;
     return r;
 }
 
-template <typename Server, typename Config>
-net_counters server_group<Server, Config>::counters() {
+template <typename Server>
+net_counters server_group<Server>::counters() {
     net_lock::scoped guard(lock_);
     return bus_.counters();
 }
 
-template <typename Server, typename Config>
-void server_group<Server, Config>::crash_server(std::size_t s) {
+template <typename Server>
+void server_group<Server>::crash_server(std::size_t s) {
     net_lock::scoped guard(lock_);
     bus_.crash(server_node(s));
 }
 
-template <typename Server, typename Config>
-void server_group<Server, Config>::recover_server(std::size_t s) {
+template <typename Server>
+void server_group<Server>::recover_server(std::size_t s) {
     net_lock::scoped guard(lock_);
     recover_server_locked(s);
 }
 
-template <typename Server, typename Config>
-std::uint32_t server_group<Server, Config>::server_incarnation(std::size_t s) {
+template <typename Server>
+std::uint32_t server_group<Server>::server_incarnation(std::size_t s) {
     net_lock::scoped guard(lock_);
     return bus_.incarnation(server_node(s));
 }
 
-template <typename Server, typename Config>
-void server_group<Server, Config>::rejoin(node_id node) {
+template <typename Server>
+void server_group<Server>::deliver(const message& m) {
+    if (m.dst < cfg_.clients) {
+        // Anything but an ack for the open phase is a straggler. The kind
+        // test never fails on its own: a rid names one phase, and a server
+        // answers each request with that request's ack kind.
+        if (m.dst == phase_.client && m.rid == phase_.rid &&
+            m.kind == ack_of(phase_.ask)) {
+            arrivals_.push_back(m);
+        }
+        return;
+    }
+    const std::size_t s = m.dst - cfg_.clients;
+    if (recovering_[s]) {
+        // Not open for business: during catch-up the replica only listens
+        // for its own state-transfer acks; client protocol messages are
+        // dropped (client retransmission covers them).
+        if (m.kind == msg_kind::read_ack && m.rid == catchup_rid_) {
+            catchup_box_.push_back(m);
+        }
+        return;
+    }
+    const bool from_peer = m.src >= static_cast<node_id>(cfg_.clients);
+    bool adopted = false;
+    bus_.send(replicas_[s].serve(m.dst, m, from_peer, adopted));
+    // Only client protocol traffic counts as a real-register access; a
+    // recovering peer's state-transfer query is bookkeeping. The pumping
+    // client is the thread executing the touch.
+    if (from_peer || phase_.client >= cfg_.clients) return;
+    if (cfg_.observer == nullptr || !*cfg_.observer) return;
+    (*cfg_.observer)(phase_.client, s, adopted, replicas_[s].value);
+}
+
+template <typename Server>
+void server_group<Server>::rejoin(node_id node) {
     recover_server_locked(static_cast<std::size_t>(node) - cfg_.clients);
 }
 
-template <typename Server, typename Config>
-void server_group<Server, Config>::recover_server_locked(std::size_t s) {
+template <typename Server>
+void server_group<Server>::recover_server_locked(std::size_t s) {
     const node_id self = server_node(s);
     if (!bus_.node_crashed(self)) return;
 
@@ -68,7 +103,10 @@ void server_group<Server, Config>::recover_server_locked(std::size_t s) {
     ++bus_.counters().catchup_rounds;
 
     // State transfer: query EVERY live peer, not just a quorum (the header
-    // comment's ">= 1 live holder" argument needs all of them).
+    // comment's ">= 1 live holder" argument needs all of them). Its own
+    // loop, not round_trip(): it checks the abort flag and its own re-crash
+    // before its done test, and its acks arrive through catchup_box_ inside
+    // whatever phase's pump rejoined it.
     const std::uint64_t rid = ++catchup_rid_;
     catchup_box_.clear();
     const auto live_peer = [&](std::size_t t) {
@@ -93,7 +131,7 @@ void server_group<Server, Config>::recover_server_locked(std::size_t s) {
     stamp best{};
     value_t best_value = cfg_.initial;
     unsigned idle = 0;
-    unsigned patience = cfg_.retransmit_after;
+    unsigned patience = first_patience;
     for (;;) {
         if (abort_requested() || bus_.node_crashed(self)) {
             // Torn down (driver deadline) or re-crashed mid-catch-up:
@@ -107,7 +145,7 @@ void server_group<Server, Config>::recover_server_locked(std::size_t s) {
             if (live_peer(t) && !acked[t]) done = false;
         }
         if (done) break;
-        bus_.pump_one();  // the replica's deliver() boxes its catch-up acks
+        bus_.pump_one();  // deliver() boxes the catch-up acks
         bool got = false;
         for (const message& m : catchup_box_) {
             const std::size_t t = m.src - cfg_.clients;
@@ -138,7 +176,7 @@ void server_group<Server, Config>::recover_server_locked(std::size_t s) {
     bus_.recovery_complete(self);
 }
 
-template class server_group<abd_server, abd_config>;
-template class server_group<twobit_server, twobit_config>;
+template class server_group<abd_server>;
+template class server_group<twobit_server>;
 
 }  // namespace bloom87::net

@@ -26,9 +26,10 @@
 //     echoes are unsound under bounded control: per-channel FIFO cannot stop
 //     a stale echo (3 versions old, aliasing as consecutive-next mod 4) from
 //     arriving after its destination advanced through the writer's own
-//     channel (serve_at's comment). The all-live install rule above already
-//     does the laggard-prevention work gossip existed for; a reader whose
-//     quorum still shows incomparable codes (a gap) simply re-queries.
+//     channel, and the overwritten value would be adopted as a fresh
+//     version. The all-live install rule above already does the
+//     laggard-prevention work gossip existed for; a reader whose quorum
+//     still shows incomparable codes (a gap) simply re-queries.
 //   * Reads write the winning version back (same consecutive-adoption rule)
 //     and complete only when a quorum provably holds it: a reply coding the
 //     version itself or its consecutive successor. A write-back that stalls
@@ -47,7 +48,6 @@
 // write values and re-queried rather than mis-ordered.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -56,43 +56,19 @@
 
 namespace bloom87::net {
 
-struct twobit_config {
-    std::size_t servers{3};
-    /// Client 0 is THE writer (SWMR); clients 1.. are readers.
-    std::size_t clients{3};
-    value_t initial{0};
-    bus_config bus{};  ///< fifo is forced on (the construction requires it)
-    unsigned retransmit_after{8};  ///< doubles per rebroadcast (see abd.hpp)
-    /// Write-back retransmission rounds before a read abandons its
-    /// candidate and re-queries (the quorum moved >= 2 versions past it).
-    unsigned writeback_patience{4};
-    /// Graceful degradation (see abd_config::max_attempts): query phases
-    /// give up after this many rebroadcasts, and a read abandons after this
-    /// many full re-queries, reporting `unavailable`. 0 = retry forever.
-    /// The writer's install is exempt (it waits on LIVE replicas only, so
-    /// it cannot livelock on a dead quorum) and bounded by the abort flag.
-    unsigned max_attempts{10};
-    /// Driver's global op deadline (see abd_config::abort_flag).
-    const std::atomic<bool>* abort_flag{nullptr};
-    /// Optional replica-access observer (servers.hpp); must outlive the
-    /// system.
-    const replica_observer* observer{nullptr};
-};
-
-/// Delivery works as in abd_system (abd.hpp): the system owns its bus, and
-/// acks are credited to the one open phase on arrival. Crash recovery is
-/// server_group's (servers.hpp). The catch-up acks carry the replica's FULL
-/// version counter in ts.seq -- a documented deviation: recovery is
-/// out-of-band state transfer, and the two-bit bound is a steady-state
-/// claim about the client protocol, not about bootstrapping a reborn
-/// replica. Their max leaves the reborn replica at most ONE version behind
-/// the writer's frontier -- the writer installs on every live replica, so
-/// all live peers sit at the frontier or its predecessor -- which restores
-/// the lag bound the two-bit ordering argument needs.
-class twobit_system final : public server_group<twobit_server, twobit_config> {
+/// The phase machinery is server_group's (servers.hpp), as is crash
+/// recovery. The catch-up acks carry the replica's FULL version counter in
+/// ts.seq -- a documented deviation: recovery is out-of-band state
+/// transfer, and the two-bit bound is a steady-state claim about the client
+/// protocol, not about bootstrapping a reborn replica. Their max leaves the
+/// reborn replica at most ONE version behind the writer's frontier -- the
+/// writer installs on every live replica, so all live peers sit at the
+/// frontier or its predecessor -- which restores the lag bound the two-bit
+/// ordering argument needs. `net_config::bus.fifo` is forced on (the
+/// construction counts on channel order), and `writers` must be 1.
+class twobit_system final : public server_group<twobit_server> {
 public:
-    explicit twobit_system(const twobit_config& cfg,
-                           fault_plan* plan = nullptr);
+    explicit twobit_system(const net_config& cfg, fault_plan* plan = nullptr);
 
     /// nullopt / false = UNAVAILABLE (see abd_system::read).
     [[nodiscard]] std::optional<value_t> read(
@@ -102,54 +78,26 @@ public:
                              const pause_hook* pause = nullptr);
 
 private:
+    /// A reader's write-back abandons at this timeout and re-queries (the
+    /// quorum moved >= 2 versions past its candidate).
+    static constexpr unsigned writeback_give_up = 4;
+
     struct reply {
         value_t value{0};
         std::uint8_t bits{0};
     };
 
-    static constexpr std::size_t no_client = static_cast<std::size_t>(-1);
-
-    /// The open client phase: a query (wants read_acks) or an install
-    /// (wants write_acks coding `code` or its successor). read() holds the
-    /// lock across its phases, so at most one is open.
-    struct open_phase {
-        /// The client of the latest phase, which the observer attributes
-        /// replica touches to; no_client before the first phase.
-        std::size_t client{no_client};
-        std::uint64_t rid{0};
-        msg_kind want{msg_kind::read_ack};
-        std::uint8_t code{0};
-        /// Per server: replied (query) or provably holds the code (install).
-        std::vector<bool> acked;
-        std::vector<std::uint32_t> inc;  ///< per server: the ack's sender
-        std::vector<reply> replies;      ///< per server (query)
-        std::size_t count{0};
-        bool got{false};  ///< an ack was credited during this pump
-    };
-
-    /// bus_owner: serve_at for a server, credit() for a client.
-    void deliver(const message& m) override;
-    /// Serves one message addressed to server s.
-    void serve_at(std::size_t s, const message& m);
-    /// Counts a client-bound ack toward the open phase, or drops it.
-    void credit(const message& m);
-    /// Opens phase_ for `client` wanting `want` acks; bumps the round count.
-    void begin_phase(std::size_t client, msg_kind want, std::uint8_t code);
-    /// Voids every ack whose sender has re-incarnated since (phase_).
-    void void_stale_acks();
-    /// Quorum of read_acks into phase_.acked/replies. Caller holds the lock.
-    /// False: retry budget exhausted (quorum unavailable) or aborted.
-    bool query_phase(std::size_t client);
+    /// A quorum of read_acks into phase_.acked and replies_. False: retry
+    /// budget exhausted (quorum unavailable) or aborted. Caller holds the
+    /// lock.
+    bool query(std::size_t client);
     /// Push (value, code) until a quorum (reader write-back) or every live
-    /// replica (writer, client 0) provably holds it; false when a limited
-    /// caller's patience ran out (it re-queries). Caller holds the lock.
-    bool install_phase(std::size_t client, value_t v, std::uint8_t code);
-    void note_unavailable_locked();
-    /// Observer report for one replica touch (see abd_system::observe).
-    void observe(const message& m, std::size_t server, bool installed);
+    /// replica (writer, client 0) provably holds it; false when a reader's
+    /// patience ran out (it re-queries) or the abort flag fired. Caller
+    /// holds the lock.
+    bool install(std::size_t client, value_t v, std::uint8_t code);
 
-    open_phase phase_;  ///< guarded by lock_
-    std::vector<std::uint64_t> next_rid_;
+    std::vector<reply> replies_;  ///< per server: the last query's replies
     std::uint64_t writer_version_{0};
 };
 

@@ -7,6 +7,7 @@
 // histories, and the bounded ABD model certifies the protocol under POR.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -192,11 +193,10 @@ TEST(NetStats, SurfaceThroughTheDriver) {
 // stay plausibly near their configured rates, and the result must still be
 // atomic (ABD's whole point).
 TEST(NetBus, LossAndDuplicationBoundedAndLive) {
-    net::abd_config cfg;
+    net::net_config cfg;
     cfg.servers = 3;
     cfg.clients = 3;
     cfg.writers = 1;
-    cfg.multi_writer = false;
     cfg.bus.seed = 99;
     cfg.bus.loss_num = 1;
     cfg.bus.loss_den = 8;
@@ -223,7 +223,7 @@ TEST(NetBus, LossAndDuplicationBoundedAndLive) {
 }
 
 TEST(NetBus, DelayKnobDefersButDelivers) {
-    net::abd_config cfg;
+    net::net_config cfg;
     cfg.servers = 3;
     cfg.clients = 2;
     cfg.writers = 1;
@@ -244,11 +244,10 @@ TEST(NetBus, DelayKnobDefersButDelivers) {
 // --- quorum liveness under server crashes ----------------------------------
 
 TEST(NetAbd, SurvivesMaxCrashes) {
-    net::abd_config cfg;
+    net::net_config cfg;
     cfg.servers = 5;
     cfg.clients = 4;
     cfg.writers = 2;
-    cfg.multi_writer = true;
     net::abd_system sys(cfg);
     EXPECT_EQ(sys.quorum(), 3u);
     EXPECT_EQ(sys.max_crashes(), 2u);
@@ -267,7 +266,7 @@ TEST(NetAbd, SurvivesMaxCrashes) {
 }
 
 TEST(NetTwobit, SurvivesOneCrashOfThree) {
-    net::twobit_config cfg;
+    net::net_config cfg;
     cfg.servers = 3;
     cfg.clients = 3;
     net::twobit_system sys(cfg);
@@ -286,7 +285,7 @@ TEST(NetTwobit, SurvivesOneCrashOfThree) {
 // partner may crash, so a correct answer proves the recovered replica
 // really holds the frontier value.
 TEST(NetRecovery, AbdRejoinCatchesUpAndServes) {
-    net::abd_config cfg;
+    net::net_config cfg;
     cfg.servers = 3;
     cfg.clients = 3;
     cfg.writers = 1;
@@ -313,7 +312,7 @@ TEST(NetRecovery, AbdRejoinCatchesUpAndServes) {
 // protocol messages parked in the bus, and replaying them into the reborn
 // empty replica would resurrect state the recovery contract erased.
 TEST(NetRecovery, StaleIncarnationMessagesRejected) {
-    net::abd_config cfg;
+    net::net_config cfg;
     cfg.servers = 3;
     cfg.clients = 3;
     cfg.writers = 1;
@@ -342,7 +341,7 @@ TEST(NetRecovery, StaleIncarnationMessagesRejected) {
 // recover of the SAME replica bumps the incarnation each time and each
 // catch-up restores the then-current frontier.
 TEST(NetRecovery, DoubleCrashRecoverSameServer) {
-    net::abd_config cfg;
+    net::net_config cfg;
     cfg.servers = 3;
     cfg.clients = 3;
     cfg.writers = 1;
@@ -370,7 +369,7 @@ TEST(NetRecovery, DoubleCrashRecoverSameServer) {
 // still completes recovery against the remaining live peers -- the
 // ">= 1 live holder per completed write" argument at its boundary.
 TEST(NetRecovery, RecoveryWithMaxCrashesOutstanding) {
-    net::abd_config cfg;
+    net::net_config cfg;
     cfg.servers = 5;
     cfg.clients = 3;
     cfg.writers = 1;
@@ -395,7 +394,7 @@ TEST(NetRecovery, RecoveryWithMaxCrashesOutstanding) {
 // writer's every-live-replica install keeps the mod-4 codes consecutive
 // afterwards (no unfillable gap, no livelock).
 TEST(NetRecovery, TwobitRejoinCatchesUp) {
-    net::twobit_config cfg;
+    net::net_config cfg;
     cfg.servers = 3;
     cfg.clients = 3;
     net::twobit_system sys(cfg);
@@ -586,10 +585,89 @@ TEST(NetDriver, DeadlineAbortEndsAnInstallNoReplicaAcks) {
                                               spec.grace_ms + 500));
 }
 
+// Every give-up branch a seeded run reaches, pinned like PinnedSchedules.
+// With a crash budget of 2 of 3 servers and no recovery, a dead majority
+// starves ABD's phases at their 10th timeout and twobit's queries at
+// theirs; a twobit writer's install waits only for the live replica and
+// never gives up. Stale replies under heavy loss make a twobit reader's
+// write-back abandon at its 4th timeout and re-query, which shows only in
+// the counters, and torn values spend a twobit read's whole re-query budget
+// on conflicting codes, which ends the read unavailable.
+TEST(NetDegradation, PinnedGiveUps) {
+    struct pinned {
+        run_spec spec;
+        std::uint64_t sent, delivered, lost, rounds, retransmissions,
+            unavailable_ops, ops, events, hash;
+    };
+    const auto spec = [](const std::string& name, std::size_t writers,
+                         std::vector<fault_entry> faults,
+                         unsigned crash_budget) {
+        run_spec s = net_spec(name, writers, 1);
+        s.net_servers = 3;
+        s.fault.composed = std::move(faults);
+        s.fault.crash_budget = crash_budget;
+        s.fault.seed = 1;
+        return s;
+    };
+    const std::vector<pinned> cases = {
+        {spec("net/abd-mw", 2, {{fault_class::port_crash, 1, 64}}, 2), 458,
+         310, 148, 77, 36, 4, 53, 265, 0x0628ba11ff9d3846ULL},
+        {spec("net/twobit", 1, {{fault_class::port_crash, 1, 64}}, 2), 421,
+         308, 113, 76, 27, 3, 73, 303, 0xbb7fad59f426747cULL},
+        {spec("net/twobit", 1,
+              {{fault_class::stale_read, 1, 4},
+               {fault_class::lost_write, 1, 2}},
+              0),
+         2243, 1449, 794, 241, 345, 0, 180, 1229, 0x88858123b5a244ffULL},
+        {spec("net/twobit", 1, {{fault_class::torn_value, 1, 16}}, 0), 1049,
+         1046, 0, 175, 0, 3, 129, 785, 0xd539f0a5618ba88eULL},
+    };
+    for (const pinned& c : cases) {
+        SCOPED_TRACE(c.spec.register_name + " " +
+                     fault_class_name(c.spec.fault.composed[0].cls));
+        const run_result r = run(c.spec);
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.net.sent, c.sent);
+        EXPECT_EQ(r.net.delivered, c.delivered);
+        EXPECT_EQ(r.net.lost, c.lost);
+        EXPECT_EQ(r.net.rounds, c.rounds);
+        EXPECT_EQ(r.net.retransmissions, c.retransmissions);
+        EXPECT_EQ(r.net.unavailable_ops, c.unavailable_ops);
+        EXPECT_EQ(r.net.ops, c.ops);
+        EXPECT_EQ(r.events.size(), c.events);
+        EXPECT_EQ(history_hash(r.events), c.hash)
+            << std::hex << "0x" << history_hash(r.events);
+    }
+}
+
+// A tripped abort flag ends a phase at its first pump, after one broadcast.
+TEST(NetDegradation, AbortFlagEndsAPhaseAtItsFirstPump) {
+    const std::atomic<bool> abort{true};
+    net::net_config abd_cfg;
+    abd_cfg.clients = 2;
+    abd_cfg.abort_flag = &abort;
+    net::abd_system abd(abd_cfg);
+    EXPECT_FALSE(abd.write(0, 1));
+    EXPECT_EQ(abd.read(1), std::nullopt);
+    net::net_config twobit_cfg;
+    twobit_cfg.abort_flag = &abort;
+    net::twobit_system twobit(twobit_cfg);
+    EXPECT_EQ(twobit.read(1), std::nullopt);
+    EXPECT_FALSE(twobit.write(0, 1));
+    for (const net::net_counters& c : {abd.counters(), twobit.counters()}) {
+        EXPECT_EQ(c.sent, 6u);
+        EXPECT_EQ(c.delivered, 0u);
+        EXPECT_EQ(c.rounds, 2u);
+        EXPECT_EQ(c.retransmissions, 0u);
+        EXPECT_EQ(c.unavailable_ops, 2u);
+        EXPECT_EQ(c.ops, 0u);
+    }
+}
+
 // --- twobit sequential sanity ----------------------------------------------
 
 TEST(NetTwobit, SequentialReadsSeeLatestWrite) {
-    net::twobit_config cfg;
+    net::net_config cfg;
     net::twobit_system sys(cfg);
     EXPECT_EQ(sys.read(1), 0);  // initial
     for (int i = 1; i <= 40; ++i) {
